@@ -20,11 +20,9 @@
 //!   migration/moved-GB counters recorded;
 //! * **contended variants** — 8 client threads hammer
 //!   `place_batch`/`release` while a background thread runs
-//!   `rebalance()` passes the whole time, on the epoch-published
-//!   snapshot engine vs the `snapshot_reads: false` lock-clone
-//!   baseline, recording client-observed p50/p99 place latency — plus
-//!   a counter-verified proof that snapshot-mode scoring and planning
-//!   acquire zero host locks;
+//!   `rebalance()` passes the whole time, recording client-observed
+//!   p50/p99 place latency — plus a counter-verified proof that
+//!   scoring and planning acquire zero host locks;
 //! * **served variant** — the same stochastic churn driven through the
 //!   `vc-serve` daemon over real TCP (4 client threads against a held
 //!   over-budget population) while the daemon's pausable background
@@ -32,12 +30,10 @@
 //!   latency plus the loop's cooldown-suppression counters;
 //! * **sketch-scaling variants** — a single-class fleet is filled to
 //!   `n − 1` hosts with half-host containers, then a place/release
-//!   cycle on the last free host is timed with the shard availability
-//!   sketches on vs off: on, the descent jumps every saturated shard
-//!   without reading a single member summary, so the cycle p99 grows
-//!   with the *shard* count, not the host count. A 100k-host on-only
-//!   point rides behind `VC_BENCH_LARGE=1` (off-mode at that size is
-//!   the quadratic fill the sketches exist to avoid).
+//!   cycle on the last free host is timed: the descent jumps every
+//!   saturated shard without reading a single member summary, so the
+//!   cycle p99 grows with the *shard* count, not the host count. A
+//!   100k-host point rides behind `VC_BENCH_LARGE=1`.
 //!
 //! Prints one JSON line per configuration (recorded in
 //! `BENCH_engine_fleet.json` at the repo root) before the timed
@@ -67,21 +63,11 @@ fn build_fleet_with(
     interference: bool,
     degradation_budget: Option<f64>,
 ) -> PlacementEngine {
-    build_fleet_mode(hosts, interference, degradation_budget, true)
-}
-
-fn build_fleet_mode(
-    hosts: usize,
-    interference: bool,
-    degradation_budget: Option<f64>,
-    snapshot_reads: bool,
-) -> PlacementEngine {
     let mut engine = PlacementEngine::new(EngineConfig {
         n_seeds: 2,
         extra_synthetic: 0,
         interference,
         degradation_budget,
-        snapshot_reads,
         ..EngineConfig::default()
     });
     for i in 0..hosts {
@@ -255,12 +241,11 @@ fn record_rebalance(hosts: usize, reqs: &[PlacementRequest]) -> (PlacementEngine
 }
 
 /// Contended variant: 8 clients hammer `place_batch`/`release` while a
-/// background rebalancer runs, on the snapshot engine vs the
-/// lock-clone baseline. Before the contended phase, a quiescent
-/// BestScore sweep counter-verifies that snapshot-mode scoring takes
-/// zero host locks (every acquisition is a commit or release).
-fn record_contended(hosts: usize, snapshot_reads: bool) {
-    let engine = build_fleet_mode(hosts, true, Some(0.01), snapshot_reads);
+/// background rebalancer runs. Before the contended phase, a quiescent
+/// BestScore sweep counter-verifies that scoring takes zero host locks
+/// (every acquisition is a commit or release).
+fn record_contended(hosts: usize) {
+    let engine = build_fleet_with(hosts, true, Some(0.01));
     // Warm every catalog/model/penalty cache off the clock.
     let warm: Vec<_> = resident_stream()
         .iter()
@@ -271,8 +256,8 @@ fn record_contended(hosts: usize, snapshot_reads: bool) {
     }
 
     // Counter-verified scoring locks: a BestScore batch dry-runs offers
-    // across the fleet; in snapshot mode the only acquisitions are the
-    // commits and the releases that follow.
+    // across the fleet; the only acquisitions are the commits and the
+    // releases that follow.
     let before = engine.stats().host_lock_acquisitions;
     let reqs: Vec<PlacementRequest> = (0..8)
         .map(|i| PlacementRequest::new("swaptions", 16).with_probe_seed(100 + i))
@@ -287,12 +272,7 @@ fn record_contended(hosts: usize, snapshot_reads: bool) {
     }
     let scoring_locks =
         engine.stats().host_lock_acquisitions - before - 2 * placed.len() as u64;
-    if snapshot_reads {
-        assert_eq!(
-            scoring_locks, 0,
-            "snapshot-mode scoring must acquire zero host locks"
-        );
-    }
+    assert_eq!(scoring_locks, 0, "scoring must acquire zero host locks");
 
     let clients = 8;
     let per_client = 16;
@@ -309,7 +289,7 @@ fn record_contended(hosts: usize, snapshot_reads: bool) {
     let stats = engine.stats();
     println!(
         "{{\"bench\":\"engine_fleet\",\"variant\":\"contended\",\
-         \"hosts\":{hosts},\"snapshot_reads\":{snapshot_reads},\
+         \"hosts\":{hosts},\
          \"clients\":{clients},\"requests_per_client\":{per_client},\
          \"placed\":{},\"rejected\":{},\"wall_s\":{wall_s:.3},\
          \"place_p50_us\":{:.1},\"place_p99_us\":{:.1},\"place_max_us\":{:.1},\
@@ -342,7 +322,7 @@ fn record_contended(hosts: usize, snapshot_reads: bool) {
 /// just-moved tickets inside their cooldown window — the suppression
 /// the JSON line (and the assert) records.
 fn record_served(hosts: usize) {
-    let engine = Arc::new(build_fleet_mode(hosts, true, Some(0.01), true));
+    let engine = Arc::new(build_fleet_with(hosts, true, Some(0.01)));
     // Warm every catalog/model/penalty cache off the clock.
     let warm: Vec<_> = resident_stream()
         .iter()
@@ -442,13 +422,11 @@ fn record_served(hosts: usize) {
 }
 
 /// A single-class fleet for the sketch-scaling measurement: every host
-/// the same AMD box, so the descent is one class → many shards and the
-/// cost difference is purely sketch-jump vs member-summary scan.
-fn build_sketch_fleet(hosts: usize, sketches: bool) -> PlacementEngine {
+/// the same AMD box, so the descent is one class → many shards.
+fn build_sketch_fleet(hosts: usize) -> PlacementEngine {
     let mut engine = PlacementEngine::new(EngineConfig {
         n_seeds: 2,
         extra_synthetic: 0,
-        sketches,
         ..EngineConfig::default()
     });
     for _ in 0..hosts {
@@ -459,13 +437,12 @@ fn build_sketch_fleet(hosts: usize, sketches: bool) -> PlacementEngine {
 
 /// Sketch-scaling variant: fill `hosts − 1` hosts with half-host
 /// containers, then time place/release cycles on the one free host at
-/// the far end of the fleet. With sketches on, every saturated shard is
-/// jumped at the sketch level (zero member summaries read); off is the
-/// flat per-host summary scan. Reports cycle p50/p99 and the sketch
-/// counters that prove the descent did the skipping.
-fn record_sketch_scaling(hosts: usize, sketches: bool) {
+/// the far end of the fleet. Every saturated shard is jumped at the
+/// sketch level (zero member summaries read). Reports cycle p50/p99 and
+/// the sketch counters that prove the descent did the skipping.
+fn record_sketch_scaling(hosts: usize) {
     let t0 = Instant::now();
-    let engine = build_sketch_fleet(hosts, sketches);
+    let engine = build_sketch_fleet(hosts);
     // Half-host containers, two per host (a full-host container would
     // leave the model a single placement to probe): first-fit commits
     // them ascending, so the first `hosts − 1` hosts saturate and only
@@ -498,7 +475,7 @@ fn record_sketch_scaling(hosts: usize, sketches: bool) {
     let stats = engine.stats();
     println!(
         "{{\"bench\":\"engine_fleet\",\"variant\":\"sketch_scaling\",\
-         \"hosts\":{hosts},\"sketches\":{sketches},\"fill_s\":{fill_s:.3},\
+         \"hosts\":{hosts},\"fill_s\":{fill_s:.3},\
          \"cycles\":{cycles},\"cycle_p50_us\":{:.1},\"cycle_p99_us\":{:.1},\
          \"sketch_skips\":{},\"sketch_admits\":{},\"sketch_stale\":{},\
          \"summary_skips\":{},\"summary_admits\":{}}}",
@@ -510,18 +487,10 @@ fn record_sketch_scaling(hosts: usize, sketches: bool) {
         stats.summary.skips,
         stats.summary.admits,
     );
-    if sketches {
-        assert!(
-            stats.sketch.skips > 0,
-            "a nearly-full fleet must rule out whole shards at the sketch"
-        );
-    } else {
-        assert_eq!(
-            stats.sketch.skips + stats.sketch.admits + stats.sketch.stale,
-            0,
-            "sketches off must leave the counters untouched"
-        );
-    }
+    assert!(
+        stats.sketch.skips > 0,
+        "a nearly-full fleet must rule out whole shards at the sketch"
+    );
 }
 
 fn bench(c: &mut Criterion) {
@@ -542,24 +511,19 @@ fn bench(c: &mut Criterion) {
     let residents = resident_stream();
     let (small_reb, policy) = record_rebalance(10, &residents);
     let (large_reb, _) = record_rebalance(1000, &residents);
-    // Contended variants: snapshot vs lock-clone at both fleet sizes.
-    record_contended(10, true);
-    record_contended(10, false);
-    record_contended(1000, true);
-    record_contended(1000, false);
+    // Contended variants at both fleet sizes.
+    record_contended(10);
+    record_contended(1000);
     // Served variant: the same churn through the vc-serve daemon over
     // TCP, with the background loop rebalancing under hysteresis.
     record_served(10);
-    // Sketch-scaling variants: sketches on vs off on a near-full
-    // single-class fleet, then the 100k-host on-only point (off at
-    // that size is the quadratic scan the sketches replace) behind an
-    // opt-in env var so the default bench run stays quick.
-    record_sketch_scaling(1_000, true);
-    record_sketch_scaling(1_000, false);
-    record_sketch_scaling(10_000, true);
-    record_sketch_scaling(10_000, false);
+    // Sketch-scaling variants on a near-full single-class fleet; the
+    // 100k-host point sits behind an opt-in env var so the default
+    // bench run stays quick.
+    record_sketch_scaling(1_000);
+    record_sketch_scaling(10_000);
     if std::env::var_os("VC_BENCH_LARGE").is_some() {
-        record_sketch_scaling(100_000, true);
+        record_sketch_scaling(100_000);
     }
 
     let mut group = c.benchmark_group("place_batch_fleet");

@@ -9,9 +9,7 @@ use vc_core::concern::ConcernSet;
 use vc_core::important::{
     important_placements_from_packings, surviving_packings, ImportantPlacement,
 };
-use vc_core::interference::{
-    InterferenceCounters, InterferenceModel, ResidentWorkload, SharedInterferenceOracle,
-};
+use vc_core::interference::{InterferenceModel, ResidentWorkload, SharedInterferenceOracle};
 use vc_core::model::{
     select_probe_pair, PerfOracle, PerfPairModel, SharedOracle, TrainingSet, TrainingWorkload,
 };
@@ -19,12 +17,14 @@ use vc_core::packing::Packing;
 use vc_core::placement::{PlacementError, PlacementSpec};
 use vc_ml::forest::ForestConfig;
 use vc_sim::SimOracle;
-use vc_sync::{Domain, Slot};
-use vc_topology::{
-    AvailabilitySketch, CapacitySummary, Machine, NodeId, OccupancyMap, SketchProfile, ThreadId,
-};
+use vc_sync::Domain;
+use vc_topology::{AvailabilitySketch, CapacitySummary, Machine, NodeId, OccupancyMap, ThreadId};
 
-use crate::cache::{CacheCounters, KeyedCache};
+use crate::cache::KeyedCache;
+use crate::host::{Host, HostGuard, HostSnapshot};
+use crate::stats::Counters;
+#[cfg(doc)]
+use crate::stats::{EngineStats, SnapshotCounters};
 
 /// Engine-wide configuration: the training corpus and forest settings
 /// shared by every machine in the fleet. These parameters are part of
@@ -93,45 +93,18 @@ pub struct EngineConfig {
     /// is bit-for-bit that of a budget-less engine
     /// (equivalence-tested).
     pub degradation_budget: Option<f64>,
-    /// Serve read paths (scoring, offers, accessors, rebalance
-    /// planning) from epoch-published immutable host snapshots instead
-    /// of locking the host mutex.
-    ///
-    /// `true` (the default) makes every read path wait-free: each
-    /// commit/release/rebalance-move publishes an `Arc<HostSnapshot>`
-    /// before dropping the host lock, readers load it with zero lock
-    /// acquisitions (QSBR-protected — see `vc_sync`), and only the
-    /// final all-or-nothing reserve takes the mutex. `false` is the
-    /// lock-clone baseline: reads lock the host and clone its state —
-    /// kept for bit-for-bit equivalence tests and as the contended
-    /// bench's comparison point. Decisions are identical either way
-    /// (single-threaded: equivalence-tested; a snapshot lags the map by
-    /// at most one in-flight critical section, exactly like the
-    /// capacity summary).
-    pub snapshot_reads: bool,
-    /// Descend shard-level availability sketches before reading any
-    /// per-host capacity summary: each machine class's members are
-    /// grouped into shards of [`EngineConfig::sketch_shard`] hosts, and
-    /// every shard maintains a lock-free [`AvailabilitySketch`]
-    /// (published by the same critical section that publishes the
-    /// summary). Admission, BestScore's class walks and
-    /// [`PlacementEngine::can_fit`] skip — in O(1), without touching a
-    /// single member summary — every shard whose sketch proves no host
-    /// can pass the prefilter for any goal shape
-    /// ([`EngineStats::sketch`] counts the activity).
-    ///
-    /// `true` (the default) changes *costs only*: the sketch is
-    /// conservative, so skipped hosts are exactly hosts the summary
-    /// scan would also have rejected, and placement decisions are
-    /// identical (equivalence-tested). `false` is literally today's
-    /// flat summary scan — bit-for-bit, with zero sketch maintenance
-    /// on the publication path.
-    pub sketches: bool,
     /// Hosts per availability-sketch shard (class-local; the last
-    /// shard of a class may be smaller). Values `< 1` are treated as
-    /// `1`. The default of 64 keeps the descent two orders of
-    /// magnitude narrower than the fleet while leaving each shard
-    /// coarse enough that one busy host cannot flip its sketch.
+    /// shard of a class may be smaller). Every shard maintains a
+    /// lock-free [`AvailabilitySketch`], published by the same critical
+    /// section that publishes the member's capacity summary; admission,
+    /// BestScore's class walks and [`PlacementEngine::can_fit`] skip —
+    /// in O(1), without touching a single member summary — every shard
+    /// whose sketch proves no host can pass the prefilter for any goal
+    /// shape ([`EngineStats::sketch`] counts the activity). Values
+    /// `< 1` are treated as `1`. The default of 64 keeps the descent
+    /// two orders of magnitude narrower than the fleet while leaving
+    /// each shard coarse enough that one busy host cannot flip its
+    /// sketch.
     pub sketch_shard: usize,
 }
 
@@ -149,8 +122,6 @@ impl Default for EngineConfig {
             cache_capacity: 64,
             interference: false,
             degradation_budget: None,
-            snapshot_reads: true,
-            sketches: true,
             sketch_shard: 64,
         }
     }
@@ -506,7 +477,6 @@ pub struct FitProbe {
     /// Skipping is conservative, so `hosts` equals what a full summary
     /// scan would count (regression-tested); this field reports how
     /// much of the fleet the answer was derived *without touching*.
-    /// Always 0 with [`EngineConfig::sketches`] off.
     pub sketch_skipped: usize,
 }
 
@@ -546,137 +516,6 @@ impl std::fmt::Display for ReleaseError {
 
 impl std::error::Error for ReleaseError {}
 
-/// Counters for the lock-free capacity-summary prefilter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SummaryCounters {
-    /// Hosts skipped by the prefilter — no host lock was taken for
-    /// these.
-    pub skips: u64,
-    /// Hosts the prefilter admitted (each admission leads to at most
-    /// one lock-validated offer or commit attempt).
-    pub admits: u64,
-    /// Admitted hosts whose lock-validated commit/offer then found no
-    /// room; the request was re-offered to the remaining hosts. Under
-    /// concurrency this is usually a stale-optimistic summary, but it
-    /// also counts constraints the node-granular summary cannot
-    /// express (score-equivalent node sets all busy, intra-node L2
-    /// fragmentation), so it can be nonzero single-threaded.
-    pub stale: u64,
-}
-
-/// Counters for the shard-level availability-sketch descent (all zero
-/// with [`EngineConfig::sketches`] off).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SketchCounters {
-    /// Hosts skipped *shard-wide*: their shard's sketch proved no
-    /// member could pass the summary prefilter, so not even their
-    /// individual summaries were read. Disjoint from
-    /// [`SummaryCounters::skips`], which counts per-host summary
-    /// rejections inside descended shards.
-    pub skips: u64,
-    /// Shards descended into (sketch left at least one goal shape
-    /// possible), counted per walk.
-    pub admits: u64,
-    /// Fully-walked admitted shards in which every member's summary
-    /// then rejected the request. The sketch's two marginals are
-    /// per-axis (node shapes and L2 shapes), so different hosts can
-    /// satisfy different axes with no host satisfying both — stale
-    /// optimism that costs one shard of summary reads, never a wrong
-    /// decision. Also counts racing publications under concurrency.
-    pub stale: u64,
-}
-
-/// Counters for the wait-free snapshot publication path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotCounters {
-    /// Host snapshots published (one per commit, release and executed
-    /// rebalance move, plus one per host at registration).
-    pub published: u64,
-    /// Snapshot loads served to read paths with zero lock
-    /// acquisitions. Stays zero with
-    /// [`EngineConfig::snapshot_reads`] off.
-    pub reads: u64,
-    /// Commit attempts that scored against a snapshot, then lost the
-    /// reserve race to a concurrent writer and re-scored against a
-    /// fresh snapshot. Zero single-threaded.
-    pub stale_retries: u64,
-}
-
-/// Counter snapshot across all engine caches and the fleet serving path.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineStats {
-    /// Catalog cache (important placements + packings + availability).
-    pub catalogs: CacheCounters,
-    /// Training-set cache (oracle measurement sweeps).
-    pub training_sets: CacheCounters,
-    /// Model cache (probe selection + forest training).
-    pub models: CacheCounters,
-    /// Phase-1 candidate evaluations (probing + prediction). Counted
-    /// per `(request, machine class)`, *not* per host: a fleet of 1000
-    /// same-model hosts costs one evaluation per request.
-    pub evaluations: u64,
-    /// Capacity-summary prefilter activity.
-    pub summary: SummaryCounters,
-    /// Shard-sketch descent activity (the level above the summaries).
-    pub sketch: SketchCounters,
-    /// Interference-penalty activity, aggregated over machine classes:
-    /// `computes` counts co-location simulations (cold misses), `hits`
-    /// the queries served from cache or idle-host short circuits. All
-    /// zero when [`EngineConfig::interference`] is off.
-    pub interference: InterferenceCounters,
-    /// Commit/offer attempts abandoned because the host had free
-    /// capacity for goal-clearing classes, but co-location interference
-    /// pushed every adjusted prediction below the goal. Counted
-    /// separately from [`SummaryCounters::stale`] — these hosts are
-    /// neither stale nor re-validatable.
-    pub interference_blocked: u64,
-    /// BestScore dry-run offers (per-host availability realisations).
-    /// Class-ranked commitment offers only the members of the
-    /// best-scoring machine class (lower-ranked classes are realised
-    /// lazily, only when the leader cannot host), so on multi-class
-    /// fleets this stays well below the admitted-host count.
-    pub offers: u64,
-    /// Successful releases (departures whose ticket resolved).
-    pub releases: u64,
-    /// Rejected releases: tickets the registry does not hold (double
-    /// release, or a handle that was never committed). The occupancy
-    /// map and published summaries are untouched by these — an earlier
-    /// revision silently ignored them in release builds, leaving
-    /// callers' accounting and the engine's quietly diverged.
-    pub release_failures: u64,
-    /// Wait-free snapshot publication activity.
-    pub snapshot: SnapshotCounters,
-    /// Host mutex acquisitions, engine-wide: every commit reserve,
-    /// release, rebalance-move bookkeeping — and, with
-    /// [`EngineConfig::snapshot_reads`] off, every read path too. The
-    /// zero-lock claim for snapshot-mode scoring/planning is asserted
-    /// against this counter in tests.
-    pub host_lock_acquisitions: u64,
-    /// Poisoned mutexes recovered (host state or location map): a
-    /// panic unwound through a critical section and the next acquirer
-    /// carried on with the guard. Host state is all-or-nothing by
-    /// construction, so recovery is sound — but each recovery means
-    /// some commit died mid-flight and is worth investigating.
-    pub lock_poison_recoveries: u64,
-    /// [`PlacementEngine::rebalance`] invocations, including no-op
-    /// passes on engines without a degradation budget. A daemon's
-    /// pause/resume control is observable through this counter: while
-    /// the loop is paused the value stops advancing.
-    pub rebalance_passes: u64,
-}
-
-impl EngineStats {
-    /// Total compute-side work performed (cold misses across caches).
-    pub fn total_computes(&self) -> u64 {
-        self.catalogs.computes + self.training_sets.computes + self.models.computes
-    }
-
-    /// Total LRU evictions across caches.
-    pub fn total_evictions(&self) -> u64 {
-        self.catalogs.evictions + self.training_sets.evictions + self.models.evictions
-    }
-}
-
 /// One live container as the engine's resident registry tracks it: the
 /// placement it currently holds plus the request that admitted it (kept
 /// so [`PlacementEngine::rebalance`] can re-score and re-place it).
@@ -709,133 +548,12 @@ pub struct Resident {
 
 impl Resident {
     /// The resident as the interference path consumes it.
-    fn as_workload(&self) -> ResidentWorkload {
+    pub(crate) fn as_workload(&self) -> ResidentWorkload {
         ResidentWorkload {
             workload: self.request.workload.clone(),
             threads: self.threads.clone(),
         }
     }
-}
-
-/// Everything commit/release mutate under one host lock: the
-/// authoritative occupancy map plus the resident registry. Guarding
-/// them together makes snapshots consistent — a cloned `(occupancy,
-/// residents)` pair always agrees thread-for-thread, which is what
-/// keeps interference memoisation sound.
-#[derive(Debug)]
-struct HostState {
-    occ: OccupancyMap,
-    residents: HashMap<u64, Resident>,
-    /// The host's last-published [`SketchProfile`] — what its shard's
-    /// availability sketch currently counts it as. Kept under the same
-    /// lock as the occupancy so publication can apply the sketch
-    /// *delta* (old profile → fresh profile) instead of rebuilding
-    /// shard totals. Stays [`SketchProfile::empty`] with
-    /// [`EngineConfig::sketches`] off.
-    profile: SketchProfile,
-}
-
-impl HostState {
-    /// An immutable copy of everything the read paths consume: the
-    /// occupancy map plus the resident registry, ticket order. Built
-    /// under the host lock (and published before the lock drops), so
-    /// the pair is always mid-commit-free.
-    fn snapshot(&self) -> HostSnapshot {
-        let mut residents: Vec<Resident> = self.residents.values().cloned().collect();
-        residents.sort_by_key(|r| r.ticket);
-        HostSnapshot {
-            occ: self.occ.clone(),
-            residents,
-        }
-    }
-}
-
-/// A consistent, immutable point-in-time view of one host: the
-/// occupancy map and the resident registry as some commit, release or
-/// rebalance move left them.
-///
-/// Snapshots are published through a single-slot wait-free cell
-/// (`vc_sync::Slot`) *before* the publishing writer drops the host
-/// lock, so a snapshot never shows a half-applied mutation: the union
-/// of the residents' threads is exactly the occupancy's used set in
-/// every published snapshot (proptested under concurrent churn).
-/// Readers keep a snapshot alive through their own `Arc`; a newer
-/// publication never invalidates it.
-#[derive(Debug, Clone)]
-pub struct HostSnapshot {
-    occ: OccupancyMap,
-    /// Ticket-sorted.
-    residents: Vec<Resident>,
-}
-
-impl HostSnapshot {
-    /// The occupancy map as of publication.
-    pub fn occupancy(&self) -> &OccupancyMap {
-        &self.occ
-    }
-
-    /// The resident registry as of publication, ticket order.
-    pub fn residents(&self) -> &[Resident] {
-        &self.residents
-    }
-
-    /// One resident by ticket (the list is ticket-sorted).
-    pub fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
-        self.residents
-            .binary_search_by_key(&ticket, |r| r.ticket)
-            .ok()
-            .map(|i| &self.residents[i])
-    }
-
-    /// The registry as the interference path consumes it, deterministic
-    /// (ticket) order.
-    fn resident_workloads(&self) -> Vec<ResidentWorkload> {
-        self.residents.iter().map(Resident::as_workload).collect()
-    }
-
-    /// The workloads of every resident but `ticket`, ticket order.
-    fn resident_workloads_without(&self, ticket: PlacementTicket) -> Vec<ResidentWorkload> {
-        self.residents
-            .iter()
-            .filter(|r| r.ticket != ticket)
-            .map(Resident::as_workload)
-            .collect()
-    }
-}
-
-struct Host {
-    /// The host's topology, shared with every structurally-equal host
-    /// (one `Arc` per registered topology): at 10⁵ hosts the machine
-    /// description would otherwise dominate per-host memory.
-    machine: Arc<Machine>,
-    /// Engine-local topology id (index into `PlacementEngine::topologies`):
-    /// the artifact-cache key component. Unlike the raw fingerprint it
-    /// is collision-free — hosts share it only after a structural
-    /// equality check.
-    topo: usize,
-    baseline: usize,
-    /// Index into the fleet index's classes.
-    class: usize,
-    /// The host's member index within its class (`FleetClass::members`
-    /// position): `slot / EngineConfig::sketch_shard` is the shard
-    /// whose availability sketch counts this host.
-    slot: usize,
-    oracle: Arc<SimOracle>,
-    /// Shared (per topology) memoizing interference model over `oracle`.
-    interference: Arc<InterferenceModel>,
-    /// Node-granular reservation state plus the resident registry.
-    /// Commits and releases lock this; candidate evaluation never does,
-    /// so the model path stays contention-free.
-    state: Mutex<HostState>,
-    /// Lock-free free-capacity summary, published by every commit and
-    /// release before the host lock is dropped. Admission reads it to
-    /// skip hopeless hosts without locking them.
-    summary: CapacitySummary,
-    /// The epoch-published full snapshot (occupancy + residents),
-    /// stored — like the summary — before the host lock is dropped.
-    /// Read paths load it wait-free when
-    /// [`EngineConfig::snapshot_reads`] is on.
-    snapshot: Slot<HostSnapshot>,
 }
 
 /// One request evaluated against one machine *class*: per-placement
@@ -844,7 +562,7 @@ struct Host {
 /// host.
 pub(crate) struct Candidate {
     /// Index into the fleet index's classes.
-    class: usize,
+    pub(crate) class: usize,
     /// The request being evaluated (its workload keys the
     /// interference-penalty cache; the whole request is kept in the
     /// resident registry at commit so rebalancing can re-evaluate it).
@@ -854,17 +572,17 @@ pub(crate) struct Candidate {
     /// `id - 1`. Idle-host predictions: interference, which depends on
     /// the committing host's live occupancy, is applied at commit time.
     predicted: Vec<f64>,
-    goal_perf: f64,
+    pub(crate) goal_perf: f64,
     /// Best prediction over all classes.
-    best_perf: f64,
+    pub(crate) best_perf: f64,
     /// Node- and L2-granular shapes of the goal-clearing catalog
     /// classes, deduped — what the capacity-summary prefilter checks.
-    goal_shapes: Vec<ShapeRequirement>,
+    pub(crate) goal_shapes: Vec<ShapeRequirement>,
 }
 
 impl Candidate {
     /// Whether any placement class is predicted to clear the goal.
-    fn goal_met(&self) -> bool {
+    pub(crate) fn goal_met(&self) -> bool {
         self.best_perf >= self.goal_perf
     }
 }
@@ -955,8 +673,8 @@ type TrainKey = (usize, usize, usize, Option<String>);
 /// (placements, departures, warm-cache behaviour).
 pub struct PlacementEngine {
     cfg: EngineConfig,
-    hosts: Vec<Host>,
-    fleet: FleetIndex,
+    pub(crate) hosts: Vec<Host>,
+    pub(crate) fleet: FleetIndex,
     /// Registered distinct machine structures: `(fingerprint, machine)`,
     /// index = topology id. Fingerprint narrows the scan; the machine is
     /// the structural-equality representative that makes ids
@@ -968,35 +686,20 @@ pub struct PlacementEngine {
     /// descent consults before any member summary. Grown only under
     /// `&mut self` (fleet mutation precedes serving); the sketches
     /// themselves are updated lock-free by every publication.
-    class_sketches: Vec<Vec<AvailabilitySketch>>,
+    pub(crate) class_sketches: Vec<Vec<AvailabilitySketch>>,
     /// Oracles shared across structurally-identical hosts: the synthetic
     /// corpus is a pure function of (topology, engine config).
     shared_oracles: HashMap<usize, Arc<SimOracle>>,
     /// Memoizing interference models, one per topology, over the shared
     /// oracles.
-    interference_models: HashMap<usize, Arc<InterferenceModel>>,
-    catalogs: KeyedCache<(usize, usize), Result<Arc<PlacementCatalog>, PlacementError>>,
-    training_sets: KeyedCache<TrainKey, Result<Arc<TrainingSet>, PlacementError>>,
-    models: KeyedCache<TrainKey, Result<Arc<ModelArtifact>, PlacementError>>,
-    evaluations: AtomicU64,
-    summary_skips: AtomicU64,
-    summary_admits: AtomicU64,
-    summary_stale: AtomicU64,
-    sketch_skips: AtomicU64,
-    sketch_admits: AtomicU64,
-    sketch_stale: AtomicU64,
-    interference_blocked: AtomicU64,
-    offers: AtomicU64,
-    releases: AtomicU64,
-    release_failures: AtomicU64,
-    snapshot_published: AtomicU64,
-    snapshot_loads: AtomicU64,
-    snapshot_stale_retries: AtomicU64,
-    host_lock_acquisitions: AtomicU64,
-    lock_poison_recoveries: AtomicU64,
+    pub(crate) interference_models: HashMap<usize, Arc<InterferenceModel>>,
+    pub(crate) catalogs: KeyedCache<(usize, usize), Result<Arc<PlacementCatalog>, PlacementError>>,
+    pub(crate) training_sets: KeyedCache<TrainKey, Result<Arc<TrainingSet>, PlacementError>>,
+    pub(crate) models: KeyedCache<TrainKey, Result<Arc<ModelArtifact>, PlacementError>>,
+    pub(crate) counters: Counters,
     /// QSBR domain the host snapshot slots publish through: one grace
     /// period protects every host's slot.
-    domain: Domain,
+    pub(crate) domain: Domain,
     /// Ticket source: every commit takes the next value, so tickets are
     /// unique across the engine's lifetime (and across hosts).
     next_ticket: AtomicU64,
@@ -1010,10 +713,6 @@ pub struct PlacementEngine {
     /// ever taken nested inside a host lock, or alone), so it can
     /// never participate in a deadlock cycle with the host locks.
     locations: Mutex<HashMap<u64, usize>>,
-    /// Monotone rebalance pass counter (see
-    /// [`EngineStats::rebalance_passes`]); the clock the move-cooldown
-    /// hysteresis counts in.
-    rebalance_passes: AtomicU64,
     /// Ticket → pass index of the ticket's last executed rebalance
     /// move. Consulted only by [`Self::rebalance`] (never on the
     /// admission or release path), pruned at the start of every pass,
@@ -1036,26 +735,10 @@ impl PlacementEngine {
             catalogs: KeyedCache::bounded(cap),
             training_sets: KeyedCache::bounded(cap),
             models: KeyedCache::bounded(cap),
-            evaluations: AtomicU64::new(0),
-            summary_skips: AtomicU64::new(0),
-            summary_admits: AtomicU64::new(0),
-            summary_stale: AtomicU64::new(0),
-            sketch_skips: AtomicU64::new(0),
-            sketch_admits: AtomicU64::new(0),
-            sketch_stale: AtomicU64::new(0),
-            interference_blocked: AtomicU64::new(0),
-            offers: AtomicU64::new(0),
-            releases: AtomicU64::new(0),
-            release_failures: AtomicU64::new(0),
-            snapshot_published: AtomicU64::new(0),
-            snapshot_loads: AtomicU64::new(0),
-            snapshot_stale_retries: AtomicU64::new(0),
-            host_lock_acquisitions: AtomicU64::new(0),
-            lock_poison_recoveries: AtomicU64::new(0),
+            counters: Counters::default(),
             domain: Domain::new(),
             next_ticket: AtomicU64::new(0),
             locations: Mutex::new(HashMap::new()),
-            rebalance_passes: AtomicU64::new(0),
             move_cooldowns: Mutex::new(HashMap::new()),
         }
     }
@@ -1113,7 +796,6 @@ impl PlacementEngine {
                 Arc::clone(&oracle) as SharedInterferenceOracle
             ))
         }));
-        let occ = OccupancyMap::new(&machine);
         let id = MachineId(self.hosts.len());
         let class = self.fleet.insert(fingerprint, topo, baseline, id);
         let slot = self.fleet.classes[class].members.len() - 1;
@@ -1123,47 +805,19 @@ impl PlacementEngine {
         if self.class_sketches.len() <= class {
             self.class_sketches.push(Vec::new());
         }
-        let shard = slot / self.sketch_shard();
+        let shard = slot / self.sketch_shard_size();
         if self.class_sketches[class].len() <= shard {
             self.class_sketches[class].push(AvailabilitySketch::new(&machine));
         }
-        let profile = if self.cfg.sketches {
-            let sketch = &self.class_sketches[class][shard];
-            let p = sketch.profile(&occ);
-            sketch.attach(&p);
-            p
-        } else {
-            SketchProfile::empty()
-        };
-        let initial = HostState {
-            occ,
-            residents: HashMap::new(),
-            profile,
-        };
-        // The slot must always hold a value; only snapshot mode counts
-        // it as a publication (the lock-clone baseline never reads it).
-        let snapshot = Slot::new(Arc::new(initial.snapshot()));
-        if self.cfg.snapshot_reads {
-            // Relaxed is sound (R7 allowlist): this is a diagnostic
-            // counter nothing synchronizes on. The publication edge
-            // readers rely on is `Slot::new`/`Slot::store`'s own
-            // ordering, not this increment.
-            self.snapshot_published.fetch_add(1, Ordering::Relaxed);
-        }
-        let state = Mutex::new(initial);
-        let summary = CapacitySummary::new(&machine);
-        self.hosts.push(Host {
-            machine,
-            topo,
-            baseline,
-            class,
-            slot,
-            oracle,
-            interference,
-            state,
-            summary,
-            snapshot,
-        });
+        let sketch = &self.class_sketches[class][shard];
+        self.hosts
+            .push(Host::new(machine, class, shard, sketch, oracle, interference));
+        // Relaxed is sound (R7 allowlist): a diagnostic counter nothing
+        // synchronizes on. The publication edge readers rely on is the
+        // snapshot slot's own ordering, not this increment.
+        self.counters
+            .snapshot_published
+            .fetch_add(1, Ordering::Relaxed);
         id
     }
 
@@ -1186,11 +840,6 @@ impl PlacementEngine {
         }
     }
 
-    /// Hosts per availability-sketch shard, clamped to at least one.
-    fn sketch_shard(&self) -> usize {
-        self.cfg.sketch_shard.max(1)
-    }
-
     /// The per-shard availability sketches of one machine class, slot
     /// order (members `[k·shard, (k+1)·shard)` feed sketch `k`). What
     /// the equivalence suite recomputes ground truth against; sized by
@@ -1201,7 +850,7 @@ impl PlacementEngine {
 
     /// The configured shard width (hosts per sketch), clamped ≥ 1.
     pub fn sketch_shard_size(&self) -> usize {
-        self.sketch_shard()
+        self.cfg.sketch_shard.max(1)
     }
 
     /// The engine configuration.
@@ -1236,7 +885,13 @@ impl PlacementEngine {
 
     /// The machine's reporting-baseline placement index.
     pub fn baseline(&self, id: MachineId) -> usize {
-        self.hosts[id.0].baseline
+        self.class_of(id).baseline
+    }
+
+    /// The machine's class: the `(topology, baseline)` its artifacts
+    /// are keyed and shared by.
+    fn class_of(&self, id: MachineId) -> &FleetClass {
+        &self.fleet.classes[self.hosts[id.0].class]
     }
 
     /// The machine's oracle as a shareable trait object.
@@ -1250,28 +905,14 @@ impl PlacementEngine {
         Arc::clone(&self.hosts[id.0].oracle)
     }
 
-    /// Acquires a host's state mutex, counting the acquisition and
-    /// recovering a poisoned guard. Recovery is sound because every
-    /// critical section leaves the state consistent at each step:
-    /// `reserve`/`release` are all-or-nothing, and registry/location
-    /// updates are ordered so a panic between them strands nothing
-    /// unreleasable (see `register`/`release`). Each recovery is
-    /// counted in [`EngineStats::lock_poison_recoveries`] — the panic
-    /// that caused it still means a writer died mid-flight.
-    fn lock_host<'a>(&self, host: &'a Host) -> MutexGuard<'a, HostState> {
-        self.host_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        host.state.lock().unwrap_or_else(|poisoned| {
-            self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
-    }
-
     /// Acquires the ticket-location map, recovering a poisoned guard
     /// (the map is structurally valid after any panic: inserts and
     /// removes are atomic at map granularity).
-    fn locations_lock(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
+    pub(crate) fn locations_lock(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
         self.locations.lock().unwrap_or_else(|poisoned| {
-            self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .lock_poison_recoveries
+                .fetch_add(1, Ordering::Relaxed);
             poisoned.into_inner()
         })
     }
@@ -1279,113 +920,58 @@ impl PlacementEngine {
     /// Starts a rebalance pass: bumps the engine-wide pass clock and
     /// returns the (1-based) index of the pass being started.
     pub(crate) fn begin_rebalance_pass(&self) -> u64 {
-        self.rebalance_passes.fetch_add(1, Ordering::Relaxed) + 1
+        self.counters.rebalance_passes.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The move-cooldown map (ticket → pass of last move), recovering a
     /// poisoned guard like the other bookkeeping locks.
     pub(crate) fn cooldowns_lock(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
         self.move_cooldowns.lock().unwrap_or_else(|poisoned| {
-            self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .lock_poison_recoveries
+                .fetch_add(1, Ordering::Relaxed);
             poisoned.into_inner()
         })
     }
 
-    /// The host view every read path scores against. With
-    /// [`EngineConfig::snapshot_reads`] on this is a wait-free load of
-    /// the epoch-published snapshot — zero lock acquisitions; with it
-    /// off, a lock-and-clone of the live state (the baseline the
-    /// contended bench compares against). Either way the result is
-    /// internally consistent: residents and occupancy always agree.
-    fn view(&self, host: &Host) -> Arc<HostSnapshot> {
-        if self.cfg.snapshot_reads {
-            self.snapshot_loads.fetch_add(1, Ordering::Relaxed);
-            host.snapshot.load(&self.domain)
-        } else {
-            Arc::new(self.lock_host(host).snapshot())
-        }
-    }
-
-    /// Publishes a host's mutated state to every lock-free view — the
-    /// capacity summary, the shard's availability sketch (when
-    /// [`EngineConfig::sketches`] is on; the sketch delta between the
-    /// host's last-published profile and the fresh one, recorded back
-    /// into the state) and (in snapshot mode) the full snapshot slot.
-    /// Must be called while the mutating critical section still holds
-    /// the host lock, so the published views never lag a completed
-    /// mutation — and so summary and sketch always change *together*:
-    /// a sketch that could zero out while member summaries still
-    /// advertise room would turn a conservative skip into a wrong one
-    /// (the pairing is model-checked in `tests/interleavings.rs`).
-    fn publish(&self, host: &Host, st: &mut HostState) {
-        host.summary.publish(&st.occ);
-        if self.cfg.sketches {
-            let sketch = &self.class_sketches[host.class][host.slot / self.sketch_shard()];
-            let fresh = sketch.profile(&st.occ);
-            sketch.update(&st.profile, &fresh);
-            st.profile = fresh;
-        }
-        if self.cfg.snapshot_reads {
-            host.snapshot.store(Arc::new(st.snapshot()), &self.domain);
-            // Relaxed is sound (R7 allowlist): readers synchronize on
-            // `Slot::store`'s SeqCst pointer swap on the line above —
-            // this counter is stats-only telemetry and orders nothing.
-            self.snapshot_published.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// (used, total) hardware threads on a machine. Wait-free in
-    /// snapshot mode.
+    /// (used, total) hardware threads on a machine. Wait-free.
     pub fn utilisation(&self, id: MachineId) -> (usize, usize) {
-        let view = self.view(&self.hosts[id.0]);
-        (view.occ.used_threads(), view.occ.total_threads())
+        let view = self.host_snapshot(id);
+        let occ = view.occupancy();
+        (occ.used_threads(), occ.total_threads())
     }
 
     /// Per-node `(node, used, capacity)` hardware-thread usage on a
-    /// machine, node-id order. Wait-free in snapshot mode.
+    /// machine, node-id order. Wait-free.
     pub fn node_utilisation(&self, id: MachineId) -> Vec<(NodeId, usize, usize)> {
-        self.view(&self.hosts[id.0]).occ.node_usage()
+        self.host_snapshot(id).occupancy().node_usage()
     }
 
-    /// A point-in-time copy of a machine's occupancy map. Wait-free in
-    /// snapshot mode; at most one in-flight critical section stale.
+    /// A point-in-time copy of a machine's occupancy map. Wait-free; at
+    /// most one in-flight critical section stale.
     pub fn occupancy(&self, id: MachineId) -> OccupancyMap {
-        self.view(&self.hosts[id.0]).occ.clone()
-    }
-
-    /// The authoritative occupancy map, read under the host lock:
-    /// exact even mid-churn, at the price of contending with writers.
-    /// Equivalence tests compare [`Self::occupancy`] against this.
-    pub fn occupancy_locked(&self, id: MachineId) -> OccupancyMap {
-        self.lock_host(&self.hosts[id.0]).occ.clone()
+        self.host_snapshot(id).occupancy().clone()
     }
 
     /// A point-in-time snapshot of a machine's resident registry,
     /// ticket order. The registry and occupancy of one view always
     /// agree — the union of the residents' threads is exactly the
     /// occupancy's used set (equivalence-tested through stochastic
-    /// churn). Wait-free in snapshot mode.
+    /// churn). Wait-free.
     pub fn residents(&self, id: MachineId) -> Vec<Resident> {
-        self.view(&self.hosts[id.0]).residents.clone()
-    }
-
-    /// The authoritative resident registry, read under the host lock
-    /// (ticket order) — the lock-read twin of [`Self::residents`].
-    pub fn residents_locked(&self, id: MachineId) -> Vec<Resident> {
-        self.lock_host(&self.hosts[id.0]).snapshot().residents
+        self.host_snapshot(id).residents().to_vec()
     }
 
     /// The full published snapshot of a machine — occupancy and
-    /// residents as one consistent immutable view. Wait-free in
-    /// snapshot mode; callers may hold it as long as they like.
+    /// residents as one consistent immutable view. Wait-free; callers
+    /// may hold it as long as they like.
     pub fn host_snapshot(&self, id: MachineId) -> Arc<HostSnapshot> {
         self.view(&self.hosts[id.0])
     }
 
-    /// Total live containers across the fleet. Wait-free in snapshot
-    /// mode.
+    /// Total live containers across the fleet. Wait-free.
     pub fn num_residents(&self) -> usize {
-        self.hosts.iter().map(|h| self.view(h).residents.len()).sum()
+        self.hosts.iter().map(|h| self.view(h).residents().len()).sum()
     }
 
     /// The machine's lock-free capacity summary. Reads are wait-free;
@@ -1425,15 +1011,14 @@ impl PlacementEngine {
         loop {
             let location = self.locations_lock().get(&placed.ticket.0).copied();
             let Some(idx) = location else {
-                self.release_failures.fetch_add(1, Ordering::Relaxed);
+                self.counters.release_failures.fetch_add(1, Ordering::Relaxed);
                 return Err(ReleaseError::UnknownPlacement {
                     ticket: placed.ticket,
                     machine: placed.machine,
                 });
             };
-            let host = &self.hosts[idx];
-            let mut st = self.lock_host(host);
-            if let Some(resident) = st.residents.remove(&placed.ticket.0) {
+            let mut host = self.lock_host(&self.hosts[idx]);
+            if let Some(resident) = host.remove_resident(placed.ticket) {
                 // Drop the location entry *before* freeing the threads:
                 // should the release panic (it cannot, by invariant —
                 // but poisoned locks are recovered now, so the ordering
@@ -1441,51 +1026,10 @@ impl PlacementEngine {
                 // already unresolvable and no later caller can spin on
                 // a registry that will never hold it again.
                 self.locations_lock().remove(&placed.ticket.0);
-                st.occ
-                    .release(&resident.threads)
-                    .expect("registry threads are reserved by invariant");
-                self.publish(host, &mut st);
-                self.releases.fetch_add(1, Ordering::Relaxed);
+                host.release(&resident.threads);
+                self.counters.releases.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
-        }
-    }
-
-    /// Counter snapshot across all caches and the serving path.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            catalogs: self.catalogs.counters(),
-            training_sets: self.training_sets.counters(),
-            models: self.models.counters(),
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            summary: SummaryCounters {
-                skips: self.summary_skips.load(Ordering::Relaxed),
-                admits: self.summary_admits.load(Ordering::Relaxed),
-                stale: self.summary_stale.load(Ordering::Relaxed),
-            },
-            sketch: SketchCounters {
-                skips: self.sketch_skips.load(Ordering::Relaxed),
-                admits: self.sketch_admits.load(Ordering::Relaxed),
-                stale: self.sketch_stale.load(Ordering::Relaxed),
-            },
-            interference: self
-                .interference_models
-                .values()
-                .fold(InterferenceCounters::default(), |acc, m| {
-                    acc.merged(m.counters())
-                }),
-            interference_blocked: self.interference_blocked.load(Ordering::Relaxed),
-            offers: self.offers.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            release_failures: self.release_failures.load(Ordering::Relaxed),
-            snapshot: SnapshotCounters {
-                published: self.snapshot_published.load(Ordering::Relaxed),
-                reads: self.snapshot_loads.load(Ordering::Relaxed),
-                stale_retries: self.snapshot_stale_retries.load(Ordering::Relaxed),
-            },
-            host_lock_acquisitions: self.host_lock_acquisitions.load(Ordering::Relaxed),
-            lock_poison_recoveries: self.lock_poison_recoveries.load(Ordering::Relaxed),
-            rebalance_passes: self.rebalance_passes.load(Ordering::Relaxed),
         }
     }
 
@@ -1498,7 +1042,7 @@ impl PlacementEngine {
     ) -> Result<Arc<PlacementCatalog>, PlacementError> {
         let host = &self.hosts[id.0];
         self.catalogs
-            .get_or_compute((host.topo, vcpus), || {
+            .get_or_compute((self.class_of(id).topo, vcpus), || {
                 let concerns = ConcernSet::for_machine(&host.machine);
                 // Generate (and Pareto-filter) the packings once, then
                 // expand them into important placements — a cold miss
@@ -1536,7 +1080,7 @@ impl PlacementEngine {
     ) -> Result<Arc<TrainingSet>, PlacementError> {
         let host = &self.hosts[id.0];
         let key = (
-            host.topo,
+            self.class_of(id).topo,
             vcpus,
             baseline,
             exclude_family.map(str::to_string),
@@ -1574,9 +1118,8 @@ impl PlacementEngine {
         baseline: usize,
         exclude_family: Option<&str>,
     ) -> Result<Arc<ModelArtifact>, PlacementError> {
-        let host = &self.hosts[id.0];
         let key = (
-            host.topo,
+            self.class_of(id).topo,
             vcpus,
             baseline,
             exclude_family.map(str::to_string),
@@ -1608,7 +1151,11 @@ impl PlacementEngine {
     /// member host, which placement class and which concrete node set
     /// actually host the container are decided at commit time against
     /// live occupancy.
-    fn evaluate(&self, class: usize, req: &PlacementRequest) -> Result<Candidate, String> {
+    pub(crate) fn evaluate(
+        &self,
+        class: usize,
+        req: &PlacementRequest,
+    ) -> Result<Candidate, String> {
         if req.vcpus == 0 {
             return Err("request has zero vCPUs".to_string());
         }
@@ -1624,12 +1171,12 @@ impl PlacementEngine {
         }
         // Count only evaluations that reach the model path; malformed
         // requests do no probing or prediction.
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        self.counters.evaluations.fetch_add(1, Ordering::Relaxed);
         let catalog = self
             .catalog(rep, req.vcpus)
             .map_err(|e| format!("{}: {e}", host.machine.name()))?;
         let artifact = self
-            .model(rep, req.vcpus, host.baseline.min(catalog.placements.len() - 1), None)
+            .model(rep, req.vcpus, fc.baseline.min(catalog.placements.len() - 1), None)
             .map_err(|e| format!("{}: {e}", host.machine.name()))?;
 
         let anchor_spec = &catalog.placements[artifact.baseline].spec;
@@ -1671,24 +1218,6 @@ impl PlacementEngine {
             best_perf,
             goal_shapes,
         })
-    }
-
-    /// Lock-free prefilter: whether `host`'s capacity summary leaves any
-    /// goal-clearing placement class possible for `cand`, at node *and*
-    /// L2 granularity. `false` means the host is skipped without taking
-    /// its occupancy lock; `true` is advisory and re-validated under the
-    /// lock.
-    fn summary_admits(&self, host: &Host, cand: &Candidate) -> bool {
-        let admitted = cand.goal_shapes.iter().any(|r| {
-            host.summary.can_host(r.num_nodes, r.per_node)
-                && host.summary.can_host_l2(r.num_l2, r.per_l2)
-        });
-        if admitted {
-            self.summary_admits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.summary_skips.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
     }
 
     /// The placement `try_commit` would choose for `cand` on the given
@@ -1798,12 +1327,11 @@ impl PlacementEngine {
 
     /// The predicted performance `try_commit` would deliver for `cand`
     /// on host `id` right now, without reserving anything. Scores
-    /// against the host view — wait-free (zero lock acquisitions) in
-    /// snapshot mode, so BestScore dry runs never contend with
-    /// writers; penalty cold misses simulate with no lock held in
-    /// either mode.
+    /// against the host view — wait-free (zero lock acquisitions), so
+    /// BestScore dry runs never contend with writers and penalty cold
+    /// misses simulate with no lock held.
     fn offer(&self, id: MachineId, cand: &Candidate) -> Result<f64, ChooseError> {
-        self.offers.fetch_add(1, Ordering::Relaxed);
+        self.counters.offers.fetch_add(1, Ordering::Relaxed);
         let host = &self.hosts[id.0];
         let view = self.view(host);
         let residents = if self.cfg.interference {
@@ -1811,21 +1339,20 @@ impl PlacementEngine {
         } else {
             Vec::new()
         };
-        self.best_available(host, cand, &view.occ, &residents)
+        self.best_available(host, cand, view.occupancy(), &residents)
             .map(|(_, p, _)| p)
     }
 
     /// Attempts to commit a candidate on host `id`: retargets the best
     /// goal-clearing placement class onto node sets with free hardware
     /// threads (see [`Self::best_available`]) and reserves those threads
-    /// atomically under the host's occupancy lock, re-publishing the
-    /// capacity summary and the host snapshot before the lock is
+    /// atomically under the host's occupancy lock; the guard
+    /// re-publishes the host's lock-free views before the lock is
     /// dropped.
     ///
-    /// Selection runs against the host view — wait-free in snapshot
-    /// mode, a lock-clone otherwise — so scoring (and any penalty
-    /// cold-miss simulation) never holds the lock; only the final
-    /// all-or-nothing `reserve` does. A concurrent commit that claims
+    /// Selection runs against the wait-free host view, so scoring (and
+    /// any penalty cold-miss simulation) never holds the lock; only the
+    /// final all-or-nothing `reserve` does. A concurrent commit that claims
     /// any chosen thread between view and reservation fails the
     /// reserve, and the host is re-scored against a fresh view
     /// (counted in [`SnapshotCounters::stale_retries`]) — the request
@@ -1846,16 +1373,17 @@ impl PlacementEngine {
                 Vec::new()
             };
             let (ap, predicted_perf, interference_penalty) =
-                self.best_available(host, cand, &view.occ, &residents)?;
-            let mut st = self.lock_host(host);
-            if st.occ.reserve(&ap.threads).is_ok() {
+                self.best_available(host, cand, view.occupancy(), &residents)?;
+            let mut guard = self.lock_host(host);
+            if guard.reserve(&ap.threads).is_ok() {
                 let placed = self.placed(id, ap, predicted_perf, interference_penalty, cand);
-                self.register(&mut st, &placed, cand);
-                self.publish(host, &mut st);
+                self.register(&mut guard, &placed, cand);
                 return Ok(placed);
             }
-            drop(st);
-            self.snapshot_stale_retries.fetch_add(1, Ordering::Relaxed);
+            drop(guard);
+            self.counters
+                .snapshot_stale_retries
+                .fetch_add(1, Ordering::Relaxed);
         }
         Err(ChooseError::Capacity(format!(
             "{}: occupancy kept changing between snapshot and commit \
@@ -1897,21 +1425,17 @@ impl PlacementEngine {
     /// forever resolving it. The safe partial state is the reverse
     /// (registered but unlocatable: the commit panicked before
     /// returning, so no caller holds the ticket to release).
-    fn register(&self, st: &mut HostState, placed: &Placed, cand: &Candidate) {
-        let previous = st.residents.insert(
-            placed.ticket.0,
-            Resident {
-                ticket: placed.ticket,
-                request: cand.request.clone(),
-                placement_id: placed.placement_id,
-                spec: placed.spec.clone(),
-                threads: placed.threads.clone(),
-                predicted_perf: placed.predicted_perf,
-                interference_penalty: placed.interference_penalty,
-                goal_perf: placed.goal_perf,
-            },
-        );
-        debug_assert!(previous.is_none(), "ticket reused");
+    fn register(&self, host: &mut HostGuard<'_>, placed: &Placed, cand: &Candidate) {
+        host.insert_resident(Resident {
+            ticket: placed.ticket,
+            request: cand.request.clone(),
+            placement_id: placed.placement_id,
+            spec: placed.spec.clone(),
+            threads: placed.threads.clone(),
+            predicted_perf: placed.predicted_perf,
+            interference_penalty: placed.interference_penalty,
+            goal_perf: placed.goal_perf,
+        });
         self.locations_lock()
             .insert(placed.ticket.0, placed.machine.0);
     }
@@ -1921,62 +1445,6 @@ impl PlacementEngine {
         self.place_batch(std::slice::from_ref(req), BatchStrategy::FirstFit)
             .pop()
             .expect("one decision per request")
-    }
-
-    /// A can-we-fit probe: evaluates the request against every machine
-    /// class (warm-cache work, identical to admission's phase 1) and
-    /// counts the hosts whose lock-free capacity summary still admits a
-    /// goal-clearing shape — without taking any host lock or reserving
-    /// anything. The answer is advisory: capacity can be claimed by a
-    /// concurrent commit the instant this returns.
-    ///
-    /// With [`EngineConfig::sketches`] on, the count descends shard
-    /// sketches first: shards whose sketch proves every member summary
-    /// would reject are charged to [`FitProbe::sketch_skipped`] in O(1)
-    /// instead of being scanned. The sketch is conservative, so
-    /// `hosts` is *exactly* the full-scan count either way (at rest;
-    /// regression-tested) — only the number of summaries read changes.
-    pub fn can_fit(&self, req: &PlacementRequest) -> FitProbe {
-        let mut probe = FitProbe::default();
-        for class in 0..self.fleet.num_classes() {
-            let Ok(cand) = self.evaluate(class, req) else {
-                continue;
-            };
-            if !cand.goal_met() || cand.goal_shapes.is_empty() {
-                continue;
-            }
-            probe.goal_clearing_classes += 1;
-            if cand.best_perf > probe.best_predicted {
-                probe.best_predicted = cand.best_perf;
-                probe.goal_perf = cand.goal_perf;
-            }
-            let members = self.fleet.classes[class].members.as_slice();
-            if self.cfg.sketches {
-                for (shard, chunk) in members.chunks(self.sketch_shard()).enumerate() {
-                    let sketch = &self.class_sketches[class][shard];
-                    let admitted = cand
-                        .goal_shapes
-                        .iter()
-                        .any(|r| sketch.admits(r.node_bucket(), r.l2_bucket()));
-                    if admitted {
-                        for &id in chunk {
-                            if !self.summary_rules_out(id, &cand) {
-                                probe.hosts += 1;
-                            }
-                        }
-                    } else {
-                        probe.sketch_skipped += chunk.len();
-                    }
-                }
-            } else {
-                for &id in members {
-                    if !self.summary_rules_out(id, &cand) {
-                        probe.hosts += 1;
-                    }
-                }
-            }
-        }
-        probe
     }
 
     /// Places a stream of requests across the fleet.
@@ -2032,17 +1500,14 @@ impl PlacementEngine {
         // hosts whole shards of which the sketch descent never read.
         let mut skipped: Vec<usize>;
         let mut sketch_skipped: usize;
+        // Viable class candidates, indexed by class for host lookup.
+        let mut viable: Vec<Option<&Candidate>> = vec![None; self.fleet.num_classes()];
+        for c in options.iter().filter_map(|c| c.as_ref().ok()) {
+            if c.goal_met() {
+                viable[c.class] = Some(c);
+            }
+        }
         loop {
-            // Viable class candidates, indexed by class for host lookup.
-            let viable: Vec<Option<&Candidate>> = {
-                let mut v: Vec<Option<&Candidate>> = vec![None; self.fleet.num_classes()];
-                for c in options.iter().filter_map(|c| c.as_ref().ok()) {
-                    if c.goal_met() {
-                        v[c.class] = Some(c);
-                    }
-                }
-                v
-            };
             skipped = Vec::new();
             sketch_skipped = 0;
             let chosen: Option<(MachineId, &Candidate)> = match strategy {
@@ -2158,263 +1623,14 @@ impl PlacementEngine {
     fn count_choose_error(&self, e: &ChooseError) {
         match e {
             ChooseError::Capacity(_) => {
-                self.summary_stale.fetch_add(1, Ordering::Relaxed);
+                self.counters.summary_stale.fetch_add(1, Ordering::Relaxed);
             }
             ChooseError::Interference(_) => {
-                self.interference_blocked.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .interference_blocked
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Walks untried member hosts of goal-clearing classes in fleet
-    /// order, passing each summary-admitted host to `visit` until it
-    /// returns `true`; hosts the prefilter rules out are recorded in
-    /// `skipped` (and never locked).
-    ///
-    /// With [`EngineConfig::sketches`] on this is the sketch → shard →
-    /// host descent: per viable class, members are streamed shard by
-    /// shard (slot order — which is fleet order within a class, since
-    /// slots are assigned at registration), whole shards whose sketch
-    /// proves no member can pass the summary are jumped in O(1)
-    /// (counted into `sketch_skipped` and [`SketchCounters::skips`];
-    /// their summaries are never read), and the surviving streams are
-    /// merged by machine id — so hosts are visited in *exactly* the
-    /// order the flat scan would visit them, and every host the
-    /// descent skips is one the flat scan's `summary_admits` would
-    /// have rejected (the sketch is conservative). Decisions are
-    /// therefore identical with sketches on or off; only the cost
-    /// changes. With the knob off the flat scan below runs unchanged.
-    fn walk_admitted<'a>(
-        &'a self,
-        viable: &[Option<&'a Candidate>],
-        tried: &[bool],
-        skipped: &mut Vec<usize>,
-        sketch_skipped: &mut usize,
-        mut visit: impl FnMut(MachineId, &'a Candidate) -> bool,
-    ) {
-        if !self.cfg.sketches {
-            for (i, host) in self.hosts.iter().enumerate() {
-                if tried[i] {
-                    continue;
-                }
-                let Some(cand) = viable[host.class] else {
-                    continue;
-                };
-                if !self.summary_admits(host, cand) {
-                    skipped.push(i);
-                    continue;
-                }
-                if visit(MachineId(i), cand) {
-                    return;
-                }
-            }
-            return;
-        }
-        let shard_size = self.sketch_shard();
-        /// One class's member stream through its shard sketches.
-        struct Stream<'b> {
-            cand: &'b Candidate,
-            members: &'b [MachineId],
-            sketches: &'b [AvailabilitySketch],
-            /// Next member index (slot) to consider.
-            pos: usize,
-            /// Whether some member of the current shard passed its
-            /// summary (for the stale-shard counter).
-            saw_admit: bool,
-        }
-        let mut streams: Vec<Stream<'_>> = Vec::new();
-        for (class, cand) in viable.iter().enumerate() {
-            let Some(cand) = cand else { continue };
-            let members = self.fleet.classes[class].members.as_slice();
-            if members.is_empty() {
-                continue;
-            }
-            streams.push(Stream {
-                cand,
-                members,
-                sketches: &self.class_sketches[class],
-                pos: 0,
-                saw_admit: false,
-            });
-        }
-        let shard_admits = |s: &Stream<'_>, shard: usize| {
-            s.cand
-                .goal_shapes
-                .iter()
-                .any(|r| s.sketches[shard].admits(r.node_bucket(), r.l2_bucket()))
-        };
-        // Lands a stream on its next member inside a sketch-admitted
-        // shard, jumping proven-empty shards whole (each jump is two
-        // table loads per goal shape, however many hosts it skips).
-        let settle = |s: &mut Stream<'_>, sketch_skipped: &mut usize| {
-            while s.pos < s.members.len() {
-                let shard = s.pos / shard_size;
-                if shard_admits(s, shard) {
-                    self.sketch_admits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                let end = ((shard + 1) * shard_size).min(s.members.len());
-                let jumped = end - s.pos;
-                *sketch_skipped += jumped;
-                self.sketch_skips.fetch_add(jumped as u64, Ordering::Relaxed);
-                s.pos = end;
-            }
-        };
-        for s in &mut streams {
-            settle(s, sketch_skipped);
-        }
-        loop {
-            // Merge the streams by head machine id: global fleet order.
-            let Some(si) = streams
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.pos < s.members.len())
-                .min_by_key(|(_, s)| s.members[s.pos])
-                .map(|(i, _)| i)
-            else {
-                return;
-            };
-            let s = &mut streams[si];
-            let id = s.members[s.pos];
-            let mut stop = false;
-            if !tried[id.0] {
-                let host = &self.hosts[id.0];
-                if self.summary_admits(host, s.cand) {
-                    s.saw_admit = true;
-                    stop = visit(id, s.cand);
-                } else {
-                    skipped.push(id.0);
-                }
-            }
-            s.pos += 1;
-            if s.pos >= s.members.len() || s.pos.is_multiple_of(shard_size) {
-                // Left a fully-walked admitted shard. If nothing in it
-                // passed a summary, the sketch's per-axis marginals
-                // were satisfied by different hosts (or raced a
-                // publication): stale optimism, one shard of wasted
-                // summary reads.
-                if !s.saw_admit {
-                    self.sketch_stale.fetch_add(1, Ordering::Relaxed);
-                }
-                s.saw_admit = false;
-                settle(s, sketch_skipped);
-            }
-            if stop {
-                return;
-            }
-        }
-    }
-
-    /// Why a request could not be placed: an actionable summary rather
-    /// than an arbitrary per-machine error. Capacity rejections carry
-    /// the per-host commit failures (which name the exhausted node) and
-    /// the number of hosts the capacity summaries ruled out without
-    /// locking.
-    fn rejection_reason(
-        &self,
-        options: &[Result<Candidate, String>],
-        commit_errors: &[String],
-        skipped: &[usize],
-        sketch_skipped: usize,
-    ) -> String {
-        let ok: Vec<&Candidate> = options.iter().filter_map(|c| c.as_ref().ok()).collect();
-        if ok.is_empty() {
-            return options
-                .iter()
-                .filter_map(|c| c.as_ref().err())
-                .next()
-                .cloned()
-                .unwrap_or_else(|| "no machines in the fleet".to_string());
-        }
-        let goal_ok = ok.iter().filter(|c| c.goal_met()).count();
-        if goal_ok == 0 {
-            return format!(
-                "no machine class is predicted to meet the goal ({} evaluated)",
-                ok.len()
-            );
-        }
-        let hosts: usize = ok
-            .iter()
-            .filter(|c| c.goal_met())
-            .map(|c| self.fleet.classes[c.class].members.len())
-            .sum();
-        let mut details: Vec<String> = commit_errors.to_vec();
-        // Hosts ruled out by the lock-free prefilter were never locked,
-        // so explain them from their summaries (naming the exhausted
-        // node, like lock-validated failures do). Cap the detail at a
-        // few hosts — a full fleet would otherwise produce a novel.
-        const DETAILED: usize = 3;
-        for &i in skipped.iter().take(DETAILED) {
-            let host = &self.hosts[i];
-            let s = &host.summary;
-            let node = (0..s.num_nodes())
-                .map(NodeId)
-                .min_by_key(|&n| (s.free_on_node(n), n.index()))
-                .expect("machines have at least one node");
-            details.push(format!(
-                "{}: no goal-clearing placement class fits the free capacity \
-                 (node {} exhausted: {}/{} threads free, per its summary)",
-                host.machine.name(),
-                node,
-                s.free_on_node(node),
-                s.capacity_of_node(node),
-            ));
-        }
-        if skipped.len() > DETAILED {
-            details.push(format!(
-                "and {} more hosts ruled out by capacity summaries",
-                skipped.len() - DETAILED
-            ));
-        }
-        if sketch_skipped > 0 {
-            // Sketch-jumped shards never had a member summary read on
-            // the placement path. Rejection is the cold path, so read a
-            // few of them now: the reason keeps naming an exhausted
-            // node even when the whole fleet was ruled out shard-wide.
-            if details.is_empty() {
-                'detail: for cand in ok.iter().filter(|c| c.goal_met()) {
-                    for &id in &self.fleet.classes[cand.class].members {
-                        if details.len() >= DETAILED {
-                            break 'detail;
-                        }
-                        let host = &self.hosts[id.0];
-                        // Raw check, not `summary_admits`: this is a
-                        // diagnostic read, it must not count as a
-                        // prefilter skip/admit.
-                        let admits = cand.goal_shapes.iter().any(|r| {
-                            host.summary.can_host(r.num_nodes, r.per_node)
-                                && host.summary.can_host_l2(r.num_l2, r.per_l2)
-                        });
-                        if admits {
-                            continue;
-                        }
-                        let s = &host.summary;
-                        let node = (0..s.num_nodes())
-                            .map(NodeId)
-                            .min_by_key(|&n| (s.free_on_node(n), n.index()))
-                            .expect("machines have at least one node");
-                        details.push(format!(
-                            "{}: no goal-clearing placement class fits the free capacity \
-                             (node {} exhausted: {}/{} threads free, per its summary)",
-                            host.machine.name(),
-                            node,
-                            s.free_on_node(node),
-                            s.capacity_of_node(node),
-                        ));
-                    }
-                }
-            }
-            details.push(format!(
-                "{}{sketch_skipped} hosts ruled out shard-wide by availability \
-                 sketches (summaries never read during placement)",
-                if details.is_empty() { "" } else { "and " },
-            ));
-        }
-        format!(
-            "no free capacity on the {hosts} hosts across {goal_ok} machine classes \
-             that meet the goal: {}",
-            details.join("; ")
-        )
     }
 
     /// Phase 1 of [`Self::place_batch`]: per request, the candidate
@@ -2455,26 +1671,26 @@ impl PlacementEngine {
 /// rebalance module against the snapshots these helpers hand out.
 impl PlacementEngine {
     /// View of one host: `(occupancy, resident workloads)` from one
-    /// consistent snapshot — wait-free in snapshot mode.
+    /// consistent snapshot — wait-free.
     pub(crate) fn host_view(&self, id: MachineId) -> (OccupancyMap, Vec<ResidentWorkload>) {
-        let view = self.view(&self.hosts[id.0]);
-        (view.occ.clone(), view.resident_workloads())
+        let view = self.host_snapshot(id);
+        (view.occupancy().clone(), view.resident_workloads())
     }
 
     /// View of one host *as if* the given resident had departed: its
     /// threads freed in the copied occupancy, its entry dropped from
     /// the resident list. `None` when the ticket is no longer on the
-    /// host (it departed or moved since the caller looked). Wait-free
-    /// in snapshot mode — rebalance planning builds every minus-self
-    /// view without a single lock acquisition.
+    /// host (it departed or moved since the caller looked). Wait-free —
+    /// rebalance planning builds every minus-self view without a single
+    /// lock acquisition.
     pub(crate) fn host_view_without(
         &self,
         id: MachineId,
         ticket: PlacementTicket,
     ) -> Option<(OccupancyMap, Vec<ResidentWorkload>)> {
-        let view = self.view(&self.hosts[id.0]);
+        let view = self.host_snapshot(id);
         let resident = view.resident(ticket)?;
-        let mut occ = view.occ.clone();
+        let mut occ = view.occupancy().clone();
         occ.release(&resident.threads)
             .expect("snapshot registry threads are reserved in the snapshot occupancy");
         Some((occ, view.resident_workloads_without(ticket)))
@@ -2514,31 +1730,6 @@ impl PlacementEngine {
             .iter()
             .find(|w| w.name == name)
             .cloned()
-    }
-
-    /// Whether the host's lock-free capacity summary already rules out
-    /// every goal-clearing shape of the candidate — the same check the
-    /// admission prefilter makes, minus the admission counters (a
-    /// rebalance scan must not inflate `summary.admits`). `true` means
-    /// the host cannot possibly host the candidate and need not be
-    /// locked, cloned or scored.
-    pub(crate) fn summary_rules_out(&self, id: MachineId, cand: &Candidate) -> bool {
-        let host = &self.hosts[id.0];
-        !cand.goal_shapes.iter().any(|r| {
-            host.summary.can_host(r.num_nodes, r.per_node)
-                && host.summary.can_host_l2(r.num_l2, r.per_l2)
-        })
-    }
-
-    /// Re-evaluates an admission request against one machine class
-    /// (warm-cache probing + prediction; counted in
-    /// [`EngineStats::evaluations`]).
-    pub(crate) fn evaluate_for_rebalance(
-        &self,
-        class: usize,
-        req: &PlacementRequest,
-    ) -> Result<Candidate, String> {
-        self.evaluate(class, req)
     }
 
     /// The least-interfering goal-clearing placement on a host
@@ -2597,10 +1788,10 @@ impl PlacementEngine {
     /// resident is still where the plan saw it (same ticket, same
     /// threads), reserves the new threads, re-homes the registry entry
     /// and frees the old threads — all-or-nothing in every failure
-    /// mode, publishing both summaries before unlocking. Locks are
-    /// taken in machine-id order, so concurrent passes (and commits,
-    /// which take one lock at a time) cannot deadlock. Nothing in here
-    /// simulates or prices.
+    /// mode; the guards publish whatever changed before unlocking.
+    /// Cross-host moves lock through [`Self::lock_pair`], so concurrent
+    /// passes (and commits, which take one lock at a time) cannot
+    /// deadlock. Nothing in here simulates or prices.
     #[allow(clippy::result_unit_err)] // Err = "lost the race, retry next pass"
     pub(crate) fn commit_move(
         &self,
@@ -2615,89 +1806,65 @@ impl PlacementEngine {
             ticket: resident.ticket,
             machine: dst,
             placement_id: ap.id,
-            spec: ap.spec.clone(),
-            threads: ap.threads.clone(),
+            spec: ap.spec,
+            threads: ap.threads,
             predicted_perf,
             interference_penalty,
             goal_perf: resident.goal_perf,
             goal_met: predicted_perf >= resident.goal_perf,
         };
+        // Departed or already moved since the plan looked?
+        let as_planned = |host: &HostGuard<'_>| {
+            host.resident(resident.ticket)
+                .is_some_and(|current| current.threads == resident.threads)
+        };
         if src == dst {
-            let host = &self.hosts[src.0];
-            let mut st = self.lock_host(host);
-            match st.residents.get(&resident.ticket.0) {
-                Some(current) if current.threads == resident.threads => {}
-                _ => return Err(()), // departed or already moved
-            }
-            // Same-host moves may overlap the old node set: free first,
-            // then reserve, rolling back on a raced reservation.
-            st.occ
-                .release(&resident.threads)
-                .expect("registry threads are reserved by invariant");
-            if st.occ.reserve(&ap.threads).is_err() {
-                st.occ
-                    .reserve(&resident.threads)
-                    .expect("rollback re-reserves just-freed threads");
-                // The rollback restored the exact pre-section occupancy,
-                // so the published view is still accurate unpublished.
-                // vc-lint: allow(R1, rollback re-reserved the freed threads; state equals what was last published)
+            let mut host = self.lock_host(&self.hosts[src.0]);
+            if !as_planned(&host) {
                 return Err(());
             }
-            Self::rehome(&mut st, &placed);
-            self.publish(host, &mut st);
+            // Same-host moves may overlap the old node set: free first,
+            // then reserve, rolling back on a raced reservation (the
+            // guard then republishes the restored, unchanged state).
+            host.release(&resident.threads);
+            if host.reserve(&placed.threads).is_err() {
+                host.reserve(&resident.threads)
+                    .expect("rollback re-reserves just-freed threads");
+                return Err(());
+            }
+            host.rehome(&placed);
             return Ok(placed);
         }
-        // Cross-host: lock both in id order.
-        let (lo, hi) = (src.0.min(dst.0), src.0.max(dst.0));
-        let mut lo_guard = self.lock_host(&self.hosts[lo]);
-        let mut hi_guard = self.lock_host(&self.hosts[hi]);
-        let (src_st, dst_st) = if src.0 == lo {
-            (&mut *lo_guard, &mut *hi_guard)
-        } else {
-            (&mut *hi_guard, &mut *lo_guard)
-        };
-        match src_st.residents.get(&resident.ticket.0) {
-            Some(current) if current.threads == resident.threads => {}
-            _ => return Err(()),
+        let (mut from, mut to) = self.lock_pair(src, dst);
+        // A failed reserve means a concurrent commit claimed the target.
+        if !as_planned(&from) || to.reserve(&placed.threads).is_err() {
+            return Err(());
         }
-        if dst_st.occ.reserve(&ap.threads).is_err() {
-            // A failed reserve is all-or-nothing: it mutated nothing,
-            // so there is nothing to publish before unlocking.
-            // vc-lint: allow(R1, OccupancyMap::reserve is all-or-nothing; the failed branch left state untouched)
-            return Err(()); // a concurrent commit claimed the target
-        }
-        let entry = src_st
-            .residents
-            .remove(&resident.ticket.0)
+        let entry = from
+            .remove_resident(resident.ticket)
             .expect("checked above");
-        src_st
-            .occ
-            .release(&entry.threads)
-            .expect("registry threads are reserved by invariant");
-        dst_st.residents.insert(resident.ticket.0, entry);
-        Self::rehome(dst_st, &placed);
+        from.release(&entry.threads);
+        to.insert_resident(entry);
+        to.rehome(&placed);
         // Update the location map while both host locks are held, so a
         // concurrent release never observes a map entry pointing at a
         // host that has already given the container up.
         self.locations_lock().insert(resident.ticket.0, dst.0);
-        self.publish(&self.hosts[src.0], src_st);
-        self.publish(&self.hosts[dst.0], dst_st);
         Ok(placed)
     }
+}
 
-    /// Updates the (already re-homed) registry entry to the new
-    /// placement. The ticket and original request are preserved — only
-    /// where the container runs changes.
-    fn rehome(st: &mut HostState, placed: &Placed) {
-        let entry = st
-            .residents
-            .get_mut(&placed.ticket.0)
-            .expect("entry was just inserted/verified");
-        entry.placement_id = placed.placement_id;
-        entry.spec = placed.spec.clone();
-        entry.threads = placed.threads.clone();
-        entry.predicted_perf = placed.predicted_perf;
-        entry.interference_penalty = placed.interference_penalty;
+/// A small corpus and forest, so this crate's unit tests train fast.
+#[cfg(test)]
+pub(crate) fn fast_test_config() -> EngineConfig {
+    EngineConfig {
+        n_seeds: 2,
+        extra_synthetic: 0,
+        forest: ForestConfig {
+            n_trees: 20,
+            ..ForestConfig::default()
+        },
+        ..EngineConfig::default()
     }
 }
 
@@ -2706,13 +1873,6 @@ mod collision_tests {
     use super::*;
     use vc_topology::machines;
 
-    fn fast() -> EngineConfig {
-        EngineConfig {
-            extra_synthetic: 0,
-            ..EngineConfig::default()
-        }
-    }
-
     /// Forced fingerprint collision (both machines registered under the
     /// doctored value 42): the structural check must split them into
     /// two topologies, two fleet classes, two oracles — and therefore
@@ -2720,7 +1880,7 @@ mod collision_tests {
     /// host (or vice versa).
     #[test]
     fn colliding_fingerprints_split_into_distinct_classes() {
-        let mut engine = PlacementEngine::new(fast());
+        let mut engine = PlacementEngine::new(fast_test_config());
         let amd_id = engine.add_machine_keyed(machines::amd_opteron_6272(), 0, 42);
         let intel_id = engine.add_machine_keyed(machines::intel_xeon_e7_4830_v3(), 0, 42);
         // A third AMD box under the same doctored value joins the AMD
@@ -2776,7 +1936,7 @@ mod collision_tests {
     /// topology id per machine model.
     #[test]
     fn real_fingerprints_share_topology_ids() {
-        let mut engine = PlacementEngine::new(fast());
+        let mut engine = PlacementEngine::new(fast_test_config());
         engine.add_machine(machines::amd_opteron_6272());
         engine.add_machine(machines::amd_opteron_6272());
         engine.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
@@ -2790,73 +1950,11 @@ mod poison_tests {
     use super::*;
     use vc_topology::machines;
 
-    fn fast() -> EngineConfig {
-        EngineConfig {
-            n_seeds: 2,
-            extra_synthetic: 0,
-            forest: ForestConfig {
-                n_trees: 20,
-                ..ForestConfig::default()
-            },
-            ..EngineConfig::default()
-        }
-    }
-
-    /// A deliberately panicking oracle thread dies while holding host
-    /// 0's state mutex, poisoning it. Every critical section in the
-    /// engine is all-or-nothing at the point a panic could unwind, so
-    /// recovery is sound: subsequent commits, releases and accessors
-    /// must recover the guard (counted in
-    /// [`EngineStats::lock_poison_recoveries`]) instead of propagating
-    /// the poison forever — the regression the old `lock().unwrap()`
-    /// paths had.
-    #[test]
-    fn poisoned_host_lock_is_recovered_and_counted() {
-        let engine = PlacementEngine::single(machines::amd_opteron_6272(), fast());
-        let placed = engine
-            .place(&PlacementRequest::new("WTbtree", 16))
-            .placed()
-            .expect("idle host")
-            .clone();
-
-        let oracle = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = engine.hosts[0].state.lock().unwrap();
-                panic!("oracle panicked mid-critical-section");
-            })
-            .join()
-        });
-        assert!(oracle.is_err(), "the oracle must have panicked");
-        assert!(
-            engine.hosts[0].state.lock().is_err(),
-            "the host mutex must actually be poisoned"
-        );
-
-        let before = engine.stats().lock_poison_recoveries;
-        let second = engine
-            .place(&PlacementRequest::new("swaptions", 16))
-            .placed()
-            .expect("a poisoned lock must not reject admission")
-            .clone();
-        engine.release(&placed).unwrap();
-        engine.release(&second).unwrap();
-        assert_eq!(engine.utilisation(MachineId(0)).0, 0);
-        assert_eq!(engine.occupancy_locked(MachineId(0)).free_threads(), 64);
-
-        let stats = engine.stats();
-        assert!(
-            stats.lock_poison_recoveries > before,
-            "recoveries must be counted: {} !> {before}",
-            stats.lock_poison_recoveries
-        );
-        assert_eq!(stats.release_failures, 0);
-    }
-
-    /// Same drill for the fleet-wide location map's mutex: a panic
-    /// while it is held must not wedge releases.
+    /// A panic while the fleet-wide location map's mutex is held must
+    /// not wedge releases (the host-mutex twin lives in `host.rs`).
     #[test]
     fn poisoned_locations_lock_is_recovered() {
-        let engine = PlacementEngine::single(machines::amd_opteron_6272(), fast());
+        let engine = PlacementEngine::single(machines::amd_opteron_6272(), fast_test_config());
         let placed = engine
             .place(&PlacementRequest::new("WTbtree", 16))
             .placed()

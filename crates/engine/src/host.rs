@@ -1,0 +1,530 @@
+//! One fleet host: the mutex-guarded authoritative state, the three
+//! lock-free views readers consume, and the only handle that can
+//! change either.
+//!
+//! [`HostState`] (occupancy map + resident registry) is private to
+//! this module. [`HostGuard`] is the one way to mutate it: every
+//! mutator marks the guard dirty, and `Drop` republishes the capacity
+//! summary, the shard's availability-sketch delta and the
+//! [`HostSnapshot`] — together, exactly once, while the mutex is still
+//! held. A published view therefore never lags a completed critical
+//! section, summary and sketch never change apart (the pairing is
+//! model-checked in `tests/interleavings.rs`), and a read-only critical
+//! section publishes nothing. Two hosts are only ever locked through
+//! [`PlacementEngine::lock_pair`], which orders the acquisitions by
+//! machine id.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use vc_core::interference::{InterferenceModel, ResidentWorkload};
+use vc_sim::SimOracle;
+use vc_sync::Slot;
+use vc_topology::{
+    AvailabilitySketch, CapacitySummary, L2GroupId, Machine, NodeId, OccupancyError, OccupancyMap,
+    SketchProfile, ThreadId,
+};
+
+use crate::engine::{MachineId, Placed, PlacementEngine, PlacementTicket, Resident};
+
+/// Everything commit/release mutate under one host lock: the
+/// authoritative occupancy map plus the resident registry. Guarding
+/// them together makes snapshots consistent — a cloned `(occupancy,
+/// residents)` pair always agrees thread-for-thread, which is what
+/// keeps interference memoisation sound.
+#[derive(Debug)]
+struct HostState {
+    occ: OccupancyMap,
+    residents: HashMap<u64, Resident>,
+    /// The host's last-published [`SketchProfile`] — what its shard's
+    /// availability sketch currently counts it as. Kept under the same
+    /// lock as the occupancy so publication can apply the sketch
+    /// *delta* (old profile → fresh profile) instead of rebuilding
+    /// shard totals.
+    profile: SketchProfile,
+}
+
+impl HostState {
+    /// An immutable copy of everything the read paths consume: the
+    /// occupancy map plus the resident registry, ticket order.
+    fn snapshot(&self) -> HostSnapshot {
+        let mut residents: Vec<Resident> = self.residents.values().cloned().collect();
+        residents.sort_by_key(|r| r.ticket);
+        HostSnapshot {
+            occ: self.occ.clone(),
+            residents,
+        }
+    }
+}
+
+/// A consistent, immutable point-in-time view of one host: the
+/// occupancy map and the resident registry as some commit, release or
+/// rebalance move left them.
+///
+/// Snapshots are published through a single-slot wait-free cell
+/// (`vc_sync::Slot`) *before* the publishing writer drops the host
+/// lock, so a snapshot never shows a half-applied mutation: the union
+/// of the residents' threads is exactly the occupancy's used set in
+/// every published snapshot (proptested under concurrent churn).
+/// Readers keep a snapshot alive through their own `Arc`; a newer
+/// publication never invalidates it.
+#[derive(Debug, Clone)]
+pub struct HostSnapshot {
+    occ: OccupancyMap,
+    /// Ticket-sorted.
+    residents: Vec<Resident>,
+}
+
+impl HostSnapshot {
+    /// The occupancy map as of publication.
+    pub fn occupancy(&self) -> &OccupancyMap {
+        &self.occ
+    }
+
+    /// The resident registry as of publication, ticket order.
+    pub fn residents(&self) -> &[Resident] {
+        &self.residents
+    }
+
+    /// One resident by ticket (the list is ticket-sorted).
+    pub fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
+        self.residents
+            .binary_search_by_key(&ticket, |r| r.ticket)
+            .ok()
+            .map(|i| &self.residents[i])
+    }
+
+    /// The registry as the interference path consumes it, deterministic
+    /// (ticket) order.
+    pub(crate) fn resident_workloads(&self) -> Vec<ResidentWorkload> {
+        self.residents.iter().map(Resident::as_workload).collect()
+    }
+
+    /// The workloads of every resident but `ticket`, ticket order.
+    pub(crate) fn resident_workloads_without(
+        &self,
+        ticket: PlacementTicket,
+    ) -> Vec<ResidentWorkload> {
+        self.residents
+            .iter()
+            .filter(|r| r.ticket != ticket)
+            .map(Resident::as_workload)
+            .collect()
+    }
+}
+
+pub(crate) struct Host {
+    /// The host's topology, shared with every structurally-equal host
+    /// (one `Arc` per registered topology): at 10⁵ hosts the machine
+    /// description would otherwise dominate per-host memory.
+    pub(crate) machine: Arc<Machine>,
+    /// Index into the fleet index's classes.
+    pub(crate) class: usize,
+    /// Index of the class shard whose availability sketch counts this
+    /// host (member slot / [`EngineConfig::sketch_shard`](crate::EngineConfig::sketch_shard)).
+    shard: usize,
+    pub(crate) oracle: Arc<SimOracle>,
+    /// Shared (per topology) memoizing interference model over `oracle`.
+    pub(crate) interference: Arc<InterferenceModel>,
+    /// Node-granular reservation state plus the resident registry.
+    /// Commits and releases lock this; candidate evaluation and every
+    /// read path never do.
+    state: Mutex<HostState>,
+    /// Lock-free free-capacity summary. Admission reads it to skip
+    /// hopeless hosts without locking them.
+    pub(crate) summary: CapacitySummary,
+    /// The epoch-published full snapshot (occupancy + residents) every
+    /// read path loads wait-free.
+    snapshot: Slot<HostSnapshot>,
+}
+
+impl Host {
+    /// An idle host, attached to `sketch` — the availability sketch of
+    /// shard `shard` of its class.
+    pub(crate) fn new(
+        machine: Arc<Machine>,
+        class: usize,
+        shard: usize,
+        sketch: &AvailabilitySketch,
+        oracle: Arc<SimOracle>,
+        interference: Arc<InterferenceModel>,
+    ) -> Host {
+        let occ = OccupancyMap::new(&machine);
+        let profile = sketch.profile(&occ);
+        sketch.attach(&profile);
+        let state = HostState {
+            occ,
+            residents: HashMap::new(),
+            profile,
+        };
+        Host {
+            summary: CapacitySummary::new(&machine),
+            snapshot: Slot::new(Arc::new(state.snapshot())),
+            state: Mutex::new(state),
+            machine,
+            class,
+            shard,
+            oracle,
+            interference,
+        }
+    }
+}
+
+/// A locked host. Reads go through the accessors; the mutators are the
+/// only code that can change [`HostState`], and each marks the guard
+/// dirty so `Drop` republishes the host's lock-free views before the
+/// mutex unlocks.
+pub(crate) struct HostGuard<'a> {
+    engine: &'a PlacementEngine,
+    host: &'a Host,
+    st: MutexGuard<'a, HostState>,
+    dirty: bool,
+}
+
+impl HostGuard<'_> {
+    /// One registry entry by ticket.
+    pub(crate) fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
+        self.st.residents.get(&ticket.0)
+    }
+
+    /// All-or-nothing thread reservation. A failed reserve mutated
+    /// nothing, so it leaves the guard clean.
+    pub(crate) fn reserve(&mut self, threads: &[ThreadId]) -> Result<(), OccupancyError> {
+        let outcome = self.st.occ.reserve(threads);
+        self.dirty |= outcome.is_ok();
+        outcome
+    }
+
+    /// Frees threads a registry entry holds (or held until a moment
+    /// ago, under this same guard).
+    pub(crate) fn release(&mut self, threads: &[ThreadId]) {
+        self.st
+            .occ
+            .release(threads)
+            .expect("registry threads are reserved by invariant");
+        self.dirty = true;
+    }
+
+    /// Adds a registry entry under its ticket.
+    pub(crate) fn insert_resident(&mut self, resident: Resident) {
+        let previous = self.st.residents.insert(resident.ticket.0, resident);
+        debug_assert!(previous.is_none(), "ticket reused");
+        self.dirty = true;
+    }
+
+    /// Removes and returns a registry entry.
+    pub(crate) fn remove_resident(&mut self, ticket: PlacementTicket) -> Option<Resident> {
+        let removed = self.st.residents.remove(&ticket.0);
+        self.dirty |= removed.is_some();
+        removed
+    }
+
+    /// Points the registry entry of `placed.ticket` at its new
+    /// placement. The ticket and original request are preserved — only
+    /// where the container runs changes.
+    pub(crate) fn rehome(&mut self, placed: &Placed) {
+        let entry = self
+            .st
+            .residents
+            .get_mut(&placed.ticket.0)
+            .expect("entry was just inserted/verified");
+        entry.placement_id = placed.placement_id;
+        entry.spec = placed.spec.clone();
+        entry.threads = placed.threads.clone();
+        entry.predicted_perf = placed.predicted_perf;
+        entry.interference_penalty = placed.interference_penalty;
+        self.dirty = true;
+    }
+}
+
+impl Drop for HostGuard<'_> {
+    /// Publishes a mutated host to every lock-free view — capacity
+    /// summary, the shard sketch's delta (recorded back into the
+    /// state) and the snapshot slot — while the mutex is still held.
+    /// A panicking critical section publishes nothing: the mutex is
+    /// poisoned instead, and the recovering acquirer's own publication
+    /// catches the views up.
+    fn drop(&mut self) {
+        if !self.dirty || std::thread::panicking() {
+            return;
+        }
+        let (engine, host, st) = (self.engine, self.host, &mut *self.st);
+        host.summary.publish(&st.occ);
+        let sketch = &engine.class_sketches[host.class][host.shard];
+        let fresh = sketch.profile(&st.occ);
+        sketch.update(&st.profile, &fresh);
+        st.profile = fresh;
+        host.snapshot.store(Arc::new(st.snapshot()), &engine.domain);
+        // Relaxed is sound (R7 allowlist): readers synchronize on
+        // `Slot::store`'s SeqCst pointer swap on the line above — this
+        // counter is stats-only telemetry and orders nothing.
+        engine
+            .counters
+            .snapshot_published
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl PlacementEngine {
+    /// Acquires a host's state mutex, counting the acquisition and
+    /// recovering a poisoned guard. Recovery is sound because every
+    /// critical section leaves the state consistent at each step:
+    /// `reserve`/`release` are all-or-nothing, and registry/location
+    /// updates are ordered so a panic between them strands nothing
+    /// unreleasable (see `register`/`release`). Each recovery is
+    /// counted in [`EngineStats::lock_poison_recoveries`](crate::EngineStats::lock_poison_recoveries)
+    /// — the panic that caused it still means a writer died mid-flight.
+    pub(crate) fn lock_host<'a>(&'a self, host: &'a Host) -> HostGuard<'a> {
+        let c = &self.counters;
+        c.host_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let st = host.state.lock().unwrap_or_else(|poisoned| {
+            c.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            poisoned.into_inner()
+        });
+        HostGuard {
+            engine: self,
+            host,
+            st,
+            dirty: false,
+        }
+    }
+
+    /// Locks two distinct hosts, lower machine id first — the one
+    /// place two host locks are ever held together, so concurrent
+    /// movers (and commits, which take one lock at a time) cannot
+    /// deadlock. Guards come back in argument order.
+    pub(crate) fn lock_pair(&self, a: MachineId, b: MachineId) -> (HostGuard<'_>, HostGuard<'_>) {
+        assert_ne!(a, b, "lock_pair needs two distinct hosts");
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let lo_guard = self.lock_host(&self.hosts[lo.0]);
+        // vc-lint: allow(R8, the one id-ordered double acquisition: `lo < hi` by construction)
+        let hi_guard = self.lock_host(&self.hosts[hi.0]);
+        if a < b {
+            (lo_guard, hi_guard)
+        } else {
+            (hi_guard, lo_guard)
+        }
+    }
+
+    /// The host view every read path scores against: a wait-free load
+    /// of the epoch-published snapshot — zero lock acquisitions.
+    /// Residents and occupancy of one view always agree.
+    pub(crate) fn view(&self, host: &Host) -> Arc<HostSnapshot> {
+        self.counters.snapshot_loads.fetch_add(1, Ordering::Relaxed);
+        host.snapshot.load(&self.domain)
+    }
+
+    /// Checks, host by host under its lock, that every published view
+    /// equals the authoritative state: snapshot == occupancy +
+    /// registry, summary == occupancy, stored sketch profile == the
+    /// occupancy's profile, and every registry ticket resolves to this
+    /// host in the location map. Exact at quiescence (no critical
+    /// section in flight); `Err` names the first divergence.
+    pub fn audit(&self) -> Result<(), String> {
+        for (i, host) in self.hosts.iter().enumerate() {
+            let guard = self.lock_host(host);
+            let st = &*guard.st;
+            let snap = host.snapshot.load(&self.domain);
+            if let Some(t) = (0..st.occ.total_threads())
+                .map(ThreadId)
+                .find(|&t| st.occ.is_free(t) != snap.occ.is_free(t))
+            {
+                return Err(format!("host {i}: snapshot occupancy diverges at {t:?}"));
+            }
+            if snap.residents.len() != st.residents.len() {
+                return Err(format!(
+                    "host {i}: snapshot lists {} residents, registry holds {}",
+                    snap.residents.len(),
+                    st.residents.len()
+                ));
+            }
+            for r in &snap.residents {
+                match st.residents.get(&r.ticket.0) {
+                    Some(live) if live.threads == r.threads => {}
+                    _ => return Err(format!("host {i}: snapshot {} not in registry", r.ticket)),
+                }
+            }
+            let summary = &host.summary;
+            let nodes_agree = (0..st.occ.num_nodes())
+                .map(NodeId)
+                .all(|n| summary.free_on_node(n) == st.occ.free_on_node(n));
+            let l2s_agree = (0..st.occ.num_l2_groups())
+                .map(L2GroupId)
+                .all(|g| summary.free_in_l2(g) == st.occ.free_in_l2(g));
+            if !nodes_agree || !l2s_agree || summary.free_threads() != st.occ.free_threads() {
+                return Err(format!("host {i}: capacity summary diverges from occupancy"));
+            }
+            let sketch = &self.class_sketches[host.class][host.shard];
+            if st.profile != sketch.profile(&st.occ) {
+                return Err(format!("host {i}: stored sketch profile is stale"));
+            }
+            let locations = self.locations_lock();
+            if let Some(r) = st
+                .residents
+                .values()
+                .find(|r| locations.get(&r.ticket.0) != Some(&i))
+            {
+                return Err(format!(
+                    "host {i}: {} resolves to {:?} in the location map",
+                    r.ticket,
+                    locations.get(&r.ticket.0)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{fast_test_config, PlacementRequest};
+    use vc_topology::machines;
+
+    fn fleet(hosts: usize) -> PlacementEngine {
+        let mut engine = PlacementEngine::new(fast_test_config());
+        for _ in 0..hosts {
+            engine.add_machine(machines::amd_opteron_6272());
+        }
+        engine
+    }
+
+    /// A dirty guard publishes summary, sketch and snapshot exactly
+    /// once, on drop; a guard that only reads publishes nothing —
+    /// `try_commit`'s lost-reserve path relies on the latter.
+    #[test]
+    fn dirty_guards_publish_once_and_clean_guards_never() {
+        let engine = fleet(1);
+        let host = &engine.hosts[0];
+        let threads = engine.machine(MachineId(0)).threads_on_node(NodeId(0));
+        let published = |e: &PlacementEngine| e.stats().snapshot.published;
+        let base = published(&engine);
+
+        {
+            let mut guard = engine.lock_host(host);
+            guard.reserve(&threads).unwrap();
+            assert_eq!(published(&engine), base, "nothing publishes before drop");
+            assert_eq!(host.summary.free_threads(), 64);
+        }
+        assert_eq!(published(&engine), base + 1);
+        assert_eq!(host.summary.free_threads(), 64 - threads.len());
+        assert_eq!(engine.utilisation(MachineId(0)).0, threads.len());
+        engine.audit().unwrap();
+
+        {
+            let mut guard = engine.lock_host(host);
+            assert!(guard.resident(PlacementTicket(0)).is_none());
+            assert!(guard.reserve(&threads).is_err(), "already reserved");
+            assert!(guard.remove_resident(PlacementTicket(0)).is_none());
+        }
+        assert_eq!(published(&engine), base + 1, "read-only guard published");
+
+        engine.lock_host(host).release(&threads);
+        assert_eq!(published(&engine), base + 2);
+        engine.audit().unwrap();
+    }
+
+    /// Two movers bouncing residents between the same two hosts in
+    /// opposite directions: `lock_pair(a, b)` and `lock_pair(b, a)`
+    /// take the locks in one order, so neither thread can deadlock,
+    /// and every view converges.
+    #[test]
+    fn opposed_lock_pairs_complete_and_stay_consistent() {
+        let engine = fleet(2);
+        let (a, b) = (MachineId(0), MachineId(1));
+        // Two containers admitted side by side on host A hold disjoint
+        // threads, so each one's set is always free on the host the
+        // other mover is not carrying it to.
+        let place = |seed| {
+            let req = PlacementRequest::new("swaptions", 8).with_probe_seed(seed);
+            engine.place(&req).placed().expect("A has room").clone()
+        };
+        let (first, second) = (place(0), place(1));
+        assert_eq!((first.machine, second.machine), (a, a));
+
+        let carry = |ticket: PlacementTicket, from: MachineId, to: MachineId| {
+            let (mut src, mut dst) = engine.lock_pair(from, to);
+            let entry = src.remove_resident(ticket).expect("mover owns its ticket");
+            src.release(&entry.threads);
+            dst.reserve(&entry.threads).expect("mirror threads are free");
+            dst.insert_resident(entry);
+            engine.locations_lock().insert(ticket.0, to.0);
+        };
+        carry(second.ticket, a, b);
+        let bounce = |ticket, mut from, mut to| {
+            for _ in 0..300 {
+                carry(ticket, from, to);
+                std::mem::swap(&mut from, &mut to);
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| bounce(first.ticket, a, b));
+            s.spawn(|| bounce(second.ticket, b, a));
+        });
+
+        engine.audit().unwrap();
+        assert_eq!(engine.num_residents(), 2);
+        engine.release(&first).unwrap();
+        engine.release(&second).unwrap();
+        engine.audit().unwrap();
+        assert_eq!(engine.utilisation(a).0 + engine.utilisation(b).0, 0);
+    }
+
+    /// A deliberately panicking thread dies while holding host 0's
+    /// state mutex, poisoning it. Every critical section in the engine
+    /// is all-or-nothing at the point a panic could unwind, so
+    /// recovery is sound: subsequent commits, releases and accessors
+    /// must recover the guard (counted in
+    /// `EngineStats::lock_poison_recoveries`) instead of propagating
+    /// the poison forever.
+    #[test]
+    fn poisoned_host_lock_is_recovered_and_counted() {
+        let engine = fleet(1);
+        let placed = engine
+            .place(&PlacementRequest::new("WTbtree", 16))
+            .placed()
+            .expect("idle host")
+            .clone();
+
+        let published = engine.stats().snapshot.published;
+        let oracle = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut guard = engine.lock_host(&engine.hosts[0]);
+                guard.release(&placed.threads);
+                guard.reserve(&placed.threads).unwrap();
+                panic!("oracle panicked mid-critical-section");
+            })
+            .join()
+        });
+        assert!(oracle.is_err(), "the oracle must have panicked");
+        assert!(
+            engine.hosts[0].state.lock().is_err(),
+            "the host mutex must actually be poisoned"
+        );
+        assert_eq!(
+            engine.stats().snapshot.published,
+            published,
+            "a panicking guard must not publish"
+        );
+
+        let before = engine.stats().lock_poison_recoveries;
+        let second = engine
+            .place(&PlacementRequest::new("swaptions", 16))
+            .placed()
+            .expect("a poisoned lock must not reject admission")
+            .clone();
+        engine.release(&placed).unwrap();
+        engine.release(&second).unwrap();
+        assert_eq!(engine.utilisation(MachineId(0)).0, 0);
+        engine.audit().unwrap();
+
+        let stats = engine.stats();
+        assert!(
+            stats.lock_poison_recoveries > before,
+            "recoveries must be counted: {} !> {before}",
+            stats.lock_poison_recoveries
+        );
+        assert_eq!(stats.release_failures, 0);
+    }
+}

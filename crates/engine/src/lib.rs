@@ -49,22 +49,23 @@
 //!
 //! # Wait-free reads
 //!
-//! Every mutation (commit, release, rebalance move) publishes an
-//! immutable [`HostSnapshot`] — occupancy plus resident registry, one
-//! consistent pair — through a single-slot wait-free cell
-//! (`vc_sync::Slot`, QSBR-reclaimed) *before* dropping the host lock.
-//! With [`EngineConfig::snapshot_reads`] (the default), scoring,
-//! BestScore dry runs, interference probes, the utilisation/occupancy
-//! accessors and the whole rebalance planning phase read these
-//! snapshots with **zero lock acquisitions** — only the final
-//! all-or-nothing reserve takes the host mutex (counter-verified via
-//! [`EngineStats::host_lock_acquisitions`]). A snapshot lags the
-//! authoritative map by at most one in-flight critical section — the
-//! same staleness contract as the capacity summary — and a commit that
-//! scored against a view a concurrent writer invalidated simply
-//! re-scores against a fresh one
-//! ([`SnapshotCounters::stale_retries`]); decisions are bit-for-bit
-//! identical to lock-clone reads (equivalence-tested).
+//! Host state is only mutable through a lock guard that, on drop,
+//! publishes an immutable [`HostSnapshot`] — occupancy plus resident
+//! registry, one consistent pair — through a single-slot wait-free
+//! cell (`vc_sync::Slot`, QSBR-reclaimed) *before* the host lock is
+//! released, together with the capacity summary and the shard sketch.
+//! Scoring, BestScore dry runs, interference probes, the
+//! utilisation/occupancy accessors and the whole rebalance planning
+//! phase read these snapshots with **zero lock acquisitions** — only
+//! the final all-or-nothing reserve takes the host mutex
+//! (counter-verified via [`EngineStats::host_lock_acquisitions`]). A
+//! snapshot lags the authoritative map by at most one in-flight
+//! critical section — the same staleness contract as the capacity
+//! summary — and a commit that scored against a view a concurrent
+//! writer invalidated simply re-scores against a fresh one
+//! ([`SnapshotCounters::stale_retries`]).
+//! [`PlacementEngine::audit`] checks every published view against the
+//! authoritative state.
 //!
 //! # Interference
 //!
@@ -145,16 +146,20 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod descent;
 mod engine;
+mod host;
 pub mod rebalance;
+mod stats;
 
 pub use cache::{CacheCounters, KeyedCache};
 pub use engine::{
-    BatchStrategy, EngineConfig, EngineStats, FitProbe, FleetClass, FleetIndex, HostSnapshot,
-    MachineId, ModelArtifact, Placed, PlacementCatalog, PlacementDecision, PlacementEngine,
-    PlacementRequest, PlacementTicket, ReleaseError, Resident, SketchCounters, SnapshotCounters,
-    SummaryCounters,
+    BatchStrategy, EngineConfig, FitProbe, FleetClass, FleetIndex, MachineId, ModelArtifact,
+    Placed, PlacementCatalog, PlacementDecision, PlacementEngine, PlacementRequest,
+    PlacementTicket, ReleaseError, Resident,
 };
+pub use host::HostSnapshot;
+pub use stats::{EngineStats, SketchCounters, SnapshotCounters, SummaryCounters};
 pub use rebalance::{Migration, RebalancePolicy, RebalanceReport};
 pub use vc_core::interference::{InterferenceCounters, ResidentWorkload};
 // The migration cost types appear in the rebalance API; re-exported so

@@ -148,12 +148,10 @@ pub struct RebalanceReport {
     /// next pass retries.
     pub failed_commits: usize,
     /// Host mutex acquisitions this pass performed (engine counter
-    /// delta). With snapshot reads on, planning is wait-free, so this
-    /// is exactly the executed-move bookkeeping: one lock per same-host
-    /// move, two per cross-host move (plus the locks of any
-    /// `failed_commits` re-validations) — asserted in tests. With
-    /// snapshot reads off it additionally counts every lock-clone view
-    /// the planning phase took.
+    /// delta). Planning is wait-free, so this is exactly the
+    /// executed-move bookkeeping: one lock per same-host move, two per
+    /// cross-host move (plus the locks of any `failed_commits`
+    /// re-validations) — asserted in tests.
     pub host_lock_acquisitions: u64,
     /// Engine-wide index of this pass (1-based; the clock
     /// [`RebalancePolicy::cooldown_passes`] counts in). `0` only for
@@ -389,7 +387,7 @@ impl PlacementEngine {
     ) -> Option<PlannedMove> {
         let mut best: Option<PlannedMove> = None;
         for class in 0..self.fleet_index().num_classes() {
-            let Ok(cand) = self.evaluate_for_rebalance(class, &resident.request) else {
+            let Ok(cand) = self.evaluate(class, &resident.request) else {
                 continue;
             };
             for &id in self.fleet_index().classes()[class].members() {
@@ -398,17 +396,15 @@ impl PlacementEngine {
                 // is skipped without being locked, cloned or scored.
                 // (The victim's own host is exempt — minus-self it has
                 // at least its current placement free.)
-                if id != src && self.summary_rules_out(id, &cand) {
+                if id != src && !cand.fits_summary(self.capacity_summary(id)) {
                     continue;
                 }
                 // Every target is scored over the *full* availability
                 // orbits — the victim's own host minus-self (the
                 // fragmentation-first head is exactly the set beside
                 // the noisy neighbour), other hosts on their published
-                // views. Cross-host full-orbit scans were deferred
-                // while views cost a lock-and-clone per host; with
-                // wait-free snapshot reads the whole fleet scan is
-                // zero-lock, so the rebalancer now sees the
+                // views. Snapshot reads are wait-free, so the whole
+                // fleet scan is zero-lock and the rebalancer sees the
                 // least-interfering realisation everywhere instead of
                 // admission's fragmentation-first head.
                 let scored = if id == src {
@@ -459,7 +455,7 @@ impl PlacementEngine {
         // Fresh target snapshot → concrete threads (may simulate on a
         // cold penalty miss; still no lock held).
         let cand = self
-            .evaluate_for_rebalance(self.machine_class(dst), &resident.request)
+            .evaluate(self.machine_class(dst), &resident.request)
             .map_err(|_| ())?;
         let (ap, p, penalty) = if dst == src {
             let (occ, residents) = self.host_view_without(src, resident.ticket).ok_or(())?;

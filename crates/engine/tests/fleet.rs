@@ -3,6 +3,9 @@
 //! a placement through that the occupancy map would reject, and the
 //! per-class work accounting holds at fleet scale.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -288,73 +291,58 @@ fn evaluation_and_training_are_counted_per_class_not_per_host() {
 }
 
 /// Once the fleet is saturated, further requests are rejected purely by
-/// the lock-free hierarchy — shard sketches by default (the whole shard
-/// is proven empty without reading a single member summary), per-host
-/// summaries with the sketch knob off (counted as skips, with a reason
-/// naming an exhausted node); a departure immediately restores
-/// admissibility because releases publish sketch and summary together.
+/// the lock-free hierarchy — the shard sketch proves the whole shard
+/// empty without reading a single member summary; a departure
+/// immediately restores admissibility because releases publish sketch
+/// and summary together.
 #[test]
-fn full_hosts_are_skipped_by_summaries_without_locking() {
-    for sketches in [true, false] {
-        let mut engine = PlacementEngine::new(EngineConfig {
-            sketches,
-            ..fast_config()
-        });
-        engine.add_machine(machines::amd_opteron_6272());
-        engine.add_machine(machines::amd_opteron_6272());
+fn full_hosts_are_skipped_by_sketches_without_locking() {
+    let mut engine = PlacementEngine::new(fast_config());
+    engine.add_machine(machines::amd_opteron_6272());
+    engine.add_machine(machines::amd_opteron_6272());
 
-        let req = |s: u64| PlacementRequest::new("swaptions", 16).with_probe_seed(s);
-        let mut placed = Vec::new();
-        for s in 0..8 {
-            placed.push(engine.place(&req(s)).placed().expect("fleet has room").clone());
-        }
-        let skips_before = engine.stats().summary.skips;
-        let sketch_skips_before = engine.stats().sketch.skips;
-        let overflow = engine.place(&req(100));
-        let stats = engine.stats();
-        assert!(overflow.placed().is_none(), "130th vCPU cannot exist");
-        if sketches {
-            assert_eq!(
-                stats.sketch.skips - sketch_skips_before,
-                2,
-                "both full hosts must be ruled out shard-wide by the sketch"
-            );
-            assert_eq!(
-                stats.summary.skips, skips_before,
-                "a sketch-skipped shard's member summaries are never read"
-            );
-        } else {
-            assert_eq!(
-                stats.summary.skips - skips_before,
-                2,
-                "both full hosts must be ruled out by their summaries, lock-free"
-            );
-            assert_eq!(stats.sketch.skips, 0, "sketches off: no sketch activity");
-        }
-        match overflow {
-            vc_engine::PlacementDecision::Rejected { reason } => {
-                if sketches {
-                    assert!(
-                        reason.contains("availability sketches"),
-                        "reason should credit the sketch descent: {reason}"
-                    );
-                } else {
-                    assert!(reason.contains("node N"), "reason must name a node: {reason}");
-                    assert!(
-                        reason.contains("summary"),
-                        "reason should credit the summary: {reason}"
-                    );
-                }
-            }
-            _ => unreachable!(),
-        }
-
-        engine.release(&placed.pop().expect("eight placed")).unwrap();
-        assert!(
-            engine.place(&req(101)).placed().is_some(),
-            "release published sketch and summary; the host is admissible again"
-        );
+    let req = |s: u64| PlacementRequest::new("swaptions", 16).with_probe_seed(s);
+    let mut placed = Vec::new();
+    for s in 0..8 {
+        placed.push(engine.place(&req(s)).placed().expect("fleet has room").clone());
     }
+    let before = engine.stats();
+    let overflow = engine.place(&req(100));
+    let stats = engine.stats();
+    assert!(overflow.placed().is_none(), "130th vCPU cannot exist");
+    assert_eq!(
+        stats.sketch.skips - before.sketch.skips,
+        2,
+        "both full hosts must be ruled out shard-wide by the sketch"
+    );
+    assert_eq!(
+        stats.summary.skips, before.summary.skips,
+        "a sketch-skipped shard's member summaries are never read"
+    );
+    assert_eq!(
+        stats.host_lock_acquisitions, before.host_lock_acquisitions,
+        "a rejection by the lock-free hierarchy must not lock"
+    );
+    match overflow {
+        vc_engine::PlacementDecision::Rejected { reason } => {
+            assert!(
+                reason.contains("availability sketches"),
+                "reason should credit the sketch descent: {reason}"
+            );
+            assert!(reason.contains("node N"), "reason must name a node: {reason}");
+            assert!(
+                reason.contains("per its summary"),
+                "reason should explain from the summary: {reason}"
+            );
+        }
+        _ => unreachable!(),
+    }
+
+    engine.release(&placed.pop().expect("eight placed")).unwrap();
+    assert!(
+        engine.place(&req(101)).placed().is_some(),
+        "release published sketch and summary; the host is admissible again"
+    );
 }
 
 /// Racing batches against a small fleet: stale summaries may admit a
@@ -482,137 +470,71 @@ fn bounded_engine_caches_evict_and_still_answer() {
 // Wait-free snapshot reads: equivalence, consistency and lock accounting
 // ---------------------------------------------------------------------
 
-/// A snapshot-reading engine and a lock-clone twin over the same fleet.
-fn snapshot_twins(interference: bool, budget: Option<f64>) -> (PlacementEngine, PlacementEngine) {
-    let build = |snapshot_reads: bool| {
-        let mut e = PlacementEngine::new(EngineConfig {
-            snapshot_reads,
-            interference,
-            degradation_budget: budget,
-            ..fast_config()
-        });
-        e.add_machine(machines::amd_opteron_6272());
-        e.add_machine(machines::amd_opteron_6272());
-        e.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
-        e
-    };
-    (build(true), build(false))
-}
-
-fn assert_same_placed(a: &Placed, b: &Placed, ctx: &str) {
-    assert_eq!(a.ticket, b.ticket, "{ctx}: ticket diverged");
-    assert_eq!(a.machine, b.machine, "{ctx}: machine diverged");
-    assert_eq!(a.placement_id, b.placement_id, "{ctx}: class diverged");
-    assert_eq!(a.spec.nodes, b.spec.nodes, "{ctx}: node set diverged");
-    assert_eq!(a.threads, b.threads, "{ctx}: threads diverged");
-    assert_eq!(a.predicted_perf, b.predicted_perf, "{ctx}: prediction diverged");
-    assert_eq!(
-        a.interference_penalty, b.interference_penalty,
-        "{ctx}: penalty diverged"
-    );
-    assert_eq!(a.goal_perf, b.goal_perf, "{ctx}: goal diverged");
-}
-
-/// The tentpole equivalence: an engine scoring on epoch-published
-/// snapshots commits bit-for-bit the decisions of its lock-clone twin
-/// — across plain admission, BestScore offer ranking, interference
-/// probes (both engines score neighbours) and rebalance plans — while
-/// the accessors' snapshot reads match their lock-read twins exactly
-/// at every quiescent point.
+/// Decisions scored on epoch-published snapshots — plain admission,
+/// BestScore offer ranking and interference probes against the real
+/// residents — equal the public-API reference's, bit for bit, through
+/// churn and a rebalance pass; every published view matches the
+/// authoritative state at each quiescent point.
 #[test]
-fn snapshot_reads_are_bit_for_bit_equivalent_to_lock_reads() {
-    let (snap, lock) = snapshot_twins(true, Some(0.005));
-    assert!(snap.config().snapshot_reads && !lock.config().snapshot_reads);
+fn snapshot_scored_decisions_match_the_reference() {
+    let mut engine = PlacementEngine::new(EngineConfig {
+        interference: true,
+        degradation_budget: Some(0.005),
+        ..fast_config()
+    });
+    engine.add_machine(machines::amd_opteron_6272());
+    engine.add_machine(machines::amd_opteron_6272());
+    engine.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
 
-    let reqs: Vec<PlacementRequest> = (0..10)
-        .map(|i| {
-            let wl = ["WTbtree", "streamcluster", "swaptions"][i % 3];
-            let strat_goal = [0.0, 0.9][(i / 3) % 2];
-            PlacementRequest::new(wl, [4, 8, 16][i % 3])
-                .with_goal(strat_goal)
-                .with_probe_seed(i as u64)
-        })
-        .collect();
+    let request = |i: usize| {
+        let wl = ["WTbtree", "streamcluster", "swaptions"][i % 3];
+        PlacementRequest::new(wl, [4, 8, 16][i % 3])
+            .with_goal([0.0, 0.9][(i / 3) % 2])
+            .with_probe_seed(i as u64)
+    };
+    let strategy = |i: usize| {
+        if i.is_multiple_of(2) { BatchStrategy::FirstFit } else { BatchStrategy::BestScore }
+    };
 
     // Admission (FirstFit) and offer-ranked admission (BestScore),
     // interleaved so both paths run against churned occupancy.
-    let mut live_snap = Vec::new();
-    let mut live_lock = Vec::new();
-    for (i, req) in reqs.iter().enumerate() {
-        let strat = if i % 2 == 0 { BatchStrategy::FirstFit } else { BatchStrategy::BestScore };
-        let a = snap.place_batch(std::slice::from_ref(req), strat);
-        let b = lock.place_batch(std::slice::from_ref(req), strat);
-        match (a[0].placed(), b[0].placed()) {
-            (Some(x), Some(y)) => {
-                assert_same_placed(x, y, &format!("request {i}"));
-                live_snap.push(x.clone());
-                live_lock.push(y.clone());
-            }
-            (None, None) => {}
-            _ => panic!("request {i}: twins disagree on feasibility"),
-        }
-        // Accessor equivalence at quiescence, on the snapshot engine:
-        // wait-free reads match the authoritative lock reads.
-        for id in snap.machine_ids() {
-            let occ = snap.occupancy(id);
-            let occ_locked = snap.occupancy_locked(id);
-            assert_eq!(occ.used_threads(), occ_locked.used_threads());
-            for t in 0..occ.total_threads() {
-                assert_eq!(occ.is_free(ThreadId(t)), occ_locked.is_free(ThreadId(t)));
-            }
-            let (r, rl) = (snap.residents(id), snap.residents_locked(id));
-            assert_eq!(r.len(), rl.len(), "registry reads diverge on {id:?}");
-            for (x, y) in r.iter().zip(&rl) {
-                assert_eq!(x.ticket, y.ticket);
-                assert_eq!(x.threads, y.threads);
-                assert_eq!(x.placement_id, y.placement_id);
-                assert_eq!(x.predicted_perf, y.predicted_perf);
-            }
+    let mut live = Vec::new();
+    for i in 0..10 {
+        live.extend(reference::place_checked(&engine, &request(i), strategy(i), &format!("request {i}")));
+        engine.audit().unwrap();
+        for id in engine.machine_ids() {
             assert_eq!(
-                snap.node_utilisation(id),
-                snap.host_snapshot(id).occupancy().node_usage()
+                engine.node_utilisation(id),
+                engine.host_snapshot(id).occupancy().node_usage()
             );
         }
     }
-    assert!(!live_snap.is_empty(), "the stream must place something");
+    assert!(!live.is_empty(), "the stream must place something");
 
-    // Rebalance plans: the same over-budget victims, the same moves.
-    let policy = RebalancePolicy::default();
-    let ra = snap.rebalance(&policy);
-    let rb = lock.rebalance(&policy);
-    assert_eq!(ra.scanned, rb.scanned, "scan population diverged");
-    assert_eq!(ra.over_budget, rb.over_budget);
-    assert_eq!(ra.blocked_no_target, rb.blocked_no_target);
-    assert_eq!(ra.blocked_by_cost, rb.blocked_by_cost);
-    assert_eq!(ra.migrations.len(), rb.migrations.len(), "plan size diverged");
-    for (x, y) in ra.migrations.iter().zip(&rb.migrations) {
-        assert_eq!(x.ticket, y.ticket, "mover diverged");
-        assert_eq!((x.from, x.to), (y.from, y.to), "route diverged");
-        assert_same_placed(&x.placed, &y.placed, "migration target");
-        assert_eq!(x.degradation_before, y.degradation_before);
-        assert_eq!(x.degradation_after, y.degradation_after);
+    // A rebalance pass re-homes residents; admission on the moved
+    // fleet still matches the reference.
+    let report = engine.rebalance(&RebalancePolicy::default());
+    assert!(report.scanned > 0, "the pass must have scanned the residents");
+    engine.audit().unwrap();
+    for i in 10..14 {
+        live.extend(reference::place_checked(&engine, &request(i), strategy(i), &format!("request {i}")));
     }
 
-    // Mode bookkeeping: the snapshot engine published and read
-    // snapshots; the lock-clone twin never touched the slot.
-    let (sa, sb) = (snap.stats(), lock.stats());
-    assert!(sa.snapshot.published > 0, "commits must publish snapshots");
-    assert!(sa.snapshot.reads > 0, "scoring must read snapshots");
-    assert_eq!(sb.snapshot.published, 0, "lock-clone twin must not publish");
-    assert_eq!(sb.snapshot.reads, 0, "lock-clone twin must not load slots");
+    let stats = engine.stats();
+    assert!(stats.snapshot.published > 0, "commits must publish snapshots");
+    assert!(stats.snapshot.reads > 0, "scoring must read snapshots");
 
-    for (a, b) in live_snap.iter().zip(&live_lock) {
-        snap.release(a).unwrap();
-        lock.release(b).unwrap();
+    for p in &live {
+        engine.release(p).unwrap();
     }
-    for id in snap.machine_ids() {
-        assert_eq!(snap.utilisation(id).0, 0);
-        assert_eq!(lock.utilisation(id).0, 0);
+    engine.audit().unwrap();
+    for id in engine.machine_ids() {
+        assert_eq!(engine.utilisation(id).0, 0);
     }
 }
 
-/// Zero lock acquisitions on the scoring path: a warm snapshot-mode
-/// engine takes the host mutex exactly once per committed placement
+/// Zero lock acquisitions on the scoring path: a warm engine
+/// takes the host mutex exactly once per committed placement
 /// and once per release — never for offers, BestScore ranking,
 /// summary prefilters, rejected requests or read accessors.
 #[test]
@@ -743,13 +665,10 @@ proptest! {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
-        // Quiescent: the final snapshot equals the authoritative state.
+        // Quiescent: every published view equals the authoritative state.
         for id in engine.machine_ids() {
             assert_snapshot_consistent(&engine.host_snapshot(id));
-            prop_assert_eq!(
-                engine.occupancy(id).used_threads(),
-                engine.occupancy_locked(id).used_threads()
-            );
         }
+        prop_assert_eq!(engine.audit(), Ok(()));
     }
 }

@@ -1,10 +1,13 @@
 //! Hierarchical-sketch guarantees: every shard's availability sketch
 //! equals the ground truth recomputed from its members' published
 //! capacity summaries after every churn and rebalance event, the
-//! sketch descent commits bit-for-bit the decisions of the flat
-//! summary scan (the `sketches: false` knob), and `can_fit` counts
-//! exactly the full-scan hosts while charging skipped shards to
-//! [`FitProbe::sketch_skipped`](vc_engine::FitProbe).
+//! sketch descent commits bit-for-bit the decisions of a flat
+//! fleet-order scan (the public-API reference in `support/`), and
+//! `can_fit` counts exactly the full-scan hosts while charging skipped
+//! shards to [`FitProbe::sketch_skipped`](vc_engine::FitProbe).
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -26,11 +29,10 @@ fn fast_config() -> EngineConfig {
     }
 }
 
-/// A sketches-on config with 2-host shards, so small test fleets still
-/// exercise the multi-shard merge, shard skipping and remainder shards.
+/// 2-host shards, so small test fleets still exercise the multi-shard
+/// merge, shard skipping and remainder shards.
 fn sketch_config() -> EngineConfig {
     EngineConfig {
-        sketches: true,
         sketch_shard: 2,
         ..fast_config()
     }
@@ -207,27 +209,17 @@ fn sketches_track_summaries_through_rebalance_moves() {
     }
 }
 
-/// The acceptance criterion of the tentpole: a sketches-on engine (in
-/// deliberately tiny 2-host shards) and its sketches-off twin commit
-/// identical decisions — machine, placement class, threads, prediction
-/// — over a churned stream on both strategies, while the on-engine's
-/// counters show the descent actually skipped and admitted shards.
+/// The descent (in deliberately tiny 2-host shards) commits exactly the
+/// reference scan's decisions — machine, placement class, node set,
+/// threads, prediction — over a churned stream on both strategies,
+/// while the counters show it actually skipped and admitted shards.
 #[test]
 fn sketch_descent_is_decision_equivalent_to_the_flat_scan() {
-    let build = |sketches: bool| {
-        let mut e = PlacementEngine::new(EngineConfig {
-            sketches,
-            sketch_shard: 2,
-            ..fast_config()
-        });
-        for _ in 0..4 {
-            e.add_machine(machines::amd_opteron_6272());
-        }
-        e.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
-        e
-    };
-    let on = build(true);
-    let off = build(false);
+    let mut engine = PlacementEngine::new(sketch_config());
+    for _ in 0..4 {
+        engine.add_machine(machines::amd_opteron_6272());
+    }
+    engine.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
 
     let reqs: Vec<PlacementRequest> = (0..24)
         .map(|i| {
@@ -239,118 +231,78 @@ fn sketch_descent_is_decision_equivalent_to_the_flat_scan() {
         })
         .collect();
 
-    let mut live_on: Vec<Placed> = Vec::new();
-    let mut live_off: Vec<Placed> = Vec::new();
+    let mut live: Vec<Placed> = Vec::new();
     for (i, req) in reqs.iter().enumerate() {
         let strat = if i % 2 == 0 { BatchStrategy::FirstFit } else { BatchStrategy::BestScore };
-        let a = on.place_batch(std::slice::from_ref(req), strat).pop().unwrap();
-        let b = off.place_batch(std::slice::from_ref(req), strat).pop().unwrap();
-        match (a.placed(), b.placed()) {
-            (Some(x), Some(y)) => {
-                assert_eq!(x.machine, y.machine, "request {i}: machine diverged");
-                assert_eq!(x.placement_id, y.placement_id, "request {i}: class diverged");
-                assert_eq!(x.spec.nodes, y.spec.nodes, "request {i}: node set diverged");
-                assert_eq!(x.threads, y.threads, "request {i}: threads diverged");
-                assert_eq!(x.predicted_perf, y.predicted_perf, "request {i}: prediction diverged");
-                live_on.push(x.clone());
-                live_off.push(y.clone());
-            }
-            (None, None) => {}
-            (got, want) => panic!(
-                "request {i}: twins disagree on feasibility (on: {}, off: {})",
-                got.is_some(),
-                want.is_some()
-            ),
-        }
+        live.extend(reference::place_checked(&engine, req, strat, &format!("request {i}")));
         // Churn holes into the fleet so later requests see fragmented
-        // occupancy on both twins.
-        if i % 5 == 4 && live_on.len() >= 2 {
-            let x = live_on.remove(0);
-            let y = live_off.remove(0);
-            assert_eq!(x.machine, y.machine);
-            on.release(&x).unwrap();
-            off.release(&y).unwrap();
+        // occupancy.
+        if i % 5 == 4 && live.len() >= 2 {
+            engine.release(&live.remove(0)).unwrap();
         }
     }
-    assert!(!live_on.is_empty(), "the stream must place something");
+    assert!(!live.is_empty(), "the stream must place something");
 
     // The descent really ran: shards were admitted, and once the fleet
     // saturated, whole shards were jumped without reading summaries.
-    let (sa, sb) = (on.stats(), off.stats());
-    assert!(sa.sketch.admits > 0, "descent must admit shards");
-    assert!(sa.sketch.skips > 0, "a saturated fleet must skip whole shards");
-    assert_eq!(sb.sketch.admits, 0, "off-twin must not touch sketches");
-    assert_eq!(sb.sketch.skips, 0, "off-twin must not touch sketches");
+    let stats = engine.stats();
+    assert!(stats.sketch.admits > 0, "descent must admit shards");
+    assert!(stats.sketch.skips > 0, "a saturated fleet must skip whole shards");
 
-    for (x, y) in live_on.drain(..).zip(live_off.drain(..)) {
-        on.release(&x).unwrap();
-        off.release(&y).unwrap();
+    for p in live.drain(..) {
+        engine.release(&p).unwrap();
     }
 }
 
 /// `can_fit` regression: the sketch-counted probe reports *exactly* the
-/// full-summary-scan count (the off-twin's answer) in every fleet
+/// full-summary-scan count (the reference's answer) in every fleet
 /// state, only charging provably-hopeless shards to `sketch_skipped`
 /// instead of scanning them.
 #[test]
 fn can_fit_counts_match_the_full_summary_scan() {
-    let build = |sketches: bool| {
-        let mut e = PlacementEngine::new(EngineConfig {
-            sketches,
-            sketch_shard: 2,
-            ..fast_config()
-        });
-        for _ in 0..4 {
-            e.add_machine(machines::amd_opteron_6272());
-        }
-        e
-    };
-    let on = build(true);
-    let off = build(false);
+    let mut engine = PlacementEngine::new(sketch_config());
+    for _ in 0..4 {
+        engine.add_machine(machines::amd_opteron_6272());
+    }
     let probe_req = PlacementRequest::new("swaptions", 16);
+    let full_scan = || reference::full_scan_fit_count(&engine, &probe_req);
 
     // Idle fleet: every host admits; nothing is skipped.
-    let (pa, pb) = (on.can_fit(&probe_req), off.can_fit(&probe_req));
-    assert_eq!(pa.hosts, pb.hosts, "idle-fleet counts diverged");
-    assert_eq!(pa.hosts, 4, "all four idle hosts admit a 16-vCPU shape");
-    assert_eq!(pa.goal_clearing_classes, pb.goal_clearing_classes);
-    assert_eq!(pa.best_predicted, pb.best_predicted);
-    assert_eq!(pa.sketch_skipped, 0, "idle shards are never skipped");
-    assert_eq!(pb.sketch_skipped, 0, "the flat scan never skips shards");
+    let probe = engine.can_fit(&probe_req);
+    assert_eq!(probe.hosts, full_scan(), "idle-fleet counts diverged");
+    assert_eq!(probe.hosts, 4, "all four idle hosts admit a 16-vCPU shape");
+    assert_eq!(probe.goal_clearing_classes, 1);
+    assert_eq!(probe.sketch_skipped, 0, "idle shards are never skipped");
 
-    // Saturate both twins identically, one host at a time, comparing
-    // the probe at every intermediate occupancy.
+    // Saturate one host at a time, comparing the probe at every
+    // intermediate occupancy.
     let mut live = Vec::new();
     for s in 0..16u64 {
         let req = PlacementRequest::new("swaptions", 16).with_probe_seed(s);
-        let a = on.place(&req).placed().expect("256 threads hold 16 × 16 vCPUs").clone();
-        let b = off.place(&req).placed().expect("twin must agree").clone();
-        assert_eq!(a.machine, b.machine);
-        live.push((a, b));
-        let (pa, pb) = (on.can_fit(&probe_req), off.can_fit(&probe_req));
-        assert_eq!(pa.hosts, pb.hosts, "counts diverged after {} commits", s + 1);
+        live.push(engine.place(&req).placed().expect("256 threads hold 16 × 16 vCPUs").clone());
+        assert_eq!(
+            engine.can_fit(&probe_req).hosts,
+            full_scan(),
+            "counts diverged after {} commits",
+            s + 1
+        );
     }
 
     // Full fleet: zero hosts both ways, and the sketch proved all four
     // hosts (two full shards) hopeless without reading a summary.
-    let (pa, pb) = (on.can_fit(&probe_req), off.can_fit(&probe_req));
-    assert_eq!(pa.hosts, 0);
-    assert_eq!(pb.hosts, 0);
-    assert_eq!(pa.sketch_skipped, 4, "both full shards skipped whole");
-    assert_eq!(pb.sketch_skipped, 0);
+    let probe = engine.can_fit(&probe_req);
+    assert_eq!((probe.hosts, full_scan()), (0, 0));
+    assert_eq!(probe.sketch_skipped, 4, "both full shards skipped whole");
 
     // Drain one host: its shard reappears in the probe immediately.
-    let (a, b) = live.pop().expect("placed sixteen");
-    on.release(&a).unwrap();
-    off.release(&b).unwrap();
-    let (pa, pb) = (on.can_fit(&probe_req), off.can_fit(&probe_req));
-    assert_eq!(pa.hosts, pb.hosts);
-    assert!(pa.hosts >= 1, "the drained host must admit again");
-    assert!(pa.sketch_skipped < 4, "its shard is no longer skipped");
+    engine.release(&live.pop().expect("placed sixteen")).unwrap();
+    let probe = engine.can_fit(&probe_req);
+    assert_eq!(probe.hosts, full_scan());
+    assert!(probe.hosts >= 1, "the drained host must admit again");
+    assert!(probe.sketch_skipped < 4, "its shard is no longer skipped");
 
-    for (a, b) in live {
-        on.release(&a).unwrap();
-        off.release(&b).unwrap();
+    for p in &live {
+        engine.release(p).unwrap();
     }
 }
 

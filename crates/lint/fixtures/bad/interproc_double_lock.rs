@@ -1,7 +1,7 @@
 // Broken compaction variant: `compact` holds host A's guard while the
 // cold-eviction helper takes a host lock of its own. Neither function
-// double-locks by itself, so the intra-function R3 check stays silent —
-// only the call-graph pass sees the self-deadlock.
+// double-locks by itself — only the call-graph pass sees the
+// self-deadlock.
 
 pub fn compact(engine: &Engine, host: &Host) {
     let mut st = engine.lock_host(host);

@@ -1,13 +1,11 @@
-// Broken move variant: two host locks taken in argument order instead
-// of machine-id order. Two concurrent movers with swapped src/dst
-// deadlock.
+// Broken move variant: two host locks taken by hand, in argument order,
+// instead of through `lock_pair`. Two concurrent movers with swapped
+// src/dst deadlock.
 
 pub fn transfer(engine: &Engine, src: &Host, dst: &Host) {
     let mut src_st = engine.lock_host(src);
-    let mut dst_st = engine.lock_host(dst); //~ R3
-    if let Some(entry) = src_st.residents.remove(&1) {
-        dst_st.residents.insert(1, entry);
+    let mut dst_st = engine.lock_host(dst); //~ R8
+    if let Some(entry) = src_st.remove_resident(1) {
+        dst_st.insert_resident(entry);
     }
-    engine.publish(src, &mut src_st);
-    engine.publish(dst, &mut dst_st);
 }

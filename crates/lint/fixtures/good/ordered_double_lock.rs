@@ -1,14 +1,11 @@
-// Good twin of bad/unordered_double_lock.rs: machine ids are ordered
-// with `.min(`/`.max(` before the two acquisitions, so concurrent
-// movers with swapped arguments take the locks in the same order.
+// Good twin of bad/unordered_double_lock.rs: both guards come from
+// `lock_pair`, the one entry point that orders the two acquisitions by
+// machine id, so concurrent movers with swapped arguments take the
+// locks in the same order.
 
-pub fn transfer(engine: &Engine, src: &Host, dst: &Host) {
-    let (lo, hi) = (src.id.min(dst.id), src.id.max(dst.id));
-    let mut lo_st = engine.lock_host(lo);
-    let mut hi_st = engine.lock_host(hi);
-    if let Some(entry) = lo_st.residents.remove(&1) {
-        hi_st.residents.insert(1, entry);
+pub fn transfer(engine: &Engine, src: MachineId, dst: MachineId) {
+    let (mut src_st, mut dst_st) = engine.lock_pair(src, dst);
+    if let Some(entry) = src_st.remove_resident(1) {
+        dst_st.insert_resident(entry);
     }
-    engine.publish(lo, &mut lo_st);
-    engine.publish(hi, &mut hi_st);
 }

@@ -2,18 +2,15 @@
 
 use std::fmt;
 
-/// The enforced rule set. `Marker` covers problems with the escape
+/// The enforced rule set. Ids are stable: R1 (publish-before-unlock)
+/// and R3 (id-ordered double lock) were retired when `HostGuard` and
+/// `lock_pair` made them structural. `Marker` covers problems with the escape
 /// hatch itself (unused or malformed allow markers), which are errors
 /// too — an allow that suppresses nothing is a stale lie about the code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Publish-before-unlock: `HostState` mutations under a host lock
-    /// must be followed by `publish(` before the guard scope closes.
-    R1,
     /// No simulator/oracle calls while a host guard is live.
     R2,
-    /// A second host-lock acquisition requires an id-ordering guard.
-    R3,
     /// `unsafe` is confined to `crates/sync/src/slot.rs`; other crate
     /// roots must `#![forbid(unsafe_code)]`.
     R4,
@@ -25,9 +22,11 @@ pub enum Rule {
     R6,
     /// `Ordering::Relaxed` only on allowlisted counter fields.
     R7,
-    /// Static lock-order deadlock freedom: no call chain re-acquires a
-    /// held lock class, and the cross-function lock-order graph is
-    /// acyclic (generalizes R3 beyond one function).
+    /// Static lock-order deadlock freedom: a lock class is never
+    /// acquired while a guard of the same class is live — in one
+    /// function or through a call chain (`lock_pair`'s id-ordered pair
+    /// is the single allowed site) — and the cross-function lock-order
+    /// graph is acyclic.
     R8,
     /// Transitive effect hygiene: no call chain reaches the simulator
     /// while a host lock is held, and no blocking call (sleep, accept,
@@ -44,9 +43,7 @@ impl Rule {
     /// Stable rule id used in output and allow markers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::R1 => "R1",
             Rule::R2 => "R2",
-            Rule::R3 => "R3",
             Rule::R4 => "R4",
             Rule::R5 => "R5",
             Rule::R6 => "R6",
@@ -66,9 +63,7 @@ impl Rule {
     /// One-line rule name for the per-rule summary.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::R1 => "publish-before-unlock",
             Rule::R2 => "no-sim-under-lock",
-            Rule::R3 => "id-ordered-multi-lock",
             Rule::R4 => "unsafe-confinement",
             Rule::R5 => "no-panic-in-serve",
             Rule::R6 => "wire-tag-drift",
@@ -81,10 +76,8 @@ impl Rule {
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 11] = [
-        Rule::R1,
+    pub const ALL: [Rule; 9] = [
         Rule::R2,
-        Rule::R3,
         Rule::R4,
         Rule::R5,
         Rule::R6,

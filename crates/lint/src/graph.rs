@@ -5,8 +5,8 @@
 //! stream alone,
 //!
 //! * which **lock classes** it acquires and what is already held at
-//!   each acquisition (`host` for `lock_host(`/`state.lock(`, the
-//!   stripped helper name for `NAME_lock()` helpers, the last argument
+//!   each acquisition (`host` for `lock_host(`/`lock_pair(`/
+//!   `state.lock(`, the stripped helper name for `NAME_lock()` helpers, the last argument
 //!   field for vc-serve's `shared.lock(&shared.FIELD)` pattern, and the
 //!   receiver field for std `m.lock()`),
 //! * which **simulator/oracle idents** it touches directly,
@@ -17,8 +17,11 @@
 //!   that point.
 //!
 //! [`crate::summaries`] then propagates these bottom-up through the
-//! call graph. Guard scoping follows the same discipline as the R1–R3
-//! scanner, with one deliberate difference: an acquisition whose result
+//! call graph. Guard scoping follows the same discipline as the R2
+//! scanner, with two deliberate differences. A method call *on* a live
+//! named guard (`guard.release(..)`) is an access to the guarded data,
+//! not a workspace call worth resolving by bare name. And an
+//! acquisition whose result
 //! chains into anything but a guard-preserving adapter
 //! (`.unwrap`/`.expect`/`.unwrap_or_else`, or an enclosing wrapper call
 //! like vc-sync's `recover(...)`) is a *statement temporary* even when a
@@ -94,9 +97,6 @@ pub struct Acquire {
     pub line: u32,
     /// Guards already held at the acquisition.
     pub under: Vec<Held>,
-    /// True when a `.min(` id-ordering guard textually precedes the
-    /// acquisition in this function (rule R3's evidence).
-    pub ordered: bool,
 }
 
 /// One direct simulator or blocking site.
@@ -332,9 +332,10 @@ struct Guard {
     born: u32,
 }
 
-/// Pending `let` statement state (subset of the R1–R3 scanner's).
+/// Pending `let` statement state.
 struct LetSt {
-    name: Option<String>,
+    /// Bound names, pattern order (`let (a, b) = ..` binds two).
+    names: Vec<String>,
     seen_eq: bool,
     conditional: bool,
 }
@@ -355,7 +356,6 @@ fn scan_fn(file: &SourceFile, fi: usize, span: &FnSpan, all: &[FnSpan]) -> FnInf
     };
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0usize;
-    let mut seen_min = false;
     let mut let_st: Option<LetSt> = None;
 
     let held = |guards: &[Guard]| -> Vec<Held> {
@@ -404,7 +404,7 @@ fn scan_fn(file: &SourceFile, fi: usize, span: &FnSpan, all: &[FnSpan]) -> FnInf
                     let conditional =
                         i >= 1 && matches!(ident_name(toks, i - 1), Some("if") | Some("while"));
                     let_st = Some(LetSt {
-                        name: None,
+                        names: Vec::new(),
                         seen_eq: false,
                         conditional,
                     });
@@ -412,12 +412,9 @@ fn scan_fn(file: &SourceFile, fi: usize, span: &FnSpan, all: &[FnSpan]) -> FnInf
                     continue;
                 }
                 if let Some(ls) = &mut let_st {
-                    if !ls.seen_eq && ls.name.is_none() && !matches!(text, "mut" | "ref") {
-                        ls.name = Some(t.name().to_string());
+                    if !ls.seen_eq && !matches!(text, "mut" | "ref") {
+                        ls.names.push(t.name().to_string());
                     }
-                }
-                if text == "min" && i >= 1 && toks[i - 1].is_punct('.') {
-                    seen_min = true;
                 }
 
                 let calls_next = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
@@ -446,15 +443,28 @@ fn scan_fn(file: &SourceFile, fi: usize, span: &FnSpan, all: &[FnSpan]) -> FnInf
                         class: class.clone(),
                         line: t.line,
                         under: held(&guards),
-                        ordered: seen_min,
                     });
                     // Guard binding: follow the chain after the call.
                     let (bound, end) = guard_binding(toks, i);
+                    let let_bound = let_st
+                        .as_ref()
+                        .filter(|ls| bound && ls.seen_eq && !ls.conditional);
+                    if let (Some(ls), "lock_pair") = (let_bound, text) {
+                        // `let (a, b) = lock_pair(..)`: one guard per
+                        // bound name.
+                        guards.extend(ls.names.iter().map(|n| Guard {
+                            class: class.clone(),
+                            name: Some(n.clone()),
+                            depth,
+                            stmt: false,
+                            born: t.line,
+                        }));
+                        i = end;
+                        continue;
+                    }
                     let (name_opt, stmt) = if bound {
-                        match &let_st {
-                            Some(ls) if ls.seen_eq && !ls.conditional => {
-                                (ls.name.clone(), false)
-                            }
+                        match let_bound {
+                            Some(ls) => (ls.names.first().cloned(), false),
                             // `control = shared.lock(..)` re-assignment:
                             // rebinds the named guard.
                             _ => match assigned_name(toks, i) {
@@ -520,6 +530,7 @@ fn scan_fn(file: &SourceFile, fi: usize, span: &FnSpan, all: &[FnSpan]) -> FnInf
                     || matches!(name.as_str(), "wait" | "wait_timeout" | "publish" | "drop")
                     || is_lock_primitive(&name)
                     || matches!(receiver, Some("occ") | Some("residents"))
+                    || receiver.is_some_and(|r| guards.iter().any(|g| g.name.as_deref() == Some(r)))
                     || is_atomic_call(toks, i, &name);
                 if !skip {
                     let qual = if prev_path {
@@ -577,7 +588,7 @@ fn acquisition_class(toks: &[crate::lexer::Tok], i: usize) -> Option<String> {
     if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
         return None;
     }
-    if name == "lock_host" {
+    if name == "lock_host" || name == "lock_pair" {
         return Some("host".to_string());
     }
     if name.len() > 5 && name.ends_with("_lock") {

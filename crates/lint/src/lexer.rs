@@ -93,7 +93,7 @@ pub struct Lexed {
     pub directives: Vec<Directive>,
 }
 
-const KNOWN_RULES: &[&str] = &["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10"];
+const KNOWN_RULES: &[&str] = &["R2", "R4", "R5", "R6", "R7", "R8", "R9", "R10"];
 
 fn parse_directive(body: &str, line: u32, out: &mut Vec<Directive>) {
     // Only comments whose (doc-sigil-stripped) body *starts* with the

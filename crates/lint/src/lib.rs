@@ -1,13 +1,16 @@
 //! # vc-lint — source-level invariant checker for the vcplace workspace
 //!
 //! The engine's concurrency story rests on a handful of source
-//! conventions: snapshots/summaries/sketches are published *before* the
-//! host lock drops (R1), the simulator never runs under a host lock
-//! (R2), multi-host locks are taken in machine-id order (R3), `unsafe`
-//! lives only in `vc-sync`'s slot module (R4), the serving path never
-//! panics (R5), the wire tag table cannot silently drift (R6), and
-//! `Ordering::Relaxed` is reserved for counters nothing synchronizes on
-//! (R7). The runtime counters and the interleavings model checker catch
+//! conventions types cannot express: the simulator never runs under a
+//! host lock (R2), `unsafe` lives only in `vc-sync`'s slot module (R4),
+//! the serving path never panics (R5), the wire tag table cannot
+//! silently drift (R6), `Ordering::Relaxed` is reserved for counters
+//! nothing synchronizes on (R7), no lock class is re-acquired under
+//! itself and the lock order is acyclic (R8), nothing blocks or
+//! simulates under a lock through any call chain (R9), and the
+//! documented wire table matches the code (R10). Publication before
+//! unlock and id-ordered double locking — once R1 and R3 — are enforced
+//! by the engine's `HostGuard`/`lock_pair` instead. The runtime counters and the interleavings model checker catch
 //! violations *after* a schedule exposes them; this crate rejects the
 //! code at CI time instead.
 //!

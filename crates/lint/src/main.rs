@@ -25,7 +25,7 @@ use vc_lint::{lint_path, lint_workspace, Finding};
 const USAGE: &str = "usage: vc-lint [--root DIR] [--json] [--rule Rn]... [FILE...]
   no FILEs: lint the whole workspace under DIR (default: .)
   --json     emit the version-1 JSON findings document instead of text
-  --rule Rn  keep only findings of rule Rn (repeatable, e.g. --rule R8)";
+  --rule Rn  keep only findings of rule Rn (R2, R4..R10 or marker; repeatable)";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
             "--rule" => match args.next().as_deref().and_then(Rule::from_id) {
                 Some(rule) => rule_filter.push(rule),
                 None => {
-                    eprintln!("vc-lint: --rule needs a known rule id (R1..R10 or marker)");
+                    eprintln!("vc-lint: --rule needs a known rule id (R2, R4..R10 or marker)");
                     return ExitCode::from(2);
                 }
             },

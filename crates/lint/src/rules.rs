@@ -1,9 +1,7 @@
-//! The rule passes. R1–R3 share one guard-scope scanner; R4–R7 are
-//! independent token passes. All of them are linear text-order
+//! The per-file rule passes: R2's guard-scope scanner and the
+//! independent token passes R4–R7. All of them are linear text-order
 //! heuristics — no control-flow graph — which is exactly the level the
-//! workspace's conventions are written to: `publish` textually precedes
-//! every unlock on the happy paths, early `return`s that legitimately
-//! skip publication carry an allow marker explaining why.
+//! workspace's conventions are written to.
 
 use crate::analysis::SourceFile;
 use crate::findings::{Finding, Rule};
@@ -84,12 +82,6 @@ const ATOMIC_METHODS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-/// `HostState` collections whose mutating methods dirty a guard.
-const MUT_CONTAINERS: &[&str] = &["occ", "residents"];
-const MUT_METHODS: &[&str] = &[
-    "reserve", "release", "insert", "remove", "get_mut", "clear", "retain", "entry",
-];
-
 /// Identifiers that mean "the simulator/oracle is running" (rule R2).
 const SIM_IDENTS: &[&str] = &["SimOracle", "InterferenceModel", "co_location_penalty"];
 
@@ -118,8 +110,7 @@ fn finding(file: &SourceFile, line: u32, rule: Rule, message: String) -> Finding
     }
 }
 
-/// One live lock-guard (or `&mut`-reborrow alias of one) on the scanner
-/// stack.
+/// One live host-lock guard on the scanner stack.
 struct Root {
     name: String,
     /// Brace depth the binding was created at; dies when that block
@@ -128,15 +119,11 @@ struct Root {
     /// Statement-scoped temporary (guard never bound to a name): dies
     /// at the next `;` at its depth.
     stmt: bool,
-    /// Line of the acquisition (or alias binding).
+    /// Line of the acquisition.
     born: u32,
-    /// Set when `HostState` has been mutated through this root and not
-    /// yet published: (line, what).
-    dirty: Option<(u32, String)>,
 }
 
-/// Collection state for a `let` statement, used to name guards and to
-/// catch `let (a, b) = (&mut *g1, &mut *g2)` reborrow aliases.
+/// Collection state for a `let` statement, used to name guards.
 struct LetState {
     depth: usize,
     lhs: Vec<String>,
@@ -144,17 +131,14 @@ struct LetState {
     /// `if let` / `while let` / `let ... else` never bind guards we
     /// track past their own expression, but plain `let` does.
     conditional: bool,
-    /// Reborrowed live guards seen on the RHS (`&mut *guard`).
-    reborrows: u32,
 }
 
-/// The shared R1/R2/R3 pass.
-#[allow(clippy::too_many_lines)]
+/// R2: tracks live host guards in text order and flags simulator
+/// idents used under one.
 fn scan_guards(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.lexed.tokens;
     let mut roots: Vec<Root> = Vec::new();
     let mut depth = 0usize;
-    let mut fn_seen_min = false;
     let mut let_state: Option<LetState> = None;
 
     let ident_at = |i: usize| -> Option<&str> {
@@ -176,90 +160,28 @@ fn scan_guards(file: &SourceFile, out: &mut Vec<Finding>) {
                 depth += 1;
             }
             TokKind::Punct('}') => {
-                let line = t.line;
-                roots.retain(|r| {
-                    if r.depth < depth {
-                        return true;
-                    }
-                    if let Some((mline, what)) = &r.dirty {
-                        out.push(Finding {
-                            file: file.path.clone(),
-                            line,
-                            rule: Rule::R1,
-                            message: format!(
-                                "host guard `{}` unlocks here with an unpublished mutation",
-                                r.name
-                            ),
-                            trace: vec![
-                                format!("guard `{}` acquired on line {}", r.name, r.born),
-                                format!("mutated via `{what}` on line {mline}"),
-                            ],
-                        });
-                    }
-                    false
-                });
+                roots.retain(|r| r.depth < depth);
                 depth = depth.saturating_sub(1);
             }
             TokKind::Punct(';') => {
-                let line = t.line;
-                roots.retain(|r| {
-                    if !(r.stmt && r.depth == depth) {
-                        return true;
-                    }
-                    if let Some((mline, what)) = &r.dirty {
-                        out.push(Finding {
-                            file: file.path.clone(),
-                            line,
-                            rule: Rule::R1,
-                            message: "temporary host guard dropped with an unpublished mutation"
-                                .to_string(),
-                            trace: vec![
-                                format!("guard acquired on line {}", r.born),
-                                format!("mutated via `{what}` on line {mline}"),
-                            ],
-                        });
-                    }
-                    false
-                });
-                // Close out a plain-let statement: materialize reborrow
-                // aliases of live guards.
-                if let Some(ls) = &let_state {
-                    if ls.depth == depth && ls.seen_eq {
-                        if ls.reborrows > 0 && !ls.conditional {
-                            for name in &ls.lhs {
-                                roots.push(Root {
-                                    name: name.clone(),
-                                    depth,
-                                    stmt: false,
-                                    born: line,
-                                    dirty: None,
-                                });
-                            }
-                        }
-                        let_state = None;
-                    } else if ls.depth == depth {
-                        let_state = None;
-                    }
+                roots.retain(|r| !(r.stmt && r.depth == depth));
+                if let_state.as_ref().is_some_and(|ls| ls.depth == depth) {
+                    let_state = None;
                 }
             }
             TokKind::Ident => {
                 let text = t.text.as_str();
-                match text {
-                    "fn" => fn_seen_min = false,
-                    "let" => {
-                        let conditional = i >= 1
-                            && matches!(ident_at(i - 1), Some("if") | Some("while"));
-                        let_state = Some(LetState {
-                            depth,
-                            lhs: Vec::new(),
-                            seen_eq: false,
-                            conditional,
-                            reborrows: 0,
-                        });
-                        i += 1;
-                        continue;
-                    }
-                    _ => {}
+                if text == "let" {
+                    let conditional =
+                        i >= 1 && matches!(ident_at(i - 1), Some("if") | Some("while"));
+                    let_state = Some(LetState {
+                        depth,
+                        lhs: Vec::new(),
+                        seen_eq: false,
+                        conditional,
+                    });
+                    i += 1;
+                    continue;
                 }
 
                 // LHS collection for an open let.
@@ -269,36 +191,17 @@ fn scan_guards(file: &SourceFile, out: &mut Vec<Finding>) {
                     }
                 }
 
-                // `.min(` anywhere in the fn marks the id-ordering guard.
-                if text == "min" && i >= 1 && toks[i - 1].is_punct('.') {
-                    fn_seen_min = true;
-                }
-
-                // Host-guard acquisition: `lock_host(` or `state.lock(`.
+                // Host-guard acquisition: `lock_host(`, `lock_pair(` or
+                // `state.lock(`.
+                let calls_next = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
                 let acquires = !in_test
-                    && ((text == "lock_host"
-                        && toks.get(i + 1).is_some_and(|n| n.is_punct('(')))
+                    && calls_next
+                    && (matches!(text, "lock_host" | "lock_pair")
                         || (text == "lock"
-                            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
                             && i >= 2
                             && toks[i - 1].is_punct('.')
                             && ident_at(i - 2) == Some("state")));
                 if acquires {
-                    if !roots.is_empty() && !fn_seen_min {
-                        let held: Vec<String> = roots
-                            .iter()
-                            .map(|r| format!("`{}` held since line {}", r.name, r.born))
-                            .collect();
-                        out.push(Finding {
-                            file: file.path.clone(),
-                            line: t.line,
-                            rule: Rule::R3,
-                            message: "second host lock taken without an id-ordering guard \
-                                      (`.min(`/`.max(` order the ids first)"
-                                .to_string(),
-                            trace: held,
-                        });
-                    }
                     let (name, stmt) = match &let_state {
                         Some(ls) if ls.seen_eq && !ls.conditional => (
                             ls.lhs
@@ -314,12 +217,10 @@ fn scan_guards(file: &SourceFile, out: &mut Vec<Finding>) {
                         depth,
                         stmt,
                         born: t.line,
-                        dirty: None,
                     });
                 }
 
                 if !roots.is_empty() && !in_test {
-                    // R2: simulator/oracle use while a guard is live.
                     if SIM_IDENTS.contains(&text) || text.starts_with("simulate_") {
                         let held: Vec<String> = roots
                             .iter()
@@ -333,143 +234,12 @@ fn scan_guards(file: &SourceFile, out: &mut Vec<Finding>) {
                             trace: held,
                         });
                     }
-
-                    // Publication: `publish(...)` naming a root clears it.
-                    // Skip the argument tokens so `&mut st` inside is not
-                    // misread as a fresh mutation.
-                    if text == "publish" && toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                        let mut pd = 0usize;
-                        let mut j = i + 1;
-                        while j < toks.len() {
-                            if toks[j].is_punct('(') {
-                                pd += 1;
-                            } else if toks[j].is_punct(')') {
-                                pd -= 1;
-                                if pd == 0 {
-                                    break;
-                                }
-                            } else if toks[j].kind == TokKind::Ident {
-                                for r in roots.iter_mut() {
-                                    if r.name == toks[j].text {
-                                        r.dirty = None;
-                                    }
-                                }
-                            }
-                            j += 1;
-                        }
-                        i = j + 1;
-                        continue;
-                    }
-
-                    // R1 checks at early exits.
-                    if text == "return" {
-                        for r in roots.iter_mut() {
-                            if let Some((mline, what)) = r.dirty.take() {
-                                out.push(Finding {
-                                    file: file.path.clone(),
-                                    line: t.line,
-                                    rule: Rule::R1,
-                                    message: format!(
-                                        "return while host guard `{}` holds an unpublished \
-                                         mutation",
-                                        r.name
-                                    ),
-                                    trace: vec![
-                                        format!(
-                                            "guard `{}` acquired on line {}",
-                                            r.name, r.born
-                                        ),
-                                        format!("mutated via `{what}` on line {mline}"),
-                                    ],
-                                });
-                            }
-                        }
-                    }
                     if text == "drop"
-                        && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+                        && calls_next
                         && toks.get(i + 3).is_some_and(|n| n.is_punct(')'))
                     {
-                        if let Some(victim) = ident_at(i + 2).map(str::to_string) {
-                            let line = t.line;
-                            roots.retain(|r| {
-                                if r.name != victim {
-                                    return true;
-                                }
-                                if let Some((mline, what)) = &r.dirty {
-                                    out.push(Finding {
-                                        file: file.path.clone(),
-                                        line,
-                                        rule: Rule::R1,
-                                        message: format!(
-                                            "guard `{}` dropped with an unpublished mutation",
-                                            r.name
-                                        ),
-                                        trace: vec![
-                                            format!(
-                                                "guard `{}` acquired on line {}",
-                                                r.name, r.born
-                                            ),
-                                            format!("mutated via `{what}` on line {mline}"),
-                                        ],
-                                    });
-                                }
-                                false
-                            });
-                        }
-                    }
-
-                    // Mutation sites: `root.occ.reserve(` /
-                    // `root.residents.insert(` / `root.profile = ...`.
-                    if toks.get(i + 1).is_some_and(|n| n.is_punct('.')) {
-                        if let Some(field) = ident_at(i + 2) {
-                            if MUT_CONTAINERS.contains(&field)
-                                && toks.get(i + 3).is_some_and(|n| n.is_punct('.'))
-                            {
-                                if let Some(method) = ident_at(i + 4) {
-                                    if MUT_METHODS.contains(&method)
-                                        && toks.get(i + 5).is_some_and(|n| n.is_punct('('))
-                                    {
-                                        let what = format!("{text}.{field}.{method}");
-                                        mark_dirty(&mut roots, text, t.line, &what);
-                                    }
-                                }
-                            } else if field == "profile"
-                                && toks.get(i + 3).is_some_and(|n| n.is_punct('='))
-                                && !toks.get(i + 4).is_some_and(|n| n.is_punct('='))
-                            {
-                                mark_dirty(
-                                    &mut roots,
-                                    text,
-                                    t.line,
-                                    &format!("{text}.profile = .."),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            // `&mut *guard` on a let RHS = reborrow alias; a bare
-            // `&mut guard` passed to anything but `publish` = the
-            // callee may mutate it.
-            TokKind::Punct('&') if ident_at(i + 1) == Some("mut") => {
-                {
-                    if toks.get(i + 2).is_some_and(|n| n.is_punct('*')) {
-                        if let Some(name) = ident_at(i + 3) {
-                            if roots.iter().any(|r| r.name == name) {
-                                if let Some(ls) = &mut let_state {
-                                    if ls.seen_eq {
-                                        ls.reborrows += 1;
-                                    }
-                                }
-                            }
-                        }
-                    } else if let Some(name) = ident_at(i + 2) {
-                        if !in_test
-                            && !toks.get(i + 3).is_some_and(|n| n.is_punct('.'))
-                            && roots.iter().any(|r| r.name == name)
-                        {
-                            let line = toks[i + 2].line;
-                            mark_dirty(&mut roots, name, line, &format!("&mut {name}"));
+                        if let Some(victim) = ident_at(i + 2) {
+                            roots.retain(|r| r.name != victim);
                         }
                     }
                 }
@@ -495,14 +265,6 @@ fn scan_guards(file: &SourceFile, out: &mut Vec<Finding>) {
             _ => {}
         }
         i += 1;
-    }
-}
-
-fn mark_dirty(roots: &mut [Root], name: &str, line: u32, what: &str) {
-    for r in roots.iter_mut() {
-        if r.name == name && r.dirty.is_none() {
-            r.dirty = Some((line, what.to_string()));
-        }
     }
 }
 

@@ -9,12 +9,12 @@
 //!
 //! On top of the transitive summaries:
 //!
-//! * **R8** — a call chain that re-acquires a lock class already held by
-//!   the caller is a deadlock-in-waiting (the `.min(` id-ordering
-//!   pattern cannot span stack frames), and the cross-class lock-order
-//!   digraph (direct nestings plus call-boundary nestings) must be
-//!   acyclic. Intra-function host/host pairs stay R3's business — R8
-//!   never re-reports them.
+//! * **R8** — acquiring a lock class while a guard of the same class is
+//!   live is a deadlock-in-waiting, whether the second acquisition sits
+//!   in the same function or down a call chain (the engine's
+//!   `lock_pair`, which orders two host locks by machine id, is the one
+//!   allow-marked site), and the cross-class lock-order digraph (direct
+//!   nestings plus call-boundary nestings) must be acyclic.
 //! * **R9** — a call chain that reaches a simulator ident while a
 //!   `host` guard is live (R2 covers depth-0 sites; R9 takes over at
 //!   the first call boundary), or any blocking call — direct or through
@@ -134,8 +134,8 @@ fn prepend(frame: &str, trace: &[String]) -> Vec<String> {
     v
 }
 
-/// R8 re-acquisition via call chains, R9 direct blocking and transitive
-/// sim/blocking under guards.
+/// R8 same-class re-acquisition (direct and via call chains), R9 direct
+/// blocking and transitive sim/blocking under guards.
 fn check_reacquire_and_effects(
     files: &[SourceFile],
     fns: &[FnInfo],
@@ -143,6 +143,25 @@ fn check_reacquire_and_effects(
     out: &mut Vec<Finding>,
 ) {
     for f in fns {
+        // Direct re-acquisition of a class already held.
+        for a in &f.acquires {
+            if let Some(h) = a.under.iter().find(|h| h.class == a.class) {
+                out.push(Finding {
+                    file: files[f.file].path.clone(),
+                    line: a.line,
+                    rule: Rule::R8,
+                    message: format!(
+                        "`{}` lock acquired while a `{}` guard is already held",
+                        a.class, a.class
+                    ),
+                    trace: vec![format!(
+                        "`{}` lock acquired at {}",
+                        h.class,
+                        site(files, f.file, h.line)
+                    )],
+                });
+            }
+        }
         // Direct blocking under any guard.
         for b in &f.blocks {
             if let Some(h) = b.held.first() {
@@ -186,8 +205,7 @@ fn check_reacquire_and_effects(
                                 rule: Rule::R8,
                                 message: format!(
                                     "call chain re-acquires the `{}` lock while a `{}` guard \
-                                     is already held — `.min(` id-ordering cannot span \
-                                     functions",
+                                     is already held",
                                     h.class, h.class
                                 ),
                                 trace: with_held_frame(files, f.file, h, &prepend(&frame, trace)),
@@ -251,8 +269,8 @@ fn with_held_frame(
 }
 
 /// Builds the cross-class lock-order digraph and reports each cycle
-/// once. Same-class nestings never land here: intra-function pairs are
-/// R3's, call-chain pairs are the re-acquisition check's.
+/// once. Same-class nestings never land here: they are the
+/// re-acquisition check's.
 fn check_lock_order_cycles(
     files: &[SourceFile],
     fns: &[FnInfo],

@@ -22,7 +22,7 @@ fn hand_built_findings_round_trip() {
         Finding {
             file: "weird\\path.rs".to_string(),
             line: 1,
-            rule: Rule::R1,
+            rule: Rule::R2,
             message: "control char \u{1} and unicode \u{2013} survive".to_string(),
             trace: Vec::new(),
         },

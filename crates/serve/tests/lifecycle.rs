@@ -193,6 +193,9 @@ fn shutdown_joins_threads_and_registry_matches_occupancy() {
     assert_eq!(registry, live, "daemon registry drifted from the clients' bookkeeping");
     assert_eq!(occupancy, live, "engine occupancy drifted from the daemon registry");
     assert_eq!(engine.num_residents(), live.len());
+    // …and with every thread joined the engine is quiescent: each
+    // published view equals the authoritative state under its lock.
+    engine.audit().expect("published views drifted from host state");
 
     // The other client's connection was shut down under it: its next
     // call fails with a transport error, not a hang.

@@ -104,12 +104,6 @@ pub struct SketchProfile {
 }
 
 impl SketchProfile {
-    /// The profile of a host that contributes nothing (used as the
-    /// stored placeholder when sketch maintenance is disabled).
-    pub fn empty() -> Self {
-        SketchProfile::default()
-    }
-
     /// `nodes_with_free(k)` as of the profile's computation.
     pub fn nodes_with_free(&self, k: usize) -> usize {
         if k == 0 {
@@ -420,6 +414,5 @@ mod tests {
             assert_eq!(p.l2s_with_free(k), occ.l2s_with_free(k));
         }
         assert_eq!(p.nodes_with_free(64), 0, "beyond the stored range");
-        assert_eq!(SketchProfile::empty().nodes_with_free(1), 0);
     }
 }
