@@ -6,7 +6,6 @@
 //! underlying computation. See `EXPERIMENTS.md` at the repository root
 //! for paper-vs-measured notes.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

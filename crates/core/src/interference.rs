@@ -32,9 +32,9 @@
 //! occupancy counts are unchanged.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use vc_sync::Counter;
 use vc_topology::{NodeId, OccupancyMap, ThreadId};
 
 /// One resident container as the interference path sees it: which
@@ -216,9 +216,9 @@ pub struct InterferenceModel {
     /// (the key space is naturally bounded by workloads × classes ×
     /// signatures, but churny fleets can still grow it unboundedly).
     capacity: usize,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    computes: AtomicU64,
+    lookups: Counter,
+    hits: Counter,
+    computes: Counter,
 }
 
 impl InterferenceModel {
@@ -236,9 +236,9 @@ impl InterferenceModel {
             oracle,
             cache: Mutex::new(HashMap::new()),
             capacity,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            computes: AtomicU64::new(0),
+            lookups: Counter::new(),
+            hits: Counter::new(),
+            computes: Counter::new(),
         }
     }
 
@@ -263,10 +263,10 @@ impl InterferenceModel {
         occ: &OccupancyMap,
         residents: &[ResidentWorkload],
     ) -> f64 {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.lookups.incr();
         let sig = OccupancySignature::of(occ);
         if sig.is_idle() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.incr();
             return 1.0;
         }
         let mut nodes_key = nodes.to_vec();
@@ -279,10 +279,10 @@ impl InterferenceModel {
             ResidentsSignature::of(residents, occ),
         );
         if let Some(&p) = self.cache.lock().expect("interference cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.incr();
             return p;
         }
-        self.computes.fetch_add(1, Ordering::Relaxed);
+        self.computes.incr();
         let raw = self.oracle.co_location_penalty(workload, threads, occ, residents);
         // Guard the contract: a penalty is a degradation factor. Oracles
         // reporting speed-ups (or NaN from a degenerate measurement) are
@@ -314,9 +314,9 @@ impl InterferenceModel {
     /// Counter snapshot.
     pub fn counters(&self) -> InterferenceCounters {
         InterferenceCounters {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            computes: self.computes.load(Ordering::Relaxed),
+            lookups: self.lookups.get(),
+            hits: self.hits.get(),
+            computes: self.computes.get(),
         }
     }
 }
@@ -334,6 +334,7 @@ impl std::fmt::Debug for InterferenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use vc_topology::machines;
 

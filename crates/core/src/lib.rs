@@ -30,7 +30,6 @@
 //! assert_eq!(placements.len(), 13); // the paper's count for 16 vCPUs
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assign;

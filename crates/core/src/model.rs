@@ -237,6 +237,13 @@ impl PerfPairModel {
 /// Candidates are ranked first by how often they identify each held-out
 /// workload's best placement — the decision the scheduler acts on — and
 /// then by mean error. Returns `(other, cv_error_pct)`.
+///
+/// # Panics
+///
+/// Panics when the training set has fewer than two placements — there
+/// is no second probe to choose. Callers check
+/// [`TrainingSet::n_placements`] first (the engine answers
+/// `PlacementError::NoProbePair` instead of calling).
 pub fn select_probe_pair(ts: &TrainingSet, cfg: &ForestConfig, seed: u64) -> (usize, f64) {
     let anchor = ts.baseline;
     let mut best: Option<(usize, usize, f64)> = None;

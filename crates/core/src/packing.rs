@@ -6,15 +6,14 @@
 //! machine, so every placement appearing in any packing is a candidate
 //! important placement (§4).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use vc_sync::Counter;
 use vc_topology::NodeId;
 
 /// A sorted set of NUMA nodes forming one placement.
 pub type NodeSet = Vec<NodeId>;
 
 /// Process-wide count of [`generate_packings`] runs.
-static GENERATIONS: AtomicU64 = AtomicU64::new(0);
+static GENERATIONS: Counter = Counter::new();
 
 /// How many times [`generate_packings`] has run in this process.
 ///
@@ -22,7 +21,7 @@ static GENERATIONS: AtomicU64 = AtomicU64::new(0);
 /// is not repeated behind a cache (packing generation is the most
 /// expensive step of a cold catalog miss).
 pub fn generations() -> u64 {
-    GENERATIONS.load(Ordering::Relaxed)
+    GENERATIONS.get()
 }
 
 /// A partition of all NUMA nodes into placements.
@@ -59,7 +58,7 @@ impl Packing {
 /// canonicalises away the orderings Algorithm 2 would otherwise
 /// enumerate and later dedup.
 pub fn generate_packings(num_nodes: usize, node_scores: &[usize]) -> Vec<Packing> {
-    GENERATIONS.fetch_add(1, Ordering::Relaxed);
+    GENERATIONS.incr();
     let mut packings = Vec::new();
     let nodes: Vec<NodeId> = (0..num_nodes).map(NodeId).collect();
     let mut current: Vec<NodeSet> = Vec::new();

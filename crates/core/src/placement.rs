@@ -60,6 +60,12 @@ pub enum PlacementError {
         /// Free threads the node actually has (in any arrangement).
         free: usize,
     },
+    /// A perf-pair model was asked for over fewer than two placements:
+    /// there is no second placement to probe, and nothing to predict.
+    NoProbePair {
+        /// Placements in the catalog.
+        placements: usize,
+    },
 }
 
 impl fmt::Display for PlacementError {
@@ -103,6 +109,10 @@ impl fmt::Display for PlacementError {
                     )
                 }
             }
+            PlacementError::NoProbePair { placements } => write!(
+                f,
+                "a perf-pair model needs two placements to probe, the catalog has {placements}"
+            ),
         }
     }
 }

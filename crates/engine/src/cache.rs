@@ -17,8 +17,9 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use vc_sync::Counter;
 
 /// Snapshot of one cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +55,10 @@ pub struct KeyedCache<K, V> {
     /// Maximum resident keys; 0 means unbounded.
     capacity: usize,
     /// Logical clock for recency stamps.
-    tick: AtomicU64,
-    lookups: AtomicU64,
-    computes: AtomicU64,
-    evictions: AtomicU64,
+    tick: Counter,
+    lookups: Counter,
+    computes: Counter,
+    evictions: Counter,
 }
 
 impl<K, V> Default for KeyedCache<K, V> {
@@ -73,10 +74,10 @@ impl<K, V> KeyedCache<K, V> {
         KeyedCache {
             map: Mutex::new(HashMap::new()),
             capacity,
-            tick: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            computes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            tick: Counter::new(),
+            lookups: Counter::new(),
+            computes: Counter::new(),
+            evictions: Counter::new(),
         }
     }
 
@@ -93,8 +94,8 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
     /// unrelated keys never contend. On bounded caches the insert may
     /// evict the least-recently-used completed entry.
     pub fn get_or_compute<F: FnOnce() -> V>(&self, key: K, f: F) -> V {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        self.lookups.incr();
+        let stamp = self.tick.incr() + 1;
         let (cell, oversized) = {
             let mut map = self.map.lock().expect("cache lock poisoned");
             let slot = map.entry(key.clone()).or_insert_with(|| Slot {
@@ -108,7 +109,7 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
         };
         let value = cell
             .get_or_init(|| {
-                self.computes.fetch_add(1, Ordering::Relaxed);
+                self.computes.incr();
                 f()
             })
             .clone();
@@ -137,7 +138,7 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
             match victim {
                 Some(k) => {
                     map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.evictions.incr();
                 }
                 None => break,
             }
@@ -147,9 +148,9 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
     /// Current counters.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            computes: self.computes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            lookups: self.lookups.get(),
+            computes: self.computes.get(),
+            evictions: self.evictions.get(),
         }
     }
 
@@ -167,7 +168,7 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn computes_once_per_key() {

@@ -2,8 +2,6 @@
 //! candidate host, plus the capacity probe and the rejection
 //! explanation built on the same two predicates.
 
-use std::sync::atomic::Ordering;
-
 use vc_topology::{AvailabilitySketch, CapacitySummary, NodeId};
 
 use crate::engine::{Candidate, FitProbe, MachineId, PlacementEngine, PlacementRequest};
@@ -54,9 +52,9 @@ impl PlacementEngine {
     fn summary_admits(&self, host: &Host, cand: &Candidate) -> bool {
         let admitted = cand.fits_summary(&host.summary);
         if admitted {
-            self.counters.summary_admits.fetch_add(1, Ordering::Relaxed);
+            self.counters.summary_admits.incr();
         } else {
-            self.counters.summary_skips.fetch_add(1, Ordering::Relaxed);
+            self.counters.summary_skips.incr();
         }
         admitted
     }
@@ -165,15 +163,13 @@ impl PlacementEngine {
             while s.pos < s.members.len() {
                 let shard = s.pos / shard_size;
                 if s.cand.fits_sketch(&s.sketches[shard]) {
-                    self.counters.sketch_admits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.sketch_admits.incr();
                     return;
                 }
                 let end = ((shard + 1) * shard_size).min(s.members.len());
                 let jumped = end - s.pos;
                 *sketch_skipped += jumped;
-                self.counters
-                    .sketch_skips
-                    .fetch_add(jumped as u64, Ordering::Relaxed);
+                self.counters.sketch_skips.add(jumped as u64);
                 s.pos = end;
             }
         };
@@ -212,7 +208,7 @@ impl PlacementEngine {
                 // publication): stale optimism, one shard of wasted
                 // summary reads.
                 if !s.saw_admit {
-                    self.counters.sketch_stale.fetch_add(1, Ordering::Relaxed);
+                    self.counters.sketch_stale.incr();
                 }
                 s.saw_admit = false;
                 settle(s, sketch_skipped);

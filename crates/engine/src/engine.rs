@@ -1,7 +1,6 @@
 //! The [`PlacementEngine`]: a long-lived, thread-safe placement service.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use vc_core::availability::{AvailabilityIndex, AvailablePlacement, ShapeRequirement};
@@ -17,7 +16,7 @@ use vc_core::packing::Packing;
 use vc_core::placement::{PlacementError, PlacementSpec};
 use vc_ml::forest::ForestConfig;
 use vc_sim::SimOracle;
-use vc_sync::Domain;
+use vc_sync::{Counter, Domain};
 use vc_topology::{AvailabilitySketch, CapacitySummary, Machine, NodeId, OccupancyMap, ThreadId};
 
 use crate::cache::KeyedCache;
@@ -59,8 +58,6 @@ pub struct EngineConfig {
     pub n_seeds: u64,
     /// Synthetic workloads added to the paper suite per oracle.
     pub extra_synthetic: usize,
-    /// Seed of the synthetic corpus generator.
-    pub corpus_seed: u64,
     /// Random-forest hyper-parameters for trained models.
     pub forest: ForestConfig,
     /// Seed for probe selection and forest training.
@@ -113,7 +110,6 @@ impl Default for EngineConfig {
         EngineConfig {
             n_seeds: 3,
             extra_synthetic: 12,
-            corpus_seed: 42,
             forest: ForestConfig {
                 n_trees: 60,
                 ..ForestConfig::default()
@@ -702,7 +698,7 @@ pub struct PlacementEngine {
     pub(crate) domain: Domain,
     /// Ticket source: every commit takes the next value, so tickets are
     /// unique across the engine's lifetime (and across hosts).
-    next_ticket: AtomicU64,
+    next_ticket: Counter,
     /// Ticket → current host index. Commit inserts and release removes
     /// the entry; rebalance moves update it — all while holding the
     /// affected host lock(s), so membership is authoritative: a ticket
@@ -737,7 +733,7 @@ impl PlacementEngine {
             models: KeyedCache::bounded(cap),
             counters: Counters::default(),
             domain: Domain::new(),
-            next_ticket: AtomicU64::new(0),
+            next_ticket: Counter::new(),
             locations: Mutex::new(HashMap::new()),
             move_cooldowns: Mutex::new(HashMap::new()),
         }
@@ -784,11 +780,13 @@ impl PlacementEngine {
         // the caller's copy is dropped here, so a 100k-host fleet holds
         // one machine description per hardware model, not per host.
         let machine = Arc::clone(&self.topologies[topo].1);
+        /// Seed of the synthetic corpus generator.
+        const CORPUS_SEED: u64 = 42;
         let oracle = Arc::clone(self.shared_oracles.entry(topo).or_insert_with(|| {
             Arc::new(SimOracle::with_synthetic(
                 (*machine).clone(),
                 self.cfg.extra_synthetic,
-                self.cfg.corpus_seed,
+                CORPUS_SEED,
             ))
         }));
         let interference = Arc::clone(self.interference_models.entry(topo).or_insert_with(|| {
@@ -812,12 +810,7 @@ impl PlacementEngine {
         let sketch = &self.class_sketches[class][shard];
         self.hosts
             .push(Host::new(machine, class, shard, sketch, oracle, interference));
-        // Relaxed is sound (R7 allowlist): a diagnostic counter nothing
-        // synchronizes on. The publication edge readers rely on is the
-        // snapshot slot's own ordering, not this increment.
-        self.counters
-            .snapshot_published
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.snapshot_published.incr();
         id
     }
 
@@ -910,9 +903,7 @@ impl PlacementEngine {
     /// removes are atomic at map granularity).
     pub(crate) fn locations_lock(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
         self.locations.lock().unwrap_or_else(|poisoned| {
-            self.counters
-                .lock_poison_recoveries
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.lock_poison_recoveries.incr();
             poisoned.into_inner()
         })
     }
@@ -920,16 +911,14 @@ impl PlacementEngine {
     /// Starts a rebalance pass: bumps the engine-wide pass clock and
     /// returns the (1-based) index of the pass being started.
     pub(crate) fn begin_rebalance_pass(&self) -> u64 {
-        self.counters.rebalance_passes.fetch_add(1, Ordering::Relaxed) + 1
+        self.counters.rebalance_passes.incr() + 1
     }
 
     /// The move-cooldown map (ticket → pass of last move), recovering a
     /// poisoned guard like the other bookkeeping locks.
     pub(crate) fn cooldowns_lock(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
         self.move_cooldowns.lock().unwrap_or_else(|poisoned| {
-            self.counters
-                .lock_poison_recoveries
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.lock_poison_recoveries.incr();
             poisoned.into_inner()
         })
     }
@@ -1011,7 +1000,7 @@ impl PlacementEngine {
         loop {
             let location = self.locations_lock().get(&placed.ticket.0).copied();
             let Some(idx) = location else {
-                self.counters.release_failures.fetch_add(1, Ordering::Relaxed);
+                self.counters.release_failures.incr();
                 return Err(ReleaseError::UnknownPlacement {
                     ticket: placed.ticket,
                     machine: placed.machine,
@@ -1027,7 +1016,7 @@ impl PlacementEngine {
                 // a registry that will never hold it again.
                 self.locations_lock().remove(&placed.ticket.0);
                 host.release(&resident.threads);
-                self.counters.releases.fetch_add(1, Ordering::Relaxed);
+                self.counters.releases.incr();
                 return Ok(());
             }
         }
@@ -1126,6 +1115,11 @@ impl PlacementEngine {
         );
         self.models.get_or_compute(key, || {
             let ts = self.training_set(id, vcpus, baseline, exclude_family)?;
+            if ts.n_placements() < 2 {
+                return Err(PlacementError::NoProbePair {
+                    placements: ts.n_placements(),
+                });
+            }
             let (probe, cv_error_pct) = select_probe_pair(&ts, &self.cfg.forest, self.cfg.train_seed);
             let rows: Vec<usize> = (0..ts.workloads.len()).collect();
             let model = PerfPairModel::fit(
@@ -1171,21 +1165,32 @@ impl PlacementEngine {
         }
         // Count only evaluations that reach the model path; malformed
         // requests do no probing or prediction.
-        self.counters.evaluations.fetch_add(1, Ordering::Relaxed);
+        self.counters.evaluations.incr();
         let catalog = self
             .catalog(rep, req.vcpus)
             .map_err(|e| format!("{}: {e}", host.machine.name()))?;
-        let artifact = self
-            .model(rep, req.vcpus, fc.baseline.min(catalog.placements.len() - 1), None)
-            .map_err(|e| format!("{}: {e}", host.machine.name()))?;
-
-        let anchor_spec = &catalog.placements[artifact.baseline].spec;
-        let probe_spec = &catalog.placements[artifact.probe].spec;
-        let anchor_perf = host.oracle.perf(&req.workload, anchor_spec, req.probe_seed);
-        let other_perf = host
-            .oracle
-            .perf(&req.workload, probe_spec, req.probe_seed.wrapping_add(1));
-        let predicted = artifact.model.predict_absolute(anchor_perf, other_perf);
+        let probe = |placement: usize, seed: u64| {
+            let spec = &catalog.placements[placement].spec;
+            host.oracle.perf(&req.workload, spec, seed)
+        };
+        // With a single important placement there is nothing to
+        // predict — the one probe *is* the answer — and no second
+        // placement to build a perf-pair model from.
+        let (anchor_perf, predicted) = if catalog.placements.len() == 1 {
+            let anchor_perf = probe(0, req.probe_seed);
+            (anchor_perf, vec![anchor_perf])
+        } else {
+            let baseline = fc.baseline.min(catalog.placements.len() - 1);
+            let artifact = self
+                .model(rep, req.vcpus, baseline, None)
+                .map_err(|e| format!("{}: {e}", host.machine.name()))?;
+            let anchor_perf = probe(artifact.baseline, req.probe_seed);
+            let other_perf = probe(artifact.probe, req.probe_seed.wrapping_add(1));
+            (
+                anchor_perf,
+                artifact.model.predict_absolute(anchor_perf, other_perf),
+            )
+        };
 
         let goal_perf = req.goal_frac * anchor_perf;
         let best_perf = catalog
@@ -1331,7 +1336,7 @@ impl PlacementEngine {
     /// BestScore dry runs never contend with writers and penalty cold
     /// misses simulate with no lock held.
     fn offer(&self, id: MachineId, cand: &Candidate) -> Result<f64, ChooseError> {
-        self.counters.offers.fetch_add(1, Ordering::Relaxed);
+        self.counters.offers.incr();
         let host = &self.hosts[id.0];
         let view = self.view(host);
         let residents = if self.cfg.interference {
@@ -1381,9 +1386,7 @@ impl PlacementEngine {
                 return Ok(placed);
             }
             drop(guard);
-            self.counters
-                .snapshot_stale_retries
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.snapshot_stale_retries.incr();
         }
         Err(ChooseError::Capacity(format!(
             "{}: occupancy kept changing between snapshot and commit \
@@ -1401,7 +1404,7 @@ impl PlacementEngine {
         cand: &Candidate,
     ) -> Placed {
         Placed {
-            ticket: PlacementTicket(self.next_ticket.fetch_add(1, Ordering::Relaxed)),
+            ticket: PlacementTicket(self.next_ticket.incr()),
             machine: id,
             placement_id: ap.id,
             spec: ap.spec,
@@ -1623,12 +1626,10 @@ impl PlacementEngine {
     fn count_choose_error(&self, e: &ChooseError) {
         match e {
             ChooseError::Capacity(_) => {
-                self.counters.summary_stale.fetch_add(1, Ordering::Relaxed);
+                self.counters.summary_stale.incr();
             }
             ChooseError::Interference(_) => {
-                self.counters
-                    .interference_blocked
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.interference_blocked.incr();
             }
         }
     }

@@ -15,7 +15,6 @@
 //! machine id.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use vc_core::interference::{InterferenceModel, ResidentWorkload};
@@ -256,13 +255,7 @@ impl Drop for HostGuard<'_> {
         sketch.update(&st.profile, &fresh);
         st.profile = fresh;
         host.snapshot.store(Arc::new(st.snapshot()), &engine.domain);
-        // Relaxed is sound (R7 allowlist): readers synchronize on
-        // `Slot::store`'s SeqCst pointer swap on the line above — this
-        // counter is stats-only telemetry and orders nothing.
-        engine
-            .counters
-            .snapshot_published
-            .fetch_add(1, Ordering::Relaxed);
+        engine.counters.snapshot_published.incr();
     }
 }
 
@@ -277,9 +270,9 @@ impl PlacementEngine {
     /// — the panic that caused it still means a writer died mid-flight.
     pub(crate) fn lock_host<'a>(&'a self, host: &'a Host) -> HostGuard<'a> {
         let c = &self.counters;
-        c.host_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        c.host_lock_acquisitions.incr();
         let st = host.state.lock().unwrap_or_else(|poisoned| {
-            c.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            c.lock_poison_recoveries.incr();
             poisoned.into_inner()
         });
         HostGuard {
@@ -311,7 +304,7 @@ impl PlacementEngine {
     /// of the epoch-published snapshot — zero lock acquisitions.
     /// Residents and occupancy of one view always agree.
     pub(crate) fn view(&self, host: &Host) -> Arc<HostSnapshot> {
-        self.counters.snapshot_loads.fetch_add(1, Ordering::Relaxed);
+        self.counters.snapshot_loads.incr();
         host.snapshot.load(&self.domain)
     }
 

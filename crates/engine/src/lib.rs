@@ -142,7 +142,6 @@
 //! assert_eq!(used_before - used_after, departing.threads.len());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -1,9 +1,8 @@
 //! Engine telemetry: the public counter structs, the atomics behind
 //! them, and [`PlacementEngine::stats`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use vc_core::interference::InterferenceCounters;
+use vc_sync::Counter;
 
 use crate::cache::CacheCounters;
 use crate::engine::PlacementEngine;
@@ -139,29 +138,28 @@ impl EngineStats {
     }
 }
 
-/// The serving path's monotone counters. All are diagnostics nothing
-/// synchronizes on, so every access is `Relaxed` (R7 allowlist).
+/// The serving path's monotone counters.
 #[derive(Default)]
 pub(crate) struct Counters {
-    pub(crate) evaluations: AtomicU64,
-    pub(crate) summary_skips: AtomicU64,
-    pub(crate) summary_admits: AtomicU64,
-    pub(crate) summary_stale: AtomicU64,
-    pub(crate) sketch_skips: AtomicU64,
-    pub(crate) sketch_admits: AtomicU64,
-    pub(crate) sketch_stale: AtomicU64,
-    pub(crate) interference_blocked: AtomicU64,
-    pub(crate) offers: AtomicU64,
-    pub(crate) releases: AtomicU64,
-    pub(crate) release_failures: AtomicU64,
-    pub(crate) snapshot_published: AtomicU64,
-    pub(crate) snapshot_loads: AtomicU64,
-    pub(crate) snapshot_stale_retries: AtomicU64,
-    pub(crate) host_lock_acquisitions: AtomicU64,
-    pub(crate) lock_poison_recoveries: AtomicU64,
+    pub(crate) evaluations: Counter,
+    pub(crate) summary_skips: Counter,
+    pub(crate) summary_admits: Counter,
+    pub(crate) summary_stale: Counter,
+    pub(crate) sketch_skips: Counter,
+    pub(crate) sketch_admits: Counter,
+    pub(crate) sketch_stale: Counter,
+    pub(crate) interference_blocked: Counter,
+    pub(crate) offers: Counter,
+    pub(crate) releases: Counter,
+    pub(crate) release_failures: Counter,
+    pub(crate) snapshot_published: Counter,
+    pub(crate) snapshot_loads: Counter,
+    pub(crate) snapshot_stale_retries: Counter,
+    pub(crate) host_lock_acquisitions: Counter,
+    pub(crate) lock_poison_recoveries: Counter,
     /// Also the clock the rebalancer's move-cooldown hysteresis counts
     /// in.
-    pub(crate) rebalance_passes: AtomicU64,
+    pub(crate) rebalance_passes: Counter,
 }
 
 impl PlacementEngine {
@@ -172,16 +170,16 @@ impl PlacementEngine {
             catalogs: self.catalogs.counters(),
             training_sets: self.training_sets.counters(),
             models: self.models.counters(),
-            evaluations: c.evaluations.load(Ordering::Relaxed),
+            evaluations: c.evaluations.get(),
             summary: SummaryCounters {
-                skips: c.summary_skips.load(Ordering::Relaxed),
-                admits: c.summary_admits.load(Ordering::Relaxed),
-                stale: c.summary_stale.load(Ordering::Relaxed),
+                skips: c.summary_skips.get(),
+                admits: c.summary_admits.get(),
+                stale: c.summary_stale.get(),
             },
             sketch: SketchCounters {
-                skips: c.sketch_skips.load(Ordering::Relaxed),
-                admits: c.sketch_admits.load(Ordering::Relaxed),
-                stale: c.sketch_stale.load(Ordering::Relaxed),
+                skips: c.sketch_skips.get(),
+                admits: c.sketch_admits.get(),
+                stale: c.sketch_stale.get(),
             },
             interference: self
                 .interference_models
@@ -189,18 +187,18 @@ impl PlacementEngine {
                 .fold(InterferenceCounters::default(), |acc, m| {
                     acc.merged(m.counters())
                 }),
-            interference_blocked: c.interference_blocked.load(Ordering::Relaxed),
-            offers: c.offers.load(Ordering::Relaxed),
-            releases: c.releases.load(Ordering::Relaxed),
-            release_failures: c.release_failures.load(Ordering::Relaxed),
+            interference_blocked: c.interference_blocked.get(),
+            offers: c.offers.get(),
+            releases: c.releases.get(),
+            release_failures: c.release_failures.get(),
             snapshot: SnapshotCounters {
-                published: c.snapshot_published.load(Ordering::Relaxed),
-                reads: c.snapshot_loads.load(Ordering::Relaxed),
-                stale_retries: c.snapshot_stale_retries.load(Ordering::Relaxed),
+                published: c.snapshot_published.get(),
+                reads: c.snapshot_loads.get(),
+                stale_retries: c.snapshot_stale_retries.get(),
             },
-            host_lock_acquisitions: c.host_lock_acquisitions.load(Ordering::Relaxed),
-            lock_poison_recoveries: c.lock_poison_recoveries.load(Ordering::Relaxed),
-            rebalance_passes: c.rebalance_passes.load(Ordering::Relaxed),
+            host_lock_acquisitions: c.host_lock_acquisitions.get(),
+            lock_poison_recoveries: c.lock_poison_recoveries.get(),
+            rebalance_passes: c.rebalance_passes.get(),
         }
     }
 }

@@ -290,6 +290,31 @@ fn evaluation_and_training_are_counted_per_class_not_per_host() {
     assert_eq!(stats.models.computes, 2, "one model per class");
 }
 
+/// Sizes whose catalog has exactly one important placement (on the AMD
+/// 6272: 1, 48 and 64 vCPUs among others) have nothing to predict: the
+/// single probe is the answer, no model is trained, and asking for one
+/// is a typed error — this used to panic inside `select_probe_pair`.
+#[test]
+fn single_placement_sizes_place_without_a_model() {
+    let mut engine = PlacementEngine::new(fast_config());
+    let id = engine.add_machine(machines::amd_opteron_6272());
+    for vcpus in [1, 48, 64] {
+        let decision = engine.place(&PlacementRequest::new("WTbtree", vcpus));
+        let placed = decision
+            .placed()
+            .unwrap_or_else(|| panic!("{vcpus} vCPUs rejected: {decision:?}"));
+        assert_eq!(placed.placement_id, 1, "{vcpus} vCPUs");
+        assert_eq!(placed.threads.len(), vcpus);
+        engine.release(placed).expect("release");
+    }
+    assert_eq!(engine.stats().models.computes, 0, "nothing to train");
+    assert!(matches!(
+        engine.model(id, 64, 0, None),
+        Err(vc_core::placement::PlacementError::NoProbePair { placements: 1 })
+    ));
+    engine.audit().expect("views agree at quiescence");
+}
+
 /// Once the fleet is saturated, further requests are rejected purely by
 /// the lock-free hierarchy — the shard sketch proves the whole shard
 /// empty without reading a single member summary; a departure

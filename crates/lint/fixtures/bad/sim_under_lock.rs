@@ -5,7 +5,7 @@
 
 pub fn score_then_commit(engine: &Engine, host: &Host, req: &PlacementRequest) -> f64 {
     let mut st = engine.lock_host(host);
-    let penalty = co_location_penalty(&st.residents, req); //~ R2
+    let penalty = co_location_penalty(&st.residents, req); //~ R9
     st.occ.reserve(&req.threads).ok();
     engine.publish(host, &mut st);
     penalty

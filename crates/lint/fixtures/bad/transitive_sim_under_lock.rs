@@ -1,7 +1,7 @@
 // Broken scoring variant: `commit` holds the host lock while a helper
 // chain (refresh_score -> estimate_interference) bottoms out in the
-// co-location simulator — an O(model) critical section the direct R2
-// check cannot see. Only the transitive effect summaries reach it.
+// co-location simulator — an O(model) critical section no single
+// function shows. Only the transitive effect summaries reach it.
 
 pub fn commit(engine: &Engine, host: &Host, req: &PlacementRequest) {
     let mut st = engine.lock_host(host);

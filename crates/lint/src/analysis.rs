@@ -9,7 +9,7 @@ use crate::lexer::{lex, Directive, Lexed};
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators. A fixture `path`
     /// pragma overrides the on-disk location, so fixtures under
-    /// `crates/lint/fixtures/` can exercise path-scoped rules.
+    /// `crates/lint/fixtures/` can exercise the path-scoped R7.
     pub path: String,
     /// Token stream and directives.
     pub lexed: Lexed,
@@ -40,12 +40,6 @@ impl SourceFile {
             test_regions(&lexed)
         };
         SourceFile { path, lexed, test }
-    }
-
-    /// True when the file-relative path puts this file in `vc-serve`'s
-    /// library sources (rule R5's scope).
-    pub fn in_serve_src(&self) -> bool {
-        self.path.starts_with("crates/serve/src/")
     }
 }
 

@@ -2,25 +2,18 @@
 
 use std::fmt;
 
-/// The enforced rule set. Ids are stable: R1 (publish-before-unlock)
-/// and R3 (id-ordered double lock) were retired when `HostGuard` and
-/// `lock_pair` made them structural. `Marker` covers problems with the escape
-/// hatch itself (unused or malformed allow markers), which are errors
-/// too — an allow that suppresses nothing is a stale lie about the code.
+/// The enforced rule set. Ids are stable and never reused: R1/R3
+/// (publish-before-unlock, id-ordered double lock) became `HostGuard`
+/// and `lock_pair`; R2 folded into R9; R4 is the workspace
+/// `unsafe_code` lint; R5 is clippy's panic family on `vc-serve`; R6
+/// and R10 became the single-declaration wire codec plus two protocol
+/// tests. `Marker` covers problems with the escape hatch itself (unused
+/// or malformed allow markers), which are errors too — an allow that
+/// suppresses nothing is a stale lie about the code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// No simulator/oracle calls while a host guard is live.
-    R2,
-    /// `unsafe` is confined to `crates/sync/src/slot.rs`; other crate
-    /// roots must `#![forbid(unsafe_code)]`.
-    R4,
-    /// No `unwrap`/`expect`/`panic!`/slice-indexing in `vc-serve`
-    /// non-test code.
-    R5,
-    /// Every rpc `Request`/`Response` variant has an encode arm, a
-    /// decode arm, and a proptest generator.
-    R6,
-    /// `Ordering::Relaxed` only on allowlisted counter fields.
+    /// the `Relaxed` ordering only inside `crates/sync/src/` (where
+    /// `vc_sync::Counter` wraps it for everyone else).
     R7,
     /// Static lock-order deadlock freedom: a lock class is never
     /// acquired while a guard of the same class is live — in one
@@ -28,13 +21,11 @@ pub enum Rule {
     /// is the single allowed site) — and the cross-function lock-order
     /// graph is acyclic.
     R8,
-    /// Transitive effect hygiene: no call chain reaches the simulator
-    /// while a host lock is held, and no blocking call (sleep, accept,
-    /// channel/socket reads, thread join) runs under any lock guard.
+    /// Effect hygiene under locks: the simulator never runs while a
+    /// host lock is held — directly or through any call chain — and no
+    /// blocking call (sleep, accept, channel/socket reads, thread join)
+    /// runs under any lock guard.
     R9,
-    /// Wire↔docs drift: the rpc request/response tag table must match
-    /// the one documented in ARCHITECTURE.md.
-    R10,
     /// Unused or malformed allow marker.
     Marker,
 }
@@ -43,19 +34,14 @@ impl Rule {
     /// Stable rule id used in output and allow markers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::R2 => "R2",
-            Rule::R4 => "R4",
-            Rule::R5 => "R5",
-            Rule::R6 => "R6",
             Rule::R7 => "R7",
             Rule::R8 => "R8",
             Rule::R9 => "R9",
-            Rule::R10 => "R10",
             Rule::Marker => "marker",
         }
     }
 
-    /// Parses a stable rule id (`R5`, `marker`) back into the rule.
+    /// Parses a stable rule id (`R9`, `marker`) back into the rule.
     pub fn from_id(id: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.id() == id)
     }
@@ -63,30 +49,15 @@ impl Rule {
     /// One-line rule name for the per-rule summary.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::R2 => "no-sim-under-lock",
-            Rule::R4 => "unsafe-confinement",
-            Rule::R5 => "no-panic-in-serve",
-            Rule::R6 => "wire-tag-drift",
             Rule::R7 => "atomic-ordering-policy",
             Rule::R8 => "lock-order-acyclicity",
-            Rule::R9 => "transitive-effects-under-lock",
-            Rule::R10 => "wire-docs-drift",
+            Rule::R9 => "effects-under-lock",
             Rule::Marker => "allow-marker-hygiene",
         }
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 9] = [
-        Rule::R2,
-        Rule::R4,
-        Rule::R5,
-        Rule::R6,
-        Rule::R7,
-        Rule::R8,
-        Rule::R9,
-        Rule::R10,
-        Rule::Marker,
-    ];
+    pub const ALL: [Rule; 4] = [Rule::R7, Rule::R8, Rule::R9, Rule::Marker];
 }
 
 /// One rule violation at a source location.

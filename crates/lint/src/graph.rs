@@ -17,10 +17,11 @@
 //!   that point.
 //!
 //! [`crate::summaries`] then propagates these bottom-up through the
-//! call graph. Guard scoping follows the same discipline as the R2
-//! scanner, with two deliberate differences. A method call *on* a live
-//! named guard (`guard.release(..)`) is an access to the guarded data,
-//! not a workspace call worth resolving by bare name. And an
+//! call graph. Guards are scoped in text order: a `let`-bound guard
+//! lives until its block closes or `drop(name)`, a statement temporary
+//! until its statement ends. Two details matter. A method call *on* a
+//! live named guard (`guard.release(..)`) is an access to the guarded
+//! data, not a workspace call worth resolving by bare name. And an
 //! acquisition whose result
 //! chains into anything but a guard-preserving adapter
 //! (`.unwrap`/`.expect`/`.unwrap_or_else`, or an enclosing wrapper call
@@ -30,14 +31,11 @@
 //! neither acquisitions nor blocking: they atomically release the mutex
 //! by design and hand the guard back.
 
-use std::collections::BTreeMap;
-
 use crate::analysis::SourceFile;
 use crate::lexer::TokKind;
 
-/// Identifiers that mean "the simulator/oracle is running" — kept in
-/// sync with rule R2's direct check.
-pub const SIM_IDENTS: &[&str] = &["SimOracle", "InterferenceModel", "co_location_penalty"];
+/// Identifiers that mean "the simulator/oracle is running".
+const SIM_IDENTS: &[&str] = &["SimOracle", "InterferenceModel", "co_location_penalty"];
 
 /// Guard-preserving call adapters: chaining through these keeps the
 /// lock guard alive in the result.
@@ -145,9 +143,9 @@ pub struct FnInfo {
     pub calls: Vec<CallSite>,
 }
 
-/// A function definition's token extent, shared with the R10 pass.
+/// A function definition's token extent.
 #[derive(Debug, Clone)]
-pub struct FnSpan {
+struct FnSpan {
     /// Function name (raw-identifier prefix stripped).
     pub name: String,
     /// Innermost `impl` type, when any.
@@ -178,7 +176,7 @@ fn ident_name(toks: &[crate::lexer::Tok], i: usize) -> Option<&str> {
 
 /// Collects every `fn` definition span in `file`, with its innermost
 /// `impl` type. Trait declarations without a body are skipped.
-pub fn fn_spans(file: &SourceFile) -> Vec<FnSpan> {
+fn fn_spans(file: &SourceFile) -> Vec<FnSpan> {
     let toks = &file.lexed.tokens;
     // (type name, body token range) for every impl block, innermost
     // resolved by taking the latest containing range.
@@ -801,8 +799,3 @@ pub fn resolve(fns: &[FnInfo], call: &CallSite) -> Vec<usize> {
     }
     same_name
 }
-
-/// Deterministic per-class lock-order edges, used by the R8 digraph:
-/// maps `(held class, acquired class)` to the first representative
-/// `(file idx, line, fn idx)` that exhibits it.
-pub type EdgeMap = BTreeMap<(String, String), (usize, u32, usize)>;

@@ -63,14 +63,13 @@ pub enum Directive {
     Allow {
         /// 1-based line the marker comment sits on.
         line: u32,
-        /// Rule id, e.g. `R5`.
+        /// Rule id, e.g. `R8`.
         rule: String,
         /// Free-text justification; must be non-empty.
         reason: String,
     },
-    /// Fixture pragma: lint this file as if it lived at `path` (rules
-    /// R4/R5 are path-scoped, and fixtures live under
-    /// `crates/lint/fixtures/`).
+    /// Fixture pragma: lint this file as if it lived at `path` (rule R7
+    /// is path-scoped, and fixtures live under `crates/lint/fixtures/`).
     Path {
         /// Workspace-relative effective path.
         path: String,
@@ -93,7 +92,7 @@ pub struct Lexed {
     pub directives: Vec<Directive>,
 }
 
-const KNOWN_RULES: &[&str] = &["R2", "R4", "R5", "R6", "R7", "R8", "R9", "R10"];
+const KNOWN_RULES: &[&str] = &["R7", "R8", "R9"];
 
 fn parse_directive(body: &str, line: u32, out: &mut Vec<Directive>) {
     // Only comments whose (doc-sigil-stripped) body *starts* with the

@@ -1,37 +1,48 @@
 //! # vc-lint — source-level invariant checker for the vcplace workspace
 //!
-//! The engine's concurrency story rests on a handful of source
-//! conventions types cannot express: the simulator never runs under a
-//! host lock (R2), `unsafe` lives only in `vc-sync`'s slot module (R4),
-//! the serving path never panics (R5), the wire tag table cannot
-//! silently drift (R6), `Ordering::Relaxed` is reserved for counters
-//! nothing synchronizes on (R7), no lock class is re-acquired under
-//! itself and the lock order is acyclic (R8), nothing blocks or
-//! simulates under a lock through any call chain (R9), and the
-//! documented wire table matches the code (R10). Publication before
-//! unlock and id-ordered double locking — once R1 and R3 — are enforced
-//! by the engine's `HostGuard`/`lock_pair` instead. The runtime counters and the interleavings model checker catch
-//! violations *after* a schedule exposes them; this crate rejects the
-//! code at CI time instead.
+//! The engine's concurrency story rests on three source conventions
+//! neither the type system nor a compiler lint can express:
+//! the `Relaxed` ordering is written only inside `vc-sync`, where
+//! `Counter` wraps it for statistics nothing synchronizes on (R7); no
+//! lock class is re-acquired under itself and the lock order is acyclic
+//! (R8); and nothing simulates under a host lock or blocks under any
+//! lock — directly or through any call chain (R9). The runtime counters
+//! and the interleavings model checker catch violations *after* a
+//! schedule exposes them; this crate rejects the code at CI time
+//! instead.
+//!
+//! Everything one definition or one compiler lint can carry is
+//! enforced there, not here: publication before unlock and id-ordered
+//! double locking by the engine's `HostGuard`/`lock_pair`, `unsafe`
+//! confinement by the workspace `unsafe_code` lint, the panic-free
+//! serving path by clippy's panic family on `vc-serve`, and
+//! encode/decode/docs agreement by the single-declaration wire codec
+//! and its protocol tests.
 //!
 //! Dependency-free by necessity (the build environment has no network):
-//! a small hand-rolled lexer ([`lexer`]) feeds linear token-order rule
-//! passes ([`rules`]). The only escape hatch is an allow marker — a line
+//! a small hand-rolled lexer ([`lexer`]) feeds a workspace call graph
+//! ([`graph`]) whose per-function lock/simulator/blocking effects are
+//! closed bottom-up ([`summaries`]); R7 is a single token pass
+//! ([`rules`]). The only escape hatch is an allow marker — a line
 //! comment of the form `vc-lint: allow(Rn, reason)` (written with the
 //! usual `//` prefix) directly above or trailing the offending line.
 //! Unused or malformed markers are themselves errors.
 //!
 //! ```
-//! use vc_lint::{lint_source, Ctx};
+//! use vc_lint::lint_source;
 //!
-//! let bad = "pub fn first(xs: &[u32]) -> u32 { xs[0] }\n";
-//! let findings = lint_source("crates/serve/src/example.rs", bad, &Ctx::default());
+//! let bad = "\
+//! pub fn score(engine: &Engine, host: &Host) -> f64 {
+//!     let st = engine.lock_host(host);
+//!     co_location_penalty(&st.residents)
+//! }
+//! ";
+//! let findings = lint_source("crates/engine/src/example.rs", bad);
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].rule.id(), "R5");
-//! assert_eq!(findings[0].line, 1);
+//! assert_eq!(findings[0].rule.id(), "R9");
+//! assert_eq!(findings[0].line, 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -42,35 +53,28 @@ pub mod lexer;
 pub mod rules;
 pub mod summaries;
 pub mod walk;
-pub mod wiredocs;
 
 pub use findings::{Finding, Rule};
-pub use rules::Ctx;
 pub use walk::{lint_path, lint_workspace, workspace_files};
 
 /// Lints one source string as if it lived at `rel_path` (workspace-
 /// relative; a `path` pragma inside the source overrides it). Returns
 /// the final, sorted findings with allow markers applied.
-pub fn lint_source(rel_path: &str, src: &str, ctx: &Ctx) -> Vec<Finding> {
-    lint_files(&[(rel_path.to_string(), src.to_string())], ctx)
+pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
+    lint_files(&[(rel_path.to_string(), src.to_string())])
 }
 
-/// Lints a set of `(rel_path, source)` inputs as one unit: the per-file
-/// rules run on each file, the interprocedural passes (R8/R9 call-graph
-/// analysis, R10 wire↔docs drift) run across the whole set, and allow
-/// markers are applied per file. Inputs should already be in
+/// Lints a set of `(rel_path, source)` inputs as one unit: R7 runs on
+/// each file, the R8/R9 call-graph analysis runs across the whole set,
+/// and allow markers are applied per file. Inputs should already be in
 /// deterministic (sorted) order.
-pub fn lint_files(inputs: &[(String, String)], ctx: &Ctx) -> Vec<Finding> {
+pub fn lint_files(inputs: &[(String, String)]) -> Vec<Finding> {
     let files: Vec<analysis::SourceFile> = inputs
         .iter()
         .map(|(rel, src)| analysis::SourceFile::new(rel, src))
         .collect();
-    let mut raw: Vec<Finding> = Vec::new();
-    for file in &files {
-        raw.extend(rules::check_file(file, ctx));
-    }
+    let mut raw: Vec<Finding> = files.iter().flat_map(rules::check_file).collect();
     summaries::check_workspace(&files, &mut raw);
-    wiredocs::check_wire_docs(&files, ctx, &mut raw);
     let mut out = Vec::new();
     for file in &files {
         let (mine, rest): (Vec<Finding>, Vec<Finding>) =

@@ -7,8 +7,7 @@
 //! With no file arguments, lints the whole workspace under `--root`
 //! (default: the current directory) and exits non-zero on any finding —
 //! the CI mode. With file arguments, lints exactly those files (the
-//! fixture mode: path-scoped rules honor each file's `path` pragma, and
-//! a sibling `FILE.md` supplies the R10 docs table when present).
+//! fixture mode: the path-scoped R7 honors each file's `path` pragma).
 //!
 //! `--json` swaps the text log for the machine-readable document in
 //! [`vc_lint::json`]; `--rule Rn` (repeatable) keeps only the named
@@ -19,13 +18,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vc_lint::findings::Rule;
-use vc_lint::rules::Ctx;
 use vc_lint::{lint_path, lint_workspace, Finding};
 
 const USAGE: &str = "usage: vc-lint [--root DIR] [--json] [--rule Rn]... [FILE...]
   no FILEs: lint the whole workspace under DIR (default: .)
   --json     emit the version-1 JSON findings document instead of text
-  --rule Rn  keep only findings of rule Rn (R2, R4..R10 or marker; repeatable)";
+  --rule Rn  keep only findings of rule Rn (R7, R8, R9 or marker; repeatable)";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -46,7 +44,7 @@ fn main() -> ExitCode {
             "--rule" => match args.next().as_deref().and_then(Rule::from_id) {
                 Some(rule) => rule_filter.push(rule),
                 None => {
-                    eprintln!("vc-lint: --rule needs a known rule id (R2, R4..R10 or marker)");
+                    eprintln!("vc-lint: --rule needs a known rule id (R7, R8, R9 or marker)");
                     return ExitCode::from(2);
                 }
             },
@@ -61,35 +59,18 @@ fn main() -> ExitCode {
     let result = if files.is_empty() {
         lint_workspace(&root)
     } else {
-        let mut findings = Vec::new();
-        let mut err = None;
-        for f in &files {
-            // Fixture mode: a sibling `.md` with the same stem is the
-            // file's documented wire table (R10).
-            let ctx = Ctx {
-                generator_src: None,
-                docs: std::fs::read_to_string(f.with_extension("md"))
-                    .ok()
-                    .map(|src| (f.with_extension("md").display().to_string(), src)),
-            };
-            match lint_path(&root, f, &ctx) {
-                Ok(fs) => findings.extend(fs),
-                Err(e) => {
-                    err = Some(std::io::Error::new(
-                        e.kind(),
-                        format!("{}: {e}", f.display()),
-                    ));
-                    break;
-                }
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => {
+        files
+            .iter()
+            .map(|f| {
+                lint_path(&root, f)
+                    .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", f.display())))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(|per_file| {
+                let mut findings = per_file.concat();
                 findings.sort();
-                Ok(findings)
-            }
-        }
+                findings
+            })
     };
 
     let mut findings = match result {

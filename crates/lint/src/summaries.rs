@@ -15,10 +15,9 @@
 //!   `lock_pair`, which orders two host locks by machine id, is the one
 //!   allow-marked site), and the cross-class lock-order digraph (direct
 //!   nestings plus call-boundary nestings) must be acyclic.
-//! * **R9** — a call chain that reaches a simulator ident while a
-//!   `host` guard is live (R2 covers depth-0 sites; R9 takes over at
-//!   the first call boundary), or any blocking call — direct or through
-//!   calls — while *any* lock guard is live.
+//! * **R9** — a simulator ident reached while a `host` guard is live,
+//!   or a blocking call while *any* lock guard is live — at the site
+//!   itself (a one-frame trace) or through any call chain.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -134,8 +133,8 @@ fn prepend(frame: &str, trace: &[String]) -> Vec<String> {
     v
 }
 
-/// R8 same-class re-acquisition (direct and via call chains), R9 direct
-/// blocking and transitive sim/blocking under guards.
+/// R8 same-class re-acquisition and R9 sim/blocking under guards, each
+/// at the site itself and via call chains.
 fn check_reacquire_and_effects(
     files: &[SourceFile],
     fns: &[FnInfo],
@@ -154,11 +153,19 @@ fn check_reacquire_and_effects(
                         "`{}` lock acquired while a `{}` guard is already held",
                         a.class, a.class
                     ),
-                    trace: vec![format!(
-                        "`{}` lock acquired at {}",
-                        h.class,
-                        site(files, f.file, h.line)
-                    )],
+                    trace: with_held_frame(files, f.file, h, &[]),
+                });
+            }
+        }
+        // Direct simulator use under a host guard.
+        for sim in &f.sims {
+            if let Some(h) = sim.held.iter().find(|h| h.class == "host") {
+                out.push(Finding {
+                    file: files[f.file].path.clone(),
+                    line: sim.line,
+                    rule: Rule::R9,
+                    message: format!("`{}` used while a host lock is held", sim.what),
+                    trace: with_held_frame(files, f.file, h, &[]),
                 });
             }
         }
@@ -173,11 +180,7 @@ fn check_reacquire_and_effects(
                         "blocking call ({}) while the `{}` lock is held",
                         b.what, h.class
                     ),
-                    trace: vec![format!(
-                        "`{}` lock acquired at {}",
-                        h.class,
-                        site(files, f.file, h.line)
-                    )],
+                    trace: with_held_frame(files, f.file, h, &[]),
                 });
             }
         }

@@ -1,12 +1,10 @@
-//! Workspace traversal: find the `.rs` sources to lint and assemble the
-//! workspace-level [`Ctx`].
+//! Workspace traversal: find the `.rs` sources to lint.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::findings::Finding;
-use crate::rules::Ctx;
 
 /// Directories never descended into: build output, version control,
 /// and the linter's own deliberately-broken fixture corpus.
@@ -40,50 +38,39 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lints one on-disk file. `root` anchors the workspace-relative path
-/// (and thus the path-scoped rules); a fixture `path` pragma inside the
-/// file overrides it.
-///
-/// # Errors
-///
-/// Propagates the file read failure.
-pub fn lint_path(root: &Path, file: &Path, ctx: &Ctx) -> io::Result<Vec<Finding>> {
-    let src = fs::read_to_string(file)?;
+/// Reads `file` as a `(workspace-relative path, source)` lint input.
+fn load(root: &Path, file: &Path) -> io::Result<(String, String)> {
     let rel = file
         .strip_prefix(root)
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/");
-    Ok(crate::lint_source(&rel, &src, ctx))
+    Ok((rel, fs::read_to_string(file)?))
 }
 
-/// Lints the whole workspace rooted at `root` as one unit: every source
-/// file through the per-file rules, the interprocedural R8/R9 passes
-/// across all of them, the R6 generator cross-check when
-/// `crates/serve/tests/protocol.rs` exists, and the R10 wire↔docs diff
-/// when `ARCHITECTURE.md` exists.
+/// Lints one on-disk file. `root` anchors the workspace-relative path
+/// (and thus the path-scoped R7); a fixture `path` pragma inside the
+/// file overrides it.
+///
+/// # Errors
+///
+/// Propagates the file read failure.
+pub fn lint_path(root: &Path, file: &Path) -> io::Result<Vec<Finding>> {
+    Ok(crate::lint_files(&[load(root, file)?]))
+}
+
+/// Lints the whole workspace rooted at `root` as one unit: R7 on every
+/// source file, the interprocedural R8/R9 passes across all of them.
 ///
 /// # Errors
 ///
 /// Propagates traversal/read failures.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let ctx = Ctx {
-        generator_src: fs::read_to_string(root.join("crates/serve/tests/protocol.rs")).ok(),
-        docs: fs::read_to_string(root.join("ARCHITECTURE.md"))
-            .ok()
-            .map(|src| ("ARCHITECTURE.md".to_string(), src)),
-    };
-    let mut inputs = Vec::new();
-    for file in workspace_files(root)? {
-        let src = fs::read_to_string(&file)?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        inputs.push((rel, src));
-    }
-    Ok(crate::lint_files(&inputs, &ctx))
+    let inputs = workspace_files(root)?
+        .iter()
+        .map(|file| load(root, file))
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(crate::lint_files(&inputs))
 }
 
 #[cfg(test)]

@@ -2,16 +2,16 @@
 //!
 //! Every file under `fixtures/bad/` declares the findings it must
 //! produce with trailing `//~ RULE [@LINE]` comments (`RULE` is a rule
-//! id like `R5`, or `marker` for directive-hygiene findings; `@LINE`
+//! id like `R8`, or `marker` for directive-hygiene findings; `@LINE`
 //! pins the expected line when the finding lands on a different line
-//! than the comment, e.g. a function-close `}` or a crate-root check).
+//! than the comment).
 //! Every file under `fixtures/good/` is a known-good twin and must lint
 //! completely clean. A proptest feeds the corpus to the linter in
 //! random orders to prove the output is deterministic and sorted.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use vc_lint::{lint_source, Ctx, Finding};
+use vc_lint::{lint_source, Finding};
 
 fn fixture_dir(kind: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -73,24 +73,6 @@ fn expectations(rel: &str, src: &str) -> Vec<(u32, String)> {
     out
 }
 
-/// Lints one fixture. A sibling `.md` with the same stem (if any) plays
-/// the documented wire-tag table for R10, the way the binary's file
-/// mode loads one; fixtures without a sibling run with R10 disabled.
-fn lint_fixture(rel: &str, src: &str) -> Vec<Finding> {
-    let ws_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("lint crate sits at <ws>/crates/lint");
-    let md = ws_root.join(rel).with_extension("md");
-    let ctx = Ctx {
-        generator_src: None,
-        docs: std::fs::read_to_string(&md)
-            .ok()
-            .map(|docs| (md.display().to_string(), docs)),
-    };
-    lint_source(rel, src, &ctx)
-}
-
 fn render(findings: &[Finding]) -> String {
     findings
         .iter()
@@ -106,7 +88,7 @@ fn bad_fixtures_flag_exact_rule_and_line() {
     for (rel, src) in fixtures("bad") {
         let expected = expectations(&rel, &src);
         assert!(!expected.is_empty(), "{rel} carries no //~ expectations");
-        let findings = lint_fixture(&rel, &src);
+        let findings = lint_source(&rel, &src);
         let mut got: Vec<(u32, String)> = findings
             .iter()
             .map(|f| (f.line, f.rule.id().to_string()))
@@ -125,7 +107,7 @@ fn bad_fixtures_flag_exact_rule_and_line() {
 #[test]
 fn good_twins_lint_clean() {
     for (rel, src) in fixtures("good") {
-        let findings = lint_fixture(&rel, &src);
+        let findings = lint_source(&rel, &src);
         assert!(
             findings.is_empty(),
             "{rel} should lint clean but produced:\n{}",
@@ -135,7 +117,7 @@ fn good_twins_lint_clean() {
 }
 
 /// Each bad fixture has `bad/` in its name only; make sure the corpus
-/// covers every rule at least once (R2, R4–R10 plus marker hygiene).
+/// covers every rule at least once (R7–R9 plus marker hygiene).
 #[test]
 fn corpus_covers_every_rule() {
     let mut seen: Vec<String> = fixtures("bad")
@@ -145,7 +127,7 @@ fn corpus_covers_every_rule() {
         .collect();
     seen.sort();
     seen.dedup();
-    for rule in ["R2", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "marker"] {
+    for rule in ["R7", "R8", "R9", "marker"] {
         assert!(
             seen.iter().any(|r| r == rule),
             "no bad fixture exercises {rule}; corpus covers {seen:?}"
@@ -170,7 +152,7 @@ proptest! {
 
         let canonical: Vec<Vec<Finding>> = corpus
             .iter()
-            .map(|(rel, src)| lint_fixture(rel, src))
+            .map(|(rel, src)| lint_source(rel, src))
             .collect();
         for (findings, (rel, _)) in canonical.iter().zip(&corpus) {
             prop_assert!(
@@ -185,7 +167,7 @@ proptest! {
 
         let mut shuffled: Vec<Finding> = order
             .iter()
-            .flat_map(|&i| lint_fixture(&corpus[i].0, &corpus[i].1))
+            .flat_map(|&i| lint_source(&corpus[i].0, &corpus[i].1))
             .collect();
         shuffled.sort();
         let mut flat: Vec<Finding> = canonical.iter().flatten().cloned().collect();
@@ -194,7 +176,7 @@ proptest! {
 
         for (i, (rel, src)) in corpus.iter().enumerate() {
             prop_assert_eq!(
-                &lint_fixture(rel, src),
+                &lint_source(rel, src),
                 &canonical[i],
                 "re-linting {} changed its findings", rel
             );

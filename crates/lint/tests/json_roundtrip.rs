@@ -4,7 +4,7 @@
 //! must be rejected rather than half-read.
 
 use vc_lint::findings::{Finding, Rule};
-use vc_lint::{json, lint_source, Ctx};
+use vc_lint::{json, lint_source};
 
 #[test]
 fn hand_built_findings_round_trip() {
@@ -12,7 +12,7 @@ fn hand_built_findings_round_trip() {
         Finding {
             file: "crates/serve/src/rpc.rs".to_string(),
             line: 42,
-            rule: Rule::R10,
+            rule: Rule::R9,
             message: "tag 9 (`Ghost`) is \"documented\"\n\tnowhere".to_string(),
             trace: vec![
                 "edge `admission` -> `journal` established at a.rs:7:".to_string(),
@@ -22,7 +22,7 @@ fn hand_built_findings_round_trip() {
         Finding {
             file: "weird\\path.rs".to_string(),
             line: 1,
-            rule: Rule::R2,
+            rule: Rule::R7,
             message: "control char \u{1} and unicode \u{2013} survive".to_string(),
             trace: Vec::new(),
         },
@@ -34,10 +34,10 @@ fn hand_built_findings_round_trip() {
 
 #[test]
 fn real_findings_round_trip() {
-    // Real output, not hand-built: the doc-example R5 violation.
-    let bad = "pub fn first(xs: &[u32]) -> u32 { xs[0] }\n";
-    let findings = lint_source("crates/serve/src/example.rs", bad, &Ctx::default());
-    assert!(!findings.is_empty(), "expected the R5 doc example to fire");
+    // Real output, not hand-built: an R7 violation.
+    let bad = "pub fn bump(n: &AtomicU64) { n.fetch_add(1, Ordering::Relaxed); }\n";
+    let findings = lint_source("crates/engine/src/example.rs", bad);
+    assert!(!findings.is_empty(), "expected the R7 example to fire");
     let back = json::parse(&json::render(&findings)).expect("round-trip");
     assert_eq!(back, findings);
 }

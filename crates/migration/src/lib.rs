@@ -19,7 +19,6 @@
 //!   container only loses a few percent of throughput while the migration
 //!   takes correspondingly longer.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use vc_workloads::Workload;

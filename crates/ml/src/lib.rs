@@ -26,7 +26,6 @@
 //! assert!((pred[0] - 13.0).abs() < 2.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cv;

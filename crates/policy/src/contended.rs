@@ -11,7 +11,7 @@
 //! never takes a host lock, so what the tail measures is the commit
 //! critical sections alone.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use vc_engine::{BatchStrategy, Placed, PlacementEngine, PlacementRequest, RebalancePolicy};
@@ -210,19 +210,21 @@ impl ContendedLoad {
     /// thread dies — both mean the engine broke under contention.
     pub fn run(&self, engine: &PlacementEngine) -> ContendedReport {
         let stop = AtomicBool::new(false);
-        let passes = AtomicUsize::new(0);
-        let migrations = AtomicUsize::new(0);
+        let (mut rebalance_passes, mut migrations) = (0, 0);
 
         let mut per_client: Vec<(Vec<u64>, Vec<u64>, usize, usize)> =
             std::thread::scope(|s| {
+                // The rebalancer owns its tallies and hands them back
+                // through `join`; `stop` is the only shared state.
                 let rebalancer = self.rebalance.as_ref().map(|policy| {
                     s.spawn(|| {
-                        while !stop.load(Ordering::Relaxed) {
-                            let report = engine.rebalance(policy);
-                            passes.fetch_add(1, Ordering::Relaxed);
-                            migrations.fetch_add(report.migrations.len(), Ordering::Relaxed);
+                        let (mut passes, mut moved) = (0usize, 0usize);
+                        while !stop.load(Ordering::Acquire) {
+                            moved += engine.rebalance(policy).migrations.len();
+                            passes += 1;
                             std::thread::yield_now();
                         }
+                        (passes, moved)
                     })
                 });
 
@@ -276,9 +278,9 @@ impl ContendedLoad {
                     .into_iter()
                     .map(|h| h.join().expect("client thread died under contention"))
                     .collect();
-                stop.store(true, Ordering::Relaxed);
+                stop.store(true, Ordering::Release);
                 if let Some(r) = rebalancer {
-                    r.join().expect("rebalancer thread died");
+                    (rebalance_passes, migrations) = r.join().expect("rebalancer thread died");
                 }
                 results
             });
@@ -299,8 +301,8 @@ impl ContendedLoad {
             release: LatencySummary::from_nanos(release),
             placed,
             rejected,
-            rebalance_passes: passes.into_inner(),
-            migrations: migrations.into_inner(),
+            rebalance_passes,
+            migrations,
         }
     }
 }

@@ -14,7 +14,6 @@
 //! * **Smart-Aggressive** — the maximum number of instances, each pinned
 //!   to the best minimum node set (highest interconnect bandwidth).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;

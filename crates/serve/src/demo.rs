@@ -151,8 +151,12 @@ impl DemoLoad {
         let mut live: Vec<u64> = Vec::new();
         let mut outcome = ClientOutcome::default();
         for iteration in 0..self.requests_per_client {
-            // vc-lint: allow(R5, index is taken modulo pool.len() and run() asserts the pool is non-empty)
-            let mut req = self.pool[rng.next() as usize % self.pool.len()].clone();
+            // `run` asserted the pool is non-empty, so the modulo is
+            // defined and the lookup always hits.
+            let pick = rng.next() as usize % self.pool.len();
+            let Some(mut req) = self.pool.get(pick).cloned() else {
+                break;
+            };
             // A client- and iteration-unique probe seed, like the
             // in-process contended load uses.
             req.probe_seed = (client_idx * self.requests_per_client + iteration) as u64;

@@ -53,8 +53,19 @@
 //! # let _ = BatchStrategy::FirstFit;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving path must not panic: a handler that dies takes its
+// connection with it. CI's `clippy -D warnings` turns these into
+// errors; `clippy.toml` exempts test code.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod client;
 pub mod demo;

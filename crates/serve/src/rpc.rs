@@ -10,6 +10,13 @@
 //! allocation: embedded lengths are validated against the bytes
 //! actually remaining *before* any buffer is sized.
 //!
+//! Each message is **declared once**: a `wire_struct!`/`wire_enum!`
+//! declaration is the type *and* its codec, so declaration order is
+//! wire order, a tag is written next to its variant, and an encoder
+//! cannot drift from its decoder. `tests/protocol.rs` holds
+//! [`Request::TAGS`]/[`Response::TAGS`] against ARCHITECTURE.md and
+//! the encodings against checked-in golden bytes.
+//!
 //! Keeping these types separate from the framing ([`crate::wire`]) and
 //! the transport ([`crate::server`]) is the point of the module split:
 //! a gRPC front-end would replace the codec, not the daemon.
@@ -21,301 +28,6 @@ use vc_engine::{BatchStrategy, Placed, PlacementRequest};
 /// forged count cannot reserve gigabytes even if each element were
 /// zero-sized.
 pub const MAX_VEC: u32 = 1 << 20;
-
-/// What a client can ask the daemon.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Liveness probe.
-    Ping,
-    /// Place one container.
-    Place {
-        /// The admission request.
-        req: WireRequest,
-        /// Machine-selection strategy.
-        strategy: BatchStrategy,
-    },
-    /// Place a batch atomically evaluated (engine `place_batch`).
-    PlaceBatch {
-        /// The admission requests, decision order.
-        reqs: Vec<WireRequest>,
-        /// Machine-selection strategy for the whole batch.
-        strategy: BatchStrategy,
-    },
-    /// Release a placement by ticket.
-    Release {
-        /// The ticket returned at placement.
-        ticket: u64,
-    },
-    /// Engine + daemon counters.
-    Stats,
-    /// Thread-level occupancy of one machine.
-    Occupancy {
-        /// Machine id.
-        machine: u32,
-    },
-    /// Can-we-fit probe: no reservation, advisory.
-    CanFit {
-        /// The hypothetical admission request.
-        req: WireRequest,
-    },
-    /// Pause the background rebalance loop.
-    PauseRebalance {
-        /// Control token; empty when the client has none. A daemon
-        /// configured with a token refuses mismatches with
-        /// [`ErrorCode::Unauthorized`].
-        token: String,
-    },
-    /// Resume the background rebalance loop.
-    ResumeRebalance {
-        /// Control token; empty when the client has none.
-        token: String,
-    },
-    /// Stop admitting placements; releases keep working.
-    Drain {
-        /// Control token; empty when the client has none.
-        token: String,
-    },
-    /// Stop the daemon: the accept loop and the rebalance loop exit.
-    Shutdown {
-        /// Control token; empty when the client has none.
-        token: String,
-    },
-}
-
-/// What the daemon answers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Answer to [`Request::Ping`].
-    Pong,
-    /// Answer to [`Request::Place`].
-    Place(PlaceOutcome),
-    /// Answer to [`Request::PlaceBatch`], one outcome per request.
-    Batch(Vec<PlaceOutcome>),
-    /// Answer to [`Request::Release`]: the capacity is free again.
-    Released,
-    /// Answer to [`Request::Stats`].
-    Stats(ServiceStats),
-    /// Answer to [`Request::Occupancy`].
-    Occupancy(OccupancyInfo),
-    /// Answer to [`Request::CanFit`].
-    CanFit(FitInfo),
-    /// Answer to a control verb (pause/resume/drain/shutdown): the
-    /// lifecycle state after the verb applied.
-    Ack(ControlAck),
-    /// The request failed; the connection may have been closed (for
-    /// protocol errors) or stays usable (for domain errors).
-    Error(RpcError),
-}
-
-/// One admission request on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRequest {
-    /// Workload name.
-    pub workload: String,
-    /// vCPUs requested.
-    pub vcpus: u32,
-    /// Performance goal as a fraction of baseline (0.0 = best effort).
-    pub goal_frac: f64,
-    /// Seed for the two probe measurements.
-    pub probe_seed: u64,
-}
-
-impl WireRequest {
-    /// The engine-side request this wire request describes.
-    pub fn to_engine(&self) -> PlacementRequest {
-        PlacementRequest {
-            workload: self.workload.clone(),
-            vcpus: self.vcpus as usize,
-            goal_frac: self.goal_frac,
-            probe_seed: self.probe_seed,
-        }
-    }
-}
-
-/// One placement decision on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlaceOutcome {
-    /// The container was placed and its capacity reserved.
-    Placed(PlacedInfo),
-    /// No machine could host the request.
-    Rejected {
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-/// The wire projection of an engine [`Placed`] handle. The ticket is
-/// the client's release token; the rest is telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacedInfo {
-    /// Engine-wide container identity; pass to [`Request::Release`].
-    pub ticket: u64,
-    /// Machine the container landed on (at admission time — a later
-    /// rebalance move may re-home it; the ticket stays valid).
-    pub machine: u32,
-    /// 1-based important-placement id used.
-    pub placement_id: u32,
-    /// NUMA nodes reserved.
-    pub nodes: Vec<u32>,
-    /// Hardware threads reserved.
-    pub threads: u32,
-    /// Predicted (interference-adjusted) performance.
-    pub predicted_perf: f64,
-    /// Co-location penalty applied, in `(0, 1]`.
-    pub interference_penalty: f64,
-    /// Absolute performance the goal translated to (0 if best-effort).
-    pub goal_perf: f64,
-    /// Whether the prediction clears the goal.
-    pub goal_met: bool,
-}
-
-impl PlacedInfo {
-    /// Projects an engine handle onto the wire.
-    pub fn from_placed(p: &Placed) -> Self {
-        PlacedInfo {
-            ticket: p.ticket.0,
-            machine: p.machine.0 as u32,
-            placement_id: p.placement_id as u32,
-            nodes: p.spec.nodes.iter().map(|n| n.0 as u32).collect(),
-            threads: p.threads.len() as u32,
-            predicted_perf: p.predicted_perf,
-            interference_penalty: p.interference_penalty,
-            goal_perf: p.goal_perf,
-            goal_met: p.goal_met,
-        }
-    }
-}
-
-/// Engine + daemon counters, one flat snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServiceStats {
-    /// Machines in the fleet.
-    pub machines: u32,
-    /// Containers currently resident.
-    pub residents: u64,
-    /// Requests the daemon has served (all verbs).
-    pub requests: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// Framing/decoding failures (each closed its connection).
-    pub protocol_errors: u64,
-    /// Engine candidate evaluations.
-    pub evaluations: u64,
-    /// Engine BestScore dry-run offers.
-    pub offers: u64,
-    /// Successful releases.
-    pub releases: u64,
-    /// Rejected releases (unknown tickets).
-    pub release_failures: u64,
-    /// Engine-wide rebalance passes (loop + any manual callers).
-    pub rebalance_passes: u64,
-    /// Passes the daemon's background loop completed.
-    pub loop_passes: u64,
-    /// Migrations those loop passes executed.
-    pub loop_migrations: u64,
-    /// Re-moves the cooldown hysteresis suppressed.
-    pub suppressed_by_cooldown: u64,
-    /// Cost-justified moves deferred by the per-pass moved-GB cap.
-    pub blocked_by_gb_cap: u64,
-    /// Hosts skipped shard-wide by availability sketches (their
-    /// capacity summaries were never read).
-    pub sketch_skips: u64,
-    /// Shards whose sketch admitted a walk down to the hosts.
-    pub sketch_admits: u64,
-    /// Admitted shards where no host survived the summary check (the
-    /// sketch's per-axis marginals were satisfied by different hosts).
-    pub sketch_stale: u64,
-    /// Data the loop's migrations moved (GB).
-    pub moved_gb: f64,
-    /// Whether the rebalance loop is paused.
-    pub paused: bool,
-    /// Whether the daemon is draining (rejecting new placements).
-    pub draining: bool,
-}
-
-/// Thread-level occupancy of one machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OccupancyInfo {
-    /// Machine id.
-    pub machine: u32,
-    /// Hardware threads in use.
-    pub used: u32,
-    /// Hardware threads total.
-    pub total: u32,
-    /// Per-node `(node, used, capacity)`, node order.
-    pub nodes: Vec<NodeUse>,
-}
-
-/// One NUMA node's thread usage.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeUse {
-    /// Node id.
-    pub node: u32,
-    /// Hardware threads in use.
-    pub used: u32,
-    /// Hardware threads total.
-    pub capacity: u32,
-}
-
-/// Answer to a capacity probe (see `PlacementEngine::can_fit`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FitInfo {
-    /// Hosts whose capacity summary still admits the request.
-    pub hosts: u64,
-    /// Machine classes predicted to clear the goal.
-    pub goal_clearing_classes: u32,
-    /// Best idle-host predicted performance.
-    pub best_predicted: f64,
-    /// Absolute performance the goal translates to.
-    pub goal_perf: f64,
-    /// Hosts this probe skipped shard-wide via availability sketches
-    /// (their summaries were never read; the count in `hosts` is still
-    /// exact — a sketch-zero proves every summary would have refused).
-    pub sketch_skipped: u64,
-}
-
-/// Lifecycle state echoed by control verbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ControlAck {
-    /// Rebalance loop paused.
-    pub paused: bool,
-    /// New placements refused.
-    pub draining: bool,
-    /// Daemon exiting.
-    pub shutting_down: bool,
-}
-
-/// Why a request failed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RpcError {
-    /// Machine-readable failure class.
-    pub code: ErrorCode,
-    /// Human-readable detail.
-    pub message: String,
-}
-
-/// Machine-readable failure classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The bytes on the wire were not a valid request (framing or
-    /// decoding failure). The daemon closes the connection after
-    /// sending this.
-    Protocol,
-    /// The daemon is draining: new placements are refused, releases
-    /// still work.
-    Draining,
-    /// The daemon is shutting down.
-    ShuttingDown,
-    /// The ticket is not held by this daemon (double release, or a
-    /// ticket from a different daemon).
-    UnknownTicket,
-    /// The machine id is outside the fleet.
-    UnknownMachine,
-    /// A control verb (pause/resume/drain/shutdown) arrived without the
-    /// daemon's control token. The verb did not apply; the connection
-    /// stays usable for data verbs.
-    Unauthorized,
-}
 
 /// A decoding failure: the payload was framed correctly but is not a
 /// valid message.
@@ -366,294 +78,596 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 // ---------------------------------------------------------------------
-// Primitive writers/readers.
+// The codec: reader, `Wire` and its primitives, the declaration macros.
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_be_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked reader over one payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+/// A bounds-checked reader over one payload: the unread tail.
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        // vc-lint: allow(R5, range is bounds-checked by the remaining() guard above)
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        let (head, tail) = self.0.split_at_checked(n).ok_or(DecodeError::UnexpectedEof)?;
+        self.0 = tail;
+        Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or(DecodeError::UnexpectedEof)
-    }
-
-    fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(DecodeError::BadTag { what: "bool", tag }),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        self.take(4)?
-            .try_into()
-            .map(u32::from_be_bytes)
-            .map_err(|_| DecodeError::UnexpectedEof)
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.take(8)?
-            .try_into()
-            .map(u64::from_be_bytes)
-            .map_err(|_| DecodeError::UnexpectedEof)
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?.try_into().map_err(|_| DecodeError::UnexpectedEof)
     }
 
     /// Reads a `u32` element count, validating it against both
     /// [`MAX_VEC`] and the bytes actually remaining (each element costs
     /// at least `min_elem_bytes`) **before** the caller allocates.
     fn len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, DecodeError> {
-        let len = self.u32()?;
+        let len = u32::get(self, what)?;
         let need = (len as usize).saturating_mul(min_elem_bytes.max(1));
-        if len > MAX_VEC || need > self.remaining() {
+        if len > MAX_VEC || need > self.0.len() {
             return Err(DecodeError::BadLength { what, len });
         }
         Ok(len as usize)
     }
+}
 
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let len = self.len("string", 1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Utf8)
+/// A type with exactly one byte encoding.
+trait Wire: Sized {
+    /// The fewest bytes any value of this type encodes to — the floor
+    /// [`Reader::len`] holds a forged element count against.
+    const MIN_BYTES: usize;
+
+    fn put(&self, buf: &mut Vec<u8>);
+
+    /// `what` is the name of the field being read; lists report it in
+    /// [`DecodeError::BadLength`].
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError>;
+}
+
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_be_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, DecodeError> {
+                r.array().map(<$ty>::from_be_bytes)
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64);
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
     }
 
-    fn finish(self) -> Result<(), DecodeError> {
-        match self.remaining() {
-            0 => Ok(()),
-            extra => Err(DecodeError::Trailing { extra }),
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        match u8::get(r, what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(DecodeError::BadTag { what: "bool", tag }),
         }
+    }
+}
+
+impl Wire for f64 {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        u64::get(r, what).map(f64::from_bits)
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, DecodeError> {
+        let len = r.len("string", 1)?;
+        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| DecodeError::Utf8)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        let n = r.len(what, T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r, what)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Declares a message struct and its codec from the one field list:
+/// fields travel in declaration order, each named after itself.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $fty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $fty,)*
+        }
+
+        impl Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)*
+            }
+
+            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, DecodeError> {
+                Ok($name {
+                    $($field: Wire::get(r, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+/// A field's name in decode errors: its own, unless it says otherwise.
+macro_rules! wire_label {
+    ($name:ident) => { stringify!($name) };
+    ($name:ident $label:literal) => { $label };
+}
+
+const fn min_of(xs: &[usize]) -> usize {
+    match xs {
+        [] => usize::MAX,
+        [x, rest @ ..] => {
+            let m = min_of(rest);
+            if *x < m { *x } else { m }
+        }
+    }
+}
+
+/// Declares a tagged enum and its codec: one tag byte (`= N` after
+/// each variant, the only place the number is written), then the
+/// variant's payload in declaration order. Tuple payloads carry a name
+/// (`Variant(name: Ty)`), a field may rename itself for decode errors
+/// (`field: Ty as "label"`), and `$what` names the tag in
+/// [`DecodeError::BadTag`]. `@codec` implements the codec alone, for an
+/// enum declared elsewhere.
+macro_rules! wire_enum {
+    (@codec $what:literal; $name:ident {
+        $(
+            $variant:ident
+            $({ $($field:ident: $fty:ty $(as $flabel:literal)?,)* })?
+            $(($bind:ident: $tty:ty))?
+            = $tag:literal,
+        )*
+    }) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 1 + min_of(&[$(
+                0 $($(+ <$fty as Wire>::MIN_BYTES)*)? $(+ <$tty as Wire>::MIN_BYTES)?,
+            )*]);
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {$(
+                    $name::$variant $({ $($field,)* })? $(($bind))? => {
+                        buf.push($tag);
+                        $($($field.put(buf);)*)?
+                        $($bind.put(buf);)?
+                    }
+                )*}
+            }
+
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+                match u8::get(r, what)? {
+                    $($tag => Ok($name::$variant
+                        $({ $($field: Wire::get(r, wire_label!($field $($flabel)?))?,)* })?
+                        $((<$tty as Wire>::get(r, stringify!($bind))?))?
+                    ),)*
+                    tag => Err(DecodeError::BadTag { what: $what, tag }),
+                }
+            }
+        }
+    };
+    (
+        $what:literal;
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty $(as $flabel:literal)?,)* })?
+                $(($bind:ident: $tty:ty))?
+                = $tag:literal,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $fty,)* })? $(($tty))?,
+            )*
+        }
+
+        impl $name {
+            /// Every `(tag, variant name)`, declaration order.
+            pub const TAGS: &'static [(u8, &'static str)] =
+                &[$(($tag, stringify!($variant)),)*];
+        }
+
+        wire_enum! { @codec $what; $name {
+            $(
+                $variant
+                $({ $($field: $fty $(as $flabel)?,)* })?
+                $(($bind: $tty))?
+                = $tag,
+            )*
+        }}
+    };
+}
+
+fn encode(message: &impl Wire) -> Vec<u8> {
+    let mut buf = Vec::new();
+    message.put(&mut buf);
+    buf
+}
+
+fn decode<T: Wire>(payload: &[u8]) -> Result<T, DecodeError> {
+    let mut r = Reader(payload);
+    let message = T::get(&mut r, "message")?;
+    match r.0.len() {
+        0 => Ok(message),
+        extra => Err(DecodeError::Trailing { extra }),
     }
 }
 
 // ---------------------------------------------------------------------
-// Composite field codecs.
+// The messages.
 
-fn put_strategy(buf: &mut Vec<u8>, s: BatchStrategy) {
-    put_u8(
-        buf,
-        match s {
-            BatchStrategy::FirstFit => 0,
-            BatchStrategy::BestScore => 1,
-        },
-    );
-}
+wire_enum! { @codec "strategy"; BatchStrategy {
+    FirstFit = 0,
+    BestScore = 1,
+}}
 
-fn get_strategy(r: &mut Reader<'_>) -> Result<BatchStrategy, DecodeError> {
-    match r.u8()? {
-        0 => Ok(BatchStrategy::FirstFit),
-        1 => Ok(BatchStrategy::BestScore),
-        tag => Err(DecodeError::BadTag {
-            what: "strategy",
-            tag,
-        }),
+wire_enum! {
+    "request";
+    /// What a client can ask the daemon.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Liveness probe.
+        Ping = 1,
+        /// Place one container.
+        Place {
+            /// The admission request.
+            req: WireRequest,
+            /// Machine-selection strategy.
+            strategy: BatchStrategy,
+        } = 2,
+        /// Place a batch atomically evaluated (engine `place_batch`).
+        PlaceBatch {
+            /// The admission requests, decision order.
+            reqs: Vec<WireRequest> as "batch",
+            /// Machine-selection strategy for the whole batch.
+            strategy: BatchStrategy,
+        } = 3,
+        /// Release a placement by ticket.
+        Release {
+            /// The ticket returned at placement.
+            ticket: u64,
+        } = 4,
+        /// Engine + daemon counters.
+        Stats = 5,
+        /// Thread-level occupancy of one machine.
+        Occupancy {
+            /// Machine id.
+            machine: u32,
+        } = 6,
+        /// Can-we-fit probe: no reservation, advisory.
+        CanFit {
+            /// The hypothetical admission request.
+            req: WireRequest,
+        } = 7,
+        /// Pause the background rebalance loop.
+        PauseRebalance {
+            /// Control token; empty when the client has none. A daemon
+            /// configured with a token refuses mismatches with
+            /// [`ErrorCode::Unauthorized`].
+            token: String,
+        } = 8,
+        /// Resume the background rebalance loop.
+        ResumeRebalance {
+            /// Control token; empty when the client has none.
+            token: String,
+        } = 9,
+        /// Stop admitting placements; releases keep working.
+        Drain {
+            /// Control token; empty when the client has none.
+            token: String,
+        } = 10,
+        /// Stop the daemon: the accept loop and the rebalance loop exit.
+        Shutdown {
+            /// Control token; empty when the client has none.
+            token: String,
+        } = 11,
     }
 }
 
-fn put_request(buf: &mut Vec<u8>, req: &WireRequest) {
-    put_str(buf, &req.workload);
-    put_u32(buf, req.vcpus);
-    put_f64(buf, req.goal_frac);
-    put_u64(buf, req.probe_seed);
+wire_enum! {
+    "response";
+    /// What the daemon answers.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Answer to [`Request::Ping`].
+        Pong = 129,
+        /// Answer to [`Request::Place`].
+        Place(outcome: PlaceOutcome) = 130,
+        /// Answer to [`Request::PlaceBatch`], one outcome per request.
+        Batch(batch: Vec<PlaceOutcome>) = 131,
+        /// Answer to [`Request::Release`]: the capacity is free again.
+        Released = 132,
+        /// Answer to [`Request::Stats`].
+        Stats(stats: ServiceStats) = 133,
+        /// Answer to [`Request::Occupancy`].
+        Occupancy(occupancy: OccupancyInfo) = 134,
+        /// Answer to [`Request::CanFit`].
+        CanFit(fit: FitInfo) = 135,
+        /// Answer to a control verb (pause/resume/drain/shutdown): the
+        /// lifecycle state after the verb applied.
+        Ack(ack: ControlAck) = 136,
+        /// The request failed; the connection may have been closed (for
+        /// protocol errors) or stays usable (for domain errors).
+        Error(error: RpcError) = 137,
+    }
 }
 
-fn get_request(r: &mut Reader<'_>) -> Result<WireRequest, DecodeError> {
-    Ok(WireRequest {
-        workload: r.str()?,
-        vcpus: r.u32()?,
-        goal_frac: r.f64()?,
-        probe_seed: r.u64()?,
-    })
+wire_struct! {
+    /// One admission request on the wire.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireRequest {
+        /// Workload name.
+        pub workload: String,
+        /// vCPUs requested.
+        pub vcpus: u32,
+        /// Performance goal as a fraction of baseline (0.0 = best effort).
+        pub goal_frac: f64,
+        /// Seed for the two probe measurements.
+        pub probe_seed: u64,
+    }
 }
 
-fn put_outcome(buf: &mut Vec<u8>, o: &PlaceOutcome) {
-    match o {
-        PlaceOutcome::Placed(p) => {
-            put_u8(buf, 0);
-            put_u64(buf, p.ticket);
-            put_u32(buf, p.machine);
-            put_u32(buf, p.placement_id);
-            put_u32(buf, p.nodes.len() as u32);
-            for &n in &p.nodes {
-                put_u32(buf, n);
-            }
-            put_u32(buf, p.threads);
-            put_f64(buf, p.predicted_perf);
-            put_f64(buf, p.interference_penalty);
-            put_f64(buf, p.goal_perf);
-            put_bool(buf, p.goal_met);
+impl WireRequest {
+    /// The engine-side request this wire request describes.
+    pub fn to_engine(&self) -> PlacementRequest {
+        PlacementRequest {
+            workload: self.workload.clone(),
+            vcpus: self.vcpus as usize,
+            goal_frac: self.goal_frac,
+            probe_seed: self.probe_seed,
         }
-        PlaceOutcome::Rejected { reason } => {
-            put_u8(buf, 1);
-            put_str(buf, reason);
+    }
+}
+
+wire_enum! {
+    "outcome";
+    /// One placement decision on the wire.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum PlaceOutcome {
+        /// The container was placed and its capacity reserved.
+        Placed(placed: PlacedInfo) = 0,
+        /// No machine could host the request.
+        Rejected {
+            /// Human-readable reason.
+            reason: String,
+        } = 1,
+    }
+}
+
+wire_struct! {
+    /// The wire projection of an engine [`Placed`] handle. The ticket is
+    /// the client's release token; the rest is telemetry.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PlacedInfo {
+        /// Engine-wide container identity; pass to [`Request::Release`].
+        pub ticket: u64,
+        /// Machine the container landed on (at admission time — a later
+        /// rebalance move may re-home it; the ticket stays valid).
+        pub machine: u32,
+        /// 1-based important-placement id used.
+        pub placement_id: u32,
+        /// NUMA nodes reserved.
+        pub nodes: Vec<u32>,
+        /// Hardware threads reserved.
+        pub threads: u32,
+        /// Predicted (interference-adjusted) performance.
+        pub predicted_perf: f64,
+        /// Co-location penalty applied, in `(0, 1]`.
+        pub interference_penalty: f64,
+        /// Absolute performance the goal translated to (0 if best-effort).
+        pub goal_perf: f64,
+        /// Whether the prediction clears the goal.
+        pub goal_met: bool,
+    }
+}
+
+impl PlacedInfo {
+    /// Projects an engine handle onto the wire.
+    pub fn from_placed(p: &Placed) -> Self {
+        PlacedInfo {
+            ticket: p.ticket.0,
+            machine: p.machine.0 as u32,
+            placement_id: p.placement_id as u32,
+            nodes: p.spec.nodes.iter().map(|n| n.0 as u32).collect(),
+            threads: p.threads.len() as u32,
+            predicted_perf: p.predicted_perf,
+            interference_penalty: p.interference_penalty,
+            goal_perf: p.goal_perf,
+            goal_met: p.goal_met,
         }
     }
 }
 
-fn get_outcome(r: &mut Reader<'_>) -> Result<PlaceOutcome, DecodeError> {
-    match r.u8()? {
-        0 => {
-            let ticket = r.u64()?;
-            let machine = r.u32()?;
-            let placement_id = r.u32()?;
-            let n = r.len("nodes", 4)?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(r.u32()?);
-            }
-            Ok(PlaceOutcome::Placed(PlacedInfo {
-                ticket,
-                machine,
-                placement_id,
-                nodes,
-                threads: r.u32()?,
-                predicted_perf: r.f64()?,
-                interference_penalty: r.f64()?,
-                goal_perf: r.f64()?,
-                goal_met: r.bool()?,
-            }))
-        }
-        1 => Ok(PlaceOutcome::Rejected { reason: r.str()? }),
-        tag => Err(DecodeError::BadTag {
-            what: "outcome",
-            tag,
-        }),
+wire_struct! {
+    /// Engine + daemon counters, one flat snapshot.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct ServiceStats {
+        /// Machines in the fleet.
+        pub machines: u32,
+        /// Containers currently resident.
+        pub residents: u64,
+        /// Requests the daemon has served (all verbs).
+        pub requests: u64,
+        /// Connections accepted.
+        pub connections: u64,
+        /// Framing/decoding failures (each closed its connection).
+        pub protocol_errors: u64,
+        /// Engine candidate evaluations.
+        pub evaluations: u64,
+        /// Engine BestScore dry-run offers.
+        pub offers: u64,
+        /// Successful releases.
+        pub releases: u64,
+        /// Rejected releases (unknown tickets).
+        pub release_failures: u64,
+        /// Engine-wide rebalance passes (loop + any manual callers).
+        pub rebalance_passes: u64,
+        /// Passes the daemon's background loop completed.
+        pub loop_passes: u64,
+        /// Migrations those loop passes executed.
+        pub loop_migrations: u64,
+        /// Re-moves the cooldown hysteresis suppressed.
+        pub suppressed_by_cooldown: u64,
+        /// Cost-justified moves deferred by the per-pass moved-GB cap.
+        pub blocked_by_gb_cap: u64,
+        /// Hosts skipped shard-wide by availability sketches (their
+        /// capacity summaries were never read).
+        pub sketch_skips: u64,
+        /// Shards whose sketch admitted a walk down to the hosts.
+        pub sketch_admits: u64,
+        /// Admitted shards where no host survived the summary check (the
+        /// sketch's per-axis marginals were satisfied by different hosts).
+        pub sketch_stale: u64,
+        /// Data the loop's migrations moved (GB).
+        pub moved_gb: f64,
+        /// Whether the rebalance loop is paused.
+        pub paused: bool,
+        /// Whether the daemon is draining (rejecting new placements).
+        pub draining: bool,
     }
 }
 
-fn put_error_code(buf: &mut Vec<u8>, c: ErrorCode) {
-    put_u8(
-        buf,
-        match c {
-            ErrorCode::Protocol => 0,
-            ErrorCode::Draining => 1,
-            ErrorCode::ShuttingDown => 2,
-            ErrorCode::UnknownTicket => 3,
-            ErrorCode::UnknownMachine => 4,
-            ErrorCode::Unauthorized => 5,
-        },
-    );
-}
-
-fn get_error_code(r: &mut Reader<'_>) -> Result<ErrorCode, DecodeError> {
-    match r.u8()? {
-        0 => Ok(ErrorCode::Protocol),
-        1 => Ok(ErrorCode::Draining),
-        2 => Ok(ErrorCode::ShuttingDown),
-        3 => Ok(ErrorCode::UnknownTicket),
-        4 => Ok(ErrorCode::UnknownMachine),
-        5 => Ok(ErrorCode::Unauthorized),
-        tag => Err(DecodeError::BadTag {
-            what: "error code",
-            tag,
-        }),
+wire_struct! {
+    /// Thread-level occupancy of one machine.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OccupancyInfo {
+        /// Machine id.
+        pub machine: u32,
+        /// Hardware threads in use.
+        pub used: u32,
+        /// Hardware threads total.
+        pub total: u32,
+        /// Per-node `(node, used, capacity)`, node order.
+        pub nodes: Vec<NodeUse>,
     }
 }
 
-// ---------------------------------------------------------------------
-// Message codecs.
+wire_struct! {
+    /// One NUMA node's thread usage.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct NodeUse {
+        /// Node id.
+        pub node: u32,
+        /// Hardware threads in use.
+        pub used: u32,
+        /// Hardware threads total.
+        pub capacity: u32,
+    }
+}
+
+wire_struct! {
+    /// Answer to a capacity probe (see `PlacementEngine::can_fit`).
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct FitInfo {
+        /// Hosts whose capacity summary still admits the request.
+        pub hosts: u64,
+        /// Machine classes predicted to clear the goal.
+        pub goal_clearing_classes: u32,
+        /// Best idle-host predicted performance.
+        pub best_predicted: f64,
+        /// Absolute performance the goal translates to.
+        pub goal_perf: f64,
+        /// Hosts this probe skipped shard-wide via availability sketches
+        /// (their summaries were never read; the count in `hosts` is still
+        /// exact — a sketch-zero proves every summary would have refused).
+        pub sketch_skipped: u64,
+    }
+}
+
+wire_struct! {
+    /// Lifecycle state echoed by control verbs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ControlAck {
+        /// Rebalance loop paused.
+        pub paused: bool,
+        /// New placements refused.
+        pub draining: bool,
+        /// Daemon exiting.
+        pub shutting_down: bool,
+    }
+}
+
+wire_struct! {
+    /// Why a request failed.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RpcError {
+        /// Machine-readable failure class.
+        pub code: ErrorCode,
+        /// Human-readable detail.
+        pub message: String,
+    }
+}
+
+wire_enum! {
+    "error code";
+    /// Machine-readable failure classes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// The bytes on the wire were not a valid request (framing or
+        /// decoding failure). The daemon closes the connection after
+        /// sending this.
+        Protocol = 0,
+        /// The daemon is draining: new placements are refused, releases
+        /// still work.
+        Draining = 1,
+        /// The daemon is shutting down.
+        ShuttingDown = 2,
+        /// The ticket is not held by this daemon (double release, or a
+        /// ticket from a different daemon).
+        UnknownTicket = 3,
+        /// The machine id is outside the fleet.
+        UnknownMachine = 4,
+        /// A control verb (pause/resume/drain/shutdown) arrived without the
+        /// daemon's control token. The verb did not apply; the connection
+        /// stays usable for data verbs.
+        Unauthorized = 5,
+    }
+}
 
 impl Request {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            Request::Ping => put_u8(&mut buf, 1),
-            Request::Place { req, strategy } => {
-                put_u8(&mut buf, 2);
-                put_request(&mut buf, req);
-                put_strategy(&mut buf, *strategy);
-            }
-            Request::PlaceBatch { reqs, strategy } => {
-                put_u8(&mut buf, 3);
-                put_u32(&mut buf, reqs.len() as u32);
-                for req in reqs {
-                    put_request(&mut buf, req);
-                }
-                put_strategy(&mut buf, *strategy);
-            }
-            Request::Release { ticket } => {
-                put_u8(&mut buf, 4);
-                put_u64(&mut buf, *ticket);
-            }
-            Request::Stats => put_u8(&mut buf, 5),
-            Request::Occupancy { machine } => {
-                put_u8(&mut buf, 6);
-                put_u32(&mut buf, *machine);
-            }
-            Request::CanFit { req } => {
-                put_u8(&mut buf, 7);
-                put_request(&mut buf, req);
-            }
-            Request::PauseRebalance { token } => {
-                put_u8(&mut buf, 8);
-                put_str(&mut buf, token);
-            }
-            Request::ResumeRebalance { token } => {
-                put_u8(&mut buf, 9);
-                put_str(&mut buf, token);
-            }
-            Request::Drain { token } => {
-                put_u8(&mut buf, 10);
-                put_str(&mut buf, token);
-            }
-            Request::Shutdown { token } => {
-                put_u8(&mut buf, 11);
-                put_str(&mut buf, token);
-            }
-        }
-        buf
+        encode(self)
     }
 
     /// Decodes a frame payload.
@@ -663,123 +677,14 @@ impl Request {
     /// Any [`DecodeError`]; no allocation is sized from an unvalidated
     /// embedded length.
     pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8()? {
-            1 => Request::Ping,
-            2 => Request::Place {
-                req: get_request(&mut r)?,
-                strategy: get_strategy(&mut r)?,
-            },
-            3 => {
-                // A WireRequest is at least 24 bytes (4+4+8+8); bounding
-                // the count by remaining/1 is enough to stop forged
-                // counts, the element decodes stop everything else.
-                let n = r.len("batch", 24)?;
-                let mut reqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    reqs.push(get_request(&mut r)?);
-                }
-                Request::PlaceBatch {
-                    reqs,
-                    strategy: get_strategy(&mut r)?,
-                }
-            }
-            4 => Request::Release { ticket: r.u64()? },
-            5 => Request::Stats,
-            6 => Request::Occupancy { machine: r.u32()? },
-            7 => Request::CanFit {
-                req: get_request(&mut r)?,
-            },
-            8 => Request::PauseRebalance { token: r.str()? },
-            9 => Request::ResumeRebalance { token: r.str()? },
-            10 => Request::Drain { token: r.str()? },
-            11 => Request::Shutdown { token: r.str()? },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "request",
-                    tag,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(req)
+        decode(payload)
     }
 }
 
 impl Response {
     /// Encodes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            Response::Pong => put_u8(&mut buf, 129),
-            Response::Place(o) => {
-                put_u8(&mut buf, 130);
-                put_outcome(&mut buf, o);
-            }
-            Response::Batch(outcomes) => {
-                put_u8(&mut buf, 131);
-                put_u32(&mut buf, outcomes.len() as u32);
-                for o in outcomes {
-                    put_outcome(&mut buf, o);
-                }
-            }
-            Response::Released => put_u8(&mut buf, 132),
-            Response::Stats(s) => {
-                put_u8(&mut buf, 133);
-                put_u32(&mut buf, s.machines);
-                put_u64(&mut buf, s.residents);
-                put_u64(&mut buf, s.requests);
-                put_u64(&mut buf, s.connections);
-                put_u64(&mut buf, s.protocol_errors);
-                put_u64(&mut buf, s.evaluations);
-                put_u64(&mut buf, s.offers);
-                put_u64(&mut buf, s.releases);
-                put_u64(&mut buf, s.release_failures);
-                put_u64(&mut buf, s.rebalance_passes);
-                put_u64(&mut buf, s.loop_passes);
-                put_u64(&mut buf, s.loop_migrations);
-                put_u64(&mut buf, s.suppressed_by_cooldown);
-                put_u64(&mut buf, s.blocked_by_gb_cap);
-                put_u64(&mut buf, s.sketch_skips);
-                put_u64(&mut buf, s.sketch_admits);
-                put_u64(&mut buf, s.sketch_stale);
-                put_f64(&mut buf, s.moved_gb);
-                put_bool(&mut buf, s.paused);
-                put_bool(&mut buf, s.draining);
-            }
-            Response::Occupancy(o) => {
-                put_u8(&mut buf, 134);
-                put_u32(&mut buf, o.machine);
-                put_u32(&mut buf, o.used);
-                put_u32(&mut buf, o.total);
-                put_u32(&mut buf, o.nodes.len() as u32);
-                for n in &o.nodes {
-                    put_u32(&mut buf, n.node);
-                    put_u32(&mut buf, n.used);
-                    put_u32(&mut buf, n.capacity);
-                }
-            }
-            Response::CanFit(fit) => {
-                put_u8(&mut buf, 135);
-                put_u64(&mut buf, fit.hosts);
-                put_u32(&mut buf, fit.goal_clearing_classes);
-                put_f64(&mut buf, fit.best_predicted);
-                put_f64(&mut buf, fit.goal_perf);
-                put_u64(&mut buf, fit.sketch_skipped);
-            }
-            Response::Ack(a) => {
-                put_u8(&mut buf, 136);
-                put_bool(&mut buf, a.paused);
-                put_bool(&mut buf, a.draining);
-                put_bool(&mut buf, a.shutting_down);
-            }
-            Response::Error(e) => {
-                put_u8(&mut buf, 137);
-                put_error_code(&mut buf, e.code);
-                put_str(&mut buf, &e.message);
-            }
-        }
-        buf
+        encode(self)
     }
 
     /// Decodes a frame payload.
@@ -789,87 +694,6 @@ impl Response {
     /// Any [`DecodeError`]; no allocation is sized from an unvalidated
     /// embedded length.
     pub fn decode(payload: &[u8]) -> Result<Response, DecodeError> {
-        let mut r = Reader::new(payload);
-        let resp = match r.u8()? {
-            129 => Response::Pong,
-            130 => Response::Place(get_outcome(&mut r)?),
-            131 => {
-                // An outcome is at least 2 bytes (tag + empty string
-                // length would be 5; use the tag byte as the floor).
-                let n = r.len("batch", 2)?;
-                let mut outcomes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    outcomes.push(get_outcome(&mut r)?);
-                }
-                Response::Batch(outcomes)
-            }
-            132 => Response::Released,
-            133 => Response::Stats(ServiceStats {
-                machines: r.u32()?,
-                residents: r.u64()?,
-                requests: r.u64()?,
-                connections: r.u64()?,
-                protocol_errors: r.u64()?,
-                evaluations: r.u64()?,
-                offers: r.u64()?,
-                releases: r.u64()?,
-                release_failures: r.u64()?,
-                rebalance_passes: r.u64()?,
-                loop_passes: r.u64()?,
-                loop_migrations: r.u64()?,
-                suppressed_by_cooldown: r.u64()?,
-                blocked_by_gb_cap: r.u64()?,
-                sketch_skips: r.u64()?,
-                sketch_admits: r.u64()?,
-                sketch_stale: r.u64()?,
-                moved_gb: r.f64()?,
-                paused: r.bool()?,
-                draining: r.bool()?,
-            }),
-            134 => {
-                let machine = r.u32()?;
-                let used = r.u32()?;
-                let total = r.u32()?;
-                let n = r.len("nodes", 12)?;
-                let mut nodes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    nodes.push(NodeUse {
-                        node: r.u32()?,
-                        used: r.u32()?,
-                        capacity: r.u32()?,
-                    });
-                }
-                Response::Occupancy(OccupancyInfo {
-                    machine,
-                    used,
-                    total,
-                    nodes,
-                })
-            }
-            135 => Response::CanFit(FitInfo {
-                hosts: r.u64()?,
-                goal_clearing_classes: r.u32()?,
-                best_predicted: r.f64()?,
-                goal_perf: r.f64()?,
-                sketch_skipped: r.u64()?,
-            }),
-            136 => Response::Ack(ControlAck {
-                paused: r.bool()?,
-                draining: r.bool()?,
-                shutting_down: r.bool()?,
-            }),
-            137 => Response::Error(RpcError {
-                code: get_error_code(&mut r)?,
-                message: r.str()?,
-            }),
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "response",
-                    tag,
-                })
-            }
-        };
-        r.finish()?;
-        Ok(resp)
+        decode(payload)
     }
 }

@@ -21,12 +21,13 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vc_engine::{Placed, PlacementEngine, RebalancePolicy, RebalanceReport};
+use vc_sync::Counter;
 
 use crate::rpc::{
     ControlAck, ErrorCode, FitInfo, NodeUse, OccupancyInfo, PlaceOutcome, PlacedInfo, Request,
@@ -157,9 +158,9 @@ struct Shared {
     loop_control: Mutex<LoopControl>,
     loop_cv: Condvar,
     loop_totals: Mutex<LoopTotals>,
-    requests: AtomicU64,
-    connections: AtomicU64,
-    protocol_errors: AtomicU64,
+    requests: Counter,
+    connections: Counter,
+    protocol_errors: Counter,
     /// Clones of the accepted streams still being served, keyed by
     /// connection id, so shutdown can unblock handler threads parked in
     /// `read_frame`. Each handler removes its entry when it exits —
@@ -196,9 +197,9 @@ impl Shared {
         ServiceStats {
             machines: self.engine.num_machines() as u32,
             residents: self.engine.num_residents() as u64,
-            requests: self.requests.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            requests: self.requests.get(),
+            connections: self.connections.get(),
+            protocol_errors: self.protocol_errors.get(),
             evaluations: engine.evaluations,
             offers: engine.offers,
             releases: engine.releases,
@@ -259,9 +260,9 @@ impl PlacementServer {
             }),
             loop_cv: Condvar::new(),
             loop_totals: Mutex::new(LoopTotals::default()),
-            requests: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
+            requests: Counter::new(),
+            connections: Counter::new(),
+            protocol_errors: Counter::new(),
             conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
         });
@@ -355,7 +356,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let conn_id = shared.connections.fetch_add(1, Ordering::Relaxed);
+                let conn_id = shared.connections.incr();
                 // The listener is non-blocking; the accepted stream
                 // must not inherit that (handlers do blocking reads).
                 if stream.set_nonblocking(false).is_err() {
@@ -413,15 +414,47 @@ fn rebalance_loop(shared: &Arc<Shared>, cfg: &LoopConfig) {
     }
 }
 
+/// Closes one connection when dropped — on a normal return *and* when
+/// the handler unwinds. The drop of the handler's `stream` alone closes
+/// nothing: a clone lives in `Shared::conns` for shutdown to unblock
+/// parked reads, so the peer only sees EOF once `shutdown(2)` hits the
+/// underlying socket and the clone is removed. A handler that panicked
+/// without this would leave its client blocked in `read_frame` forever.
+struct ConnGuard<'a> {
+    shared: &'a Shared,
+    stream: TcpStream,
+    conn_id: u64,
+}
+
+impl Drop for ConnGuard<'_> {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        self.shared.lock(&self.shared.conns).remove(&self.conn_id);
+    }
+}
+
 /// One connection: strict request/response until disconnect, protocol
-/// error, or shutdown. The handler — not the drop of its `stream` —
-/// closes the socket: a clone lives in `Shared::conns` for shutdown to
-/// unblock parked reads, so the peer only sees EOF once `shutdown(2)`
-/// hits the underlying socket and the clone is removed.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
-    serve_connection(shared, &mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    shared.lock(&shared.conns).remove(&conn_id);
+/// error, or shutdown.
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
+    let mut conn = ConnGuard {
+        shared,
+        stream,
+        conn_id,
+    };
+    serve_connection(shared, &mut conn.stream);
+}
+
+/// Counts a framing or decoding failure and answers it with the typed
+/// protocol error when the socket still accepts writes. The caller
+/// closes the connection — its framing is no longer trustworthy — and
+/// the daemon keeps serving other/new connections.
+fn refuse_protocol(shared: &Shared, stream: &mut TcpStream, e: &dyn std::fmt::Display) {
+    shared.protocol_errors.incr();
+    let resp = Response::Error(RpcError {
+        code: ErrorCode::Protocol,
+        message: e.to_string(),
+    });
+    let _ = write_frame(stream, &resp.encode());
 }
 
 /// The request/response loop of [`handle_connection`].
@@ -430,34 +463,14 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: &mut TcpStream) {
         let payload = match read_frame(&mut stream) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // clean disconnect
-            Err(e) => {
-                // Truncated frame, oversized prefix, garbage transport:
-                // count it, answer with the typed protocol error when
-                // the socket still accepts writes, and close — the
-                // framing on this connection is no longer trustworthy.
-                // The daemon keeps serving other/new connections.
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error(RpcError {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                });
-                let _ = write_frame(&mut stream, &resp.encode());
-                return;
-            }
+            // Truncated frame, oversized prefix, garbage transport.
+            Err(e) => return refuse_protocol(shared, stream, &e),
         };
         let request = match Request::decode(&payload) {
             Ok(request) => request,
-            Err(e) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error(RpcError {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                });
-                let _ = write_frame(&mut stream, &resp.encode());
-                return;
-            }
+            Err(e) => return refuse_protocol(shared, stream, &e),
         };
-        shared.requests.fetch_add(1, Ordering::Relaxed);
+        shared.requests.incr();
         let (response, close_after) = dispatch(shared, request);
         if write_frame(&mut stream, &response.encode()).is_err() {
             return;
@@ -652,5 +665,50 @@ fn register_outcome(shared: &Shared, decision: vc_engine::PlacementDecision) -> 
             PlaceOutcome::Placed(info)
         }
         vc_engine::PlacementDecision::Rejected { reason } => PlaceOutcome::Rejected { reason },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use vc_engine::EngineConfig;
+
+    /// A handler that unwinds still closes its connection: the peer
+    /// reads EOF instead of blocking forever on the clone parked in
+    /// `conns`, and the table loses the entry.
+    #[test]
+    fn an_unwinding_handler_closes_its_connection() {
+        let server = PlacementServer::spawn(
+            Arc::new(PlacementEngine::new(EngineConfig::default())),
+            ServerConfig::default(),
+        )
+        .expect("bind loopback");
+        let shared = Arc::clone(&server.shared);
+        // A connection made by hand, the way `accept_loop` registers one.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let conn_id = u64::MAX;
+        let clone = stream.try_clone().expect("clone");
+        shared.lock(&shared.conns).insert(conn_id, clone);
+
+        let handler = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || {
+                let _conn = ConnGuard {
+                    shared: &shared,
+                    stream,
+                    conn_id,
+                };
+                panic!("handler died mid-request");
+            }
+        });
+        assert!(handler.join().is_err(), "the handler thread unwound");
+
+        let mut rest = Vec::new();
+        assert_eq!(peer.read_to_end(&mut rest).expect("EOF, not a hang"), 0);
+        assert!(shared.lock(&shared.conns).is_empty());
+        server.shutdown();
     }
 }

@@ -126,9 +126,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 /// (short only at end-of-stream). `Interrupted` reads are retried.
 fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
     let mut filled = 0;
-    while filled < buf.len() {
-        // vc-lint: allow(R5, filled < buf.len() is the loop condition, so the range is in bounds)
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,

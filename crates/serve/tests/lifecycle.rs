@@ -264,3 +264,32 @@ fn control_verbs_require_the_configured_token() {
     assert!(admin.shutdown().expect("authorised shutdown").shutting_down);
     server.join();
 }
+
+/// Sizes with a single important placement (1 and 64 vCPUs on the AMD
+/// 6272) answer over the wire. They used to panic the handler thread
+/// inside model training, and — the socket clone in the daemon's
+/// connection table keeping the connection open — leave the client
+/// blocked in `read_frame` forever.
+#[test]
+fn single_placement_sizes_answer_through_the_daemon() {
+    let engine = small_engine();
+    let server =
+        PlacementServer::spawn(Arc::clone(&engine), ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for vcpus in [1, 64] {
+        match client
+            .place(wire("swaptions", vcpus, 1), BatchStrategy::FirstFit)
+            .expect("the daemon answers")
+        {
+            PlaceOutcome::Placed(info) => {
+                assert_eq!(info.placement_id, 1, "{vcpus} vCPUs");
+                assert_eq!(info.threads, vcpus);
+                client.release(info.ticket).expect("release");
+            }
+            PlaceOutcome::Rejected { reason } => panic!("{vcpus} vCPUs rejected: {reason}"),
+        }
+    }
+    client.shutdown().expect("shutdown verb");
+    server.join();
+    engine.audit().expect("published views drifted from host state");
+}

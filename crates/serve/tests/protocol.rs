@@ -5,11 +5,6 @@
 //! disconnects — answering each with a typed protocol error where the
 //! socket still allows one, and serving the next connection regardless.
 
-// Test-support helpers (generators, daemon spawners) sit outside
-// `#[test]` fns, so the workspace unwrap/expect backstop needs an
-// explicit file-level opt-out; panicking is fine in a test battery.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -343,6 +338,197 @@ fn bad_tags_and_trailing_bytes_are_typed() {
     bytes.push(0);
     assert_eq!(Request::decode(&bytes), Err(DecodeError::Trailing { extra: 1 }));
     assert_eq!(Request::decode(&[]), Err(DecodeError::UnexpectedEof));
+}
+
+// ---------------------------------------------------------------------
+// Wire compatibility: golden bytes, the documented tag table, and
+// generator coverage. The codec is derived from one declaration per
+// message, so encode/decode cannot drift from each other; these pin
+// the declarations themselves.
+
+fn golden_wire_request() -> WireRequest {
+    WireRequest {
+        workload: "wt".to_string(),
+        vcpus: 16,
+        goal_frac: 0.9,
+        probe_seed: 7,
+    }
+}
+
+/// One fixed message per request tag, with the bytes the hand-written
+/// encoder produced for it before the codec was derived from the
+/// declarations (generated at commit d7f7c2e). A reordered field, a
+/// renumbered tag or a changed width fails here.
+fn golden_requests() -> Vec<(Request, &'static [u8])> {
+    let req = golden_wire_request;
+    let token = || "tok".to_string();
+    vec![
+        (Request::Ping, &[1]),
+        (
+            Request::Place { req: req(), strategy: BatchStrategy::BestScore },
+            &[2, 0, 0, 0, 2, 119, 116, 0, 0, 0, 16, 63, 236, 204, 204, 204, 204, 204, 205, 0, 0, 0, 0, 0, 0, 0, 7, 1],
+        ),
+        (
+            Request::PlaceBatch { reqs: vec![req()], strategy: BatchStrategy::FirstFit },
+            &[3, 0, 0, 0, 1, 0, 0, 0, 2, 119, 116, 0, 0, 0, 16, 63, 236, 204, 204, 204, 204, 204, 205, 0, 0, 0, 0, 0, 0, 0, 7, 0],
+        ),
+        (Request::Release { ticket: 0x0102_0304_0506_0708 }, &[4, 1, 2, 3, 4, 5, 6, 7, 8]),
+        (Request::Stats, &[5]),
+        (Request::Occupancy { machine: 3 }, &[6, 0, 0, 0, 3]),
+        (
+            Request::CanFit { req: req() },
+            &[7, 0, 0, 0, 2, 119, 116, 0, 0, 0, 16, 63, 236, 204, 204, 204, 204, 204, 205, 0, 0, 0, 0, 0, 0, 0, 7],
+        ),
+        (Request::PauseRebalance { token: token() }, &[8, 0, 0, 0, 3, 116, 111, 107]),
+        (Request::ResumeRebalance { token: token() }, &[9, 0, 0, 0, 3, 116, 111, 107]),
+        (Request::Drain { token: token() }, &[10, 0, 0, 0, 3, 116, 111, 107]),
+        (Request::Shutdown { token: token() }, &[11, 0, 0, 0, 3, 116, 111, 107]),
+    ]
+}
+
+/// One fixed message per response tag; see [`golden_requests`].
+fn golden_responses() -> Vec<(Response, &'static [u8])> {
+    let placed = PlaceOutcome::Placed(PlacedInfo {
+        ticket: 9,
+        machine: 2,
+        placement_id: 5,
+        nodes: vec![0, 3],
+        threads: 16,
+        predicted_perf: 1.5,
+        interference_penalty: 0.75,
+        goal_perf: 1.25,
+        goal_met: true,
+    });
+    let rejected = PlaceOutcome::Rejected { reason: "full".to_string() };
+    vec![
+        (Response::Pong, &[129]),
+        (
+            Response::Place(placed.clone()),
+            &[130, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 16, 63, 248, 0, 0, 0, 0, 0, 0, 63, 232, 0, 0, 0, 0, 0, 0, 63, 244, 0, 0, 0, 0, 0, 0, 1],
+        ),
+        (
+            Response::Batch(vec![placed, rejected]),
+            &[131, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 16, 63, 248, 0, 0, 0, 0, 0, 0, 63, 232, 0, 0, 0, 0, 0, 0, 63, 244, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 4, 102, 117, 108, 108],
+        ),
+        (Response::Released, &[132]),
+        (
+            Response::Stats(ServiceStats {
+                machines: 1,
+                residents: 2,
+                requests: 3,
+                connections: 4,
+                protocol_errors: 5,
+                evaluations: 6,
+                offers: 7,
+                releases: 8,
+                release_failures: 9,
+                rebalance_passes: 10,
+                loop_passes: 11,
+                loop_migrations: 12,
+                suppressed_by_cooldown: 13,
+                blocked_by_gb_cap: 14,
+                sketch_skips: 15,
+                sketch_admits: 16,
+                sketch_stale: 17,
+                moved_gb: 2.5,
+                paused: true,
+                draining: false,
+            }),
+            &[133, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 14, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 17, 64, 4, 0, 0, 0, 0, 0, 0, 1, 0],
+        ),
+        (
+            Response::Occupancy(OccupancyInfo {
+                machine: 1,
+                used: 6,
+                total: 64,
+                nodes: vec![NodeUse { node: 0, used: 6, capacity: 8 }],
+            }),
+            &[134, 0, 0, 0, 1, 0, 0, 0, 6, 0, 0, 0, 64, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 8],
+        ),
+        (
+            Response::CanFit(FitInfo {
+                hosts: 40,
+                goal_clearing_classes: 2,
+                best_predicted: 3.5,
+                goal_perf: 3.0,
+                sketch_skipped: 128,
+            }),
+            &[135, 0, 0, 0, 0, 0, 0, 0, 40, 0, 0, 0, 2, 64, 12, 0, 0, 0, 0, 0, 0, 64, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128],
+        ),
+        (
+            Response::Ack(ControlAck { paused: false, draining: true, shutting_down: true }),
+            &[136, 0, 1, 1],
+        ),
+        (
+            Response::Error(RpcError { code: ErrorCode::Unauthorized, message: "no".to_string() }),
+            &[137, 5, 0, 0, 0, 2, 110, 111],
+        ),
+    ]
+}
+
+#[test]
+fn golden_bytes_pin_the_wire_format() {
+    let requests = golden_requests();
+    let tags: Vec<u8> = requests.iter().map(|(_, bytes)| bytes[0]).collect();
+    let declared: Vec<u8> = Request::TAGS.iter().map(|(tag, _)| *tag).collect();
+    assert_eq!(tags, declared, "one golden vector per request tag");
+    for (req, bytes) in requests {
+        assert_eq!(req.encode(), bytes, "{req:?}");
+        assert_eq!(Request::decode(bytes).unwrap(), req);
+    }
+
+    let responses = golden_responses();
+    let tags: Vec<u8> = responses.iter().map(|(_, bytes)| bytes[0]).collect();
+    let declared: Vec<u8> = Response::TAGS.iter().map(|(tag, _)| *tag).collect();
+    assert_eq!(tags, declared, "one golden vector per response tag");
+    for (resp, bytes) in responses {
+        assert_eq!(resp.encode(), bytes, "{resp:?}");
+        assert_eq!(Response::decode(bytes).unwrap(), resp);
+    }
+}
+
+/// ARCHITECTURE.md's tag table and the declared tags are the same
+/// table: every `| N | `Name` … |` row names a declared tag, and every
+/// declared tag has its row.
+#[test]
+fn documented_tag_table_matches_the_declarations() {
+    let docs = include_str!("../../../ARCHITECTURE.md");
+    let mut documented: Vec<(u8, String)> = docs
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix("| ")?.split(" | ");
+            let tag = cells.next()?.parse::<u8>().ok()?;
+            let name = cells.next()?.split('`').nth(1)?;
+            Some((tag, name.to_string()))
+        })
+        .collect();
+    documented.sort();
+    let mut declared: Vec<(u8, String)> = Request::TAGS
+        .iter()
+        .chain(Response::TAGS)
+        .map(|(tag, name)| (*tag, name.to_string()))
+        .collect();
+    declared.sort();
+    assert_eq!(documented, declared);
+}
+
+/// The generators the roundtrip properties draw from reach every
+/// declared tag — a variant added to the codec but not to
+/// `arb_request`/`arb_response` would be roundtrip-tested by nothing.
+#[test]
+fn generators_cover_exactly_the_declared_tags() {
+    fn sampled_tags<S: Strategy>(strategy: S, encode: impl Fn(&S::Value) -> Vec<u8>) -> Vec<u8> {
+        let mut rng = proptest::TestRng::from_name("generators_cover_exactly_the_declared_tags");
+        let mut tags: Vec<u8> = (0..4096)
+            .map(|_| encode(&strategy.new_value(&mut rng))[0])
+            .collect();
+        tags.sort_unstable();
+        tags.dedup();
+        tags
+    }
+    let declared = |table: &[(u8, &str)]| table.iter().map(|(tag, _)| *tag).collect::<Vec<u8>>();
+    assert_eq!(sampled_tags(arb_request(), Request::encode), declared(Request::TAGS));
+    assert_eq!(sampled_tags(arb_response(), Response::encode), declared(Response::TAGS));
 }
 
 // ---------------------------------------------------------------------

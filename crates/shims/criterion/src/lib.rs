@@ -11,8 +11,6 @@
 //! scope; numbers print to stdout so `cargo bench` output stays useful
 //! for eyeballing regressions.
 
-#![forbid(unsafe_code)]
-
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
 

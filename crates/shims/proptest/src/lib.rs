@@ -12,8 +12,6 @@
 //! as-is. That keeps test behaviour reproducible without a registry
 //! dependency.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Deterministic generator driving test-case sampling (splitmix64).

@@ -10,8 +10,6 @@
 //! streams on every platform. The streams do **not** match crates.io
 //! `rand`.
 
-#![forbid(unsafe_code)]
-
 use std::ops::Range;
 
 /// A source of random 64-bit words.

@@ -24,7 +24,6 @@
 //! differ (§1): contentious vs cooperative sharing, communication latency,
 //! and interconnect asymmetry.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod colocation;

@@ -18,6 +18,8 @@
 //!   keep it alive through their own reference count. The unsafe
 //!   window between loading the raw pointer and taking that reference
 //!   is protected by the QSBR grace period.
+//! * [`counter::Counter`] — a `Relaxed` statistic nothing synchronizes
+//!   on; the one home of that ordering outside this crate's internals.
 //! * [`stress`] — a loom-style interleaving explorer with pluggable
 //!   backends ([`stress::Explorer::Exhaustive`] enumerates *every*
 //!   feasible schedule of the modelled steps;
@@ -46,12 +48,18 @@
 //! ```
 
 #![warn(missing_docs)]
+// The rest of the workspace forbids `unsafe` outright
+// (`[workspace.lints.rust]`); this crate cannot, so it denies it at the
+// root and `slot.rs` alone re-allows it.
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod counter;
 pub mod qsbr;
 pub mod slot;
 pub mod stress;
 
+pub use counter::Counter;
 pub use qsbr::{Domain, Guard};
 pub use slot::Slot;
 pub use stress::{Explorer, Report, Step, Violation};

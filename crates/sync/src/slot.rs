@@ -14,6 +14,8 @@
 //! is retired, not dropped, and reclamation waits for the reader's
 //! quiescence.
 
+#![allow(unsafe_code)]
+
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 

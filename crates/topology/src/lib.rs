@@ -23,7 +23,6 @@
 //! assert_eq!(amd.interconnect().hops(0.into(), 5.into()), Some(2));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ids;
@@ -45,4 +44,4 @@ pub use machine::{
 };
 pub use occupancy::{OccupancyError, OccupancyMap};
 pub use sketch::{AvailabilitySketch, SketchProfile};
-pub use summary::{group_by_fingerprint, group_by_key, CapacitySummary, CapacityView};
+pub use summary::{CapacitySummary, CapacityView};

@@ -258,16 +258,6 @@ impl AvailabilitySketch {
         self.hosts_with_nodes(node_bucket.0, node_bucket.1) > 0
             && self.hosts_with_l2s(l2_bucket.0, l2_bucket.1) > 0
     }
-
-    /// Upper bound on the member hosts that could pass the summary
-    /// prefilter for the shape: the smaller of the two marginal counts
-    /// (a host must clear *both* axes to pass, so the true count never
-    /// exceeds either marginal — and equals the minimum whenever one
-    /// axis is unconstraining, e.g. single-node shapes).
-    pub fn hosts_fitting(&self, node_bucket: (usize, usize), l2_bucket: (usize, usize)) -> usize {
-        self.hosts_with_nodes(node_bucket.0, node_bucket.1)
-            .min(self.hosts_with_l2s(l2_bucket.0, l2_bucket.1))
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn hosts_fitting_is_an_upper_bound_on_the_conjunction() {
+    fn admits_is_conservative_when_different_hosts_clear_each_axis() {
         let amd = machines::amd_opteron_6272();
         let sketch = AvailabilitySketch::new(&amd);
         // Host A: one whole node free, the rest fully reserved — clears
@@ -388,12 +378,11 @@ mod tests {
         sketch.attach(&sketch.profile(&occ_b));
 
         // Shape: 1 node × 8 threads AND 4 L2 groups × 2 threads.
-        // Only A satisfies both axes; the bound reports min(1, 1) = 1.
+        // Only A satisfies both axes.
         assert_eq!(sketch.hosts_with_nodes(8, 1), 1); // A only
         assert_eq!(sketch.hosts_with_l2s(2, 4), 1); // A only
-        assert_eq!(sketch.hosts_fitting((8, 1), (2, 4)), 1);
         // A shape where the axes are satisfied by *different* hosts
-        // shows the bound's conservatism: admitted, though no single
+        // shows the sketch's conservatism: admitted, though no single
         // host clears both.
         assert_eq!(sketch.hosts_with_nodes(4, 1), 2); // A (8 free) and B (4 free)
         assert_eq!(sketch.hosts_with_l2s(1, 4), 2); // both have 4 single-free modules

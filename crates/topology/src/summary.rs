@@ -274,79 +274,6 @@ impl CapacitySummary {
     }
 }
 
-/// Groups machines by [`Machine::fingerprint`]: each returned entry is
-/// one *machine class* — `(fingerprint, indices of the machines in the
-/// input with that fingerprint)` — in first-seen order.
-///
-/// The fingerprint is a 64-bit hash, so two structurally different
-/// machines *can* collide. Joining an existing class therefore verifies
-/// [`Machine::same_topology`] against the class representative; on
-/// mismatch the machine starts a class of its own (two classes may then
-/// report the same fingerprint value). Without the check a collision
-/// would silently alias two topologies into one class and serve one
-/// topology's catalogs and models to the other's hosts.
-///
-/// Fleet-scale services use the classes to share per-topology artifacts
-/// (catalogs, trained models) across identical hosts and to score a
-/// request once per class instead of once per host. This is the
-/// topology-level building block; a serving layer may refine the key
-/// (`vc-engine`'s `FleetIndex` additionally splits classes by reporting
-/// baseline and groups incrementally as hosts are registered).
-///
-/// # Examples
-///
-/// ```
-/// use vc_topology::{machines, summary::group_by_fingerprint};
-///
-/// let fleet = vec![
-///     machines::amd_opteron_6272(),
-///     machines::intel_xeon_e7_4830_v3(),
-///     machines::amd_opteron_6272(),
-/// ];
-/// let classes = group_by_fingerprint(&fleet);
-/// assert_eq!(classes.len(), 2);
-/// assert_eq!(classes[0].1, vec![0, 2]); // the two AMD boxes
-/// assert_eq!(classes[1].1, vec![1]);
-/// ```
-pub fn group_by_fingerprint(machines: &[Machine]) -> Vec<(u64, Vec<usize>)> {
-    group_by_key(machines, Machine::fingerprint)
-}
-
-/// [`group_by_fingerprint`] with an injectable key function: machines
-/// join a class only when both the key *and* the structural topology
-/// match. Exposed so collision handling is testable (a doctored key
-/// function can force every machine onto one key) and so alternative —
-/// e.g. shorter — hashes inherit the same safety.
-///
-/// # Examples
-///
-/// ```
-/// use vc_topology::{machines, summary::group_by_key};
-///
-/// // A pathological 1-bucket "hash": structural verification still
-/// // separates the two machine models.
-/// let fleet = vec![machines::amd_opteron_6272(), machines::zen_like()];
-/// let classes = group_by_key(&fleet, |_| 42);
-/// assert_eq!(classes.len(), 2);
-/// assert_eq!(classes[0].0, 42);
-/// assert_eq!(classes[1].0, 42);
-/// ```
-pub fn group_by_key(machines: &[Machine], key: impl Fn(&Machine) -> u64) -> Vec<(u64, Vec<usize>)> {
-    // (key, representative index, members)
-    let mut classes: Vec<(u64, usize, Vec<usize>)> = Vec::new();
-    for (i, m) in machines.iter().enumerate() {
-        let k = key(m);
-        match classes
-            .iter_mut()
-            .find(|(ck, rep, _)| *ck == k && machines[*rep].same_topology(m))
-        {
-            Some((_, _, members)) => members.push(i),
-            None => classes.push((k, i, vec![i])),
-        }
-    }
-    classes.into_iter().map(|(k, _, members)| (k, members)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,42 +418,5 @@ mod tests {
         occ.reserve(&one_per_module).unwrap();
         s.publish(&occ);
         assert_eq!(probe(&s), probe(&occ));
-    }
-
-    #[test]
-    fn grouping_is_first_seen_order() {
-        let fleet = vec![
-            machines::intel_xeon_e7_4830_v3(),
-            machines::amd_opteron_6272(),
-            machines::intel_xeon_e7_4830_v3(),
-            machines::zen_like(),
-        ];
-        let classes = group_by_fingerprint(&fleet);
-        assert_eq!(classes.len(), 3);
-        assert_eq!(classes[0].1, vec![0, 2]);
-        assert_eq!(classes[1].1, vec![1]);
-        assert_eq!(classes[2].1, vec![3]);
-        assert_eq!(classes[0].0, fleet[0].fingerprint());
-    }
-
-    #[test]
-    fn forced_key_collisions_are_split_by_structure() {
-        // Doctored key: every machine hashes to the same bucket. The
-        // structural check must still produce one class per topology,
-        // with same-topology machines joined.
-        let fleet = vec![
-            machines::amd_opteron_6272(),
-            machines::intel_xeon_e7_4830_v3(),
-            machines::amd_opteron_6272(),
-            machines::zen_like(),
-        ];
-        let classes = group_by_key(&fleet, |_| 0xdead_beef);
-        assert_eq!(classes.len(), 3, "collision aliased distinct topologies");
-        assert_eq!(classes[0].1, vec![0, 2]);
-        assert_eq!(classes[1].1, vec![1]);
-        assert_eq!(classes[2].1, vec![3]);
-        for (k, _) in &classes {
-            assert_eq!(*k, 0xdead_beef);
-        }
     }
 }

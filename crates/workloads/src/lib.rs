@@ -12,7 +12,6 @@
 //! parameter space, used to enlarge training corpora and for property
 //! tests.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod descriptor;

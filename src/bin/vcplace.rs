@@ -233,6 +233,10 @@ fn cmd_predict(machine: &Machine, vcpus: usize, workload: &str) {
         eprintln!("no balanced feasible placement: {e}");
         std::process::exit(1);
     });
+    if placements.len() < 2 {
+        eprintln!("{vcpus} vCPUs have one important placement on this machine: nothing to predict");
+        std::process::exit(1);
+    }
     let oracle = SimOracle::with_synthetic(machine.clone(), 12, 42);
     let training: Vec<TrainingWorkload> = oracle
         .workloads()

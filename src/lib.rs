@@ -38,7 +38,6 @@
 //! assert_eq!(placements.len(), 13);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use vc_core as core;
