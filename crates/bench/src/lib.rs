@@ -1,11 +1,14 @@
-//! Experiment harnesses regenerating every table and figure of the paper.
+//! Experiment harnesses regenerating every table and figure of the paper,
+//! and the one concurrent load driver.
 //!
 //! Each submodule of [`experiments`] computes one artefact and renders it
-//! as the rows/series the paper reports. The `src/bin` binaries print
-//! them; the Criterion benches print them once and then time the
-//! underlying computation. See `EXPERIMENTS.md` at the repository root
-//! for paper-vs-measured notes.
+//! as the rows/series the paper reports; the `src/bin` binaries print
+//! them. [`load`] drives N seeded place/release clients against an
+//! engine or a running daemon — what `benches/engine_fleet.rs` and
+//! `vcplace serve --demo` run. Everything else the repo times lives in
+//! `benchmark/` at the repository root.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod load;

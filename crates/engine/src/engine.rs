@@ -1254,22 +1254,6 @@ impl PlacementEngine {
         occ: &OccupancyMap,
         residents: &[ResidentWorkload],
     ) -> Result<(AvailablePlacement, f64, f64), ChooseError> {
-        self.best_available_with(host, cand, occ, residents, self.cfg.interference)
-    }
-
-    /// [`Self::best_available`] with the penalty application decided by
-    /// the caller instead of [`EngineConfig::interference`]: the
-    /// rebalancer always scores with real penalties (its whole job is
-    /// degradation), even on engines whose *admission* path is
-    /// neighbour-blind.
-    fn best_available_with(
-        &self,
-        host: &Host,
-        cand: &Candidate,
-        occ: &OccupancyMap,
-        residents: &[ResidentWorkload],
-        penalised: bool,
-    ) -> Result<(AvailablePlacement, f64, f64), ChooseError> {
         let available = cand.catalog.availability.available(&host.machine, occ);
         let mut best: Option<(&AvailablePlacement, f64, f64)> = None;
         let mut interference_blocked = 0usize;
@@ -1281,7 +1265,7 @@ impl PlacementEngine {
             if idle_p < cand.goal_perf {
                 continue;
             }
-            let penalty = if penalised {
+            let penalty = if self.cfg.interference {
                 host.interference.penalty(
                     &cand.request.workload,
                     &ap.spec.nodes,

@@ -159,7 +159,7 @@ pub use engine::{
 };
 pub use host::HostSnapshot;
 pub use stats::{EngineStats, SketchCounters, SnapshotCounters, SummaryCounters};
-pub use rebalance::{Migration, RebalancePolicy, RebalanceReport};
+pub use rebalance::{Migration, RebalancePolicy, RebalanceReport, RebalanceTotals};
 pub use vc_core::interference::{InterferenceCounters, ResidentWorkload};
 // The migration cost types appear in the rebalance API; re-exported so
 // engine clients need not depend on `vc-migration` directly.

@@ -199,6 +199,75 @@ impl RebalanceReport {
     }
 }
 
+/// [`RebalanceReport`]s summed over many passes — what a periodic
+/// rebalancer (the daemon's loop, a churn run's ticks, a load driver's
+/// background thread) did in total.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RebalanceTotals {
+    /// Passes absorbed (no-op passes of a budget-less engine included).
+    pub passes: usize,
+    /// Resident examinations across all passes.
+    pub scanned: usize,
+    /// Residents found over the degradation budget.
+    pub over_budget: usize,
+    /// Migrations executed.
+    pub migrations: usize,
+    /// Over-budget residents kept in place because the best move's
+    /// benefit did not beat its migration cost.
+    pub blocked_by_cost: usize,
+    /// Over-budget residents with no strictly better placement.
+    pub blocked_no_target: usize,
+    /// Moves abandoned at commit time (lost races).
+    pub failed_commits: usize,
+    /// Re-examinations suppressed by the move cooldown.
+    pub suppressed_by_cooldown: usize,
+    /// Cost-justified moves deferred by the per-pass moved-GB cap.
+    pub blocked_by_gb_cap: usize,
+    /// Total data moved by executed migrations (GB).
+    pub moved_gb: f64,
+    /// Total container freeze time charged by executed migrations (s).
+    pub frozen_s: f64,
+    /// Sum of predicted degradations of moved containers before their
+    /// moves (divide by [`Self::migrations`] for the mean).
+    pub degradation_before_sum: f64,
+    /// Sum of predicted degradations of moved containers after their
+    /// moves.
+    pub degradation_after_sum: f64,
+}
+
+impl RebalanceTotals {
+    /// Adds one pass's report to the totals.
+    pub fn absorb(&mut self, report: &RebalanceReport) {
+        self.passes += 1;
+        self.scanned += report.scanned;
+        self.over_budget += report.over_budget;
+        self.migrations += report.migrations.len();
+        self.blocked_by_cost += report.blocked_by_cost;
+        self.blocked_no_target += report.blocked_no_target;
+        self.failed_commits += report.failed_commits;
+        self.suppressed_by_cooldown += report.suppressed_by_cooldown;
+        self.blocked_by_gb_cap += report.blocked_by_gb_cap;
+        self.moved_gb += report.moved_gb();
+        self.frozen_s += report.frozen_s();
+        for m in &report.migrations {
+            self.degradation_before_sum += m.degradation_before;
+            self.degradation_after_sum += m.degradation_after;
+        }
+    }
+
+    /// Mean predicted degradation of moved containers before their
+    /// moves (0.0 when nothing moved).
+    pub fn mean_degradation_before(&self) -> f64 {
+        self.degradation_before_sum / self.migrations.max(1) as f64
+    }
+
+    /// Mean predicted degradation of moved containers after their moves
+    /// (0.0 when nothing moved).
+    pub fn mean_degradation_after(&self) -> f64 {
+        self.degradation_after_sum / self.migrations.max(1) as f64
+    }
+}
+
 fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0usize);
     for v in values {

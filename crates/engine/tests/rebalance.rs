@@ -372,6 +372,12 @@ fn rebalance_lock_acquisitions_equal_executed_move_bookkeeping() {
         report.host_lock_acquisitions, expected,
         "every acquisition must be an executed move's commit"
     );
+
+    // The settled follow-up pass scans the same population, migrates
+    // nothing, and plans entirely on published snapshots.
+    let settled = engine.rebalance(&RebalancePolicy::default());
+    assert!(settled.scanned > 0 && settled.migrations.is_empty());
+    assert_eq!(settled.host_lock_acquisitions, 0, "a settled pass must not lock");
 }
 
 /// A same-host rebalance: with no second host to flee to, the victim is

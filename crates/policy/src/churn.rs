@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use vc_engine::{
-    BatchStrategy, Placed, PlacementEngine, PlacementRequest, RebalancePolicy, RebalanceReport,
+    BatchStrategy, Placed, PlacementEngine, PlacementRequest, RebalancePolicy, RebalanceTotals,
 };
 
 /// One event in a churn schedule.
@@ -145,80 +145,9 @@ pub struct ChurnReport {
     /// Aggregate rebalancing activity. All zero unless the scenario
     /// was given [`ChurnScenario::with_rebalance`]; on an engine
     /// without a degradation budget the passes still run (and are
-    /// counted in [`RebalanceTotals::runs`]) but scan and move
+    /// counted in [`RebalanceTotals::passes`]) but scan and move
     /// nothing.
     pub rebalance: RebalanceTotals,
-}
-
-/// Aggregated counters over every periodic [`PlacementEngine::rebalance`]
-/// pass a churn run performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RebalanceTotals {
-    /// Rebalance passes executed.
-    pub runs: usize,
-    /// Residents examined across all passes.
-    pub scanned: usize,
-    /// Residents found over the degradation budget.
-    pub over_budget: usize,
-    /// Migrations executed.
-    pub migrations: usize,
-    /// Over-budget residents kept in place because the best move's
-    /// benefit did not beat its migration cost.
-    pub blocked_by_cost: usize,
-    /// Over-budget residents with no strictly better placement.
-    pub blocked_no_target: usize,
-    /// Planned moves abandoned at commit time (raced by concurrent
-    /// commits, the resident departed, or the target's fresh score no
-    /// longer cleared the gates).
-    pub failed_commits: usize,
-    /// Total data moved by executed migrations (GB).
-    pub moved_gb: f64,
-    /// Total container freeze time charged by executed migrations (s).
-    pub frozen_s: f64,
-    /// Sum of predicted degradations of moved containers before their
-    /// moves (divide by [`Self::migrations`] for the mean).
-    pub degradation_before_sum: f64,
-    /// Sum of predicted degradations of moved containers after their
-    /// moves.
-    pub degradation_after_sum: f64,
-}
-
-impl RebalanceTotals {
-    fn absorb(&mut self, report: &RebalanceReport) {
-        self.runs += 1;
-        self.scanned += report.scanned;
-        self.over_budget += report.over_budget;
-        self.migrations += report.migrations.len();
-        self.blocked_by_cost += report.blocked_by_cost;
-        self.blocked_no_target += report.blocked_no_target;
-        self.failed_commits += report.failed_commits;
-        self.moved_gb += report.moved_gb();
-        self.frozen_s += report.frozen_s();
-        for m in &report.migrations {
-            self.degradation_before_sum += m.degradation_before;
-            self.degradation_after_sum += m.degradation_after;
-        }
-    }
-
-    /// Mean predicted degradation of moved containers before their
-    /// moves (0.0 when nothing moved).
-    pub fn mean_degradation_before(&self) -> f64 {
-        if self.migrations == 0 {
-            0.0
-        } else {
-            self.degradation_before_sum / self.migrations as f64
-        }
-    }
-
-    /// Mean predicted degradation of moved containers after their moves
-    /// (0.0 when nothing moved).
-    pub fn mean_degradation_after(&self) -> f64 {
-        if self.migrations == 0 {
-            0.0
-        } else {
-            self.degradation_after_sum / self.migrations as f64
-        }
-    }
 }
 
 impl ChurnReport {
@@ -417,7 +346,7 @@ impl ChurnScenario {
     /// residents whose predicted degradation exceeds the *engine's*
     /// `degradation_budget` when the move's benefit beats its Table 2
     /// migration cost. With the engine budget unset the passes are
-    /// no-ops (counted in [`RebalanceTotals::runs`] only).
+    /// no-ops (counted in [`RebalanceTotals::passes`] only).
     ///
     /// Containers moved by a pass keep their tickets, so the scenario's
     /// departure bookkeeping — and yours — keeps working on the
@@ -1020,7 +949,7 @@ mod tests {
             .with_rebalance(2.0, RebalancePolicy::default())
             .run(&ticked_engine);
 
-        assert!(ticked.rebalance.runs > 0, "ticks must fire");
+        assert!(ticked.rebalance.passes > 0, "ticks must fire");
         assert_eq!(ticked.rebalance.scanned, 0, "no budget, nothing scanned");
         assert_eq!(ticked.rebalance.migrations, 0);
         assert_eq!(plain.arrivals.len(), ticked.arrivals.len());
@@ -1061,7 +990,7 @@ mod tests {
 
         assert!(report.placed > 0);
         let totals = report.rebalance;
-        assert!(totals.runs >= 7, "a tick every 2 units of 16: {}", totals.runs);
+        assert!(totals.passes >= 7, "a tick every 2 units of 16: {}", totals.passes);
         assert!(totals.scanned > 0);
         assert!(totals.migrations > 0, "the tight budget must trigger moves");
         assert!(totals.moved_gb > 0.0);

@@ -17,9 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod contended;
 pub mod scenario;
 
-pub use churn::{ChurnEvent, ChurnReport, ChurnScenario, RebalanceTotals};
-pub use contended::{ContendedLoad, ContendedReport, LatencySummary};
+pub use churn::{ChurnEvent, ChurnReport, ChurnScenario};
 pub use scenario::{PackingScenario, Policy, PolicyOutcome};

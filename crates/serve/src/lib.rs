@@ -15,9 +15,6 @@
 //!   as a pausable background thread with hysteresis (move cooldown +
 //!   per-pass moved-GB cap via [`vc_engine::RebalancePolicy`]).
 //!
-//! [`demo`] drives N client threads of stochastic churn against a
-//! running daemon — the end-to-end load the serve bench records.
-//!
 //! # Examples
 //!
 //! ```
@@ -68,13 +65,11 @@
 )]
 
 pub mod client;
-pub mod demo;
 pub mod rpc;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use demo::{DemoLoad, DemoReport};
 pub use rpc::{ErrorCode, PlaceOutcome, Request, Response, ServiceStats, WireRequest};
-pub use server::{LoopConfig, LoopTotals, PlacementServer, ServerConfig};
+pub use server::{LoopConfig, PlacementServer, ServerConfig};
 pub use wire::{WireError, MAX_FRAME};

@@ -26,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vc_engine::{Placed, PlacementEngine, RebalancePolicy, RebalanceReport};
+use vc_engine::{Placed, PlacementEngine, RebalancePolicy, RebalanceTotals};
 use vc_sync::Counter;
 
 use crate::rpc::{
@@ -108,34 +108,6 @@ impl ServerConfig {
     }
 }
 
-/// What the background loop has done so far, summed over its passes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LoopTotals {
-    /// Passes completed.
-    pub passes: u64,
-    /// Migrations executed.
-    pub migrations: u64,
-    /// Re-examinations suppressed by the move cooldown.
-    pub suppressed_by_cooldown: u64,
-    /// Cost-justified moves deferred by the per-pass moved-GB cap.
-    pub blocked_by_gb_cap: u64,
-    /// Moves abandoned at commit time (lost races).
-    pub failed_commits: u64,
-    /// Data moved (GB).
-    pub moved_gb: f64,
-}
-
-impl LoopTotals {
-    fn absorb(&mut self, report: &RebalanceReport) {
-        self.passes += 1;
-        self.migrations += report.migrations.len() as u64;
-        self.suppressed_by_cooldown += report.suppressed_by_cooldown as u64;
-        self.blocked_by_gb_cap += report.blocked_by_gb_cap as u64;
-        self.failed_commits += report.failed_commits as u64;
-        self.moved_gb += report.moved_gb();
-    }
-}
-
 /// Rebalance-loop control shared between handlers and the loop thread.
 struct LoopControl {
     paused: bool,
@@ -157,7 +129,7 @@ struct Shared {
     has_loop: bool,
     loop_control: Mutex<LoopControl>,
     loop_cv: Condvar,
-    loop_totals: Mutex<LoopTotals>,
+    loop_totals: Mutex<RebalanceTotals>,
     requests: Counter,
     connections: Counter,
     protocol_errors: Counter,
@@ -205,10 +177,10 @@ impl Shared {
             releases: engine.releases,
             release_failures: engine.release_failures,
             rebalance_passes: engine.rebalance_passes,
-            loop_passes: totals.passes,
-            loop_migrations: totals.migrations,
-            suppressed_by_cooldown: totals.suppressed_by_cooldown,
-            blocked_by_gb_cap: totals.blocked_by_gb_cap,
+            loop_passes: totals.passes as u64,
+            loop_migrations: totals.migrations as u64,
+            suppressed_by_cooldown: totals.suppressed_by_cooldown as u64,
+            blocked_by_gb_cap: totals.blocked_by_gb_cap as u64,
             sketch_skips: engine.sketch.skips,
             sketch_admits: engine.sketch.admits,
             sketch_stale: engine.sketch.stale,
@@ -259,7 +231,7 @@ impl PlacementServer {
                 stop: false,
             }),
             loop_cv: Condvar::new(),
-            loop_totals: Mutex::new(LoopTotals::default()),
+            loop_totals: Mutex::new(RebalanceTotals::default()),
             requests: Counter::new(),
             connections: Counter::new(),
             protocol_errors: Counter::new(),
@@ -309,7 +281,7 @@ impl PlacementServer {
     }
 
     /// What the background loop has done so far.
-    pub fn loop_totals(&self) -> LoopTotals {
+    pub fn loop_totals(&self) -> RebalanceTotals {
         *self.shared.lock(&self.shared.loop_totals)
     }
 
@@ -370,7 +342,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 let handle = std::thread::spawn(move || {
                     handle_connection(&shared_for_handler, stream, conn_id);
                 });
-                shared.lock(&shared.handlers).push(handle);
+                // Reap handlers whose connections have closed, so the list
+                // tracks live connections, not every one ever accepted.
+                let mut handlers = shared.lock(&shared.handlers);
+                handlers.retain(|h| !h.is_finished());
+                handlers.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -709,6 +685,25 @@ mod tests {
         let mut rest = Vec::new();
         assert_eq!(peer.read_to_end(&mut rest).expect("EOF, not a hang"), 0);
         assert!(shared.lock(&shared.conns).is_empty());
+        server.shutdown();
+    }
+
+    /// A long-lived daemon does not grow one handler entry per
+    /// connection ever accepted: the accept loop reaps finished
+    /// handlers before it registers the next one.
+    #[test]
+    fn finished_handlers_are_reaped_by_the_accept_loop() {
+        let server = PlacementServer::spawn(
+            Arc::new(PlacementEngine::new(EngineConfig::default())),
+            ServerConfig::default(),
+        )
+        .expect("bind loopback");
+        for _ in 0..200 {
+            let mut client = crate::Client::connect(server.local_addr()).expect("connect");
+            client.ping().expect("ping");
+        }
+        let tracked = server.shared.lock(&server.shared.handlers).len();
+        assert!(tracked <= 16, "{tracked} handler entries after 200 sequential connections");
         server.shutdown();
     }
 }

@@ -87,14 +87,16 @@ fn main() {
 
 /// `vcplace serve`: run the framed placement daemon over a fleet, with
 /// the pausable background rebalance loop. `--demo` drives 4 client
-/// threads of stochastic churn against it, prints the client-observed
-/// latency quantiles and the loop's hysteresis counters, and exits;
-/// without it the daemon runs until a client sends the shutdown verb.
+/// threads of stochastic churn against it (`vc_bench::load`), prints
+/// the client-observed latency quantiles and the loop's hysteresis
+/// counters, and exits; without it the daemon runs until a client sends
+/// the shutdown verb.
 fn cmd_serve(args: &[String]) {
     use std::time::Duration;
     use vcplace::engine::{EngineConfig, PlacementEngine, RebalancePolicy};
     use vcplace::ml::forest::ForestConfig;
-    use vcplace::serve::{DemoLoad, LoopConfig, PlacementServer, ServerConfig};
+    use vc_bench::load::Load;
+    use vcplace::serve::{Client, LoopConfig, PlacementServer, ServerConfig};
 
     let mut addr = "127.0.0.1:0".to_string();
     let mut machine_list = "amd,amd".to_string();
@@ -153,29 +155,29 @@ fn cmd_serve(args: &[String]) {
     println!("placement daemon listening on {}", server.local_addr());
 
     if demo {
-        let report = DemoLoad::default()
-            .run(server.local_addr())
+        let connections = (0..4)
+            .map(|_| Client::connect(server.local_addr()))
+            .collect::<Result<Vec<_>, _>>()
             .unwrap_or_else(|e| {
                 eprintln!("demo failed: {e}");
                 std::process::exit(1);
             });
+        let report = Load::default().run(connections, None);
         let totals = server.loop_totals();
         println!(
             "demo: {} placed, {} rejected, {} released over 4 clients",
-            report.placed, report.rejected, report.released
+            report.placed,
+            report.rejected,
+            report.release.count()
         );
-        println!(
-            "place   p50 {:>8.1} us   p99 {:>8.1} us   max {:>8.1} us",
-            report.place.quantile_us(0.5),
-            report.place.quantile_us(0.99),
-            report.place.quantile_us(1.0),
-        );
-        println!(
-            "release p50 {:>8.1} us   p99 {:>8.1} us   max {:>8.1} us",
-            report.release.quantile_us(0.5),
-            report.release.quantile_us(0.99),
-            report.release.quantile_us(1.0),
-        );
+        // 64 cold samples support no tail percentile: median and worst.
+        for (op, lat) in [("place  ", &report.place), ("release", &report.release)] {
+            println!(
+                "{op} p50 {:>8.1} us   max {:>8.1} us",
+                lat.quantile_us(0.5),
+                lat.quantile_us(1.0),
+            );
+        }
         println!(
             "loop: {} passes, {} migrations, {} suppressed by cooldown, {} blocked by GB cap",
             totals.passes,
