@@ -48,8 +48,7 @@ pub use availability::{
 pub use concern::{Concern, ConcernKind, ConcernSet};
 pub use important::{important_placements, ImportantPlacement};
 pub use interference::{
-    InterferenceCounters, InterferenceModel, InterferenceOracle, OccupancySignature,
-    SharedInterferenceOracle,
+    InterferenceCounters, InterferenceModel, InterferenceOracle, SharedInterferenceOracle,
 };
 pub use model::{PerfOracle, SharedOracle};
 pub use placement::{PlacementError, PlacementSpec};

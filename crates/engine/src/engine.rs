@@ -16,10 +16,9 @@ use vc_core::packing::Packing;
 use vc_core::placement::{PlacementError, PlacementSpec};
 use vc_ml::forest::ForestConfig;
 use vc_sim::SimOracle;
-use vc_sync::{Counter, Domain};
+use vc_sync::{Counter, Domain, KeyedCache};
 use vc_topology::{AvailabilitySketch, CapacitySummary, Machine, NodeId, OccupancyMap, ThreadId};
 
-use crate::cache::KeyedCache;
 use crate::host::{Host, HostGuard, HostSnapshot};
 use crate::stats::Counters;
 #[cfg(doc)]
@@ -1031,7 +1030,7 @@ impl PlacementEngine {
     ) -> Result<Arc<PlacementCatalog>, PlacementError> {
         let host = &self.hosts[id.0];
         self.catalogs
-            .get_or_compute((self.class_of(id).topo, vcpus), || {
+            .get_or_compute(&(self.class_of(id).topo, vcpus), || {
                 let concerns = ConcernSet::for_machine(&host.machine);
                 // Generate (and Pareto-filter) the packings once, then
                 // expand them into important placements — a cold miss
@@ -1074,7 +1073,7 @@ impl PlacementEngine {
             baseline,
             exclude_family.map(str::to_string),
         );
-        self.training_sets.get_or_compute(key, || {
+        self.training_sets.get_or_compute(&key, || {
             let catalog = self.catalog(id, vcpus)?;
             let workloads: Vec<TrainingWorkload> = host
                 .oracle
@@ -1113,7 +1112,7 @@ impl PlacementEngine {
             baseline,
             exclude_family.map(str::to_string),
         );
-        self.models.get_or_compute(key, || {
+        self.models.get_or_compute(&key, || {
             let ts = self.training_set(id, vcpus, baseline, exclude_family)?;
             if ts.n_placements() < 2 {
                 return Err(PlacementError::NoProbePair {

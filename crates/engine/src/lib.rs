@@ -144,20 +144,21 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 mod descent;
 mod engine;
 mod host;
 pub mod rebalance;
 mod stats;
 
-pub use cache::{CacheCounters, KeyedCache};
 pub use engine::{
     BatchStrategy, EngineConfig, FitProbe, FleetClass, FleetIndex, MachineId, ModelArtifact,
     Placed, PlacementCatalog, PlacementDecision, PlacementEngine, PlacementRequest,
     PlacementTicket, ReleaseError, Resident,
 };
 pub use host::HostSnapshot;
+/// The memo behind catalogs, training sets and models; it lives in
+/// `vc-sync` so `vc-core`'s penalty memo is the same type.
+pub use vc_sync::cache::{self, CacheCounters, KeyedCache};
 pub use stats::{EngineStats, SketchCounters, SnapshotCounters, SummaryCounters};
 pub use rebalance::{Migration, RebalancePolicy, RebalanceReport, RebalanceTotals};
 pub use vc_core::interference::{InterferenceCounters, ResidentWorkload};

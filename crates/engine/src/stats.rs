@@ -4,8 +4,8 @@
 use vc_core::interference::InterferenceCounters;
 use vc_sync::Counter;
 
-use crate::cache::CacheCounters;
 use crate::engine::PlacementEngine;
+use vc_sync::CacheCounters;
 
 /// Counters for the lock-free capacity-summary prefilter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

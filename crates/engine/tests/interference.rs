@@ -212,13 +212,12 @@ fn interference_steers_best_score_away_from_busy_hosts() {
             .iter()
             .find(|w| w.name == name)
             .expect("suite workload")
-            .clone()
     };
     let resident_runs: Vec<ContainerRun> = off_residents
         .iter()
         .map(|p| ContainerRun {
             workload: workload_of("streamcluster"),
-            assignment: p.threads.clone(),
+            assignment: &p.threads,
         })
         .collect();
     let probe = SimConfig::interference_probe();
@@ -227,7 +226,7 @@ fn interference_steers_best_score_away_from_busy_hosts() {
         &intel,
         &ContainerRun {
             workload: workload_of("streamcluster"),
-            assignment: off_placed.threads.clone(),
+            assignment: &off_placed.threads,
         },
         &resident_runs,
         &probe,
@@ -238,7 +237,7 @@ fn interference_steers_best_score_away_from_busy_hosts() {
         &intel,
         &ContainerRun {
             workload: workload_of("streamcluster"),
-            assignment: on_placed.threads.clone(),
+            assignment: &on_placed.threads,
         },
         &[],
         &probe,

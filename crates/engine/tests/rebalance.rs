@@ -228,36 +228,35 @@ fn degraded_resident_is_migrated_and_measurably_faster() {
             .iter()
             .find(|w| w.name == name)
             .expect("suite workload")
-            .clone()
     };
     let probe = SimConfig::interference_probe();
     let before = simulate_co_location(
         &amd,
         &ContainerRun {
             workload: workload_of("streamcluster"),
-            assignment: resident.threads.clone(),
+            assignment: &resident.threads,
         },
         &[ContainerRun {
             workload: workload_of("WTbtree"),
-            assignment: victim.threads.clone(),
+            assignment: &victim.threads,
         }],
         &probe,
         0,
     );
-    let after_neighbours: Vec<ContainerRun> = engine
-        .residents(m.to)
-        .into_iter()
+    let neighbours = engine.residents(m.to);
+    let after_neighbours: Vec<ContainerRun> = neighbours
+        .iter()
         .filter(|r| r.ticket != m.ticket)
         .map(|r| ContainerRun {
             workload: workload_of(&r.request.workload),
-            assignment: r.threads,
+            assignment: &r.threads,
         })
         .collect();
     let after = simulate_co_location(
         &amd,
         &ContainerRun {
             workload: workload_of("streamcluster"),
-            assignment: m.placed.threads.clone(),
+            assignment: &m.placed.threads,
         },
         &after_neighbours,
         &probe,

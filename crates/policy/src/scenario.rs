@@ -176,8 +176,8 @@ impl PackingScenario {
         let runs: Vec<ContainerRun> = assignments
             .iter()
             .map(|a| ContainerRun {
-                workload: w.clone(),
-                assignment: a.clone(),
+                workload: &w,
+                assignment: a,
             })
             .collect();
         let result = simulate(&self.machine, &runs, &SimConfig::default(), seed);

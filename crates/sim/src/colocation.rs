@@ -16,8 +16,13 @@
 //! node, running [`resident_stand_in`] — a deliberately middle-of-road
 //! memory profile, since a thread-reservation map records *where*
 //! neighbours run but not *what* they run.
+//!
+//! [`simulate_co_location`] reports both directions of the damage and
+//! so solves every container alone as well; a caller that only scores
+//! the candidate uses [`simulate_candidate_penalty`], which solves two
+//! systems however many residents there are.
 
-use vc_topology::{Machine, NodeId, OccupancyMap, ThreadId};
+use vc_topology::{Machine, OccupancyMap, ThreadId};
 use vc_workloads::{Metric, Workload};
 
 use crate::engine::{simulate, ContainerPerf, ContainerRun, SimConfig};
@@ -88,25 +93,60 @@ pub fn simulate_co_location(
     cfg: &SimConfig,
     seed: u64,
 ) -> CoLocationReport {
-    let mut runs = Vec::with_capacity(1 + residents.len());
-    runs.push(candidate.clone());
-    runs.extend(residents.iter().cloned());
-    let mut joint = simulate(machine, &runs, cfg, seed).per_container;
+    let mut joint = simulate_joint(machine, candidate, residents, cfg, seed);
     let candidate_co = joint.remove(0);
-
-    let solo = |run: &ContainerRun| -> ContainerPerf {
-        simulate(machine, std::slice::from_ref(run), cfg, seed)
-            .per_container
-            .into_iter()
-            .next()
-            .expect("one container in, one out")
-    };
     CoLocationReport {
         candidate: candidate_co,
-        candidate_solo: solo(candidate),
+        candidate_solo: simulate_solo(machine, candidate, cfg, seed),
         residents: joint,
-        residents_solo: residents.iter().map(solo).collect(),
+        residents_solo: residents
+            .iter()
+            .map(|r| simulate_solo(machine, r, cfg, seed))
+            .collect(),
     }
+}
+
+/// [`CoLocationReport::candidate_penalty`] of
+/// [`simulate_co_location`] without the rest of the report: one joint
+/// solve and the candidate's solo solve. The residents' solo baselines
+/// — one more solve per resident — only feed the resident penalties,
+/// which a caller scoring the *candidate* never reads.
+pub fn simulate_candidate_penalty(
+    machine: &Machine,
+    candidate: &ContainerRun,
+    residents: &[ContainerRun],
+    cfg: &SimConfig,
+    seed: u64,
+) -> f64 {
+    let joint = simulate_joint(machine, candidate, residents, cfg, seed);
+    penalty(&joint[0], &simulate_solo(machine, candidate, cfg, seed))
+}
+
+/// Candidate first, residents after, one solve.
+fn simulate_joint(
+    machine: &Machine,
+    candidate: &ContainerRun,
+    residents: &[ContainerRun],
+    cfg: &SimConfig,
+    seed: u64,
+) -> Vec<ContainerPerf> {
+    let mut runs = Vec::with_capacity(1 + residents.len());
+    runs.push(*candidate);
+    runs.extend_from_slice(residents);
+    simulate(machine, &runs, cfg, seed).per_container
+}
+
+fn simulate_solo(
+    machine: &Machine,
+    run: &ContainerRun,
+    cfg: &SimConfig,
+    seed: u64,
+) -> ContainerPerf {
+    simulate(machine, std::slice::from_ref(run), cfg, seed)
+        .per_container
+        .into_iter()
+        .next()
+        .expect("one container in, one out")
 }
 
 /// The stand-in profile for residents whose real workload is unknown: a
@@ -136,37 +176,23 @@ pub fn resident_stand_in() -> Workload {
     }
 }
 
-/// Derives resident containers from an occupancy map: the used threads,
-/// grouped into one container per occupied node, each running
-/// `workload`.
+/// Derives resident containers from an occupancy map: the used
+/// threads, grouped into one container's assignment per occupied node
+/// (node-id order). Lend each group to a [`ContainerRun`] together with
+/// the workload the residents are assumed to run —
+/// [`resident_stand_in`] when nothing better is known.
 ///
 /// Per-node grouping keeps the stand-ins honest: a reservation map does
 /// not say which threads belong to one container, and merging all used
 /// threads into a single machine-spanning container would invent
 /// cross-node communication the residents may not have.
-pub fn residents_from_occupancy(
-    machine: &Machine,
-    occ: &OccupancyMap,
-    workload: &Workload,
-) -> Vec<ContainerRun> {
-    (0..machine.num_nodes())
-        .map(NodeId)
-        .filter_map(|node| {
-            let used: Vec<ThreadId> = machine
-                .threads_on_node(node)
-                .into_iter()
-                .filter(|&t| !occ.is_free(t))
-                .collect();
-            if used.is_empty() {
-                None
-            } else {
-                Some(ContainerRun {
-                    workload: workload.clone(),
-                    assignment: used,
-                })
-            }
-        })
-        .collect()
+pub fn residents_from_occupancy(machine: &Machine, occ: &OccupancyMap) -> Vec<Vec<ThreadId>> {
+    let mut groups = vec![Vec::new(); machine.num_nodes()];
+    for t in machine.threads().iter().filter(|t| !occ.is_free(t.id)) {
+        groups[t.node.index()].push(t.id);
+    }
+    groups.retain(|g| !g.is_empty());
+    groups
 }
 
 #[cfg(test)]
@@ -175,11 +201,39 @@ mod tests {
     use proptest::prelude::*;
     use vc_core::assign::assign_vcpus;
     use vc_core::placement::PlacementSpec;
-    use vc_topology::machines;
+    use vc_topology::{machines, NodeId};
     use vc_workloads::suite::workload_by_name;
 
-    fn noise_free() -> SimConfig {
-        SimConfig::interference_probe()
+    /// `workload` on `threads` next to one stand-in resident per
+    /// occupied node of `occ`, noise off.
+    fn against_stand_ins(
+        machine: &Machine,
+        workload: &str,
+        threads: &[ThreadId],
+        occ: &OccupancyMap,
+    ) -> CoLocationReport {
+        let workload = workload_by_name(workload).unwrap();
+        let stand_in = resident_stand_in();
+        let groups = residents_from_occupancy(machine, occ);
+        let residents: Vec<ContainerRun> = groups
+            .iter()
+            .map(|g| ContainerRun {
+                workload: &stand_in,
+                assignment: g,
+            })
+            .collect();
+        let candidate = ContainerRun {
+            workload: &workload,
+            assignment: threads,
+        };
+        let cfg = SimConfig::interference_probe();
+        let report = simulate_co_location(machine, &candidate, &residents, &cfg, 0);
+        assert_eq!(
+            simulate_candidate_penalty(machine, &candidate, &residents, &cfg, 0).to_bits(),
+            report.candidate_penalty().to_bits(),
+            "the candidate-only path must report the full report's penalty"
+        );
+        report
     }
 
     #[test]
@@ -191,7 +245,7 @@ mod tests {
     fn empty_occupancy_derives_no_residents() {
         let amd = machines::amd_opteron_6272();
         let occ = OccupancyMap::new(&amd);
-        assert!(residents_from_occupancy(&amd, &occ, &resident_stand_in()).is_empty());
+        assert!(residents_from_occupancy(&amd, &occ).is_empty());
     }
 
     #[test]
@@ -200,40 +254,31 @@ mod tests {
         let mut occ = OccupancyMap::new(&amd);
         occ.reserve(&amd.threads_on_node(NodeId(2))).unwrap();
         occ.reserve(&amd.threads_on_node(NodeId(5))[..4]).unwrap();
-        let residents = residents_from_occupancy(&amd, &occ, &resident_stand_in());
+        let residents = residents_from_occupancy(&amd, &occ);
         assert_eq!(residents.len(), 2);
-        assert_eq!(residents[0].assignment.len(), 8);
-        assert_eq!(residents[1].assignment.len(), 4);
+        assert_eq!(residents[0].len(), 8);
+        assert_eq!(residents[1].len(), 4);
         for r in &residents {
-            let node = amd.thread(r.assignment[0]).node;
-            assert!(r.assignment.iter().all(|&t| amd.thread(t).node == node));
-            assert!(r.assignment.iter().all(|&t| !occ.is_free(t)));
+            let node = amd.thread(r[0]).node;
+            assert!(r.iter().all(|&t| amd.thread(t).node == node));
+            assert!(r.iter().all(|&t| !occ.is_free(t)));
         }
     }
 
-    /// A 4-vCPU candidate pinned to the back half of node 0 (modules 2
-    /// and 3) — the residents get the front half.
-    fn half_node_candidate(workload: &str) -> (ContainerRun, Vec<ThreadId>) {
-        let amd = machines::amd_opteron_6272();
+    /// Node 0 of the AMD machine split in two: the back half (modules 2
+    /// and 3) for a 4-vCPU candidate, the front half for residents.
+    fn half_node_split(amd: &Machine) -> (Vec<ThreadId>, Vec<ThreadId>) {
         let node0 = amd.threads_on_node(NodeId(0));
-        (
-            ContainerRun {
-                workload: workload_by_name(workload).unwrap(),
-                assignment: node0[4..].to_vec(),
-            },
-            node0[..4].to_vec(),
-        )
+        (node0[4..].to_vec(), node0[..4].to_vec())
     }
 
     #[test]
     fn node_sharing_residents_degrade_the_candidate() {
         let amd = machines::amd_opteron_6272();
-        let (candidate, other_half) = half_node_candidate("streamcluster");
+        let (candidate, other_half) = half_node_split(&amd);
         let mut occ = OccupancyMap::new(&amd);
         occ.reserve(&other_half).unwrap();
-        let residents = residents_from_occupancy(&amd, &occ, &resident_stand_in());
-        assert_eq!(residents.len(), 1);
-        let report = simulate_co_location(&amd, &candidate, &residents, &noise_free(), 0);
+        let report = against_stand_ins(&amd, "streamcluster", &candidate, &occ);
         assert!(
             report.candidate_penalty() < 0.99,
             "bandwidth-bound candidate must feel node-sharing residents: {}",
@@ -242,35 +287,24 @@ mod tests {
         assert_eq!(report.resident_degradations().len(), 1);
         for d in report.resident_degradations() {
             assert!((0.0..1.0).contains(&d));
-            assert!(d > 0.0, "the candidate must also cost the residents something");
+            assert!(
+                d > 0.0,
+                "the candidate must also cost the residents something"
+            );
         }
     }
 
     #[test]
     fn disjoint_nodes_interfere_less_than_shared_nodes() {
         let amd = machines::amd_opteron_6272();
-        let (candidate, other_half) = half_node_candidate("streamcluster");
-        let resident = resident_stand_in();
+        let (candidate, other_half) = half_node_split(&amd);
         // Residents far away (node 2) vs on the candidate's own node.
         let mut far = OccupancyMap::new(&amd);
         far.reserve(&amd.threads_on_node(NodeId(2))[..4]).unwrap();
         let mut near = OccupancyMap::new(&amd);
         near.reserve(&other_half).unwrap();
-        let cfg = noise_free();
-        let far_report = simulate_co_location(
-            &amd,
-            &candidate,
-            &residents_from_occupancy(&amd, &far, &resident),
-            &cfg,
-            0,
-        );
-        let near_report = simulate_co_location(
-            &amd,
-            &candidate,
-            &residents_from_occupancy(&amd, &near, &resident),
-            &cfg,
-            0,
-        );
+        let far_report = against_stand_ins(&amd, "streamcluster", &candidate, &far);
+        let near_report = against_stand_ins(&amd, "streamcluster", &candidate, &near);
         assert!(
             near_report.candidate_penalty() < far_report.candidate_penalty(),
             "near {} vs far {}",
@@ -288,15 +322,11 @@ mod tests {
     fn report_is_deterministic_with_noise_off() {
         let amd = machines::amd_opteron_6272();
         let spec = PlacementSpec::on_nodes(8, vec![NodeId(3)], 4);
-        let candidate = ContainerRun {
-            workload: workload_by_name("canneal").unwrap(),
-            assignment: assign_vcpus(&amd, &spec).unwrap(),
-        };
+        let candidate = assign_vcpus(&amd, &spec).unwrap();
         let mut occ = OccupancyMap::new(&amd);
         occ.reserve(&amd.threads_on_node(NodeId(2))).unwrap();
-        let residents = residents_from_occupancy(&amd, &occ, &resident_stand_in());
-        let a = simulate_co_location(&amd, &candidate, &residents, &noise_free(), 0);
-        let b = simulate_co_location(&amd, &candidate, &residents, &noise_free(), 0);
+        let a = against_stand_ins(&amd, "canneal", &candidate, &occ);
+        let b = against_stand_ins(&amd, "canneal", &candidate, &occ);
         assert_eq!(a.candidate_penalty(), b.candidate_penalty());
         assert_eq!(a.resident_penalties(), b.resident_penalties());
     }
@@ -313,7 +343,7 @@ mod tests {
             base in 0usize..7,
         ) {
             let amd = machines::amd_opteron_6272();
-            let (candidate, other_half) = half_node_candidate("streamcluster");
+            let (candidate, other_half) = half_node_split(&amd);
             // Resident load grows over the candidate's own node first,
             // then spills onto node 1.
             let free: Vec<ThreadId> = other_half
@@ -324,14 +354,10 @@ mod tests {
             let heavier = (base + extra).min(free.len());
             prop_assume!(heavier > lighter);
 
-            let cfg = noise_free();
             let penalty_for = |n: usize| {
                 let mut occ = OccupancyMap::new(&amd);
                 occ.reserve(&free[..n]).unwrap();
-                let residents =
-                    residents_from_occupancy(&amd, &occ, &resident_stand_in());
-                simulate_co_location(&amd, &candidate, &residents, &cfg, 0)
-                    .candidate_penalty()
+                against_stand_ins(&amd, "streamcluster", &candidate, &occ).candidate_penalty()
             };
             let light = penalty_for(lighter);
             let heavy = penalty_for(heavier);

@@ -6,13 +6,15 @@ use vc_workloads::{Metric, Workload};
 use crate::noise::{measurement_rng, noise_factor};
 
 /// One container to simulate: a workload plus its concrete vCPU
-/// assignment.
-#[derive(Debug, Clone)]
-pub struct ContainerRun {
+/// assignment, both on loan from whoever keeps them (an oracle's
+/// workload table, a catalog's assignments, a host's registry) — a
+/// probe copies neither.
+#[derive(Debug, Clone, Copy)]
+pub struct ContainerRun<'a> {
     /// The workload descriptor.
-    pub workload: Workload,
+    pub workload: &'a Workload,
     /// vCPU index → hardware thread.
-    pub assignment: Vec<ThreadId>,
+    pub assignment: &'a [ThreadId],
 }
 
 /// Simulator parameters.
@@ -120,16 +122,22 @@ pub struct SimResult {
 /// 1.35x the capacity, saturating towards 1 beyond that; plus a small
 /// compulsory-miss floor.
 pub fn miss_curve(footprint_mib: f64, capacity_mib: f64) -> f64 {
-    const ALPHA: f64 = 1.35;
-    const P: f64 = 2.2;
+    miss_curve_at(MISS_ALPHA.powf(MISS_P), footprint_mib, capacity_mib)
+}
+
+const MISS_ALPHA: f64 = 1.35;
+const MISS_P: f64 = 2.2;
+
+/// [`miss_curve`] with `knee = MISS_ALPHA.powf(MISS_P)` supplied by
+/// the caller, so a solve raises the constant once.
+fn miss_curve_at(knee: f64, footprint_mib: f64, capacity_mib: f64) -> f64 {
     const FLOOR: f64 = 0.02;
     if capacity_mib <= 0.0 {
         return 1.0;
     }
     let x = (footprint_mib / capacity_mib).max(0.0);
-    let xp = x.powf(P);
-    let ap = ALPHA.powf(P);
-    FLOOR + (1.0 - FLOOR) * (xp / (xp + ap))
+    let xp = x.powf(MISS_P);
+    FLOOR + (1.0 - FLOOR) * (xp / (xp + knee))
 }
 
 /// Queueing multiplier for a resource at utilisation `u` (fraction of
@@ -139,245 +147,467 @@ pub fn queue_multiplier(u: f64) -> f64 {
     1.0 + 1.5 * u * u / (1.0 - u)
 }
 
-struct ThreadCtx {
-    container: usize,
-    node: NodeId,
-    l2: usize,
-    l3: usize,
-    core: usize,
+/// Where one container's traffic between an ordered pair of its nodes
+/// flows, and what the distance costs — everything about the pair that
+/// depends on the assignment and not on the rates.
+#[derive(Debug, Clone, Copy)]
+struct NodePair {
+    /// Links crossed, a→x then x→b (`links[..len]`); `None` when the
+    /// pair is unreachable even machine-wide, which loads nothing and
+    /// queues like a saturated link.
+    route: Option<([usize; 2], usize)>,
+    /// Extra cycles of a remote DRAM access before link queueing: the
+    /// first hop plus `remote_hop_cycles` per additional hop.
+    remote_cost: f64,
+    /// Extra cycles of a cross-node cache-line transfer for the hops
+    /// beyond the first.
+    extra_hop_cost: f64,
 }
 
-/// Simulates one or more containers sharing a machine and returns their
-/// steady-state performance.
-///
-/// # Panics
-///
-/// Panics if an assignment references a thread twice across all
-/// containers (hardware threads host at most one vCPU, §1) or is empty.
-pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
-    // Build thread contexts and check exclusivity.
-    let mut used = vec![false; machine.num_threads()];
-    let mut threads: Vec<ThreadCtx> = Vec::new();
-    for (ci, run) in runs.iter().enumerate() {
-        assert!(!run.assignment.is_empty(), "empty assignment");
-        for &t in &run.assignment {
-            assert!(
-                !used[t.index()],
-                "hardware thread {t} assigned to two vCPUs"
-            );
-            used[t.index()] = true;
-            let info = machine.thread(t);
-            threads.push(ThreadCtx {
-                container: ci,
-                node: info.node,
-                l2: info.l2_group.index(),
-                l3: info.l3_group.index(),
-                core: info.core.index(),
+impl NodePair {
+    /// The diagonal filler: never loaded, never read.
+    const LOCAL: NodePair = NodePair {
+        route: Some(([0; 2], 0)),
+        remote_cost: 0.0,
+        extra_hop_cost: 0.0,
+    };
+
+    /// Resolves the route a→b. Routing prefers links within
+    /// `preferred` (cpuset-bound traffic stays inside the container's
+    /// node set, consistent with the stream score) and falls back to
+    /// machine-wide routing when no internal route exists.
+    fn resolve(machine: &Machine, preferred: &[NodeId], a: NodeId, b: NodeId) -> NodePair {
+        let ic = machine.interconnect();
+        let lat = machine.latencies();
+        let route = ic
+            .route_within(a, b, preferred)
+            .or_else(|| {
+                let all: Vec<NodeId> = (0..machine.num_nodes()).map(NodeId).collect();
+                ic.route_within(a, b, &all)
+            })
+            .map(|route| {
+                let crossed = match route.via {
+                    None => [ic.link_between(a, b), None],
+                    Some(x) => [ic.link_between(a, x), ic.link_between(x, b)],
+                };
+                let mut links = [0; 2];
+                let mut len = 0;
+                for l in crossed.into_iter().flatten() {
+                    links[len] = l;
+                    len += 1;
+                }
+                (links, len)
+            });
+        let hops = ic.hops(a, b).unwrap_or(3) as f64;
+        NodePair {
+            route,
+            remote_cost: lat.remote_hop_cycles + (hops - 1.0) * lat.remote_hop_cycles,
+            extra_hop_cost: (hops - 1.0) * lat.remote_hop_cycles,
+        }
+    }
+
+    /// Adds `bytes_per_sec` of traffic to every link on the route.
+    #[inline]
+    fn add_load(&self, bytes_per_sec: f64, link_load: &mut [f64]) {
+        if let Some((links, len)) = self.route {
+            for &l in &links[..len] {
+                link_load[l] += bytes_per_sec;
+            }
+        }
+    }
+
+    /// Queueing multiplier of the most loaded link on the route.
+    #[inline]
+    fn queue_mult(&self, link_util: &[f64]) -> f64 {
+        let Some((links, len)) = self.route else {
+            return queue_multiplier(0.97);
+        };
+        let max_u = links[..len]
+            .iter()
+            .map(|&l| link_util[l])
+            .fold(0.0f64, f64::max);
+        queue_multiplier(max_u)
+    }
+}
+
+/// The per-container constants of the fixed point.
+struct ContainerPlan {
+    /// First thread of the container in [`Plan::class_of`] (threads are
+    /// laid out container by container, assignment order).
+    thread_base: usize,
+    /// Threads in the container.
+    threads: usize,
+    /// First of the container's `n` sorted, distinct nodes in
+    /// [`Plan::node_idx`] / [`Plan::partner_frac`].
+    node_base: usize,
+    /// Number of distinct nodes the container spans.
+    n: usize,
+    /// Row-major `n × n` block of the container in [`Plan::pairs`].
+    pair_base: usize,
+    /// Share of memory traffic each of the `n` nodes serves.
+    frac: f64,
+    /// Communication events per instruction.
+    comm_per_inst: f64,
+    /// Whether threads have partners to exchange cache lines with.
+    has_partners: bool,
+    /// Whether communication stalls contribute to the CPI at all.
+    has_comm: bool,
+    /// Exposed fraction of memory stall latency.
+    one_minus_mlp: f64,
+    /// Exposed fraction of communication stall latency.
+    comm_exposed: f64,
+    /// Every thread's starting instruction rate.
+    initial_rate: f64,
+}
+
+/// Threads of one container that the fixed point cannot tell apart:
+/// same node, same cache footprints and sharing counts, same pipeline
+/// sharing. They start at one rate and see one CPI every iteration, so
+/// the latency update runs once per class.
+struct ThreadClass {
+    container: usize,
+    /// Position of the class's node among the container's nodes.
+    si: usize,
+    /// Identity beyond (container, node): L2/L3 footprints, own-thread
+    /// counts on the L2/L3, pipeline multiplier — everything the miss
+    /// ratios and stall components are computed from.
+    key: (u64, u64, usize, usize, u64),
+    m2: f64,
+    m3: f64,
+    pipeline_mult: f64,
+    /// L3 misses per instruction.
+    miss_per_inst: f64,
+    /// L2 misses per instruction.
+    l2_miss_per_inst: f64,
+    cpi_core: f64,
+    /// Communication latency towards partners on the same L2 and L3.
+    comm_lat_local: f64,
+}
+
+/// Everything [`simulate`] derives from the assignment before the
+/// first iteration. Nothing in here depends on a rate.
+struct Plan {
+    containers: Vec<ContainerPlan>,
+    classes: Vec<ThreadClass>,
+    /// Thread → class, container by container in assignment order: the
+    /// order every load accumulates in.
+    class_of: Vec<usize>,
+    /// Node index of each (container, node position).
+    node_idx: Vec<usize>,
+    /// Fraction of a thread's partners on each (container, node
+    /// position); unused for single-thread containers.
+    partner_frac: Vec<f64>,
+    pairs: Vec<NodePair>,
+}
+
+impl Plan {
+    /// # Panics
+    ///
+    /// Panics if a thread is assigned twice or an assignment is empty.
+    fn build(machine: &Machine, runs: &[ContainerRun]) -> Plan {
+        let (n_l2, n_l3) = (machine.num_l2_groups(), machine.num_l3_groups());
+        let total_threads: usize = runs.iter().map(|r| r.assignment.len()).sum();
+
+        // Exclusivity, and the static occupancy counts: all threads per
+        // L2 / core, and each container's threads per L2 / L3.
+        let mut used = vec![false; machine.num_threads()];
+        let mut threads_per_l2 = vec![0usize; n_l2];
+        let mut per_core = vec![0usize; machine.num_cores()];
+        let mut c_on_l2 = vec![0usize; runs.len() * n_l2];
+        let mut c_on_l3 = vec![0usize; runs.len() * n_l3];
+        for (ci, run) in runs.iter().enumerate() {
+            assert!(!run.assignment.is_empty(), "empty assignment");
+            for &t in run.assignment {
+                assert!(
+                    !used[t.index()],
+                    "hardware thread {t} assigned to two vCPUs"
+                );
+                used[t.index()] = true;
+                let info = machine.thread(t);
+                threads_per_l2[info.l2_group.index()] += 1;
+                per_core[info.core.index()] += 1;
+                c_on_l2[ci * n_l2 + info.l2_group.index()] += 1;
+                c_on_l3[ci * n_l3 + info.l3_group.index()] += 1;
+            }
+        }
+
+        // Cache footprints.
+        let mut f2 = vec![0.0f64; n_l2];
+        let mut f3 = vec![0.0f64; n_l3];
+        for (ci, run) in runs.iter().enumerate() {
+            let w = run.workload;
+            for g in 0..n_l2 {
+                f2[g] += c_on_l2[ci * n_l2 + g] as f64 * w.ws_l2_mib;
+            }
+            for h in 0..n_l3 {
+                let on = c_on_l3[ci * n_l3 + h];
+                if on > 0 {
+                    // Private sets add per thread; the shared set replicates
+                    // per cache (uniform sharing touches all of it from every
+                    // node).
+                    f3[h] += on as f64 * w.ws_private_mib + w.ws_shared_mib;
+                }
+            }
+        }
+
+        let lat = machine.latencies();
+        let caches = machine.caches();
+        let clock_hz = machine.clock_ghz() * 1e9;
+        let curve_knee = MISS_ALPHA.powf(MISS_P);
+        let mut plan = Plan {
+            containers: Vec::with_capacity(runs.len()),
+            classes: Vec::new(),
+            class_of: Vec::with_capacity(total_threads),
+            node_idx: Vec::new(),
+            partner_frac: Vec::new(),
+            pairs: Vec::new(),
+        };
+        let mut nodes: Vec<NodeId> = Vec::new();
+        let mut on_node = vec![0usize; machine.num_nodes()];
+        for (ci, run) in runs.iter().enumerate() {
+            let w = run.workload;
+            nodes.clear();
+            nodes.extend(run.assignment.iter().map(|&t| machine.thread(t).node));
+            for &node in &nodes {
+                on_node[node.index()] += 1;
+            }
+            nodes.sort();
+            nodes.dedup();
+            let n = nodes.len();
+            let tc = run.assignment.len() as f64;
+            let has_partners = tc > 1.0;
+
+            let node_base = plan.node_idx.len();
+            for &node in &nodes {
+                plan.node_idx.push(node.index());
+                // Partner threads distributed over container nodes.
+                let on = std::mem::take(&mut on_node[node.index()]);
+                plan.partner_frac.push(if has_partners {
+                    on as f64 / run.assignment.len() as f64 * tc / (tc - 1.0)
+                } else {
+                    0.0
+                });
+            }
+            let pair_base = plan.pairs.len();
+            for (si, &a) in nodes.iter().enumerate() {
+                for (di, &b) in nodes.iter().enumerate() {
+                    plan.pairs.push(if si == di {
+                        NodePair::LOCAL
+                    } else {
+                        NodePair::resolve(machine, &nodes, a, b)
+                    });
+                }
+            }
+
+            let has_comm = has_partners && w.comm_per_kinst > 0.0;
+            let first_class = plan.classes.len();
+            for &t in run.assignment {
+                let info = machine.thread(t);
+                let (l2, l3) = (info.l2_group.index(), info.l3_group.index());
+                let (k2, k3) = (c_on_l2[ci * n_l2 + l2], c_on_l3[ci * n_l3 + l3]);
+                let smt_busy = per_core[info.core.index()] > 1;
+                let module_busy = machine.cores_per_l2() > 1 && threads_per_l2[l2] > 1;
+                let pipeline_mult = if smt_busy {
+                    w.smt_pair_speedup / 2.0
+                } else if module_busy {
+                    w.cmt_pair_speedup / 2.0
+                } else {
+                    1.0
+                };
+                let si = nodes
+                    .binary_search(&info.node)
+                    .expect("the node list holds every thread's node");
+                let key = (
+                    f2[l2].to_bits(),
+                    f3[l3].to_bits(),
+                    k2,
+                    k3,
+                    pipeline_mult.to_bits(),
+                );
+                let known = plan.classes[first_class..]
+                    .iter()
+                    .position(|c| c.si == si && c.key == key);
+                let class = first_class
+                    + known.unwrap_or_else(|| {
+                        // Cooperative sharing: co-located same-container
+                        // threads prefetch the shared stream for each
+                        // other, at both cache levels.
+                        let raw2 = miss_curve_at(curve_knee, f2[l2], caches.l2_size_mib);
+                        let m2 = raw2 * (1.0 - w.coop_prefetch * (1.0 - 1.0 / k2 as f64));
+                        let raw3 = miss_curve_at(curve_knee, f3[l3], caches.l3_size_mib);
+                        let m3 = raw3 * (1.0 - w.coop_prefetch * (1.0 - 1.0 / k3 as f64));
+                        let l2_miss_per_inst = (w.mem_per_kinst / 1000.0) * m2;
+                        // Communication latency by partner location.
+                        let comm_lat_local = if has_comm {
+                            let same_l2 = (k2 as f64 - 1.0).max(0.0) / (tc - 1.0);
+                            let same_l3 = ((k3 - k2) as f64).max(0.0) / (tc - 1.0);
+                            same_l2 * (lat.l2_cycles + 8.0) + same_l3 * lat.c2c_l3_cycles
+                        } else {
+                            0.0
+                        };
+                        plan.classes.push(ThreadClass {
+                            container: ci,
+                            si,
+                            key,
+                            m2,
+                            m3,
+                            pipeline_mult,
+                            miss_per_inst: l2_miss_per_inst * m3,
+                            l2_miss_per_inst,
+                            cpi_core: 1.0 / (w.ipc_base * pipeline_mult),
+                            comm_lat_local,
+                        });
+                        plan.classes.len() - 1 - first_class
+                    });
+                plan.class_of.push(class);
+            }
+
+            plan.containers.push(ContainerPlan {
+                thread_base: plan.class_of.len() - run.assignment.len(),
+                threads: run.assignment.len(),
+                node_base,
+                n,
+                pair_base,
+                frac: 1.0 / n as f64,
+                comm_per_inst: w.comm_per_kinst / 1000.0,
+                has_partners,
+                has_comm,
+                one_minus_mlp: 1.0 - w.mlp,
+                comm_exposed: 1.0 - 0.3 * w.mlp,
+                initial_rate: clock_hz * w.ipc_base * 0.5,
             });
         }
+        plan
     }
+}
 
-    // Container-level info.
-    let nodes_of: Vec<Vec<NodeId>> = runs
-        .iter()
-        .map(|r| {
-            let mut v: Vec<NodeId> = r
-                .assignment
-                .iter()
-                .map(|&t| machine.thread(t).node)
-                .collect();
-            v.sort();
-            v.dedup();
-            v
-        })
-        .collect();
+/// What the fixed point settles on.
+struct Solution {
+    /// Instruction rate per thread class.
+    rate: Vec<f64>,
+    /// `(core, memory, communication)` CPI components per thread class.
+    cpi_parts: Vec<(f64, f64, f64)>,
+    dram_util: Vec<f64>,
+    link_util: Vec<f64>,
+}
 
-    // Static occupancy counts.
-    let mut threads_per_l2 = vec![0usize; machine.num_l2_groups()];
-    let mut per_core = vec![0usize; machine.num_cores()];
-    // (container, l2/l3/node) counts.
-    let mut c_on_l2 = vec![vec![0usize; machine.num_l2_groups()]; runs.len()];
-    let mut c_on_l3 = vec![vec![0usize; machine.num_l3_groups()]; runs.len()];
-    for t in &threads {
-        threads_per_l2[t.l2] += 1;
-        per_core[t.core] += 1;
-        c_on_l2[t.container][t.l2] += 1;
-        c_on_l3[t.container][t.l3] += 1;
-    }
-
-    // Cache footprints (static given assignments).
-    let mut f2 = vec![0.0f64; machine.num_l2_groups()];
-    let mut f3 = vec![0.0f64; machine.num_l3_groups()];
-    for (ci, run) in runs.iter().enumerate() {
-        let w = &run.workload;
-        for g in 0..machine.num_l2_groups() {
-            f2[g] += c_on_l2[ci][g] as f64 * w.ws_l2_mib;
-        }
-        for h in 0..machine.num_l3_groups() {
-            if c_on_l3[ci][h] > 0 {
-                // Private sets add per thread; the shared set replicates
-                // per cache (uniform sharing touches all of it from every
-                // node).
-                f3[h] += c_on_l3[ci][h] as f64 * w.ws_private_mib + w.ws_shared_mib;
-            }
-        }
-    }
-
-    // Pipeline sharing multipliers (static).
-    let pipeline_mult: Vec<f64> = threads
-        .iter()
-        .map(|t| {
-            let w = &runs[t.container].workload;
-            let smt_busy = per_core[t.core] > 1;
-            let module_busy = machine.cores_per_l2() > 1 && threads_per_l2[t.l2] > 1;
-            if smt_busy {
-                w.smt_pair_speedup / 2.0
-            } else if module_busy {
-                w.cmt_pair_speedup / 2.0
-            } else {
-                1.0
-            }
-        })
-        .collect();
-
-    // Per-thread miss ratios (static).
+/// Runs the damped fixed point on instruction rates over `plan`.
+///
+/// Each iteration turns rates into DRAM and link loads, loads into
+/// queueing delays, and delays into new rates. Loads accumulate thread
+/// by thread, destination by destination, memory before communication —
+/// the float sums depend on that order — while the latency update runs
+/// once per [`ThreadClass`].
+fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
     let lat = machine.latencies();
-    let caches = machine.caches();
-    let mut m2 = vec![0.0f64; threads.len()];
-    let mut m3 = vec![0.0f64; threads.len()];
-    for (i, t) in threads.iter().enumerate() {
-        let w = &runs[t.container].workload;
-        let raw2 = miss_curve(f2[t.l2], caches.l2_size_mib);
-        // Cooperative sharing: co-located same-container threads prefetch
-        // the shared stream for each other, at both cache levels.
-        let k2 = c_on_l2[t.container][t.l2] as f64;
-        m2[i] = raw2 * (1.0 - w.coop_prefetch * (1.0 - 1.0 / k2));
-        let raw = miss_curve(f3[t.l3], caches.l3_size_mib);
-        let k = c_on_l3[t.container][t.l3] as f64;
-        m3[i] = raw * (1.0 - w.coop_prefetch * (1.0 - 1.0 / k));
-    }
-
-    // Fixed-point on instruction rates.
     let clock_hz = machine.clock_ghz() * 1e9;
-    let mut rate: Vec<f64> = threads
+    let dram_cap: Vec<f64> = machine
+        .nodes()
         .iter()
-        .map(|t| clock_hz * runs[t.container].workload.ipc_base * 0.5)
+        .map(|n| n.dram_bw_gbs * 1e9)
         .collect();
-    let mut cpi_parts = vec![(0.0f64, 0.0f64, 0.0f64); threads.len()];
-    let mut dram_util = vec![0.0f64; machine.num_nodes()];
-    let mut link_util = vec![0.0f64; machine.interconnect().links().len()];
+    let link_cap: Vec<f64> = machine
+        .interconnect()
+        .links()
+        .iter()
+        .map(|l| l.bandwidth_gbs * 1e9)
+        .collect();
+    let classes = &plan.classes;
+
+    let mut rate: Vec<f64> = classes
+        .iter()
+        .map(|cl| plan.containers[cl.container].initial_rate)
+        .collect();
+    let mut cpi_parts = vec![(0.0f64, 0.0f64, 0.0f64); classes.len()];
+    let mut dram_load = vec![0.0f64; dram_cap.len()];
+    let mut link_load = vec![0.0f64; link_cap.len()];
+    let mut dram_util = vec![0.0f64; dram_cap.len()];
+    let mut link_util = vec![0.0f64; link_cap.len()];
+    let mut q_dram = vec![0.0f64; dram_cap.len()];
+    let mut q_link = vec![0.0f64; plan.pairs.len()];
+    // Per class: memory bytes/s towards each of its container's nodes,
+    // and communication bytes/s in total.
+    let mut mem_share = vec![0.0f64; classes.len()];
+    let mut comm_bytes = vec![0.0f64; classes.len()];
     // Cesàro tail: mean rate over the last `tail_average` iterations
     // (see [`SimConfig::tail_average`]); empty when disabled.
     let tail = cfg.tail_average.min(cfg.iterations);
-    let mut rate_tail = vec![0.0f64; if tail > 0 { threads.len() } else { 0 }];
+    let mut rate_tail = vec![0.0f64; if tail > 0 { classes.len() } else { 0 }];
 
     for it in 0..cfg.iterations {
         // Demands.
-        let mut dram_load = vec![0.0f64; machine.num_nodes()];
-        let mut link_load = vec![0.0f64; machine.interconnect().links().len()];
-        for (i, t) in threads.iter().enumerate() {
-            let w = &runs[t.container].workload;
-            let miss_per_inst = (w.mem_per_kinst / 1000.0) * m2[i] * m3[i];
-            let bytes_per_sec = rate[i] * miss_per_inst * 64.0;
-            let targets = &nodes_of[t.container];
-            let frac = 1.0 / targets.len() as f64;
-            for &dest in targets {
-                dram_load[dest.index()] += bytes_per_sec * frac;
-                if dest != t.node {
-                    add_route_load(
-                        machine,
-                        &nodes_of[t.container],
-                        t.node,
-                        dest,
-                        bytes_per_sec * frac,
-                        &mut link_load,
-                    );
-                }
-            }
+        for (k, cl) in classes.iter().enumerate() {
+            let c = &plan.containers[cl.container];
+            mem_share[k] = rate[k] * cl.miss_per_inst * 64.0 * c.frac;
             // Communication traffic also crosses the interconnect.
-            let comm_bytes = rate[i] * (w.comm_per_kinst / 1000.0) * 64.0;
-            let tc = runs[t.container].assignment.len() as f64;
-            if tc > 1.0 {
-                for &dest in targets {
-                    if dest != t.node {
-                        // Partner threads distributed over container nodes.
-                        let partner_frac =
-                            node_thread_frac(&threads, t.container, dest) * tc / (tc - 1.0);
-                        add_route_load(
-                            machine,
-                            &nodes_of[t.container],
-                            t.node,
-                            dest,
-                            comm_bytes * partner_frac,
-                            &mut link_load,
-                        );
-                    }
+            comm_bytes[k] = rate[k] * c.comm_per_inst * 64.0;
+        }
+        dram_load.fill(0.0);
+        link_load.fill(0.0);
+        for &k in &plan.class_of {
+            let cl = &classes[k];
+            let c = &plan.containers[cl.container];
+            let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
+            let row = &plan.pairs[c.pair_base + cl.si * c.n..][..c.n];
+            for (di, &dest) in dests.iter().enumerate() {
+                dram_load[dest] += mem_share[k];
+                if di != cl.si {
+                    row[di].add_load(mem_share[k], &mut link_load);
+                }
+            }
+            if c.has_partners {
+                let partner_frac = &plan.partner_frac[c.node_base..c.node_base + c.n];
+                for di in (0..c.n).filter(|&di| di != cl.si) {
+                    row[di].add_load(comm_bytes[k] * partner_frac[di], &mut link_load);
                 }
             }
         }
-        for n in 0..machine.num_nodes() {
-            dram_util[n] = dram_load[n] / (machine.nodes()[n].dram_bw_gbs * 1e9);
+        for n in 0..dram_cap.len() {
+            dram_util[n] = dram_load[n] / dram_cap[n];
+            q_dram[n] = queue_multiplier(dram_util[n]);
         }
-        for (l, link) in machine.interconnect().links().iter().enumerate() {
-            link_util[l] = link_load[l] / (link.bandwidth_gbs * 1e9);
+        for l in 0..link_cap.len() {
+            link_util[l] = link_load[l] / link_cap[l];
+        }
+        for (q, pair) in q_link.iter_mut().zip(&plan.pairs) {
+            *q = pair.queue_mult(&link_util);
         }
 
         // Latencies and new rates.
-        for (i, t) in threads.iter().enumerate() {
-            let w = &runs[t.container].workload;
-            let targets = &nodes_of[t.container];
-            let frac = 1.0 / targets.len() as f64;
+        for (k, cl) in classes.iter().enumerate() {
+            let c = &plan.containers[cl.container];
+            let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
+            let row = c.pair_base + cl.si * c.n;
             let mut dram_lat = 0.0;
-            for &dest in targets {
-                let q_dram = queue_multiplier(dram_util[dest.index()]);
-                let mut access = lat.dram_cycles * q_dram;
-                if dest != t.node {
-                    // The first hop is part of the base remote cost; each
-                    // additional hop adds `remote_hop_cycles`.
-                    let hops = machine.interconnect().hops(t.node, dest).unwrap_or(3) as f64;
-                    let q_link =
-                        route_queue_mult(machine, &nodes_of[t.container], t.node, dest, &link_util);
-                    access +=
-                        (lat.remote_hop_cycles + (hops - 1.0) * lat.remote_hop_cycles) * q_link;
+            for (di, &dest) in dests.iter().enumerate() {
+                let mut access = lat.dram_cycles * q_dram[dest];
+                if di != cl.si {
+                    access += plan.pairs[row + di].remote_cost * q_link[row + di];
                 }
-                dram_lat += frac * access;
+                dram_lat += c.frac * access;
             }
-            let mem_stall_per_l2_miss = lat.l3_cycles + m3[i] * dram_lat;
-            let cpi_mem =
-                (w.mem_per_kinst / 1000.0) * m2[i] * mem_stall_per_l2_miss * (1.0 - w.mlp);
+            let mem_stall_per_l2_miss = lat.l3_cycles + cl.m3 * dram_lat;
+            let cpi_mem = cl.l2_miss_per_inst * mem_stall_per_l2_miss * c.one_minus_mlp;
 
-            // Communication latency by partner location.
-            let tc = runs[t.container].assignment.len() as f64;
-            let cpi_comm = if tc > 1.0 && w.comm_per_kinst > 0.0 {
-                let same_l2 = (c_on_l2[t.container][t.l2] as f64 - 1.0).max(0.0) / (tc - 1.0);
-                let same_l3 = ((c_on_l3[t.container][t.l3] - c_on_l2[t.container][t.l2]) as f64)
-                    .max(0.0)
-                    / (tc - 1.0);
-                let mut comm_lat = same_l2 * (lat.l2_cycles + 8.0) + same_l3 * lat.c2c_l3_cycles;
-                for &dest in targets {
-                    if dest == t.node {
-                        continue;
-                    }
-                    let p = node_thread_frac(&threads, t.container, dest) * tc / (tc - 1.0);
-                    let hops = machine.interconnect().hops(t.node, dest).unwrap_or(3) as f64;
-                    let q_link =
-                        route_queue_mult(machine, &nodes_of[t.container], t.node, dest, &link_util);
+            let cpi_comm = if c.has_comm {
+                let partner_frac = &plan.partner_frac[c.node_base..c.node_base + c.n];
+                let mut comm_lat = cl.comm_lat_local;
+                for di in (0..c.n).filter(|&di| di != cl.si) {
+                    let q = q_link[row + di];
                     // The base cross-node transfer cost covers the first
                     // hop; extra hops and loaded links add on top.
-                    comm_lat += p
-                        * (lat.c2c_remote_cycles * q_link
-                            + (hops - 1.0) * lat.remote_hop_cycles * q_link);
+                    comm_lat += partner_frac[di]
+                        * (lat.c2c_remote_cycles * q + plan.pairs[row + di].extra_hop_cost * q);
                 }
-                (w.comm_per_kinst / 1000.0) * comm_lat * (1.0 - 0.3 * w.mlp)
+                c.comm_per_inst * comm_lat * c.comm_exposed
             } else {
                 0.0
             };
 
-            let cpi_core = 1.0 / (w.ipc_base * pipeline_mult[i]);
-            let cpi = cpi_core + cpi_mem + cpi_comm;
+            let cpi = cl.cpi_core + cpi_mem + cpi_comm;
             let new_rate = clock_hz / cpi;
-            rate[i] = (1.0 - cfg.damping) * rate[i] + cfg.damping * new_rate;
-            cpi_parts[i] = (cpi_core, cpi_mem, cpi_comm);
+            rate[k] = (1.0 - cfg.damping) * rate[k] + cfg.damping * new_rate;
+            cpi_parts[k] = (cl.cpi_core, cpi_mem, cpi_comm);
         }
         if tail > 0 && cfg.iterations - it <= tail {
             for (acc, &r) in rate_tail.iter_mut().zip(&rate) {
@@ -390,37 +620,59 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
             *r = acc / tail as f64;
         }
     }
+    Solution {
+        rate,
+        cpi_parts,
+        dram_util,
+        link_util,
+    }
+}
+
+/// Simulates one or more containers sharing a machine and returns their
+/// steady-state performance.
+///
+/// The work splits into what depends on the assignment — thread
+/// fractions, routes, hop costs, miss ratios, thread classes — built
+/// once up front, and what depends on the rates — the fixed point
+/// itself, which then allocates nothing. The result is equal to the
+/// last bit to the per-thread solver kept as the oracle under
+/// `tests/support/reference.rs` (`tests/solver_equivalence.rs`).
+///
+/// # Panics
+///
+/// Panics if an assignment references a thread twice across all
+/// containers (hardware threads host at most one vCPU, §1) or is empty.
+pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
+    let plan = Plan::build(machine, runs);
+    let Solution {
+        rate,
+        cpi_parts,
+        dram_util,
+        link_util,
+    } = solve(machine, &plan, cfg);
+    let clock_hz = machine.clock_ghz() * 1e9;
 
     // Aggregate per container.
     let mut per_container = Vec::with_capacity(runs.len());
-    for (ci, run) in runs.iter().enumerate() {
-        let idx: Vec<usize> = threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.container == ci)
-            .map(|(i, _)| i)
-            .collect();
-        let n = idx.len() as f64;
-        let inst_per_sec: f64 = idx.iter().map(|&i| rate[i]).sum();
+    for (run, c) in runs.iter().zip(&plan.containers) {
+        let w = run.workload;
+        let n = c.threads as f64;
+        let classes = &plan.class_of[c.thread_base..c.thread_base + c.threads];
+        let inst_per_sec: f64 = classes.iter().map(|&k| rate[k]).sum();
         let ipc = inst_per_sec / n / clock_hz;
 
         // State means for the HPE layer.
-        let mean = |f: &dyn Fn(usize) -> f64| idx.iter().map(|&i| f(i)).sum::<f64>() / n;
-        let remote_fraction = 1.0 - 1.0 / nodes_of[ci].len() as f64;
-        let dram_u = nodes_of[ci]
-            .iter()
-            .map(|&d| dram_util[d.index()])
-            .sum::<f64>()
-            / nodes_of[ci].len() as f64;
+        let mean = |f: &dyn Fn(usize) -> f64| classes.iter().map(|&k| f(k)).sum::<f64>() / n;
+        let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
+        let remote_fraction = 1.0 - 1.0 / c.n as f64;
+        let dram_u = dests.iter().map(|&d| dram_util[d]).sum::<f64>() / c.n as f64;
         let link_u = {
             let mut acc = 0.0;
             let mut cnt = 0.0;
-            for &a in &nodes_of[ci] {
-                for &b in &nodes_of[ci] {
-                    if a < b {
-                        acc += route_queue_mult(machine, &nodes_of[ci], a, b, &link_util) - 1.0;
-                        cnt += 1.0;
-                    }
+            for a in 0..c.n {
+                for b in a + 1..c.n {
+                    acc += plan.pairs[c.pair_base + a * c.n + b].queue_mult(&link_util) - 1.0;
+                    cnt += 1.0;
                 }
             }
             if cnt > 0.0 {
@@ -430,30 +682,30 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
             }
         };
         let state = ContainerState {
-            l2_miss_ratio: mean(&|i| m2[i]),
-            l3_miss_ratio: mean(&|i| m3[i]),
+            l2_miss_ratio: mean(&|k| plan.classes[k].m2),
+            l3_miss_ratio: mean(&|k| plan.classes[k].m3),
             remote_fraction,
             dram_utilisation: dram_u,
             link_utilisation: link_u,
-            comm_latency_cycles: mean(&|i| {
-                let (_, _, comm) = cpi_parts[i];
-                if run.workload.comm_per_kinst > 0.0 {
-                    comm / (run.workload.comm_per_kinst / 1000.0).max(1e-12)
+            comm_latency_cycles: mean(&|k| {
+                let (_, _, comm) = cpi_parts[k];
+                if w.comm_per_kinst > 0.0 {
+                    comm / (w.comm_per_kinst / 1000.0).max(1e-12)
                 } else {
                     0.0
                 }
             }),
-            pipeline_mult: mean(&|i| pipeline_mult[i]),
-            cpi_core: mean(&|i| cpi_parts[i].0),
-            cpi_mem: mean(&|i| cpi_parts[i].1),
-            cpi_comm: mean(&|i| cpi_parts[i].2),
+            pipeline_mult: mean(&|k| plan.classes[k].pipeline_mult),
+            cpi_core: mean(&|k| cpi_parts[k].0),
+            cpi_mem: mean(&|k| cpi_parts[k].1),
+            cpi_comm: mean(&|k| cpi_parts[k].2),
         };
 
         // Measurement noise.
-        let mut rng = measurement_rng(&run.workload.name, &run.assignment, seed, 1);
+        let mut rng = measurement_rng(&w.name, run.assignment, seed, 1);
         let noisy_inst = inst_per_sec * noise_factor(&mut rng, cfg.perf_noise);
-        let metric_value = match run.workload.metric {
-            Metric::OpsPerSecond => noisy_inst / run.workload.inst_per_op,
+        let metric_value = match w.metric {
+            Metric::OpsPerSecond => noisy_inst / w.inst_per_op,
             Metric::Ipc => noisy_inst / clock_hz / n,
         };
         per_container.push(ContainerPerf {
@@ -464,83 +716,6 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
         });
     }
     SimResult { per_container }
-}
-
-/// Fraction of a container's threads residing on `node`.
-fn node_thread_frac(threads: &[ThreadCtx], container: usize, node: NodeId) -> f64 {
-    let total = threads.iter().filter(|t| t.container == container).count();
-    let on = threads
-        .iter()
-        .filter(|t| t.container == container && t.node == node)
-        .count();
-    on as f64 / total as f64
-}
-
-/// Adds `bytes_per_sec` of traffic to every link on the route a→b.
-///
-/// Routing prefers links within `preferred_nodes` (cpuset-bound traffic
-/// stays inside the container's node set, consistent with the stream
-/// score) and falls back to machine-wide routing when no internal route
-/// exists.
-fn add_route_load(
-    machine: &Machine,
-    preferred_nodes: &[NodeId],
-    a: NodeId,
-    b: NodeId,
-    bytes_per_sec: f64,
-    link_load: &mut [f64],
-) {
-    let ic = machine.interconnect();
-    let route = ic.route_within(a, b, preferred_nodes).or_else(|| {
-        let all: Vec<NodeId> = (0..machine.num_nodes()).map(NodeId).collect();
-        ic.route_within(a, b, &all)
-    });
-    let Some(route) = route else {
-        return;
-    };
-    match route.via {
-        None => {
-            if let Some(l) = ic.link_between(a, b) {
-                link_load[l] += bytes_per_sec;
-            }
-        }
-        Some(x) => {
-            if let Some(l) = ic.link_between(a, x) {
-                link_load[l] += bytes_per_sec;
-            }
-            if let Some(l) = ic.link_between(x, b) {
-                link_load[l] += bytes_per_sec;
-            }
-        }
-    }
-}
-
-/// Queueing multiplier of the most loaded link on the route a→b.
-fn route_queue_mult(
-    machine: &Machine,
-    preferred_nodes: &[NodeId],
-    a: NodeId,
-    b: NodeId,
-    link_util: &[f64],
-) -> f64 {
-    let ic = machine.interconnect();
-    let route = ic.route_within(a, b, preferred_nodes).or_else(|| {
-        let all: Vec<NodeId> = (0..machine.num_nodes()).map(NodeId).collect();
-        ic.route_within(a, b, &all)
-    });
-    let Some(route) = route else {
-        return queue_multiplier(0.97);
-    };
-    let links: Vec<usize> = match route.via {
-        None => ic.link_between(a, b).into_iter().collect(),
-        Some(x) => ic
-            .link_between(a, x)
-            .into_iter()
-            .chain(ic.link_between(x, b))
-            .collect(),
-    };
-    let max_u = links.iter().map(|&l| link_util[l]).fold(0.0f64, f64::max);
-    queue_multiplier(max_u)
 }
 
 #[cfg(test)]
@@ -557,8 +732,8 @@ mod tests {
         let result = simulate(
             machine,
             &[ContainerRun {
-                workload,
-                assignment,
+                workload: &workload,
+                assignment: &assignment,
             }],
             &SimConfig {
                 perf_noise: 0.0,
@@ -661,8 +836,8 @@ mod tests {
         let solo = simulate(
             &amd,
             &[ContainerRun {
-                workload: w.clone(),
-                assignment: solo_assign.clone(),
+                workload: &w,
+                assignment: &solo_assign,
             }],
             &SimConfig::default(),
             0,
@@ -684,12 +859,12 @@ mod tests {
             &amd,
             &[
                 ContainerRun {
-                    workload: w.clone(),
-                    assignment: solo_assign,
+                    workload: &w,
+                    assignment: &solo_assign,
                 },
                 ContainerRun {
-                    workload: w,
-                    assignment: free,
+                    workload: &w,
+                    assignment: &free,
                 },
             ],
             &SimConfig::default(),
@@ -741,12 +916,11 @@ mod tests {
     fn double_assignment_panics() {
         let amd = machines::amd_opteron_6272();
         let w = workload_by_name("gcc").unwrap();
-        let t = vec![ThreadId(0), ThreadId(0)];
         simulate(
             &amd,
             &[ContainerRun {
-                workload: w,
-                assignment: t,
+                workload: &w,
+                assignment: &[ThreadId(0), ThreadId(0)],
             }],
             &SimConfig::default(),
             0,

@@ -137,8 +137,8 @@ mod tests {
         let r = simulate(
             &amd,
             &[ContainerRun {
-                workload: workload.clone(),
-                assignment,
+                workload: &workload,
+                assignment: &assignment,
             }],
             &SimConfig::default(),
             0,

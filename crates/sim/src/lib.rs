@@ -34,7 +34,8 @@ pub mod oracle;
 pub mod os_sched;
 
 pub use colocation::{
-    resident_stand_in, residents_from_occupancy, simulate_co_location, CoLocationReport,
+    resident_stand_in, residents_from_occupancy, simulate_candidate_penalty, simulate_co_location,
+    CoLocationReport,
 };
 pub use engine::{simulate, ContainerPerf, ContainerRun, SimConfig, SimResult};
 pub use oracle::SimOracle;

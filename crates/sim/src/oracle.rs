@@ -1,5 +1,8 @@
 //! [`vc_core::model::PerfOracle`] implementation backed by the simulator.
 
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
+
 use vc_core::assign::assign_vcpus;
 use vc_core::interference::{InterferenceOracle, ResidentWorkload};
 use vc_core::model::PerfOracle;
@@ -7,7 +10,7 @@ use vc_core::placement::PlacementSpec;
 use vc_topology::{Machine, OccupancyMap, ThreadId};
 use vc_workloads::{generator, suite, Workload};
 
-use crate::colocation::{resident_stand_in, residents_from_occupancy, simulate_co_location};
+use crate::colocation::{resident_stand_in, residents_from_occupancy, simulate_candidate_penalty};
 use crate::engine::{simulate, ContainerRun, SimConfig};
 use crate::hpe;
 use crate::noise::measurement_rng;
@@ -19,16 +22,21 @@ pub struct SimOracle {
     machine: Machine,
     workloads: Vec<Workload>,
     config: SimConfig,
+    /// The canonical assignment of every spec measured so far. An
+    /// assignment is a pure function of (machine, spec), so it is kept
+    /// beside its spec instead of being rebuilt through a fresh
+    /// occupancy map on every probe; the table holds at most one entry
+    /// per valid spec of this machine, and callers probe catalog specs —
+    /// a few dozen per container size.
+    assignments: RwLock<HashMap<PlacementSpec, Arc<[ThreadId]>>>,
+    /// What residents of unknown workload are assumed to run.
+    stand_in: Workload,
 }
 
 impl SimOracle {
     /// Oracle over the paper suite on `machine`.
     pub fn new(machine: Machine) -> Self {
-        SimOracle {
-            machine,
-            workloads: suite::paper_suite(),
-            config: SimConfig::default(),
-        }
+        Self::with_synthetic(machine, 0, 0)
     }
 
     /// Oracle over the paper suite plus `extra_synthetic` generated
@@ -40,6 +48,8 @@ impl SimOracle {
             machine,
             workloads,
             config: SimConfig::default(),
+            assignments: RwLock::default(),
+            stand_in: resident_stand_in(),
         }
     }
 
@@ -66,21 +76,37 @@ impl SimOracle {
             .unwrap_or_else(|| panic!("unknown workload {name}"))
     }
 
+    /// The canonical assignment of `spec` on this machine, computed on
+    /// first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `spec` is not a valid placement of this machine;
+    /// `name` only labels the message.
+    fn assignment(&self, name: &str, spec: &PlacementSpec) -> Arc<[ThreadId]> {
+        let known = self.assignments.read().expect("assignment table poisoned");
+        if let Some(assignment) = known.get(spec) {
+            return Arc::clone(assignment);
+        }
+        drop(known);
+        let assignment: Arc<[ThreadId]> = assign_vcpus(&self.machine, spec)
+            .unwrap_or_else(|e| panic!("invalid placement for {name}: {e}"))
+            .into();
+        self.assignments
+            .write()
+            .expect("assignment table poisoned")
+            .insert(spec.clone(), Arc::clone(&assignment));
+        assignment
+    }
+
     /// Runs one container alone on the machine and returns its full
     /// simulated performance.
     pub fn run(&self, name: &str, spec: &PlacementSpec, seed: u64) -> crate::engine::ContainerPerf {
-        let workload = self.workload(name).clone();
-        let assignment = assign_vcpus(&self.machine, spec)
-            .unwrap_or_else(|e| panic!("invalid placement for {name}: {e}"));
-        let result = simulate(
-            &self.machine,
-            &[ContainerRun {
-                workload,
-                assignment,
-            }],
-            &self.config,
-            seed,
-        );
+        let run = ContainerRun {
+            workload: self.workload(name),
+            assignment: &self.assignment(name, spec),
+        };
+        let result = simulate(&self.machine, &[run], &self.config, seed);
         result
             .per_container
             .into_iter()
@@ -105,7 +131,9 @@ impl InterferenceOracle for SimOracle {
     /// noise-free, fixed-seed, with a tail-averaged fixed point — the
     /// penalty is a pure contention measurement, deterministic per
     /// `(workload, threads, occupancy, residents)`, which keeps
-    /// memoized penalties coherent across repeated queries.
+    /// memoized penalties coherent across repeated queries. It costs
+    /// two solves — the joint one and the candidate alone
+    /// ([`simulate_candidate_penalty`]) — whatever the resident count.
     ///
     /// # Panics
     ///
@@ -123,23 +151,30 @@ impl InterferenceOracle for SimOracle {
             return 1.0;
         }
         let candidate = ContainerRun {
-            workload: self.workload(workload).clone(),
-            assignment: threads.to_vec(),
+            workload: self.workload(workload),
+            assignment: threads,
         };
+        let stand_in_groups;
         let resident_runs: Vec<ContainerRun> = if residents.is_empty() {
-            residents_from_occupancy(&self.machine, occ, &resident_stand_in())
+            stand_in_groups = residents_from_occupancy(&self.machine, occ);
+            stand_in_groups
+                .iter()
+                .map(|group| ContainerRun {
+                    workload: &self.stand_in,
+                    assignment: group,
+                })
+                .collect()
         } else {
             residents
                 .iter()
                 .map(|r| ContainerRun {
-                    workload: self.workload(&r.workload).clone(),
-                    assignment: r.threads.clone(),
+                    workload: self.workload(&r.workload),
+                    assignment: &r.threads,
                 })
                 .collect()
         };
         let probe_config = SimConfig::interference_probe();
-        simulate_co_location(&self.machine, &candidate, &resident_runs, &probe_config, 0)
-            .candidate_penalty()
+        simulate_candidate_penalty(&self.machine, &candidate, &resident_runs, &probe_config, 0)
     }
 }
 
@@ -151,7 +186,7 @@ impl PerfOracle for SimOracle {
     fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
         let perf = self.run(workload, spec, seed);
         let w = self.workload(workload);
-        let assignment = assign_vcpus(&self.machine, spec).expect("validated in run");
+        let assignment = self.assignment(workload, spec);
         let mut rng = measurement_rng(workload, &assignment, seed, 2);
         hpe::synthesise(w, &perf, &mut rng, self.config.hpe_noise)
     }

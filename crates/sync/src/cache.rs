@@ -2,24 +2,27 @@
 //! hit/compute/eviction statistics.
 //!
 //! The engine's expensive intermediates (placement catalogs, training
-//! sets, trained models) are memoized behind [`KeyedCache`]s. Each key
-//! owns a [`OnceLock`] cell: when several threads request the same
-//! missing key concurrently, exactly one runs the compute closure and
-//! the rest block on the cell — repeated work is structurally
-//! impossible, not just unlikely.
+//! sets, trained models) and `vc-core`'s co-location penalties are
+//! memoized behind [`KeyedCache`]s. Each key owns a [`OnceLock`] cell:
+//! when several threads request the same missing key concurrently,
+//! exactly one runs the compute closure and the rest block on the cell
+//! — repeated work is structurally impossible, not just unlikely.
 //!
 //! A cache built with [`KeyedCache::bounded`] additionally evicts the
 //! least-recently-used *completed* entry once the resident key count
 //! exceeds the bound, so long-lived engines serving many
 //! `(vcpus, family)` combinations stay bounded in memory. In-flight
 //! cells (a compute still running) are never evicted; an evicted key is
-//! simply recomputed on its next request.
+//! simply recomputed on its next request. Recency is a logical clock
+//! stamped per lookup, so which entry goes is a function of the lookup
+//! history alone — never of the map's hash seed.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use vc_sync::Counter;
+use crate::Counter;
 
 /// Snapshot of one cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,23 +92,38 @@ impl<K, V> KeyedCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
     /// Returns the cached value for `key`, computing it with `f` on the
-    /// first request. Concurrent requests for the same missing key run
-    /// `f` exactly once; the map lock is *not* held while `f` runs, so
-    /// unrelated keys never contend. On bounded caches the insert may
-    /// evict the least-recently-used completed entry.
-    pub fn get_or_compute<F: FnOnce() -> V>(&self, key: K, f: F) -> V {
+    /// first request. The key is borrowed: a hit copies nothing, a miss
+    /// makes the owned key with [`ToOwned`]. Concurrent requests for
+    /// the same missing key run `f` exactly once; the map lock is *not*
+    /// held while `f` runs, so unrelated keys never contend. On bounded
+    /// caches the insert may evict the least-recently-used completed
+    /// entry.
+    pub fn get_or_compute<Q, F>(&self, key: &Q, f: F) -> V
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
+        F: FnOnce() -> V,
+    {
         self.lookups.incr();
         let stamp = self.tick.incr() + 1;
         let (cell, oversized) = {
             let mut map = self.map.lock().expect("cache lock poisoned");
-            let slot = map.entry(key.clone()).or_insert_with(|| Slot {
-                cell: Arc::new(OnceLock::new()),
-                last_used: 0,
-            });
-            slot.last_used = stamp;
-            let cell = Arc::clone(&slot.cell);
-            let oversized = self.capacity > 0 && map.len() > self.capacity;
-            (cell, oversized)
+            let cell = match map.get_mut(key) {
+                Some(slot) => {
+                    slot.last_used = stamp;
+                    Arc::clone(&slot.cell)
+                }
+                None => {
+                    let cell = Arc::new(OnceLock::new());
+                    let slot = Slot {
+                        cell: Arc::clone(&cell),
+                        last_used: stamp,
+                    };
+                    map.insert(key.to_owned(), slot);
+                    cell
+                }
+            };
+            (cell, self.capacity > 0 && map.len() > self.capacity)
         };
         let value = cell
             .get_or_init(|| {
@@ -118,7 +136,7 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
         // earlier eviction blocked by in-flight computes) is drained
         // after the value is ready.
         if oversized {
-            self.evict_beyond_capacity(&key);
+            self.evict_beyond_capacity(key);
         }
         value
     }
@@ -127,17 +145,23 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
     /// fits its bound. `just_used` (the key serving the current caller)
     /// and in-flight cells are never evicted; if only those remain, the
     /// cache is temporarily allowed to exceed the bound.
-    fn evict_beyond_capacity(&self, just_used: &K) {
+    fn evict_beyond_capacity<Q>(&self, just_used: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
+    {
         let mut map = self.map.lock().expect("cache lock poisoned");
         while map.len() > self.capacity {
             let victim: Option<K> = map
                 .iter()
-                .filter(|(k, slot)| *k != just_used && slot.cell.get().is_some())
+                .filter(|(k, slot)| {
+                    Borrow::<Q>::borrow(*k) != just_used && slot.cell.get().is_some()
+                })
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
-                    map.remove(&k);
+                    map.remove::<K>(&k);
                     self.evictions.incr();
                 }
                 None => break,
@@ -175,7 +199,7 @@ mod tests {
         let cache: KeyedCache<u32, u32> = KeyedCache::default();
         let runs = AtomicUsize::new(0);
         for _ in 0..5 {
-            let v = cache.get_or_compute(7, || {
+            let v = cache.get_or_compute(&7, || {
                 runs.fetch_add(1, Ordering::Relaxed);
                 42
             });
@@ -192,8 +216,8 @@ mod tests {
     #[test]
     fn distinct_keys_compute_separately() {
         let cache: KeyedCache<u32, u32> = KeyedCache::default();
-        assert_eq!(cache.get_or_compute(1, || 10), 10);
-        assert_eq!(cache.get_or_compute(2, || 20), 20);
+        assert_eq!(cache.get_or_compute(&1, || 10), 10);
+        assert_eq!(cache.get_or_compute(&2, || 20), 20);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.counters().computes, 2);
     }
@@ -206,7 +230,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for key in 0..16u32 {
-                        let v = cache.get_or_compute(key, || {
+                        let v = cache.get_or_compute(&key, || {
                             runs.fetch_add(1, Ordering::Relaxed);
                             // Widen the race window.
                             std::thread::yield_now();
@@ -224,17 +248,17 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
         let cache: KeyedCache<u32, u32> = KeyedCache::bounded(2);
-        cache.get_or_compute(1, || 10);
-        cache.get_or_compute(2, || 20);
+        cache.get_or_compute(&1, || 10);
+        cache.get_or_compute(&2, || 20);
         // Touch 1 so 2 becomes the LRU, then insert 3.
-        cache.get_or_compute(1, || unreachable!("cached"));
-        cache.get_or_compute(3, || 30);
+        cache.get_or_compute(&1, || unreachable!("cached"));
+        cache.get_or_compute(&3, || 30);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.counters().evictions, 1);
         // Key 1 survived; key 2 was evicted and recomputes.
         let runs = AtomicUsize::new(0);
-        cache.get_or_compute(1, || unreachable!("still cached"));
-        cache.get_or_compute(2, || {
+        cache.get_or_compute(&1, || unreachable!("still cached"));
+        cache.get_or_compute(&2, || {
             runs.fetch_add(1, Ordering::Relaxed);
             20
         });
@@ -245,7 +269,7 @@ mod tests {
     fn unbounded_cache_never_evicts() {
         let cache: KeyedCache<u32, u32> = KeyedCache::bounded(0);
         for k in 0..100 {
-            cache.get_or_compute(k, || k);
+            cache.get_or_compute(&k, || k);
         }
         assert_eq!(cache.len(), 100);
         assert_eq!(cache.counters().evictions, 0);
@@ -260,7 +284,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..64u32 {
                         let key = (t * 7 + i) % 32;
-                        let v = cache.get_or_compute(key, || key as u64 + 1000);
+                        let v = cache.get_or_compute(&key, || key as u64 + 1000);
                         assert_eq!(v, key as u64 + 1000);
                     }
                 });

@@ -20,6 +20,10 @@
 //!   is protected by the QSBR grace period.
 //! * [`counter::Counter`] — a `Relaxed` statistic nothing synchronizes
 //!   on; the one home of that ordering outside this crate's internals.
+//! * [`cache::KeyedCache`] — the workspace's one memo: compute-once per
+//!   key, LRU-bounded, counted with [`Counter`]s. It lives here because
+//!   both `vc-core` (co-location penalties) and `vc-engine` (catalogs,
+//!   training sets, models) need it and it needs nothing but `std`.
 //! * [`stress`] — a loom-style interleaving explorer with pluggable
 //!   backends ([`stress::Explorer::Exhaustive`] enumerates *every*
 //!   feasible schedule of the modelled steps;
@@ -54,11 +58,13 @@
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod cache;
 pub mod counter;
 pub mod qsbr;
 pub mod slot;
 pub mod stress;
 
+pub use cache::{CacheCounters, KeyedCache};
 pub use counter::Counter;
 pub use qsbr::{Domain, Guard};
 pub use slot::Slot;

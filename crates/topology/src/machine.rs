@@ -13,9 +13,11 @@
 //!   the node level.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::{CoreId, L2GroupId, L3GroupId, NodeId, ThreadId};
 use crate::interconnect::Interconnect;
+use crate::occupancy::OccupancyLayout;
 
 /// A NUMA node: one memory controller with local DRAM.
 #[derive(Debug, Clone)]
@@ -159,6 +161,9 @@ pub struct Machine {
     interconnect: Interconnect,
     caches: CacheConfig,
     latencies: LatencyConfig,
+    /// What every [`crate::OccupancyMap`] of this machine (and of its
+    /// clones) shares; a function of `threads` alone.
+    occupancy_layout: Arc<OccupancyLayout>,
 }
 
 impl Machine {
@@ -289,6 +294,11 @@ impl Machine {
     /// The thread metadata for `id`.
     pub fn thread(&self, id: ThreadId) -> &HwThread {
         &self.threads[id.index()]
+    }
+
+    /// The static half of this machine's occupancy maps.
+    pub(crate) fn occupancy_layout(&self) -> &Arc<OccupancyLayout> {
+        &self.occupancy_layout
     }
 
     /// A stable 64-bit fingerprint of the hardware description.
@@ -683,6 +693,8 @@ impl MachineBuilder {
             interconnect.add_link(NodeId(a), NodeId(b), bw);
         }
 
+        let occupancy_layout =
+            Arc::new(OccupancyLayout::of(&threads, nodes.len(), l2_groups.len()));
         let machine = Machine {
             name: self.name,
             clock_ghz: self.clock_ghz,
@@ -694,6 +706,7 @@ impl MachineBuilder {
             interconnect,
             caches: self.caches,
             latencies: self.latencies,
+            occupancy_layout,
         };
         machine.validate()?;
         Ok(machine)

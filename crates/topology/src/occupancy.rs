@@ -7,10 +7,14 @@
 //! counters per NUMA node and per L2 domain so admission logic can ask
 //! "does node `N2` still have four free threads?" in O(1).
 //!
-//! The map is self-contained: it copies the thread → node / L2-group
-//! mapping out of the [`Machine`] at construction and never touches the
-//! machine again, so it can live behind a lock on a serving path without
-//! borrowing the (much larger) topology description.
+//! The map is self-contained: it takes a reference-counted handle on
+//! the machine's thread → node / L2-group layout at construction and
+//! never touches the machine again, so it can live behind a lock on a
+//! serving path without borrowing the (much larger) topology
+//! description. The layout is built once per [`Machine`] and shared by
+//! every map of that machine and of its clones — a fleet's host states
+//! and published snapshots each own only the reservation flags and
+//! counters.
 //!
 //! # Examples
 //!
@@ -35,9 +39,10 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::{L2GroupId, NodeId, ThreadId};
-use crate::machine::Machine;
+use crate::machine::{HwThread, Machine};
 
 /// Errors from [`OccupancyMap::reserve`] / [`OccupancyMap::release`].
 ///
@@ -82,27 +87,58 @@ impl fmt::Display for OccupancyError {
 
 impl std::error::Error for OccupancyError {}
 
+/// The part of an [`OccupancyMap`] that is a function of the machine
+/// alone: where each thread lives and how many threads each node and L2
+/// group holds. Built once per [`Machine`] (its builder stores it) and
+/// shared by reference count.
+#[derive(Debug)]
+pub(crate) struct OccupancyLayout {
+    /// Owning node of each thread.
+    node_of: Vec<NodeId>,
+    /// Owning L2 group of each thread.
+    l2_of: Vec<L2GroupId>,
+    /// Threads per node, indexed by [`NodeId`] — exact even on machines
+    /// with uneven per-node thread counts.
+    cap_per_node: Vec<usize>,
+    /// Threads per L2 group, indexed by [`L2GroupId`].
+    cap_per_l2: Vec<usize>,
+}
+
+impl OccupancyLayout {
+    /// The layout of a machine with these threads.
+    pub(crate) fn of(threads: &[HwThread], num_nodes: usize, num_l2_groups: usize) -> Self {
+        // Derive per-node / per-L2 capacities from the actual thread
+        // metadata rather than assuming uniform machines: machines with
+        // offline cache domains have uneven nodes.
+        let mut cap_per_node = vec![0; num_nodes];
+        let mut cap_per_l2 = vec![0; num_l2_groups];
+        for t in threads {
+            cap_per_node[t.node.index()] += 1;
+            cap_per_l2[t.l2_group.index()] += 1;
+        }
+        OccupancyLayout {
+            node_of: threads.iter().map(|t| t.node).collect(),
+            l2_of: threads.iter().map(|t| t.l2_group).collect(),
+            cap_per_node,
+            cap_per_l2,
+        }
+    }
+}
+
 /// Which hardware threads of one machine are reserved, with per-node and
 /// per-L2-domain counters kept in sync.
 ///
 /// See the [module documentation](self) for an example.
 #[derive(Debug, Clone)]
 pub struct OccupancyMap {
+    /// The machine's static layout, shared with every other map of it.
+    layout: Arc<OccupancyLayout>,
     /// Per-thread reservation flags, indexed by [`ThreadId`].
     used: Vec<bool>,
-    /// Owning node of each thread.
-    node_of: Vec<NodeId>,
-    /// Owning L2 group of each thread.
-    l2_of: Vec<L2GroupId>,
     /// Reserved threads per node.
     used_per_node: Vec<usize>,
     /// Reserved threads per L2 group.
     used_per_l2: Vec<usize>,
-    /// Threads per node, indexed by [`NodeId`] — exact even on machines
-    /// with uneven per-node thread counts.
-    cap_per_node: Vec<usize>,
-    /// Threads per L2 group, indexed by [`L2GroupId`].
-    cap_per_l2: Vec<usize>,
     /// Total reserved threads.
     used_total: usize,
 }
@@ -110,24 +146,11 @@ pub struct OccupancyMap {
 impl OccupancyMap {
     /// An all-free map for `machine`.
     pub fn new(machine: &Machine) -> Self {
-        let threads = machine.threads();
-        // Derive per-node / per-L2 capacities from the actual thread
-        // metadata rather than assuming uniform machines: machines with
-        // offline cache domains have uneven nodes.
-        let mut cap_per_node = vec![0; machine.num_nodes()];
-        let mut cap_per_l2 = vec![0; machine.num_l2_groups()];
-        for t in threads {
-            cap_per_node[t.node.index()] += 1;
-            cap_per_l2[t.l2_group.index()] += 1;
-        }
         OccupancyMap {
-            used: vec![false; threads.len()],
-            node_of: threads.iter().map(|t| t.node).collect(),
-            l2_of: threads.iter().map(|t| t.l2_group).collect(),
+            layout: Arc::clone(machine.occupancy_layout()),
+            used: vec![false; machine.num_threads()],
             used_per_node: vec![0; machine.num_nodes()],
             used_per_l2: vec![0; machine.num_l2_groups()],
-            cap_per_node,
-            cap_per_l2,
             used_total: 0,
         }
     }
@@ -161,23 +184,23 @@ impl OccupancyMap {
     /// node's capacity). Prefer [`Self::capacity_of_node`] — it is exact
     /// on machines with uneven per-node thread counts.
     pub fn node_capacity(&self) -> usize {
-        self.cap_per_node.iter().copied().max().unwrap_or(0)
+        self.layout.cap_per_node.iter().copied().max().unwrap_or(0)
     }
 
     /// Hardware threads in the largest L2 group. Prefer
     /// [`Self::capacity_of_l2`] on machines with uneven domains.
     pub fn l2_capacity(&self) -> usize {
-        self.cap_per_l2.iter().copied().max().unwrap_or(0)
+        self.layout.cap_per_l2.iter().copied().max().unwrap_or(0)
     }
 
     /// Hardware threads on `node`.
     pub fn capacity_of_node(&self, node: NodeId) -> usize {
-        self.cap_per_node[node.index()]
+        self.layout.cap_per_node[node.index()]
     }
 
     /// Hardware threads in L2 group `l2`.
     pub fn capacity_of_l2(&self, l2: L2GroupId) -> usize {
-        self.cap_per_l2[l2.index()]
+        self.layout.cap_per_l2[l2.index()]
     }
 
     /// Whether `thread` is currently free.
@@ -188,7 +211,7 @@ impl OccupancyMap {
     /// The NUMA node `thread` lives on (the map is self-contained, so
     /// callers need not keep the [`Machine`] around to answer this).
     pub fn node_of(&self, thread: ThreadId) -> NodeId {
-        self.node_of[thread.index()]
+        self.layout.node_of[thread.index()]
     }
 
     /// Reserved threads on `node`.
@@ -198,7 +221,7 @@ impl OccupancyMap {
 
     /// Free threads on `node`.
     pub fn free_on_node(&self, node: NodeId) -> usize {
-        self.cap_per_node[node.index()] - self.used_per_node[node.index()]
+        self.layout.cap_per_node[node.index()] - self.used_per_node[node.index()]
     }
 
     /// Reserved threads in L2 group `l2`.
@@ -208,7 +231,7 @@ impl OccupancyMap {
 
     /// Free threads in L2 group `l2`.
     pub fn free_in_l2(&self, l2: L2GroupId) -> usize {
-        self.cap_per_l2[l2.index()] - self.used_per_l2[l2.index()]
+        self.layout.cap_per_l2[l2.index()] - self.used_per_l2[l2.index()]
     }
 
     /// Whether `node` is completely untouched (no reservations).
@@ -221,7 +244,7 @@ impl OccupancyMap {
         self.used_per_node
             .iter()
             .enumerate()
-            .map(|(i, &u)| (NodeId(i), u, self.cap_per_node[i]))
+            .map(|(i, &u)| (NodeId(i), u, self.layout.cap_per_node[i]))
             .collect()
     }
 
@@ -232,7 +255,7 @@ impl OccupancyMap {
             .used_per_node
             .iter()
             .enumerate()
-            .min_by_key(|&(i, &u)| (self.cap_per_node[i] - u, i))
+            .min_by_key(|&(i, &u)| (self.layout.cap_per_node[i] - u, i))
             .map(|(i, _)| i)
             .unwrap_or(0);
         NodeId(i)
@@ -249,13 +272,13 @@ impl OccupancyMap {
             if reserving && self.used[t.index()] {
                 return Err(OccupancyError::AlreadyReserved {
                     thread: t,
-                    node: self.node_of[t.index()],
+                    node: self.layout.node_of[t.index()],
                 });
             }
             if !reserving && !self.used[t.index()] {
                 return Err(OccupancyError::NotReserved {
                     thread: t,
-                    node: self.node_of[t.index()],
+                    node: self.layout.node_of[t.index()],
                 });
             }
         }
@@ -267,8 +290,8 @@ impl OccupancyMap {
         self.check(threads, true)?;
         for &t in threads {
             self.used[t.index()] = true;
-            self.used_per_node[self.node_of[t.index()].index()] += 1;
-            self.used_per_l2[self.l2_of[t.index()].index()] += 1;
+            self.used_per_node[self.layout.node_of[t.index()].index()] += 1;
+            self.used_per_l2[self.layout.l2_of[t.index()].index()] += 1;
         }
         self.used_total += threads.len();
         Ok(())
@@ -279,8 +302,8 @@ impl OccupancyMap {
         self.check(threads, false)?;
         for &t in threads {
             self.used[t.index()] = false;
-            self.used_per_node[self.node_of[t.index()].index()] -= 1;
-            self.used_per_l2[self.l2_of[t.index()].index()] -= 1;
+            self.used_per_node[self.layout.node_of[t.index()].index()] -= 1;
+            self.used_per_l2[self.layout.l2_of[t.index()].index()] -= 1;
         }
         self.used_total -= threads.len();
         Ok(())
@@ -293,7 +316,7 @@ impl fmt::Display for OccupancyMap {
             .used_per_node
             .iter()
             .enumerate()
-            .map(|(i, u)| format!("N{i}:{u}/{}", self.cap_per_node[i]))
+            .map(|(i, u)| format!("N{i}:{u}/{}", self.layout.cap_per_node[i]))
             .collect();
         write!(
             f,
@@ -325,6 +348,27 @@ mod tests {
             assert_eq!(occ.free_on_node(NodeId(n)), 8);
             assert!(occ.node_is_pristine(NodeId(n)));
         }
+    }
+
+    #[test]
+    fn maps_of_one_machine_share_the_layout_allocation() {
+        let m = amd();
+        let (a, b) = (OccupancyMap::new(&m), OccupancyMap::new(&m));
+        assert!(Arc::ptr_eq(&a.layout, &b.layout));
+        // A published snapshot is a clone; a fleet's hosts hold clones
+        // of one registered machine.
+        let mut snapshot = a.clone();
+        assert!(Arc::ptr_eq(&a.layout, &snapshot.layout));
+        assert!(Arc::ptr_eq(
+            &a.layout,
+            &OccupancyMap::new(&m.clone()).layout
+        ));
+        // The reservation state stays private to each map.
+        snapshot.reserve(&[ThreadId(0)]).unwrap();
+        assert!(a.is_free(ThreadId(0)) && !snapshot.is_free(ThreadId(0)));
+        assert_eq!(snapshot.node_of(ThreadId(0)), a.node_of(ThreadId(0)));
+        // A separately built machine has its own.
+        assert!(!Arc::ptr_eq(&a.layout, &OccupancyMap::new(&amd()).layout));
     }
 
     #[test]

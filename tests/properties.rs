@@ -135,7 +135,7 @@ proptest! {
         let assignment: Vec<_> = machine.threads().iter().map(|t| t.id).take(4).collect();
         let result = simulate(
             &machine,
-            &[ContainerRun { workload: w, assignment }],
+            &[ContainerRun { workload: &w, assignment: &assignment }],
             &SimConfig::default(),
             seed,
         );
@@ -158,7 +158,7 @@ proptest! {
         let perf = |assignment: Vec<_>| {
             simulate(
                 &machine,
-                &[ContainerRun { workload: w.clone(), assignment }],
+                &[ContainerRun { workload: &w, assignment: &assignment }],
                 &SimConfig { perf_noise: 0.0, ..SimConfig::default() },
                 0,
             )
