@@ -2,6 +2,7 @@
 //! candidate host, plus the capacity probe and the rejection
 //! explanation built on the same two predicates.
 
+use vc_sync::lock::LockScope;
 use vc_topology::{AvailabilitySketch, CapacitySummary, NodeId};
 
 use crate::engine::{Candidate, FitProbe, MachineId, PlacementEngine, PlacementRequest};
@@ -73,9 +74,10 @@ impl PlacementEngine {
     /// full-scan count (at rest; regression-tested against a reference
     /// scan).
     pub fn can_fit(&self, req: &PlacementRequest) -> FitProbe {
+        let scope = LockScope::new();
         let mut probe = FitProbe::default();
         for class in 0..self.fleet.num_classes() {
-            let Ok(cand) = self.evaluate(class, req) else {
+            let Ok(cand) = self.evaluate(&scope, class, req) else {
                 continue;
             };
             if !cand.goal_met() || cand.goal_shapes.is_empty() {
@@ -317,12 +319,12 @@ mod tests {
         let b = engine.add_machine(machines::amd_opteron_6272());
         let all: Vec<_> = engine.machine(b).threads().iter().map(|t| t.id).collect();
         engine
-            .lock_host(&engine.hosts[b.0])
+            .lock_host(&mut LockScope::new(), &engine.hosts[b.0])
             .reserve(&all)
             .unwrap();
 
         let cand = engine
-            .evaluate(0, &PlacementRequest::new("swaptions", 16))
+            .evaluate(&LockScope::new(), 0, &PlacementRequest::new("swaptions", 16))
             .unwrap();
         let viable = [Some(&cand)];
         let before = engine.stats();

@@ -1,7 +1,7 @@
 //! The [`PlacementEngine`]: a long-lived, thread-safe placement service.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use vc_core::availability::{AvailabilityIndex, AvailablePlacement, ShapeRequirement};
 use vc_core::concern::ConcernSet;
@@ -16,6 +16,7 @@ use vc_core::packing::Packing;
 use vc_core::placement::{PlacementError, PlacementSpec};
 use vc_ml::forest::ForestConfig;
 use vc_sim::SimOracle;
+use vc_sync::lock::{LeafMutex, LockScope};
 use vc_sync::{Counter, Domain, KeyedCache};
 use vc_topology::{AvailabilitySketch, CapacitySummary, Machine, NodeId, OccupancyMap, ThreadId};
 
@@ -704,15 +705,14 @@ pub struct PlacementEngine {
     /// absent here is definitely not live. The *location* a reader
     /// copies out can go stale the instant the map unlocks, which is
     /// why `release` re-validates against the host registry and
-    /// retries. Lock order is host → locations (this mutex is only
-    /// ever taken nested inside a host lock, or alone), so it can
-    /// never participate in a deadlock cycle with the host locks.
-    locations: Mutex<HashMap<u64, usize>>,
+    /// retries. A leaf: entered on the scope or under a host guard,
+    /// never around another lock.
+    pub(crate) locations: LeafMutex<HashMap<u64, usize>>,
     /// Ticket → pass index of the ticket's last executed rebalance
     /// move. Consulted only by [`Self::rebalance`] (never on the
     /// admission or release path), pruned at the start of every pass,
     /// and empty whenever the policy's cooldown is zero.
-    move_cooldowns: Mutex<HashMap<u64, u64>>,
+    pub(crate) move_cooldowns: LeafMutex<HashMap<u64, u64>>,
 }
 
 impl PlacementEngine {
@@ -733,8 +733,8 @@ impl PlacementEngine {
             counters: Counters::default(),
             domain: Domain::new(),
             next_ticket: Counter::new(),
-            locations: Mutex::new(HashMap::new()),
-            move_cooldowns: Mutex::new(HashMap::new()),
+            locations: LeafMutex::default(),
+            move_cooldowns: LeafMutex::default(),
         }
     }
 
@@ -886,40 +886,22 @@ impl PlacementEngine {
         &self.fleet.classes[self.hosts[id.0].class]
     }
 
-    /// The machine's oracle as a shareable trait object.
+    /// The machine's oracle as a shareable trait object. For external
+    /// callers: the engine itself reaches oracles through its scope.
     pub fn oracle(&self, id: MachineId) -> SharedOracle {
-        Arc::clone(&self.hosts[id.0].oracle) as SharedOracle
+        Arc::clone(self.hosts[id.0].sim(&LockScope::new())) as SharedOracle
     }
 
     /// The machine's concrete simulator oracle (for experiment harnesses
     /// that need the workload list).
     pub fn sim_oracle(&self, id: MachineId) -> Arc<SimOracle> {
-        Arc::clone(&self.hosts[id.0].oracle)
-    }
-
-    /// Acquires the ticket-location map, recovering a poisoned guard
-    /// (the map is structurally valid after any panic: inserts and
-    /// removes are atomic at map granularity).
-    pub(crate) fn locations_lock(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
-        self.locations.lock().unwrap_or_else(|poisoned| {
-            self.counters.lock_poison_recoveries.incr();
-            poisoned.into_inner()
-        })
+        Arc::clone(self.hosts[id.0].sim(&LockScope::new()))
     }
 
     /// Starts a rebalance pass: bumps the engine-wide pass clock and
     /// returns the (1-based) index of the pass being started.
     pub(crate) fn begin_rebalance_pass(&self) -> u64 {
         self.counters.rebalance_passes.incr() + 1
-    }
-
-    /// The move-cooldown map (ticket → pass of last move), recovering a
-    /// poisoned guard like the other bookkeeping locks.
-    pub(crate) fn cooldowns_lock(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
-        self.move_cooldowns.lock().unwrap_or_else(|poisoned| {
-            self.counters.lock_poison_recoveries.incr();
-            poisoned.into_inner()
-        })
     }
 
     /// (used, total) hardware threads on a machine. Wait-free.
@@ -996,8 +978,11 @@ impl PlacementEngine {
         // updated under the mover's host locks, so the re-read
         // converges. A ticket absent from the map is authoritatively
         // dead: only release removes entries.
+        let mut scope = LockScope::new();
         loop {
-            let location = self.locations_lock().get(&placed.ticket.0).copied();
+            let location = self
+                .locations
+                .with(&mut scope, |map| map.get(&placed.ticket.0).copied());
             let Some(idx) = location else {
                 self.counters.release_failures.incr();
                 return Err(ReleaseError::UnknownPlacement {
@@ -1005,7 +990,7 @@ impl PlacementEngine {
                     machine: placed.machine,
                 });
             };
-            let mut host = self.lock_host(&self.hosts[idx]);
+            let mut host = self.lock_host(&mut scope, &self.hosts[idx]);
             if let Some(resident) = host.remove_resident(placed.ticket) {
                 // Drop the location entry *before* freeing the threads:
                 // should the release panic (it cannot, by invariant —
@@ -1013,7 +998,8 @@ impl PlacementEngine {
                 // must tolerate a panic at every step), the ticket is
                 // already unresolvable and no later caller can spin on
                 // a registry that will never hold it again.
-                self.locations_lock().remove(&placed.ticket.0);
+                self.locations
+                    .with(host.witness(), |map| map.remove(&placed.ticket.0));
                 host.release(&resident.threads);
                 self.counters.releases.incr();
                 return Ok(());
@@ -1025,6 +1011,17 @@ impl PlacementEngine {
     /// machine fingerprint).
     pub fn catalog(
         &self,
+        id: MachineId,
+        vcpus: usize,
+    ) -> Result<Arc<PlacementCatalog>, PlacementError> {
+        self.catalog_in(&LockScope::new(), id, vcpus)
+    }
+
+    /// [`Self::catalog`] inside a caller's scope: a cold miss
+    /// enumerates, so it never runs under a host lock.
+    fn catalog_in(
+        &self,
+        _scope: &LockScope,
         id: MachineId,
         vcpus: usize,
     ) -> Result<Arc<PlacementCatalog>, PlacementError> {
@@ -1066,7 +1063,18 @@ impl PlacementEngine {
         baseline: usize,
         exclude_family: Option<&str>,
     ) -> Result<Arc<TrainingSet>, PlacementError> {
-        let host = &self.hosts[id.0];
+        self.training_set_in(&LockScope::new(), id, vcpus, baseline, exclude_family)
+    }
+
+    fn training_set_in(
+        &self,
+        scope: &LockScope,
+        id: MachineId,
+        vcpus: usize,
+        baseline: usize,
+        exclude_family: Option<&str>,
+    ) -> Result<Arc<TrainingSet>, PlacementError> {
+        let oracle = self.hosts[id.0].sim(scope);
         let key = (
             self.class_of(id).topo,
             vcpus,
@@ -1074,9 +1082,8 @@ impl PlacementEngine {
             exclude_family.map(str::to_string),
         );
         self.training_sets.get_or_compute(&key, || {
-            let catalog = self.catalog(id, vcpus)?;
-            let workloads: Vec<TrainingWorkload> = host
-                .oracle
+            let catalog = self.catalog_in(scope, id, vcpus)?;
+            let workloads: Vec<TrainingWorkload> = oracle
                 .workloads()
                 .iter()
                 .filter(|w| exclude_family != Some(w.family.as_str()))
@@ -1086,7 +1093,7 @@ impl PlacementEngine {
                 })
                 .collect();
             Ok(Arc::new(TrainingSet::build(
-                host.oracle.as_ref(),
+                oracle.as_ref(),
                 &workloads,
                 &catalog.placements,
                 baseline,
@@ -1106,6 +1113,17 @@ impl PlacementEngine {
         baseline: usize,
         exclude_family: Option<&str>,
     ) -> Result<Arc<ModelArtifact>, PlacementError> {
+        self.model_in(&LockScope::new(), id, vcpus, baseline, exclude_family)
+    }
+
+    fn model_in(
+        &self,
+        scope: &LockScope,
+        id: MachineId,
+        vcpus: usize,
+        baseline: usize,
+        exclude_family: Option<&str>,
+    ) -> Result<Arc<ModelArtifact>, PlacementError> {
         let key = (
             self.class_of(id).topo,
             vcpus,
@@ -1113,7 +1131,7 @@ impl PlacementEngine {
             exclude_family.map(str::to_string),
         );
         self.models.get_or_compute(&key, || {
-            let ts = self.training_set(id, vcpus, baseline, exclude_family)?;
+            let ts = self.training_set_in(scope, id, vcpus, baseline, exclude_family)?;
             if ts.n_placements() < 2 {
                 return Err(PlacementError::NoProbePair {
                     placements: ts.n_placements(),
@@ -1146,6 +1164,7 @@ impl PlacementEngine {
     /// live occupancy.
     pub(crate) fn evaluate(
         &self,
+        scope: &LockScope,
         class: usize,
         req: &PlacementRequest,
     ) -> Result<Candidate, String> {
@@ -1155,7 +1174,8 @@ impl PlacementEngine {
         let fc = &self.fleet.classes[class];
         let rep = fc.members[0];
         let host = &self.hosts[rep.0];
-        if !host.oracle.workloads().iter().any(|w| w.name == req.workload) {
+        let oracle = host.sim(scope);
+        if !oracle.workloads().iter().any(|w| w.name == req.workload) {
             return Err(format!(
                 "workload {} unknown on machine {}",
                 req.workload,
@@ -1166,11 +1186,11 @@ impl PlacementEngine {
         // requests do no probing or prediction.
         self.counters.evaluations.incr();
         let catalog = self
-            .catalog(rep, req.vcpus)
+            .catalog_in(scope, rep, req.vcpus)
             .map_err(|e| format!("{}: {e}", host.machine.name()))?;
         let probe = |placement: usize, seed: u64| {
             let spec = &catalog.placements[placement].spec;
-            host.oracle.perf(&req.workload, spec, seed)
+            oracle.perf(&req.workload, spec, seed)
         };
         // With a single important placement there is nothing to
         // predict — the one probe *is* the answer — and no second
@@ -1181,7 +1201,7 @@ impl PlacementEngine {
         } else {
             let baseline = fc.baseline.min(catalog.placements.len() - 1);
             let artifact = self
-                .model(rep, req.vcpus, baseline, None)
+                .model_in(scope, rep, req.vcpus, baseline, None)
                 .map_err(|e| format!("{}: {e}", host.machine.name()))?;
             let anchor_perf = probe(artifact.baseline, req.probe_seed);
             let other_perf = probe(artifact.probe, req.probe_seed.wrapping_add(1));
@@ -1248,6 +1268,7 @@ impl PlacementEngine {
     /// class's adjusted prediction fell below the goal.
     fn best_available(
         &self,
+        scope: &LockScope,
         host: &Host,
         cand: &Candidate,
         occ: &OccupancyMap,
@@ -1265,7 +1286,7 @@ impl PlacementEngine {
                 continue;
             }
             let penalty = if self.cfg.interference {
-                host.interference.penalty(
+                host.interference(scope).penalty(
                     &cand.request.workload,
                     &ap.spec.nodes,
                     &ap.threads,
@@ -1318,7 +1339,7 @@ impl PlacementEngine {
     /// against the host view — wait-free (zero lock acquisitions), so
     /// BestScore dry runs never contend with writers and penalty cold
     /// misses simulate with no lock held.
-    fn offer(&self, id: MachineId, cand: &Candidate) -> Result<f64, ChooseError> {
+    fn offer(&self, scope: &LockScope, id: MachineId, cand: &Candidate) -> Result<f64, ChooseError> {
         self.counters.offers.incr();
         let host = &self.hosts[id.0];
         let view = self.view(host);
@@ -1327,7 +1348,7 @@ impl PlacementEngine {
         } else {
             Vec::new()
         };
-        self.best_available(host, cand, view.occupancy(), &residents)
+        self.best_available(scope, host, cand, view.occupancy(), &residents)
             .map(|(_, p, _)| p)
     }
 
@@ -1346,7 +1367,12 @@ impl PlacementEngine {
     /// (counted in [`SnapshotCounters::stale_retries`]) — the request
     /// is never bounced off a host that still has room just because of
     /// a racing neighbour.
-    fn try_commit(&self, id: MachineId, cand: &Candidate) -> Result<Placed, ChooseError> {
+    fn try_commit(
+        &self,
+        scope: &mut LockScope,
+        id: MachineId,
+        cand: &Candidate,
+    ) -> Result<Placed, ChooseError> {
         let host = &self.hosts[id.0];
         // The bound is a livelock backstop under pathological external
         // churn — hitting it degrades to a stale-offer error, never a
@@ -1361,8 +1387,8 @@ impl PlacementEngine {
                 Vec::new()
             };
             let (ap, predicted_perf, interference_penalty) =
-                self.best_available(host, cand, view.occupancy(), &residents)?;
-            let mut guard = self.lock_host(host);
+                self.best_available(scope, host, cand, view.occupancy(), &residents)?;
+            let mut guard = self.lock_host(scope, host);
             if guard.reserve(&ap.threads).is_ok() {
                 let placed = self.placed(id, ap, predicted_perf, interference_penalty, cand);
                 self.register(&mut guard, &placed, cand);
@@ -1422,8 +1448,8 @@ impl PlacementEngine {
             interference_penalty: placed.interference_penalty,
             goal_perf: placed.goal_perf,
         });
-        self.locations_lock()
-            .insert(placed.ticket.0, placed.machine.0);
+        self.locations
+            .with(host.witness(), |map| map.insert(placed.ticket.0, placed.machine.0));
     }
 
     /// Places a single request (see [`Self::place_batch`]).
@@ -1458,7 +1484,8 @@ impl PlacementEngine {
     ) -> Vec<PlacementDecision> {
         // Phase 1: evaluate every (request, machine class) candidate in
         // parallel. Pure reads plus cache fills; no capacity is touched.
-        let candidates = self.evaluate_candidates(reqs);
+        let mut scope = LockScope::new();
+        let candidates = self.evaluate_candidates(&scope, reqs);
 
         // Phase 2: commit sequentially in request order. A commit that
         // finds a host exhausted (either by earlier requests in this
@@ -1466,7 +1493,7 @@ impl PlacementEngine {
         // request's consideration and re-plans on the rest.
         let mut decisions = Vec::with_capacity(reqs.len());
         for options in candidates {
-            decisions.push(self.commit_one(&options, strategy));
+            decisions.push(self.commit_one(&mut scope, &options, strategy));
         }
         decisions
     }
@@ -1476,6 +1503,7 @@ impl PlacementEngine {
     /// summaries, until a lock-validated commit succeeds.
     fn commit_one(
         &self,
+        scope: &mut LockScope,
         options: &[Result<Candidate, String>],
         strategy: BatchStrategy,
     ) -> PlacementDecision {
@@ -1554,7 +1582,7 @@ impl PlacementEngine {
                             let host = &self.hosts[id.0];
                             let idle =
                                 host.summary.free_threads() == host.machine.num_threads();
-                            match self.offer(id, cand) {
+                            match self.offer(scope, id, cand) {
                                 Ok(p) => {
                                     let better = match best {
                                         None => true,
@@ -1591,7 +1619,7 @@ impl PlacementEngine {
                 };
             };
             tried[id.0] = true;
-            match self.try_commit(id, cand) {
+            match self.try_commit(scope, id, cand) {
                 Ok(p) => return PlacementDecision::Placed(p),
                 Err(e) => {
                     // The summary admitted the host but selection found
@@ -1620,20 +1648,29 @@ impl PlacementEngine {
     /// Phase 1 of [`Self::place_batch`]: per request, the candidate
     /// outcome on every machine class, computed on scoped worker
     /// threads. The `(request × class)` grid is sharded row-wise:
-    /// each worker evaluates a chunk of requests against all classes.
-    fn evaluate_candidates(&self, reqs: &[PlacementRequest]) -> Vec<Vec<Result<Candidate, String>>> {
+    /// each worker evaluates a chunk of requests against all classes,
+    /// borrowing the caller's scope.
+    fn evaluate_candidates(
+        &self,
+        scope: &LockScope,
+        reqs: &[PlacementRequest],
+    ) -> Vec<Vec<Result<Candidate, String>>> {
         let n_workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .min(reqs.len().max(1));
         if n_workers <= 1 || reqs.len() <= 1 {
-            return reqs.iter().map(|r| self.candidates_for(r)).collect();
+            return reqs.iter().map(|r| self.candidates_for(scope, r)).collect();
         }
         let chunk = reqs.len().div_ceil(n_workers);
         std::thread::scope(|s| {
             let handles: Vec<_> = reqs
                 .chunks(chunk)
-                .map(|slice| s.spawn(move || slice.iter().map(|r| self.candidates_for(r)).collect::<Vec<_>>()))
+                .map(|slice| {
+                    s.spawn(move || {
+                        slice.iter().map(|r| self.candidates_for(scope, r)).collect::<Vec<_>>()
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
@@ -1642,9 +1679,13 @@ impl PlacementEngine {
         })
     }
 
-    fn candidates_for(&self, req: &PlacementRequest) -> Vec<Result<Candidate, String>> {
+    fn candidates_for(
+        &self,
+        scope: &LockScope,
+        req: &PlacementRequest,
+    ) -> Vec<Result<Candidate, String>> {
         (0..self.fleet.num_classes())
-            .map(|class| self.evaluate(class, req))
+            .map(|class| self.evaluate(scope, class, req))
             .collect()
     }
 }
@@ -1686,12 +1727,13 @@ impl PlacementEngine {
     /// workloads).
     pub(crate) fn resident_penalty(
         &self,
+        scope: &LockScope,
         id: MachineId,
         resident: &Resident,
         occ_without: &OccupancyMap,
         others: &[ResidentWorkload],
     ) -> f64 {
-        self.hosts[id.0].interference.penalty(
+        self.hosts[id.0].interference(scope).penalty(
             &resident.request.workload,
             &resident.spec.nodes,
             &resident.threads,
@@ -1705,11 +1747,12 @@ impl PlacementEngine {
     /// process count and THP fraction).
     pub(crate) fn workload_descriptor(
         &self,
+        scope: &LockScope,
         id: MachineId,
         name: &str,
     ) -> Option<vc_workloads::Workload> {
         self.hosts[id.0]
-            .oracle
+            .sim(scope)
             .workloads()
             .iter()
             .find(|w| w.name == name)
@@ -1728,12 +1771,14 @@ impl PlacementEngine {
     /// scored like admissions.
     pub(crate) fn best_escape_on_view(
         &self,
+        scope: &LockScope,
         id: MachineId,
         cand: &Candidate,
         occ: &OccupancyMap,
         residents: &[ResidentWorkload],
     ) -> Option<(AvailablePlacement, f64, f64)> {
         let host = &self.hosts[id.0];
+        let interference = host.interference(scope);
         let mut best: Option<(AvailablePlacement, f64, f64)> = None;
         for (i, ip) in cand.catalog.placements.iter().enumerate() {
             let idle_p = cand.predicted[ip.id - 1];
@@ -1745,7 +1790,7 @@ impl PlacementEngine {
                 .availability
                 .realisations(i, &host.machine, occ)
             {
-                let penalty = host.interference.penalty(
+                let penalty = interference.penalty(
                     &cand.request.workload,
                     &ap.spec.nodes,
                     &ap.threads,
@@ -1775,16 +1820,16 @@ impl PlacementEngine {
     /// mode; the guards publish whatever changed before unlocking.
     /// Cross-host moves lock through [`Self::lock_pair`], so concurrent
     /// passes (and commits, which take one lock at a time) cannot
-    /// deadlock. Nothing in here simulates or prices.
+    /// deadlock. Nothing in here simulates or prices — the guards hold
+    /// the scope every simulating path borrows.
     #[allow(clippy::result_unit_err)] // Err = "lost the race, retry next pass"
     pub(crate) fn commit_move(
         &self,
+        scope: &mut LockScope,
         src: MachineId,
         dst: MachineId,
         resident: &Resident,
-        ap: AvailablePlacement,
-        predicted_perf: f64,
-        interference_penalty: f64,
+        (ap, predicted_perf, interference_penalty): (AvailablePlacement, f64, f64),
     ) -> Result<Placed, ()> {
         let placed = Placed {
             ticket: resident.ticket,
@@ -1803,7 +1848,7 @@ impl PlacementEngine {
                 .is_some_and(|current| current.threads == resident.threads)
         };
         if src == dst {
-            let mut host = self.lock_host(&self.hosts[src.0]);
+            let mut host = self.lock_host(scope, &self.hosts[src.0]);
             if !as_planned(&host) {
                 return Err(());
             }
@@ -1819,7 +1864,7 @@ impl PlacementEngine {
             host.rehome(&placed);
             return Ok(placed);
         }
-        let (mut from, mut to) = self.lock_pair(src, dst);
+        let (mut from, mut to) = self.lock_pair(scope, src, dst);
         // A failed reserve means a concurrent commit claimed the target.
         if !as_planned(&from) || to.reserve(&placed.threads).is_err() {
             return Err(());
@@ -1833,7 +1878,8 @@ impl PlacementEngine {
         // Update the location map while both host locks are held, so a
         // concurrent release never observes a map entry pointing at a
         // host that has already given the container up.
-        self.locations_lock().insert(resident.ticket.0, dst.0);
+        self.locations
+            .with(to.witness(), |map| map.insert(resident.ticket.0, dst.0));
         Ok(placed)
     }
 }
@@ -1913,7 +1959,9 @@ mod collision_tests {
         id: MachineId,
         req: &PlacementRequest,
     ) -> Result<(), String> {
-        engine.evaluate(engine.machine_class(id), req).map(|_| ())
+        engine
+            .evaluate(&LockScope::new(), engine.machine_class(id), req)
+            .map(|_| ())
     }
 
     /// The undoctored path keeps grouping by real fingerprints: one
@@ -1947,12 +1995,13 @@ mod poison_tests {
 
         let _ = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = engine.locations.lock().unwrap();
-                panic!("oracle panicked holding the location map");
+                engine.locations.with(&mut LockScope::new(), |_| {
+                    panic!("oracle panicked holding the location map")
+                })
             })
             .join()
         });
-        assert!(engine.locations.lock().is_err(), "must be poisoned");
+        assert!(engine.locations.is_poisoned(), "must be poisoned");
 
         engine.release(&placed).unwrap();
         assert_eq!(engine.num_residents(), 0);

@@ -10,15 +10,21 @@
 //! held. A published view therefore never lags a completed critical
 //! section, summary and sketch never change apart (the pairing is
 //! model-checked in `tests/interleavings.rs`), and a read-only critical
-//! section publishes nothing. Two hosts are only ever locked through
-//! [`PlacementEngine::lock_pair`], which orders the acquisitions by
-//! machine id.
+//! section publishes nothing.
+//!
+//! The state mutex is a [`ScopedMutex`]: [`PlacementEngine::lock_host`]
+//! and [`PlacementEngine::lock_pair`] (the one double lock, ordered by
+//! machine id) take it through the caller's [`LockScope`], and the
+//! host's simulator and interference model are reachable only through
+//! accessors that borrow the same scope. Simulating under a host lock,
+//! or taking a second one beside it, therefore does not compile.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use vc_core::interference::{InterferenceModel, ResidentWorkload};
 use vc_sim::SimOracle;
+use vc_sync::lock::{LockScope, ScopedGuard, ScopedMutex, Witness};
 use vc_sync::Slot;
 use vc_topology::{
     AvailabilitySketch, CapacitySummary, L2GroupId, Machine, NodeId, OccupancyError, OccupancyMap,
@@ -123,13 +129,13 @@ pub(crate) struct Host {
     /// Index of the class shard whose availability sketch counts this
     /// host (member slot / [`EngineConfig::sketch_shard`](crate::EngineConfig::sketch_shard)).
     shard: usize,
-    pub(crate) oracle: Arc<SimOracle>,
+    oracle: Arc<SimOracle>,
     /// Shared (per topology) memoizing interference model over `oracle`.
-    pub(crate) interference: Arc<InterferenceModel>,
+    interference: Arc<InterferenceModel>,
     /// Node-granular reservation state plus the resident registry.
     /// Commits and releases lock this; candidate evaluation and every
     /// read path never do.
-    state: Mutex<HostState>,
+    state: ScopedMutex<HostState>,
     /// Lock-free free-capacity summary. Admission reads it to skip
     /// hopeless hosts without locking them.
     pub(crate) summary: CapacitySummary,
@@ -160,7 +166,7 @@ impl Host {
         Host {
             summary: CapacitySummary::new(&machine),
             snapshot: Slot::new(Arc::new(state.snapshot())),
-            state: Mutex::new(state),
+            state: ScopedMutex::new(state),
             machine,
             class,
             shard,
@@ -168,20 +174,43 @@ impl Host {
             interference,
         }
     }
+
+    /// The host's simulator oracle. The shared scope borrow proves no
+    /// host lock is held on this thread.
+    pub(crate) fn sim(&self, _scope: &LockScope) -> &Arc<SimOracle> {
+        &self.oracle
+    }
+
+    /// The host's memoizing interference model (a cold miss simulates);
+    /// borrowed under the same proof as [`Self::sim`].
+    pub(crate) fn interference(&self, _scope: &LockScope) -> &InterferenceModel {
+        &self.interference
+    }
+
+    /// Poisoned acquisitions of this host's state mutex recovered so far.
+    pub(crate) fn poison_recoveries(&self) -> u64 {
+        self.state.recoveries()
+    }
 }
 
 /// A locked host. Reads go through the accessors; the mutators are the
 /// only code that can change [`HostState`], and each marks the guard
 /// dirty so `Drop` republishes the host's lock-free views before the
-/// mutex unlocks.
-pub(crate) struct HostGuard<'a> {
-    engine: &'a PlacementEngine,
-    host: &'a Host,
-    st: MutexGuard<'a, HostState>,
+/// mutex unlocks. It keeps the caller's [`LockScope`] mutably borrowed.
+pub(crate) struct HostGuard<'s> {
+    engine: &'s PlacementEngine,
+    host: &'s Host,
+    st: ScopedGuard<'s, HostState>,
     dirty: bool,
 }
 
-impl HostGuard<'_> {
+impl<'s> HostGuard<'s> {
+    /// The witness that enters a leaf lock (the location map) under
+    /// this host lock.
+    pub(crate) fn witness(&mut self) -> &mut (impl Witness + use<'s>) {
+        &mut self.st
+    }
+
     /// One registry entry by ticket.
     pub(crate) fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
         self.st.residents.get(&ticket.0)
@@ -260,43 +289,47 @@ impl Drop for HostGuard<'_> {
 }
 
 impl PlacementEngine {
-    /// Acquires a host's state mutex, counting the acquisition and
-    /// recovering a poisoned guard. Recovery is sound because every
-    /// critical section leaves the state consistent at each step:
-    /// `reserve`/`release` are all-or-nothing, and registry/location
-    /// updates are ordered so a panic between them strands nothing
-    /// unreleasable (see `register`/`release`). Each recovery is
-    /// counted in [`EngineStats::lock_poison_recoveries`](crate::EngineStats::lock_poison_recoveries)
+    /// Acquires a host's state mutex through the caller's scope,
+    /// counting the acquisition and recovering a poisoned guard.
+    /// Recovery is sound because every critical section leaves the
+    /// state consistent at each step: `reserve`/`release` are
+    /// all-or-nothing, and registry/location updates are ordered so a
+    /// panic between them strands nothing unreleasable (see
+    /// `register`/`release`). Each recovery is counted in
+    /// [`EngineStats::lock_poison_recoveries`](crate::EngineStats::lock_poison_recoveries)
     /// — the panic that caused it still means a writer died mid-flight.
-    pub(crate) fn lock_host<'a>(&'a self, host: &'a Host) -> HostGuard<'a> {
-        let c = &self.counters;
-        c.host_lock_acquisitions.incr();
-        let st = host.state.lock().unwrap_or_else(|poisoned| {
-            c.lock_poison_recoveries.incr();
-            poisoned.into_inner()
-        });
-        HostGuard {
-            engine: self,
-            host,
-            st,
-            dirty: false,
-        }
+    pub(crate) fn lock_host<'s>(&'s self, scope: &'s mut LockScope, host: &'s Host) -> HostGuard<'s> {
+        self.counters.host_lock_acquisitions.incr();
+        self.guard(host, host.state.lock(scope))
     }
 
     /// Locks two distinct hosts, lower machine id first — the one
     /// place two host locks are ever held together, so concurrent
     /// movers (and commits, which take one lock at a time) cannot
     /// deadlock. Guards come back in argument order.
-    pub(crate) fn lock_pair(&self, a: MachineId, b: MachineId) -> (HostGuard<'_>, HostGuard<'_>) {
-        assert_ne!(a, b, "lock_pair needs two distinct hosts");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let lo_guard = self.lock_host(&self.hosts[lo.0]);
-        // vc-lint: allow(R8, the one id-ordered double acquisition: `lo < hi` by construction)
-        let hi_guard = self.lock_host(&self.hosts[hi.0]);
+    pub(crate) fn lock_pair<'s>(
+        &'s self,
+        scope: &'s mut LockScope,
+        a: MachineId,
+        b: MachineId,
+    ) -> (HostGuard<'s>, HostGuard<'s>) {
+        let (lo, hi) = (&self.hosts[a.0.min(b.0)], &self.hosts[a.0.max(b.0)]);
+        let (lo_st, hi_st) = ScopedMutex::lock_two(&lo.state, &hi.state, scope);
+        self.counters.host_lock_acquisitions.add(2);
+        let (lo_guard, hi_guard) = (self.guard(lo, lo_st), self.guard(hi, hi_st));
         if a < b {
             (lo_guard, hi_guard)
         } else {
             (hi_guard, lo_guard)
+        }
+    }
+
+    fn guard<'s>(&'s self, host: &'s Host, st: ScopedGuard<'s, HostState>) -> HostGuard<'s> {
+        HostGuard {
+            engine: self,
+            host,
+            st,
+            dirty: false,
         }
     }
 
@@ -315,8 +348,9 @@ impl PlacementEngine {
     /// host in the location map. Exact at quiescence (no critical
     /// section in flight); `Err` names the first divergence.
     pub fn audit(&self) -> Result<(), String> {
+        let mut scope = LockScope::new();
         for (i, host) in self.hosts.iter().enumerate() {
-            let guard = self.lock_host(host);
+            let mut guard = self.lock_host(&mut scope, host);
             let st = &*guard.st;
             let snap = host.snapshot.load(&self.domain);
             if let Some(t) = (0..st.occ.total_threads())
@@ -352,16 +386,16 @@ impl PlacementEngine {
             if st.profile != sketch.profile(&st.occ) {
                 return Err(format!("host {i}: stored sketch profile is stale"));
             }
-            let locations = self.locations_lock();
-            if let Some(r) = st
-                .residents
-                .values()
-                .find(|r| locations.get(&r.ticket.0) != Some(&i))
-            {
+            let tickets: Vec<u64> = st.residents.keys().copied().collect();
+            let stray = self.locations.with(guard.witness(), |locations| {
+                tickets
+                    .into_iter()
+                    .map(|t| (PlacementTicket(t), locations.get(&t).copied()))
+                    .find(|&(_, at)| at != Some(i))
+            });
+            if let Some((ticket, at)) = stray {
                 return Err(format!(
-                    "host {i}: {} resolves to {:?} in the location map",
-                    r.ticket,
-                    locations.get(&r.ticket.0)
+                    "host {i}: {ticket} resolves to {at:?} in the location map"
                 ));
             }
         }
@@ -395,7 +429,8 @@ mod tests {
         let base = published(&engine);
 
         {
-            let mut guard = engine.lock_host(host);
+            let mut scope = LockScope::new();
+            let mut guard = engine.lock_host(&mut scope, host);
             guard.reserve(&threads).unwrap();
             assert_eq!(published(&engine), base, "nothing publishes before drop");
             assert_eq!(host.summary.free_threads(), 64);
@@ -406,14 +441,15 @@ mod tests {
         engine.audit().unwrap();
 
         {
-            let mut guard = engine.lock_host(host);
+            let mut scope = LockScope::new();
+            let mut guard = engine.lock_host(&mut scope, host);
             assert!(guard.resident(PlacementTicket(0)).is_none());
             assert!(guard.reserve(&threads).is_err(), "already reserved");
             assert!(guard.remove_resident(PlacementTicket(0)).is_none());
         }
         assert_eq!(published(&engine), base + 1, "read-only guard published");
 
-        engine.lock_host(host).release(&threads);
+        engine.lock_host(&mut LockScope::new(), host).release(&threads);
         assert_eq!(published(&engine), base + 2);
         engine.audit().unwrap();
     }
@@ -437,12 +473,13 @@ mod tests {
         assert_eq!((first.machine, second.machine), (a, a));
 
         let carry = |ticket: PlacementTicket, from: MachineId, to: MachineId| {
-            let (mut src, mut dst) = engine.lock_pair(from, to);
+            let mut scope = LockScope::new();
+            let (mut src, mut dst) = engine.lock_pair(&mut scope, from, to);
             let entry = src.remove_resident(ticket).expect("mover owns its ticket");
             src.release(&entry.threads);
             dst.reserve(&entry.threads).expect("mirror threads are free");
             dst.insert_resident(entry);
-            engine.locations_lock().insert(ticket.0, to.0);
+            engine.locations.with(dst.witness(), |m| m.insert(ticket.0, to.0));
         };
         carry(second.ticket, a, b);
         let bounce = |ticket, mut from, mut to| {
@@ -483,7 +520,8 @@ mod tests {
         let published = engine.stats().snapshot.published;
         let oracle = std::thread::scope(|s| {
             s.spawn(|| {
-                let mut guard = engine.lock_host(&engine.hosts[0]);
+                let mut scope = LockScope::new();
+                let mut guard = engine.lock_host(&mut scope, &engine.hosts[0]);
                 guard.release(&placed.threads);
                 guard.reserve(&placed.threads).unwrap();
                 panic!("oracle panicked mid-critical-section");
@@ -492,7 +530,7 @@ mod tests {
         });
         assert!(oracle.is_err(), "the oracle must have panicked");
         assert!(
-            engine.hosts[0].state.lock().is_err(),
+            engine.hosts[0].state.is_poisoned(),
             "the host mutex must actually be poisoned"
         );
         assert_eq!(

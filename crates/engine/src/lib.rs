@@ -67,6 +67,12 @@
 //! [`PlacementEngine::audit`] checks every published view against the
 //! authoritative state.
 //!
+//! Each public entry point opens one [`vc_sync::lock::LockScope`]. Host
+//! guards borrow it mutably and everything that may simulate borrows it
+//! shared, so simulating under a host lock — or taking a second host
+//! lock outside the id-ordered pair — is a compile error, not a
+//! convention.
+//!
 //! # Interference
 //!
 //! Co-located containers still share caches, memory controllers and

@@ -26,6 +26,7 @@
 //! raced reservation simply counts as a failed move.
 
 use vc_migration::{MigrationEstimate, MigrationMode, MigrationModel};
+use vc_sync::lock::LockScope;
 
 use crate::engine::{MachineId, Placed, PlacementEngine, PlacementTicket, Resident};
 
@@ -147,11 +148,12 @@ pub struct RebalanceReport {
     /// improvement/cost gates. The resident stays where it was; the
     /// next pass retries.
     pub failed_commits: usize,
-    /// Host mutex acquisitions this pass performed (engine counter
-    /// delta). Planning is wait-free, so this is exactly the
-    /// executed-move bookkeeping: one lock per same-host move, two per
-    /// cross-host move (plus the locks of any `failed_commits`
-    /// re-validations) — asserted in tests.
+    /// Host mutex acquisitions this pass performed — its own
+    /// [`LockScope::granted`], so concurrent clients' commits and
+    /// releases are never charged to it. Planning is wait-free, so this
+    /// is exactly the executed-move bookkeeping: one lock per same-host
+    /// move, two per cross-host move (plus the locks of any
+    /// `failed_commits` re-validations) — asserted in tests.
     pub host_lock_acquisitions: u64,
     /// Engine-wide index of this pass (1-based; the clock
     /// [`RebalancePolicy::cooldown_passes`] counts in). `0` only for
@@ -335,7 +337,7 @@ impl PlacementEngine {
     /// returned at admission still release it.
     pub fn rebalance(&self, policy: &RebalancePolicy) -> RebalanceReport {
         let mut report = RebalanceReport::default();
-        let locks_before = self.stats().host_lock_acquisitions;
+        let mut scope = LockScope::new();
         let pass = self.begin_rebalance_pass();
         let Some(budget) = self.config().degradation_budget else {
             return report;
@@ -345,8 +347,7 @@ impl PlacementEngine {
         // so the map stays bounded by the recently-moved set even under
         // endless churn (tickets are never reused, so stale entries
         // would otherwise accumulate forever).
-        {
-            let mut cooldowns = self.cooldowns_lock();
+        self.move_cooldowns.with(&mut scope, |cooldowns| {
             if policy.cooldown_passes == 0 {
                 cooldowns.clear();
             } else {
@@ -354,7 +355,7 @@ impl PlacementEngine {
                     pass.saturating_sub(*moved_at) <= policy.cooldown_passes
                 });
             }
-        }
+        });
         let mut pass_moved_gb = 0.0_f64;
         for src in self.machine_ids() {
             let snapshot = self.residents(src);
@@ -365,12 +366,11 @@ impl PlacementEngine {
                 // second freeze to chase a landscape that is still
                 // settling around the first move.
                 if policy.cooldown_passes > 0 {
-                    let cooling = self
-                        .cooldowns_lock()
-                        .get(&resident.ticket.0)
-                        .is_some_and(|&moved_at| {
+                    let cooling = self.move_cooldowns.with(&mut scope, |cooldowns| {
+                        cooldowns.get(&resident.ticket.0).is_some_and(|&moved_at| {
                             pass.saturating_sub(moved_at) <= policy.cooldown_passes
-                        });
+                        })
+                    });
                     if cooling {
                         report.suppressed_by_cooldown += 1;
                         continue;
@@ -382,12 +382,14 @@ impl PlacementEngine {
                 else {
                     continue; // departed since the outer snapshot
                 };
-                let degradation = 1.0 - self.resident_penalty(src, resident, &occ_minus, &others);
+                let degradation =
+                    1.0 - self.resident_penalty(&scope, src, resident, &occ_minus, &others);
                 if degradation <= budget {
                     continue;
                 }
                 report.over_budget += 1;
-                let Some(plan) = self.plan_move(src, resident, degradation, &occ_minus, &others)
+                let Some(plan) =
+                    self.plan_move(&scope, src, resident, degradation, &occ_minus, &others)
                 else {
                     report.blocked_no_target += 1;
                     continue;
@@ -396,7 +398,7 @@ impl PlacementEngine {
                 // generated or renamed workloads keep their calibrated
                 // THP fraction).
                 let workload = self
-                    .workload_descriptor(src, &resident.request.workload)
+                    .workload_descriptor(&scope, src, &resident.request.workload)
                     .expect("resident workloads resolve against their host's oracle");
                 let estimate = policy.model.estimate(&workload, policy.mode);
                 if policy.benefit_s(degradation, plan.degradation_after) <= policy.cost_s(&estimate)
@@ -413,11 +415,14 @@ impl PlacementEngine {
                         continue;
                     }
                 }
-                match self.execute_move(src, resident, &plan, degradation, policy, &estimate) {
+                let executed =
+                    self.execute_move(&mut scope, src, resident, &plan, degradation, policy, &estimate);
+                match executed {
                     Ok((placed, degradation_after)) => {
                         pass_moved_gb += estimate.moved_gb;
                         if policy.cooldown_passes > 0 {
-                            self.cooldowns_lock().insert(resident.ticket.0, pass);
+                            self.move_cooldowns
+                                .with(&mut scope, |cooldowns| cooldowns.insert(resident.ticket.0, pass));
                         }
                         report.migrations.push(Migration {
                             ticket: resident.ticket,
@@ -434,7 +439,7 @@ impl PlacementEngine {
                 }
             }
         }
-        report.host_lock_acquisitions = self.stats().host_lock_acquisitions - locks_before;
+        report.host_lock_acquisitions = scope.granted();
         report
     }
 
@@ -448,6 +453,7 @@ impl PlacementEngine {
     /// strictly improves on `degradation_before`.
     fn plan_move(
         &self,
+        scope: &LockScope,
         src: MachineId,
         resident: &Resident,
         degradation_before: f64,
@@ -456,7 +462,7 @@ impl PlacementEngine {
     ) -> Option<PlannedMove> {
         let mut best: Option<PlannedMove> = None;
         for class in 0..self.fleet_index().num_classes() {
-            let Ok(cand) = self.evaluate(class, &resident.request) else {
+            let Ok(cand) = self.evaluate(scope, class, &resident.request) else {
                 continue;
             };
             for &id in self.fleet_index().classes()[class].members() {
@@ -477,10 +483,10 @@ impl PlacementEngine {
                 // least-interfering realisation everywhere instead of
                 // admission's fragmentation-first head.
                 let scored = if id == src {
-                    self.best_escape_on_view(id, &cand, occ_minus, others)
+                    self.best_escape_on_view(scope, id, &cand, occ_minus, others)
                 } else {
                     let (occ, residents) = self.host_view(id);
-                    self.best_escape_on_view(id, &cand, &occ, &residents)
+                    self.best_escape_on_view(scope, id, &cand, &occ, &residents)
                 };
                 let Some((_, p, penalty)) = scored else { continue };
                 let degradation_after = 1.0 - penalty;
@@ -511,8 +517,10 @@ impl PlacementEngine {
     /// the new placement plus the fresh predicted degradation it was
     /// committed at. The lock-held part is pure bookkeeping; nothing
     /// there simulates or prices.
+    #[allow(clippy::too_many_arguments)]
     fn execute_move(
         &self,
+        scope: &mut LockScope,
         src: MachineId,
         resident: &Resident,
         plan: &PlannedMove,
@@ -524,18 +532,18 @@ impl PlacementEngine {
         // Fresh target snapshot → concrete threads (may simulate on a
         // cold penalty miss; still no lock held).
         let cand = self
-            .evaluate(self.machine_class(dst), &resident.request)
+            .evaluate(scope, self.machine_class(dst), &resident.request)
             .map_err(|_| ())?;
         let (ap, p, penalty) = if dst == src {
             let (occ, residents) = self.host_view_without(src, resident.ticket).ok_or(())?;
-            self.best_escape_on_view(dst, &cand, &occ, &residents)
+            self.best_escape_on_view(scope, dst, &cand, &occ, &residents)
                 .ok_or(())?
         } else {
             // Full-orbit re-validation, matching the plan's scoring —
             // an admission-style head scan here could land the move on
             // a different (worse) realisation than the one planned.
             let (occ, residents) = self.host_view(dst);
-            self.best_escape_on_view(dst, &cand, &occ, &residents)
+            self.best_escape_on_view(scope, dst, &cand, &occ, &residents)
                 .ok_or(())?
         };
         let degradation_after = 1.0 - penalty;
@@ -544,7 +552,7 @@ impl PlacementEngine {
         {
             return Err(()); // the target degraded since the plan
         }
-        self.commit_move(src, dst, resident, ap, p, penalty)
+        self.commit_move(scope, src, dst, resident, (ap, p, penalty))
             .map(|placed| (placed, degradation_after))
     }
 }

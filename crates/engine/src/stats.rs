@@ -5,6 +5,7 @@ use vc_core::interference::InterferenceCounters;
 use vc_sync::Counter;
 
 use crate::engine::PlacementEngine;
+use crate::host::Host;
 use vc_sync::CacheCounters;
 
 /// Counters for the lock-free capacity-summary prefilter.
@@ -113,9 +114,10 @@ pub struct EngineStats {
     /// zero-lock claim for scoring/planning is asserted against this
     /// counter in tests.
     pub host_lock_acquisitions: u64,
-    /// Poisoned mutexes recovered (host state or location map): a
-    /// panic unwound through a critical section and the next acquirer
-    /// carried on with the guard. Host state is all-or-nothing by
+    /// Poisoned mutex acquisitions recovered (host state, location map
+    /// or cooldown map — each mutex counts its own): a panic unwound
+    /// through a critical section and the next acquirer carried on with
+    /// the guard. Host state is all-or-nothing by
     /// construction, so recovery is sound — but each recovery means
     /// some commit died mid-flight and is worth investigating.
     pub lock_poison_recoveries: u64,
@@ -156,7 +158,6 @@ pub(crate) struct Counters {
     pub(crate) snapshot_loads: Counter,
     pub(crate) snapshot_stale_retries: Counter,
     pub(crate) host_lock_acquisitions: Counter,
-    pub(crate) lock_poison_recoveries: Counter,
     /// Also the clock the rebalancer's move-cooldown hysteresis counts
     /// in.
     pub(crate) rebalance_passes: Counter,
@@ -197,7 +198,9 @@ impl PlacementEngine {
                 stale_retries: c.snapshot_stale_retries.get(),
             },
             host_lock_acquisitions: c.host_lock_acquisitions.get(),
-            lock_poison_recoveries: c.lock_poison_recoveries.get(),
+            lock_poison_recoveries: self.hosts.iter().map(Host::poison_recoveries).sum::<u64>()
+                + self.locations.recoveries()
+                + self.move_cooldowns.recoveries(),
             rebalance_passes: c.rebalance_passes.get(),
         }
     }

@@ -379,6 +379,51 @@ fn rebalance_lock_acquisitions_equal_executed_move_bookkeeping() {
     assert_eq!(settled.host_lock_acquisitions, 0, "a settled pass must not lock");
 }
 
+/// The report counts the pass's own locks, not the engine's: settled
+/// passes running while another thread churns place/release on the
+/// other host report exactly zero, although the engine-wide counter
+/// climbs under them (the old counter-delta charged every concurrent
+/// commit and release to the pass).
+#[test]
+fn concurrent_churn_is_not_charged_to_a_settled_pass() {
+    let engine = two_amd(Some(0.99));
+    // Fill host 0 so the churner's requests land on host 1.
+    for seed in 0..4 {
+        let p = engine
+            .place(&PlacementRequest::new("swaptions", 16).with_probe_seed(seed))
+            .placed()
+            .expect("host 0 has room")
+            .clone();
+        assert_eq!(p.machine, MachineId(0));
+    }
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+    let churned = AtomicU64::new(0);
+    let engine_locks_before = engine.stats().host_lock_acquisitions;
+    let mut reports = Vec::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Stops on its own once the passes below have seen enough
+            // churn, so a failing assertion can never strand it.
+            while churned.load(SeqCst) < 20 {
+                let req = PlacementRequest::new("swaptions", 16);
+                let p = engine.place(&req).placed().expect("host 1 has room").clone();
+                assert_eq!(p.machine, MachineId(1));
+                engine.release(&p).unwrap();
+                churned.fetch_add(1, SeqCst);
+            }
+        });
+        while reports.len() < 5 || churned.load(SeqCst) < 20 {
+            reports.push(engine.rebalance(&RebalancePolicy::default()));
+        }
+    });
+    for (i, report) in reports.iter().enumerate() {
+        assert!(report.scanned >= 4 && report.migrations.is_empty());
+        assert_eq!(report.host_lock_acquisitions, 0, "pass {i} was charged");
+    }
+    let engine_locks = engine.stats().host_lock_acquisitions - engine_locks_before;
+    assert!(engine_locks >= 40, "the churner locked {engine_locks} times");
+}
+
 /// A same-host rebalance: with no second host to flee to, the victim is
 /// moved onto a far node of its own machine (the same-host path
 /// releases before it reserves, so overlapping node sets are legal).

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -143,15 +143,43 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock<'a, T>(&self, m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Runs `f` on the data behind one of the daemon's mutexes and
+    /// hands back its owned result — the only way server code touches
+    /// that data, so no guard outlives a statement and nothing blocks
+    /// under one. A poisoned mutex is recovered: every critical section
+    /// here is a single map or flag update.
+    fn with<T, R>(m: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
+        f(&mut m.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The rebalance loop's one blocking point and the one place a
+    /// server guard has a name: sleeps `interval` on the condvar (woken
+    /// early by stop), then parks while paused. Returns whether the
+    /// daemon is stopping.
+    fn loop_wait(&self, interval: Duration) -> bool {
+        let mut control = self.loop_control.lock().unwrap_or_else(PoisonError::into_inner);
+        if !control.stop && !interval.is_zero() {
+            control = self
+                .loop_cv
+                .wait_timeout(control, interval)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        while control.paused && !control.stop {
+            control = self.loop_cv.wait(control).unwrap_or_else(PoisonError::into_inner);
+        }
+        control.stop
+    }
+
+    fn paused(&self) -> bool {
+        // A daemon without a loop reports unpaused: there is nothing
+        // the flag could stop.
+        self.has_loop && Self::with(&self.loop_control, |c| c.paused)
     }
 
     fn ack(&self) -> ControlAck {
         ControlAck {
-            // A daemon without a loop reports unpaused: there is
-            // nothing the flag could stop.
-            paused: self.has_loop && self.lock(&self.loop_control).paused,
+            paused: self.paused(),
             draining: self.draining.load(Ordering::SeqCst),
             shutting_down: self.shutting_down.load(Ordering::SeqCst),
         }
@@ -159,13 +187,13 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        self.lock(&self.loop_control).stop = true;
+        Self::with(&self.loop_control, |c| c.stop = true);
         self.loop_cv.notify_all();
     }
 
     fn service_stats(&self) -> ServiceStats {
         let engine = self.engine.stats();
-        let totals = *self.lock(&self.loop_totals);
+        let totals = Self::with(&self.loop_totals, |t| *t);
         ServiceStats {
             machines: self.engine.num_machines() as u32,
             residents: self.engine.num_residents() as u64,
@@ -185,7 +213,7 @@ impl Shared {
             sketch_admits: engine.sketch.admits,
             sketch_stale: engine.sketch.stale,
             moved_gb: totals.moved_gb,
-            paused: self.has_loop && self.lock(&self.loop_control).paused,
+            paused: self.paused(),
             draining: self.draining.load(Ordering::SeqCst),
         }
     }
@@ -270,19 +298,15 @@ impl PlacementServer {
     /// Tickets of the placements this daemon admitted and has not yet
     /// released, sorted.
     pub fn registry_tickets(&self) -> Vec<u64> {
-        let mut tickets: Vec<u64> = self
-            .shared
-            .lock(&self.shared.registry)
-            .keys()
-            .copied()
-            .collect();
+        let mut tickets: Vec<u64> =
+            Shared::with(&self.shared.registry, |r| r.keys().copied().collect());
         tickets.sort_unstable();
         tickets
     }
 
     /// What the background loop has done so far.
     pub fn loop_totals(&self) -> RebalanceTotals {
-        *self.shared.lock(&self.shared.loop_totals)
+        Shared::with(&self.shared.loop_totals, |t| *t)
     }
 
     /// Initiates shutdown and joins every thread (accept, handlers,
@@ -306,11 +330,11 @@ impl PlacementServer {
         // their streams see EOF and the handlers exit cleanly. Drain
         // under the lock, shut down after it drops — handlers removing
         // their own entry must never wait on this loop.
-        let conns: Vec<_> = self.shared.lock(&self.shared.conns).drain().collect();
+        let conns: Vec<_> = Shared::with(&self.shared.conns, |c| c.drain().collect());
         for (_, conn) in conns {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        let handlers: Vec<_> = self.shared.lock(&self.shared.handlers).drain(..).collect();
+        let handlers = Shared::with(&self.shared.handlers, std::mem::take);
         for h in handlers {
             let _ = h.join();
         }
@@ -318,6 +342,18 @@ impl PlacementServer {
             let _ = loop_thread.join();
         }
     }
+}
+
+/// Whether an `accept(2)` failure leaves the listener usable, so the
+/// loop should back off and retry rather than go permanently deaf:
+/// an aborted handshake, a signal, or descriptor/buffer/memory
+/// exhaustion (ENFILE, EMFILE, ENOBUFS, ENOMEM) that closing
+/// connections relieves.
+fn transient_accept_error(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+    ) || matches!(e.raw_os_error(), Some(23 | 24 | 105 | 12))
 }
 
 /// The accept thread: non-blocking accept with a shutdown poll.
@@ -336,7 +372,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 }
                 stream.set_nodelay(true).ok();
                 if let Ok(clone) = stream.try_clone() {
-                    shared.lock(&shared.conns).insert(conn_id, clone);
+                    Shared::with(&shared.conns, |c| c.insert(conn_id, clone));
                 }
                 let shared_for_handler = Arc::clone(shared);
                 let handle = std::thread::spawn(move || {
@@ -344,11 +380,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 });
                 // Reap handlers whose connections have closed, so the list
                 // tracks live connections, not every one ever accepted.
-                let mut handlers = shared.lock(&shared.handlers);
-                handlers.retain(|h| !h.is_finished());
-                handlers.push(handle);
+                Shared::with(&shared.handlers, |handlers| {
+                    handlers.retain(|h| !h.is_finished());
+                    handlers.push(handle);
+                });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock || transient_accept_error(&e) => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => return,
@@ -359,34 +396,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// The background rebalance thread: run a pass, sleep the interval,
 /// repeat — parked while paused, woken promptly by resume and stop.
 fn rebalance_loop(shared: &Arc<Shared>, cfg: &LoopConfig) {
-    let mut control = shared.lock(&shared.loop_control);
-    loop {
-        while control.paused && !control.stop {
-            control = shared
-                .loop_cv
-                .wait(control)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        if control.stop {
-            return;
-        }
-        drop(control);
-
+    let mut interval = Duration::ZERO;
+    while !shared.loop_wait(interval) {
         let report = shared.engine.rebalance(&cfg.policy);
-        shared.lock(&shared.loop_totals).absorb(&report);
-
-        control = shared.lock(&shared.loop_control);
-        if control.stop {
-            return;
-        }
-        control = shared
-            .loop_cv
-            .wait_timeout(control, cfg.interval)
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .0;
-        if control.stop {
-            return;
-        }
+        Shared::with(&shared.loop_totals, |t| t.absorb(&report));
+        interval = cfg.interval;
     }
 }
 
@@ -405,7 +419,7 @@ struct ConnGuard<'a> {
 impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        self.shared.lock(&self.shared.conns).remove(&self.conn_id);
+        Shared::with(&self.shared.conns, |c| c.remove(&self.conn_id));
     }
 }
 
@@ -495,7 +509,7 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> (Response, bool) {
             (Response::Batch(outcomes), false)
         }
         Request::Release { ticket } => {
-            let Some(placed) = shared.lock(&shared.registry).remove(&ticket) else {
+            let Some(placed) = Shared::with(&shared.registry, |r| r.remove(&ticket)) else {
                 return (
                     Response::Error(RpcError {
                         code: ErrorCode::UnknownTicket,
@@ -568,7 +582,7 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> (Response, bool) {
             if let Some(refusal) = control_refusal(shared, &token) {
                 return (refusal, false);
             }
-            shared.lock(&shared.loop_control).paused = true;
+            Shared::with(&shared.loop_control, |c| c.paused = true);
             shared.loop_cv.notify_all();
             (Response::Ack(shared.ack()), false)
         }
@@ -576,7 +590,7 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> (Response, bool) {
             if let Some(refusal) = control_refusal(shared, &token) {
                 return (refusal, false);
             }
-            shared.lock(&shared.loop_control).paused = false;
+            Shared::with(&shared.loop_control, |c| c.paused = false);
             shared.loop_cv.notify_all();
             (Response::Ack(shared.ack()), false)
         }
@@ -637,7 +651,7 @@ fn register_outcome(shared: &Shared, decision: vc_engine::PlacementDecision) -> 
     match decision {
         vc_engine::PlacementDecision::Placed(placed) => {
             let info = PlacedInfo::from_placed(&placed);
-            shared.lock(&shared.registry).insert(placed.ticket.0, placed);
+            Shared::with(&shared.registry, |r| r.insert(placed.ticket.0, placed));
             PlaceOutcome::Placed(info)
         }
         vc_engine::PlacementDecision::Rejected { reason } => PlaceOutcome::Rejected { reason },
@@ -667,7 +681,7 @@ mod tests {
         let (stream, _) = listener.accept().expect("accept");
         let conn_id = u64::MAX;
         let clone = stream.try_clone().expect("clone");
-        shared.lock(&shared.conns).insert(conn_id, clone);
+        Shared::with(&shared.conns, |c| c.insert(conn_id, clone));
 
         let handler = std::thread::spawn({
             let shared = Arc::clone(&shared);
@@ -684,8 +698,29 @@ mod tests {
 
         let mut rest = Vec::new();
         assert_eq!(peer.read_to_end(&mut rest).expect("EOF, not a hang"), 0);
-        assert!(shared.lock(&shared.conns).is_empty());
+        assert!(Shared::with(&shared.conns, |c| c.is_empty()));
         server.shutdown();
+    }
+
+    /// Descriptor, buffer and memory exhaustion, aborted handshakes and
+    /// signals are retried; anything else means the listener is gone.
+    #[test]
+    fn transient_accept_errors_are_told_from_fatal_ones() {
+        use io::{Error, ErrorKind};
+        // ENFILE, EMFILE, ENOBUFS, ENOMEM, ECONNABORTED, EINTR.
+        for raw in [23, 24, 105, 12, 103, 4] {
+            assert!(transient_accept_error(&Error::from_raw_os_error(raw)), "errno {raw}");
+        }
+        for kind in [ErrorKind::ConnectionAborted, ErrorKind::Interrupted] {
+            assert!(transient_accept_error(&Error::from(kind)), "{kind:?}");
+        }
+        // EBADF, EINVAL, ENOTSOCK, EOPNOTSUPP, EPERM.
+        for raw in [9, 22, 88, 95, 1] {
+            assert!(!transient_accept_error(&Error::from_raw_os_error(raw)), "errno {raw}");
+        }
+        for kind in [ErrorKind::PermissionDenied, ErrorKind::InvalidInput, ErrorKind::Other] {
+            assert!(!transient_accept_error(&Error::from(kind)), "{kind:?}");
+        }
     }
 
     /// A long-lived daemon does not grow one handler entry per
@@ -702,7 +737,7 @@ mod tests {
             let mut client = crate::Client::connect(server.local_addr()).expect("connect");
             client.ping().expect("ping");
         }
-        let tracked = server.shared.lock(&server.shared.handlers).len();
+        let tracked = Shared::with(&server.shared.handlers, |h| h.len());
         assert!(tracked <= 16, "{tracked} handler entries after 200 sequential connections");
         server.shutdown();
     }

@@ -1,4 +1,8 @@
 //! [`vc_core::model::PerfOracle`] implementation backed by the simulator.
+//!
+//! The assignment table's `RwLock` is a plain `std` leaf: it is private
+//! to this file and held only for one map lookup or insert — the
+//! assignment is computed, and every simulation runs, with it released.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};

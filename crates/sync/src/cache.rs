@@ -16,6 +16,10 @@
 //! simply recomputed on its next request. Recency is a logical clock
 //! stamped per lookup, so which entry goes is a function of the lookup
 //! history alone — never of the map's hash seed.
+//!
+//! The map's mutex is a plain `std` leaf rather than a
+//! [`crate::lock::LeafMutex`]: it is private to this file, and nothing
+//! is called while it is held — `f` runs after the map lock drops.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

@@ -10,8 +10,8 @@
 //! some value the counter actually held (per-location coherence, which
 //! `Relaxed` guarantees). Anything a thread does synchronize on — a
 //! stop flag, a published pointer, an epoch — is not a counter and
-//! must use Acquire/Release or stronger; `vc-lint` rule R7 rejects
-//! `Ordering::Relaxed` anywhere outside this crate.
+//! must use Acquire/Release or stronger; `tests/workspace_lints.rs`
+//! rejects `Ordering::Relaxed` in non-test code outside this crate.
 //!
 //! Every method is `#[inline]`: the release profile has no LTO and
 //! these sit on the engine's per-host descent path.

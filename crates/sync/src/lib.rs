@@ -24,6 +24,11 @@
 //!   key, LRU-bounded, counted with [`Counter`]s. It lives here because
 //!   both `vc-core` (co-location penalties) and `vc-engine` (catalogs,
 //!   training sets, models) need it and it needs nothing but `std`.
+//! * [`lock`] — lock discipline as borrows: a [`LockScope`] grants
+//!   [`ScopedMutex`] guards and is shared-borrowed by whatever must not
+//!   run under one, and [`LeafMutex`]es are entered under a witness, so
+//!   double-locking, lock cycles and simulation under a host lock do
+//!   not compile (the `compile_fail` doctests there pin each case).
 //! * [`stress`] — a loom-style interleaving explorer with pluggable
 //!   backends ([`stress::Explorer::Exhaustive`] enumerates *every*
 //!   feasible schedule of the modelled steps;
@@ -60,12 +65,14 @@
 
 pub mod cache;
 pub mod counter;
+pub mod lock;
 pub mod qsbr;
 pub mod slot;
 pub mod stress;
 
 pub use cache::{CacheCounters, KeyedCache};
 pub use counter::Counter;
+pub use lock::{LeafMutex, LockScope, ScopedGuard, ScopedMutex, Witness};
 pub use qsbr::{Domain, Guard};
 pub use slot::Slot;
 pub use stress::{Explorer, Report, Step, Violation};

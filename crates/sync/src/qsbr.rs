@@ -25,6 +25,11 @@
 //! allocation alive through plain reference counting; the grace period
 //! only protects the instant between loading the raw pointer and
 //! taking that reference.
+//!
+//! The registry and garbage mutexes are plain `std` leaves rather than
+//! [`crate::lock::LeafMutex`]es: both are private to this file, neither
+//! is held while the other is taken, and nothing is called under them —
+//! reclaimed values are dropped after the garbage lock is released.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
