@@ -1,10 +1,381 @@
-//! Figure 5: instances per machine and % goal violation per policy.
+//! Figure 5 and the §7 packing scenario behind it: pack as many
+//! instances of one container type into a machine as possible while
+//! respecting a performance goal (90 / 100 / 110 % of the performance
+//! observed in a baseline placement), comparing four policies:
+//!
+//! * **ML** — probe two placements, predict the full performance vector
+//!   with the trained model, then pack instances onto placement classes
+//!   predicted to meet the goal;
+//! * **Conservative** — one instance per machine, unpinned;
+//! * **Aggressive** — the maximum number of instances, unpinned, sharing
+//!   NUMA nodes at the OS scheduler's whim;
+//! * **Smart-Aggressive** — the maximum number of instances, each pinned
+//!   to the best minimum node set (highest interconnect bandwidth).
+//!
+//! Scenarios are served by the [`PlacementEngine`]: important
+//! placements, the training sweep and the trained model all come out of
+//! the engine's compute-once caches, so building many scenarios against
+//! the same machine model (the figure runs twelve) trains once instead of
+//! twelve times.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-use vc_engine::{MachineId, PlacementEngine};
-use vc_policy::{PackingScenario, Policy, PolicyOutcome};
+use vc_core::assign::assign_vcpus;
+use vc_core::model::{PerfOracle, SharedOracle};
+use vc_core::packing::NodeSet;
+use vc_core::placement::{PlacementError, PlacementSpec};
+use vc_engine::{EngineConfig, MachineId, ModelArtifact, PlacementCatalog, PlacementEngine};
+use vc_sim::engine::{simulate, ContainerRun, SimConfig};
+use vc_sim::os_sched::linux_like_assignments;
+use vc_topology::{Machine, ThreadId};
+use vc_workloads::suite::workload_by_name;
+
+/// The four placement policies of §7.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// The paper's model-driven policy.
+    Ml,
+    /// One instance per machine, unpinned.
+    Conservative,
+    /// Maximum instances, unpinned.
+    Aggressive,
+    /// Maximum instances, pinned to best minimum node sets.
+    SmartAggressive,
+}
+
+impl fmt::Display for Policy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            Policy::Ml => "ML",
+            Policy::Conservative => "Conservative",
+            Policy::Aggressive => "Aggressive",
+            Policy::SmartAggressive => "Aggressive (Smart)",
+        };
+        write!(f, "{s}")
+    }
+}
+
+/// Result of evaluating one policy at one goal.
+#[derive(Debug, Clone)]
+pub struct PolicyOutcome {
+    /// The policy evaluated.
+    pub policy: Policy,
+    /// Goal as a fraction of baseline performance (0.9 / 1.0 / 1.1).
+    pub goal_frac: f64,
+    /// Instances packed per machine.
+    pub instances: usize,
+    /// Mean percentage by which instances fell short of the goal
+    /// (0 = goal met everywhere).
+    pub violation_pct: f64,
+}
+
+/// A prepared scenario: one machine, one workload type, a trained model
+/// served out of a [`PlacementEngine`].
+pub struct PackingScenario {
+    machine: Machine,
+    oracle: SharedOracle,
+    catalog: Arc<PlacementCatalog>,
+    artifact: Arc<ModelArtifact>,
+    vcpus: usize,
+    workload: String,
+    baseline: usize,
+}
+
+/// OS-scheduler samples averaged per unpinned policy evaluation.
+const OS_SAMPLES: u64 = 6;
+
+impl PackingScenario {
+    /// Builds a scenario backed by a private single-machine engine.
+    ///
+    /// The engine enumerates important placements, builds the training
+    /// set over the paper suite *excluding the target workload's family*
+    /// (the model has never seen this workload), selects the probe pair
+    /// and trains the model — all cached, so a second scenario on an
+    /// identical machine reuses every stage. `seed` seeds probe selection
+    /// and forest training.
+    ///
+    /// `baseline` is the index of the baseline placement (the paper uses
+    /// placement #1 on AMD and #2 on Intel). The catalog's and the
+    /// model's errors pass through, e.g. [`PlacementError::NoProbePair`]
+    /// when the container has a single important placement.
+    ///
+    /// # Panics
+    ///
+    /// If `workload` is not a paper-suite workload.
+    pub fn new(
+        machine: Machine,
+        vcpus: usize,
+        workload: &str,
+        baseline: usize,
+        seed: u64,
+    ) -> Result<Self, PlacementError> {
+        let engine = PlacementEngine::single(
+            machine,
+            EngineConfig {
+                train_seed: seed,
+                ..EngineConfig::default()
+            },
+        );
+        Self::with_engine(&engine, MachineId(0), vcpus, workload, baseline)
+    }
+
+    /// Builds a scenario on one machine of an existing (shared) engine,
+    /// reusing whatever catalogs, training sweeps and models the engine
+    /// has already computed. Errors and panics as [`Self::new`].
+    pub fn with_engine(
+        engine: &PlacementEngine,
+        id: MachineId,
+        vcpus: usize,
+        workload: &str,
+        baseline: usize,
+    ) -> Result<Self, PlacementError> {
+        let target_family = workload_by_name(workload)
+            .unwrap_or_else(|| panic!("unknown workload {workload}"))
+            .family;
+        let catalog = engine.catalog(id, vcpus)?;
+        let artifact = engine.model(id, vcpus, baseline, Some(&target_family))?;
+        Ok(PackingScenario {
+            machine: engine.machine(id).clone(),
+            oracle: engine.oracle(id),
+            catalog,
+            artifact,
+            vcpus,
+            workload: workload.to_string(),
+            baseline,
+        })
+    }
+
+    /// Reference performance in the baseline placement (the quantity the
+    /// goals are fractions of).
+    pub fn baseline_perf(&self) -> f64 {
+        self.oracle.perf(
+            &self.workload,
+            &self.catalog.placements[self.baseline].spec,
+            1000,
+        )
+    }
+
+    /// The maximum number of instances that fit with one vCPU per
+    /// hardware thread.
+    fn max_instances(&self) -> usize {
+        self.machine.num_threads() / self.vcpus
+    }
+
+    /// Minimum number of nodes an instance needs.
+    fn min_nodes(&self) -> usize {
+        self.vcpus.div_ceil(self.machine.node_capacity())
+    }
+
+    /// Evaluates one policy at one goal fraction.
+    pub fn evaluate(&self, policy: Policy, goal_frac: f64, seed: u64) -> PolicyOutcome {
+        let goal = goal_frac * self.baseline_perf();
+        match policy {
+            Policy::Ml => self.eval_ml(goal, goal_frac, seed),
+            Policy::Conservative => {
+                self.eval_unpinned(1, goal, goal_frac, seed, Policy::Conservative)
+            }
+            Policy::Aggressive => self.eval_unpinned(
+                self.max_instances(),
+                goal,
+                goal_frac,
+                seed,
+                Policy::Aggressive,
+            ),
+            Policy::SmartAggressive => self.eval_smart(goal, goal_frac, seed),
+        }
+    }
+
+    /// Runs a set of concrete instances together and returns the mean
+    /// shortfall (%) against the goal.
+    fn measure_violation(&self, assignments: &[Vec<ThreadId>], goal: f64, seed: u64) -> f64 {
+        let w = workload_by_name(&self.workload).expect("known workload");
+        let runs: Vec<ContainerRun> = assignments
+            .iter()
+            .map(|a| ContainerRun {
+                workload: &w,
+                assignment: a,
+            })
+            .collect();
+        let result = simulate(&self.machine, &runs, &SimConfig::default(), seed);
+        let total: f64 = result
+            .per_container
+            .iter()
+            .map(|p| ((goal - p.metric_value) / goal).max(0.0) * 100.0)
+            .sum();
+        total / assignments.len() as f64
+    }
+
+    fn eval_ml(&self, goal: f64, goal_frac: f64, seed: u64) -> PolicyOutcome {
+        let model = &self.artifact.model;
+        let placements = &self.catalog.placements;
+        // Probe: run the container briefly in the two probe placements.
+        let anchor_perf = self
+            .oracle
+            .perf(&self.workload, &placements[model.anchor].spec, seed);
+        let other_perf = self.oracle.perf(
+            &self.workload,
+            &placements[model.other].spec,
+            seed.wrapping_add(1),
+        );
+        let predicted = model.predict_absolute(anchor_perf, other_perf);
+
+        // Pack: among surviving packings, choose the one that fits the
+        // most instances onto placement classes predicted to meet the
+        // goal. Parts host an instance only when their class prediction
+        // clears the goal.
+        let concerns = &self.catalog.concerns;
+        let packings = &self.catalog.packings;
+        let mut best: Option<(usize, Vec<PlacementSpec>)> = None;
+        for packing in packings {
+            let mut specs = Vec::new();
+            for part in &packing.parts {
+                if part.len() * self.machine.node_capacity() < self.vcpus {
+                    continue;
+                }
+                for ip in placements {
+                    if ip.spec.num_nodes() != part.len() {
+                        continue;
+                    }
+                    let candidate = PlacementSpec::new(
+                        self.vcpus,
+                        part.clone(),
+                        ip.spec.l3_groups_used,
+                        ip.spec.l2_groups_used,
+                    );
+                    if candidate.validate(&self.machine).is_err() {
+                        continue;
+                    }
+                    let scores = concerns.score_vector(&self.machine, &candidate);
+                    let matches = ip
+                        .scores
+                        .iter()
+                        .zip(&scores)
+                        .all(|(a, b)| (a - b).abs() <= 1e-9);
+                    if matches && predicted[ip.id - 1] >= goal {
+                        specs.push(candidate);
+                        break;
+                    }
+                }
+            }
+            let better = match &best {
+                None => true,
+                Some((n, _)) => specs.len() > *n,
+            };
+            if better {
+                best = Some((specs.len(), specs));
+            }
+        }
+        let (_, specs) = best.expect("at least one packing");
+
+        // Fall back to the best predicted placement when nothing is
+        // predicted to meet the goal (the operator still runs one
+        // instance; violations will show).
+        let specs = if specs.is_empty() {
+            let best_ip = placements
+                .iter()
+                .max_by(|a, b| {
+                    predicted[a.id - 1]
+                        .partial_cmp(&predicted[b.id - 1])
+                        .expect("finite predictions")
+                })
+                .expect("non-empty placements");
+            vec![best_ip.spec.clone()]
+        } else {
+            specs
+        };
+
+        let assignments: Vec<Vec<ThreadId>> = specs
+            .iter()
+            .map(|s| assign_vcpus(&self.machine, s).expect("validated spec"))
+            .collect();
+        let violation = self.measure_violation(&assignments, goal, seed);
+        PolicyOutcome {
+            policy: Policy::Ml,
+            goal_frac,
+            instances: assignments.len(),
+            violation_pct: violation,
+        }
+    }
+
+    fn eval_unpinned(
+        &self,
+        instances: usize,
+        goal: f64,
+        goal_frac: f64,
+        seed: u64,
+        policy: Policy,
+    ) -> PolicyOutcome {
+        let sizes = vec![self.vcpus; instances];
+        let mut total = 0.0;
+        for s in 0..OS_SAMPLES {
+            let assignments =
+                linux_like_assignments(&self.machine, &sizes, seed.wrapping_add(s * 7919));
+            total += self.measure_violation(&assignments, goal, seed.wrapping_add(s));
+        }
+        PolicyOutcome {
+            policy,
+            goal_frac,
+            instances,
+            violation_pct: total / OS_SAMPLES as f64,
+        }
+    }
+
+    fn eval_smart(&self, goal: f64, goal_frac: f64, seed: u64) -> PolicyOutcome {
+        // Best minimum node sets: the fewest nodes k that host the
+        // container balanced, and the packing with the most k-node parts
+        // whose sorted interconnect vector over them is
+        // lexicographically largest from the bottom (max-min). On those
+        // parts, as few L3, then L2, groups as capacity allows, at counts
+        // the vCPUs balance over: 3 vCPUs cannot share 2 L2 groups, 16
+        // overflow one L3 group of a Zen-like node, and 15 need 5 AMD
+        // nodes, which only packings of mixed part sizes hold.
+        let spec = |part: &[_], (l3, l2)| PlacementSpec::new(self.vcpus, part.to_vec(), l3, l2);
+        let (parts, groups) = (self.min_nodes()..=self.machine.num_nodes())
+            .find_map(|k| {
+                let parts = self
+                    .catalog
+                    .packings
+                    .iter()
+                    .map(|p| {
+                        p.parts
+                            .iter()
+                            .filter(|part| part.len() == k)
+                            .collect::<Vec<_>>()
+                    })
+                    .filter(|parts| !parts.is_empty())
+                    .max_by(|a, b| {
+                        let ica = (a.len(), min_ic(&self.machine, a));
+                        let icb = (b.len(), min_ic(&self.machine, b));
+                        ica.partial_cmp(&icb).expect("finite scores")
+                    })?;
+                let l2_min = self.vcpus.div_ceil(self.machine.l2_capacity()).max(k);
+                let groups = (k..=self.vcpus)
+                    .flat_map(|l3| (l2_min..=self.vcpus).map(move |l2| (l3, l2)))
+                    .find(|&g| spec(parts[0], g).validate(&self.machine).is_ok())?;
+                Some((parts, groups))
+            })
+            .expect("every important placement is a part of some packing");
+        let assignments: Vec<Vec<ThreadId>> = parts
+            .iter()
+            .map(|part| assign_vcpus(&self.machine, &spec(part, groups)).expect("validated spec"))
+            .collect();
+        let violation = self.measure_violation(&assignments, goal, seed);
+        PolicyOutcome {
+            policy: Policy::SmartAggressive,
+            goal_frac,
+            instances: assignments.len(),
+            violation_pct: violation,
+        }
+    }
+}
+
+fn min_ic(machine: &Machine, parts: &[&NodeSet]) -> f64 {
+    parts
+        .iter()
+        .map(|p| vc_topology::stream::aggregate_bandwidth(machine.interconnect(), p))
+        .fold(f64::INFINITY, f64::min)
+}
 
 /// The policies in the figure's order.
 pub const POLICIES: [Policy; 4] = [
@@ -33,27 +404,28 @@ pub struct Fig5Panel {
 /// Panels on the same machine model share the engine's cached catalog
 /// and training sweep; only the per-workload leave-family-out model is
 /// trained anew (and itself cached for repeated panels). `seed` drives
-/// the probe and OS-scheduler sampling during evaluation.
+/// the probe and OS-scheduler sampling during evaluation. Errors and
+/// panics as [`PackingScenario::new`].
 pub fn run_panel(
-    engine: &Arc<PlacementEngine>,
+    engine: &PlacementEngine,
     id: MachineId,
     vcpus: usize,
     baseline: usize,
     workload: &str,
     seed: u64,
-) -> Fig5Panel {
-    let scenario = PackingScenario::with_engine(engine, id, vcpus, workload, baseline);
+) -> Result<Fig5Panel, PlacementError> {
+    let scenario = PackingScenario::with_engine(engine, id, vcpus, workload, baseline)?;
     let mut outcomes = Vec::new();
     for policy in POLICIES {
         for goal in GOALS {
             outcomes.push(scenario.evaluate(policy, goal, seed));
         }
     }
-    Fig5Panel {
+    Ok(Fig5Panel {
         workload: workload.to_string(),
         machine: engine.machine(id).name().to_string(),
         outcomes,
-    }
+    })
 }
 
 /// Renders a panel: instances (bars) and violation % (stars).
@@ -81,23 +453,58 @@ pub fn render(panel: &Fig5Panel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_engine::EngineConfig;
     use vc_topology::machines;
 
-    fn amd_engine(seed: u64) -> Arc<PlacementEngine> {
-        Arc::new(PlacementEngine::single(
+    fn amd_engine(seed: u64) -> PlacementEngine {
+        PlacementEngine::single(
             machines::amd_opteron_6272(),
             EngineConfig {
                 train_seed: seed,
                 ..EngineConfig::default()
             },
-        ))
+        )
     }
+
+    fn amd_scenario(workload: &str) -> PackingScenario {
+        PackingScenario::new(machines::amd_opteron_6272(), 16, workload, 0, 7).unwrap()
+    }
+
+    /// Every `(policy, goal, instances, violation_pct bits)` of the AMD
+    /// WiredTiger panel, pinned before the scenario joined this module:
+    /// a move, a signature change or a build-profile change that alters
+    /// one bit of the figure fails here.
+    const WTBTREE_AMD_PANEL: [(Policy, f64, usize, u64); 12] = [
+        (Policy::Ml, 0.9, 3, 0x0000000000000000),
+        (Policy::Ml, 1.0, 2, 0x0000000000000000),
+        (Policy::Ml, 1.1, 1, 0x0000000000000000),
+        (Policy::Conservative, 0.9, 1, 0x0000000000000000),
+        (Policy::Conservative, 1.0, 1, 0x4007d40788219488),
+        (Policy::Conservative, 1.1, 1, 0x4026891289be0c1d),
+        (Policy::Aggressive, 0.9, 4, 0x40417fe5e75d41f2),
+        (Policy::Aggressive, 1.0, 4, 0x4044bfe8836d8826),
+        (Policy::Aggressive, 1.1, 4, 0x404768a4d4921eaf),
+        (Policy::SmartAggressive, 0.9, 4, 0x4007cd8ecc7ad5cc),
+        (Policy::SmartAggressive, 1.0, 4, 0x4023cdaafa83825f),
+        (Policy::SmartAggressive, 1.1, 4, 0x40320a924e31461e),
+    ];
 
     #[test]
     fn wiredtiger_amd_panel_matches_paper_shape() {
         let engine = amd_engine(5);
-        let panel = run_panel(&engine, MachineId(0), 16, 0, "WTbtree", 5);
+        let panel = run_panel(&engine, MachineId(0), 16, 0, "WTbtree", 5).unwrap();
+        let bits: Vec<_> = panel
+            .outcomes
+            .iter()
+            .map(|o| {
+                (
+                    o.policy,
+                    o.goal_frac,
+                    o.instances,
+                    o.violation_pct.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(bits, WTBTREE_AMD_PANEL);
         let get = |p: Policy, g: f64| {
             panel
                 .outcomes
@@ -134,9 +541,115 @@ mod tests {
     #[test]
     fn render_contains_all_policy_rows() {
         let engine = amd_engine(5);
-        let panel = run_panel(&engine, MachineId(0), 16, 0, "swaptions", 5);
+        let panel = run_panel(&engine, MachineId(0), 16, 0, "swaptions", 5).unwrap();
         let text = render(&panel);
         assert_eq!(text.lines().count(), 2 + 12);
         assert!(text.contains("Aggressive (Smart)"));
+    }
+
+    #[test]
+    fn conservative_packs_one_instance() {
+        let s = amd_scenario("WTbtree");
+        let o = s.evaluate(Policy::Conservative, 0.9, 1);
+        assert_eq!(o.instances, 1);
+    }
+
+    #[test]
+    fn aggressive_packs_the_machine_full() {
+        let s = amd_scenario("WTbtree");
+        let o = s.evaluate(Policy::Aggressive, 1.0, 1);
+        assert_eq!(o.instances, 4); // 64 threads / 16 vCPUs
+    }
+
+    #[test]
+    fn smart_aggressive_pins_disjoint_min_sets() {
+        let s = amd_scenario("WTbtree");
+        let o = s.evaluate(Policy::SmartAggressive, 1.0, 1);
+        assert_eq!(o.instances, 4);
+    }
+
+    #[test]
+    fn ml_meets_goals_that_aggressive_violates() {
+        let s = amd_scenario("WTbtree");
+        let ml = s.evaluate(Policy::Ml, 1.0, 2);
+        let agg = s.evaluate(Policy::Aggressive, 1.0, 2);
+        assert!(
+            ml.violation_pct <= 2.0,
+            "ML violates its goal: {}",
+            ml.violation_pct
+        );
+        assert!(
+            agg.violation_pct > ml.violation_pct,
+            "aggressive {} vs ml {}",
+            agg.violation_pct,
+            ml.violation_pct
+        );
+    }
+
+    #[test]
+    fn ml_packs_more_at_laxer_goals() {
+        let s = amd_scenario("WTbtree");
+        let strict = s.evaluate(Policy::Ml, 1.1, 3);
+        let lax = s.evaluate(Policy::Ml, 0.9, 3);
+        assert!(lax.instances >= strict.instances);
+        assert!(lax.instances >= 2, "lax goal packs {}", lax.instances);
+    }
+
+    #[test]
+    fn ml_beats_conservative_on_packing_density() {
+        let s = amd_scenario("swaptions");
+        let ml = s.evaluate(Policy::Ml, 0.9, 4);
+        let cons = s.evaluate(Policy::Conservative, 0.9, 4);
+        assert!(ml.instances > cons.instances);
+    }
+
+    #[test]
+    fn scenarios_sharing_an_engine_share_training() {
+        let engine = PlacementEngine::single(machines::amd_opteron_6272(), EngineConfig::default());
+        let scenario = |workload| {
+            PackingScenario::with_engine(&engine, MachineId(0), 16, workload, 0).unwrap()
+        };
+        let a = scenario("WTbtree");
+        let after_first = engine.stats();
+        // Same workload family again: catalog, sweep and model all hit.
+        let b = scenario("WTbtree");
+        let stats = engine.stats();
+        assert_eq!(after_first.models.computes, stats.models.computes);
+        assert_eq!(after_first.catalogs.computes, stats.catalogs.computes);
+        assert_eq!(
+            after_first.training_sets.computes,
+            stats.training_sets.computes
+        );
+        // A different family retrains the model but reuses the catalog.
+        let _c = scenario("swaptions");
+        let stats2 = engine.stats();
+        assert_eq!(stats.catalogs.computes, stats2.catalogs.computes);
+        assert!(stats2.models.computes > stats.models.computes);
+        // The shared scenarios behave identically.
+        let oa = a.evaluate(Policy::Conservative, 0.9, 1);
+        let ob = b.evaluate(Policy::Conservative, 0.9, 1);
+        assert_eq!(oa.instances, ob.instances);
+        assert_eq!(oa.violation_pct, ob.violation_pct);
+    }
+
+    #[test]
+    fn a_container_with_one_important_placement_has_no_scenario() {
+        let err = PackingScenario::new(machines::amd_opteron_6272(), 64, "WTbtree", 0, 7).err();
+        assert_eq!(err, Some(PlacementError::NoProbePair { placements: 1 }));
+    }
+
+    #[test]
+    fn smart_aggressive_balances_sizes_the_minimum_counts_do_not() {
+        // 3 vCPUs: capacity alone asks for 2 L2 groups, which 3 vCPUs
+        // cannot share evenly, so each instance takes 3 on one node.
+        // 15 vCPUs: 2 nodes cannot split them and 3 overflow their L2
+        // groups; one instance fits, on 5 nodes of a mixed packing.
+        for (vcpus, instances) in [(3, 8), (15, 1)] {
+            let amd = machines::amd_opteron_6272();
+            let s = PackingScenario::new(amd, vcpus, "WTbtree", 0, 7).unwrap();
+            let o = s.evaluate(Policy::SmartAggressive, 1.0, 1);
+            assert_eq!(o.instances, instances, "{vcpus} vCPUs");
+            assert!(o.violation_pct.is_finite());
+        }
     }
 }

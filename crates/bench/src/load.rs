@@ -360,6 +360,187 @@ mod tests {
         }
     }
 
+    /// One call a client made, as a [`Recorder`] saw it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Place {
+            workload: String,
+            probe_seed: u64,
+            handle: Option<u64>,
+        },
+        Release(u64),
+    }
+
+    /// A fake target that logs every call and rejects every
+    /// `reject_every`-th placement (never when 0), so the script can be
+    /// checked without a fleet.
+    #[derive(Default)]
+    struct Recorder {
+        reject_every: usize,
+        attempts: usize,
+        calls: Vec<Call>,
+    }
+
+    impl Target for &mut Recorder {
+        type Handle = u64;
+
+        fn place(&mut self, req: PlacementRequest, _: BatchStrategy) -> Option<u64> {
+            self.attempts += 1;
+            let rejected = self.reject_every > 0 && self.attempts.is_multiple_of(self.reject_every);
+            let handle = (!rejected).then_some(self.calls.len() as u64);
+            self.calls.push(Call::Place {
+                workload: req.workload,
+                probe_seed: req.probe_seed,
+                handle,
+            });
+            handle
+        }
+
+        fn release(&mut self, handle: u64) {
+            self.calls.push(Call::Release(handle));
+        }
+    }
+
+    /// Runs `load` against `clients` fresh recorders, returning their logs.
+    fn record(load: &Load, clients: usize, reject_every: usize) -> (LoadReport, Vec<Vec<Call>>) {
+        let mut recorders: Vec<Recorder> = (0..clients)
+            .map(|_| Recorder {
+                reject_every,
+                ..Recorder::default()
+            })
+            .collect();
+        let report = load.run(recorders.iter_mut().collect(), None);
+        (report, recorders.into_iter().map(|r| r.calls).collect())
+    }
+
+    /// The script is a pure function of the seed and the client index:
+    /// a rerun replays every call, clients of one run differ, and a new
+    /// seed draws a new script.
+    #[test]
+    fn the_script_is_a_pure_function_of_seed_and_client() {
+        let load = mixed_load(24);
+        let (_, a) = record(&load, 2, 0);
+        let (_, b) = record(&load, 2, 0);
+        assert_eq!(a, b, "same seed, same calls");
+        assert_ne!(a[0], a[1], "clients run distinct streams");
+        let reseeded = Load {
+            seed: load.seed + 100,
+            ..load.clone()
+        };
+        let (_, c) = record(&reseeded, 2, 0);
+        assert_ne!(a[0], c[0], "a new seed draws a new script");
+    }
+
+    /// No two requests of a run share a probe seed, across clients and
+    /// iterations alike.
+    #[test]
+    fn probe_seeds_are_unique_across_a_run() {
+        let (clients, per_client) = (3, 10);
+        let (_, logs) = record(&mixed_load(per_client), clients, 0);
+        let mut seeds: Vec<u64> = logs
+            .iter()
+            .flatten()
+            .filter_map(|c| match c {
+                Call::Place { probe_seed, .. } => Some(*probe_seed),
+                Call::Release(_) => None,
+            })
+            .collect();
+        seeds.sort_unstable();
+        assert_eq!(
+            seeds,
+            (0..(clients * per_client) as u64).collect::<Vec<_>>()
+        );
+    }
+
+    /// Every placed handle is released exactly once, after its placement,
+    /// and a rejected attempt never is; the report counts match the log.
+    #[test]
+    fn each_placed_handle_is_released_exactly_once() {
+        let (report, logs) = record(&mixed_load(20), 2, 3);
+        assert!(report.rejected > 0, "every third attempt is rejected");
+        let mut placed = 0;
+        for log in &logs {
+            let mut live: Vec<u64> = Vec::new();
+            for call in log {
+                match call {
+                    Call::Place {
+                        handle: Some(h), ..
+                    } => live.push(*h),
+                    Call::Place { handle: None, .. } => {}
+                    Call::Release(h) => {
+                        let at = live.iter().position(|l| l == h);
+                        live.swap_remove(at.expect("released a handle not live"));
+                        placed += 1;
+                    }
+                }
+            }
+            assert!(live.is_empty(), "the client drained: {live:?} left live");
+        }
+        assert_eq!(placed, report.placed);
+        assert_eq!(report.placed + report.rejected, 2 * 20);
+        assert_eq!(report.release.count(), report.placed);
+    }
+
+    /// `release_pct` bounds the churn: at 0 every release waits for the
+    /// drain; at 100 each placement is followed by a release, so a
+    /// client never holds two containers.
+    #[test]
+    fn release_pct_sets_when_containers_depart() {
+        let hold = Load {
+            release_pct: 0,
+            ..mixed_load(8)
+        };
+        let (_, logs) = record(&hold, 1, 0);
+        let (places, releases) = logs[0].split_at(8);
+        assert!(places.iter().all(|c| matches!(c, Call::Place { .. })));
+        assert_eq!(releases.len(), 8, "all eight drain at the end");
+        assert!(releases.iter().all(|c| matches!(c, Call::Release(_))));
+
+        let churn = Load {
+            release_pct: 100,
+            ..mixed_load(8)
+        };
+        let (_, logs) = record(&churn, 1, 0);
+        assert_eq!(logs[0].len(), 16);
+        for pair in logs[0].chunks(2) {
+            match pair {
+                [Call::Place {
+                    handle: Some(h), ..
+                }, Call::Release(r)] => assert_eq!(h, r),
+                other => panic!("expected place then release: {other:?}"),
+            }
+        }
+    }
+
+    /// Warm-up places every pool entry once, in pool order, and releases
+    /// what was placed.
+    #[test]
+    fn warm_up_places_and_releases_each_pool_entry_once() {
+        let load = mixed_load(4);
+        let mut recorder = Recorder::default();
+        load.warm_up(&mut &mut recorder);
+        let workloads: Vec<&str> = recorder
+            .calls
+            .iter()
+            .filter_map(|c| match c {
+                Call::Place { workload, .. } => Some(workload.as_str()),
+                Call::Release(_) => None,
+            })
+            .collect();
+        assert_eq!(workloads, ["streamcluster", "WTbtree", "swaptions"]);
+        assert_eq!(recorder.calls.len(), 2 * load.pool.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "load needs a request pool")]
+    fn an_empty_pool_is_refused() {
+        let load = Load {
+            pool: Vec::new(),
+            ..Load::default()
+        };
+        record(&load, 1, 0);
+    }
+
     #[test]
     fn latency_summary_quantiles_are_nearest_rank() {
         let s = LatencySummary::from_nanos(vec![50, 10, 40, 20, 30]);

@@ -969,6 +969,31 @@ impl PlacementEngine {
     /// untouched (an earlier revision swallowed this behind a
     /// `debug_assert!`, so release builds silently diverged), and the
     /// failure is counted in [`EngineStats::release_failures`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vc_engine::{EngineConfig, MachineId, PlacementEngine, PlacementRequest};
+    /// use vc_topology::machines;
+    ///
+    /// let engine = PlacementEngine::single(
+    ///     machines::amd_opteron_6272(),
+    ///     EngineConfig { extra_synthetic: 0, ..EngineConfig::default() },
+    /// );
+    /// // Four 16-vCPU containers fill the 64-thread machine...
+    /// let req = PlacementRequest::new("WTbtree", 16);
+    /// let live: Vec<_> = (0..4)
+    ///     .map(|_| engine.place(&req).placed().expect("room").clone())
+    ///     .collect();
+    /// assert!(engine.place(&req).placed().is_none());
+    /// // ...until one departs and hands its threads back.
+    /// engine.release(&live[1]).unwrap();
+    /// assert_eq!(engine.utilisation(MachineId(0)), (48, 64));
+    /// let next = engine.place(&req).placed().expect("freed room").clone();
+    /// assert_eq!(next.threads, live[1].threads);
+    /// // A second release of the same handle is refused.
+    /// assert!(engine.release(&live[1]).is_err());
+    /// ```
     pub fn release(&self, placed: &Placed) -> Result<(), ReleaseError> {
         // Optimistic loop over the location map: copy the ticket's
         // current host (never holding the map while taking a host

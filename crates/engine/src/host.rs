@@ -343,10 +343,12 @@ impl PlacementEngine {
 
     /// Checks, host by host under its lock, that every published view
     /// equals the authoritative state: snapshot == occupancy +
-    /// registry, summary == occupancy, stored sketch profile == the
-    /// occupancy's profile, and every registry ticket resolves to this
-    /// host in the location map. Exact at quiescence (no critical
-    /// section in flight); `Err` names the first divergence.
+    /// registry, the registry's thread sets are pairwise disjoint and
+    /// cover exactly the occupancy's used threads, summary ==
+    /// occupancy, stored sketch profile == the occupancy's profile, and
+    /// every registry ticket resolves to this host in the location map.
+    /// Exact at quiescence (no critical section in flight); `Err` names
+    /// the first divergence.
     pub fn audit(&self) -> Result<(), String> {
         let mut scope = LockScope::new();
         for (i, host) in self.hosts.iter().enumerate() {
@@ -371,6 +373,24 @@ impl PlacementEngine {
                     Some(live) if live.threads == r.threads => {}
                     _ => return Err(format!("host {i}: snapshot {} not in registry", r.ticket)),
                 }
+            }
+            let mut owner = vec![None; st.occ.total_threads()];
+            for r in st.residents.values() {
+                for &t in &r.threads {
+                    if let Some(other) = owner[t.index()].replace(r.ticket) {
+                        return Err(format!("host {i}: {t} held by both {other} and {}", r.ticket));
+                    }
+                    if st.occ.is_free(t) {
+                        return Err(format!("host {i}: {} holds {t}, which is free", r.ticket));
+                    }
+                }
+            }
+            let owned = owner.iter().flatten().count();
+            if owned != st.occ.used_threads() {
+                return Err(format!(
+                    "host {i}: registry holds {owned} threads, occupancy reserves {}",
+                    st.occ.used_threads()
+                ));
             }
             let summary = &host.summary;
             let nodes_agree = (0..st.occ.num_nodes())
@@ -407,6 +427,7 @@ impl PlacementEngine {
 mod tests {
     use super::*;
     use crate::engine::{fast_test_config, PlacementRequest};
+    use vc_core::placement::PlacementSpec;
     use vc_topology::machines;
 
     fn fleet(hosts: usize) -> PlacementEngine {
@@ -438,7 +459,7 @@ mod tests {
         assert_eq!(published(&engine), base + 1);
         assert_eq!(host.summary.free_threads(), 64 - threads.len());
         assert_eq!(engine.utilisation(MachineId(0)).0, threads.len());
-        engine.audit().unwrap();
+        assert!(engine.audit().is_err(), "no resident owns the reserved threads");
 
         {
             let mut scope = LockScope::new();
@@ -451,6 +472,54 @@ mod tests {
 
         engine.lock_host(&mut LockScope::new(), host).release(&threads);
         assert_eq!(published(&engine), base + 2);
+        engine.audit().unwrap();
+    }
+
+    /// `audit` holds the registry to the occupancy: threads reserved
+    /// for no resident, and a thread two residents claim, are both
+    /// divergences even when every published view is fresh.
+    #[test]
+    fn audit_checks_registry_threads_against_occupancy() {
+        let engine = fleet(1);
+        let host = &engine.hosts[0];
+        let threads = engine.machine(MachineId(0)).threads_on_node(NodeId(0));
+        let resident = |ticket| Resident {
+            ticket: PlacementTicket(ticket),
+            request: PlacementRequest::new("swaptions", threads.len()),
+            placement_id: 1,
+            spec: PlacementSpec::on_nodes(threads.len(), vec![NodeId(0)], threads.len() / 2),
+            threads: threads.clone(),
+            predicted_perf: 1.0,
+            interference_penalty: 1.0,
+            goal_perf: 0.0,
+        };
+        let register = |ticket| {
+            let mut scope = LockScope::new();
+            let mut guard = engine.lock_host(&mut scope, host);
+            guard.insert_resident(resident(ticket));
+            engine.locations.with(guard.witness(), |m| m.insert(ticket, 0));
+        };
+
+        engine.lock_host(&mut LockScope::new(), host).reserve(&threads).unwrap();
+        let err = engine.audit().unwrap_err();
+        assert!(err.contains("registry holds 0 threads, occupancy reserves 8"), "{err}");
+
+        register(1);
+        engine.audit().unwrap();
+
+        register(2);
+        let err = engine.audit().unwrap_err();
+        assert!(err.contains("held by both"), "{err}");
+
+        {
+            let mut scope = LockScope::new();
+            let mut guard = engine.lock_host(&mut scope, host);
+            for ticket in [1, 2] {
+                guard.remove_resident(PlacementTicket(ticket)).unwrap();
+                engine.locations.with(guard.witness(), |m| m.remove(&ticket));
+            }
+            guard.release(&threads);
+        }
         engine.audit().unwrap();
     }
 

@@ -202,8 +202,32 @@ impl RebalanceReport {
 }
 
 /// [`RebalanceReport`]s summed over many passes — what a periodic
-/// rebalancer (the daemon's loop, a churn run's ticks, a load driver's
-/// background thread) did in total.
+/// rebalancer (the daemon's loop, a load driver's background thread)
+/// did in total.
+///
+/// # Examples
+///
+/// ```
+/// use vc_engine::{
+///     EngineConfig, PlacementEngine, PlacementRequest, RebalancePolicy, RebalanceTotals,
+/// };
+/// use vc_topology::machines;
+///
+/// // No degradation budget: passes run, and are counted, but scan and
+/// // move nothing.
+/// let engine = PlacementEngine::single(
+///     machines::amd_opteron_6272(),
+///     EngineConfig { extra_synthetic: 0, ..EngineConfig::default() },
+/// );
+/// engine.place(&PlacementRequest::new("swaptions", 16)).placed().expect("room");
+/// let mut totals = RebalanceTotals::default();
+/// for _ in 0..3 {
+///     totals.absorb(&engine.rebalance(&RebalancePolicy::default()));
+/// }
+/// assert_eq!(totals.passes, 3);
+/// assert_eq!((totals.scanned, totals.migrations), (0, 0));
+/// assert_eq!(totals.moved_gb, 0.0);
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RebalanceTotals {
     /// Passes absorbed (no-op passes of a budget-less engine included).
@@ -554,5 +578,156 @@ impl PlacementEngine {
         }
         self.commit_move(scope, src, dst, resident, (ap, p, penalty))
             .map(|placed| (placed, degradation_after))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vc_core::placement::PlacementSpec;
+    use vc_topology::NodeId;
+
+    fn estimate(moved_gb: f64, frozen_s: f64) -> MigrationEstimate {
+        MigrationEstimate {
+            duration_s: frozen_s,
+            moved_gb,
+            frozen_s,
+            runtime_overhead_pct: 0.0,
+            migrates_page_cache: true,
+        }
+    }
+
+    fn migration(before: f64, after: f64, moved_gb: f64, frozen_s: f64) -> Migration {
+        let ticket = PlacementTicket(1);
+        Migration {
+            ticket,
+            workload: "WTbtree".into(),
+            from: MachineId(0),
+            to: MachineId(1),
+            degradation_before: before,
+            degradation_after: after,
+            estimate: estimate(moved_gb, frozen_s),
+            placed: Placed {
+                ticket,
+                machine: MachineId(1),
+                placement_id: 1,
+                spec: PlacementSpec::on_nodes(4, vec![NodeId(0)], 2),
+                threads: Vec::new(),
+                predicted_perf: 1.0,
+                interference_penalty: 1.0 - after,
+                goal_perf: 0.0,
+                goal_met: true,
+            },
+        }
+    }
+
+    /// A pass that moved nothing reports `+0.0` GB and seconds — not the
+    /// `-0.0` an empty `f64` sum yields, which prints as "-0.00" — and
+    /// absorbing it counts the pass and nothing else.
+    #[test]
+    fn empty_passes_sum_to_positive_zero() {
+        let empty = RebalanceReport::default();
+        assert_eq!(empty.moved_gb().to_bits(), 0.0f64.to_bits());
+        assert_eq!(empty.frozen_s().to_bits(), 0.0f64.to_bits());
+        assert_eq!(empty.mean_degradation_before(), 0.0);
+        assert_eq!(empty.mean_degradation_after(), 0.0);
+
+        let mut totals = RebalanceTotals::default();
+        totals.absorb(&empty);
+        totals.absorb(&empty);
+        assert_eq!(
+            totals,
+            RebalanceTotals {
+                passes: 2,
+                ..RebalanceTotals::default()
+            }
+        );
+        assert_eq!(totals.moved_gb.to_bits(), 0.0f64.to_bits());
+        assert_eq!(totals.mean_degradation_before(), 0.0);
+        assert_eq!(totals.mean_degradation_after(), 0.0);
+    }
+
+    /// Totals add every counter of every absorbed pass, and their means
+    /// are taken over migrations, not passes.
+    #[test]
+    fn totals_sum_counters_and_average_over_migrations() {
+        let first = RebalanceReport {
+            scanned: 5,
+            over_budget: 2,
+            migrations: vec![migration(0.25, 0.0, 36.0, 2.0), migration(0.5, 0.25, 0.5, 1.0)],
+            blocked_no_target: 1,
+            failed_commits: 1,
+            pass: 1,
+            ..RebalanceReport::default()
+        };
+        let second = RebalanceReport {
+            scanned: 4,
+            over_budget: 2,
+            migrations: vec![migration(0.75, 0.5, 1.5, 0.5)],
+            blocked_by_cost: 1,
+            suppressed_by_cooldown: 2,
+            blocked_by_gb_cap: 3,
+            pass: 2,
+            ..RebalanceReport::default()
+        };
+        assert_eq!(first.moved_gb(), 36.5);
+        assert_eq!(first.frozen_s(), 3.0);
+        assert_eq!(first.mean_degradation_before(), 0.375);
+        assert_eq!(first.mean_degradation_after(), 0.125);
+
+        let mut totals = RebalanceTotals::default();
+        totals.absorb(&first);
+        totals.absorb(&RebalanceReport::default());
+        totals.absorb(&second);
+        assert_eq!(
+            totals,
+            RebalanceTotals {
+                passes: 3,
+                scanned: 9,
+                over_budget: 4,
+                migrations: 3,
+                blocked_by_cost: 1,
+                blocked_no_target: 1,
+                failed_commits: 1,
+                suppressed_by_cooldown: 2,
+                blocked_by_gb_cap: 3,
+                moved_gb: 38.0,
+                frozen_s: 3.5,
+                degradation_before_sum: 1.5,
+                degradation_after_sum: 0.75,
+            }
+        );
+        assert_eq!(totals.mean_degradation_before(), 0.5);
+        assert_eq!(totals.mean_degradation_after(), 0.25);
+    }
+
+    /// The cost/benefit gate's two sides: a move costs its freeze plus
+    /// the throughput lost while copying, and is worth the degradation
+    /// it removes times the credited runtime.
+    #[test]
+    fn cost_is_freeze_plus_copy_overhead_and_benefit_scales_with_runtime() {
+        let policy = RebalancePolicy::default();
+        assert_eq!(policy.cost_s(&estimate(36.0, 4.0)), 4.0, "frozen: no overhead");
+        let throttled = MigrationEstimate {
+            duration_s: 40.0,
+            moved_gb: 36.0,
+            frozen_s: 0.0,
+            runtime_overhead_pct: 5.0,
+            migrates_page_cache: true,
+        };
+        assert!((policy.cost_s(&throttled) - 2.0).abs() < 1e-12);
+
+        assert_eq!(policy.expected_runtime_s, 600.0);
+        assert_eq!(policy.benefit_s(0.5, 0.25), 150.0);
+        assert!(policy.benefit_s(0.25, 0.5) < 0.0, "a worse home is a loss");
+        let short = RebalancePolicy {
+            expected_runtime_s: 4.0,
+            ..RebalancePolicy::default()
+        };
+        assert_eq!(short.benefit_s(0.5, 0.25), 1.0);
+        assert!(
+            short.benefit_s(0.5, 0.25) < short.cost_s(&estimate(36.0, 4.0)),
+            "a short-lived container is not worth a long freeze"
+        );
     }
 }

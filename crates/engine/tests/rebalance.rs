@@ -216,6 +216,8 @@ fn degraded_resident_is_migrated_and_measurably_faster() {
             .any(|r| r.ticket == victim.ticket),
         "WiredTiger stays"
     );
+    // Both hosts' registries own exactly their occupancy's threads.
+    engine.audit().unwrap();
 
     // Let the simulator judge, with the real workloads: the mover next
     // to WiredTiger (before) vs in its new home (after, with whatever
@@ -460,6 +462,7 @@ fn rebalance_can_move_within_one_host() {
     assert!(m.degradation_after < m.degradation_before);
     // Occupancy stays exact: still exactly two containers' threads.
     assert_eq!(engine.utilisation(MachineId(0)).0, 8);
+    engine.audit().unwrap();
     engine.release(&victim).unwrap();
     assert_eq!(engine.utilisation(MachineId(0)).0, 4);
 }

@@ -7,9 +7,8 @@
 //! the periodic rebalance pass: a loop thread runs
 //! `PlacementEngine::rebalance` every interval, pausable over the
 //! control verbs, with hysteresis (move cooldown, per-pass moved-GB
-//! cap) supplied by the loop's [`RebalancePolicy`]. This replaces the
-//! hand-driven `ChurnScenario::with_rebalance` pattern: callers connect
-//! and churn, the fleet self-corrects underneath.
+//! cap) supplied by the loop's [`RebalancePolicy`]. Callers connect and
+//! churn; the fleet self-corrects underneath.
 //!
 //! Lifecycle: **running** → (`Drain`) **draining** (placements
 //! refused, releases complete) → (`Shutdown`) **stopped** (accept

@@ -15,6 +15,7 @@
 //! `zen` (Zen-like demo). Workloads: any paper-suite name (see
 //! `vcplace migrate --list`).
 
+use vc_bench::experiments::fig5::{PackingScenario, POLICIES};
 use vcplace::core::concern::ConcernSet;
 use vcplace::core::important::important_placements;
 use vcplace::core::model::{
@@ -22,7 +23,6 @@ use vcplace::core::model::{
 };
 use vcplace::migration::MigrationModel;
 use vcplace::ml::forest::ForestConfig;
-use vcplace::policy::{PackingScenario, Policy};
 use vcplace::sim::SimOracle;
 use vcplace::topology::{machines, render, Machine};
 use vcplace::workloads::suite::{paper_suite, workload_by_name};
@@ -280,19 +280,21 @@ fn cmd_predict(machine: &Machine, vcpus: usize, workload: &str) {
 }
 
 fn cmd_pack(machine: Machine, vcpus: usize, workload: &str, goal: f64) {
-    let scenario = PackingScenario::new(machine, vcpus, workload, 0, 7);
+    if workload_by_name(workload).is_none() {
+        eprintln!("unknown workload {workload}; try `vcplace migrate --list`");
+        std::process::exit(1);
+    }
+    let scenario = PackingScenario::new(machine, vcpus, workload, 0, 7).unwrap_or_else(|e| {
+        eprintln!("cannot pack {vcpus}-vCPU {workload}: {e}");
+        std::process::exit(1);
+    });
     println!(
         "baseline performance: {:.1}; goal {:.0} %",
         scenario.baseline_perf(),
         goal * 100.0
     );
     println!("{:<20} {:>12} {:>14}", "policy", "instances", "violation %");
-    for policy in [
-        Policy::Ml,
-        Policy::Conservative,
-        Policy::Aggressive,
-        Policy::SmartAggressive,
-    ] {
+    for policy in POLICIES {
         let o = scenario.evaluate(policy, goal, 5);
         println!(
             "{:<20} {:>12} {:>14.1}",

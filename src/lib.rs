@@ -17,13 +17,16 @@
 //! * [`sim`] — the analytic NUMA performance simulator and HPE
 //!   synthesiser;
 //! * [`migration`] — the Table 2 memory migration cost model;
-//! * [`policy`] — the §7 packing policies and scenario harness;
 //! * [`engine`] — the cluster-scale placement service: a cache-backed
 //!   [`engine::PlacementEngine`] serving placement and packing queries
 //!   over a fleet of machines;
 //! * [`serve`] — the long-lived placement daemon: a framed TCP protocol
 //!   over the engine ([`serve::PlacementServer`] / [`serve::Client`])
 //!   with a pausable background rebalance loop.
+//!
+//! The paper's tables and figures, including the §7 packing policies of
+//! Figure 5, are regenerated by the `vc-bench` crate
+//! (`vc_bench::experiments`, printed by `vc-bench <figure>`).
 //!
 //! # Quickstart
 //!
@@ -44,7 +47,6 @@ pub use vc_core as core;
 pub use vc_engine as engine;
 pub use vc_migration as migration;
 pub use vc_ml as ml;
-pub use vc_policy as policy;
 pub use vc_serve as serve;
 pub use vc_sim as sim;
 pub use vc_topology as topology;

@@ -1,5 +1,6 @@
 //! End-to-end integration tests: the full paper pipeline across crates.
 
+use vc_bench::experiments::fig5::{PackingScenario, Policy};
 use vcplace::core::concern::ConcernSet;
 use vcplace::core::important::important_placements;
 use vcplace::core::model::{
@@ -7,7 +8,6 @@ use vcplace::core::model::{
 };
 use vcplace::migration::MigrationModel;
 use vcplace::ml::forest::ForestConfig;
-use vcplace::policy::{PackingScenario, Policy};
 use vcplace::sim::SimOracle;
 use vcplace::topology::machines;
 use vcplace::workloads::suite::{paper_suite, workload_by_name};
@@ -127,12 +127,33 @@ fn ml_policy_dominates_aggressive_on_violations_across_machines() {
         (machines::amd_opteron_6272(), 16, 0),
         (machines::intel_xeon_e7_4830_v3(), 24, 1),
     ] {
-        let scenario = PackingScenario::new(machine, vcpus, "WTbtree", baseline, 7);
+        let scenario = PackingScenario::new(machine, vcpus, "WTbtree", baseline, 7).unwrap();
         let ml = scenario.evaluate(Policy::Ml, 1.0, 3);
         let agg = scenario.evaluate(Policy::Aggressive, 1.0, 3);
         assert!(ml.violation_pct <= 2.0, "ML violated: {}", ml.violation_pct);
         assert!(agg.violation_pct > ml.violation_pct);
         assert!(agg.instances >= ml.instances);
+    }
+}
+
+/// Bad `vcplace pack` input is an error, not a crash: exit 1 and one
+/// line on stderr naming the problem, with no panic backtrace.
+#[test]
+fn pack_rejects_bad_input_with_one_line_and_exit_1() {
+    for (args, expected) in [
+        (["amd", "16", "nosuch", "100"], "unknown workload nosuch"),
+        (["amd", "64", "WTbtree", "100"], "needs two placements to probe"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vcplace"))
+            .arg("pack")
+            .args(args)
+            .output()
+            .expect("vcplace runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "pack {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "pack {args:?}: {stderr}");
+        assert!(stderr.contains(expected), "pack {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "pack {args:?}: {stderr}");
     }
 }
 
