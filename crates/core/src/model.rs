@@ -291,6 +291,7 @@ fn cv_quality_perf_pair(
             let truth = ts.mean_rel(w);
             let ratio = truth[other] / truth[anchor];
             let rel_anchor = model.predict_rel_to_anchor(ratio);
+            // Convert back to baseline-relative for comparison.
             let pred: Vec<f64> = rel_anchor.iter().map(|r| r * truth[anchor]).collect();
             if argmax(&pred) != argmax(&truth) {
                 misses += 1;
@@ -311,23 +312,7 @@ pub fn cv_error_perf_pair(
     cfg: &ForestConfig,
     seed: u64,
 ) -> f64 {
-    let families = ts.families();
-    let splits = leave_group_out(&families);
-    let mut preds = Vec::new();
-    let mut truths = Vec::new();
-    for split in &splits {
-        let model = PerfPairModel::fit(ts, &split.train, anchor, other, cfg, seed);
-        for &w in &split.test {
-            let truth = ts.mean_rel(w);
-            let ratio = truth[other] / truth[anchor];
-            let rel_anchor = model.predict_rel_to_anchor(ratio);
-            // Convert back to baseline-relative for comparison.
-            let pred: Vec<f64> = rel_anchor.iter().map(|r| r * truth[anchor]).collect();
-            preds.push(pred);
-            truths.push(truth);
-        }
-    }
-    mean_abs_pct_error(&preds, &truths)
+    cv_quality_perf_pair(ts, anchor, other, cfg, seed).1
 }
 
 /// The HPE-feature baseline model: selected HPEs from a single placement

@@ -3,7 +3,7 @@
 //! explanation built on the same two predicates.
 
 use vc_sync::lock::LockScope;
-use vc_topology::{AvailabilitySketch, CapacitySummary, NodeId};
+use vc_topology::{AvailabilitySketch, CapacitySummary};
 
 use crate::engine::{Candidate, FitProbe, MachineId, PlacementEngine, PlacementRequest};
 use crate::host::Host;
@@ -29,25 +29,24 @@ impl Candidate {
     }
 }
 
-/// Explains a summary-rejected host the way lock-validated failures
-/// explain theirs: by naming its most exhausted node.
-fn summary_exhaustion(host: &Host) -> String {
-    let s = &host.summary;
-    let node = (0..s.num_nodes())
-        .map(NodeId)
-        .min_by_key(|&n| (s.free_on_node(n), n.index()))
-        .expect("machines have at least one node");
-    format!(
-        "{}: no goal-clearing placement class fits the free capacity \
-         (node {} exhausted: {}/{} threads free, per its summary)",
-        host.machine.name(),
-        node,
-        s.free_on_node(node),
-        s.capacity_of_node(node),
-    )
-}
-
 impl PlacementEngine {
+    /// Explains a summary-rejected host the way lock-validated failures
+    /// explain theirs: by naming its most exhausted node, read from the
+    /// host's published snapshot (rejection is the cold path).
+    fn summary_exhaustion(&self, host: &Host) -> String {
+        let view = self.view(host);
+        let occ = view.occupancy();
+        let node = occ.most_exhausted_node();
+        format!(
+            "{}: no goal-clearing placement class fits the free capacity \
+             (node {} exhausted: {}/{} threads free, per its summary)",
+            host.machine.name(),
+            node,
+            occ.free_on_node(node),
+            occ.capacity_of_node(node),
+        )
+    }
+
     /// [`Candidate::fits_summary`] as admission runs it: counted in
     /// [`SummaryCounters`](crate::SummaryCounters).
     fn summary_admits(&self, host: &Host, cand: &Candidate) -> bool {
@@ -253,14 +252,14 @@ impl PlacementEngine {
         let hosts: usize = goal_ok.iter().map(|c| members_of(c).len()).sum();
         let mut details: Vec<String> = commit_errors.to_vec();
         // Hosts ruled out by the lock-free prefilter were never locked,
-        // so explain them from their summaries. Cap the detail at a
+        // so explain them from their snapshots. Cap the detail at a
         // few hosts — a full fleet would otherwise produce a novel.
         const DETAILED: usize = 3;
         details.extend(
             skipped
                 .iter()
                 .take(DETAILED)
-                .map(|&i| summary_exhaustion(&self.hosts[i])),
+                .map(|&i| self.summary_exhaustion(&self.hosts[i])),
         );
         if skipped.len() > DETAILED {
             details.push(format!(
@@ -281,7 +280,7 @@ impl PlacementEngine {
                         .flat_map(|&c| members_of(c).iter().map(move |id| (c, &self.hosts[id.0])))
                         .filter(|(c, host)| !c.fits_summary(&host.summary))
                         .take(DETAILED)
-                        .map(|(_, host)| summary_exhaustion(host)),
+                        .map(|(_, host)| self.summary_exhaustion(host)),
                 );
             }
             details.push(format!(

@@ -18,7 +18,7 @@ use vc_ml::forest::ForestConfig;
 use vc_sim::SimOracle;
 use vc_sync::lock::{LeafMutex, LockScope};
 use vc_sync::{Counter, Domain, KeyedCache};
-use vc_topology::{AvailabilitySketch, CapacitySummary, Machine, NodeId, OccupancyMap, ThreadId};
+use vc_topology::{AvailabilitySketch, Machine, NodeId, OccupancyMap, ThreadId};
 
 use crate::host::{Host, HostGuard, HostSnapshot};
 use crate::stats::Counters;
@@ -635,10 +635,10 @@ type TrainKey = (usize, usize, usize, Option<String>);
 /// placement (see [`Placed::threads`]), so co-located containers never
 /// overlap, and [`Self::release`] returns exactly those threads when a
 /// container departs. Each host additionally publishes a lock-free
-/// [`CapacitySummary`]; hosts whose summary rules out every
-/// goal-clearing placement class are skipped without ever taking their
-/// occupancy lock. Rejections for lack of capacity name the exhausted
-/// node.
+/// [`CapacitySummary`](vc_topology::CapacitySummary); hosts whose
+/// summary rules out every goal-clearing placement class are skipped
+/// without ever taking their occupancy lock. Rejections for lack of
+/// capacity name the exhausted node.
 ///
 /// # Examples
 ///
@@ -942,13 +942,6 @@ impl PlacementEngine {
     /// Total live containers across the fleet. Wait-free.
     pub fn num_residents(&self) -> usize {
         self.hosts.iter().map(|h| self.view(h).residents().len()).sum()
-    }
-
-    /// The machine's lock-free capacity summary. Reads are wait-free;
-    /// the values lag the occupancy map by at most one in-flight
-    /// commit/release critical section.
-    pub fn capacity_summary(&self, id: MachineId) -> &CapacitySummary {
-        &self.hosts[id.0].summary
     }
 
     /// Releases a departing container: removes its registry entry and
@@ -1360,11 +1353,17 @@ impl PlacementEngine {
     }
 
     /// The predicted performance `try_commit` would deliver for `cand`
-    /// on host `id` right now, without reserving anything. Scores
-    /// against the host view — wait-free (zero lock acquisitions), so
-    /// BestScore dry runs never contend with writers and penalty cold
-    /// misses simulate with no lock held.
-    fn offer(&self, scope: &LockScope, id: MachineId, cand: &Candidate) -> Result<f64, ChooseError> {
+    /// on host `id` right now, without reserving anything, and whether
+    /// the view it scored was idle. Scores against the host view —
+    /// wait-free (zero lock acquisitions), so BestScore dry runs never
+    /// contend with writers and penalty cold misses simulate with no
+    /// lock held.
+    fn offer(
+        &self,
+        scope: &LockScope,
+        id: MachineId,
+        cand: &Candidate,
+    ) -> Result<(f64, bool), ChooseError> {
         self.counters.offers.incr();
         let host = &self.hosts[id.0];
         let view = self.view(host);
@@ -1373,8 +1372,9 @@ impl PlacementEngine {
         } else {
             Vec::new()
         };
+        let idle = view.occupancy().used_threads() == 0;
         self.best_available(scope, host, cand, view.occupancy(), &residents)
-            .map(|(_, p, _)| p)
+            .map(|(_, p, _)| (p, idle))
     }
 
     /// Attempts to commit a candidate on host `id`: retargets the best
@@ -1604,11 +1604,8 @@ impl PlacementEngine {
                             vec![None; self.fleet.num_classes()];
                         class_only[cand.class] = Some(cand);
                         self.walk_admitted(&class_only, &tried, &mut skipped, &mut sketch_skipped, |id, cand| {
-                            let host = &self.hosts[id.0];
-                            let idle =
-                                host.summary.free_threads() == host.machine.num_threads();
                             match self.offer(scope, id, cand) {
-                                Ok(p) => {
+                                Ok((p, idle)) => {
                                     let better = match best {
                                         None => true,
                                         Some((bid, _, bp)) => p > bp || (p == bp && id < bid),

@@ -1,16 +1,17 @@
-//! One fleet host: the mutex-guarded authoritative state, the three
+//! One fleet host: the mutex-guarded authoritative state, the
 //! lock-free views readers consume, and the only handle that can
 //! change either.
 //!
 //! [`HostState`] (occupancy map + resident registry) is private to
 //! this module. [`HostGuard`] is the one way to mutate it: every
-//! mutator marks the guard dirty, and `Drop` republishes the capacity
-//! summary, the shard's availability-sketch delta and the
-//! [`HostSnapshot`] — together, exactly once, while the mutex is still
-//! held. A published view therefore never lags a completed critical
-//! section, summary and sketch never change apart (the pairing is
-//! model-checked in `tests/interleavings.rs`), and a read-only critical
-//! section publishes nothing.
+//! mutator marks the guard dirty, and `Drop` computes one fresh sketch
+//! profile and publishes it — as the capacity summary and as the
+//! shard's availability-sketch delta — together with the
+//! [`HostSnapshot`], exactly once, while the mutex is still held. A
+//! published view therefore never lags a completed critical section,
+//! summary and sketch never change apart (the pairing is model-checked
+//! in `tests/interleavings.rs`), and a read-only critical section
+//! publishes nothing.
 //!
 //! The state mutex is a [`ScopedMutex`]: [`PlacementEngine::lock_host`]
 //! and [`PlacementEngine::lock_pair`] (the one double lock, ordered by
@@ -27,8 +28,7 @@ use vc_sim::SimOracle;
 use vc_sync::lock::{LockScope, ScopedGuard, ScopedMutex, Witness};
 use vc_sync::Slot;
 use vc_topology::{
-    AvailabilitySketch, CapacitySummary, L2GroupId, Machine, NodeId, OccupancyError, OccupancyMap,
-    SketchProfile, ThreadId,
+    AvailabilitySketch, CapacitySummary, Machine, OccupancyError, OccupancyMap, ThreadId,
 };
 
 use crate::engine::{MachineId, Placed, PlacementEngine, PlacementTicket, Resident};
@@ -42,12 +42,6 @@ use crate::engine::{MachineId, Placed, PlacementEngine, PlacementTicket, Residen
 struct HostState {
     occ: OccupancyMap,
     residents: HashMap<u64, Resident>,
-    /// The host's last-published [`SketchProfile`] — what its shard's
-    /// availability sketch currently counts it as. Kept under the same
-    /// lock as the occupancy so publication can apply the sketch
-    /// *delta* (old profile → fresh profile) instead of rebuilding
-    /// shard totals.
-    profile: SketchProfile,
 }
 
 impl HostState {
@@ -136,8 +130,10 @@ pub(crate) struct Host {
     /// Commits and releases lock this; candidate evaluation and every
     /// read path never do.
     state: ScopedMutex<HostState>,
-    /// Lock-free free-capacity summary. Admission reads it to skip
-    /// hopeless hosts without locking them.
+    /// Lock-free free-capacity summary: the host's last-published
+    /// sketch profile, which is also what its shard's availability
+    /// sketch counts it as. Admission reads it to skip hopeless hosts
+    /// without locking them.
     pub(crate) summary: CapacitySummary,
     /// The epoch-published full snapshot (occupancy + residents) every
     /// read path loads wait-free.
@@ -155,16 +151,14 @@ impl Host {
         oracle: Arc<SimOracle>,
         interference: Arc<InterferenceModel>,
     ) -> Host {
-        let occ = OccupancyMap::new(&machine);
-        let profile = sketch.profile(&occ);
-        sketch.attach(&profile);
+        let summary = CapacitySummary::new(&machine);
+        sketch.attach(&summary.profile());
         let state = HostState {
-            occ,
+            occ: OccupancyMap::new(&machine),
             residents: HashMap::new(),
-            profile,
         };
         Host {
-            summary: CapacitySummary::new(&machine),
+            summary,
             snapshot: Slot::new(Arc::new(state.snapshot())),
             state: ScopedMutex::new(state),
             machine,
@@ -267,22 +261,22 @@ impl<'s> HostGuard<'s> {
 }
 
 impl Drop for HostGuard<'_> {
-    /// Publishes a mutated host to every lock-free view — capacity
-    /// summary, the shard sketch's delta (recorded back into the
-    /// state) and the snapshot slot — while the mutex is still held.
-    /// A panicking critical section publishes nothing: the mutex is
-    /// poisoned instead, and the recovering acquirer's own publication
-    /// catches the views up.
+    /// Publishes a mutated host to every lock-free view while the
+    /// mutex is still held: one fresh sketch profile goes to the shard
+    /// sketch as a delta against the profile the summary still holds,
+    /// then into the summary; the snapshot slot follows. A panicking
+    /// critical section publishes nothing: the mutex is poisoned
+    /// instead, and the recovering acquirer's own publication catches
+    /// the views up.
     fn drop(&mut self) {
         if !self.dirty || std::thread::panicking() {
             return;
         }
-        let (engine, host, st) = (self.engine, self.host, &mut *self.st);
-        host.summary.publish(&st.occ);
+        let (engine, host, st) = (self.engine, self.host, &*self.st);
         let sketch = &engine.class_sketches[host.class][host.shard];
         let fresh = sketch.profile(&st.occ);
-        sketch.update(&st.profile, &fresh);
-        st.profile = fresh;
+        sketch.update(&host.summary.profile(), &fresh);
+        host.summary.store(&fresh);
         host.snapshot.store(Arc::new(st.snapshot()), &engine.domain);
         engine.counters.snapshot_published.incr();
     }
@@ -344,8 +338,8 @@ impl PlacementEngine {
     /// Checks, host by host under its lock, that every published view
     /// equals the authoritative state: snapshot == occupancy +
     /// registry, the registry's thread sets are pairwise disjoint and
-    /// cover exactly the occupancy's used threads, summary ==
-    /// occupancy, stored sketch profile == the occupancy's profile, and
+    /// cover exactly the occupancy's used threads, the summary's
+    /// profile (which its shard sketch counts) == the occupancy's, and
     /// every registry ticket resolves to this host in the location map.
     /// Exact at quiescence (no critical section in flight); `Err` names
     /// the first divergence.
@@ -392,19 +386,9 @@ impl PlacementEngine {
                     st.occ.used_threads()
                 ));
             }
-            let summary = &host.summary;
-            let nodes_agree = (0..st.occ.num_nodes())
-                .map(NodeId)
-                .all(|n| summary.free_on_node(n) == st.occ.free_on_node(n));
-            let l2s_agree = (0..st.occ.num_l2_groups())
-                .map(L2GroupId)
-                .all(|g| summary.free_in_l2(g) == st.occ.free_in_l2(g));
-            if !nodes_agree || !l2s_agree || summary.free_threads() != st.occ.free_threads() {
-                return Err(format!("host {i}: capacity summary diverges from occupancy"));
-            }
             let sketch = &self.class_sketches[host.class][host.shard];
-            if st.profile != sketch.profile(&st.occ) {
-                return Err(format!("host {i}: stored sketch profile is stale"));
+            if host.summary.profile() != sketch.profile(&st.occ) {
+                return Err(format!("host {i}: capacity summary diverges from occupancy"));
             }
             let tickets: Vec<u64> = st.residents.keys().copied().collect();
             let stray = self.locations.with(guard.witness(), |locations| {
@@ -428,7 +412,7 @@ mod tests {
     use super::*;
     use crate::engine::{fast_test_config, PlacementRequest};
     use vc_core::placement::PlacementSpec;
-    use vc_topology::machines;
+    use vc_topology::{machines, NodeId};
 
     fn fleet(hosts: usize) -> PlacementEngine {
         let mut engine = PlacementEngine::new(fast_test_config());
@@ -454,10 +438,10 @@ mod tests {
             let mut guard = engine.lock_host(&mut scope, host);
             guard.reserve(&threads).unwrap();
             assert_eq!(published(&engine), base, "nothing publishes before drop");
-            assert_eq!(host.summary.free_threads(), 64);
+            assert!(host.summary.can_host(8, 8));
         }
         assert_eq!(published(&engine), base + 1);
-        assert_eq!(host.summary.free_threads(), 64 - threads.len());
+        assert!(!host.summary.can_host(8, 1), "node 0 is full");
         assert_eq!(engine.utilisation(MachineId(0)).0, threads.len());
         assert!(engine.audit().is_err(), "no resident owns the reserved threads");
 

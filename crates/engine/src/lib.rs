@@ -30,11 +30,12 @@
 //! class** — a 1000-host fleet built from 4 hardware models costs 4
 //! evaluations per request, not 1000 (observable via
 //! [`EngineStats::evaluations`]). Per-host work is reduced to a
-//! lock-free [`vc_topology::CapacitySummary`] read; only hosts whose
-//! summary leaves a goal-clearing placement class possible ever have
-//! their occupancy mutex taken, and the commit re-validates under that
-//! lock (a stale-optimistic summary costs one wasted lock, never a bad
-//! placement).
+//! lock-free read of the host's [`vc_topology::CapacitySummary`] — its
+//! published sketch profile, two atomic loads per goal shape; only
+//! hosts whose summary leaves a goal-clearing placement class possible
+//! ever have their occupancy mutex taken, and the commit re-validates
+//! under that lock (a stale-optimistic summary costs one wasted lock,
+//! never a bad placement).
 //!
 //! # Occupancy
 //!
@@ -53,7 +54,8 @@
 //! publishes an immutable [`HostSnapshot`] — occupancy plus resident
 //! registry, one consistent pair — through a single-slot wait-free
 //! cell (`vc_sync::Slot`, QSBR-reclaimed) *before* the host lock is
-//! released, together with the capacity summary and the shard sketch.
+//! released, together with one fresh sketch profile: stored as the
+//! capacity summary and applied to the shard sketch as a delta.
 //! Scoring, BestScore dry runs, interference probes, the
 //! utilisation/occupancy accessors and the whole rebalance planning
 //! phase read these snapshots with **zero lock acquisitions** — only

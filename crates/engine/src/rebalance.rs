@@ -495,7 +495,7 @@ impl PlacementEngine {
                 // is skipped without being locked, cloned or scored.
                 // (The victim's own host is exempt — minus-self it has
                 // at least its current placement free.)
-                if id != src && !cand.fits_summary(self.capacity_summary(id)) {
+                if id != src && !cand.fits_summary(&self.hosts[id.0].summary) {
                     continue;
                 }
                 // Every target is scored over the *full* availability

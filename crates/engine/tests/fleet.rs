@@ -14,7 +14,7 @@ use vc_engine::{
     RebalancePolicy,
 };
 use vc_ml::forest::ForestConfig;
-use vc_topology::{machines, NodeId, ThreadId};
+use vc_topology::{machines, ThreadId};
 
 fn fast_config() -> EngineConfig {
     EngineConfig {
@@ -62,24 +62,18 @@ impl PerMachineSweep {
 }
 
 /// Asserts every machine's lock-free summary agrees with its
-/// authoritative occupancy map (valid whenever no commit is in flight).
+/// authoritative occupancy map (valid whenever no commit is in flight):
+/// `audit()` compares the two under each host lock, and `can_fit`, which
+/// reads only sketches and summaries, counts exactly the hosts a scan
+/// of the occupancy maps admits.
 fn assert_summaries_published(engine: &PlacementEngine) {
-    for id in engine.machine_ids() {
-        let occ = engine.occupancy(id);
-        let summary = engine.capacity_summary(id);
-        assert_eq!(
-            summary.free_threads(),
-            occ.free_threads(),
-            "machine {id:?} summary total drift"
-        );
-        for n in 0..occ.num_nodes() {
-            assert_eq!(
-                summary.free_on_node(NodeId(n)),
-                occ.free_on_node(NodeId(n)),
-                "machine {id:?} node {n} summary drift"
-            );
-        }
-    }
+    engine.audit().expect("summaries agree with occupancy");
+    let probe = PlacementRequest::new("WTbtree", 16);
+    assert_eq!(
+        engine.can_fit(&probe).hosts,
+        reference::full_scan_fit_count(engine, &probe),
+        "summaries admit other hosts than the occupancy maps"
+    );
 }
 
 /// The fleet-indexed, summary-prefiltered `place_batch` must commit the

@@ -5,8 +5,8 @@
 //! that matters for readers: every mutation of the authoritative
 //! state (occupancy + resident registry + ticket-location map)
 //! happens under the host lock, and a *single* publication step makes
-//! the whole mutated state visible — occupancy, registry and summary
-//! together, before the lock drops. Wait-free readers load the
+//! the whole mutated state visible — occupancy, registry and capacity
+//! profile together, before the lock drops. Wait-free readers load the
 //! published snapshot at any point, never gated on the lock.
 //!
 //! The exhaustive explorer then proves, over every feasible
@@ -14,11 +14,11 @@
 //!
 //! * no reader ever observes a torn snapshot (registry and occupancy
 //!   always agree thread-for-thread);
-//! * the lock-free summary never diverges from the published
-//!   occupancy (they are published in the same step);
-//! * the shard availability sketch never diverges from the published
-//!   occupancy either — the sketch delta is applied in the *same*
-//!   publication step as the summary, before the lock drops;
+//! * the published capacity profile — the host's lock-free summary,
+//!   and its share of the shard availability sketch — never diverges
+//!   from the published occupancy: one fresh profile is stored and
+//!   applied as the sketch delta in the *same* publication step as the
+//!   snapshot, before the lock drops;
 //! * the ticket-location map never dangles (every mapped ticket has
 //!   an authoritative registry entry) — the ordering `release` relies
 //!   on to stay sound after a poisoned-lock recovery.
@@ -26,8 +26,9 @@
 //! Three deliberately broken protocol variants — split publication
 //! (occupancy and registry in separate steps, the two-slot design the
 //! single `Slot` replaces), free-before-unmap release ordering, and a
-//! sketch delta deferred past the unlock — must each be *caught* by
-//! the explorer with a concrete schedule.
+//! capacity profile (summary and sketch delta) deferred past the
+//! unlock — must each be *caught* by the explorer with a concrete
+//! schedule.
 
 use std::collections::BTreeMap;
 
@@ -56,12 +57,10 @@ struct Model {
     locations: BTreeMap<u64, usize>,
     /// The single-slot snapshot: replaced whole, never in parts.
     published: Published,
-    /// Lock-free per-node free counts, published with the snapshot.
-    summary: Vec<usize>,
-    /// The host's contribution to its shard availability sketch —
-    /// `sketch[k-1]` = nodes with ≥ `k` free threads — published in
-    /// the same step as the summary.
-    sketch: Vec<usize>,
+    /// The published capacity profile — `profile[k]` = nodes with ≥ `k`
+    /// free threads — which the engine stores as the host's summary and
+    /// applies to its shard sketch as a delta, in the snapshot's step.
+    profile: Vec<usize>,
     /// Every snapshot a reader step loaded.
     observed: Vec<Published>,
 }
@@ -70,17 +69,13 @@ fn tid(r: std::ops::Range<usize>) -> Vec<ThreadId> {
     r.map(ThreadId).collect()
 }
 
-fn free_per_node(occ: &OccupancyMap) -> Vec<usize> {
-    (0..occ.num_nodes()).map(|n| occ.free_on_node(NodeId(n))).collect()
-}
-
-/// The sketch profile at model granularity: for every per-node
+/// The capacity profile at model granularity: for every per-node
 /// free-thread threshold `k`, how many nodes clear it (the node table
 /// of a single-host shard).
-fn sketch_of(occ: &OccupancyMap) -> Vec<usize> {
-    let per_node = occ.total_threads() / occ.num_nodes();
-    (1..=per_node)
-        .map(|k| free_per_node(occ).iter().filter(|&&free| free >= k).count())
+fn profile_of(occ: &OccupancyMap) -> Vec<usize> {
+    let free: Vec<usize> = (0..occ.num_nodes()).map(|n| occ.free_on_node(NodeId(n))).collect();
+    (0..=occ.node_capacity())
+        .map(|k| free.iter().filter(|&&f| f >= k).count())
         .collect()
 }
 
@@ -98,8 +93,7 @@ fn quiescent(residents: &[(u64, std::ops::Range<usize>)]) -> Model {
     }
     Model {
         lock: None,
-        summary: free_per_node(&occ),
-        sketch: sketch_of(&occ),
+        profile: profile_of(&occ),
         published: Published {
             occ: occ.clone(),
             residents: registry.clone(),
@@ -141,18 +135,11 @@ fn invariant(m: &Model) -> Result<(), String> {
     for (i, o) in m.observed.iter().enumerate() {
         consistent(o).map_err(|e| format!("reader load {i} torn: {e}"))?;
     }
-    let summary_of_published = free_per_node(&m.published.occ);
-    if m.summary != summary_of_published {
+    let profile_of_published = profile_of(&m.published.occ);
+    if m.profile != profile_of_published {
         return Err(format!(
-            "summary {:?} diverged from published occupancy {summary_of_published:?}",
-            m.summary
-        ));
-    }
-    let sketch_of_published = sketch_of(&m.published.occ);
-    if m.sketch != sketch_of_published {
-        return Err(format!(
-            "sketch {:?} diverged from published occupancy {sketch_of_published:?}",
-            m.sketch
+            "sketch profile {:?} diverged from published occupancy {profile_of_published:?}",
+            m.profile
         ));
     }
     for ticket in m.locations.keys() {
@@ -181,8 +168,7 @@ fn locked_section(
                 occ: m.auth_occ.clone(),
                 residents: m.auth_residents.clone(),
             };
-            m.summary = free_per_node(&m.auth_occ);
-            m.sketch = sketch_of(&m.auth_occ);
+            m.profile = profile_of(&m.auth_occ);
         }),
         Step::new(label[3], |m: &mut Model| {
             m.lock = None;
@@ -206,7 +192,7 @@ fn reader(loads: usize) -> Vec<Step<Model>> {
 /// Commit vs release vs wait-free reader, exhaustively: ticket 1
 /// arrives on threads 2..4 while pre-placed ticket 7 (threads 0..2)
 /// departs and a reader loads snapshots throughout. No interleaving
-/// shows a torn snapshot, a stale summary or a dangling location.
+/// shows a torn snapshot, a stale profile or a dangling location.
 #[test]
 fn commit_vs_release_vs_reader_publication_orderings() {
     let init = quiescent(&[(7, 0..2)]);
@@ -351,8 +337,7 @@ fn split_publication_is_caught_by_the_explorer() {
         }),
         Step::new("commit:publish-occ", |m: &mut Model| {
             m.published.occ = m.auth_occ.clone();
-            m.summary = free_per_node(&m.auth_occ);
-            m.sketch = sketch_of(&m.auth_occ);
+            m.profile = profile_of(&m.auth_occ);
         }),
         Step::new("commit:publish-residents", |m: &mut Model| {
             m.published.residents = m.auth_residents.clone();
@@ -398,8 +383,7 @@ fn free_before_unmap_release_ordering_is_caught() {
                 occ: m.auth_occ.clone(),
                 residents: m.auth_residents.clone(),
             };
-            m.summary = free_per_node(&m.auth_occ);
-            m.sketch = sketch_of(&m.auth_occ);
+            m.profile = profile_of(&m.auth_occ);
         }),
         Step::new("release:unlock", |m: &mut Model| {
             m.lock = None;
@@ -420,12 +404,13 @@ fn free_before_unmap_release_ordering_is_caught() {
     );
 }
 
-/// Deferring the sketch delta past the publication step — updating the
-/// shard counters lazily after the snapshot (or worse, after the
-/// unlock) — leaves a window where the sketch under-reports the hosts
-/// a descending request may admit, or over-reports after a release.
-/// The engine applies the delta inside `publish()` precisely to close
-/// that window; the explorer must catch the lazy variant.
+/// Deferring the capacity profile past the publication step — storing
+/// the summary and applying the shard sketch delta lazily after the
+/// snapshot (or worse, after the unlock) — leaves a window where the
+/// sketch under-reports the hosts a descending request may admit, or
+/// over-reports after a release. The engine publishes the profile in
+/// the guard's drop, with the snapshot, precisely to close that window;
+/// the explorer must catch the lazy variant.
 #[test]
 fn deferred_sketch_delta_is_caught_by_the_explorer() {
     let init = quiescent(&[]);
@@ -439,21 +424,20 @@ fn deferred_sketch_delta_is_caught_by_the_explorer() {
             m.auth_residents.push((1, threads));
             m.locations.insert(1, 0);
         }),
-        // Publishes the snapshot and the summary, but *not* the sketch
-        // delta — the descent can now be steered by counters describing
-        // an occupancy nobody can observe any more.
-        Step::new("commit:publish-sans-sketch", |m: &mut Model| {
+        // Publishes the snapshot, but *not* the profile — the descent
+        // can now be steered by counters describing an occupancy nobody
+        // can observe any more.
+        Step::new("commit:publish-sans-profile", |m: &mut Model| {
             m.published = Published {
                 occ: m.auth_occ.clone(),
                 residents: m.auth_residents.clone(),
             };
-            m.summary = free_per_node(&m.auth_occ);
         }),
         Step::new("commit:unlock", |m: &mut Model| {
             m.lock = None;
         }),
-        Step::new("commit:sketch-late", |m: &mut Model| {
-            m.sketch = sketch_of(&m.auth_occ);
+        Step::new("commit:profile-late", |m: &mut Model| {
+            m.profile = profile_of(&m.auth_occ);
         }),
     ];
 
@@ -466,7 +450,7 @@ fn deferred_sketch_delta_is_caught_by_the_explorer() {
     );
     assert_eq!(
         violation.trace.last().map(|(_, name)| *name),
-        Some("commit:publish-sans-sketch"),
-        "caught the moment the snapshot outruns the sketch: {violation}"
+        Some("commit:publish-sans-profile"),
+        "caught the moment the snapshot outruns the profile: {violation}"
     );
 }

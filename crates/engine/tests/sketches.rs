@@ -1,8 +1,8 @@
 //! Hierarchical-sketch guarantees: every shard's availability sketch
-//! equals the ground truth recomputed from its members' published
-//! capacity summaries after every churn and rebalance event, the
-//! sketch descent commits bit-for-bit the decisions of a flat
-//! fleet-order scan (the public-API reference in `support/`), and
+//! equals the ground truth recomputed from its members' occupancy maps
+//! after every churn and rebalance event, the sketch descent commits
+//! bit-for-bit the decisions of a flat fleet-order scan (the
+//! public-API reference in `support/`), and
 //! `can_fit` counts exactly the full-scan hosts while charging skipped
 //! shards to [`FitProbe::sketch_skipped`](vc_engine::FitProbe).
 
@@ -15,7 +15,7 @@ use vc_engine::{
     BatchStrategy, EngineConfig, Placed, PlacementEngine, PlacementRequest, RebalancePolicy,
 };
 use vc_ml::forest::ForestConfig;
-use vc_topology::{machines, Machine};
+use vc_topology::{machines, L2GroupId, Machine, NodeId};
 
 fn fast_config() -> EngineConfig {
     EngineConfig {
@@ -57,10 +57,10 @@ fn table_dims(machine: &Machine) -> (usize, usize, usize, usize) {
 }
 
 /// Asserts every shard sketch of every class equals the ground truth
-/// recomputed from the members' published capacity summaries — entry
+/// recomputed from the members' occupancy maps, unit by unit — entry
 /// by entry over both tables. Valid at quiescence (no commit in
-/// flight), exactly like the summary-vs-occupancy assertions.
-fn assert_sketches_match_summaries(engine: &PlacementEngine, models: &[Machine]) {
+/// flight), exactly like `audit()`'s summary-vs-occupancy check.
+fn assert_sketches_match_occupancy(engine: &PlacementEngine, models: &[Machine]) {
     let shard = engine.sketch_shard_size();
     for (class, model) in models.iter().enumerate() {
         let members = engine.fleet_index().classes()[class].members();
@@ -74,24 +74,40 @@ fn assert_sketches_match_summaries(engine: &PlacementEngine, models: &[Machine])
         for (s, chunk) in members.chunks(shard).enumerate() {
             let sketch = &sketches[s];
             assert_eq!(sketch.num_hosts(), chunk.len(), "class {class} shard {s}");
-            let summaries: Vec<_> = chunk.iter().map(|&id| engine.capacity_summary(id)).collect();
-            for k in 1..=cap_node {
+            let occs: Vec<_> = chunk.iter().map(|&id| engine.occupancy(id)).collect();
+            for k in 0..=cap_node {
                 for n in 1..=num_nodes {
-                    let truth = summaries.iter().filter(|v| v.nodes_with_free(k) >= n).count();
+                    let truth = occs
+                        .iter()
+                        .filter(|occ| {
+                            (0..num_nodes)
+                                .filter(|&u| occ.free_on_node(NodeId(u)) >= k)
+                                .count()
+                                >= n
+                        })
+                        .count();
                     assert_eq!(
                         sketch.hosts_with_nodes(k, n),
                         truth,
-                        "class {class} shard {s}: N[{k}][{n}] diverged from summaries"
+                        "class {class} shard {s}: N[{k}][{n}] diverged from occupancy"
                     );
                 }
             }
-            for k in 1..=cap_l2 {
+            for k in 0..=cap_l2 {
                 for g in 1..=num_l2 {
-                    let truth = summaries.iter().filter(|v| v.l2s_with_free(k) >= g).count();
+                    let truth = occs
+                        .iter()
+                        .filter(|occ| {
+                            (0..num_l2)
+                                .filter(|&u| occ.free_in_l2(L2GroupId(u)) >= k)
+                                .count()
+                                >= g
+                        })
+                        .count();
                     assert_eq!(
                         sketch.hosts_with_l2s(k, g),
                         truth,
-                        "class {class} shard {s}: L[{k}][{g}] diverged from summaries"
+                        "class {class} shard {s}: L[{k}][{g}] diverged from occupancy"
                     );
                 }
             }
@@ -126,8 +142,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// After any interleaving of placements and releases, every shard
-    /// sketch equals the counts recomputed from its members' published
-    /// summaries: commits and releases publish the sketch delta before
+    /// sketch equals the counts recomputed from its members' occupancy
+    /// maps: commits and releases publish the sketch delta before
     /// dropping the host lock, so quiescent state never drifts.
     #[test]
     fn sketches_track_summaries_through_churn(
@@ -147,12 +163,12 @@ proptest! {
                     live.push(p.clone());
                 }
             }
-            assert_sketches_match_summaries(engine, &models);
+            assert_sketches_match_occupancy(engine, &models);
         }
         for p in live.drain(..) {
             engine.release(&p).unwrap();
         }
-        assert_sketches_match_summaries(engine, &models);
+        assert_sketches_match_occupancy(engine, &models);
     }
 }
 
@@ -182,7 +198,7 @@ fn sketches_track_summaries_through_rebalance_moves() {
     let decisions = engine.place_batch(&reqs, BatchStrategy::FirstFit);
     let placed: Vec<Placed> = decisions.iter().filter_map(|d| d.placed().cloned()).collect();
     assert!(!placed.is_empty(), "the crowded fleet must admit something");
-    assert_sketches_match_summaries(&engine, &models);
+    assert_sketches_match_occupancy(&engine, &models);
 
     // Rebalance until a pass stops moving (or a bounded number of
     // passes); the sketch must match ground truth after every pass.
@@ -191,7 +207,7 @@ fn sketches_track_summaries_through_rebalance_moves() {
     for _ in 0..4 {
         let report = engine.rebalance(&policy);
         moves += report.migrations.len();
-        assert_sketches_match_summaries(&engine, &models);
+        assert_sketches_match_occupancy(&engine, &models);
         if report.migrations.is_empty() {
             break;
         }
@@ -203,7 +219,7 @@ fn sketches_track_summaries_through_rebalance_moves() {
     for p in &placed {
         engine.release(p).unwrap();
     }
-    assert_sketches_match_summaries(&engine, &models);
+    assert_sketches_match_occupancy(&engine, &models);
     for id in engine.machine_ids() {
         assert_eq!(engine.utilisation(id).0, 0, "fleet must drain fully");
     }
@@ -255,9 +271,9 @@ fn sketch_descent_is_decision_equivalent_to_the_flat_scan() {
 }
 
 /// `can_fit` regression: the sketch-counted probe reports *exactly* the
-/// full-summary-scan count (the reference's answer) in every fleet
-/// state, only charging provably-hopeless shards to `sketch_skipped`
-/// instead of scanning them.
+/// count a full scan of the occupancy maps gives (the reference's
+/// answer) in every fleet state, only charging provably-hopeless shards
+/// to `sketch_skipped` instead of scanning them.
 #[test]
 fn can_fit_counts_match_the_full_summary_scan() {
     let mut engine = PlacementEngine::new(sketch_config());
@@ -341,5 +357,5 @@ fn sketch_counters_account_for_the_descent() {
     for p in &placed {
         engine.release(p).unwrap();
     }
-    assert_sketches_match_summaries(&engine, &[machines::amd_opteron_6272()]);
+    assert_sketches_match_occupancy(&engine, &[machines::amd_opteron_6272()]);
 }

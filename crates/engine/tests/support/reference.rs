@@ -28,7 +28,7 @@
 use vc_core::interference::{InterferenceOracle, ResidentWorkload};
 use vc_core::model::PerfOracle;
 use vc_engine::{BatchStrategy, MachineId, Placed, PlacementEngine, PlacementRequest};
-use vc_topology::{NodeId, ThreadId};
+use vc_topology::{L2GroupId, NodeId, ThreadId};
 
 /// What the reference says a request should get.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,9 +166,10 @@ pub fn place_checked(
     got.placed().cloned()
 }
 
-/// How many hosts a full scan of the published capacity summaries says
-/// could take the request: the count `can_fit` must report however many
-/// shards its sketch descent skips.
+/// How many hosts a full scan of the occupancy maps says could take
+/// the request — some goal-clearing class shape has enough nodes and
+/// enough L2 groups with room, counted unit by unit: the count `can_fit`
+/// must report however many shards its sketch descent skips.
 pub fn full_scan_fit_count(engine: &PlacementEngine, req: &PlacementRequest) -> usize {
     engine
         .machine_ids()
@@ -178,7 +179,17 @@ pub fn full_scan_fit_count(engine: &PlacementEngine, req: &PlacementRequest) -> 
                 return false;
             };
             let catalog = engine.catalog(id, req.vcpus).expect("predicted above");
-            let summary = engine.capacity_summary(id);
+            let occ = engine.occupancy(id);
+            let nodes_with = |k| {
+                (0..occ.num_nodes())
+                    .filter(|&n| occ.free_on_node(NodeId(n)) >= k)
+                    .count()
+            };
+            let l2s_with = |k| {
+                (0..occ.num_l2_groups())
+                    .filter(|&g| occ.free_in_l2(L2GroupId(g)) >= k)
+                    .count()
+            };
             catalog
                 .availability
                 .requirements()
@@ -186,8 +197,8 @@ pub fn full_scan_fit_count(engine: &PlacementEngine, req: &PlacementRequest) -> 
                 .zip(&catalog.placements)
                 .any(|(shape, ip)| {
                     predicted[ip.id - 1] >= goal
-                        && summary.can_host(shape.num_nodes, shape.per_node)
-                        && summary.can_host_l2(shape.num_l2, shape.per_l2)
+                        && nodes_with(shape.per_node) >= shape.num_nodes
+                        && l2s_with(shape.per_l2) >= shape.num_l2
                 })
         })
         .count()

@@ -87,8 +87,6 @@ pub struct Domain {
     global_epoch: AtomicU64,
     readers: Mutex<Vec<Arc<ReaderSlot>>>,
     garbage: Mutex<Vec<Retired>>,
-    retired: AtomicU64,
-    reclaimed: AtomicU64,
 }
 
 impl std::fmt::Debug for Domain {
@@ -97,9 +95,7 @@ impl std::fmt::Debug for Domain {
             .field("id", &self.id)
             // Diagnostic read; epoch publication itself is SeqCst.
             .field("epoch", &self.global_epoch.load(Ordering::Relaxed))
-            .field("retired", &self.retired.load(Ordering::Relaxed))
-            .field("reclaimed", &self.reclaimed.load(Ordering::Relaxed))
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -183,8 +179,6 @@ impl Domain {
             global_epoch: AtomicU64::new(1),
             readers: Mutex::new(Vec::new()),
             garbage: Mutex::new(Vec::new()),
-            retired: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
         }
     }
 
@@ -235,7 +229,6 @@ impl Domain {
             epoch,
             _item: Box::new(item),
         });
-        self.retired.fetch_add(1, Ordering::Relaxed);
         self.collect();
     }
 
@@ -267,29 +260,12 @@ impl Domain {
         // destructors (the whole point), and they must not be able to
         // re-enter the domain under its own lock.
         drop(reclaimable);
-        self.reclaimed.fetch_add(n as u64, Ordering::Relaxed);
         n
-    }
-
-    /// Values retired over the domain's lifetime.
-    pub fn retired(&self) -> u64 {
-        self.retired.load(Ordering::Relaxed)
-    }
-
-    /// Values reclaimed (dropped) over the domain's lifetime.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(Ordering::Relaxed)
     }
 
     /// Retired values still awaiting their grace period.
     pub fn pending(&self) -> usize {
         recover(self.garbage.lock()).len()
-    }
-
-    /// The current global epoch (diagnostic).
-    pub fn epoch(&self) -> u64 {
-        // Nothing synchronizes on this read.
-        self.global_epoch.load(Ordering::Relaxed)
     }
 }
 
@@ -297,9 +273,7 @@ impl Drop for Domain {
     fn drop(&mut self) {
         // Exclusive access: no guard can borrow the domain any more,
         // so every remaining retired value is unreachable. Drop them.
-        let n = recover(self.garbage.lock()).len();
         recover(self.garbage.lock()).clear();
-        self.reclaimed.fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -322,8 +296,6 @@ mod tests {
         domain.retire(Tracked(Arc::clone(&drops)));
         // No readers: the retire's own collect already reclaimed.
         assert_eq!(drops.load(Ordering::SeqCst), 1);
-        assert_eq!(domain.retired(), 1);
-        assert_eq!(domain.reclaimed(), 1);
         assert_eq!(domain.pending(), 0);
     }
 

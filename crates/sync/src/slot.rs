@@ -16,7 +16,7 @@
 
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crate::qsbr::Domain;
@@ -31,16 +31,11 @@ pub struct Slot<T: Send + Sync + 'static> {
     /// Always a valid pointer obtained from `Arc::into_raw`; the slot
     /// owns one strong count on whatever it currently points to.
     ptr: AtomicPtr<T>,
-    /// Publication sequence number, bumped after each `store`;
-    /// diagnostic (readers never spin on it).
-    seq: AtomicU64,
 }
 
 impl<T: Send + Sync + 'static> std::fmt::Debug for Slot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Slot")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("Slot").finish_non_exhaustive()
     }
 }
 
@@ -49,7 +44,6 @@ impl<T: Send + Sync + 'static> Slot<T> {
     pub fn new(value: Arc<T>) -> Self {
         Slot {
             ptr: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
-            seq: AtomicU64::new(1),
         }
     }
 
@@ -80,18 +74,12 @@ impl<T: Send + Sync + 'static> Slot<T> {
     pub fn store(&self, value: Arc<T>, domain: &Domain) {
         let fresh = Arc::into_raw(value).cast_mut();
         let old = self.ptr.swap(fresh, Ordering::SeqCst);
-        self.seq.fetch_add(1, Ordering::SeqCst);
         // SAFETY: `old` came from `Arc::into_raw` and the slot held one
         // strong count on it; the swap transferred that count to us and
         // no other path will release it. Reconstructing the Arc and
         // retiring it defers the drop past all current readers.
         let superseded = unsafe { Arc::from_raw(old) };
         domain.retire(superseded);
-    }
-
-    /// Number of publications so far (the initial value counts as 1).
-    pub fn publications(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
     }
 }
 
@@ -128,7 +116,6 @@ mod tests {
         slot.store(Arc::new(11), &domain);
         slot.store(Arc::new(12), &domain);
         assert_eq!(*slot.load(&domain), 12);
-        assert_eq!(slot.publications(), 3);
     }
 
     #[test]
@@ -182,7 +169,7 @@ mod tests {
             }
             stop.store(1, Ordering::Relaxed);
         });
-        assert_eq!(slot.publications(), 2001);
+        assert_eq!(*slot.load(&domain), (2000, !2000), "the last store wins");
         domain.collect();
         assert_eq!(domain.pending(), 0);
     }

@@ -11,6 +11,14 @@
 //! hardware, [`stream::aggregate_bandwidth`] provides the equivalent
 //! measurement: a max-min-fair flow allocation over the link graph.
 //!
+//! Beyond the paper, the crate accounts a fleet's capacity: an
+//! [`OccupancyMap`] records which threads of one machine are reserved; a
+//! [`CapacitySummary`] publishes that host's [`SketchProfile`] lock-free
+//! (per free-thread threshold `k`, how many nodes and how many L2 groups
+//! have at least `k` free), so "could this host fit the shape?" is one
+//! load per axis; and an [`AvailabilitySketch`] sums the profiles of a
+//! shard of hosts.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,4 +52,4 @@ pub use machine::{
 };
 pub use occupancy::{OccupancyError, OccupancyMap};
 pub use sketch::{AvailabilitySketch, SketchProfile};
-pub use summary::{CapacitySummary, CapacityView};
+pub use summary::CapacitySummary;

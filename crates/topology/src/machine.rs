@@ -260,8 +260,9 @@ impl Machine {
     /// Hardware threads per NUMA node on *uniform* machines (the
     /// placement-enumeration pipeline's balance assumption). On machines
     /// with uneven nodes (see [`MachineBuilder::l2_groups_per_l3_on_node`])
-    /// this is the mean by integer division; occupancy accounting and
-    /// capacity summaries use [`Self::capacity_of_node`] instead.
+    /// this is the mean by integer division; occupancy accounting (and
+    /// the capacity summaries built on it) uses exact per-node counts,
+    /// as [`Self::capacity_of_node`] reports them.
     pub fn node_capacity(&self) -> usize {
         self.num_threads() / self.num_nodes()
     }

@@ -15,8 +15,8 @@
 //! multi-NUMA virtual machines") frame the underlying accounting
 //! problem: maintain a cheap standing answer to "how many containers
 //! of shape S still fit?". The sketch keeps, per shard, two cumulative
-//! count tables over the per-host profiles the capacity summaries
-//! already expose:
+//! count tables over the per-host [`SketchProfile`]s the capacity
+//! summaries publish:
 //!
 //! * `N[k][n]` — hosts whose occupancy has at least `n` NUMA nodes
 //!   with ≥ `k` free threads each (`nodes_with_free(k) ≥ n`);
@@ -37,11 +37,12 @@
 //!
 //! # Maintenance
 //!
-//! Each host stores its last-published [`SketchProfile`] (the two
-//! per-`k` counts) alongside its occupancy, guarded by the same lock.
-//! Publication computes the fresh profile and applies the *delta* to
-//! the shard tables — per `k`, a ±1 over the index range between the
-//! old and new counts, i.e. a handful of atomic adds per mutation
+//! A host's [`CapacitySummary`](crate::CapacitySummary) holds its
+//! last-published [`SketchProfile`] (the two per-`k` counts), written
+//! only under the host's lock. Publication computes the fresh profile,
+//! applies the *delta* against the one read back from the summary, then
+//! stores the fresh one — per `k`, a ±1 over the index range between
+//! the old and new counts, i.e. a handful of atomic adds per mutation
 //! (proportional to how many nodes/L2 groups changed occupancy, not to
 //! the table size). Deltas commute, so hosts of one shard publish
 //! concurrently without coordination.
@@ -52,7 +53,7 @@
 //! rest of the fleet) or admits one that just lost it (the per-host
 //! summary, then the occupancy lock, re-validate). At rest — no
 //! critical section in flight — the tables equal the counts recomputed
-//! from the member summaries exactly (proptested in `vc-engine`).
+//! from the members' occupancy exactly (proptested in `vc-engine`).
 //!
 //! # Examples
 //!
@@ -84,41 +85,67 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::ids::{L2GroupId, NodeId};
 use crate::machine::Machine;
-use crate::summary::CapacityView;
+use crate::occupancy::OccupancyMap;
 
 /// One host's contribution to an [`AvailabilitySketch`]: for every
 /// per-unit free-thread threshold `k`, how many NUMA nodes
 /// (resp. L2 groups) of the host have at least `k` free threads.
 ///
-/// The profile is a pure function of the host's occupancy; whoever
-/// mutates the occupancy keeps the last-published profile next to it
-/// (under the same lock) so publication can apply the sketch *delta*
+/// The profile is a pure function of the host's occupancy. The host's
+/// [`CapacitySummary`](crate::CapacitySummary) publishes it, so
+/// publication can apply the sketch *delta* against the previous one
 /// instead of rebuilding shard totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SketchProfile {
-    /// `nodes_with[k-1] = nodes_with_free(k)`, `k` in `1..=cap_node`.
-    nodes_with: Vec<usize>,
-    /// `l2s_with[k-1] = l2s_with_free(k)`, `k` in `1..=cap_l2`.
-    l2s_with: Vec<usize>,
+    /// `nodes_with[k]` = nodes with ≥ `k` free threads, `k` in
+    /// `0..=` the largest node's capacity.
+    pub(crate) nodes_with: Vec<usize>,
+    /// `l2s_with[k]` = L2 groups with ≥ `k` free threads, `k` in
+    /// `0..=` the largest L2 group's capacity.
+    pub(crate) l2s_with: Vec<usize>,
 }
 
 impl SketchProfile {
-    /// `nodes_with_free(k)` as of the profile's computation.
-    pub fn nodes_with_free(&self, k: usize) -> usize {
-        if k == 0 {
-            return usize::MAX; // trivially satisfied; callers never ask
+    /// The profile of `occ`: one pass over its per-unit free counts.
+    pub(crate) fn of(occ: &OccupancyMap) -> SketchProfile {
+        SketchProfile {
+            nodes_with: at_least(
+                (0..occ.num_nodes()).map(|n| occ.free_on_node(NodeId(n))),
+                occ.node_capacity(),
+            ),
+            l2s_with: at_least(
+                (0..occ.num_l2_groups()).map(|g| occ.free_in_l2(L2GroupId(g))),
+                occ.l2_capacity(),
+            ),
         }
-        self.nodes_with.get(k - 1).copied().unwrap_or(0)
     }
 
-    /// `l2s_with_free(k)` as of the profile's computation.
-    pub fn l2s_with_free(&self, k: usize) -> usize {
-        if k == 0 {
-            return usize::MAX;
-        }
-        self.l2s_with.get(k - 1).copied().unwrap_or(0)
+    /// Nodes with at least `k` free threads as of the profile's
+    /// computation.
+    pub fn nodes_with_free(&self, k: usize) -> usize {
+        self.nodes_with.get(k).copied().unwrap_or(0)
     }
+
+    /// L2 groups with at least `k` free threads as of the profile's
+    /// computation.
+    pub fn l2s_with_free(&self, k: usize) -> usize {
+        self.l2s_with.get(k).copied().unwrap_or(0)
+    }
+}
+
+/// `out[k]` = how many of `frees` are ≥ `k`, for `k` in `0..=cap`:
+/// a histogram, then suffix sums.
+fn at_least(frees: impl Iterator<Item = usize>, cap: usize) -> Vec<usize> {
+    let mut out = vec![0; cap + 1];
+    for free in frees {
+        out[free] += 1;
+    }
+    for k in (0..cap).rev() {
+        out[k] += out[k + 1];
+    }
+    out
 }
 
 /// A lock-free aggregate availability sketch over a group of
@@ -136,10 +163,10 @@ pub struct AvailabilitySketch {
     num_l2: usize,
     /// Largest per-L2 thread capacity (the L2 `k` axis bound).
     cap_l2: usize,
-    /// `nodes_tbl[(k-1) * num_nodes + (n-1)]` = hosts with
+    /// `nodes_tbl[k * num_nodes + (n-1)]` = hosts with
     /// `nodes_with_free(k) ≥ n`.
     nodes_tbl: Vec<AtomicUsize>,
-    /// `l2_tbl[(k-1) * num_l2 + (g-1)]` = hosts with
+    /// `l2_tbl[k * num_l2 + (g-1)]` = hosts with
     /// `l2s_with_free(k) ≥ g`.
     l2_tbl: Vec<AtomicUsize>,
     /// Hosts attached to this sketch.
@@ -151,36 +178,30 @@ impl AvailabilitySketch {
     /// equal to `machine` (per-node and per-L2 capacities are derived
     /// from the machine, exact on uneven topologies).
     pub fn new(machine: &Machine) -> Self {
-        let mut cap_per_node = vec![0usize; machine.num_nodes()];
-        let mut cap_per_l2 = vec![0usize; machine.num_l2_groups()];
-        for t in machine.threads() {
-            cap_per_node[t.node.index()] += 1;
-            cap_per_l2[t.l2_group.index()] += 1;
-        }
-        let num_nodes = machine.num_nodes();
-        let num_l2 = machine.num_l2_groups();
-        let cap_node = cap_per_node.iter().copied().max().unwrap_or(0);
-        let cap_l2 = cap_per_l2.iter().copied().max().unwrap_or(0);
+        let idle = OccupancyMap::new(machine);
+        let (num_nodes, cap_node) = (idle.num_nodes(), idle.node_capacity());
+        let (num_l2, cap_l2) = (idle.num_l2_groups(), idle.l2_capacity());
+        let zeroed = |len| (0..len).map(|_| AtomicUsize::new(0)).collect();
         AvailabilitySketch {
             num_nodes,
             cap_node,
             num_l2,
             cap_l2,
-            nodes_tbl: (0..cap_node * num_nodes).map(|_| AtomicUsize::new(0)).collect(),
-            l2_tbl: (0..cap_l2 * num_l2).map(|_| AtomicUsize::new(0)).collect(),
+            nodes_tbl: zeroed((cap_node + 1) * num_nodes),
+            l2_tbl: zeroed((cap_l2 + 1) * num_l2),
             hosts: AtomicUsize::new(0),
         }
     }
 
-    /// The sketch profile of one host's capacity view, dimensioned for
-    /// this sketch. Works over any [`CapacityView`] — the engine
-    /// computes it from the authoritative occupancy map under the host
-    /// lock; tests recompute ground truth from published summaries.
-    pub fn profile<V: CapacityView>(&self, view: &V) -> SketchProfile {
-        SketchProfile {
-            nodes_with: (1..=self.cap_node).map(|k| view.nodes_with_free(k)).collect(),
-            l2s_with: (1..=self.cap_l2).map(|k| view.l2s_with_free(k)).collect(),
-        }
+    /// The sketch profile of a member host's occupancy — the engine
+    /// computes it under the host lock, from the authoritative map.
+    pub fn profile(&self, occ: &OccupancyMap) -> SketchProfile {
+        debug_assert_eq!(
+            (occ.num_nodes(), occ.node_capacity(), occ.num_l2_groups(), occ.l2_capacity()),
+            (self.num_nodes, self.cap_node, self.num_l2, self.cap_l2),
+            "occupancy of another topology"
+        );
+        SketchProfile::of(occ)
     }
 
     /// Registers a new member host with profile `p` (one-time, at
@@ -225,27 +246,27 @@ impl AvailabilitySketch {
 
     /// Hosts whose last-published occupancy had at least `num_nodes`
     /// NUMA nodes with ≥ `per_node` free threads each. Out-of-range
-    /// shapes (impossible on this topology) count zero; a zero
-    /// threshold or count is trivially satisfied by every host.
+    /// shapes (impossible on this topology) count zero; a zero count is
+    /// trivially satisfied by every host.
     pub fn hosts_with_nodes(&self, per_node: usize, num_nodes: usize) -> usize {
-        if per_node == 0 || num_nodes == 0 {
+        if num_nodes == 0 {
             return self.num_hosts();
         }
         if per_node > self.cap_node || num_nodes > self.num_nodes {
             return 0;
         }
-        self.nodes_tbl[(per_node - 1) * self.num_nodes + (num_nodes - 1)].load(Ordering::Acquire)
+        self.nodes_tbl[per_node * self.num_nodes + (num_nodes - 1)].load(Ordering::Acquire)
     }
 
     /// The L2-granular companion of [`Self::hosts_with_nodes`].
     pub fn hosts_with_l2s(&self, per_l2: usize, num_l2: usize) -> usize {
-        if per_l2 == 0 || num_l2 == 0 {
+        if num_l2 == 0 {
             return self.num_hosts();
         }
         if per_l2 > self.cap_l2 || num_l2 > self.num_l2 {
             return 0;
         }
-        self.l2_tbl[(per_l2 - 1) * self.num_l2 + (num_l2 - 1)].load(Ordering::Acquire)
+        self.l2_tbl[per_l2 * self.num_l2 + (num_l2 - 1)].load(Ordering::Acquire)
     }
 
     /// Whether *any* member host could possibly pass the per-host
@@ -263,17 +284,30 @@ impl AvailabilitySketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NodeId;
     use crate::machines;
-    use crate::occupancy::OccupancyMap;
+
+    /// Nodes of `occ` with at least `k` free threads, counted one by one.
+    fn nodes_with_free(occ: &OccupancyMap, k: usize) -> usize {
+        (0..occ.num_nodes())
+            .filter(|&n| occ.free_on_node(NodeId(n)) >= k)
+            .count()
+    }
+
+    /// L2 groups of `occ` with at least `k` free threads, counted one by
+    /// one.
+    fn l2s_with_free(occ: &OccupancyMap, k: usize) -> usize {
+        (0..occ.num_l2_groups())
+            .filter(|&g| occ.free_in_l2(L2GroupId(g)) >= k)
+            .count()
+    }
 
     /// Recomputes every table entry from the member views directly —
     /// the ground truth incremental maintenance must match.
     fn assert_matches_ground_truth(sketch: &AvailabilitySketch, views: &[&OccupancyMap]) {
         assert_eq!(sketch.num_hosts(), views.len());
-        for k in 1..=sketch.cap_node {
+        for k in 0..=sketch.cap_node {
             for n in 1..=sketch.num_nodes {
-                let truth = views.iter().filter(|v| v.nodes_with_free(k) >= n).count();
+                let truth = views.iter().filter(|v| nodes_with_free(v, k) >= n).count();
                 assert_eq!(
                     sketch.hosts_with_nodes(k, n),
                     truth,
@@ -281,9 +315,9 @@ mod tests {
                 );
             }
         }
-        for k in 1..=sketch.cap_l2 {
+        for k in 0..=sketch.cap_l2 {
             for g in 1..=sketch.num_l2 {
-                let truth = views.iter().filter(|v| v.l2s_with_free(k) >= g).count();
+                let truth = views.iter().filter(|v| l2s_with_free(v, k) >= g).count();
                 assert_eq!(
                     sketch.hosts_with_l2s(k, g),
                     truth,
@@ -396,12 +430,13 @@ mod tests {
         let mut occ = OccupancyMap::new(&amd);
         occ.reserve(&amd.threads_on_node(NodeId(2))).unwrap();
         let p = sketch.profile(&occ);
-        for k in 1..=8 {
-            assert_eq!(p.nodes_with_free(k), occ.nodes_with_free(k));
+        for k in 0..=8 {
+            assert_eq!(p.nodes_with_free(k), nodes_with_free(&occ, k));
         }
-        for k in 1..=2 {
-            assert_eq!(p.l2s_with_free(k), occ.l2s_with_free(k));
+        for k in 0..=2 {
+            assert_eq!(p.l2s_with_free(k), l2s_with_free(&occ, k));
         }
+        assert_eq!(p.nodes_with_free(0), 8, "every node has at least nothing free");
         assert_eq!(p.nodes_with_free(64), 0, "beyond the stored range");
     }
 }

@@ -18,12 +18,8 @@
 use vc_bench::experiments::fig5::{PackingScenario, POLICIES};
 use vcplace::core::concern::ConcernSet;
 use vcplace::core::important::important_placements;
-use vcplace::core::model::{
-    select_probe_pair, PerfOracle, PerfPairModel, TrainingSet, TrainingWorkload,
-};
+use vcplace::core::model::PerfOracle;
 use vcplace::migration::MigrationModel;
-use vcplace::ml::forest::ForestConfig;
-use vcplace::sim::SimOracle;
 use vcplace::topology::{machines, render, Machine};
 use vcplace::workloads::suite::{paper_suite, workload_by_name};
 
@@ -226,46 +222,43 @@ fn cmd_placements(machine: &Machine, vcpus: usize) {
 }
 
 fn cmd_predict(machine: &Machine, vcpus: usize, workload: &str) {
+    use vcplace::engine::{EngineConfig, PlacementEngine};
+
     let Some(target) = workload_by_name(workload) else {
         eprintln!("unknown workload {workload}; try `vcplace migrate --list`");
         std::process::exit(1);
     };
-    let cs = ConcernSet::for_machine(machine);
-    let placements = important_placements(machine, &cs, vcpus).unwrap_or_else(|e| {
+    // The default corpus: 12 synthetic workloads beside the paper suite,
+    // 3 seeds per measurement, a 60-tree forest trained with seed 7.
+    let mut engine = PlacementEngine::new(EngineConfig::default());
+    let id = engine.add_machine(machine.clone());
+    let catalog = engine.catalog(id, vcpus).unwrap_or_else(|e| {
         eprintln!("no balanced feasible placement: {e}");
         std::process::exit(1);
     });
+    let placements = &catalog.placements;
     if placements.len() < 2 {
         eprintln!("{vcpus} vCPUs have one important placement on this machine: nothing to predict");
         std::process::exit(1);
     }
-    let oracle = SimOracle::with_synthetic(machine.clone(), 12, 42);
-    let training: Vec<TrainingWorkload> = oracle
-        .workloads()
-        .iter()
-        .filter(|w| w.family != target.family)
-        .map(|w| TrainingWorkload {
-            name: w.name.clone(),
-            family: w.family.clone(),
-        })
-        .collect();
-    let ts = TrainingSet::build(&oracle, &training, &placements, 0, 3);
-    let cfg = ForestConfig {
-        n_trees: 60,
-        ..ForestConfig::default()
-    };
-    let (probe, err) = select_probe_pair(&ts, &cfg, 7);
+    // Leave the target's family out of training, as the paper does.
+    let artifact = engine
+        .model(id, vcpus, 0, Some(&target.family))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot train a model: {e}");
+            std::process::exit(1);
+        });
+    let probe = artifact.probe;
     eprintln!(
-        "probing placements #{} and #{} (cv error {err:.1} %)...",
-        placements[0].id, placements[probe].id
+        "probing placements #{} and #{} (cv error {:.1} %)...",
+        placements[0].id, placements[probe].id, artifact.cv_error_pct
     );
-    let rows: Vec<usize> = (0..ts.workloads.len()).collect();
-    let model = PerfPairModel::fit(&ts, &rows, 0, probe, &cfg, 7);
+    let oracle = engine.sim_oracle(id);
     let pa = oracle.perf(workload, &placements[0].spec, 0);
     let pb = oracle.perf(workload, &placements[probe].spec, 0);
-    let pred = model.predict_absolute(pa, pb);
+    let pred = artifact.model.predict_absolute(pa, pb);
     println!("{:<46} {:>14}", "placement", "predicted perf");
-    for p in &placements {
+    for p in placements {
         println!("{:<46} {:>14.1}", p.describe(), pred[p.id - 1]);
     }
     let best = placements
