@@ -225,28 +225,17 @@ impl AvailabilityIndex {
     pub fn available(&self, machine: &Machine, occ: &OccupancyMap) -> Vec<AvailablePlacement> {
         self.orbits
             .iter()
-            .filter_map(|o| Self::realise(o, machine, occ))
+            .filter_map(|o| Self::walk(o, machine, occ).next())
             .collect()
-    }
-
-    /// Retargets the single class at catalog position `class_index`
-    /// (`None` when every equivalent node set is busy).
-    pub fn retarget(
-        &self,
-        class_index: usize,
-        machine: &Machine,
-        occ: &OccupancyMap,
-    ) -> Option<AvailablePlacement> {
-        Self::realise(&self.orbits[class_index], machine, occ)
     }
 
     /// *Every* currently-hostable realisation of the class at catalog
     /// position `class_index`, cheapest fragmentation first — the head
-    /// is what [`Self::retarget`] picks. Admission only ever needs that
-    /// head; a rebalancer hunting the least-interfering node set on a
-    /// busy machine needs the whole list, because fragmentation
-    /// preference and interference avoidance can disagree (the
-    /// fragmentation-first choice is precisely the set next to the
+    /// is what [`Self::available`] offers for the class. Admission only
+    /// ever needs that head; a rebalancer hunting the least-interfering
+    /// node set on a busy machine needs the whole list, because
+    /// fragmentation preference and interference avoidance can disagree
+    /// (the fragmentation-first choice is precisely the set next to the
     /// noisy neighbour).
     pub fn realisations(
         &self,
@@ -254,46 +243,17 @@ impl AvailabilityIndex {
         machine: &Machine,
         occ: &OccupancyMap,
     ) -> Vec<AvailablePlacement> {
-        let orbit = &self.orbits[class_index];
-        let mut fitting: Vec<(usize, &Vec<NodeId>)> = orbit
-            .node_sets
-            .iter()
-            .filter(|set| set.iter().all(|&nd| occ.free_on_node(nd) >= orbit.per_node))
-            .map(|set| {
-                let pristine = set.iter().filter(|&&nd| occ.node_is_pristine(nd)).count();
-                (pristine, set)
-            })
-            .collect();
-        fitting.sort();
-        fitting
-            .into_iter()
-            .filter_map(|(pristine, set)| {
-                let spec = PlacementSpec::new(
-                    orbit.spec.vcpus,
-                    set.clone(),
-                    orbit.spec.l3_groups_used,
-                    orbit.spec.l2_groups_used,
-                );
-                assign_vcpus_in(machine, &spec, occ)
-                    .ok()
-                    .map(|threads| AvailablePlacement {
-                        id: orbit.id,
-                        spec,
-                        threads,
-                        pristine_consumed: pristine,
-                    })
-            })
-            .collect()
+        Self::walk(&self.orbits[class_index], machine, occ).collect()
     }
 
-    /// Picks the cheapest-fragmentation free node set of one orbit:
-    /// fewest pristine nodes broken open, ties towards the
-    /// lexicographically smallest set.
-    fn realise(
-        orbit: &ClassOrbit,
-        machine: &Machine,
-        occ: &OccupancyMap,
-    ) -> Option<AvailablePlacement> {
+    /// The assignable realisations of one orbit, lazily: node sets with
+    /// room on every node, fewest pristine nodes broken open first, ties
+    /// towards the lexicographically smallest set.
+    fn walk<'a>(
+        orbit: &'a ClassOrbit,
+        machine: &'a Machine,
+        occ: &'a OccupancyMap,
+    ) -> impl Iterator<Item = AvailablePlacement> + 'a {
         let mut fitting: Vec<(usize, &Vec<NodeId>)> = orbit
             .node_sets
             .iter()
@@ -304,23 +264,22 @@ impl AvailabilityIndex {
             })
             .collect();
         fitting.sort();
-        for (pristine, set) in fitting {
+        fitting.into_iter().filter_map(move |(pristine, set)| {
             let spec = PlacementSpec::new(
                 orbit.spec.vcpus,
                 set.clone(),
                 orbit.spec.l3_groups_used,
                 orbit.spec.l2_groups_used,
             );
-            if let Ok(threads) = assign_vcpus_in(machine, &spec, occ) {
-                return Some(AvailablePlacement {
+            assign_vcpus_in(machine, &spec, occ)
+                .ok()
+                .map(|threads| AvailablePlacement {
                     id: orbit.id,
                     spec,
                     threads,
                     pristine_consumed: pristine,
-                });
-            }
-        }
-        None
+                })
+        })
     }
 }
 
@@ -371,8 +330,8 @@ pub fn available_placements(
 }
 
 /// Retargets a single class onto free hardware (`None` when every
-/// equivalent node set is busy). One-shot variant of
-/// [`AvailabilityIndex::retarget`].
+/// equivalent node set is busy). One-shot variant of one class's entry
+/// in [`AvailabilityIndex::available`].
 pub fn retarget_placement(
     machine: &Machine,
     concerns: &ConcernSet,
@@ -597,9 +556,10 @@ mod tests {
         let index = AvailabilityIndex::build(&amd, &cs, &ips);
         let mut occ = OccupancyMap::new(&amd);
         occ.reserve(&amd.threads_on_node(NodeId(0))).unwrap();
+        let heads = index.available(&amd, &occ);
         for (i, ip) in ips.iter().enumerate() {
             let all = index.realisations(i, &amd, &occ);
-            match index.retarget(i, &amd, &occ) {
+            match heads.iter().find(|head| head.id == ip.id) {
                 Some(head) => {
                     assert_eq!(all[0].spec, head.spec, "class {} head diverged", ip.id);
                     assert_eq!(all[0].threads, head.threads);
@@ -614,7 +574,7 @@ mod tests {
                         assert!(w[0].pristine_consumed <= w[1].pristine_consumed);
                     }
                 }
-                None => assert!(all.is_empty(), "class {} hostable but retarget None", ip.id),
+                None => assert!(all.is_empty(), "class {} hostable but not available", ip.id),
             }
         }
     }

@@ -14,9 +14,9 @@
 //! *penalty* — the candidate's predicted performance with the host's
 //! residents running, relative to the same placement on an idle host —
 //! and multiplies it into the class score. The residents are passed as
-//! [`ResidentWorkload`]s (the *real* workloads a serving engine tracks
-//! in its resident registry; an empty slice falls back to occupancy-
-//! derived stand-ins). Penalties are memoized per `(workload, node set,
+//! [`ResidentWorkload`]s: the containers holding the occupancy's used
+//! threads, which a serving engine reads from the same published host
+//! snapshot as the occupancy. Penalties are memoized per `(workload, node set,
 //! vcpus, occupancy signature, resident-workload signature)` so a warm
 //! serving path never calls the oracle, let alone under a host lock.
 //!
@@ -44,10 +44,8 @@ use vc_topology::{NodeId, OccupancyMap, ThreadId};
 /// One resident container as the interference path sees it: which
 /// workload it runs and which hardware threads it holds.
 ///
-/// A serving engine derives these from its live resident registry;
-/// callers without one (or probing hypothetical occupancies) pass an
-/// empty slice and let the oracle fall back to stand-in profiles
-/// derived from the occupancy map alone.
+/// A serving engine derives these from the host snapshot whose
+/// occupancy it scores against, so the two always agree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResidentWorkload {
     /// Workload name, resolvable against the oracle's suite.
@@ -58,9 +56,8 @@ pub struct ResidentWorkload {
 
 /// Source of co-location penalties.
 ///
-/// Implemented by `vc-sim`'s `SimOracle` (which simulates the candidate
-/// together with the named resident workloads — or stand-ins derived
-/// from the occupancy map when `residents` is empty); a hardware-backed
+/// Implemented by `vc-sim`'s `SimOracle`, which simulates the candidate
+/// together with the named resident workloads; a hardware-backed
 /// implementation would measure the candidate against the live
 /// neighbours.
 pub trait InterferenceOracle {
@@ -69,13 +66,10 @@ pub trait InterferenceOracle {
     /// containers run, relative to the same assignment on an idle
     /// machine. `1.0` means the neighbours cost nothing.
     ///
-    /// `residents` names the real co-resident workloads and their
-    /// threads; when empty, implementations derive stand-in residents
-    /// from `occ` (a reservation map records *where* neighbours run but
-    /// not *what* they run).
-    ///
-    /// `threads` must be free in `occ` (the candidate has not been
-    /// committed yet); implementations may panic otherwise.
+    /// `residents` are the containers holding `occ`'s used threads:
+    /// together they hold every used thread and no free one. `threads`
+    /// must be free in `occ` (the candidate has not been committed
+    /// yet). Implementations may panic when either contract is broken.
     fn co_location_penalty(
         &self,
         workload: &str,
@@ -243,10 +237,10 @@ impl InterferenceModel {
     /// on `threads` (spanning `nodes`) into `occ` next to `residents`,
     /// in `(0, 1]`.
     ///
-    /// `residents` names the real co-resident workloads (pass the
-    /// host's registry snapshot, taken together with `occ` under one
-    /// lock); an empty slice falls back to the oracle's stand-in
-    /// profiles. Idle occupancies short-circuit to `1.0`. Cold misses
+    /// `residents` are the containers holding `occ`'s used threads (the
+    /// [`InterferenceOracle`] contract; pass the residents of the host
+    /// snapshot `occ` came from). Idle occupancies short-circuit to
+    /// `1.0`. Cold misses
     /// consult the oracle once per
     /// `(workload, nodes, |threads|, occupancy sig, residents sig)`
     /// key; the oracle runs outside the cache lock, so concurrent cold
@@ -284,19 +278,6 @@ impl InterferenceModel {
             self.hits.incr();
         }
         p
-    }
-
-    /// `predicted × penalty`: the interference-adjusted score.
-    pub fn adjust(
-        &self,
-        predicted: f64,
-        workload: &str,
-        nodes: &[NodeId],
-        threads: &[ThreadId],
-        occ: &OccupancyMap,
-        residents: &[ResidentWorkload],
-    ) -> f64 {
-        predicted * self.penalty(workload, nodes, threads, occ, residents)
     }
 
     /// Counter snapshot.
@@ -455,19 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn adjust_multiplies_the_penalty_in() {
-        let m = machines::amd_opteron_6272();
-        let (model, _) = setup();
-        let mut occ = OccupancyMap::new(&m);
-        occ.reserve(&m.threads_on_node(NodeId(1))).unwrap();
-        let threads = m.threads_on_node(NodeId(0));
-        let p = model.penalty("w", &[NodeId(0)], &threads, &occ, &[]);
-        let adjusted = model.adjust(200.0, "w", &[NodeId(0)], &threads, &occ, &[]);
-        assert!((adjusted - 200.0 * p).abs() < 1e-12);
-        assert!(adjusted < 200.0);
-    }
-
-    #[test]
     fn out_of_contract_oracles_are_clamped() {
         struct Wild;
         impl InterferenceOracle for Wild {
@@ -549,46 +517,38 @@ mod tests {
             workload: "a".to_string(),
             threads: [m.threads_on_node(NodeId(4))[0], m.threads_on_node(NodeId(5))[0]].to_vec(),
         }];
-        // The key of `workload` on `nodes` next to `residents`, either
-        // named to the model or left to the stand-in fallback.
-        let key = |workload: &str,
-                   nodes: &[usize],
-                   vcpus: usize,
-                   residents: &[ResidentWorkload],
-                   named: bool| {
+        // The key of `workload` on `nodes` next to `residents`.
+        let key = |workload: &str, nodes: &[usize], vcpus: usize, residents: &[ResidentWorkload]| {
             let nodes: Vec<NodeId> = nodes.iter().map(|&i| NodeId(i)).collect();
             let occ = occupancy_of(&m, residents);
-            let named: &[ResidentWorkload] = if named { residents } else { &[] };
-            encode_key(workload, &nodes, vcpus, &occ, named).expect("busy host")
+            encode_key(workload, &nodes, vcpus, &occ, residents).expect("busy host")
         };
         let keys = [
-            key("w", &[0], 4, &one, true),
+            key("w", &[0], 4, &one),
             // Names that are prefixes of each other, within one word and
             // across a word boundary, with and without trailing NULs.
-            key("w1", &[0], 4, &one, true),
-            key("abcd", &[0], 4, &one, true),
-            key("abcde", &[0], 4, &one, true),
-            key("abcd\0", &[0], 4, &one, true),
-            key("", &[0], 4, &one, true),
+            key("w1", &[0], 4, &one),
+            key("abcd", &[0], 4, &one),
+            key("abcde", &[0], 4, &one),
+            key("abcd\0", &[0], 4, &one),
+            key("", &[0], 4, &one),
             // Node lists against counts: [1, 2] then 4 vCPUs must not
             // read like [1] then 2 vCPUs then a count of 4, and so on.
-            key("w", &[1, 2], 4, &one, true),
-            key("w", &[1], 2, &one, true),
-            key("w", &[1], 4, &one, true),
-            key("w", &[4], 1, &one, true),
-            key("w", &[], 4, &one, true),
-            key("w", &[0, 0], 4, &one, true),
+            key("w", &[1, 2], 4, &one),
+            key("w", &[1], 2, &one),
+            key("w", &[1], 4, &one),
+            key("w", &[4], 1, &one),
+            key("w", &[], 4, &one),
+            key("w", &[0, 0], 4, &one),
             // Same occupancy counts, different resident multisets.
-            key("w", &[0], 4, &split, true),
-            key("w", &[0], 4, &ab_c, true),
-            key("w", &[0], 4, &a_bc, true),
-            // Stand-in fallback (no named residents) over the same map.
-            key("w", &[0], 4, &one, false),
+            key("w", &[0], 4, &split),
+            key("w", &[0], 4, &ab_c),
+            key("w", &[0], 4, &a_bc),
             // The same resident elsewhere, and spread over two nodes.
-            key("w", &[0], 4, &a_on_5, true),
-            key("w", &[0], 4, &two_nodes, true),
+            key("w", &[0], 4, &a_on_5),
+            key("w", &[0], 4, &two_nodes),
             // A resident named like the candidate.
-            key("a", &[0], 4, &one, true),
+            key("a", &[0], 4, &one),
         ];
         for (i, a) in keys.iter().enumerate() {
             for (j, b) in keys.iter().enumerate().skip(i + 1) {

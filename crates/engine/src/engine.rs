@@ -28,29 +28,6 @@ use crate::stats::{EngineStats, SnapshotCounters};
 /// Engine-wide configuration: the training corpus and forest settings
 /// shared by every machine in the fleet. These parameters are part of
 /// every cache identity, so changing them requires a new engine.
-///
-/// # Examples
-///
-/// Bounding the artifact caches: with `cache_capacity` set, the engine
-/// keeps at most that many entries per cache (catalogs, training sets,
-/// models) and evicts the least-recently-used entry beyond the bound —
-/// evictions are visible in [`EngineStats`].
-///
-/// ```
-/// use vc_engine::{EngineConfig, MachineId, PlacementEngine};
-/// use vc_topology::machines;
-///
-/// let engine = PlacementEngine::single(
-///     machines::amd_opteron_6272(),
-///     EngineConfig { cache_capacity: 2, ..EngineConfig::default() },
-/// );
-/// for vcpus in [4, 8, 16, 32] {
-///     engine.catalog(MachineId(0), vcpus).unwrap();
-/// }
-/// let stats = engine.stats();
-/// assert_eq!(stats.catalogs.computes, 4);
-/// assert_eq!(stats.catalogs.evictions, 2); // only 2 of 4 stay resident
-/// ```
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Measurement repetitions per (workload, placement) when building
@@ -62,12 +39,6 @@ pub struct EngineConfig {
     pub forest: ForestConfig,
     /// Seed for probe selection and forest training.
     pub train_seed: u64,
-    /// Upper bound on resident entries per artifact cache (catalogs,
-    /// training sets, models). Beyond the bound the least-recently-used
-    /// entry is evicted; `0` means unbounded. Machine-class keying means
-    /// one entry serves every same-fingerprint host, so a small bound
-    /// suffices even for large fleets.
-    pub cache_capacity: usize,
     /// Score placements against the host's *current residents* instead
     /// of an idle host: commit and BestScore ranking multiply each
     /// class's predicted performance by the occupancy-conditional
@@ -115,7 +86,6 @@ impl Default for EngineConfig {
                 ..ForestConfig::default()
             },
             train_seed: 7,
-            cache_capacity: 64,
             interference: false,
             degradation_budget: None,
             sketch_shard: 64,
@@ -483,28 +453,24 @@ impl FitProbe {
     }
 }
 
-/// Why [`PlacementEngine::release`] refused a handle.
+/// Why [`PlacementEngine::release_ticket`] refused a ticket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReleaseError {
-    /// No host's resident registry holds the handle's ticket: the
-    /// container was already released (double release) or the handle
-    /// never came from a commit on this engine. Nothing was freed.
+    /// No host's resident registry holds the ticket: the container was
+    /// already released (double release) or the ticket never came from
+    /// a commit on this engine. Nothing was freed.
     UnknownPlacement {
         /// The unresolvable ticket.
         ticket: PlacementTicket,
-        /// The host the stale handle named.
-        machine: MachineId,
     },
 }
 
 impl std::fmt::Display for ReleaseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReleaseError::UnknownPlacement { ticket, machine } => write!(
+            ReleaseError::UnknownPlacement { ticket } => write!(
                 f,
-                "{ticket} is not live on any host (handle named machine {}): \
-                 already released, or never committed here",
-                machine.0
+                "{ticket} is not live on any host: already released, or never committed here"
             ),
         }
     }
@@ -516,10 +482,10 @@ impl std::error::Error for ReleaseError {}
 /// placement it currently holds plus the request that admitted it (kept
 /// so [`PlacementEngine::rebalance`] can re-score and re-place it).
 ///
-/// Snapshots of a host's residents are obtained via
-/// [`PlacementEngine::residents`]; they are taken together with the
-/// occupancy map under one lock, so registry and occupancy always
-/// agree.
+/// A host's residents live in its published [`HostSnapshot`] — the one
+/// record of the host, occupancy and registry together — so registry
+/// and occupancy always agree ([`PlacementEngine::residents`] copies
+/// them out).
 #[derive(Debug, Clone)]
 pub struct Resident {
     /// The container's engine-wide identity.
@@ -540,6 +506,11 @@ pub struct Resident {
     pub interference_penalty: f64,
     /// Absolute performance the goal translated to (0 if best-effort).
     pub goal_perf: f64,
+    /// The [`PlacementEngine::rebalance`] pass that last moved the
+    /// container (`None` until one does) — what
+    /// [`RebalancePolicy::cooldown_passes`](crate::RebalancePolicy::cooldown_passes)
+    /// counts from.
+    pub moved_in_pass: Option<u64>,
 }
 
 impl Resident {
@@ -704,21 +675,23 @@ pub struct PlacementEngine {
     /// affected host lock(s), so membership is authoritative: a ticket
     /// absent here is definitely not live. The *location* a reader
     /// copies out can go stale the instant the map unlocks, which is
-    /// why `release` re-validates against the host registry and
+    /// why `release_ticket` re-validates against the host registry and
     /// retries. A leaf: entered on the scope or under a host guard,
     /// never around another lock.
     pub(crate) locations: LeafMutex<HashMap<u64, usize>>,
-    /// Ticket → pass index of the ticket's last executed rebalance
-    /// move. Consulted only by [`Self::rebalance`] (never on the
-    /// admission or release path), pruned at the start of every pass,
-    /// and empty whenever the policy's cooldown is zero.
-    pub(crate) move_cooldowns: LeafMutex<HashMap<u64, u64>>,
 }
 
 impl PlacementEngine {
+    /// Upper bound on resident entries per artifact cache (catalogs,
+    /// training sets, models). Beyond it the least-recently-used entry
+    /// is evicted, visibly in [`EngineStats`]. Machine-class keying
+    /// means one entry serves every same-fingerprint host, so a small
+    /// bound suffices even for large fleets.
+    pub const CACHE_CAPACITY: usize = 64;
+
     /// An engine with an empty fleet.
     pub fn new(cfg: EngineConfig) -> Self {
-        let cap = cfg.cache_capacity;
+        let cap = Self::CACHE_CAPACITY;
         PlacementEngine {
             cfg,
             hosts: Vec::new(),
@@ -734,7 +707,6 @@ impl PlacementEngine {
             domain: Domain::new(),
             next_ticket: Counter::new(),
             locations: LeafMutex::default(),
-            move_cooldowns: LeafMutex::default(),
         }
     }
 
@@ -923,10 +895,10 @@ impl PlacementEngine {
         self.host_snapshot(id).occupancy().clone()
     }
 
-    /// A point-in-time snapshot of a machine's resident registry,
-    /// ticket order. The registry and occupancy of one view always
-    /// agree — the union of the residents' threads is exactly the
-    /// occupancy's used set (equivalence-tested through stochastic
+    /// A copy of a machine's resident registry, ticket order, from its
+    /// published snapshot. The registry and occupancy of one snapshot
+    /// always agree — the union of the residents' threads is exactly
+    /// the occupancy's used set (equivalence-tested through stochastic
     /// churn). Wait-free.
     pub fn residents(&self, id: MachineId) -> Vec<Resident> {
         self.host_snapshot(id).residents().to_vec()
@@ -944,24 +916,14 @@ impl PlacementEngine {
         self.hosts.iter().map(|h| self.view(h).residents().len()).sum()
     }
 
-    /// Releases a departing container: removes its registry entry and
-    /// frees the hardware threads it holds *right now* — which, after a
-    /// [`Self::rebalance`] move, may differ from the (then-stale)
-    /// `placed.threads`, and may even live on a different host. The
-    /// ticket, not the thread list, is the authority: an engine-wide
-    /// location map (maintained under the host locks by commit,
-    /// release and rebalance moves) resolves it in O(1), and a racing
-    /// move between lookup and lock simply retries against the updated
-    /// map — a live container can never be missed.
+    /// Releases a departing container by its handle's ticket — see
+    /// [`Self::release_ticket`]. Only the ticket is read: after a
+    /// [`Self::rebalance`] move the handle's machine and threads are
+    /// stale, and the container is freed wherever it runs *now*.
     ///
     /// # Errors
     ///
-    /// [`ReleaseError::UnknownPlacement`] when no host's registry holds
-    /// the ticket — a double release, or a handle that never came from
-    /// a commit. The occupancy maps and published summaries are left
-    /// untouched (an earlier revision swallowed this behind a
-    /// `debug_assert!`, so release builds silently diverged), and the
-    /// failure is counted in [`EngineStats::release_failures`].
+    /// As [`Self::release_ticket`].
     ///
     /// # Examples
     ///
@@ -988,6 +950,25 @@ impl PlacementEngine {
     /// assert!(engine.release(&live[1]).is_err());
     /// ```
     pub fn release(&self, placed: &Placed) -> Result<(), ReleaseError> {
+        self.release_ticket(placed.ticket)
+    }
+
+    /// Releases the container holding `ticket`: removes its registry
+    /// entry and frees the hardware threads it holds *right now*,
+    /// wherever a [`Self::rebalance`] move may have put it. An
+    /// engine-wide location map (maintained under the host locks by
+    /// commit, release and rebalance moves) resolves the ticket in
+    /// O(1), and a racing move between lookup and lock simply retries
+    /// against the updated map — a live container can never be missed.
+    ///
+    /// # Errors
+    ///
+    /// [`ReleaseError::UnknownPlacement`] when no host's registry holds
+    /// the ticket — a double release, or a ticket that never came from
+    /// a commit. The occupancy maps and published summaries are left
+    /// untouched, and the failure is counted in
+    /// [`EngineStats::release_failures`].
+    pub fn release_ticket(&self, ticket: PlacementTicket) -> Result<(), ReleaseError> {
         // Optimistic loop over the location map: copy the ticket's
         // current host (never holding the map while taking a host
         // lock), lock that host, re-validate. A miss under the host
@@ -1000,16 +981,13 @@ impl PlacementEngine {
         loop {
             let location = self
                 .locations
-                .with(&mut scope, |map| map.get(&placed.ticket.0).copied());
+                .with(&mut scope, |map| map.get(&ticket.0).copied());
             let Some(idx) = location else {
                 self.counters.release_failures.incr();
-                return Err(ReleaseError::UnknownPlacement {
-                    ticket: placed.ticket,
-                    machine: placed.machine,
-                });
+                return Err(ReleaseError::UnknownPlacement { ticket });
             };
             let mut host = self.lock_host(&mut scope, &self.hosts[idx]);
-            if let Some(resident) = host.remove_resident(placed.ticket) {
+            if let Some(resident) = host.remove_resident(ticket) {
                 // Drop the location entry *before* freeing the threads:
                 // should the release panic (it cannot, by invariant —
                 // but poisoned locks are recovered now, so the ordering
@@ -1017,7 +995,7 @@ impl PlacementEngine {
                 // already unresolvable and no later caller can spin on
                 // a registry that will never hold it again.
                 self.locations
-                    .with(host.witness(), |map| map.remove(&placed.ticket.0));
+                    .with(host.witness(), |map| map.remove(&ticket.0));
                 host.release(&resident.threads);
                 self.counters.releases.incr();
                 return Ok(());
@@ -1472,6 +1450,7 @@ impl PlacementEngine {
             predicted_perf: placed.predicted_perf,
             interference_penalty: placed.interference_penalty,
             goal_perf: placed.goal_perf,
+            moved_in_pass: None,
         });
         self.locations
             .with(host.witness(), |map| map.insert(placed.ticket.0, placed.machine.0));
@@ -1835,11 +1814,12 @@ impl PlacementEngine {
         best
     }
 
-    /// Executes one planned move under the host lock(s): verifies the
-    /// resident is still where the plan saw it (same ticket, same
-    /// threads), reserves the new threads, re-homes the registry entry
-    /// and frees the old threads — all-or-nothing in every failure
-    /// mode; the guards publish whatever changed before unlocking.
+    /// Executes one planned move of rebalance pass `pass` under the
+    /// host lock(s): verifies the resident is still where the plan saw
+    /// it (same ticket, same threads), reserves the new threads,
+    /// re-homes the registry entry (stamping it with `pass`) and frees
+    /// the old threads — all-or-nothing in every failure mode; the
+    /// guards publish whatever changed before unlocking.
     /// Cross-host moves lock through [`Self::lock_pair`], so concurrent
     /// passes (and commits, which take one lock at a time) cannot
     /// deadlock. Nothing in here simulates or prices — the guards hold
@@ -1852,6 +1832,7 @@ impl PlacementEngine {
         dst: MachineId,
         resident: &Resident,
         (ap, predicted_perf, interference_penalty): (AvailablePlacement, f64, f64),
+        pass: u64,
     ) -> Result<Placed, ()> {
         let placed = Placed {
             ticket: resident.ticket,
@@ -1883,7 +1864,7 @@ impl PlacementEngine {
                     .expect("rollback re-reserves just-freed threads");
                 return Err(());
             }
-            host.rehome(&placed);
+            host.rehome(&placed, pass);
             return Ok(placed);
         }
         let (mut from, mut to) = self.lock_pair(scope, src, dst);
@@ -1896,7 +1877,7 @@ impl PlacementEngine {
             .expect("checked above");
         from.release(&entry.threads);
         to.insert_resident(entry);
-        to.rehome(&placed);
+        to.rehome(&placed, pass);
         // Update the location map while both host locks are held, so a
         // concurrent release never observes a map entry pointing at a
         // host that has already given the container up.

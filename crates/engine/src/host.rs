@@ -1,26 +1,27 @@
-//! One fleet host: the mutex-guarded authoritative state, the
-//! lock-free views readers consume, and the only handle that can
-//! change either.
+//! One fleet host: its record of what runs where, the lock-free views
+//! readers consume, and the only handle that can change them.
 //!
-//! [`HostState`] (occupancy map + resident registry) is private to
-//! this module. [`HostGuard`] is the one way to mutate it: every
-//! mutator marks the guard dirty, and `Drop` computes one fresh sketch
-//! profile and publishes it — as the capacity summary and as the
-//! shard's availability-sketch delta — together with the
-//! [`HostSnapshot`], exactly once, while the mutex is still held. A
+//! The record is a [`HostSnapshot`] — occupancy map plus resident
+//! registry — and the host keeps exactly one current copy of it: the
+//! `Arc` its mutex guards is the `Arc` its slot last published.
+//! [`HostGuard`] is the one way to change it. The first mutator of a
+//! critical section clones the snapshot (copy-on-write, `Arc::make_mut`)
+//! and marks the guard dirty; `Drop` then computes one fresh sketch
+//! profile, publishes it — as the capacity summary and as the shard's
+//! availability-sketch delta — and publishes that same `Arc` as the
+//! host's snapshot, exactly once, while the mutex is still held. A
 //! published view therefore never lags a completed critical section,
 //! summary and sketch never change apart (the pairing is model-checked
-//! in `tests/interleavings.rs`), and a read-only critical section
-//! publishes nothing.
+//! in `tests/interleavings.rs`), and a read-only critical section — a
+//! failed reserve included — neither clones nor publishes.
 //!
-//! The state mutex is a [`ScopedMutex`]: [`PlacementEngine::lock_host`]
+//! The mutex is a [`ScopedMutex`]: [`PlacementEngine::lock_host`]
 //! and [`PlacementEngine::lock_pair`] (the one double lock, ordered by
 //! machine id) take it through the caller's [`LockScope`], and the
 //! host's simulator and interference model are reachable only through
 //! accessors that borrow the same scope. Simulating under a host lock,
 //! or taking a second one beside it, therefore does not compile.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use vc_core::interference::{InterferenceModel, ResidentWorkload};
@@ -33,33 +34,9 @@ use vc_topology::{
 
 use crate::engine::{MachineId, Placed, PlacementEngine, PlacementTicket, Resident};
 
-/// Everything commit/release mutate under one host lock: the
-/// authoritative occupancy map plus the resident registry. Guarding
-/// them together makes snapshots consistent — a cloned `(occupancy,
-/// residents)` pair always agrees thread-for-thread, which is what
-/// keeps interference memoisation sound.
-#[derive(Debug)]
-struct HostState {
-    occ: OccupancyMap,
-    residents: HashMap<u64, Resident>,
-}
-
-impl HostState {
-    /// An immutable copy of everything the read paths consume: the
-    /// occupancy map plus the resident registry, ticket order.
-    fn snapshot(&self) -> HostSnapshot {
-        let mut residents: Vec<Resident> = self.residents.values().cloned().collect();
-        residents.sort_by_key(|r| r.ticket);
-        HostSnapshot {
-            occ: self.occ.clone(),
-            residents,
-        }
-    }
-}
-
-/// A consistent, immutable point-in-time view of one host: the
-/// occupancy map and the resident registry as some commit, release or
-/// rebalance move left them.
+/// What runs where on one host: the occupancy map and the resident
+/// registry as some commit, release or rebalance move left them. It is
+/// the engine's only record of the host's containers.
 ///
 /// Snapshots are published through a single-slot wait-free cell
 /// (`vc_sync::Slot`) *before* the publishing writer drops the host
@@ -88,10 +65,12 @@ impl HostSnapshot {
 
     /// One resident by ticket (the list is ticket-sorted).
     pub fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
-        self.residents
-            .binary_search_by_key(&ticket, |r| r.ticket)
-            .ok()
-            .map(|i| &self.residents[i])
+        self.position(ticket).ok().map(|i| &self.residents[i])
+    }
+
+    /// Where `ticket` is in the registry, or where it would go.
+    fn position(&self, ticket: PlacementTicket) -> Result<usize, usize> {
+        self.residents.binary_search_by_key(&ticket, |r| r.ticket)
     }
 
     /// The registry as the interference path consumes it, deterministic
@@ -126,17 +105,16 @@ pub(crate) struct Host {
     oracle: Arc<SimOracle>,
     /// Shared (per topology) memoizing interference model over `oracle`.
     interference: Arc<InterferenceModel>,
-    /// Node-granular reservation state plus the resident registry.
-    /// Commits and releases lock this; candidate evaluation and every
-    /// read path never do.
-    state: ScopedMutex<HostState>,
+    /// The host's record, the same `Arc` as `snapshot` holds between
+    /// critical sections. Commits, releases and moves lock it;
+    /// candidate evaluation and every read path never do.
+    record: ScopedMutex<Arc<HostSnapshot>>,
     /// Lock-free free-capacity summary: the host's last-published
     /// sketch profile, which is also what its shard's availability
     /// sketch counts it as. Admission reads it to skip hopeless hosts
     /// without locking them.
     pub(crate) summary: CapacitySummary,
-    /// The epoch-published full snapshot (occupancy + residents) every
-    /// read path loads wait-free.
+    /// The published record every read path loads wait-free.
     snapshot: Slot<HostSnapshot>,
 }
 
@@ -153,14 +131,14 @@ impl Host {
     ) -> Host {
         let summary = CapacitySummary::new(&machine);
         sketch.attach(&summary.profile());
-        let state = HostState {
+        let idle = Arc::new(HostSnapshot {
             occ: OccupancyMap::new(&machine),
-            residents: HashMap::new(),
-        };
+            residents: Vec::new(),
+        });
         Host {
             summary,
-            snapshot: Slot::new(Arc::new(state.snapshot())),
-            state: ScopedMutex::new(state),
+            snapshot: Slot::new(Arc::clone(&idle)),
+            record: ScopedMutex::new(idle),
             machine,
             class,
             shard,
@@ -181,20 +159,21 @@ impl Host {
         &self.interference
     }
 
-    /// Poisoned acquisitions of this host's state mutex recovered so far.
+    /// Poisoned acquisitions of this host's mutex recovered so far.
     pub(crate) fn poison_recoveries(&self) -> u64 {
-        self.state.recoveries()
+        self.record.recoveries()
     }
 }
 
 /// A locked host. Reads go through the accessors; the mutators are the
-/// only code that can change [`HostState`], and each marks the guard
-/// dirty so `Drop` republishes the host's lock-free views before the
-/// mutex unlocks. It keeps the caller's [`LockScope`] mutably borrowed.
+/// only code that can change the record, and the first one to change
+/// it clones it and marks the guard dirty, so `Drop` publishes the
+/// clone before the mutex unlocks. It keeps the caller's [`LockScope`]
+/// mutably borrowed.
 pub(crate) struct HostGuard<'s> {
     engine: &'s PlacementEngine,
     host: &'s Host,
-    st: ScopedGuard<'s, HostState>,
+    record: ScopedGuard<'s, Arc<HostSnapshot>>,
     dirty: bool,
 }
 
@@ -202,99 +181,105 @@ impl<'s> HostGuard<'s> {
     /// The witness that enters a leaf lock (the location map) under
     /// this host lock.
     pub(crate) fn witness(&mut self) -> &mut (impl Witness + use<'s>) {
-        &mut self.st
+        &mut self.record
+    }
+
+    /// The record, writable: cloned on the critical section's first
+    /// write (the slot still holds the published copy), in place after.
+    fn edit(&mut self) -> &mut HostSnapshot {
+        self.dirty = true;
+        Arc::make_mut(&mut self.record)
     }
 
     /// One registry entry by ticket.
     pub(crate) fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
-        self.st.residents.get(&ticket.0)
+        self.record.resident(ticket)
     }
 
-    /// All-or-nothing thread reservation. A failed reserve mutated
-    /// nothing, so it leaves the guard clean.
+    /// All-or-nothing thread reservation. The check runs first, so a
+    /// failed reserve copies and publishes nothing.
     pub(crate) fn reserve(&mut self, threads: &[ThreadId]) -> Result<(), OccupancyError> {
-        let outcome = self.st.occ.reserve(threads);
-        self.dirty |= outcome.is_ok();
-        outcome
+        self.record.occ.check_reserve(threads)?;
+        self.edit().occ.reserve(threads)
     }
 
     /// Frees threads a registry entry holds (or held until a moment
     /// ago, under this same guard).
     pub(crate) fn release(&mut self, threads: &[ThreadId]) {
-        self.st
+        self.edit()
             .occ
             .release(threads)
             .expect("registry threads are reserved by invariant");
-        self.dirty = true;
     }
 
     /// Adds a registry entry under its ticket.
     pub(crate) fn insert_resident(&mut self, resident: Resident) {
-        let previous = self.st.residents.insert(resident.ticket.0, resident);
-        debug_assert!(previous.is_none(), "ticket reused");
-        self.dirty = true;
+        let record = self.edit();
+        let at = record.position(resident.ticket);
+        debug_assert!(at.is_err(), "ticket reused");
+        record.residents.insert(at.unwrap_or_else(|at| at), resident);
     }
 
     /// Removes and returns a registry entry.
     pub(crate) fn remove_resident(&mut self, ticket: PlacementTicket) -> Option<Resident> {
-        let removed = self.st.residents.remove(&ticket.0);
-        self.dirty |= removed.is_some();
-        removed
+        let at = self.record.position(ticket).ok()?;
+        Some(self.edit().residents.remove(at))
     }
 
-    /// Points the registry entry of `placed.ticket` at its new
-    /// placement. The ticket and original request are preserved — only
-    /// where the container runs changes.
-    pub(crate) fn rehome(&mut self, placed: &Placed) {
-        let entry = self
-            .st
-            .residents
-            .get_mut(&placed.ticket.0)
+    /// Points the registry entry of `placed.ticket` at the placement
+    /// rebalance pass `pass` moved it to. The ticket and original
+    /// request are preserved — only where the container runs, and when
+    /// it last moved, change.
+    pub(crate) fn rehome(&mut self, placed: &Placed, pass: u64) {
+        let at = self
+            .record
+            .position(placed.ticket)
             .expect("entry was just inserted/verified");
+        let entry = &mut self.edit().residents[at];
         entry.placement_id = placed.placement_id;
         entry.spec = placed.spec.clone();
         entry.threads = placed.threads.clone();
         entry.predicted_perf = placed.predicted_perf;
         entry.interference_penalty = placed.interference_penalty;
-        self.dirty = true;
+        entry.moved_in_pass = Some(pass);
     }
 }
 
 impl Drop for HostGuard<'_> {
-    /// Publishes a mutated host to every lock-free view while the
+    /// Publishes a changed record to every lock-free view while the
     /// mutex is still held: one fresh sketch profile goes to the shard
     /// sketch as a delta against the profile the summary still holds,
-    /// then into the summary; the snapshot slot follows. A panicking
-    /// critical section publishes nothing: the mutex is poisoned
-    /// instead, and the recovering acquirer's own publication catches
-    /// the views up.
+    /// then into the summary; the record itself goes into the snapshot
+    /// slot. A panicking critical section publishes nothing: the mutex
+    /// is poisoned instead, and the recovering acquirer's own
+    /// publication catches the views up.
     fn drop(&mut self) {
         if !self.dirty || std::thread::panicking() {
             return;
         }
-        let (engine, host, st) = (self.engine, self.host, &*self.st);
+        let (engine, host) = (self.engine, self.host);
         let sketch = &engine.class_sketches[host.class][host.shard];
-        let fresh = sketch.profile(&st.occ);
+        let fresh = sketch.profile(&self.record.occ);
         sketch.update(&host.summary.profile(), &fresh);
         host.summary.store(&fresh);
-        host.snapshot.store(Arc::new(st.snapshot()), &engine.domain);
+        host.snapshot.store(Arc::clone(&self.record), &engine.domain);
         engine.counters.snapshot_published.incr();
     }
 }
 
 impl PlacementEngine {
-    /// Acquires a host's state mutex through the caller's scope,
-    /// counting the acquisition and recovering a poisoned guard.
-    /// Recovery is sound because every critical section leaves the
-    /// state consistent at each step: `reserve`/`release` are
-    /// all-or-nothing, and registry/location updates are ordered so a
-    /// panic between them strands nothing unreleasable (see
-    /// `register`/`release`). Each recovery is counted in
+    /// Acquires a host's mutex through the caller's scope, counting the
+    /// acquisition and recovering a poisoned guard. Recovery is sound
+    /// because every critical section leaves the record consistent at
+    /// each step: `reserve`/`release` are all-or-nothing, and
+    /// registry/location updates are ordered so a panic between them
+    /// strands nothing unreleasable (see `register`/`release`). Each
+    /// recovery is counted in
     /// [`EngineStats::lock_poison_recoveries`](crate::EngineStats::lock_poison_recoveries)
     /// — the panic that caused it still means a writer died mid-flight.
     pub(crate) fn lock_host<'s>(&'s self, scope: &'s mut LockScope, host: &'s Host) -> HostGuard<'s> {
         self.counters.host_lock_acquisitions.incr();
-        self.guard(host, host.state.lock(scope))
+        self.guard(host, host.record.lock(scope))
     }
 
     /// Locks two distinct hosts, lower machine id first — the one
@@ -308,9 +293,9 @@ impl PlacementEngine {
         b: MachineId,
     ) -> (HostGuard<'s>, HostGuard<'s>) {
         let (lo, hi) = (&self.hosts[a.0.min(b.0)], &self.hosts[a.0.max(b.0)]);
-        let (lo_st, hi_st) = ScopedMutex::lock_two(&lo.state, &hi.state, scope);
+        let (lo_record, hi_record) = ScopedMutex::lock_two(&lo.record, &hi.record, scope);
         self.counters.host_lock_acquisitions.add(2);
-        let (lo_guard, hi_guard) = (self.guard(lo, lo_st), self.guard(hi, hi_st));
+        let (lo_guard, hi_guard) = (self.guard(lo, lo_record), self.guard(hi, hi_record));
         if a < b {
             (lo_guard, hi_guard)
         } else {
@@ -318,83 +303,72 @@ impl PlacementEngine {
         }
     }
 
-    fn guard<'s>(&'s self, host: &'s Host, st: ScopedGuard<'s, HostState>) -> HostGuard<'s> {
+    fn guard<'s>(
+        &'s self,
+        host: &'s Host,
+        record: ScopedGuard<'s, Arc<HostSnapshot>>,
+    ) -> HostGuard<'s> {
         HostGuard {
             engine: self,
             host,
-            st,
+            record,
             dirty: false,
         }
     }
 
     /// The host view every read path scores against: a wait-free load
-    /// of the epoch-published snapshot — zero lock acquisitions.
-    /// Residents and occupancy of one view always agree.
+    /// of the published record — zero lock acquisitions. Residents and
+    /// occupancy of one view always agree.
     pub(crate) fn view(&self, host: &Host) -> Arc<HostSnapshot> {
         self.counters.snapshot_loads.incr();
         host.snapshot.load(&self.domain)
     }
 
-    /// Checks, host by host under its lock, that every published view
-    /// equals the authoritative state: snapshot == occupancy +
-    /// registry, the registry's thread sets are pairwise disjoint and
-    /// cover exactly the occupancy's used threads, the summary's
-    /// profile (which its shard sketch counts) == the occupancy's, and
-    /// every registry ticket resolves to this host in the location map.
-    /// Exact at quiescence (no critical section in flight); `Err` names
-    /// the first divergence.
+    /// Checks, host by host under its lock, that the published snapshot
+    /// *is* the record (one `Arc`, so no critical section copied the
+    /// record without publishing it), that the registry's thread sets
+    /// are pairwise disjoint and cover exactly the occupancy's used
+    /// threads, that the summary's profile (which its shard sketch
+    /// counts) is the occupancy's, and that every registry ticket
+    /// resolves to this host in the location map. Exact at quiescence
+    /// (no critical section in flight); `Err` names the first
+    /// divergence.
     pub fn audit(&self) -> Result<(), String> {
         let mut scope = LockScope::new();
         for (i, host) in self.hosts.iter().enumerate() {
             let mut guard = self.lock_host(&mut scope, host);
-            let st = &*guard.st;
-            let snap = host.snapshot.load(&self.domain);
-            if let Some(t) = (0..st.occ.total_threads())
-                .map(ThreadId)
-                .find(|&t| st.occ.is_free(t) != snap.occ.is_free(t))
-            {
-                return Err(format!("host {i}: snapshot occupancy diverges at {t:?}"));
+            let record = Arc::clone(&guard.record);
+            if !Arc::ptr_eq(&record, &host.snapshot.load(&self.domain)) {
+                return Err(format!("host {i}: the published snapshot is not the record"));
             }
-            if snap.residents.len() != st.residents.len() {
-                return Err(format!(
-                    "host {i}: snapshot lists {} residents, registry holds {}",
-                    snap.residents.len(),
-                    st.residents.len()
-                ));
-            }
-            for r in &snap.residents {
-                match st.residents.get(&r.ticket.0) {
-                    Some(live) if live.threads == r.threads => {}
-                    _ => return Err(format!("host {i}: snapshot {} not in registry", r.ticket)),
-                }
-            }
-            let mut owner = vec![None; st.occ.total_threads()];
-            for r in st.residents.values() {
+            let occ = &record.occ;
+            let mut owner = vec![None; occ.total_threads()];
+            for r in &record.residents {
                 for &t in &r.threads {
                     if let Some(other) = owner[t.index()].replace(r.ticket) {
                         return Err(format!("host {i}: {t} held by both {other} and {}", r.ticket));
                     }
-                    if st.occ.is_free(t) {
+                    if occ.is_free(t) {
                         return Err(format!("host {i}: {} holds {t}, which is free", r.ticket));
                     }
                 }
             }
             let owned = owner.iter().flatten().count();
-            if owned != st.occ.used_threads() {
+            if owned != occ.used_threads() {
                 return Err(format!(
                     "host {i}: registry holds {owned} threads, occupancy reserves {}",
-                    st.occ.used_threads()
+                    occ.used_threads()
                 ));
             }
             let sketch = &self.class_sketches[host.class][host.shard];
-            if host.summary.profile() != sketch.profile(&st.occ) {
+            if host.summary.profile() != sketch.profile(occ) {
                 return Err(format!("host {i}: capacity summary diverges from occupancy"));
             }
-            let tickets: Vec<u64> = st.residents.keys().copied().collect();
             let stray = self.locations.with(guard.witness(), |locations| {
-                tickets
-                    .into_iter()
-                    .map(|t| (PlacementTicket(t), locations.get(&t).copied()))
+                record
+                    .residents
+                    .iter()
+                    .map(|r| (r.ticket, locations.get(&r.ticket.0).copied()))
                     .find(|&(_, at)| at != Some(i))
             });
             if let Some((ticket, at)) = stray {
@@ -423,7 +397,8 @@ mod tests {
     }
 
     /// A dirty guard publishes summary, sketch and snapshot exactly
-    /// once, on drop; a guard that only reads publishes nothing —
+    /// once, on drop; a guard that only reads — or whose reserve fails
+    /// — neither copies the record nor publishes anything.
     /// `try_commit`'s lost-reserve path relies on the latter.
     #[test]
     fn dirty_guards_publish_once_and_clean_guards_never() {
@@ -445,17 +420,22 @@ mod tests {
         assert_eq!(engine.utilisation(MachineId(0)).0, threads.len());
         assert!(engine.audit().is_err(), "no resident owns the reserved threads");
 
+        let view = engine.host_snapshot(MachineId(0));
         {
             let mut scope = LockScope::new();
             let mut guard = engine.lock_host(&mut scope, host);
             assert!(guard.resident(PlacementTicket(0)).is_none());
             assert!(guard.reserve(&threads).is_err(), "already reserved");
             assert!(guard.remove_resident(PlacementTicket(0)).is_none());
+            assert!(Arc::ptr_eq(&guard.record, &view), "a clean guard copied the record");
         }
         assert_eq!(published(&engine), base + 1, "read-only guard published");
+        assert!(Arc::ptr_eq(&engine.host_snapshot(MachineId(0)), &view));
 
         engine.lock_host(&mut LockScope::new(), host).release(&threads);
         assert_eq!(published(&engine), base + 2);
+        assert!(!Arc::ptr_eq(&engine.host_snapshot(MachineId(0)), &view));
+        assert!(view.occupancy().used_threads() > 0, "a held view never changes");
         engine.audit().unwrap();
     }
 
@@ -476,6 +456,7 @@ mod tests {
             predicted_perf: 1.0,
             interference_penalty: 1.0,
             goal_perf: 0.0,
+            moved_in_pass: None,
         };
         let register = |ticket| {
             let mut scope = LockScope::new();
@@ -555,7 +536,7 @@ mod tests {
     }
 
     /// A deliberately panicking thread dies while holding host 0's
-    /// state mutex, poisoning it. Every critical section in the engine
+    /// mutex, poisoning it. Every critical section in the engine
     /// is all-or-nothing at the point a panic could unwind, so
     /// recovery is sound: subsequent commits, releases and accessors
     /// must recover the guard (counted in
@@ -583,7 +564,7 @@ mod tests {
         });
         assert!(oracle.is_err(), "the oracle must have panicked");
         assert!(
-            engine.hosts[0].state.is_poisoned(),
+            engine.hosts[0].record.is_poisoned(),
             "the host mutex must actually be poisoned"
         );
         assert_eq!(
@@ -591,6 +572,8 @@ mod tests {
             published,
             "a panicking guard must not publish"
         );
+        let err = engine.audit().unwrap_err();
+        assert!(err.contains("published snapshot is not the record"), "{err}");
 
         let before = engine.stats().lock_poison_recoveries;
         let second = engine

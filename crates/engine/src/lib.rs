@@ -50,12 +50,15 @@
 //!
 //! # Wait-free reads
 //!
-//! Host state is only mutable through a lock guard that, on drop,
-//! publishes an immutable [`HostSnapshot`] — occupancy plus resident
-//! registry, one consistent pair — through a single-slot wait-free
-//! cell (`vc_sync::Slot`, QSBR-reclaimed) *before* the host lock is
-//! released, together with one fresh sketch profile: stored as the
-//! capacity summary and applied to the shard sketch as a delta.
+//! Each host keeps one record of what runs where: an immutable
+//! [`HostSnapshot`] — occupancy plus resident registry, one consistent
+//! pair — whose `Arc` its mutex guards and its single-slot wait-free
+//! cell (`vc_sync::Slot`, QSBR-reclaimed) publishes. It is only
+//! mutable through a lock guard that copies it on the first change
+//! (`Arc::make_mut`) and, on drop, publishes that copy *before* the
+//! host lock is released, together with one fresh sketch profile:
+//! stored as the capacity summary and applied to the shard sketch as a
+//! delta.
 //! Scoring, BestScore dry runs, interference probes, the
 //! utilisation/occupancy accessors and the whole rebalance planning
 //! phase read these snapshots with **zero lock acquisitions** — only
@@ -66,8 +69,9 @@
 //! summary — and a commit that scored against a view a concurrent
 //! writer invalidated simply re-scores against a fresh one
 //! ([`SnapshotCounters::stale_retries`]).
-//! [`PlacementEngine::audit`] checks every published view against the
-//! authoritative state.
+//! [`PlacementEngine::audit`] checks that every published snapshot is
+//! the record under its lock and that the summaries, registries and
+//! location map agree with it.
 //!
 //! Each public entry point opens one [`vc_sync::lock::LockScope`]. Host
 //! guards borrow it mutably and everything that may simulate borrows it
@@ -82,10 +86,10 @@
 //! [`EngineConfig::interference`] enabled, commit-time scoring and
 //! BestScore ranking multiply each class's prediction by the
 //! occupancy-conditional co-location penalty — the candidate simulated
-//! together with the host's **real resident workloads** (the engine
-//! tracks every live container in a per-host resident registry, so the
-//! penalty the engine acts on is the penalty the fleet actually
-//! experiences), memoized per `(workload, class, occupancy signature,
+//! together with the host's **real resident workloads**, read from the
+//! same snapshot as the occupancy (so the penalty the engine acts on is
+//! the penalty the fleet actually experiences), memoized per
+//! `(workload, class, occupancy signature,
 //! resident-workload signature)` by
 //! [`vc_core::interference::InterferenceModel`]. The applied penalty
 //! is reported in [`Placed::interference_penalty`] and the cache
@@ -95,13 +99,16 @@
 //! # Resident registry and rebalancing
 //!
 //! Every commit records a [`Resident`] (the admission request plus the
-//! concrete placement) in its host's registry, under the same lock as
-//! the thread reservation — registry and occupancy never disagree
-//! (see [`PlacementEngine::residents`]). Each container carries a
-//! [`PlacementTicket`]; [`PlacementEngine::release`] resolves the
-//! ticket wherever the container lives *now*, returns
-//! [`ReleaseError`] on misuse (double release no longer silently
-//! corrupts accounting), and counts both outcomes in [`EngineStats`].
+//! concrete placement) in its host's record, in the same critical
+//! section as the thread reservation — registry and occupancy never
+//! disagree (see [`PlacementEngine::residents`]). Each container
+//! carries a [`PlacementTicket`]; [`PlacementEngine::release_ticket`]
+//! (and [`PlacementEngine::release`], given a handle) resolves the
+//! ticket wherever the container lives *now*, returns [`ReleaseError`]
+//! on misuse (double release no longer silently corrupts accounting),
+//! and counts both outcomes in [`EngineStats`]. A resident also records
+//! the rebalance pass that last moved it, which is what the move
+//! cooldown reads.
 //!
 //! On top of the registry, [`PlacementEngine::rebalance`] closes the
 //! loop that admission-time scoring leaves open: residents whose

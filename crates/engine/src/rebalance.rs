@@ -53,6 +53,12 @@ pub struct RebalancePolicy {
     /// the Table 2 freeze every interval. `0` (the default) disables
     /// the cooldown; admission behaviour and single-shot passes are
     /// bit-for-bit those of the pre-hysteresis engine.
+    ///
+    /// Every executed move stamps the container's record with its pass
+    /// ([`Resident::moved_in_pass`]), whatever that pass's policy, so
+    /// the window counts from the last move: a pass run with `0` in
+    /// between suppresses nothing, but does not erase the history a
+    /// later pass reads. For a fixed policy this changes nothing.
     pub cooldown_passes: u64,
     /// Upper bound on data moved per pass (GB). Once executing the next
     /// candidate move would push the pass total over the cap, that move
@@ -87,6 +93,16 @@ impl RebalancePolicy {
         self.max_moved_gb_per_pass = Some(gb);
         self
     }
+
+    /// Whether `resident` is inside its cooldown window during pass
+    /// `pass`.
+    fn cooling(&self, resident: &Resident, pass: u64) -> bool {
+        self.cooldown_passes > 0
+            && resident
+                .moved_in_pass
+                .is_some_and(|moved| pass.saturating_sub(moved) <= self.cooldown_passes)
+    }
+
     /// Work (in seconds) the migration itself destroys: the freeze plus
     /// the throughput lost while copying concurrently.
     pub fn cost_s(&self, estimate: &MigrationEstimate) -> f64 {
@@ -367,38 +383,18 @@ impl PlacementEngine {
             return report;
         };
         report.pass = pass;
-        // Retire cooldown entries that can no longer suppress anything,
-        // so the map stays bounded by the recently-moved set even under
-        // endless churn (tickets are never reused, so stale entries
-        // would otherwise accumulate forever).
-        self.move_cooldowns.with(&mut scope, |cooldowns| {
-            if policy.cooldown_passes == 0 {
-                cooldowns.clear();
-            } else {
-                cooldowns.retain(|_, moved_at| {
-                    pass.saturating_sub(*moved_at) <= policy.cooldown_passes
-                });
-            }
-        });
         let mut pass_moved_gb = 0.0_f64;
         for src in self.machine_ids() {
-            let snapshot = self.residents(src);
-            for resident in &snapshot {
+            let snapshot = self.host_snapshot(src);
+            for resident in snapshot.residents() {
                 report.scanned += 1;
                 // Hysteresis: a just-moved ticket is not even re-scored
                 // until its cooldown expires — re-moving it would pay a
                 // second freeze to chase a landscape that is still
                 // settling around the first move.
-                if policy.cooldown_passes > 0 {
-                    let cooling = self.move_cooldowns.with(&mut scope, |cooldowns| {
-                        cooldowns.get(&resident.ticket.0).is_some_and(|&moved_at| {
-                            pass.saturating_sub(moved_at) <= policy.cooldown_passes
-                        })
-                    });
-                    if cooling {
-                        report.suppressed_by_cooldown += 1;
-                        continue;
-                    }
+                if policy.cooling(resident, pass) {
+                    report.suppressed_by_cooldown += 1;
+                    continue;
                 }
                 // Fresh per-resident snapshot: earlier moves in this
                 // same pass changed the landscape.
@@ -439,15 +435,12 @@ impl PlacementEngine {
                         continue;
                     }
                 }
-                let executed =
-                    self.execute_move(&mut scope, src, resident, &plan, degradation, policy, &estimate);
+                let executed = self.execute_move(
+                    &mut scope, pass, src, resident, &plan, degradation, policy, &estimate,
+                );
                 match executed {
                     Ok((placed, degradation_after)) => {
                         pass_moved_gb += estimate.moved_gb;
-                        if policy.cooldown_passes > 0 {
-                            self.move_cooldowns
-                                .with(&mut scope, |cooldowns| cooldowns.insert(resident.ticket.0, pass));
-                        }
                         report.migrations.push(Migration {
                             ticket: resident.ticket,
                             workload: resident.request.workload.clone(),
@@ -537,14 +530,15 @@ impl PlacementEngine {
     /// must never pay a migration to make things worse), then — under
     /// the host lock(s), taken in machine-id order so concurrent
     /// passes cannot deadlock — reserve the new threads, re-home the
-    /// registry entry (same ticket) and free the old threads. Returns
-    /// the new placement plus the fresh predicted degradation it was
-    /// committed at. The lock-held part is pure bookkeeping; nothing
-    /// there simulates or prices.
+    /// registry entry (same ticket, stamped with `pass`) and free the
+    /// old threads. Returns the new placement plus the fresh predicted
+    /// degradation it was committed at. The lock-held part is pure
+    /// bookkeeping; nothing there simulates or prices.
     #[allow(clippy::too_many_arguments)]
     fn execute_move(
         &self,
         scope: &mut LockScope,
+        pass: u64,
         src: MachineId,
         resident: &Resident,
         plan: &PlannedMove,
@@ -576,7 +570,7 @@ impl PlacementEngine {
         {
             return Err(()); // the target degraded since the plan
         }
-        self.commit_move(scope, src, dst, resident, (ap, p, penalty))
+        self.commit_move(scope, src, dst, resident, (ap, p, penalty), pass)
             .map(|placed| (placed, degradation_after))
     }
 }

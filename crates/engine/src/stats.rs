@@ -114,12 +114,12 @@ pub struct EngineStats {
     /// zero-lock claim for scoring/planning is asserted against this
     /// counter in tests.
     pub host_lock_acquisitions: u64,
-    /// Poisoned mutex acquisitions recovered (host state, location map
-    /// or cooldown map — each mutex counts its own): a panic unwound
+    /// Poisoned mutex acquisitions recovered (host records and the
+    /// location map — each mutex counts its own): a panic unwound
     /// through a critical section and the next acquirer carried on with
-    /// the guard. Host state is all-or-nothing by
-    /// construction, so recovery is sound — but each recovery means
-    /// some commit died mid-flight and is worth investigating.
+    /// the guard. A host record is all-or-nothing by construction, so
+    /// recovery is sound — but each recovery means some commit died
+    /// mid-flight and is worth investigating.
     pub lock_poison_recoveries: u64,
     /// [`PlacementEngine::rebalance`] invocations, including no-op
     /// passes on engines without a degradation budget. A daemon's
@@ -199,8 +199,7 @@ impl PlacementEngine {
             },
             host_lock_acquisitions: c.host_lock_acquisitions.get(),
             lock_poison_recoveries: self.hosts.iter().map(Host::poison_recoveries).sum::<u64>()
-                + self.locations.recoveries()
-                + self.move_cooldowns.recoveries(),
+                + self.locations.recoveries(),
             rebalance_passes: c.rebalance_passes.get(),
         }
     }

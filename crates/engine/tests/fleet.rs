@@ -454,26 +454,25 @@ fn best_score_offers_only_the_winning_class() {
     engine.release(&again).unwrap();
 }
 
-/// LRU-bounded engines stay bounded: distinct vcpus values beyond the
-/// bound evict the oldest catalogs, visibly in the stats, without
-/// changing any answer.
+/// LRU-bounded engines stay bounded: distinct vcpus values beyond
+/// [`PlacementEngine::CACHE_CAPACITY`] evict the oldest catalogs,
+/// visibly in the stats, without changing any answer. The filler keys
+/// are sizes the 64-thread machine cannot host — cached errors, cheap
+/// to compute, and entries like any other.
 #[test]
 fn bounded_engine_caches_evict_and_still_answer() {
-    let mut engine = PlacementEngine::new(EngineConfig {
-        cache_capacity: 2,
-        ..fast_config()
-    });
-    engine.add_machine(machines::amd_opteron_6272());
+    let engine = PlacementEngine::single(machines::amd_opteron_6272(), fast_config());
+    let cap = PlacementEngine::CACHE_CAPACITY;
 
     let first = engine.catalog(MachineId(0), 4).unwrap();
     let first_len = first.placements.len();
-    for vcpus in [8, 16, 32] {
-        assert!(engine.catalog(MachineId(0), vcpus).is_ok());
+    for vcpus in 100..100 + cap {
+        assert!(engine.catalog(MachineId(0), vcpus).is_err());
     }
     let stats = engine.stats();
-    assert_eq!(stats.catalogs.computes, 4);
-    assert_eq!(stats.catalogs.evictions, 2);
-    assert_eq!(stats.total_evictions(), 2);
+    assert_eq!(stats.catalogs.computes, cap as u64 + 1);
+    assert_eq!(stats.catalogs.evictions, 1, "the oldest key, 4 vCPUs, went");
+    assert_eq!(stats.total_evictions(), 1);
 
     // The evicted key recomputes to the identical catalog.
     let again = engine.catalog(MachineId(0), 4).unwrap();
@@ -482,7 +481,9 @@ fn bounded_engine_caches_evict_and_still_answer() {
         assert_eq!(a.spec, b.spec);
         assert_eq!(a.scores, b.scores);
     }
-    assert_eq!(engine.stats().catalogs.computes, 5);
+    let stats = engine.stats();
+    assert_eq!(stats.catalogs.computes, cap as u64 + 2);
+    assert_eq!(stats.catalogs.evictions, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -493,7 +494,7 @@ fn bounded_engine_caches_evict_and_still_answer() {
 /// BestScore offer ranking and interference probes against the real
 /// residents — equal the public-API reference's, bit for bit, through
 /// churn and a rebalance pass; every published view matches the
-/// authoritative state at each quiescent point.
+/// record under its lock at each quiescent point.
 #[test]
 fn snapshot_scored_decisions_match_the_reference() {
     let mut engine = PlacementEngine::new(EngineConfig {
@@ -684,7 +685,7 @@ proptest! {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
-        // Quiescent: every published view equals the authoritative state.
+        // Quiescent: every published snapshot is the record under its lock.
         for id in engine.machine_ids() {
             assert_snapshot_consistent(&engine.host_snapshot(id));
         }

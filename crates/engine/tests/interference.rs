@@ -142,8 +142,8 @@ fn interference_on_empty_hosts_changes_nothing() {
 ///
 /// The simulator then confirms the flip is *strictly better*: the
 /// candidate runs faster on machine 1 than it would have co-located on
-/// machine 0 (simulated against the real resident workloads, not the
-/// stand-ins the penalty used).
+/// machine 0, simulated against the same real resident workloads the
+/// penalty scored.
 #[test]
 fn interference_steers_best_score_away_from_busy_hosts() {
     let build = |interference: bool| {

@@ -2,10 +2,12 @@
 //! protocol, over the `vc-sync` interleaving explorer.
 //!
 //! The model mirrors the engine's host protocol at the granularity
-//! that matters for readers: every mutation of the authoritative
-//! state (occupancy + resident registry + ticket-location map)
-//! happens under the host lock, and a *single* publication step makes
-//! the whole mutated state visible — occupancy, registry and capacity
+//! that matters for readers: every mutation of the host's record
+//! (occupancy + resident registry, plus the ticket-location map)
+//! happens under the host lock — in the engine, on the copy-on-write
+//! clone of the published `HostSnapshot` the lock guards, modelled
+//! here as the `auth_*` fields — and a *single* publication step makes
+//! the whole mutated record visible — occupancy, registry and capacity
 //! profile together, before the lock drops. Wait-free readers load the
 //! published snapshot at any point, never gated on the lock.
 //!
@@ -50,7 +52,8 @@ struct Published {
 struct Model {
     /// Which model thread holds the host mutex, if any.
     lock: Option<usize>,
-    /// Authoritative state, mutated only under the lock.
+    /// The record under the lock (the engine's unpublished copy),
+    /// mutated only while holding it.
     auth_occ: OccupancyMap,
     auth_residents: Registry,
     /// Fleet ticket-location map (one host here, value unused).

@@ -15,6 +15,10 @@
 //!   as a pausable background thread with hysteresis (move cooldown +
 //!   per-pass moved-GB cap via [`vc_engine::RebalancePolicy`]).
 //!
+//! The daemon keeps no per-placement state: a `Release` hands its wire
+//! ticket to [`vc_engine::PlacementEngine::release_ticket`], so the
+//! engine's record of each host is the only record of what runs where.
+//!
 //! # Examples
 //!
 //! ```

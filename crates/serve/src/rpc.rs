@@ -652,8 +652,8 @@ wire_enum! {
         Draining = 1,
         /// The daemon is shutting down.
         ShuttingDown = 2,
-        /// The ticket is not held by this daemon (double release, or a
-        /// ticket from a different daemon).
+        /// The ticket is not live in the served engine (double release,
+        /// or a ticket from a different daemon).
         UnknownTicket = 3,
         /// The machine id is outside the fleet.
         UnknownMachine = 4,

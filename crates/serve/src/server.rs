@@ -12,10 +12,11 @@
 //!
 //! Lifecycle: **running** → (`Drain`) **draining** (placements
 //! refused, releases complete) → (`Shutdown`) **stopped** (accept
-//! loop, handlers and rebalance loop all joined). The daemon tracks
-//! every placement it admits in a ticket registry, so release-by-ticket
-//! needs no client-side state beyond the `u64`, and shutdown can assert
-//! registry-vs-occupancy agreement.
+//! loop, handlers and rebalance loop all joined). The daemon keeps no
+//! record of its own of what it admitted: a `Release` resolves its
+//! `u64` through the engine's (`PlacementEngine::release_ticket`), so
+//! a client needs nothing beyond the ticket, and what the daemon holds
+//! is exactly what the engine's occupancy holds.
 
 use std::collections::HashMap;
 use std::io;
@@ -25,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vc_engine::{Placed, PlacementEngine, RebalancePolicy, RebalanceTotals};
+use vc_engine::{PlacementEngine, PlacementTicket, RebalancePolicy, RebalanceTotals};
 use vc_sync::Counter;
 
 use crate::rpc::{
@@ -116,11 +117,6 @@ struct LoopControl {
 /// State shared by the accept thread, handler threads and the loop.
 struct Shared {
     engine: Arc<PlacementEngine>,
-    /// Ticket → the engine handle that releases it. Every placement the
-    /// daemon admits is registered here and removed on release, so
-    /// after shutdown the registry and the engine's occupancy agree
-    /// exactly on what is still resident.
-    registry: Mutex<HashMap<u64, Placed>>,
     draining: AtomicBool,
     shutting_down: AtomicBool,
     /// Shared secret the control verbs must carry; `None` = open.
@@ -245,7 +241,6 @@ impl PlacementServer {
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             engine,
-            registry: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
             control_token: config.control_token.clone(),
@@ -294,11 +289,14 @@ impl PlacementServer {
         &self.shared.engine
     }
 
-    /// Tickets of the placements this daemon admitted and has not yet
-    /// released, sorted.
+    /// Tickets of the containers live in the served engine, sorted —
+    /// read wait-free from the hosts' published snapshots.
     pub fn registry_tickets(&self) -> Vec<u64> {
-        let mut tickets: Vec<u64> =
-            Shared::with(&self.shared.registry, |r| r.keys().copied().collect());
+        let engine = &self.shared.engine;
+        let mut tickets: Vec<u64> = Vec::new();
+        for id in engine.machine_ids() {
+            tickets.extend(engine.host_snapshot(id).residents().iter().map(|r| r.ticket.0));
+        }
         tickets.sort_unstable();
         tickets
     }
@@ -490,7 +488,7 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> (Response, bool) {
                     || PlaceOutcome::Rejected {
                         reason: "engine returned no decision".to_string(),
                     },
-                    |decision| register_outcome(shared, decision),
+                    wire_outcome,
                 );
             (Response::Place(outcome), false)
         }
@@ -503,21 +501,12 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> (Response, bool) {
                 .engine
                 .place_batch(&engine_reqs, strategy)
                 .into_iter()
-                .map(|d| register_outcome(shared, d))
+                .map(wire_outcome)
                 .collect();
             (Response::Batch(outcomes), false)
         }
         Request::Release { ticket } => {
-            let Some(placed) = Shared::with(&shared.registry, |r| r.remove(&ticket)) else {
-                return (
-                    Response::Error(RpcError {
-                        code: ErrorCode::UnknownTicket,
-                        message: format!("ticket #{ticket} is not held by this daemon"),
-                    }),
-                    false,
-                );
-            };
-            match shared.engine.release(&placed) {
+            match shared.engine.release_ticket(PlacementTicket(ticket)) {
                 Ok(()) => (Response::Released, false),
                 Err(e) => (
                     Response::Error(RpcError {
@@ -644,14 +633,11 @@ fn admission_refusal(shared: &Shared) -> Option<Response> {
     None
 }
 
-/// Registers a committed placement in the ticket registry and projects
-/// the decision onto the wire.
-fn register_outcome(shared: &Shared, decision: vc_engine::PlacementDecision) -> PlaceOutcome {
+/// Projects an engine decision onto the wire.
+fn wire_outcome(decision: vc_engine::PlacementDecision) -> PlaceOutcome {
     match decision {
         vc_engine::PlacementDecision::Placed(placed) => {
-            let info = PlacedInfo::from_placed(&placed);
-            Shared::with(&shared.registry, |r| r.insert(placed.ticket.0, placed));
-            PlaceOutcome::Placed(info)
+            PlaceOutcome::Placed(PlacedInfo::from_placed(&placed))
         }
         vc_engine::PlacementDecision::Rejected { reason } => PlaceOutcome::Rejected { reason },
     }

@@ -1,7 +1,7 @@
 //! Daemon lifecycle battery: pause/resume observably stops and restarts
 //! the background rebalance loop, drain refuses placements while
-//! completing releases, and shutdown joins every thread with the ticket
-//! registry exactly matching engine occupancy — nothing leaked.
+//! completing releases, and shutdown joins every thread with the live
+//! tickets exactly the ones the clients never released — nothing leaked.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -139,9 +139,9 @@ fn drain_rejects_placements_but_completes_releases() {
 }
 
 /// Shutdown joins the accept loop, every connection handler and the
-/// rebalance loop, and leaks nothing: afterwards the daemon's ticket
-/// registry and the engine's occupancy describe exactly the same
-/// surviving residents.
+/// rebalance loop, and leaks nothing: afterwards the daemon's live
+/// tickets and the engine's occupancy describe exactly the residents
+/// the clients never released.
 #[test]
 fn shutdown_joins_threads_and_registry_matches_occupancy() {
     let engine = small_engine();
@@ -194,7 +194,7 @@ fn shutdown_joins_threads_and_registry_matches_occupancy() {
     assert_eq!(occupancy, live, "engine occupancy drifted from the daemon registry");
     assert_eq!(engine.num_residents(), live.len());
     // …and with every thread joined the engine is quiescent: each
-    // published view equals the authoritative state under its lock.
+    // published snapshot is the record under its lock.
     engine.audit().expect("published views drifted from host state");
 
     // The other client's connection was shut down under it: its next

@@ -10,20 +10,15 @@
 //! contention on caches, memory controllers and links) and reports
 //! per-container degradation deltas against each container's solo run.
 //!
-//! Residents can be supplied explicitly (when the caller knows the real
-//! workloads) or derived from an [`OccupancyMap`] via
-//! [`residents_from_occupancy`]: one stand-in container per occupied
-//! node, running [`resident_stand_in`] — a deliberately middle-of-road
-//! memory profile, since a thread-reservation map records *where*
-//! neighbours run but not *what* they run.
+//! The residents are the real containers already on the host, each
+//! running its own workload on the threads it holds.
 //!
 //! [`simulate_co_location`] reports both directions of the damage and
 //! so solves every container alone as well; a caller that only scores
 //! the candidate uses [`simulate_candidate_penalty`], which solves two
 //! systems however many residents there are.
 
-use vc_topology::{Machine, OccupancyMap, ThreadId};
-use vc_workloads::{Metric, Workload};
+use vc_topology::Machine;
 
 use crate::engine::{simulate, ContainerPerf, ContainerRun, SimConfig};
 
@@ -149,76 +144,30 @@ fn simulate_solo(
         .expect("one container in, one out")
 }
 
-/// The stand-in profile for residents whose real workload is unknown: a
-/// moderately memory- and cache-hungry container (mid-suite rates), so
-/// sharing a node with it costs something without dominating the score
-/// the way a pathological streaming neighbour would.
-pub fn resident_stand_in() -> Workload {
-    Workload {
-        name: "resident".to_string(),
-        family: "resident".to_string(),
-        ipc_base: 1.2,
-        mem_per_kinst: 18.0,
-        ws_l2_mib: 0.4,
-        ws_private_mib: 4.0,
-        ws_shared_mib: 24.0,
-        comm_per_kinst: 0.3,
-        smt_pair_speedup: 1.6,
-        cmt_pair_speedup: 1.65,
-        mlp: 0.5,
-        coop_prefetch: 0.1,
-        anon_gb: 4.0,
-        page_cache_gb: 1.0,
-        thp_fraction: 0.0,
-        processes: 1,
-        metric: Metric::Ipc,
-        inst_per_op: 10_000.0,
-    }
-}
-
-/// Derives resident containers from an occupancy map: the used
-/// threads, grouped into one container's assignment per occupied node
-/// (node-id order). Lend each group to a [`ContainerRun`] together with
-/// the workload the residents are assumed to run —
-/// [`resident_stand_in`] when nothing better is known.
-///
-/// Per-node grouping keeps the stand-ins honest: a reservation map does
-/// not say which threads belong to one container, and merging all used
-/// threads into a single machine-spanning container would invent
-/// cross-node communication the residents may not have.
-pub fn residents_from_occupancy(machine: &Machine, occ: &OccupancyMap) -> Vec<Vec<ThreadId>> {
-    let mut groups = vec![Vec::new(); machine.num_nodes()];
-    for t in machine.threads().iter().filter(|t| !occ.is_free(t.id)) {
-        groups[t.node.index()].push(t.id);
-    }
-    groups.retain(|g| !g.is_empty());
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use vc_core::assign::assign_vcpus;
     use vc_core::placement::PlacementSpec;
-    use vc_topology::{machines, NodeId};
+    use vc_topology::{machines, NodeId, ThreadId};
     use vc_workloads::suite::workload_by_name;
 
-    /// `workload` on `threads` next to one stand-in resident per
-    /// occupied node of `occ`, noise off.
-    fn against_stand_ins(
+    /// `workload` on `threads` next to one `neighbour` container per
+    /// group of `neighbours`, noise off.
+    fn against(
         machine: &Machine,
         workload: &str,
         threads: &[ThreadId],
-        occ: &OccupancyMap,
+        neighbour: &str,
+        neighbours: &[Vec<ThreadId>],
     ) -> CoLocationReport {
         let workload = workload_by_name(workload).unwrap();
-        let stand_in = resident_stand_in();
-        let groups = residents_from_occupancy(machine, occ);
-        let residents: Vec<ContainerRun> = groups
+        let neighbour = workload_by_name(neighbour).unwrap();
+        let residents: Vec<ContainerRun> = neighbours
             .iter()
             .map(|g| ContainerRun {
-                workload: &stand_in,
+                workload: &neighbour,
                 assignment: g,
             })
             .collect();
@@ -236,35 +185,6 @@ mod tests {
         report
     }
 
-    #[test]
-    fn stand_in_is_a_valid_workload() {
-        resident_stand_in().validate().unwrap();
-    }
-
-    #[test]
-    fn empty_occupancy_derives_no_residents() {
-        let amd = machines::amd_opteron_6272();
-        let occ = OccupancyMap::new(&amd);
-        assert!(residents_from_occupancy(&amd, &occ).is_empty());
-    }
-
-    #[test]
-    fn residents_are_grouped_per_occupied_node() {
-        let amd = machines::amd_opteron_6272();
-        let mut occ = OccupancyMap::new(&amd);
-        occ.reserve(&amd.threads_on_node(NodeId(2))).unwrap();
-        occ.reserve(&amd.threads_on_node(NodeId(5))[..4]).unwrap();
-        let residents = residents_from_occupancy(&amd, &occ);
-        assert_eq!(residents.len(), 2);
-        assert_eq!(residents[0].len(), 8);
-        assert_eq!(residents[1].len(), 4);
-        for r in &residents {
-            let node = amd.thread(r[0]).node;
-            assert!(r.iter().all(|&t| amd.thread(t).node == node));
-            assert!(r.iter().all(|&t| !occ.is_free(t)));
-        }
-    }
-
     /// Node 0 of the AMD machine split in two: the back half (modules 2
     /// and 3) for a 4-vCPU candidate, the front half for residents.
     fn half_node_split(amd: &Machine) -> (Vec<ThreadId>, Vec<ThreadId>) {
@@ -276,9 +196,7 @@ mod tests {
     fn node_sharing_residents_degrade_the_candidate() {
         let amd = machines::amd_opteron_6272();
         let (candidate, other_half) = half_node_split(&amd);
-        let mut occ = OccupancyMap::new(&amd);
-        occ.reserve(&other_half).unwrap();
-        let report = against_stand_ins(&amd, "streamcluster", &candidate, &occ);
+        let report = against(&amd, "streamcluster", &candidate, "canneal", &[other_half]);
         assert!(
             report.candidate_penalty() < 0.99,
             "bandwidth-bound candidate must feel node-sharing residents: {}",
@@ -299,12 +217,9 @@ mod tests {
         let amd = machines::amd_opteron_6272();
         let (candidate, other_half) = half_node_split(&amd);
         // Residents far away (node 2) vs on the candidate's own node.
-        let mut far = OccupancyMap::new(&amd);
-        far.reserve(&amd.threads_on_node(NodeId(2))[..4]).unwrap();
-        let mut near = OccupancyMap::new(&amd);
-        near.reserve(&other_half).unwrap();
-        let far_report = against_stand_ins(&amd, "streamcluster", &candidate, &far);
-        let near_report = against_stand_ins(&amd, "streamcluster", &candidate, &near);
+        let far = amd.threads_on_node(NodeId(2))[..4].to_vec();
+        let far_report = against(&amd, "streamcluster", &candidate, "canneal", &[far]);
+        let near_report = against(&amd, "streamcluster", &candidate, "canneal", &[other_half]);
         assert!(
             near_report.candidate_penalty() < far_report.candidate_penalty(),
             "near {} vs far {}",
@@ -323,10 +238,9 @@ mod tests {
         let amd = machines::amd_opteron_6272();
         let spec = PlacementSpec::on_nodes(8, vec![NodeId(3)], 4);
         let candidate = assign_vcpus(&amd, &spec).unwrap();
-        let mut occ = OccupancyMap::new(&amd);
-        occ.reserve(&amd.threads_on_node(NodeId(2))).unwrap();
-        let a = against_stand_ins(&amd, "canneal", &candidate, &occ);
-        let b = against_stand_ins(&amd, "canneal", &candidate, &occ);
+        let neighbours = [amd.threads_on_node(NodeId(2))];
+        let a = against(&amd, "canneal", &candidate, "streamcluster", &neighbours);
+        let b = against(&amd, "canneal", &candidate, "streamcluster", &neighbours);
         assert_eq!(a.candidate_penalty(), b.candidate_penalty());
         assert_eq!(a.resident_penalties(), b.resident_penalties());
     }
@@ -354,10 +268,12 @@ mod tests {
             let heavier = (base + extra).min(free.len());
             prop_assume!(heavier > lighter);
 
+            // One neighbour container per node the load reaches.
             let penalty_for = |n: usize| {
-                let mut occ = OccupancyMap::new(&amd);
-                occ.reserve(&free[..n]).unwrap();
-                against_stand_ins(&amd, "streamcluster", &candidate, &occ).candidate_penalty()
+                let (own, spill) = free[..n].split_at(n.min(4));
+                let neighbours: Vec<Vec<ThreadId>> =
+                    [own, spill].into_iter().filter(|g| !g.is_empty()).map(<[_]>::to_vec).collect();
+                against(&amd, "streamcluster", &candidate, "canneal", &neighbours).candidate_penalty()
             };
             let light = penalty_for(lighter);
             let heavy = penalty_for(heavier);

@@ -23,6 +23,12 @@
 //! These are exactly the effects the paper names as the reason placements
 //! differ (§1): contentious vs cooperative sharing, communication latency,
 //! and interconnect asymmetry.
+//!
+//! The same solve prices co-location ([`colocation`]): a candidate run
+//! together with a host's real residents, each on the threads it holds.
+//! [`SimOracle`]'s `InterferenceOracle` implementation takes the
+//! residents as exactly the containers holding the occupancy's used
+//! threads, and asserts it.
 
 #![warn(missing_docs)]
 
@@ -33,9 +39,6 @@ pub mod noise;
 pub mod oracle;
 pub mod os_sched;
 
-pub use colocation::{
-    resident_stand_in, residents_from_occupancy, simulate_candidate_penalty, simulate_co_location,
-    CoLocationReport,
-};
+pub use colocation::{simulate_candidate_penalty, simulate_co_location, CoLocationReport};
 pub use engine::{simulate, ContainerPerf, ContainerRun, SimConfig, SimResult};
 pub use oracle::SimOracle;

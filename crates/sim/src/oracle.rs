@@ -14,7 +14,7 @@ use vc_core::placement::PlacementSpec;
 use vc_topology::{Machine, OccupancyMap, ThreadId};
 use vc_workloads::{generator, suite, Workload};
 
-use crate::colocation::{resident_stand_in, residents_from_occupancy, simulate_candidate_penalty};
+use crate::colocation::simulate_candidate_penalty;
 use crate::engine::{simulate, ContainerRun, SimConfig};
 use crate::hpe;
 use crate::noise::measurement_rng;
@@ -33,8 +33,6 @@ pub struct SimOracle {
     /// per valid spec of this machine, and callers probe catalog specs —
     /// a few dozen per container size.
     assignments: RwLock<HashMap<PlacementSpec, Arc<[ThreadId]>>>,
-    /// What residents of unknown workload are assumed to run.
-    stand_in: Workload,
 }
 
 impl SimOracle {
@@ -53,7 +51,6 @@ impl SimOracle {
             workloads,
             config: SimConfig::default(),
             assignments: RwLock::default(),
-            stand_in: resident_stand_in(),
         }
     }
 
@@ -123,13 +120,9 @@ impl InterferenceOracle for SimOracle {
     /// Simulates `workload` pinned to `threads` together with the
     /// host's residents and returns co-located over solo throughput.
     ///
-    /// When `residents` names the real co-resident workloads (a serving
-    /// engine's registry snapshot), each is simulated as *itself* on its
-    /// reserved threads — the penalty the engine acts on is the penalty
-    /// the fleet actually experiences. When `residents` is empty, the
-    /// probe falls back to stand-in containers derived from `occ` (one
-    /// [`resident_stand_in`] per occupied node): a reservation map
-    /// records where neighbours run, not what they run.
+    /// Each resident is simulated as *itself* on its reserved threads —
+    /// the penalty the engine acts on is the penalty the fleet actually
+    /// experiences.
     ///
     /// The probe runs under [`SimConfig::interference_probe`]:
     /// noise-free, fixed-seed, with a tail-averaged fixed point — the
@@ -141,9 +134,11 @@ impl InterferenceOracle for SimOracle {
     ///
     /// # Panics
     ///
-    /// Panics when `threads` overlaps the occupancy's used threads
-    /// (callers score candidates *before* committing them) or names an
-    /// unknown workload — candidate or resident.
+    /// Panics when `residents` are not the containers holding `occ`'s
+    /// used threads (the [`InterferenceOracle`] contract: their threads
+    /// must number `occ.used_threads()`, all reserved), when `threads`
+    /// overlaps them (callers score candidates *before* committing
+    /// them), or when a workload — candidate or resident — is unknown.
     fn co_location_penalty(
         &self,
         workload: &str,
@@ -151,32 +146,28 @@ impl InterferenceOracle for SimOracle {
         occ: &OccupancyMap,
         residents: &[ResidentWorkload],
     ) -> f64 {
-        if occ.used_threads() == 0 {
+        let held: usize = residents.iter().map(|r| r.threads.len()).sum();
+        assert!(
+            held == occ.used_threads()
+                && residents.iter().flat_map(|r| &r.threads).all(|&t| !occ.is_free(t)),
+            "residents hold {held} threads, the occupancy reserves {}: \
+             they must be exactly the containers holding its used threads",
+            occ.used_threads()
+        );
+        if held == 0 {
             return 1.0;
         }
         let candidate = ContainerRun {
             workload: self.workload(workload),
             assignment: threads,
         };
-        let stand_in_groups;
-        let resident_runs: Vec<ContainerRun> = if residents.is_empty() {
-            stand_in_groups = residents_from_occupancy(&self.machine, occ);
-            stand_in_groups
-                .iter()
-                .map(|group| ContainerRun {
-                    workload: &self.stand_in,
-                    assignment: group,
-                })
-                .collect()
-        } else {
-            residents
-                .iter()
-                .map(|r| ContainerRun {
-                    workload: self.workload(&r.workload),
-                    assignment: &r.threads,
-                })
-                .collect()
-        };
+        let resident_runs: Vec<ContainerRun> = residents
+            .iter()
+            .map(|r| ContainerRun {
+                workload: self.workload(&r.workload),
+                assignment: &r.threads,
+            })
+            .collect();
         let probe_config = SimConfig::interference_probe();
         simulate_candidate_penalty(&self.machine, &candidate, &resident_runs, &probe_config, 0)
     }
@@ -203,8 +194,7 @@ impl PerfOracle for SimOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_topology::machines;
-    use vc_topology::NodeId;
+    use vc_topology::{machines, NodeId};
 
     #[test]
     fn oracle_resolves_suite_workloads() {
@@ -238,8 +228,16 @@ mod tests {
         assert_eq!(o.workloads().len(), 18 + 4);
     }
 
+    /// `name` on the first `n` threads of node 1.
+    fn neighbour(amd: &Machine, name: &str, n: usize) -> ResidentWorkload {
+        ResidentWorkload {
+            workload: name.to_string(),
+            threads: amd.threads_on_node(NodeId(1))[..n].to_vec(),
+        }
+    }
+
     #[test]
-    fn co_location_penalty_is_idle_neutral_and_cached_deterministic() {
+    fn co_location_penalty_is_idle_neutral_and_deterministic() {
         let amd = machines::amd_opteron_6272();
         let o = SimOracle::new(amd.clone());
         let threads = amd.threads_on_node(NodeId(0));
@@ -247,23 +245,22 @@ mod tests {
         assert_eq!(o.co_location_penalty("streamcluster", &threads, &occ, &[]), 1.0);
 
         let mut busy = OccupancyMap::new(&amd);
-        busy.reserve(&amd.threads_on_node(NodeId(1))).unwrap();
-        let p = o.co_location_penalty("streamcluster", &threads, &busy, &[]);
+        let residents = [neighbour(&amd, "canneal", 8)];
+        busy.reserve(&residents[0].threads).unwrap();
+        let p = o.co_location_penalty("streamcluster", &threads, &busy, &residents);
         assert!(p > 0.0 && p <= 1.0, "penalty out of range: {p}");
         assert_eq!(
             p,
-            o.co_location_penalty("streamcluster", &threads, &busy, &[]),
+            o.co_location_penalty("streamcluster", &threads, &busy, &residents),
             "noise-free probe must be deterministic"
         );
     }
 
     #[test]
-    fn real_residents_change_the_penalty_the_stand_in_guessed() {
+    fn real_residents_set_the_penalty() {
         // Same occupancy pattern, two different truths about what runs
-        // there: a pure-compute neighbour barely costs a half-node
-        // candidate anything, a streaming neighbour costs plenty. The
-        // stand-in guess must land between the two extremes, and the
-        // real-resident probes must order correctly.
+        // there: a streaming neighbour costs a half-node candidate more
+        // than a pure-compute one.
         let amd = machines::amd_opteron_6272();
         let o = SimOracle::new(amd.clone());
         let node0 = amd.threads_on_node(NodeId(0));
@@ -284,12 +281,35 @@ mod tests {
         };
         let next_to_compute = with("swaptions");
         let next_to_stream = with("streamcluster");
-        let stand_in = o.co_location_penalty("streamcluster", &candidate, &occ, &[]);
         assert!(
-            next_to_stream < stand_in && stand_in < next_to_compute,
-            "stand-in {stand_in} must sit between stream {next_to_stream} \
-             and compute {next_to_compute}"
+            next_to_stream < next_to_compute && next_to_compute <= 1.0,
+            "stream {next_to_stream} must cost more than compute {next_to_compute}"
         );
+    }
+
+    /// Residents that do not hold exactly the occupancy's used threads
+    /// break the contract: none at all on a busy host, too few threads,
+    /// or a thread the occupancy has free.
+    #[test]
+    fn residents_must_hold_exactly_the_used_threads() {
+        let amd = machines::amd_opteron_6272();
+        let o = SimOracle::new(amd.clone());
+        let candidate = amd.threads_on_node(NodeId(0));
+        let mut occ = OccupancyMap::new(&amd);
+        occ.reserve(&amd.threads_on_node(NodeId(1))[..4]).unwrap();
+        let off_by_one = ResidentWorkload {
+            workload: "canneal".to_string(),
+            threads: amd.threads_on_node(NodeId(1))[1..5].to_vec(),
+        };
+        for residents in [vec![], vec![neighbour(&amd, "canneal", 3)], vec![off_by_one]] {
+            let probe = std::panic::catch_unwind(|| {
+                o.co_location_penalty("streamcluster", &candidate, &occ, &residents)
+            });
+            let message = *probe.expect_err("contract broken").downcast::<String>().unwrap();
+            assert!(message.contains("the occupancy reserves 4"), "{message}");
+        }
+        let held = [neighbour(&amd, "canneal", 4)];
+        assert!(o.co_location_penalty("streamcluster", &candidate, &occ, &held) <= 1.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use vc_core::concern::ConcernSet;
 use vc_core::important::important_placements;
 use vc_core::placement::PlacementSpec;
 use vc_sim::engine::{ContainerPerf, ContainerRun, SimConfig, SimResult};
-use vc_sim::{resident_stand_in, residents_from_occupancy, simulate, simulate_candidate_penalty};
+use vc_sim::{simulate, simulate_candidate_penalty};
 use vc_topology::machine::MachineBuilder;
 use vc_topology::{machines, Machine, NodeId, OccupancyMap, ThreadId};
 use vc_workloads::{paper_suite, Workload};
@@ -170,13 +170,12 @@ fn fill_host(machine: &Machine, residents: usize, rng: &mut StdRng) -> Host {
 }
 
 #[test]
-fn joint_runs_match_with_real_residents_and_with_stand_ins() {
+fn joint_runs_match_with_real_residents() {
     let mut rng = StdRng::seed_from_u64(0x5eed);
-    let stand_in = resident_stand_in();
     for machine in fleet().iter().take(3) {
         for residents in 1..=6 {
             let host = fill_host(machine, residents, &mut rng);
-            let real: Vec<ContainerRun> = host
+            let runs: Vec<ContainerRun> = host
                 .containers
                 .iter()
                 .map(|(workload, threads)| ContainerRun {
@@ -184,33 +183,20 @@ fn joint_runs_match_with_real_residents_and_with_stand_ins() {
                     assignment: threads,
                 })
                 .collect();
-            let groups = residents_from_occupancy(machine, &host.occ);
-            let stand_ins: Vec<ContainerRun> = std::iter::once(real[0])
-                .chain(groups.iter().map(|g| ContainerRun {
-                    workload: &stand_in,
-                    assignment: g,
-                }))
-                .collect();
-            for runs in [&real, &stand_ins] {
-                for cfg in configs() {
-                    let joint = both(machine, runs, &cfg, residents as u64);
-                    // The probe's candidate-only path: the clamped ratio
-                    // of the same two solves.
-                    let solo = both(machine, &runs[..1], &cfg, residents as u64);
-                    let ratio =
-                        joint.per_container[0].inst_per_sec / solo.per_container[0].inst_per_sec;
-                    assert_eq!(
-                        simulate_candidate_penalty(
-                            machine,
-                            &runs[0],
-                            &runs[1..],
-                            &cfg,
-                            residents as u64
-                        )
+            let held: usize = runs[1..].iter().map(|r| r.assignment.len()).sum();
+            assert_eq!(held, host.occ.used_threads(), "the residents hold the occupancy");
+            for cfg in configs() {
+                let joint = both(machine, &runs, &cfg, residents as u64);
+                // The probe's candidate-only path: the clamped ratio of
+                // the same two solves.
+                let solo = both(machine, &runs[..1], &cfg, residents as u64);
+                let ratio =
+                    joint.per_container[0].inst_per_sec / solo.per_container[0].inst_per_sec;
+                assert_eq!(
+                    simulate_candidate_penalty(machine, &runs[0], &runs[1..], &cfg, residents as u64)
                         .to_bits(),
-                        ratio.clamp(f64::MIN_POSITIVE, 1.0).to_bits(),
-                    );
-                }
+                    ratio.clamp(f64::MIN_POSITIVE, 1.0).to_bits(),
+                );
             }
         }
     }

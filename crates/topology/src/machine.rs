@@ -127,6 +127,11 @@ pub enum TopologyError {
     DanglingLink(usize),
     /// A per-node override references a node that does not exist.
     UnknownNode(usize),
+    /// A quantity that must be finite and positive is zero, negative,
+    /// infinite or NaN. Names the field as a spec file spells it:
+    /// `clock_ghz`, `dram_bw_gbs`, `l2_mib`, `l3_mib` or
+    /// `link bandwidth`.
+    NotPositive(&'static str),
 }
 
 impl fmt::Display for TopologyError {
@@ -141,6 +146,9 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::UnknownNode(n) => {
                 write!(f, "per-node override references missing node {n}")
+            }
+            TopologyError::NotPositive(field) => {
+                write!(f, "{field} must be a finite, positive number")
             }
         }
     }
@@ -615,6 +623,20 @@ impl MachineBuilder {
             }
             if node >= num_nodes {
                 return Err(TopologyError::UnknownNode(node));
+            }
+        }
+        let links = self.links.iter().map(|&(_, _, bw)| ("link bandwidth", bw));
+        for (field, value) in [
+            ("clock_ghz", self.clock_ghz),
+            ("dram_bw_gbs", self.dram_bw_gbs),
+            ("l2_mib", self.caches.l2_size_mib),
+            ("l3_mib", self.caches.l3_size_mib),
+        ]
+        .into_iter()
+        .chain(links)
+        {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(TopologyError::NotPositive(field));
             }
         }
 

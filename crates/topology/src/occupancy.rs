@@ -12,9 +12,8 @@
 //! never touches the machine again, so it can live behind a lock on a
 //! serving path without borrowing the (much larger) topology
 //! description. The layout is built once per [`Machine`] and shared by
-//! every map of that machine and of its clones — a fleet's host states
-//! and published snapshots each own only the reservation flags and
-//! counters.
+//! every map of that machine and of its clones — a fleet's published
+//! host snapshots each own only the reservation flags and counters.
 //!
 //! # Examples
 //!
@@ -285,6 +284,12 @@ impl OccupancyMap {
         Ok(())
     }
 
+    /// Whether [`Self::reserve`] would accept `threads`: the same
+    /// all-or-nothing check, with nothing changed either way.
+    pub fn check_reserve(&self, threads: &[ThreadId]) -> Result<(), OccupancyError> {
+        self.check(threads, true)
+    }
+
     /// Reserves a set of threads, all-or-nothing.
     pub fn reserve(&mut self, threads: &[ThreadId]) -> Result<(), OccupancyError> {
         self.check(threads, true)?;
@@ -394,6 +399,7 @@ mod tests {
         let m = amd();
         let mut occ = OccupancyMap::new(&m);
         occ.reserve(&[ThreadId(3)]).unwrap();
+        assert_eq!(occ.check_reserve(&[ThreadId(2)]), Ok(()));
         let err = occ.reserve(&[ThreadId(2), ThreadId(3)]).unwrap_err();
         assert_eq!(
             err,
@@ -402,6 +408,7 @@ mod tests {
                 node: NodeId(0)
             }
         );
+        assert_eq!(occ.check_reserve(&[ThreadId(2), ThreadId(3)]), Err(err));
         // The failed request must not have reserved thread 2.
         assert!(occ.is_free(ThreadId(2)));
         assert_eq!(occ.used_threads(), 1);

@@ -244,6 +244,69 @@ link 0 1 6.4
         assert!(matches!(err, SpecError::Invalid(_)));
     }
 
+    /// The error a spec gets when one line sets an impossible value.
+    fn rejection(line: &str) -> SpecError {
+        parse_machine(&format!("packages 2\nlink 0 1 6.4\n{line}\n")).unwrap_err()
+    }
+
+    #[test]
+    fn clock_must_be_finite_and_positive() {
+        for value in ["0", "-2.1", "nan", "inf"] {
+            assert_eq!(
+                rejection(&format!("clock_ghz {value}")),
+                SpecError::Invalid(TopologyError::NotPositive("clock_ghz")),
+                "clock_ghz {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn dram_bandwidth_must_be_finite_and_positive() {
+        for value in ["0", "-12.8", "NaN", "infinity"] {
+            assert_eq!(
+                rejection(&format!("dram_bw_gbs {value}")),
+                SpecError::Invalid(TopologyError::NotPositive("dram_bw_gbs")),
+                "dram_bw_gbs {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn l2_size_must_be_finite_and_positive() {
+        for value in ["0", "-0.5", "nan", "inf"] {
+            assert_eq!(
+                rejection(&format!("l2_mib {value}")),
+                SpecError::Invalid(TopologyError::NotPositive("l2_mib")),
+                "l2_mib {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn l3_size_must_be_finite_and_positive() {
+        for value in ["0", "-16", "nan", "-inf"] {
+            assert_eq!(
+                rejection(&format!("l3_mib {value}")),
+                SpecError::Invalid(TopologyError::NotPositive("l3_mib")),
+                "l3_mib {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn link_bandwidths_must_be_finite_and_positive() {
+        let expected = SpecError::Invalid(TopologyError::NotPositive("link bandwidth"));
+        for value in ["0", "-3", "nan", "inf"] {
+            assert_eq!(rejection(&format!("link 1 0 {value}")), expected, "link {value}");
+            let mesh = parse_machine(&format!("packages 3\nfull_mesh {value}\n"));
+            assert_eq!(mesh.unwrap_err(), expected, "full_mesh {value}");
+        }
+        assert_eq!(
+            expected.to_string(),
+            "invalid machine: link bandwidth must be a finite, positive number"
+        );
+    }
+
     #[test]
     fn spec_round_trips_into_the_placement_pipeline() {
         // A parsed machine behaves like a built-in one.
