@@ -533,12 +533,12 @@ pub(crate) struct Candidate {
     /// The request being evaluated (its workload keys the
     /// interference-penalty cache; the whole request is kept in the
     /// resident registry at commit so rebalancing can re-evaluate it).
-    request: PlacementRequest,
-    catalog: Arc<PlacementCatalog>,
+    pub(crate) request: PlacementRequest,
+    pub(crate) catalog: Arc<PlacementCatalog>,
     /// Predicted absolute performance per catalog class, indexed by
     /// `id - 1`. Idle-host predictions: interference, which depends on
     /// the committing host's live occupancy, is applied at commit time.
-    predicted: Vec<f64>,
+    pub(crate) predicted: Vec<f64>,
     pub(crate) goal_perf: f64,
     /// Best prediction over all classes.
     pub(crate) best_perf: f64,
@@ -868,12 +868,6 @@ impl PlacementEngine {
     /// that need the workload list).
     pub fn sim_oracle(&self, id: MachineId) -> Arc<SimOracle> {
         Arc::clone(self.hosts[id.0].sim(&LockScope::new()))
-    }
-
-    /// Starts a rebalance pass: bumps the engine-wide pass clock and
-    /// returns the (1-based) index of the pass being started.
-    pub(crate) fn begin_rebalance_pass(&self) -> u64 {
-        self.counters.rebalance_passes.incr() + 1
     }
 
     /// (used, total) hardware threads on a machine. Wait-free.
@@ -1688,202 +1682,6 @@ impl PlacementEngine {
         (0..self.fleet.num_classes())
             .map(|class| self.evaluate(scope, class, req))
             .collect()
-    }
-}
-
-/// Lock-holding plumbing for [`crate::rebalance`]: everything here that
-/// locks holds host locks only for bookkeeping (clone, reserve,
-/// registry moves) — the expensive scoring and pricing run in the
-/// rebalance module against the snapshots these helpers hand out.
-impl PlacementEngine {
-    /// View of one host: `(occupancy, resident workloads)` from one
-    /// consistent snapshot — wait-free.
-    pub(crate) fn host_view(&self, id: MachineId) -> (OccupancyMap, Vec<ResidentWorkload>) {
-        let view = self.host_snapshot(id);
-        (view.occupancy().clone(), view.resident_workloads())
-    }
-
-    /// View of one host *as if* the given resident had departed: its
-    /// threads freed in the copied occupancy, its entry dropped from
-    /// the resident list. `None` when the ticket is no longer on the
-    /// host (it departed or moved since the caller looked). Wait-free —
-    /// rebalance planning builds every minus-self view without a single
-    /// lock acquisition.
-    pub(crate) fn host_view_without(
-        &self,
-        id: MachineId,
-        ticket: PlacementTicket,
-    ) -> Option<(OccupancyMap, Vec<ResidentWorkload>)> {
-        let view = self.host_snapshot(id);
-        let resident = view.resident(ticket)?;
-        let mut occ = view.occupancy().clone();
-        occ.release(&resident.threads)
-            .expect("snapshot registry threads are reserved in the snapshot occupancy");
-        Some((occ, view.resident_workloads_without(ticket)))
-    }
-
-    /// The memoized co-location penalty a resident currently
-    /// experiences, scored against the supplied minus-self view of its
-    /// host (no lock held; a cold miss simulates the real neighbour
-    /// workloads).
-    pub(crate) fn resident_penalty(
-        &self,
-        scope: &LockScope,
-        id: MachineId,
-        resident: &Resident,
-        occ_without: &OccupancyMap,
-        others: &[ResidentWorkload],
-    ) -> f64 {
-        self.hosts[id.0].interference(scope).penalty(
-            &resident.request.workload,
-            &resident.spec.nodes,
-            &resident.threads,
-            occ_without,
-            others,
-        )
-    }
-
-    /// The full workload descriptor behind a name, from the host's
-    /// oracle suite (the migration model prices its memory footprint,
-    /// process count and THP fraction).
-    pub(crate) fn workload_descriptor(
-        &self,
-        scope: &LockScope,
-        id: MachineId,
-        name: &str,
-    ) -> Option<vc_workloads::Workload> {
-        self.hosts[id.0]
-            .sim(scope)
-            .workloads()
-            .iter()
-            .find(|w| w.name == name)
-            .cloned()
-    }
-
-    /// The least-interfering goal-clearing placement on a host
-    /// snapshot: scans *every* hostable realisation of every class
-    /// (full availability orbits, not just the fragmentation-first
-    /// head) and minimises predicted degradation, then maximises the
-    /// adjusted prediction. This is the rebalancer's escape hatch on
-    /// the victim's own machine — admission's fragmentation-first
-    /// realisation would re-offer a stacked victim the very node set
-    /// beside its noisy neighbour. Worth its O(orbit) penalty lookups
-    /// only on the one host being escaped from; cross-host targets are
-    /// scored like admissions.
-    pub(crate) fn best_escape_on_view(
-        &self,
-        scope: &LockScope,
-        id: MachineId,
-        cand: &Candidate,
-        occ: &OccupancyMap,
-        residents: &[ResidentWorkload],
-    ) -> Option<(AvailablePlacement, f64, f64)> {
-        let host = &self.hosts[id.0];
-        let interference = host.interference(scope);
-        let mut best: Option<(AvailablePlacement, f64, f64)> = None;
-        for (i, ip) in cand.catalog.placements.iter().enumerate() {
-            let idle_p = cand.predicted[ip.id - 1];
-            if idle_p < cand.goal_perf {
-                continue;
-            }
-            for ap in cand
-                .catalog
-                .availability
-                .realisations(i, &host.machine, occ)
-            {
-                let penalty = interference.penalty(
-                    &cand.request.workload,
-                    &ap.spec.nodes,
-                    &ap.threads,
-                    occ,
-                    residents,
-                );
-                let p = idle_p * penalty;
-                if p < cand.goal_perf {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((_, bp, bpen)) => penalty > *bpen || (penalty == *bpen && p > *bp),
-                };
-                if better {
-                    best = Some((ap, p, penalty));
-                }
-            }
-        }
-        best
-    }
-
-    /// Executes one planned move of rebalance pass `pass` under the
-    /// host lock(s): verifies the resident is still where the plan saw
-    /// it (same ticket, same threads), reserves the new threads,
-    /// re-homes the registry entry (stamping it with `pass`) and frees
-    /// the old threads — all-or-nothing in every failure mode; the
-    /// guards publish whatever changed before unlocking.
-    /// Cross-host moves lock through [`Self::lock_pair`], so concurrent
-    /// passes (and commits, which take one lock at a time) cannot
-    /// deadlock. Nothing in here simulates or prices — the guards hold
-    /// the scope every simulating path borrows.
-    #[allow(clippy::result_unit_err)] // Err = "lost the race, retry next pass"
-    pub(crate) fn commit_move(
-        &self,
-        scope: &mut LockScope,
-        src: MachineId,
-        dst: MachineId,
-        resident: &Resident,
-        (ap, predicted_perf, interference_penalty): (AvailablePlacement, f64, f64),
-        pass: u64,
-    ) -> Result<Placed, ()> {
-        let placed = Placed {
-            ticket: resident.ticket,
-            machine: dst,
-            placement_id: ap.id,
-            spec: ap.spec,
-            threads: ap.threads,
-            predicted_perf,
-            interference_penalty,
-            goal_perf: resident.goal_perf,
-            goal_met: predicted_perf >= resident.goal_perf,
-        };
-        // Departed or already moved since the plan looked?
-        let as_planned = |host: &HostGuard<'_>| {
-            host.resident(resident.ticket)
-                .is_some_and(|current| current.threads == resident.threads)
-        };
-        if src == dst {
-            let mut host = self.lock_host(scope, &self.hosts[src.0]);
-            if !as_planned(&host) {
-                return Err(());
-            }
-            // Same-host moves may overlap the old node set: free first,
-            // then reserve, rolling back on a raced reservation (the
-            // guard then republishes the restored, unchanged state).
-            host.release(&resident.threads);
-            if host.reserve(&placed.threads).is_err() {
-                host.reserve(&resident.threads)
-                    .expect("rollback re-reserves just-freed threads");
-                return Err(());
-            }
-            host.rehome(&placed, pass);
-            return Ok(placed);
-        }
-        let (mut from, mut to) = self.lock_pair(scope, src, dst);
-        // A failed reserve means a concurrent commit claimed the target.
-        if !as_planned(&from) || to.reserve(&placed.threads).is_err() {
-            return Err(());
-        }
-        let entry = from
-            .remove_resident(resident.ticket)
-            .expect("checked above");
-        from.release(&entry.threads);
-        to.insert_resident(entry);
-        to.rehome(&placed, pass);
-        // Update the location map while both host locks are held, so a
-        // concurrent release never observes a map entry pointing at a
-        // host that has already given the container up.
-        self.locations
-            .with(to.witness(), |map| map.insert(resident.ticket.0, dst.0));
-        Ok(placed)
     }
 }
 

@@ -191,9 +191,11 @@ impl<'s> HostGuard<'s> {
         Arc::make_mut(&mut self.record)
     }
 
-    /// One registry entry by ticket.
-    pub(crate) fn resident(&self, ticket: PlacementTicket) -> Option<&Resident> {
-        self.record.resident(ticket)
+    /// Whether the record is still `snapshot` itself. A record changes
+    /// identity exactly once per publication, so `true` means no
+    /// critical section has changed the host since `snapshot` was read.
+    pub(crate) fn unchanged_since(&self, snapshot: &Arc<HostSnapshot>) -> bool {
+        Arc::ptr_eq(&self.record, snapshot)
     }
 
     /// All-or-nothing thread reservation. The check runs first, so a
@@ -424,10 +426,9 @@ mod tests {
         {
             let mut scope = LockScope::new();
             let mut guard = engine.lock_host(&mut scope, host);
-            assert!(guard.resident(PlacementTicket(0)).is_none());
             assert!(guard.reserve(&threads).is_err(), "already reserved");
             assert!(guard.remove_resident(PlacementTicket(0)).is_none());
-            assert!(Arc::ptr_eq(&guard.record, &view), "a clean guard copied the record");
+            assert!(guard.unchanged_since(&view), "a clean guard copied the record");
         }
         assert_eq!(published(&engine), base + 1, "read-only guard published");
         assert!(Arc::ptr_eq(&engine.host_snapshot(MachineId(0)), &view));

@@ -117,7 +117,10 @@
 //! priced with the §7 Table 2 migration cost model
 //! ([`MigrationModel`]: fast / throttled / default-Linux), and moved
 //! only when the predicted benefit beats the migration's own cost —
-//! see the [`rebalance`] module.
+//! see the [`rebalance`] module. A move commits the placement it
+//! scored only if both hosts' records are still the snapshot `Arc`s
+//! it scored against; a host that published meanwhile makes it a
+//! counted [`RebalanceReport::failed_commits`], retried next pass.
 //!
 //! # Quickstart
 //!

@@ -21,14 +21,28 @@
 //! benefit over [`RebalancePolicy::expected_runtime_s`] beats the
 //! migration's own lost work. Scoring and pricing run against
 //! snapshots — no simulator call and no migration-model call ever
-//! happens under a host lock; only the final bookkeeping (reserve new
-//! threads, move the registry entry, free old threads) locks, and a
-//! raced reservation simply counts as a failed move.
+//! happens under a host lock. A move commits exactly the placement it
+//! scored, and only if the source and target hosts still hold the very
+//! snapshots it scored against (`Arc` identity, which changes once per
+//! publication); the lock-held part is bookkeeping that cannot fail
+//! against those records, and a host that changed meanwhile counts as
+//! a failed commit.
+//!
+//! This module is the whole move path: planning, the gates, and the
+//! commit under the host locks.
 
+use std::sync::Arc;
+
+use vc_core::availability::AvailablePlacement;
+use vc_core::interference::ResidentWorkload;
 use vc_migration::{MigrationEstimate, MigrationMode, MigrationModel};
 use vc_sync::lock::LockScope;
+use vc_topology::OccupancyMap;
 
-use crate::engine::{MachineId, Placed, PlacementEngine, PlacementTicket, Resident};
+use crate::engine::{
+    Candidate, MachineId, Placed, PlacementEngine, PlacementRequest, PlacementTicket, Resident,
+};
+use crate::host::HostSnapshot;
 
 /// How [`PlacementEngine::rebalance`] prices and gates migrations.
 #[derive(Debug, Clone)]
@@ -158,18 +172,19 @@ pub struct RebalanceReport {
     /// Over-budget residents left in place because the best move's
     /// predicted benefit did not beat its migration cost.
     pub blocked_by_cost: usize,
-    /// Moves abandoned at commit time: a concurrent commit claimed the
-    /// chosen threads, the resident departed between snapshot and
-    /// reservation, or the target's fresh score no longer cleared the
-    /// improvement/cost gates. The resident stays where it was; the
-    /// next pass retries.
+    /// Moves abandoned at commit time because the source or the target
+    /// host published after the move was planned. A move commits only
+    /// if each host's record is still the very snapshot `Arc` it
+    /// scored, so any concurrent commit, release or move there — the
+    /// resident's own departure included — refuses it, and nothing is
+    /// changed or published. The resident stays where it was; the next
+    /// pass re-plans and retries.
     pub failed_commits: usize,
     /// Host mutex acquisitions this pass performed — its own
     /// [`LockScope::granted`], so concurrent clients' commits and
     /// releases are never charged to it. Planning is wait-free, so this
-    /// is exactly the executed-move bookkeeping: one lock per same-host
-    /// move, two per cross-host move (plus the locks of any
-    /// `failed_commits` re-validations) — asserted in tests.
+    /// is exactly the commit bookkeeping: one lock per same-host move,
+    /// two per cross-host move, executed or failed — asserted in tests.
     pub host_lock_acquisitions: u64,
     /// Engine-wide index of this pass (1-based; the clock
     /// [`RebalancePolicy::cooldown_passes`] counts in). `0` only for
@@ -202,18 +217,6 @@ impl RebalanceReport {
         self.migrations
             .iter()
             .fold(0.0, |acc, m| acc + m.estimate.frozen_s)
-    }
-
-    /// Mean predicted degradation of the moved containers before their
-    /// moves (0.0 when nothing moved).
-    pub fn mean_degradation_before(&self) -> f64 {
-        mean(self.migrations.iter().map(|m| m.degradation_before))
-    }
-
-    /// Mean predicted degradation of the moved containers after their
-    /// moves (0.0 when nothing moved).
-    pub fn mean_degradation_after(&self) -> f64 {
-        mean(self.migrations.iter().map(|m| m.degradation_after))
     }
 }
 
@@ -259,7 +262,8 @@ pub struct RebalanceTotals {
     pub blocked_by_cost: usize,
     /// Over-budget residents with no strictly better placement.
     pub blocked_no_target: usize,
-    /// Moves abandoned at commit time (lost races).
+    /// Moves abandoned at commit time because a host published since
+    /// the plan (lost races).
     pub failed_commits: usize,
     /// Re-examinations suppressed by the move cooldown.
     pub suppressed_by_cooldown: usize,
@@ -310,27 +314,53 @@ impl RebalanceTotals {
     }
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for v in values {
-        sum += v;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
+/// A resident's host as one step of a pass scores it.
+struct Home<'a> {
+    id: MachineId,
+    /// The host snapshot loaded for this step. The resident's
+    /// degradation, a same-host target and the move's source all read
+    /// it, and a move commits only if the host still holds this `Arc`.
+    snapshot: &'a Arc<HostSnapshot>,
+    /// `snapshot`'s occupancy with the resident's threads freed.
+    occ: OccupancyMap,
+    /// `snapshot`'s residents except the one being scored.
+    others: Vec<ResidentWorkload>,
+}
+
+impl<'a> Home<'a> {
+    /// `snapshot` of host `id` as `resident`, one of its entries, sees
+    /// it: without itself.
+    fn new(id: MachineId, snapshot: &'a Arc<HostSnapshot>, resident: &Resident) -> Home<'a> {
+        let mut occ = snapshot.occupancy().clone();
+        occ.release(&resident.threads)
+            .expect("snapshot registry threads are reserved in the snapshot occupancy");
+        Home {
+            id,
+            snapshot,
+            occ,
+            others: snapshot.resident_workloads_without(resident.ticket),
+        }
     }
 }
 
-/// A planned (not yet executed) move for one over-budget resident.
+/// A planned (not yet executed) move for one over-budget resident: the
+/// placement exactly as scored, and the record it was scored against.
 struct PlannedMove {
     to: MachineId,
-    degradation_after: f64,
+    /// The target's snapshot the placement was scored on — the home
+    /// snapshot when `to` is the resident's own host.
+    target: Arc<HostSnapshot>,
+    placement: AvailablePlacement,
     adjusted_perf: f64,
+    penalty: f64,
 }
 
 impl PlannedMove {
+    /// Predicted degradation in the planned placement.
+    fn degradation_after(&self) -> f64 {
+        1.0 - self.penalty
+    }
+
     /// Whether `self` beats `other`: lower predicted degradation, then
     /// higher adjusted prediction, then staying on the current machine
     /// (an intra-machine node-set move is the §7 setting the Table 2
@@ -339,7 +369,7 @@ impl PlannedMove {
     fn beats(&self, other: &PlannedMove, src: MachineId) -> bool {
         let key = |m: &PlannedMove| {
             (
-                m.degradation_after,
+                m.degradation_after(),
                 -m.adjusted_perf,
                 (m.to != src) as u8,
                 m.to.0,
@@ -363,53 +393,64 @@ impl PlacementEngine {
     ///    real neighbour workloads running. Within budget → untouched.
     /// 2. **Plan** the best alternative placement fleet-wide for each
     ///    over-budget resident (lowest predicted degradation, then
-    ///    highest adjusted prediction, then lowest machine id), scored
-    ///    against per-host snapshots exactly like admission.
+    ///    highest adjusted prediction, then lowest machine id): every
+    ///    summary-admissible host is scored over its full availability
+    ///    orbits on its published snapshot.
     /// 3. **Price** the move with [`RebalancePolicy::model`] in
     ///    [`RebalancePolicy::mode`] and execute it only when
     ///    `benefit_s > cost_s` ([`RebalancePolicy`] documents both
     ///    sides). Everything expensive — co-location simulation,
-    ///    pricing — happens on snapshots with no host lock held; the
-    ///    executed move only locks for the reserve/registry/release
-    ///    bookkeeping, and a lost race is counted, not forced.
+    ///    pricing — happens on snapshots with no host lock held.
+    /// 4. **Commit** the planned placement under the host lock(s), only
+    ///    if both hosts still hold the snapshots the plan scored; a
+    ///    host that published meanwhile makes the move a counted
+    ///    [`RebalanceReport::failed_commits`], never a forced one.
     ///
     /// The moved container keeps its [`PlacementTicket`], so handles
     /// returned at admission still release it.
     pub fn rebalance(&self, policy: &RebalancePolicy) -> RebalanceReport {
         let mut report = RebalanceReport::default();
         let mut scope = LockScope::new();
-        let pass = self.begin_rebalance_pass();
+        // The engine-wide pass clock (1-based) ticks even when the
+        // budget is unset.
+        let pass = self.counters.rebalance_passes.incr() + 1;
         let Some(budget) = self.config().degradation_budget else {
             return report;
         };
         report.pass = pass;
         let mut pass_moved_gb = 0.0_f64;
         for src in self.machine_ids() {
-            let snapshot = self.host_snapshot(src);
-            for resident in snapshot.residents() {
+            let listed = self.host_snapshot(src);
+            for entry in listed.residents() {
                 report.scanned += 1;
                 // Hysteresis: a just-moved ticket is not even re-scored
                 // until its cooldown expires — re-moving it would pay a
                 // second freeze to chase a landscape that is still
                 // settling around the first move.
-                if policy.cooling(resident, pass) {
+                if policy.cooling(entry, pass) {
                     report.suppressed_by_cooldown += 1;
                     continue;
                 }
                 // Fresh per-resident snapshot: earlier moves in this
                 // same pass changed the landscape.
-                let Some((occ_minus, others)) = self.host_view_without(src, resident.ticket)
-                else {
+                let snapshot = self.host_snapshot(src);
+                let Some(resident) = snapshot.resident(entry.ticket) else {
                     continue; // departed since the outer snapshot
                 };
-                let degradation =
-                    1.0 - self.resident_penalty(&scope, src, resident, &occ_minus, &others);
+                let home = Home::new(src, &snapshot, resident);
+                let degradation = 1.0
+                    - self.hosts[src.0].interference(&scope).penalty(
+                        &resident.request.workload,
+                        &resident.spec.nodes,
+                        &resident.threads,
+                        &home.occ,
+                        &home.others,
+                    );
                 if degradation <= budget {
                     continue;
                 }
                 report.over_budget += 1;
-                let Some(plan) =
-                    self.plan_move(&scope, src, resident, degradation, &occ_minus, &others)
+                let Some(plan) = self.plan_move(&scope, &home, &resident.request, degradation)
                 else {
                     report.blocked_no_target += 1;
                     continue;
@@ -417,12 +458,15 @@ impl PlacementEngine {
                 // Price the move — Table 2, on the real descriptor (so
                 // generated or renamed workloads keep their calibrated
                 // THP fraction).
-                let workload = self
-                    .workload_descriptor(&scope, src, &resident.request.workload)
+                let workload = self.hosts[src.0]
+                    .sim(&scope)
+                    .workloads()
+                    .iter()
+                    .find(|w| w.name == resident.request.workload)
                     .expect("resident workloads resolve against their host's oracle");
-                let estimate = policy.model.estimate(&workload, policy.mode);
-                if policy.benefit_s(degradation, plan.degradation_after) <= policy.cost_s(&estimate)
-                {
+                let estimate = policy.model.estimate(workload, policy.mode);
+                let degradation_after = plan.degradation_after();
+                if policy.benefit_s(degradation, degradation_after) <= policy.cost_s(&estimate) {
                     report.blocked_by_cost += 1;
                     continue;
                 }
@@ -435,24 +479,22 @@ impl PlacementEngine {
                         continue;
                     }
                 }
-                let executed = self.execute_move(
-                    &mut scope, pass, src, resident, &plan, degradation, policy, &estimate,
-                );
-                match executed {
-                    Ok((placed, degradation_after)) => {
+                let to = plan.to;
+                match self.commit_move(&mut scope, pass, &home, resident, plan) {
+                    Some(placed) => {
                         pass_moved_gb += estimate.moved_gb;
                         report.migrations.push(Migration {
                             ticket: resident.ticket,
                             workload: resident.request.workload.clone(),
                             from: src,
-                            to: plan.to,
+                            to,
                             degradation_before: degradation,
                             degradation_after,
                             estimate,
                             placed,
                         })
                     }
-                    Err(()) => report.failed_commits += 1,
+                    None => report.failed_commits += 1,
                 }
             }
         }
@@ -462,24 +504,21 @@ impl PlacementEngine {
 
     /// The best alternative placement for an over-budget resident:
     /// every machine class is re-evaluated from the original admission
-    /// request (warm-cache work), every summary-admissible host scored
-    /// against its snapshot — the resident's own host scored *minus
-    /// itself* (over `occ_minus`/`others`, the caller's already-taken
-    /// minus-self view), so staying on freed-up local nodes competes
-    /// fairly with moving away. Returns `None` when no candidate
-    /// strictly improves on `degradation_before`.
+    /// `request` (warm-cache work) and every summary-admissible host
+    /// scored on its snapshot — the resident's own host *minus itself*
+    /// (`home`), so staying on freed-up local nodes competes fairly
+    /// with moving away. Returns `None` when no candidate strictly
+    /// improves on `degradation_before`.
     fn plan_move(
         &self,
         scope: &LockScope,
-        src: MachineId,
-        resident: &Resident,
+        home: &Home<'_>,
+        request: &PlacementRequest,
         degradation_before: f64,
-        occ_minus: &vc_topology::OccupancyMap,
-        others: &[vc_core::interference::ResidentWorkload],
     ) -> Option<PlannedMove> {
         let mut best: Option<PlannedMove> = None;
         for class in 0..self.fleet_index().num_classes() {
-            let Ok(cand) = self.evaluate(scope, class, &resident.request) else {
+            let Ok(cand) = self.evaluate(scope, class, request) else {
                 continue;
             };
             for &id in self.fleet_index().classes()[class].members() {
@@ -488,34 +527,34 @@ impl PlacementEngine {
                 // is skipped without being locked, cloned or scored.
                 // (The victim's own host is exempt — minus-self it has
                 // at least its current placement free.)
-                if id != src && !cand.fits_summary(&self.hosts[id.0].summary) {
+                if id != home.id && !cand.fits_summary(&self.hosts[id.0].summary) {
                     continue;
                 }
-                // Every target is scored over the *full* availability
-                // orbits — the victim's own host minus-self (the
-                // fragmentation-first head is exactly the set beside
-                // the noisy neighbour), other hosts on their published
-                // views. Snapshot reads are wait-free, so the whole
-                // fleet scan is zero-lock and the rebalancer sees the
-                // least-interfering realisation everywhere instead of
-                // admission's fragmentation-first head.
-                let scored = if id == src {
-                    self.best_escape_on_view(scope, id, &cand, occ_minus, others)
+                let (target, scored) = if id == home.id {
+                    let scored =
+                        self.best_escape_on_view(scope, id, &cand, &home.occ, &home.others);
+                    (Arc::clone(home.snapshot), scored)
                 } else {
-                    let (occ, residents) = self.host_view(id);
-                    self.best_escape_on_view(scope, id, &cand, &occ, &residents)
+                    let target = self.host_snapshot(id);
+                    let residents = target.resident_workloads();
+                    let scored =
+                        self.best_escape_on_view(scope, id, &cand, target.occupancy(), &residents);
+                    (target, scored)
                 };
-                let Some((_, p, penalty)) = scored else { continue };
-                let degradation_after = 1.0 - penalty;
-                if degradation_after >= degradation_before {
+                let Some((placement, adjusted_perf, penalty)) = scored else {
                     continue;
-                }
+                };
                 let plan = PlannedMove {
                     to: id,
-                    degradation_after,
-                    adjusted_perf: p,
+                    target,
+                    placement,
+                    adjusted_perf,
+                    penalty,
                 };
-                if best.as_ref().is_none_or(|b| plan.beats(b, src)) {
+                if plan.degradation_after() >= degradation_before {
+                    continue;
+                }
+                if best.as_ref().is_none_or(|b| plan.beats(b, home.id)) {
                     best = Some(plan);
                 }
             }
@@ -523,63 +562,132 @@ impl PlacementEngine {
         best
     }
 
-    /// Executes a planned move: re-score on a fresh snapshot of the
-    /// target, **re-validate the improvement and the cost gate against
-    /// that fresh score** (a concurrent admission may have landed a
-    /// noisy neighbour on the target since the plan — the rebalancer
-    /// must never pay a migration to make things worse), then — under
-    /// the host lock(s), taken in machine-id order so concurrent
-    /// passes cannot deadlock — reserve the new threads, re-home the
-    /// registry entry (same ticket, stamped with `pass`) and free the
-    /// old threads. Returns the new placement plus the fresh predicted
-    /// degradation it was committed at. The lock-held part is pure
-    /// bookkeeping; nothing there simulates or prices.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_move(
+    /// The least-interfering goal-clearing placement on a host
+    /// snapshot: scans *every* hostable realisation of every class
+    /// (full availability orbits, not admission's fragmentation-first
+    /// head) and minimises predicted degradation, then maximises the
+    /// adjusted prediction. On the victim's own host the head would
+    /// re-offer a stacked victim the very node set beside its noisy
+    /// neighbour; the rebalancer pays the O(orbit) penalty lookups on
+    /// every target it scores, so it sees the best realisation
+    /// everywhere.
+    fn best_escape_on_view(
+        &self,
+        scope: &LockScope,
+        id: MachineId,
+        cand: &Candidate,
+        occ: &OccupancyMap,
+        residents: &[ResidentWorkload],
+    ) -> Option<(AvailablePlacement, f64, f64)> {
+        let host = &self.hosts[id.0];
+        let interference = host.interference(scope);
+        let mut best: Option<(AvailablePlacement, f64, f64)> = None;
+        for (i, ip) in cand.catalog.placements.iter().enumerate() {
+            let idle_p = cand.predicted[ip.id - 1];
+            if idle_p < cand.goal_perf {
+                continue;
+            }
+            for ap in cand
+                .catalog
+                .availability
+                .realisations(i, &host.machine, occ)
+            {
+                let penalty = interference.penalty(
+                    &cand.request.workload,
+                    &ap.spec.nodes,
+                    &ap.threads,
+                    occ,
+                    residents,
+                );
+                let p = idle_p * penalty;
+                if p < cand.goal_perf {
+                    continue;
+                }
+                let better = match &best {
+                    None => true,
+                    Some((_, bp, bpen)) => penalty > *bpen || (penalty == *bpen && p > *bp),
+                };
+                if better {
+                    best = Some((ap, p, penalty));
+                }
+            }
+        }
+        best
+    }
+
+    /// Commits `plan` for `resident` (an entry of `home.snapshot`) as
+    /// rebalance pass `pass`: the placement exactly as scored, if and
+    /// only if, under the host lock(s), the source still holds
+    /// `home.snapshot` and the target `plan.target`. Equal `Arc`s mean
+    /// equal records, so the bookkeeping — free the old threads,
+    /// reserve the new ones, re-home the registry entry (same ticket,
+    /// stamped with `pass`) and, across hosts, the location map —
+    /// cannot fail. `None` when either host published since the plan:
+    /// nothing is changed or published, and the next pass retries.
+    ///
+    /// Cross-host moves lock through [`Self::lock_pair`], so concurrent
+    /// passes (and commits, which take one lock at a time) cannot
+    /// deadlock. Nothing in here simulates or prices — the guards hold
+    /// the scope every simulating path borrows.
+    fn commit_move(
         &self,
         scope: &mut LockScope,
         pass: u64,
-        src: MachineId,
+        home: &Home<'_>,
         resident: &Resident,
-        plan: &PlannedMove,
-        degradation_before: f64,
-        policy: &RebalancePolicy,
-        estimate: &MigrationEstimate,
-    ) -> Result<(Placed, f64), ()> {
-        let dst = plan.to;
-        // Fresh target snapshot → concrete threads (may simulate on a
-        // cold penalty miss; still no lock held).
-        let cand = self
-            .evaluate(scope, self.machine_class(dst), &resident.request)
-            .map_err(|_| ())?;
-        let (ap, p, penalty) = if dst == src {
-            let (occ, residents) = self.host_view_without(src, resident.ticket).ok_or(())?;
-            self.best_escape_on_view(scope, dst, &cand, &occ, &residents)
-                .ok_or(())?
-        } else {
-            // Full-orbit re-validation, matching the plan's scoring —
-            // an admission-style head scan here could land the move on
-            // a different (worse) realisation than the one planned.
-            let (occ, residents) = self.host_view(dst);
-            self.best_escape_on_view(scope, dst, &cand, &occ, &residents)
-                .ok_or(())?
+        plan: PlannedMove,
+    ) -> Option<Placed> {
+        const SCORED_FREE: &str = "the planned threads are free in the record they were scored on";
+        let (src, dst) = (home.id, plan.to);
+        let placed = Placed {
+            ticket: resident.ticket,
+            machine: dst,
+            placement_id: plan.placement.id,
+            spec: plan.placement.spec,
+            threads: plan.placement.threads,
+            predicted_perf: plan.adjusted_perf,
+            interference_penalty: plan.penalty,
+            goal_perf: resident.goal_perf,
+            goal_met: plan.adjusted_perf >= resident.goal_perf,
         };
-        let degradation_after = 1.0 - penalty;
-        if degradation_after >= degradation_before
-            || policy.benefit_s(degradation_before, degradation_after) <= policy.cost_s(estimate)
-        {
-            return Err(()); // the target degraded since the plan
+        if src == dst {
+            let mut host = self.lock_host(scope, &self.hosts[src.0]);
+            if !host.unchanged_since(home.snapshot) {
+                return None;
+            }
+            // Free first: the new node set may overlap the old one.
+            host.release(&resident.threads);
+            host.reserve(&placed.threads).expect(SCORED_FREE);
+            host.rehome(&placed, pass);
+            return Some(placed);
         }
-        self.commit_move(scope, src, dst, resident, (ap, p, penalty), pass)
-            .map(|placed| (placed, degradation_after))
+        let (mut from, mut to) = self.lock_pair(scope, src, dst);
+        if !from.unchanged_since(home.snapshot) || !to.unchanged_since(&plan.target) {
+            return None;
+        }
+        to.reserve(&placed.threads).expect(SCORED_FREE);
+        let entry = from
+            .remove_resident(resident.ticket)
+            .expect("the scored record holds the resident");
+        from.release(&entry.threads);
+        to.insert_resident(entry);
+        to.rehome(&placed, pass);
+        // Update the location map while both host locks are held, so a
+        // concurrent release never observes a map entry pointing at a
+        // host that has already given the container up.
+        self.locations
+            .with(to.witness(), |map| map.insert(resident.ticket.0, dst.0));
+        Some(placed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::fast_test_config;
+    use crate::EngineConfig;
     use vc_core::placement::PlacementSpec;
-    use vc_topology::NodeId;
+    use vc_topology::{machines, NodeId};
 
     fn estimate(moved_gb: f64, frozen_s: f64) -> MigrationEstimate {
         MigrationEstimate {
@@ -623,8 +731,6 @@ mod tests {
         let empty = RebalanceReport::default();
         assert_eq!(empty.moved_gb().to_bits(), 0.0f64.to_bits());
         assert_eq!(empty.frozen_s().to_bits(), 0.0f64.to_bits());
-        assert_eq!(empty.mean_degradation_before(), 0.0);
-        assert_eq!(empty.mean_degradation_after(), 0.0);
 
         let mut totals = RebalanceTotals::default();
         totals.absorb(&empty);
@@ -666,8 +772,6 @@ mod tests {
         };
         assert_eq!(first.moved_gb(), 36.5);
         assert_eq!(first.frozen_s(), 3.0);
-        assert_eq!(first.mean_degradation_before(), 0.375);
-        assert_eq!(first.mean_degradation_after(), 0.125);
 
         let mut totals = RebalanceTotals::default();
         totals.absorb(&first);
@@ -723,5 +827,136 @@ mod tests {
             short.benefit_s(0.5, 0.25) < short.cost_s(&estimate(36.0, 4.0)),
             "a short-lived container is not worth a long freeze"
         );
+    }
+
+    /// `hosts` AMD hosts scoring interference, with a streamcluster and
+    /// a WiredTiger stacked beside it on host 0. `fill` packs host 0's
+    /// other seven nodes, so the streamcluster's only escape is another
+    /// host. Returns the streamcluster's ticket.
+    fn degraded(hosts: usize, fill: bool) -> (PlacementEngine, PlacementTicket) {
+        let mut engine = PlacementEngine::new(EngineConfig {
+            interference: true,
+            degradation_budget: Some(0.005),
+            ..fast_test_config()
+        });
+        for _ in 0..hosts {
+            engine.add_machine(machines::amd_opteron_6272());
+        }
+        let place = |workload, vcpus, seed| {
+            let req = PlacementRequest::new(workload, vcpus).with_probe_seed(seed);
+            let placed = engine.place(&req).placed().expect("room").clone();
+            assert_eq!(placed.machine, MachineId(0));
+            placed
+        };
+        let mover = place("streamcluster", 4, 0).ticket;
+        assert!(place("WTbtree", 4, 7).interference_penalty < 1.0);
+        let fillers = if fill { 7 } else { 0 };
+        for seed in 0..fillers {
+            place("swaptions", 8, seed);
+        }
+        (engine, mover)
+    }
+
+    /// Publishes an unchanged copy of host `id`'s record: reserving and
+    /// releasing a free node in one critical section leaves the same
+    /// contents under a new `Arc`.
+    fn republish(engine: &PlacementEngine, scope: &mut LockScope, id: MachineId) {
+        let occ = engine.host_snapshot(id).occupancy().clone();
+        let node = (0..occ.num_nodes())
+            .map(NodeId)
+            .find(|&n| occ.free_on_node(n) == occ.capacity_of_node(n))
+            .expect("a free node");
+        let threads = engine.machine(id).threads_on_node(node);
+        let mut guard = engine.lock_host(scope, &engine.hosts[id.0]);
+        guard.reserve(&threads).unwrap();
+        guard.release(&threads);
+    }
+
+    /// Plans the move of `mover` off host 0, runs `between` on the same
+    /// scope with the plan's target, then commits. Returns the target,
+    /// whether the move committed and the host locks the commit took. A
+    /// refused commit must leave every record the same `Arc` and
+    /// publish nothing.
+    fn plan_then_commit(
+        engine: &PlacementEngine,
+        mover: PlacementTicket,
+        between: impl FnOnce(&mut LockScope, MachineId),
+    ) -> (MachineId, bool, u64) {
+        let src = MachineId(0);
+        let mut scope = LockScope::new();
+        let snapshot = engine.host_snapshot(src);
+        let resident = snapshot.resident(mover).expect("the mover lives on host 0");
+        let home = Home::new(src, &snapshot, resident);
+        let plan = engine
+            .plan_move(&scope, &home, &resident.request, 1.0)
+            .expect("an escape exists");
+        let to = plan.to;
+        between(&mut scope, to);
+        let records: Vec<_> = engine
+            .machine_ids()
+            .into_iter()
+            .map(|id| engine.host_snapshot(id))
+            .collect();
+        let published = engine.stats().snapshot.published;
+        let granted = scope.granted();
+        let committed = engine
+            .commit_move(&mut scope, 1, &home, resident, plan)
+            .is_some();
+        if !committed {
+            for (id, record) in engine.machine_ids().into_iter().zip(&records) {
+                let same = Arc::ptr_eq(&engine.host_snapshot(id), record);
+                assert!(same, "{id:?} changed");
+            }
+            let now = engine.stats().snapshot.published;
+            assert_eq!(now, published, "a refusal published");
+        }
+        (to, committed, scope.granted() - granted)
+    }
+
+    /// A cross-host plan whose target published after planning is
+    /// refused — even though the new record's contents equal the
+    /// scored one's — and the mover stays home.
+    #[test]
+    fn a_cross_host_plan_is_refused_once_its_target_publishes() {
+        let (engine, mover) = degraded(2, true);
+        let republished = |scope: &mut LockScope, to| republish(&engine, scope, to);
+        let (to, committed, grants) = plan_then_commit(&engine, mover, republished);
+        assert_eq!(to, MachineId(1), "host 0 is full: the escape is cross-host");
+        assert!(!committed, "a target that published must refuse the move");
+        assert_eq!(grants, 2);
+        engine.audit().unwrap();
+        assert!(engine.host_snapshot(MachineId(0)).resident(mover).is_some());
+    }
+
+    /// A same-host plan whose source published after planning is
+    /// refused the same way.
+    #[test]
+    fn a_same_host_plan_is_refused_once_its_source_publishes() {
+        let (engine, mover) = degraded(1, false);
+        let republished = |scope: &mut LockScope, to| republish(&engine, scope, to);
+        let (to, committed, grants) = plan_then_commit(&engine, mover, republished);
+        assert_eq!(to, MachineId(0), "one host: the escape is same-host");
+        assert!(!committed, "a source that published must refuse the move");
+        assert_eq!(grants, 1);
+        engine.audit().unwrap();
+    }
+
+    /// Against unchanged records a plan commits, taking one host lock
+    /// per host it touches, and lands where it was scored.
+    #[test]
+    fn an_unchanged_plan_commits_with_one_lock_per_host() {
+        for (hosts, fill, expected_to, expected_grants) in
+            [(1, false, MachineId(0), 1), (2, true, MachineId(1), 2)]
+        {
+            let (engine, mover) = degraded(hosts, fill);
+            let (to, committed, grants) = plan_then_commit(&engine, mover, |_, _| {});
+            assert_eq!(to, expected_to);
+            assert!(committed, "nothing changed since the plan");
+            assert_eq!(grants, expected_grants);
+            engine.audit().unwrap();
+            let home = engine.host_snapshot(to);
+            let moved = home.resident(mover).expect("re-homed");
+            assert_eq!(moved.moved_in_pass, Some(1));
+        }
     }
 }

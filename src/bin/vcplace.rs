@@ -114,6 +114,12 @@ fn cmd_serve(args: &[String]) {
             _ => usage(),
         }
     }
+    // `EngineConfig::degradation_budget` is a fraction in [0, 1): NaN or
+    // a negative budget condemns every resident, and ≥ 1 condemns none.
+    if !(0.0..1.0).contains(&budget) {
+        eprintln!("--budget {budget} is outside [0, 1)");
+        std::process::exit(2);
+    }
 
     eprintln!("training the fleet model...");
     let mut engine = PlacementEngine::new(EngineConfig {

@@ -157,6 +157,25 @@ fn pack_rejects_bad_input_with_one_line_and_exit_1() {
     }
 }
 
+/// `vcplace serve --budget` must be a fraction in `[0, 1)`: NaN,
+/// negative and ≥ 1 budgets are refused before training with one line
+/// and exit 2. `--demo` bounds the run should one be accepted.
+#[test]
+fn serve_rejects_a_budget_outside_the_unit_interval() {
+    for budget in ["nan", "-0.1", "1.5"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vcplace"))
+            .args(["serve", "--budget", budget, "--demo"])
+            .output()
+            .expect("vcplace runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--budget {budget}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "--budget {budget}: {stderr}");
+        let named = stderr.contains("outside [0, 1)");
+        assert!(named, "--budget {budget}: {stderr}");
+        assert!(out.stdout.is_empty(), "--budget {budget} started serving");
+    }
+}
+
 #[test]
 fn oracle_metrics_are_consistent_across_crates() {
     // The workload metric advertised by vc-workloads is what vc-sim
