@@ -95,8 +95,8 @@ fn record(
          \"place_p50_us\":{:.1},\"place_tail_percentile\":{},\"place_tail_us\":{:.1},\
          \"place_tail_samples_beyond\":{beyond},\
          \"release_samples\":{},\"release_p50_us\":{:.1},\
-         \"rebalance_passes\":{},\"migrations\":{},\"suppressed_by_cooldown\":{},\
-         \"blocked_by_gb_cap\":{},\"moved_gb\":{:.2},\
+         \"rebalance_passes\":{},\"migrations\":{},\"failed_commits\":{},\
+         \"suppressed_by_cooldown\":{},\"blocked_by_gb_cap\":{},\"moved_gb\":{:.2},\
          \"snapshot_reads\":{},\"stale_retries\":{}}}",
         report.place.count(),
         report.placed,
@@ -108,6 +108,7 @@ fn record(
         report.release.quantile_us(0.5),
         rebalance.passes,
         rebalance.migrations,
+        rebalance.failed_commits,
         rebalance.suppressed_by_cooldown,
         rebalance.blocked_by_gb_cap,
         rebalance.moved_gb,

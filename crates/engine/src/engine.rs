@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use vc_core::availability::{AvailabilityIndex, AvailablePlacement, ShapeRequirement};
+use vc_core::availability::{AvailabilityIndex, ShapeRequirement};
 use vc_core::concern::ConcernSet;
 use vc_core::important::{
     important_placements_from_packings, surviving_packings, ImportantPlacement,
@@ -20,10 +20,10 @@ use vc_sync::lock::{LeafMutex, LockScope};
 use vc_sync::{Counter, Domain, KeyedCache};
 use vc_topology::{AvailabilitySketch, Machine, NodeId, OccupancyMap, ThreadId};
 
-use crate::host::{Host, HostGuard, HostSnapshot};
+use crate::host::{Host, HostSnapshot};
 use crate::stats::Counters;
 #[cfg(doc)]
-use crate::stats::{EngineStats, SnapshotCounters};
+use crate::stats::EngineStats;
 
 /// Engine-wide configuration: the training corpus and forest settings
 /// shared by every machine in the fleet. These parameters are part of
@@ -453,31 +453,6 @@ impl FitProbe {
     }
 }
 
-/// Why [`PlacementEngine::release_ticket`] refused a ticket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReleaseError {
-    /// No host's resident registry holds the ticket: the container was
-    /// already released (double release) or the ticket never came from
-    /// a commit on this engine. Nothing was freed.
-    UnknownPlacement {
-        /// The unresolvable ticket.
-        ticket: PlacementTicket,
-    },
-}
-
-impl std::fmt::Display for ReleaseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReleaseError::UnknownPlacement { ticket } => write!(
-                f,
-                "{ticket} is not live on any host: already released, or never committed here"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ReleaseError {}
-
 /// One live container as the engine's resident registry tracks it: the
 /// placement it currently holds plus the request that admitted it (kept
 /// so [`PlacementEngine::rebalance`] can re-score and re-place it).
@@ -551,25 +526,6 @@ impl Candidate {
     /// Whether any placement class is predicted to clear the goal.
     pub(crate) fn goal_met(&self) -> bool {
         self.best_perf >= self.goal_perf
-    }
-}
-
-/// Why a commit attempt on one host produced no placement.
-pub(crate) enum ChooseError {
-    /// No goal-clearing placement class fits the host's free capacity
-    /// (after a summary admitted it, this means the summary was stale
-    /// or expressed a constraint it cannot see).
-    Capacity(String),
-    /// Free capacity exists, but co-location interference pushes every
-    /// hostable class's adjusted prediction below the goal.
-    Interference(String),
-}
-
-impl ChooseError {
-    fn into_message(self) -> String {
-        match self {
-            ChooseError::Capacity(m) | ChooseError::Interference(m) => m,
-        }
     }
 }
 
@@ -669,7 +625,7 @@ pub struct PlacementEngine {
     pub(crate) domain: Domain,
     /// Ticket source: every commit takes the next value, so tickets are
     /// unique across the engine's lifetime (and across hosts).
-    next_ticket: Counter,
+    pub(crate) next_ticket: Counter,
     /// Ticket → current host index. Commit inserts and release removes
     /// the entry; rebalance moves update it — all while holding the
     /// affected host lock(s), so membership is authoritative: a ticket
@@ -910,93 +866,6 @@ impl PlacementEngine {
         self.hosts.iter().map(|h| self.view(h).residents().len()).sum()
     }
 
-    /// Releases a departing container by its handle's ticket — see
-    /// [`Self::release_ticket`]. Only the ticket is read: after a
-    /// [`Self::rebalance`] move the handle's machine and threads are
-    /// stale, and the container is freed wherever it runs *now*.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::release_ticket`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vc_engine::{EngineConfig, MachineId, PlacementEngine, PlacementRequest};
-    /// use vc_topology::machines;
-    ///
-    /// let engine = PlacementEngine::single(
-    ///     machines::amd_opteron_6272(),
-    ///     EngineConfig { extra_synthetic: 0, ..EngineConfig::default() },
-    /// );
-    /// // Four 16-vCPU containers fill the 64-thread machine...
-    /// let req = PlacementRequest::new("WTbtree", 16);
-    /// let live: Vec<_> = (0..4)
-    ///     .map(|_| engine.place(&req).placed().expect("room").clone())
-    ///     .collect();
-    /// assert!(engine.place(&req).placed().is_none());
-    /// // ...until one departs and hands its threads back.
-    /// engine.release(&live[1]).unwrap();
-    /// assert_eq!(engine.utilisation(MachineId(0)), (48, 64));
-    /// let next = engine.place(&req).placed().expect("freed room").clone();
-    /// assert_eq!(next.threads, live[1].threads);
-    /// // A second release of the same handle is refused.
-    /// assert!(engine.release(&live[1]).is_err());
-    /// ```
-    pub fn release(&self, placed: &Placed) -> Result<(), ReleaseError> {
-        self.release_ticket(placed.ticket)
-    }
-
-    /// Releases the container holding `ticket`: removes its registry
-    /// entry and frees the hardware threads it holds *right now*,
-    /// wherever a [`Self::rebalance`] move may have put it. An
-    /// engine-wide location map (maintained under the host locks by
-    /// commit, release and rebalance moves) resolves the ticket in
-    /// O(1), and a racing move between lookup and lock simply retries
-    /// against the updated map — a live container can never be missed.
-    ///
-    /// # Errors
-    ///
-    /// [`ReleaseError::UnknownPlacement`] when no host's registry holds
-    /// the ticket — a double release, or a ticket that never came from
-    /// a commit. The occupancy maps and published summaries are left
-    /// untouched, and the failure is counted in
-    /// [`EngineStats::release_failures`].
-    pub fn release_ticket(&self, ticket: PlacementTicket) -> Result<(), ReleaseError> {
-        // Optimistic loop over the location map: copy the ticket's
-        // current host (never holding the map while taking a host
-        // lock), lock that host, re-validate. A miss under the host
-        // lock means a rebalance move relocated the container between
-        // the copy and the lock — re-read and retry; the map is
-        // updated under the mover's host locks, so the re-read
-        // converges. A ticket absent from the map is authoritatively
-        // dead: only release removes entries.
-        let mut scope = LockScope::new();
-        loop {
-            let location = self
-                .locations
-                .with(&mut scope, |map| map.get(&ticket.0).copied());
-            let Some(idx) = location else {
-                self.counters.release_failures.incr();
-                return Err(ReleaseError::UnknownPlacement { ticket });
-            };
-            let mut host = self.lock_host(&mut scope, &self.hosts[idx]);
-            if let Some(resident) = host.remove_resident(ticket) {
-                // Drop the location entry *before* freeing the threads:
-                // should the release panic (it cannot, by invariant —
-                // but poisoned locks are recovered now, so the ordering
-                // must tolerate a panic at every step), the ticket is
-                // already unresolvable and no later caller can spin on
-                // a registry that will never hold it again.
-                self.locations
-                    .with(host.witness(), |map| map.remove(&ticket.0));
-                host.release(&resident.threads);
-                self.counters.releases.incr();
-                return Ok(());
-            }
-        }
-    }
-
     /// The placement catalog for `vcpus` on a machine (cached per
     /// machine fingerprint).
     pub fn catalog(
@@ -1234,418 +1103,12 @@ impl PlacementEngine {
         })
     }
 
-    /// The placement `try_commit` would choose for `cand` on the given
-    /// host and occupancy: the best goal-clearing class currently
-    /// hostable, via the catalog's precomputed availability index (no
-    /// node-set scoring happens here).
-    ///
-    /// With interference scoring on, each hostable class's idle-host
-    /// prediction is multiplied by the occupancy-conditional co-location
-    /// penalty before the goal filter and the ranking — callers pass an
-    /// occupancy *snapshot* (plus the matching resident-registry
-    /// snapshot, so the penalty probe simulates the *real* neighbour
-    /// workloads) taken outside the host lock, so a penalty cold miss
-    /// simulates without any lock held. With it off, the penalty is
-    /// identically `1.0` and the interference model is never consulted,
-    /// reproducing neighbour-blind scoring bit for bit.
-    ///
-    /// Class preference among goal-clearing, currently-hostable
-    /// classes: fewest nodes (cheapest for the operator), then fewest
-    /// pristine nodes broken open (least fragmentation of contiguous
-    /// room), then highest (adjusted) predicted performance. `Err`
-    /// carries a human-readable reason naming the exhausted node — or
-    /// the interference, when capacity existed but every hostable
-    /// class's adjusted prediction fell below the goal.
-    fn best_available(
-        &self,
-        scope: &LockScope,
-        host: &Host,
-        cand: &Candidate,
-        occ: &OccupancyMap,
-        residents: &[ResidentWorkload],
-    ) -> Result<(AvailablePlacement, f64, f64), ChooseError> {
-        let available = cand.catalog.availability.available(&host.machine, occ);
-        let mut best: Option<(&AvailablePlacement, f64, f64)> = None;
-        let mut interference_blocked = 0usize;
-        for ap in &available {
-            let idle_p = cand.predicted[ap.id - 1];
-            // The penalty is ≤ 1, so a class whose idle-host prediction
-            // already misses the goal cannot clear it adjusted — skip
-            // before the (potentially simulating) penalty lookup.
-            if idle_p < cand.goal_perf {
-                continue;
-            }
-            let penalty = if self.cfg.interference {
-                host.interference(scope).penalty(
-                    &cand.request.workload,
-                    &ap.spec.nodes,
-                    &ap.threads,
-                    occ,
-                    residents,
-                )
-            } else {
-                1.0
-            };
-            let p = idle_p * penalty;
-            if p < cand.goal_perf {
-                interference_blocked += 1;
-                continue;
-            }
-            let rank = (ap.spec.num_nodes(), ap.pristine_consumed);
-            let better = match best {
-                None => true,
-                Some((cur, cur_p, _)) => {
-                    let cur_rank = (cur.spec.num_nodes(), cur.pristine_consumed);
-                    rank < cur_rank || (rank == cur_rank && p > cur_p)
-                }
-            };
-            if better {
-                best = Some((ap, p, penalty));
-            }
-        }
-        match best {
-            Some((ap, p, penalty)) => Ok((ap.clone(), p, penalty)),
-            None if interference_blocked > 0 => Err(ChooseError::Interference(format!(
-                "{}: {interference_blocked} placement class(es) fit the free capacity \
-                 but co-location interference pushes every prediction below the goal",
-                host.machine.name(),
-            ))),
-            None => {
-                let node = occ.most_exhausted_node();
-                Err(ChooseError::Capacity(format!(
-                    "{}: no goal-clearing placement class fits the free capacity \
-                     (node {} exhausted: {}/{} threads free)",
-                    host.machine.name(),
-                    node,
-                    occ.free_on_node(node),
-                    occ.capacity_of_node(node),
-                )))
-            }
-        }
-    }
-
-    /// The predicted performance `try_commit` would deliver for `cand`
-    /// on host `id` right now, without reserving anything, and whether
-    /// the view it scored was idle. Scores against the host view —
-    /// wait-free (zero lock acquisitions), so BestScore dry runs never
-    /// contend with writers and penalty cold misses simulate with no
-    /// lock held.
-    fn offer(
-        &self,
-        scope: &LockScope,
-        id: MachineId,
-        cand: &Candidate,
-    ) -> Result<(f64, bool), ChooseError> {
-        self.counters.offers.incr();
-        let host = &self.hosts[id.0];
-        let view = self.view(host);
-        let residents = if self.cfg.interference {
-            view.resident_workloads()
-        } else {
-            Vec::new()
-        };
-        let idle = view.occupancy().used_threads() == 0;
-        self.best_available(scope, host, cand, view.occupancy(), &residents)
-            .map(|(_, p, _)| (p, idle))
-    }
-
-    /// Attempts to commit a candidate on host `id`: retargets the best
-    /// goal-clearing placement class onto node sets with free hardware
-    /// threads (see [`Self::best_available`]) and reserves those threads
-    /// atomically under the host's occupancy lock; the guard
-    /// re-publishes the host's lock-free views before the lock is
-    /// dropped.
-    ///
-    /// Selection runs against the wait-free host view, so scoring (and
-    /// any penalty cold-miss simulation) never holds the lock; only the
-    /// final all-or-nothing `reserve` does. A concurrent commit that claims
-    /// any chosen thread between view and reservation fails the
-    /// reserve, and the host is re-scored against a fresh view
-    /// (counted in [`SnapshotCounters::stale_retries`]) — the request
-    /// is never bounced off a host that still has room just because of
-    /// a racing neighbour.
-    fn try_commit(
-        &self,
-        scope: &mut LockScope,
-        id: MachineId,
-        cand: &Candidate,
-    ) -> Result<Placed, ChooseError> {
-        let host = &self.hosts[id.0];
-        // The bound is a livelock backstop under pathological external
-        // churn — hitting it degrades to a stale-offer error, never a
-        // bad placement. Single-threaded the first attempt always
-        // succeeds (the view cannot go stale with no other writer).
-        const RACE_RETRIES: usize = 16;
-        for _ in 0..RACE_RETRIES {
-            let view = self.view(host);
-            let residents = if self.cfg.interference {
-                view.resident_workloads()
-            } else {
-                Vec::new()
-            };
-            let (ap, predicted_perf, interference_penalty) =
-                self.best_available(scope, host, cand, view.occupancy(), &residents)?;
-            let mut guard = self.lock_host(scope, host);
-            if guard.reserve(&ap.threads).is_ok() {
-                let placed = self.placed(id, ap, predicted_perf, interference_penalty, cand);
-                self.register(&mut guard, &placed, cand);
-                return Ok(placed);
-            }
-            drop(guard);
-            self.counters.snapshot_stale_retries.incr();
-        }
-        Err(ChooseError::Capacity(format!(
-            "{}: occupancy kept changing between snapshot and commit \
-             ({RACE_RETRIES} races lost)",
-            host.machine.name()
-        )))
-    }
-
-    fn placed(
-        &self,
-        id: MachineId,
-        ap: AvailablePlacement,
-        predicted_perf: f64,
-        interference_penalty: f64,
-        cand: &Candidate,
-    ) -> Placed {
-        Placed {
-            ticket: PlacementTicket(self.next_ticket.incr()),
-            machine: id,
-            placement_id: ap.id,
-            spec: ap.spec,
-            threads: ap.threads,
-            predicted_perf,
-            interference_penalty,
-            goal_perf: cand.goal_perf,
-            goal_met: predicted_perf >= cand.goal_perf,
-        }
-    }
-
-    /// Records a freshly committed placement in the host's resident
-    /// registry and the engine's location map — called under the same
-    /// critical section as the thread reservation, so registry and
-    /// occupancy never disagree and the ticket is releasable the
-    /// moment the committing caller can see it.
-    ///
-    /// Registry before location map: poisoned host locks are recovered,
-    /// so a panic between the two inserts must not leave a location
-    /// entry whose registry entry never appeared — `release` would spin
-    /// forever resolving it. The safe partial state is the reverse
-    /// (registered but unlocatable: the commit panicked before
-    /// returning, so no caller holds the ticket to release).
-    fn register(&self, host: &mut HostGuard<'_>, placed: &Placed, cand: &Candidate) {
-        host.insert_resident(Resident {
-            ticket: placed.ticket,
-            request: cand.request.clone(),
-            placement_id: placed.placement_id,
-            spec: placed.spec.clone(),
-            threads: placed.threads.clone(),
-            predicted_perf: placed.predicted_perf,
-            interference_penalty: placed.interference_penalty,
-            goal_perf: placed.goal_perf,
-            moved_in_pass: None,
-        });
-        self.locations
-            .with(host.witness(), |map| map.insert(placed.ticket.0, placed.machine.0));
-    }
-
-    /// Places a single request (see [`Self::place_batch`]).
-    pub fn place(&self, req: &PlacementRequest) -> PlacementDecision {
-        self.place_batch(std::slice::from_ref(req), BatchStrategy::FirstFit)
-            .pop()
-            .expect("one decision per request")
-    }
-
-    /// Places a stream of requests across the fleet.
-    ///
-    /// Candidate evaluation (probing + prediction, cache-warming on cold
-    /// paths) runs once per `(request, machine class)` — not per host —
-    /// sharded over scoped worker threads; commitment is then sequential
-    /// in request order, so results are deterministic and occupancy
-    /// accounting is exact. Hosts whose lock-free capacity summary rules
-    /// out every goal-clearing placement class are skipped without
-    /// taking their occupancy lock. Each commit reserves the concrete
-    /// hardware threads of a placement class retargeted onto currently
-    /// free node sets (precomputed equivalence classes, no scoring under
-    /// the lock), atomically under the host's occupancy lock — committed
-    /// containers never share hardware threads, even across concurrent
-    /// batches. A host admitted by a stale summary that the occupancy
-    /// map then rejects is excluded and the request re-offered to the
-    /// rest. Requests that fit nowhere — or whose goal no machine class
-    /// is predicted to meet — are rejected with a reason naming the
-    /// exhausted node.
-    pub fn place_batch(
-        &self,
-        reqs: &[PlacementRequest],
-        strategy: BatchStrategy,
-    ) -> Vec<PlacementDecision> {
-        // Phase 1: evaluate every (request, machine class) candidate in
-        // parallel. Pure reads plus cache fills; no capacity is touched.
-        let mut scope = LockScope::new();
-        let candidates = self.evaluate_candidates(&scope, reqs);
-
-        // Phase 2: commit sequentially in request order. A commit that
-        // finds a host exhausted (either by earlier requests in this
-        // batch or by a concurrent batch) removes the host from this
-        // request's consideration and re-plans on the rest.
-        let mut decisions = Vec::with_capacity(reqs.len());
-        for options in candidates {
-            decisions.push(self.commit_one(&mut scope, &options, strategy));
-        }
-        decisions
-    }
-
-    /// Phase 2 for one request: pick hosts by `strategy` among the
-    /// members of goal-clearing classes, prefiltered by capacity
-    /// summaries, until a lock-validated commit succeeds.
-    fn commit_one(
-        &self,
-        scope: &mut LockScope,
-        options: &[Result<Candidate, String>],
-        strategy: BatchStrategy,
-    ) -> PlacementDecision {
-        let mut commit_errors: Vec<String> = Vec::new();
-        let mut tried = vec![false; self.hosts.len()];
-        // Hosts the summary prefilter ruled out, as of the last pass
-        // (used to explain rejections without ever locking them), and
-        // hosts whole shards of which the sketch descent never read.
-        let mut skipped: Vec<usize>;
-        let mut sketch_skipped: usize;
-        // Viable class candidates, indexed by class for host lookup.
-        let mut viable: Vec<Option<&Candidate>> = vec![None; self.fleet.num_classes()];
-        for c in options.iter().filter_map(|c| c.as_ref().ok()) {
-            if c.goal_met() {
-                viable[c.class] = Some(c);
-            }
-        }
-        loop {
-            skipped = Vec::new();
-            sketch_skipped = 0;
-            let chosen: Option<(MachineId, &Candidate)> = match strategy {
-                BatchStrategy::FirstFit => {
-                    // The first member (fleet order) of a goal-clearing
-                    // class whose summary leaves room wins.
-                    let mut found = None;
-                    self.walk_admitted(&viable, &tried, &mut skipped, &mut sketch_skipped, |id, cand| {
-                        found = Some((id, cand));
-                        true
-                    });
-                    found
-                }
-                BatchStrategy::BestScore => {
-                    // Class-ranked, lazily-realised commitment (the
-                    // fleet-scale shape of "best predicted machine"):
-                    //
-                    // 1. machine classes are ranked by their idle-host
-                    //    ceiling (best goal-clearing prediction),
-                    //    descending;
-                    // 2. members of the leading classes are dry-run in
-                    //    fleet order — each offer is the occupancy-
-                    //    (and, when enabled, interference-) adjusted
-                    //    score of the placement a commit would take;
-                    // 3. a class's walk stops at its first *idle*
-                    //    member: every other idle member would offer
-                    //    the identical class-canonical placement and
-                    //    then lose the lowest-id tie-break;
-                    // 4. branch-and-bound over the remaining classes:
-                    //    an offer never exceeds its class's ceiling, so
-                    //    once the best offer found so far beats a
-                    //    class's ceiling outright, that class (and
-                    //    every lower-ranked one) is never realised —
-                    //    it provably cannot produce a better offer.
-                    //    Ceiling ties keep walking, preserving the
-                    //    lowest-id tie-break.
-                    //
-                    // The best offer wins (highest adjusted score, ties
-                    // to the lowest machine id) — deterministic, and on
-                    // multi-class fleets the dry-run count collapses
-                    // from one per admitted host to a handful
-                    // ([`EngineStats::offers`]; the fleet bench records
-                    // it at both 10 and 1000 hosts).
-                    let mut ranked: Vec<&Candidate> = viable.iter().filter_map(|c| *c).collect();
-                    ranked.sort_by(|a, b| b.best_perf.total_cmp(&a.best_perf));
-                    let mut best: Option<(MachineId, &Candidate, f64)> = None;
-                    let mut failed: Vec<(MachineId, ChooseError)> = Vec::new();
-                    for cand in ranked {
-                        if let Some((_, _, bp)) = best {
-                            if cand.best_perf < bp {
-                                break; // no member can beat or tie the best offer
-                            }
-                        }
-                        let mut class_only: Vec<Option<&Candidate>> =
-                            vec![None; self.fleet.num_classes()];
-                        class_only[cand.class] = Some(cand);
-                        self.walk_admitted(&class_only, &tried, &mut skipped, &mut sketch_skipped, |id, cand| {
-                            match self.offer(scope, id, cand) {
-                                Ok((p, idle)) => {
-                                    let better = match best {
-                                        None => true,
-                                        Some((bid, _, bp)) => p > bp || (p == bp && id < bid),
-                                    };
-                                    if better {
-                                        best = Some((id, cand, p));
-                                    }
-                                    idle
-                                }
-                                Err(e) => {
-                                    failed.push((id, e));
-                                    false
-                                }
-                            }
-                        });
-                    }
-                    for (id, e) in failed {
-                        self.count_choose_error(&e);
-                        tried[id.0] = true;
-                        commit_errors.push(e.into_message());
-                    }
-                    best.map(|(id, cand, _)| (id, cand))
-                }
-            };
-            let Some((id, cand)) = chosen else {
-                return PlacementDecision::Rejected {
-                    reason: self.rejection_reason(
-                        options,
-                        &commit_errors,
-                        &skipped,
-                        sketch_skipped,
-                    ),
-                };
-            };
-            tried[id.0] = true;
-            match self.try_commit(scope, id, cand) {
-                Ok(p) => return PlacementDecision::Placed(p),
-                Err(e) => {
-                    // The summary admitted the host but selection found
-                    // no placement: either the summary was stale
-                    // (occupancy is the authority) or interference
-                    // blocked every goal-clearing class. Count which,
-                    // then re-offer on the remaining hosts.
-                    self.count_choose_error(&e);
-                    commit_errors.push(e.into_message());
-                }
-            }
-        }
-    }
-
-    fn count_choose_error(&self, e: &ChooseError) {
-        match e {
-            ChooseError::Capacity(_) => {
-                self.counters.summary_stale.incr();
-            }
-            ChooseError::Interference(_) => {
-                self.counters.interference_blocked.incr();
-            }
-        }
-    }
-
     /// Phase 1 of [`Self::place_batch`]: per request, the candidate
     /// outcome on every machine class, computed on scoped worker
     /// threads. The `(request × class)` grid is sharded row-wise:
     /// each worker evaluates a chunk of requests against all classes,
     /// borrowing the caller's scope.
-    fn evaluate_candidates(
+    pub(crate) fn evaluate_candidates(
         &self,
         scope: &LockScope,
         reqs: &[PlacementRequest],

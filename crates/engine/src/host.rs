@@ -1,19 +1,22 @@
-//! One fleet host: its record of what runs where, the lock-free views
-//! readers consume, and the only handle that can change them.
+//! One fleet host: its record of what runs where, the one pointer
+//! every reader loads it through, and the only handle that can change
+//! it.
 //!
 //! The record is a [`HostSnapshot`] — occupancy map plus resident
-//! registry — and the host keeps exactly one current copy of it: the
-//! `Arc` its mutex guards is the `Arc` its slot last published.
-//! [`HostGuard`] is the one way to change it. The first mutator of a
-//! critical section clones the snapshot (copy-on-write, `Arc::make_mut`)
-//! and marks the guard dirty; `Drop` then computes one fresh sketch
-//! profile, publishes it — as the capacity summary and as the shard's
-//! availability-sketch delta — and publishes that same `Arc` as the
-//! host's snapshot, exactly once, while the mutex is still held. A
-//! published view therefore never lags a completed critical section,
-//! summary and sketch never change apart (the pairing is model-checked
-//! in `tests/interleavings.rs`), and a read-only critical section — a
-//! failed reserve included — neither clones nor publishes.
+//! registry — and the host keeps exactly one pointer to it: its
+//! wait-free slot. The host's mutex guards no data; it serialises
+//! writers, so what a [`HostGuard`] loads from the slot once it holds
+//! the mutex *is* the record until that guard stores. The guard is the
+//! one way to change it. The first mutator of a critical section
+//! clones the snapshot (copy-on-write, `Arc::make_mut`: the slot still
+//! holds the published reference) and marks the guard dirty; `Drop`
+//! then computes one fresh sketch profile, publishes it — as the
+//! capacity summary and as the shard's availability-sketch delta — and
+//! stores the copy in the slot, exactly once, while the mutex is still
+//! held. A published view therefore never lags a completed critical
+//! section, summary and sketch never change apart (the pairing is
+//! model-checked in `tests/interleavings.rs`), and a read-only critical
+//! section — a refused commit included — neither clones nor publishes.
 //!
 //! The mutex is a [`ScopedMutex`]: [`PlacementEngine::lock_host`]
 //! and [`PlacementEngine::lock_pair`] (the one double lock, ordered by
@@ -105,16 +108,17 @@ pub(crate) struct Host {
     oracle: Arc<SimOracle>,
     /// Shared (per topology) memoizing interference model over `oracle`.
     interference: Arc<InterferenceModel>,
-    /// The host's record, the same `Arc` as `snapshot` holds between
-    /// critical sections. Commits, releases and moves lock it;
-    /// candidate evaluation and every read path never do.
-    record: ScopedMutex<Arc<HostSnapshot>>,
+    /// Serialises the host's writers — commits, releases and moves.
+    /// It guards no data (see `snapshot`); candidate evaluation and
+    /// every read path never take it.
+    lock: ScopedMutex<()>,
     /// Lock-free free-capacity summary: the host's last-published
     /// sketch profile, which is also what its shard's availability
     /// sketch counts it as. Admission reads it to skip hopeless hosts
     /// without locking them.
     pub(crate) summary: CapacitySummary,
-    /// The published record every read path loads wait-free.
+    /// The host's record, and the one pointer to it: every read path
+    /// loads it wait-free, and only a [`HostGuard`] stores to it.
     snapshot: Slot<HostSnapshot>,
 }
 
@@ -131,14 +135,14 @@ impl Host {
     ) -> Host {
         let summary = CapacitySummary::new(&machine);
         sketch.attach(&summary.profile());
-        let idle = Arc::new(HostSnapshot {
+        let idle = HostSnapshot {
             occ: OccupancyMap::new(&machine),
             residents: Vec::new(),
-        });
+        };
         Host {
             summary,
-            snapshot: Slot::new(Arc::clone(&idle)),
-            record: ScopedMutex::new(idle),
+            snapshot: Slot::new(Arc::new(idle)),
+            lock: ScopedMutex::new(()),
             machine,
             class,
             shard,
@@ -161,19 +165,22 @@ impl Host {
 
     /// Poisoned acquisitions of this host's mutex recovered so far.
     pub(crate) fn poison_recoveries(&self) -> u64 {
-        self.record.recoveries()
+        self.lock.recoveries()
     }
 }
 
 /// A locked host. Reads go through the accessors; the mutators are the
 /// only code that can change the record, and the first one to change
-/// it clones it and marks the guard dirty, so `Drop` publishes the
-/// clone before the mutex unlocks. It keeps the caller's [`LockScope`]
+/// it clones it and marks the guard dirty, so `Drop` stores the clone
+/// before the mutex unlocks. It keeps the caller's [`LockScope`]
 /// mutably borrowed.
 pub(crate) struct HostGuard<'s> {
     engine: &'s PlacementEngine,
     host: &'s Host,
-    record: ScopedGuard<'s, Arc<HostSnapshot>>,
+    lock: ScopedGuard<'s, ()>,
+    /// The record as the slot held it when the lock was taken, and
+    /// this critical section's copy once a mutator has run.
+    record: Arc<HostSnapshot>,
     dirty: bool,
 }
 
@@ -181,11 +188,11 @@ impl<'s> HostGuard<'s> {
     /// The witness that enters a leaf lock (the location map) under
     /// this host lock.
     pub(crate) fn witness(&mut self) -> &mut (impl Witness + use<'s>) {
-        &mut self.record
+        &mut self.lock
     }
 
     /// The record, writable: cloned on the critical section's first
-    /// write (the slot still holds the published copy), in place after.
+    /// write (the slot holds the published reference), in place after.
     fn edit(&mut self) -> &mut HostSnapshot {
         self.dirty = true;
         Arc::make_mut(&mut self.record)
@@ -251,10 +258,10 @@ impl Drop for HostGuard<'_> {
     /// Publishes a changed record to every lock-free view while the
     /// mutex is still held: one fresh sketch profile goes to the shard
     /// sketch as a delta against the profile the summary still holds,
-    /// then into the summary; the record itself goes into the snapshot
-    /// slot. A panicking critical section publishes nothing: the mutex
-    /// is poisoned instead, and the recovering acquirer's own
-    /// publication catches the views up.
+    /// then into the summary; the record itself goes into the slot. A
+    /// panicking critical section publishes nothing: its copy dies with
+    /// the guard, so the slot keeps the record exactly as it was, and
+    /// the next acquirer recovers the poisoned mutex onto it.
     fn drop(&mut self) {
         if !self.dirty || std::thread::panicking() {
             return;
@@ -272,16 +279,16 @@ impl Drop for HostGuard<'_> {
 impl PlacementEngine {
     /// Acquires a host's mutex through the caller's scope, counting the
     /// acquisition and recovering a poisoned guard. Recovery is sound
-    /// because every critical section leaves the record consistent at
-    /// each step: `reserve`/`release` are all-or-nothing, and
-    /// registry/location updates are ordered so a panic between them
-    /// strands nothing unreleasable (see `register`/`release`). Each
+    /// because a panicking critical section stores nothing: the record
+    /// is still the one the last completed section published, and the
+    /// location-map updates are ordered so that a panic strands nothing
+    /// unreleasable (see `register` and `release_ticket`). Each
     /// recovery is counted in
     /// [`EngineStats::lock_poison_recoveries`](crate::EngineStats::lock_poison_recoveries)
     /// — the panic that caused it still means a writer died mid-flight.
     pub(crate) fn lock_host<'s>(&'s self, scope: &'s mut LockScope, host: &'s Host) -> HostGuard<'s> {
         self.counters.host_lock_acquisitions.incr();
-        self.guard(host, host.record.lock(scope))
+        self.guard(host, host.lock.lock(scope))
     }
 
     /// Locks two distinct hosts, lower machine id first — the one
@@ -295,9 +302,9 @@ impl PlacementEngine {
         b: MachineId,
     ) -> (HostGuard<'s>, HostGuard<'s>) {
         let (lo, hi) = (&self.hosts[a.0.min(b.0)], &self.hosts[a.0.max(b.0)]);
-        let (lo_record, hi_record) = ScopedMutex::lock_two(&lo.record, &hi.record, scope);
+        let (lo_lock, hi_lock) = ScopedMutex::lock_two(&lo.lock, &hi.lock, scope);
         self.counters.host_lock_acquisitions.add(2);
-        let (lo_guard, hi_guard) = (self.guard(lo, lo_record), self.guard(hi, hi_record));
+        let (lo_guard, hi_guard) = (self.guard(lo, lo_lock), self.guard(hi, hi_lock));
         if a < b {
             (lo_guard, hi_guard)
         } else {
@@ -305,15 +312,14 @@ impl PlacementEngine {
         }
     }
 
-    fn guard<'s>(
-        &'s self,
-        host: &'s Host,
-        record: ScopedGuard<'s, Arc<HostSnapshot>>,
-    ) -> HostGuard<'s> {
+    /// A guard over `host`, whose other writers `lock` excludes: the
+    /// slot's current value is the record until this guard stores.
+    fn guard<'s>(&'s self, host: &'s Host, lock: ScopedGuard<'s, ()>) -> HostGuard<'s> {
         HostGuard {
             engine: self,
             host,
-            record,
+            lock,
+            record: host.snapshot.load(&self.domain),
             dirty: false,
         }
     }
@@ -326,23 +332,18 @@ impl PlacementEngine {
         host.snapshot.load(&self.domain)
     }
 
-    /// Checks, host by host under its lock, that the published snapshot
-    /// *is* the record (one `Arc`, so no critical section copied the
-    /// record without publishing it), that the registry's thread sets
-    /// are pairwise disjoint and cover exactly the occupancy's used
-    /// threads, that the summary's profile (which its shard sketch
-    /// counts) is the occupancy's, and that every registry ticket
-    /// resolves to this host in the location map. Exact at quiescence
-    /// (no critical section in flight); `Err` names the first
-    /// divergence.
+    /// Checks, host by host under its lock, that the record's registry
+    /// thread sets are pairwise disjoint and cover exactly the
+    /// occupancy's used threads, that the summary's profile (which its
+    /// shard sketch counts) is the occupancy's, and that every registry
+    /// ticket resolves to this host in the location map. Exact at
+    /// quiescence (no critical section in flight); `Err` names the
+    /// first divergence.
     pub fn audit(&self) -> Result<(), String> {
         let mut scope = LockScope::new();
         for (i, host) in self.hosts.iter().enumerate() {
             let mut guard = self.lock_host(&mut scope, host);
             let record = Arc::clone(&guard.record);
-            if !Arc::ptr_eq(&record, &host.snapshot.load(&self.domain)) {
-                return Err(format!("host {i}: the published snapshot is not the record"));
-            }
             let occ = &record.occ;
             let mut owner = vec![None; occ.total_threads()];
             for r in &record.residents {
@@ -401,7 +402,7 @@ mod tests {
     /// A dirty guard publishes summary, sketch and snapshot exactly
     /// once, on drop; a guard that only reads — or whose reserve fails
     /// — neither copies the record nor publishes anything.
-    /// `try_commit`'s lost-reserve path relies on the latter.
+    /// A refused commit relies on the latter.
     #[test]
     fn dirty_guards_publish_once_and_clean_guards_never() {
         let engine = fleet(1);
@@ -537,12 +538,11 @@ mod tests {
     }
 
     /// A deliberately panicking thread dies while holding host 0's
-    /// mutex, poisoning it. Every critical section in the engine
-    /// is all-or-nothing at the point a panic could unwind, so
-    /// recovery is sound: subsequent commits, releases and accessors
-    /// must recover the guard (counted in
-    /// `EngineStats::lock_poison_recoveries`) instead of propagating
-    /// the poison forever.
+    /// mutex, poisoning it. Its edits die with its guard — the record
+    /// stays the one it found — so recovery is sound: subsequent
+    /// commits, releases and accessors must recover the guard (counted
+    /// in `EngineStats::lock_poison_recoveries`) instead of
+    /// propagating the poison forever.
     #[test]
     fn poisoned_host_lock_is_recovered_and_counted() {
         let engine = fleet(1);
@@ -553,6 +553,7 @@ mod tests {
             .clone();
 
         let published = engine.stats().snapshot.published;
+        let record = engine.host_snapshot(MachineId(0));
         let oracle = std::thread::scope(|s| {
             s.spawn(|| {
                 let mut scope = LockScope::new();
@@ -565,7 +566,7 @@ mod tests {
         });
         assert!(oracle.is_err(), "the oracle must have panicked");
         assert!(
-            engine.hosts[0].record.is_poisoned(),
+            engine.hosts[0].lock.is_poisoned(),
             "the host mutex must actually be poisoned"
         );
         assert_eq!(
@@ -573,8 +574,8 @@ mod tests {
             published,
             "a panicking guard must not publish"
         );
-        let err = engine.audit().unwrap_err();
-        assert!(err.contains("published snapshot is not the record"), "{err}");
+        assert!(Arc::ptr_eq(&engine.host_snapshot(MachineId(0)), &record));
+        engine.audit().unwrap();
 
         let before = engine.stats().lock_poison_recoveries;
         let second = engine

@@ -50,28 +50,34 @@
 //!
 //! # Wait-free reads
 //!
-//! Each host keeps one record of what runs where: an immutable
-//! [`HostSnapshot`] — occupancy plus resident registry, one consistent
-//! pair — whose `Arc` its mutex guards and its single-slot wait-free
-//! cell (`vc_sync::Slot`, QSBR-reclaimed) publishes. It is only
-//! mutable through a lock guard that copies it on the first change
-//! (`Arc::make_mut`) and, on drop, publishes that copy *before* the
-//! host lock is released, together with one fresh sketch profile:
-//! stored as the capacity summary and applied to the shard sketch as a
-//! delta.
+//! Each host keeps one record of what runs where — an immutable
+//! [`HostSnapshot`], occupancy plus resident registry, one consistent
+//! pair — and one pointer to it: its single-slot wait-free cell
+//! (`vc_sync::Slot`, QSBR-reclaimed). The host's mutex guards no data;
+//! it serialises writers, so the record a writer loads under it stays
+//! the record until that writer stores. A writer's guard copies the
+//! record on the first change (`Arc::make_mut`) and, on drop, stores
+//! that copy *before* the host lock is released, together with one
+//! fresh sketch profile: stored as the capacity summary and applied to
+//! the shard sketch as a delta.
 //! Scoring, BestScore dry runs, interference probes, the
 //! utilisation/occupancy accessors and the whole rebalance planning
 //! phase read these snapshots with **zero lock acquisitions** — only
-//! the final all-or-nothing reserve takes the host mutex
-//! (counter-verified via [`EngineStats::host_lock_acquisitions`]). A
-//! snapshot lags the authoritative map by at most one in-flight
-//! critical section — the same staleness contract as the capacity
-//! summary — and a commit that scored against a view a concurrent
-//! writer invalidated simply re-scores against a fresh one
-//! ([`SnapshotCounters::stale_retries`]).
-//! [`PlacementEngine::audit`] checks that every published snapshot is
-//! the record under its lock and that the summaries, registries and
-//! location map agree with it.
+//! the commit takes the host mutex (counter-verified via
+//! [`EngineStats::host_lock_acquisitions`]). A snapshot lags the
+//! record by at most one in-flight critical section — the same
+//! staleness contract as the capacity summary.
+//!
+//! Admissions and rebalance moves commit through one step: a decision
+//! scored on a record commits, under the host lock, only if the host's
+//! record is still that very `Arc` (a record changes identity exactly
+//! once per publication). A plan a concurrent writer invalidated is
+//! re-scored against the fresh record
+//! ([`SnapshotCounters::stale_retries`]), so what a container is
+//! committed with — class, threads, prediction, penalty — is what
+//! serial admission would choose on the record it lands on.
+//! [`PlacementEngine::audit`] checks that the summaries, registries
+//! and location map agree with every record.
 //!
 //! Each public entry point opens one [`vc_sync::lock::LockScope`]. Host
 //! guards borrow it mutably and everything that may simulate borrows it
@@ -119,8 +125,9 @@
 //! only when the predicted benefit beats the migration's own cost —
 //! see the [`rebalance`] module. A move commits the placement it
 //! scored only if both hosts' records are still the snapshot `Arc`s
-//! it scored against; a host that published meanwhile makes it a
-//! counted [`RebalanceReport::failed_commits`], retried next pass.
+//! it scored against; a host that published meanwhile makes it re-plan
+//! once on fresh snapshots, and a second refusal is a counted
+//! [`RebalanceReport::failed_commits`], retried next pass.
 //!
 //! # Quickstart
 //!
@@ -162,16 +169,18 @@
 
 #![warn(missing_docs)]
 
+mod commit;
 mod descent;
 mod engine;
 mod host;
 pub mod rebalance;
 mod stats;
 
+pub use commit::ReleaseError;
 pub use engine::{
     BatchStrategy, EngineConfig, FitProbe, FleetClass, FleetIndex, MachineId, ModelArtifact,
     Placed, PlacementCatalog, PlacementDecision, PlacementEngine, PlacementRequest,
-    PlacementTicket, ReleaseError, Resident,
+    PlacementTicket, Resident,
 };
 pub use host::HostSnapshot;
 /// The memo behind catalogs, training sets and models; it lives in

@@ -21,12 +21,14 @@
 //! benefit over [`RebalancePolicy::expected_runtime_s`] beats the
 //! migration's own lost work. Scoring and pricing run against
 //! snapshots — no simulator call and no migration-model call ever
-//! happens under a host lock. A move commits exactly the placement it
+//! happens under a host lock. A move commits through the same
+//! commit-if-unchanged step as an admission: exactly the placement it
 //! scored, and only if the source and target hosts still hold the very
 //! snapshots it scored against (`Arc` identity, which changes once per
-//! publication); the lock-held part is bookkeeping that cannot fail
-//! against those records, and a host that changed meanwhile counts as
-//! a failed commit.
+//! publication). The lock-held part is bookkeeping that cannot fail
+//! against those records. A move refused because a host changed
+//! meanwhile is re-planned once, on fresh snapshots; a second refusal
+//! counts as a failed commit.
 //!
 //! This module is the whole move path: planning, the gates, and the
 //! commit under the host locks.
@@ -39,6 +41,7 @@ use vc_migration::{MigrationEstimate, MigrationMode, MigrationModel};
 use vc_sync::lock::LockScope;
 use vc_topology::OccupancyMap;
 
+use crate::commit::Plan;
 use crate::engine::{
     Candidate, MachineId, Placed, PlacementEngine, PlacementRequest, PlacementTicket, Resident,
 };
@@ -173,18 +176,21 @@ pub struct RebalanceReport {
     /// predicted benefit did not beat its migration cost.
     pub blocked_by_cost: usize,
     /// Moves abandoned at commit time because the source or the target
-    /// host published after the move was planned. A move commits only
-    /// if each host's record is still the very snapshot `Arc` it
+    /// host published after the move was planned, twice. A move commits
+    /// only if each host's record is still the very snapshot `Arc` it
     /// scored, so any concurrent commit, release or move there — the
     /// resident's own departure included — refuses it, and nothing is
-    /// changed or published. The resident stays where it was; the next
-    /// pass re-plans and retries.
+    /// changed or published. A refused move is examined once more on
+    /// fresh snapshots (and may then move, be blocked, or turn out to
+    /// be within budget); only a second refusal is counted here. The
+    /// resident stays where it was, and the next pass retries.
     pub failed_commits: usize,
     /// Host mutex acquisitions this pass performed — its own
     /// [`LockScope::granted`], so concurrent clients' commits and
     /// releases are never charged to it. Planning is wait-free, so this
-    /// is exactly the commit bookkeeping: one lock per same-host move,
-    /// two per cross-host move, executed or failed — asserted in tests.
+    /// is exactly the commit bookkeeping: one lock per same-host commit
+    /// attempt, two per cross-host attempt, executed or refused —
+    /// asserted in tests.
     pub host_lock_acquisitions: u64,
     /// Engine-wide index of this pass (1-based; the clock
     /// [`RebalancePolicy::cooldown_passes`] counts in). `0` only for
@@ -343,19 +349,10 @@ impl<'a> Home<'a> {
     }
 }
 
-/// A planned (not yet executed) move for one over-budget resident: the
-/// placement exactly as scored, and the record it was scored against.
-struct PlannedMove {
-    to: MachineId,
-    /// The target's snapshot the placement was scored on — the home
-    /// snapshot when `to` is the resident's own host.
-    target: Arc<HostSnapshot>,
-    placement: AvailablePlacement,
-    adjusted_perf: f64,
-    penalty: f64,
-}
-
-impl PlannedMove {
+/// A move plan: [`Plan::host`] is the target, and its record the
+/// target's snapshot — the home snapshot when the move stays on the
+/// resident's own host.
+impl Plan {
     /// Predicted degradation in the planned placement.
     fn degradation_after(&self) -> f64 {
         1.0 - self.penalty
@@ -366,13 +363,13 @@ impl PlannedMove {
     /// (an intra-machine node-set move is the §7 setting the Table 2
     /// costs were measured in; a cross-host move is at best as cheap),
     /// then the lower machine id — a total, deterministic order.
-    fn beats(&self, other: &PlannedMove, src: MachineId) -> bool {
-        let key = |m: &PlannedMove| {
+    fn beats(&self, other: &Plan, src: MachineId) -> bool {
+        let key = |m: &Plan| {
             (
                 m.degradation_after(),
-                -m.adjusted_perf,
-                (m.to != src) as u8,
-                m.to.0,
+                -m.perf,
+                (m.host != src) as u8,
+                m.host.0,
             )
         };
         key(self) < key(other)
@@ -402,9 +399,11 @@ impl PlacementEngine {
     ///    sides). Everything expensive — co-location simulation,
     ///    pricing — happens on snapshots with no host lock held.
     /// 4. **Commit** the planned placement under the host lock(s), only
-    ///    if both hosts still hold the snapshots the plan scored; a
-    ///    host that published meanwhile makes the move a counted
-    ///    [`RebalanceReport::failed_commits`], never a forced one.
+    ///    if both hosts still hold the snapshots the plan scored. A
+    ///    host that published meanwhile refuses the move, which is
+    ///    examined once more on fresh snapshots; a second refusal is a
+    ///    counted [`RebalanceReport::failed_commits`], never a forced
+    ///    move.
     ///
     /// The moved container keeps its [`PlacementTicket`], so handles
     /// returned at admission still release it.
@@ -431,70 +430,78 @@ impl PlacementEngine {
                     report.suppressed_by_cooldown += 1;
                     continue;
                 }
-                // Fresh per-resident snapshot: earlier moves in this
-                // same pass changed the landscape.
-                let snapshot = self.host_snapshot(src);
-                let Some(resident) = snapshot.resident(entry.ticket) else {
-                    continue; // departed since the outer snapshot
-                };
-                let home = Home::new(src, &snapshot, resident);
-                let degradation = 1.0
-                    - self.hosts[src.0].interference(&scope).penalty(
-                        &resident.request.workload,
-                        &resident.spec.nodes,
-                        &resident.threads,
-                        &home.occ,
-                        &home.others,
-                    );
-                if degradation <= budget {
-                    continue;
-                }
-                report.over_budget += 1;
-                let Some(plan) = self.plan_move(&scope, &home, &resident.request, degradation)
-                else {
-                    report.blocked_no_target += 1;
-                    continue;
-                };
-                // Price the move — Table 2, on the real descriptor (so
-                // generated or renamed workloads keep their calibrated
-                // THP fraction).
-                let workload = self.hosts[src.0]
-                    .sim(&scope)
-                    .workloads()
-                    .iter()
-                    .find(|w| w.name == resident.request.workload)
-                    .expect("resident workloads resolve against their host's oracle");
-                let estimate = policy.model.estimate(workload, policy.mode);
-                let degradation_after = plan.degradation_after();
-                if policy.benefit_s(degradation, degradation_after) <= policy.cost_s(&estimate) {
-                    report.blocked_by_cost += 1;
-                    continue;
-                }
-                // Per-pass bandwidth cap: a cost-justified move still
-                // waits for a later pass when this one has already
-                // shifted its GB allowance.
-                if let Some(cap) = policy.max_moved_gb_per_pass {
-                    if pass_moved_gb + estimate.moved_gb > cap {
-                        report.blocked_by_gb_cap += 1;
-                        continue;
+                // A move refused at commit re-plans once, from fresh
+                // snapshots; only a second refusal is a failed commit.
+                for attempt in 0..2 {
+                    // Fresh per-resident snapshot: earlier moves in this
+                    // same pass changed the landscape.
+                    let snapshot = self.host_snapshot(src);
+                    let Some(resident) = snapshot.resident(entry.ticket) else {
+                        break; // departed since the outer snapshot
+                    };
+                    let home = Home::new(src, &snapshot, resident);
+                    let degradation = 1.0
+                        - self.hosts[src.0].interference(&scope).penalty(
+                            &resident.request.workload,
+                            &resident.spec.nodes,
+                            &resident.threads,
+                            &home.occ,
+                            &home.others,
+                        );
+                    if degradation <= budget {
+                        break;
                     }
-                }
-                let to = plan.to;
-                match self.commit_move(&mut scope, pass, &home, resident, plan) {
-                    Some(placed) => {
-                        pass_moved_gb += estimate.moved_gb;
-                        report.migrations.push(Migration {
-                            ticket: resident.ticket,
-                            workload: resident.request.workload.clone(),
-                            from: src,
-                            to,
-                            degradation_before: degradation,
-                            degradation_after,
-                            estimate,
-                            placed,
-                        })
+                    if attempt == 0 {
+                        report.over_budget += 1;
                     }
-                    None => report.failed_commits += 1,
+                    let Some(plan) = self.plan_move(&scope, &home, &resident.request, degradation)
+                    else {
+                        report.blocked_no_target += 1;
+                        break;
+                    };
+                    // Price the move — Table 2, on the real descriptor
+                    // (so generated or renamed workloads keep their
+                    // calibrated THP fraction).
+                    let workload = self.hosts[src.0]
+                        .sim(&scope)
+                        .workloads()
+                        .iter()
+                        .find(|w| w.name == resident.request.workload)
+                        .expect("resident workloads resolve against their host's oracle");
+                    let estimate = policy.model.estimate(workload, policy.mode);
+                    let degradation_after = plan.degradation_after();
+                    let benefit = policy.benefit_s(degradation, degradation_after);
+                    if benefit <= policy.cost_s(&estimate) {
+                        report.blocked_by_cost += 1;
+                        break;
+                    }
+                    // Per-pass bandwidth cap: a cost-justified move still
+                    // waits for a later pass when this one has already
+                    // shifted its GB allowance.
+                    if let Some(cap) = policy.max_moved_gb_per_pass {
+                        if pass_moved_gb + estimate.moved_gb > cap {
+                            report.blocked_by_gb_cap += 1;
+                            break;
+                        }
+                    }
+                    match self.commit_move(&mut scope, pass, &home, resident, plan) {
+                        Some(placed) => {
+                            pass_moved_gb += estimate.moved_gb;
+                            report.migrations.push(Migration {
+                                ticket: resident.ticket,
+                                workload: resident.request.workload.clone(),
+                                from: src,
+                                to: placed.machine,
+                                degradation_before: degradation,
+                                degradation_after,
+                                estimate,
+                                placed,
+                            });
+                            break;
+                        }
+                        None if attempt == 1 => report.failed_commits += 1,
+                        None => {}
+                    }
                 }
             }
         }
@@ -515,8 +522,8 @@ impl PlacementEngine {
         home: &Home<'_>,
         request: &PlacementRequest,
         degradation_before: f64,
-    ) -> Option<PlannedMove> {
-        let mut best: Option<PlannedMove> = None;
+    ) -> Option<Plan> {
+        let mut best: Option<Plan> = None;
         for class in 0..self.fleet_index().num_classes() {
             let Ok(cand) = self.evaluate(scope, class, request) else {
                 continue;
@@ -541,14 +548,14 @@ impl PlacementEngine {
                         self.best_escape_on_view(scope, id, &cand, target.occupancy(), &residents);
                     (target, scored)
                 };
-                let Some((placement, adjusted_perf, penalty)) = scored else {
+                let Some((placement, perf, penalty)) = scored else {
                     continue;
                 };
-                let plan = PlannedMove {
-                    to: id,
-                    target,
+                let plan = Plan {
+                    host: id,
+                    record: target,
                     placement,
-                    adjusted_perf,
+                    perf,
                     penalty,
                 };
                 if plan.degradation_after() >= degradation_before {
@@ -616,14 +623,15 @@ impl PlacementEngine {
     }
 
     /// Commits `plan` for `resident` (an entry of `home.snapshot`) as
-    /// rebalance pass `pass`: the placement exactly as scored, if and
-    /// only if, under the host lock(s), the source still holds
-    /// `home.snapshot` and the target `plan.target`. Equal `Arc`s mean
-    /// equal records, so the bookkeeping — free the old threads,
-    /// reserve the new ones, re-home the registry entry (same ticket,
-    /// stamped with `pass`) and, across hosts, the location map —
-    /// cannot fail. `None` when either host published since the plan:
-    /// nothing is changed or published, and the next pass retries.
+    /// rebalance pass `pass`, through `HostGuard::commit`: the
+    /// placement exactly as scored, if and only if, under the host
+    /// lock(s), the source still holds `home.snapshot` and the target
+    /// the plan's record. Equal `Arc`s mean equal records, so the
+    /// bookkeeping — free the old threads, reserve the new ones,
+    /// re-home the registry entry (same ticket, stamped with `pass`)
+    /// and, across hosts, the location map — cannot fail. `None` when
+    /// either host published since the plan: nothing is changed or
+    /// published.
     ///
     /// Cross-host moves lock through [`Self::lock_pair`], so concurrent
     /// passes (and commits, which take one lock at a time) cannot
@@ -635,37 +643,23 @@ impl PlacementEngine {
         pass: u64,
         home: &Home<'_>,
         resident: &Resident,
-        plan: PlannedMove,
+        plan: Plan,
     ) -> Option<Placed> {
-        const SCORED_FREE: &str = "the planned threads are free in the record they were scored on";
-        let (src, dst) = (home.id, plan.to);
-        let placed = Placed {
-            ticket: resident.ticket,
-            machine: dst,
-            placement_id: plan.placement.id,
-            spec: plan.placement.spec,
-            threads: plan.placement.threads,
-            predicted_perf: plan.adjusted_perf,
-            interference_penalty: plan.penalty,
-            goal_perf: resident.goal_perf,
-            goal_met: plan.adjusted_perf >= resident.goal_perf,
-        };
+        let (src, dst) = (home.id, plan.host);
         if src == dst {
             let mut host = self.lock_host(scope, &self.hosts[src.0]);
-            if !host.unchanged_since(home.snapshot) {
+            if !host.commit(&plan, &resident.threads) {
                 return None;
             }
-            // Free first: the new node set may overlap the old one.
-            host.release(&resident.threads);
-            host.reserve(&placed.threads).expect(SCORED_FREE);
+            let placed = plan.placed(resident.ticket, resident.goal_perf);
             host.rehome(&placed, pass);
             return Some(placed);
         }
         let (mut from, mut to) = self.lock_pair(scope, src, dst);
-        if !from.unchanged_since(home.snapshot) || !to.unchanged_since(&plan.target) {
+        if !from.unchanged_since(home.snapshot) || !to.commit(&plan, &[]) {
             return None;
         }
-        to.reserve(&placed.threads).expect(SCORED_FREE);
+        let placed = plan.placed(resident.ticket, resident.goal_perf);
         let entry = from
             .remove_resident(resident.ticket)
             .expect("the scored record holds the resident");
@@ -890,7 +884,7 @@ mod tests {
         let plan = engine
             .plan_move(&scope, &home, &resident.request, 1.0)
             .expect("an escape exists");
-        let to = plan.to;
+        let to = plan.host;
         between(&mut scope, to);
         let records: Vec<_> = engine
             .machine_ids()

@@ -58,9 +58,9 @@ pub struct SnapshotCounters {
     /// Snapshot loads served to read paths with zero lock
     /// acquisitions.
     pub reads: u64,
-    /// Commit attempts that scored against a snapshot, then lost the
-    /// reserve race to a concurrent writer and re-scored against a
-    /// fresh snapshot. Zero single-threaded.
+    /// Admission plans refused at commit because a concurrent writer
+    /// published on the host after the plan was scored, each followed
+    /// by a re-plan on the fresh record. Zero single-threaded.
     pub stale_retries: u64,
 }
 

@@ -553,6 +553,80 @@ fn snapshot_scored_decisions_match_the_reference() {
     }
 }
 
+/// Concurrent admissions commit what serial admission would choose on
+/// the record they land on — with interference scoring off and on.
+/// Four clients place at once and nothing is released, so a host's
+/// record changes by commits alone; tickets are drawn under the host
+/// lock, so the record ticket `t` was committed onto holds exactly the
+/// residents with smaller tickets. Every resident's class, node set,
+/// threads, prediction and penalty must equal the reference's on that
+/// record, bit for bit. Sizes of 4 and 8 vCPUs keep every container on
+/// whole L2 modules, where the interference memo's key (per-node
+/// counts) determines the simulation; at 2 vCPUs two layouts share a
+/// key and the memo, not the commit, would diverge from the reference.
+#[test]
+fn concurrent_commits_land_on_the_records_they_scored() {
+    for interference in [false, true] {
+        let mut engine = PlacementEngine::new(EngineConfig {
+            interference,
+            ..fast_config()
+        });
+        for _ in 0..3 {
+            engine.add_machine(machines::amd_opteron_6272());
+        }
+        let request = |client: usize, i: usize| {
+            let wl = ["WTbtree", "streamcluster", "swaptions"][(client + i) % 3];
+            PlacementRequest::new(wl, [4, 8][(client * 3 + i) % 2]).with_probe_seed(i as u64)
+        };
+        // Train every model first, so the clients race on scoring and
+        // committing, not on the compute-once caches.
+        for i in 0..6 {
+            assert!(engine.can_fit(&request(0, i)).fits());
+        }
+        std::thread::scope(|s| {
+            for client in 0..4 {
+                let engine = &engine;
+                let strategy = [BatchStrategy::FirstFit, BatchStrategy::BestScore][client % 2];
+                s.spawn(move || {
+                    for i in 0..8 {
+                        engine.place_batch(&[request(client, i)], strategy);
+                    }
+                });
+            }
+        });
+        engine.audit().unwrap();
+
+        let mut checked = 0;
+        for id in engine.machine_ids() {
+            let mut occ = vc_topology::OccupancyMap::new(engine.machine(id));
+            let mut before = Vec::new();
+            for r in engine.residents(id) {
+                let want = reference::on_record(&engine, id, &r.request, &occ, &before);
+                let got = Placed {
+                    ticket: r.ticket,
+                    machine: id,
+                    placement_id: r.placement_id,
+                    spec: r.spec.clone(),
+                    threads: r.threads.clone(),
+                    predicted_perf: r.predicted_perf,
+                    interference_penalty: r.interference_penalty,
+                    goal_perf: r.goal_perf,
+                    goal_met: true,
+                };
+                let ctx = format!("interference {interference}, {id:?}, {}", r.ticket);
+                reference::assert_matches(Some(&got), want.as_ref(), &ctx);
+                occ.reserve(&r.threads).unwrap();
+                before.push(vc_engine::ResidentWorkload {
+                    workload: r.request.workload.clone(),
+                    threads: r.threads.clone(),
+                });
+                checked += 1;
+            }
+        }
+        assert!(checked >= 24, "only {checked} of 32 requests placed");
+    }
+}
+
 /// Zero lock acquisitions on the scoring path: a warm engine
 /// takes the host mutex exactly once per committed placement
 /// and once per release — never for offers, BestScore ranking,
@@ -685,7 +759,7 @@ proptest! {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
-        // Quiescent: every published snapshot is the record under its lock.
+        // Quiescent: every record agrees with its summary, registry and location map.
         for id in engine.machine_ids() {
             assert_snapshot_consistent(&engine.host_snapshot(id));
         }

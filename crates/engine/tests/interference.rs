@@ -256,7 +256,7 @@ fn interference_steers_best_score_away_from_busy_hosts() {
 
 /// Racing batches against an interference-aware engine: commits score
 /// against occupancy snapshots and re-score when a concurrent commit
-/// wins the reserve race — capacity must end exactly committed (no
+/// publishes first — capacity must end exactly committed (no
 /// over-commit, and no spurious rejection of a host that still has
 /// room just because a neighbour raced first).
 #[test]
@@ -294,7 +294,7 @@ fn racing_interference_batches_never_overcommit_or_bounce() {
     });
 
     // 16 racing 16-vCPU requests against 128 threads: exactly 8 fit —
-    // a lost reserve race must re-score the host, not reject.
+    // a refused plan must re-score the host, not reject.
     assert_eq!(placed_total, 8, "over- or under-commitment under races");
     for id in engine.machine_ids() {
         let (used, total) = engine.utilisation(id);

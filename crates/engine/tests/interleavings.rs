@@ -4,12 +4,13 @@
 //! The model mirrors the engine's host protocol at the granularity
 //! that matters for readers: every mutation of the host's record
 //! (occupancy + resident registry, plus the ticket-location map)
-//! happens under the host lock — in the engine, on the copy-on-write
-//! clone of the published `HostSnapshot` the lock guards, modelled
-//! here as the `auth_*` fields — and a *single* publication step makes
-//! the whole mutated record visible — occupancy, registry and capacity
-//! profile together, before the lock drops. Wait-free readers load the
-//! published snapshot at any point, never gated on the lock.
+//! happens under the host lock — in the engine, on the guard's
+//! copy-on-write clone of the `HostSnapshot` the host's one slot
+//! holds, modelled here as the `auth_*` fields — and a *single*
+//! publication step per critical section makes the whole mutated record
+//! visible — occupancy, registry and capacity profile together, before
+//! the lock drops. Wait-free readers load the published snapshot at any
+//! point, never gated on the lock.
 //!
 //! The exhaustive explorer then proves, over every feasible
 //! interleaving of commit vs release vs rebalance-move vs reader:
@@ -23,13 +24,16 @@
 //!   snapshot, before the lock drops;
 //! * the ticket-location map never dangles (every mapped ticket has
 //!   an authoritative registry entry) — the ordering `release` relies
-//!   on to stay sound after a poisoned-lock recovery.
+//!   on to stay sound after a poisoned-lock recovery;
+//! * a commit lands only on the record it was scored on, so the score
+//!   it stores describes the neighbours it actually joined.
 //!
-//! Three deliberately broken protocol variants — split publication
+//! Four deliberately broken protocol variants — split publication
 //! (occupancy and registry in separate steps, the two-slot design the
-//! single `Slot` replaces), free-before-unmap release ordering, and a
+//! single `Slot` replaces), free-before-unmap release ordering, a
 //! capacity profile (summary and sketch delta) deferred past the
-//! unlock — must each be *caught* by the explorer with a concrete
+//! unlock, and a commit that checks only that its threads are still
+//! free — must each be *caught* by the explorer with a concrete
 //! schedule.
 
 use std::collections::BTreeMap;
@@ -66,6 +70,14 @@ struct Model {
     profile: Vec<usize>,
     /// Every snapshot a reader step loaded.
     observed: Vec<Published>,
+    /// Publications so far. It changes exactly when the engine's
+    /// record `Arc` changes identity, which is what a commit compares.
+    publications: u64,
+    /// An admission's plan: the publication it scored on and the
+    /// neighbour count its score priced.
+    plan: Option<(u64, usize)>,
+    /// Per committed admission: (neighbours priced, neighbours joined).
+    scores: Vec<(usize, usize)>,
 }
 
 fn tid(r: std::ops::Range<usize>) -> Vec<ThreadId> {
@@ -105,6 +117,9 @@ fn quiescent(residents: &[(u64, std::ops::Range<usize>)]) -> Model {
         auth_residents: registry,
         locations,
         observed: Vec::new(),
+        publications: 0,
+        plan: None,
+        scores: Vec::new(),
     }
 }
 
@@ -150,7 +165,25 @@ fn invariant(m: &Model) -> Result<(), String> {
             return Err(format!("location map dangles: ticket {ticket} has no registry entry"));
         }
     }
+    for &(priced, joined) in &m.scores {
+        if priced != joined {
+            return Err(format!(
+                "a commit priced {priced} neighbours but joined {joined}: \
+                 it landed on a record it never scored"
+            ));
+        }
+    }
     Ok(())
+}
+
+/// The publication step: the whole record and its profile at once.
+fn publish(m: &mut Model) {
+    m.published = Published {
+        occ: m.auth_occ.clone(),
+        residents: m.auth_residents.clone(),
+    };
+    m.profile = profile_of(&m.auth_occ);
+    m.publications += 1;
 }
 
 /// The correct protocol's critical section, as the engine orders it:
@@ -166,13 +199,7 @@ fn locked_section(
             m.lock = Some(me);
         }),
         Step::new(label[1], mutate),
-        Step::new(label[2], |m: &mut Model| {
-            m.published = Published {
-                occ: m.auth_occ.clone(),
-                residents: m.auth_residents.clone(),
-            };
-            m.profile = profile_of(&m.auth_occ);
-        }),
+        Step::new(label[2], publish),
         Step::new(label[3], |m: &mut Model| {
             m.lock = None;
         }),
@@ -455,5 +482,89 @@ fn deferred_sketch_delta_is_caught_by_the_explorer() {
         violation.trace.last().map(|(_, name)| *name),
         Some("commit:publish-sans-profile"),
         "caught the moment the snapshot outruns the profile: {violation}"
+    );
+}
+
+/// An admission as `try_commit` runs it: score on the published record
+/// with no lock held, then lock and commit ticket 1 on threads 4..6 —
+/// priced against the neighbours it scored. `check_record` is the
+/// commit protocol's identity check; without it, only the reserve
+/// guards the commit. A refused plan changes nothing (the engine
+/// re-plans; the model stops).
+fn admission(check_record: bool) -> Vec<Step<Model>> {
+    vec![
+        Step::new("admit:score", |m: &mut Model| {
+            m.plan = Some((m.publications, m.published.residents.len()));
+        }),
+        Step::gated("admit:lock", |m: &Model| m.lock.is_none(), |m: &mut Model| {
+            m.lock = Some(0);
+        }),
+        Step::new("admit:commit", move |m: &mut Model| {
+            let (scored_on, priced) = m.plan.expect("scored before locking");
+            let threads = tid(4..6);
+            if check_record && scored_on != m.publications {
+                return;
+            }
+            if m.auth_occ.reserve(&threads).is_ok() {
+                m.scores.push((priced, m.auth_residents.len()));
+                m.auth_residents.push((1, threads));
+                m.locations.insert(1, 0);
+                publish(m);
+            }
+        }),
+        Step::new("admit:unlock", |m: &mut Model| {
+            m.lock = None;
+        }),
+    ]
+}
+
+/// A neighbour committing on disjoint threads 2..4 while the admission
+/// is between scoring and committing.
+fn racing_commit() -> Vec<Step<Model>> {
+    locked_section(
+        1,
+        ["commit:lock", "commit:reserve+register", "commit:publish", "commit:unlock"],
+        |m: &mut Model| {
+            let threads = tid(2..4);
+            m.auth_occ.reserve(&threads).expect("threads 2..4 are free");
+            m.auth_residents.push((8, threads));
+            m.locations.insert(8, 0);
+        },
+    )
+}
+
+/// The commit protocol, exhaustively: whatever a racing commit does
+/// between scoring and committing, an admission that commits at all
+/// commits onto the record it scored.
+#[test]
+fn commits_land_only_on_the_records_they_scored() {
+    let init = quiescent(&[(7, 0..2)]);
+    let report = Explorer::Exhaustive
+        .explore(init, vec![admission(true), racing_commit(), reader(1)], invariant)
+        .unwrap_or_else(|v| panic!("{v}"));
+    // Writer orders: the admission's section first (1), or the racing
+    // section first with the admission's score before, inside or after
+    // it (5) — the admission commits in 3 of those 6 and is refused in
+    // 3. The reader's one load lands in any of 9 places: 6 × 9.
+    assert_eq!(report.schedules, 6 * 9, "exploration incomplete: {report:?}");
+    assert_eq!(report.pruned, 0);
+}
+
+/// The protocol admission used to have — score on a view, then commit
+/// whenever the reserve succeeds — commits onto a record it never
+/// scored once a neighbour lands on disjoint threads in between, and
+/// stores a score that priced neighbours it did not join. The explorer
+/// must catch it.
+#[test]
+fn commit_onto_a_record_not_scored_is_caught_by_the_explorer() {
+    let init = quiescent(&[(7, 0..2)]);
+    let violation = Explorer::Exhaustive
+        .explore(init, vec![admission(false), racing_commit()], invariant)
+        .expect_err("a reserve-only commit must land on a record it never scored");
+    assert!(violation.message.contains("never scored"), "wrong failure: {violation}");
+    assert_eq!(
+        violation.trace.last().map(|(_, name)| *name),
+        Some("admit:commit"),
+        "caught at the commit: {violation}"
     );
 }

@@ -28,7 +28,7 @@
 use vc_core::interference::{InterferenceOracle, ResidentWorkload};
 use vc_core::model::PerfOracle;
 use vc_engine::{BatchStrategy, MachineId, Placed, PlacementEngine, PlacementRequest};
-use vc_topology::{L2GroupId, NodeId, ThreadId};
+use vc_topology::{L2GroupId, NodeId, OccupancyMap, ThreadId};
 
 /// What the reference says a request should get.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,12 +60,6 @@ fn predict(engine: &PlacementEngine, id: MachineId, req: &PlacementRequest) -> O
 
 /// The placement the request would take on one host right now.
 fn on_host(engine: &PlacementEngine, id: MachineId, req: &PlacementRequest) -> Option<Decision> {
-    let (predicted, goal) = predict(engine, id, req)?;
-    if !predicted.iter().any(|&p| p >= goal) {
-        return None;
-    }
-    let catalog = engine.catalog(id, req.vcpus).ok()?;
-    let occ = engine.occupancy(id);
     let residents: Vec<ResidentWorkload> = engine
         .residents(id)
         .iter()
@@ -74,8 +68,25 @@ fn on_host(engine: &PlacementEngine, id: MachineId, req: &PlacementRequest) -> O
             threads: r.threads.clone(),
         })
         .collect();
+    on_record(engine, id, req, &engine.occupancy(id), &residents)
+}
+
+/// The placement the request would take on host `id` were its record
+/// `occ` with `residents` running.
+pub fn on_record(
+    engine: &PlacementEngine,
+    id: MachineId,
+    req: &PlacementRequest,
+    occ: &OccupancyMap,
+    residents: &[ResidentWorkload],
+) -> Option<Decision> {
+    let (predicted, goal) = predict(engine, id, req)?;
+    if !predicted.iter().any(|&p| p >= goal) {
+        return None;
+    }
+    let catalog = engine.catalog(id, req.vcpus).ok()?;
     let mut best: Option<((usize, usize), Decision)> = None;
-    for ap in catalog.availability.available(engine.machine(id), &occ) {
+    for ap in catalog.availability.available(engine.machine(id), occ) {
         let idle = predicted[ap.id - 1];
         if idle < goal {
             continue;
@@ -83,7 +94,7 @@ fn on_host(engine: &PlacementEngine, id: MachineId, req: &PlacementRequest) -> O
         let penalty = if engine.config().interference && occ.used_threads() > 0 {
             let raw = engine
                 .sim_oracle(id)
-                .co_location_penalty(&req.workload, &ap.threads, &occ, &residents);
+                .co_location_penalty(&req.workload, &ap.threads, occ, residents);
             if raw.is_finite() { raw.clamp(f64::MIN_POSITIVE, 1.0) } else { 1.0 }
         } else {
             1.0

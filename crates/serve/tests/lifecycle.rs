@@ -194,7 +194,7 @@ fn shutdown_joins_threads_and_registry_matches_occupancy() {
     assert_eq!(occupancy, live, "engine occupancy drifted from the daemon registry");
     assert_eq!(engine.num_residents(), live.len());
     // …and with every thread joined the engine is quiescent: each
-    // published snapshot is the record under its lock.
+    // record agrees with its summary, registry and location map.
     engine.audit().expect("published views drifted from host state");
 
     // The other client's connection was shut down under it: its next
