@@ -16,30 +16,22 @@
 //! and multiplies it into the class score. The residents are passed as
 //! [`ResidentWorkload`]s: the containers holding the occupancy's used
 //! threads, which a serving engine reads from the same published host
-//! snapshot as the occupancy. Penalties are memoized per `(workload, node set,
-//! vcpus, occupancy signature, resident-workload signature)` so a warm
-//! serving path never calls the oracle, let alone under a host lock.
+//! snapshot as the occupancy. Penalties are memoized per oracle input
+//! — the candidate's workload and threads, the occupancy's used threads
+//! and each resident's workload and threads — so a warm serving path
+//! never calls the oracle, let alone under a host lock.
 //!
-//! The occupancy part of the memo key is deliberately coarse —
-//! per-node used-thread counts — trading exactness (two occupancies
-//! with equal per-node counts but different intra-node patterns share
-//! an entry; the first one computed fills it) for cache hits across the
-//! churning occupancies of a live fleet. The resident part coarsens the
-//! same way (per-resident workload name plus per-node thread counts,
-//! as a multiset), and is part of the key precisely so that memoisation
-//! stays *sound* when penalties depend on what the neighbours run: a
-//! host whose resident swapped from a compute-bound to a streaming
-//! workload gets a fresh penalty even though the occupancy counts are
-//! unchanged.
-//!
-//! Because the key is coarse, *which* occupancy filled an entry is
-//! visible in later answers, so eviction must not depend on anything
-//! but the lookup history: the memo is the workspace's LRU
-//! [`KeyedCache`], whose victim is chosen by a logical clock, never by
-//! a hash seed.
+//! The key is the oracle's whole input, so every memoised penalty is
+//! the one a direct oracle call on the same inputs returns: which
+//! lookup filled an entry, and whether an entry was evicted and filled
+//! again, is invisible in the answers. A caller may therefore skip a
+//! lookup it can prove cannot change its decision without changing any
+//! later one. The memo is the workspace's LRU [`KeyedCache`], whose
+//! victim is chosen by a logical clock, never by a hash seed, so the
+//! counters too depend on the lookup history alone.
 
 use vc_sync::{Counter, KeyedCache};
-use vc_topology::{NodeId, OccupancyMap, ThreadId};
+use vc_topology::{OccupancyMap, ThreadId};
 
 /// One resident container as the interference path sees it: which
 /// workload it runs and which hardware threads it holds.
@@ -117,80 +109,58 @@ fn push_str(key: &mut Vec<u32>, text: &str) {
     }));
 }
 
-/// The memo key of one penalty query, as one flat word string:
+/// Appends `threads` as their count followed by their indices, two
+/// 16-bit halves to a word, in the order given.
+fn push_threads(key: &mut Vec<u32>, threads: &[ThreadId]) {
+    key.push(threads.len() as u32);
+    key.extend(threads.chunks(2).map(|pair| {
+        let half = |i: usize| pair.get(i).map_or(0, |t| t.index() as u32);
+        half(0) | half(1) << 16
+    }));
+}
+
+/// The memo key of one penalty query, as one flat word string: the
+/// oracle's whole input,
 ///
 /// ```text
-/// workload | nodes (sorted) | vCPUs | used threads per node | residents
+/// workload | candidate threads | used threads | residents
 /// ```
 ///
-/// the candidate's identity at class granularity plus the occupancy
-/// *and resident-workload* digests it would land in. Every
-/// variable-length part carries its length, so distinct field tuples
-/// never encode alike. A resident is its workload name and its
-/// non-zero `(node, threads)` counts in node order; the residents are
-/// written in the order of their encodings, so the registry's iteration
-/// order cannot split entries (the key is of the *multiset*). Thread
-/// positions are coarsened to per-node counts through `occ`'s thread →
-/// node mapping — see the [module documentation](self).
+/// The used threads are a bitset of `occ.total_threads()` bits; every
+/// thread list keeps its order, and the residents theirs. The simulator
+/// accumulates its loads thread by thread, so the same threads in
+/// another order can score differently, and a key that forgot the order
+/// would answer one query with another's penalty. Names and lists carry
+/// their lengths and the bitset has a fixed width, so distinct inputs
+/// never encode alike.
 ///
 /// `None` when the occupancy holds no resident thread at all (the
 /// penalty is trivially `1.0`).
 fn encode_key(
     workload: &str,
-    nodes: &[NodeId],
-    vcpus: usize,
+    threads: &[ThreadId],
     occ: &OccupancyMap,
     residents: &[ResidentWorkload],
 ) -> Option<Vec<u32>> {
     if occ.used_threads() == 0 {
         return None;
     }
-    let num_nodes = occ.num_nodes();
-    let mut key = Vec::with_capacity(8 + nodes.len() + num_nodes + 8 * residents.len());
+    let total = occ.total_threads();
+    assert!(total <= 1 << 16, "thread indices are keyed in 16 bits");
+    let mut key = Vec::with_capacity(
+        8 + threads.len() / 2 + total / 32 + residents.len() * 4 + occ.used_threads() / 2,
+    );
     push_str(&mut key, workload);
-
-    key.push(nodes.len() as u32);
-    let first = key.len();
-    key.extend(nodes.iter().map(|n| n.index() as u32));
-    key[first..].sort_unstable();
-
-    key.push(vcpus as u32);
-
-    key.push(num_nodes as u32);
-    key.extend((0..num_nodes).map(|n| occ.used_on_node(NodeId(n)) as u32));
-
-    key.push(residents.len() as u32);
-    // Each resident encoded where it stands, then the encodings put in
-    // order: `spans` remembers where each one lies in `unsorted`.
-    let mut unsorted: Vec<u32> = Vec::new();
-    let mut spans = Vec::with_capacity(residents.len());
-    for r in residents {
-        let start = unsorted.len();
-        push_str(&mut unsorted, &r.workload);
-        let shape_len = unsorted.len();
-        unsorted.push(0);
-        // Count into `num_nodes` scratch words, then squeeze the
-        // occupied ones down into `(node, count)` pairs.
-        let counts = unsorted.len();
-        unsorted.resize(counts + num_nodes, 0);
-        for &t in &r.threads {
-            unsorted[counts + occ.node_of(t).index()] += 1;
-        }
-        let mut end = counts;
-        for n in 0..num_nodes {
-            let count = unsorted[counts + n];
-            if count > 0 {
-                unsorted[end] = (n as u32) << 16 | count;
-                end += 1;
-            }
-        }
-        unsorted.truncate(end);
-        unsorted[shape_len] = (end - counts) as u32;
-        spans.push(start..end);
+    push_threads(&mut key, threads);
+    let used = key.len();
+    key.resize(used + total.div_ceil(32), 0);
+    for t in (0..total).filter(|&t| !occ.is_free(ThreadId(t))) {
+        key[used + t / 32] |= 1 << (t % 32);
     }
-    spans.sort_unstable_by(|a, b| unsorted[a.clone()].cmp(&unsorted[b.clone()]));
-    for span in spans {
-        key.extend_from_slice(&unsorted[span]);
+    key.push(residents.len() as u32);
+    for r in residents {
+        push_str(&mut key, &r.workload);
+        push_threads(&mut key, &r.threads);
     }
     Some(key)
 }
@@ -206,9 +176,8 @@ fn encode_key(
 pub struct InterferenceModel {
     oracle: SharedInterferenceOracle,
     /// Clamped penalty per [`encode_key`] key, least-recently-used
-    /// entries dropped beyond the bound (the key space is naturally
-    /// bounded by workloads × classes × signatures, but churny fleets
-    /// can still grow it unboundedly).
+    /// entries dropped beyond the bound (churny fleets reach ever new
+    /// occupancies, so the key space is unbounded).
     cache: KeyedCache<Vec<u32>, f64>,
     lookups: Counter,
     hits: Counter,
@@ -234,29 +203,27 @@ impl InterferenceModel {
     }
 
     /// The cached occupancy-conditional penalty for placing `workload`
-    /// on `threads` (spanning `nodes`) into `occ` next to `residents`,
-    /// in `(0, 1]`.
+    /// on `threads` into `occ` next to `residents`, in `(0, 1]`: the
+    /// arguments of [`InterferenceOracle::co_location_penalty`], whose
+    /// clamped answer this is.
     ///
     /// `residents` are the containers holding `occ`'s used threads (the
     /// [`InterferenceOracle`] contract; pass the residents of the host
     /// snapshot `occ` came from). Idle occupancies short-circuit to
-    /// `1.0`. Cold misses
-    /// consult the oracle once per
-    /// `(workload, nodes, |threads|, occupancy sig, residents sig)`
-    /// key; the oracle runs outside the cache lock, so concurrent cold
+    /// `1.0`. A cold miss consults the oracle once per distinct input;
+    /// the oracle runs outside the cache lock, so concurrent cold
     /// misses on *different* keys do not serialise (identical racing
     /// keys compute once: the losers wait for the winner's value and
     /// count as hits).
     pub fn penalty(
         &self,
         workload: &str,
-        nodes: &[NodeId],
         threads: &[ThreadId],
         occ: &OccupancyMap,
         residents: &[ResidentWorkload],
     ) -> f64 {
         self.lookups.incr();
-        let Some(key) = encode_key(workload, nodes, threads.len(), occ, residents) else {
+        let Some(key) = encode_key(workload, threads, occ, residents) else {
             self.hits.incr();
             return 1.0;
         };
@@ -303,9 +270,10 @@ impl std::fmt::Debug for InterferenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use vc_topology::machines;
+    use vc_topology::{machines, NodeId};
 
     /// An oracle whose penalty depends only on how many resident
     /// threads share the candidate's nodes, and which counts its calls.
@@ -343,7 +311,7 @@ mod tests {
         let (model, oracle) = setup();
         let occ = OccupancyMap::new(&m);
         let threads = m.threads_on_node(NodeId(0));
-        let p = model.penalty("w", &[NodeId(0)], &threads, &occ, &[]);
+        let p = model.penalty("w", &threads, &occ, &[]);
         assert_eq!(p, 1.0);
         assert_eq!(oracle.calls.load(Ordering::Relaxed), 0);
         let c = model.counters();
@@ -357,10 +325,10 @@ mod tests {
         let mut occ = OccupancyMap::new(&m);
         occ.reserve(&m.threads_on_node(NodeId(7))).unwrap();
         let threads = m.threads_on_node(NodeId(0));
-        let cold = model.penalty("w", &[NodeId(0)], &threads, &occ, &[]);
+        let cold = model.penalty("w", &threads, &occ, &[]);
         assert!(cold < 1.0);
         for _ in 0..5 {
-            assert_eq!(model.penalty("w", &[NodeId(0)], &threads, &occ, &[]), cold);
+            assert_eq!(model.penalty("w", &threads, &occ, &[]), cold);
         }
         assert_eq!(oracle.calls.load(Ordering::Relaxed), 1, "one cold miss only");
         let c = model.counters();
@@ -374,13 +342,13 @@ mod tests {
         let threads = m.threads_on_node(NodeId(0));
         let mut occ = OccupancyMap::new(&m);
         occ.reserve(&m.threads_on_node(NodeId(7))).unwrap();
-        model.penalty("w", &[NodeId(0)], &threads, &occ, &[]);
-        model.penalty("v", &[NodeId(0)], &threads, &occ, &[]); // new workload
+        model.penalty("w", &threads, &occ, &[]);
+        model.penalty("v", &threads, &occ, &[]); // new workload
         occ.reserve(&m.threads_on_node(NodeId(6))).unwrap();
-        model.penalty("w", &[NodeId(0)], &threads, &occ, &[]); // new signature
+        model.penalty("w", &threads, &occ, &[]); // new signature
         assert_eq!(oracle.calls.load(Ordering::Relaxed), 3);
-        // Node-set order does not split entries.
-        model.penalty("w", &[NodeId(0)], &threads, &occ, &[]);
+        // The same input again is a hit.
+        model.penalty("w", &threads, &occ, &[]);
         assert_eq!(oracle.calls.load(Ordering::Relaxed), 3);
     }
 
@@ -418,21 +386,21 @@ mod tests {
             workload: "stream".to_string(),
             threads: neighbour.clone(),
         }];
-        // Identical occupancy signature, different resident multiset:
+        // Identical occupancy, different resident workloads:
         // the model must not serve the compute-bound penalty to the
         // streaming population.
-        assert_eq!(model.penalty("w", &[NodeId(0)], &threads, &occ, &compute), 0.95);
-        assert_eq!(model.penalty("w", &[NodeId(0)], &threads, &occ, &stream), 0.5);
+        assert_eq!(model.penalty("w", &threads, &occ, &compute), 0.95);
+        assert_eq!(model.penalty("w", &threads, &occ, &stream), 0.5);
         let c = model.counters();
         assert_eq!(c.computes, 2, "two multisets, two cold misses");
-        // Registry iteration order must not split entries: the same
-        // multiset in any order is a hit.
+        // Residents in another order are another oracle input (the
+        // engine passes a record's residents in its own ticket order).
         let two = [compute[0].clone(), stream[0].clone()];
         let two_rev = [stream[0].clone(), compute[0].clone()];
-        let a = model.penalty("w", &[NodeId(0)], &threads, &occ, &two);
-        let b = model.penalty("w", &[NodeId(0)], &threads, &occ, &two_rev);
-        assert_eq!(a, b);
-        assert_eq!(model.counters().computes, 3, "reordered multiset must hit");
+        model.penalty("w", &threads, &occ, &two);
+        model.penalty("w", &threads, &occ, &two_rev);
+        model.penalty("w", &threads, &occ, &two);
+        assert_eq!(model.counters().computes, 4, "each order computes once");
     }
 
     #[test]
@@ -458,9 +426,9 @@ mod tests {
         let mut occ = OccupancyMap::new(&m);
         occ.reserve(&m.threads_on_node(NodeId(1))).unwrap();
         let threads = m.threads_on_node(NodeId(0));
-        assert_eq!(model.penalty("speedup", &[NodeId(0)], &threads, &occ, &[]), 1.0);
-        assert_eq!(model.penalty("nan", &[NodeId(0)], &threads, &occ, &[]), 1.0);
-        let p = model.penalty("neg", &[NodeId(0)], &threads, &occ, &[]);
+        assert_eq!(model.penalty("speedup", &threads, &occ, &[]), 1.0);
+        assert_eq!(model.penalty("nan", &threads, &occ, &[]), 1.0);
+        let p = model.penalty("neg", &threads, &occ, &[]);
         assert!(p > 0.0 && p <= 1.0);
     }
 
@@ -476,7 +444,7 @@ mod tests {
         occ.reserve(&m.threads_on_node(NodeId(7))).unwrap();
         let threads = m.threads_on_node(NodeId(0));
         for w in ["a", "b", "c", "d"] {
-            model.penalty(w, &[NodeId(0)], &threads, &occ, &[]);
+            model.penalty(w, &threads, &occ, &[]);
         }
         assert_eq!(model.cache.len(), 2, "cache exceeded its bound");
     }
@@ -512,43 +480,48 @@ mod tests {
         let split = vec![resident_on(&m, "a", 4, 0, 1), resident_on(&m, "a", 4, 1, 1)];
         let ab_c = vec![resident_on(&m, "ab", 4, 0, 1), resident_on(&m, "c", 4, 1, 1)];
         let a_bc = vec![resident_on(&m, "a", 4, 0, 1), resident_on(&m, "bc", 4, 1, 1)];
+        let shifted = vec![resident_on(&m, "a", 4, 2, 2)];
         let a_on_5 = vec![resident_on(&m, "a", 5, 0, 2)];
         let two_nodes = vec![ResidentWorkload {
             workload: "a".to_string(),
             threads: [m.threads_on_node(NodeId(4))[0], m.threads_on_node(NodeId(5))[0]].to_vec(),
         }];
-        // The key of `workload` on `nodes` next to `residents`.
-        let key = |workload: &str, nodes: &[usize], vcpus: usize, residents: &[ResidentWorkload]| {
-            let nodes: Vec<NodeId> = nodes.iter().map(|&i| NodeId(i)).collect();
+        // The key of `workload` on `threads` next to `residents`.
+        let key = |workload: &str, threads: &[usize], residents: &[ResidentWorkload]| {
+            let threads: Vec<ThreadId> = threads.iter().map(|&t| ThreadId(t)).collect();
             let occ = occupancy_of(&m, residents);
-            encode_key(workload, &nodes, vcpus, &occ, residents).expect("busy host")
+            encode_key(workload, &threads, &occ, residents).expect("busy host")
         };
         let keys = [
-            key("w", &[0], 4, &one),
+            key("w", &[0, 1, 2, 3], &one),
             // Names that are prefixes of each other, within one word and
             // across a word boundary, with and without trailing NULs.
-            key("w1", &[0], 4, &one),
-            key("abcd", &[0], 4, &one),
-            key("abcde", &[0], 4, &one),
-            key("abcd\0", &[0], 4, &one),
-            key("", &[0], 4, &one),
-            // Node lists against counts: [1, 2] then 4 vCPUs must not
-            // read like [1] then 2 vCPUs then a count of 4, and so on.
-            key("w", &[1, 2], 4, &one),
-            key("w", &[1], 2, &one),
-            key("w", &[1], 4, &one),
-            key("w", &[4], 1, &one),
-            key("w", &[], 4, &one),
-            key("w", &[0, 0], 4, &one),
-            // Same occupancy counts, different resident multisets.
-            key("w", &[0], 4, &split),
-            key("w", &[0], 4, &ab_c),
-            key("w", &[0], 4, &a_bc),
+            key("w1", &[0, 1, 2, 3], &one),
+            key("abcd", &[0, 1, 2, 3], &one),
+            key("abcde", &[0, 1, 2, 3], &one),
+            key("abcd\0", &[0, 1, 2, 3], &one),
+            key("", &[0, 1, 2, 3], &one),
+            // Other threads of one node, other lengths (an odd one pads
+            // its last word with a zero index), another order.
+            key("w", &[4, 5, 6, 7], &one),
+            key("w", &[0, 1, 2], &one),
+            key("w", &[1], &one),
+            key("w", &[1, 0], &one),
+            key("w", &[], &one),
+            // Occupied threads either side of a bitset word boundary.
+            key("w", &[0], &[resident_on(&m, "a", 3, 7, 1)]),
+            key("w", &[0], &[resident_on(&m, "a", 4, 0, 1)]),
+            // Same occupancy, different resident multisets.
+            key("w", &[0, 1, 2, 3], &split),
+            key("w", &[0, 1, 2, 3], &ab_c),
+            key("w", &[0, 1, 2, 3], &a_bc),
+            // Equal per-node counts, other threads of the same node.
+            key("w", &[0, 1, 2, 3], &shifted),
             // The same resident elsewhere, and spread over two nodes.
-            key("w", &[0], 4, &a_on_5),
-            key("w", &[0], 4, &two_nodes),
+            key("w", &[0, 1, 2, 3], &a_on_5),
+            key("w", &[0, 1, 2, 3], &two_nodes),
             // A resident named like the candidate.
-            key("a", &[0], 4, &one),
+            key("a", &[0, 1, 2, 3], &one),
         ];
         for (i, a) in keys.iter().enumerate() {
             for (j, b) in keys.iter().enumerate().skip(i + 1) {
@@ -558,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_keys_ignore_what_the_memo_coarsens_away() {
+    fn encoded_keys_follow_layout_and_order_not_history() {
         let m = machines::amd_opteron_6272();
         let residents = vec![
             resident_on(&m, "stream", 4, 0, 2),
@@ -567,53 +540,82 @@ mod tests {
             resident_on(&m, "a", 7, 0, 4),
         ];
         let occ = occupancy_of(&m, &residents);
-        let nodes = [NodeId(2), NodeId(0), NodeId(1)];
-        let key = encode_key("w", &nodes, 6, &occ, &residents).unwrap();
-        // Every order of the residents and of the candidate's nodes.
-        let mut order = residents.clone();
-        for rotation in 0..order.len() {
-            order.rotate_left(1);
-            order.swap(0, rotation % 3 + 1);
-            let nodes = [nodes[rotation % 3], nodes[(rotation + 1) % 3], nodes[(rotation + 2) % 3]];
-            assert_eq!(encode_key("w", &nodes, 6, &occ, &order).unwrap(), key);
+        let on = |node: usize| m.threads_on_node(NodeId(node))[..2].to_vec();
+        let threads = [on(2), on(0), on(1)].concat();
+        let key = encode_key("w", &threads, &occ, &residents).unwrap();
+        // The occupancy is its used threads, however it got there.
+        let mut detour = OccupancyMap::new(&m);
+        for r in residents.iter().rev() {
+            detour.reserve(&r.threads).unwrap();
         }
-        // Which threads of a node a resident holds, and in what order.
+        detour.reserve(&on(3)).unwrap();
+        detour.release(&on(3)).unwrap();
+        assert_eq!(encode_key("w", &threads, &detour, &residents).unwrap(), key);
+        // Which threads of a node a resident or the candidate holds
+        // splits the key: the simulation tells those layouts apart.
         let mut moved = residents.clone();
         moved[0] = resident_on(&m, "stream", 4, 6, 2);
-        moved[1] = resident_on(&m, "compute", 4, 1, 3);
-        moved[1].threads.reverse();
-        assert_eq!(
-            encode_key("w", &nodes, 6, &occupancy_of(&m, &moved), &moved).unwrap(),
-            key
-        );
-        assert!(encode_key("w", &nodes, 6, &OccupancyMap::new(&m), &[]).is_none());
+        let moved_occ = occupancy_of(&m, &moved);
+        assert_ne!(encode_key("w", &threads, &moved_occ, &moved).unwrap(), key);
+        let mut shifted = threads.clone();
+        shifted[0] = m.threads_on_node(NodeId(2))[5];
+        assert_ne!(encode_key("w", &shifted, &occ, &residents).unwrap(), key);
+        // So does order: the simulator sums its loads thread by thread.
+        let mut reordered = threads.clone();
+        reordered.swap(0, 2);
+        assert_ne!(encode_key("w", &reordered, &occ, &residents).unwrap(), key);
+        let mut swapped = residents.clone();
+        swapped.swap(1, 2);
+        assert_ne!(encode_key("w", &threads, &occ, &swapped).unwrap(), key);
+        swapped = residents.clone();
+        swapped[1].threads.reverse();
+        assert_ne!(encode_key("w", &threads, &occ, &swapped).unwrap(), key);
+        assert!(encode_key("w", &threads, &OccupancyMap::new(&m), &[]).is_none());
     }
 
-    /// An oracle that tells apart occupancies the memo key does not:
-    /// the penalty depends on *which* threads are reserved.
+    /// An oracle that reads every input the old per-node-count key threw
+    /// away: which threads the candidate, the occupancy and each named
+    /// resident hold, and in what order. An idle host costs nothing.
     struct PatternOracle;
 
     impl InterferenceOracle for PatternOracle {
         fn co_location_penalty(
             &self,
             workload: &str,
-            _: &[ThreadId],
+            threads: &[ThreadId],
             occ: &OccupancyMap,
-            _: &[ResidentWorkload],
+            residents: &[ResidentWorkload],
         ) -> f64 {
-            let pattern: usize = (0..occ.total_threads())
+            if occ.used_threads() == 0 {
+                return 1.0;
+            }
+            let used: usize = (0..occ.total_threads())
                 .filter(|&t| !occ.is_free(ThreadId(t)))
                 .map(|t| t * t + 1)
                 .sum();
-            1.0 / (1.0 + ((pattern + workload.len()) % 97) as f64 / 100.0)
+            let placed = |i: usize, t: &ThreadId| (i + 1) * (3 * t.index() + 1);
+            let candidate: usize = threads.iter().enumerate().map(|(i, t)| placed(i, t)).sum();
+            let named: usize = residents
+                .iter()
+                .enumerate()
+                .flat_map(|(j, r)| {
+                    let weight = (j + 1) * r.workload.len();
+                    r.threads.iter().enumerate().map(move |(i, t)| weight * placed(i, t))
+                })
+                .sum();
+            let pattern = used + candidate + named + workload.len();
+            1.0 / (1.0 + (pattern % 97) as f64 / 100.0)
         }
     }
 
-    /// `steps` lookups from a fixed pseudo-random script over 5
+    /// One penalty query: `(workload, threads, occupancy, residents)`.
+    type Query = (&'static str, Vec<ThreadId>, OccupancyMap, Vec<ResidentWorkload>);
+
+    /// `steps` queries from a fixed pseudo-random script over 5
     /// workloads × 4 candidate nodes × 4 resident nodes × 3 resident
-    /// sizes (240 keys), each key reachable through 4 occupancies the
-    /// oracle scores differently. Returns every penalty, in order.
-    fn scripted_history(model: &InterferenceModel, steps: usize) -> Vec<f64> {
+    /// sizes × 2 offsets within the resident's node (480 busy keys); one
+    /// in sixteen is against an idle host.
+    fn scripted_queries(steps: usize) -> Vec<Query> {
         let m = machines::amd_opteron_6272();
         let mut x: u64 = 0x2545_f491_4f6c_dd1d;
         (0..steps)
@@ -627,33 +629,37 @@ mod tests {
                 };
                 let workload = ["a", "bb", "ccc", "dddd", "eeeee"][take(5)];
                 let node = NodeId(take(4));
-                let (resident_node, count, offset) = (4 + take(4), 1 + take(3), take(4));
-                let residents = [resident_on(&m, "r", resident_node, offset, count)];
-                let occ = occupancy_of(&m, &residents);
-                // One lookup in sixteen is against an idle host.
-                let occ = if take(16) == 0 { OccupancyMap::new(&m) } else { occ };
-                model.penalty(workload, &[node], &m.threads_on_node(node), &occ, &[])
+                let (resident_node, count, offset) = (4 + take(4), 1 + take(3), 4 * take(2));
+                let residents = vec![resident_on(&m, "r", resident_node, offset, count)];
+                let (occ, residents) = if take(16) == 0 {
+                    (OccupancyMap::new(&m), Vec::new())
+                } else {
+                    (occupancy_of(&m, &residents), residents)
+                };
+                (workload, m.threads_on_node(node), occ, residents)
             })
             .collect()
     }
 
     #[test]
-    fn eviction_depends_on_the_lookup_history_alone() {
-        // Two models are two hash seeds (`RandomState` draws a fresh one
-        // per map): past the bound, an evicted key is refilled by
-        // whichever occupancy asks next, so a seed-dependent victim
-        // shows up as diverging penalties.
+    fn memoised_penalties_equal_direct_oracle_calls_past_the_bound() {
+        // Far past the bound, entries are evicted and filled again by
+        // whatever query asks next; every answer must still be the
+        // oracle's on that query's own inputs, and two models (two hash
+        // seeds: `RandomState` draws one per map) must count alike.
+        let queries = scripted_queries(6000);
         let run = || {
             let model = InterferenceModel::with_capacity(Arc::new(PatternOracle), 64);
-            let penalties: Vec<u64> =
-                scripted_history(&model, 6000).into_iter().map(f64::to_bits).collect();
+            for (i, (w, threads, occ, residents)) in queries.iter().enumerate() {
+                let memoised = model.penalty(w, threads, occ, residents);
+                let direct = PatternOracle.co_location_penalty(w, threads, occ, residents);
+                assert_eq!(memoised.to_bits(), direct.to_bits(), "query {i}");
+            }
             assert_eq!(model.cache.len(), 64);
-            (penalties, model.counters())
+            model.counters()
         };
-        let (first, second) = (run(), run());
-        assert_eq!(first.1, second.1);
-        assert!(first.0 == second.0, "the same history produced different penalties");
-        let c = first.1;
+        let c = run();
+        assert_eq!(c, run());
         assert!(
             c.computes > 1000 && c.hits > 1000,
             "the script must both thrash and hit: {c:?}"
@@ -661,16 +667,23 @@ mod tests {
     }
 
     #[test]
-    fn counters_after_a_scripted_history_equal_the_parents() {
+    fn counters_after_a_scripted_history_count_its_distinct_keys() {
         // Below the bound nothing is evicted, so the counts are a
-        // function of the script: 2,000 lookups, 240 distinct busy
-        // keys all reached, the rest hits (idle short circuits
-        // included). Recorded from the `Mutex<HashMap>` memo this one
-        // replaced, on the same script.
+        // function of the script: one compute per distinct busy key,
+        // every other lookup a hit (idle short circuits included).
+        let queries = scripted_queries(2000);
+        let keys: HashSet<Vec<u32>> = queries
+            .iter()
+            .filter_map(|(w, threads, occ, residents)| encode_key(w, threads, occ, residents))
+            .collect();
         let model = InterferenceModel::new(Arc::new(PatternOracle));
-        scripted_history(&model, 2000);
+        for (w, threads, occ, residents) in &queries {
+            model.penalty(w, threads, occ, residents);
+        }
         let c = model.counters();
-        assert_eq!((c.lookups, c.hits, c.computes), (2000, 1760, 240));
+        let distinct = keys.len() as u64;
+        assert_eq!((c.lookups, c.hits, c.computes), (2000, 2000 - distinct, distinct));
+        assert!(distinct > 400, "the script must reach most of its keys: {distinct}");
         assert_eq!(model.cache.counters().evictions, 0);
     }
 }

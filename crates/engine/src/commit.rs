@@ -269,7 +269,6 @@ impl PlacementEngine {
             let penalty = if interference {
                 host.interference(scope).penalty(
                     &cand.request.workload,
-                    &ap.spec.nodes,
                     &ap.threads,
                     occ,
                     &residents,

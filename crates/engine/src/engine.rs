@@ -43,7 +43,7 @@ pub struct EngineConfig {
     /// of an idle host: commit and BestScore ranking multiply each
     /// class's predicted performance by the occupancy-conditional
     /// co-location penalty (measured by the simulator, memoized per
-    /// `(workload, class, occupancy signature)` — see
+    /// oracle input — see
     /// [`vc_core::interference::InterferenceModel`]).
     ///
     /// `false` (the default) reproduces the neighbour-blind scoring

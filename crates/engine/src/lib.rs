@@ -94,10 +94,11 @@
 //! occupancy-conditional co-location penalty — the candidate simulated
 //! together with the host's **real resident workloads**, read from the
 //! same snapshot as the occupancy (so the penalty the engine acts on is
-//! the penalty the fleet actually experiences), memoized per
-//! `(workload, class, occupancy signature,
-//! resident-workload signature)` by
-//! [`vc_core::interference::InterferenceModel`]. The applied penalty
+//! the penalty the fleet actually experiences), memoized per oracle
+//! input — the candidate's workload and threads, the used threads and
+//! each resident's workload and threads — by
+//! [`vc_core::interference::InterferenceModel`], so a memoised penalty
+//! is exactly the simulator's. The applied penalty
 //! is reported in [`Placed::interference_penalty`] and the cache
 //! counters in [`EngineStats`]. Off (the default), decisions are
 //! bit-for-bit the neighbour-blind engine's.

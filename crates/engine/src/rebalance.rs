@@ -443,7 +443,6 @@ impl PlacementEngine {
                     let degradation = 1.0
                         - self.hosts[src.0].interference(&scope).penalty(
                             &resident.request.workload,
-                            &resident.spec.nodes,
                             &resident.threads,
                             &home.occ,
                             &home.others,
@@ -601,7 +600,6 @@ impl PlacementEngine {
             {
                 let penalty = interference.penalty(
                     &cand.request.workload,
-                    &ap.spec.nodes,
                     &ap.threads,
                     occ,
                     residents,

@@ -560,10 +560,7 @@ fn snapshot_scored_decisions_match_the_reference() {
 /// lock, so the record ticket `t` was committed onto holds exactly the
 /// residents with smaller tickets. Every resident's class, node set,
 /// threads, prediction and penalty must equal the reference's on that
-/// record, bit for bit. Sizes of 4 and 8 vCPUs keep every container on
-/// whole L2 modules, where the interference memo's key (per-node
-/// counts) determines the simulation; at 2 vCPUs two layouts share a
-/// key and the memo, not the commit, would diverge from the reference.
+/// record, bit for bit.
 #[test]
 fn concurrent_commits_land_on_the_records_they_scored() {
     for interference in [false, true] {
@@ -576,7 +573,7 @@ fn concurrent_commits_land_on_the_records_they_scored() {
         }
         let request = |client: usize, i: usize| {
             let wl = ["WTbtree", "streamcluster", "swaptions"][(client + i) % 3];
-            PlacementRequest::new(wl, [4, 8][(client * 3 + i) % 2]).with_probe_seed(i as u64)
+            PlacementRequest::new(wl, [2, 4, 8][(client * 3 + i) % 3]).with_probe_seed(i as u64)
         };
         // Train every model first, so the clients race on scoring and
         // committing, not on the compute-once caches.

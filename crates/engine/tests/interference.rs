@@ -303,7 +303,7 @@ fn racing_interference_batches_never_overcommit_or_bounce() {
 }
 
 /// Warm-path cache behaviour: repeating the same placement against the
-/// same occupancy signature answers every interference lookup from the
+/// same occupancy and residents answers every interference lookup from the
 /// cache — the co-location simulator runs only on the first (cold)
 /// commit, and never under a host lock (scoring runs on snapshots; a
 /// deadlock-free run of this test with computes > 0 exercises exactly
@@ -317,7 +317,7 @@ fn warm_interference_lookups_hit_the_cache() {
             ..fast_config()
         },
     );
-    // A long-lived half-node resident pins the occupancy signature; the
+    // A long-lived half-node resident pins the occupancy; the
     // pristine-averse retargeter will stack the candidate onto the same
     // node, so the two share an L3 and a memory controller.
     let resident = engine
@@ -338,7 +338,7 @@ fn warm_interference_lookups_hit_the_cache() {
         "sharing hardware with a streaming resident must cost something"
     );
 
-    // Same request against the same signature, repeatedly: zero new
+    // Same request against the same occupancy, repeatedly: zero new
     // simulations.
     engine.release(&first).unwrap();
     for _ in 0..3 {

@@ -196,7 +196,11 @@ fn batches(interference: bool) -> (u64, u64) {
 const FIRST_FIT_OFF: u64 = 13007787163618240530;
 const BEST_SCORE_OFF: u64 = 4503015622538748203;
 const FIRST_FIT_ON: u64 = 4548725876154697658;
-const BEST_SCORE_ON: u64 = 1253215500623742895;
+/// Re-pinned when the interference memo's key became the oracle's whole
+/// input: the per-node-count key let a penalty computed for one layout
+/// answer a lookup for another with equal per-node counts, and this
+/// batch's decisions read such answers.
+const BEST_SCORE_ON: u64 = 3419654098555048758;
 const CHURN: u64 = 7838634715244767095;
 const FIRST_PLACES: u64 = 604166572610000849;
 const SINGLE_PLACEMENT_SIZES: u64 = 12942783840878557332;
