@@ -98,71 +98,16 @@ impl InterferenceCounters {
     }
 }
 
-/// Appends `text` as its byte length followed by its bytes, four to a
-/// word, zero-padded — the length tells padding from content.
-fn push_str(key: &mut Vec<u32>, text: &str) {
-    key.push(text.len() as u32);
-    key.extend(text.as_bytes().chunks(4).map(|chunk| {
-        let mut word = [0u8; 4];
-        word[..chunk.len()].copy_from_slice(chunk);
-        u32::from_le_bytes(word)
-    }));
-}
-
-/// Appends `threads` as their count followed by their indices, two
-/// 16-bit halves to a word, in the order given.
-fn push_threads(key: &mut Vec<u32>, threads: &[ThreadId]) {
+/// Appends `threads` as their count followed by their indices in the
+/// order given, packed `32 / bits` to a word.
+fn push_threads(key: &mut Vec<u32>, threads: &[ThreadId], bits: usize) {
     key.push(threads.len() as u32);
-    key.extend(threads.chunks(2).map(|pair| {
-        let half = |i: usize| pair.get(i).map_or(0, |t| t.index() as u32);
-        half(0) | half(1) << 16
+    key.extend(threads.chunks(32 / bits).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0, |word, (i, t)| word | (t.index() as u32) << (i * bits))
     }));
-}
-
-/// The memo key of one penalty query, as one flat word string: the
-/// oracle's whole input,
-///
-/// ```text
-/// workload | candidate threads | used threads | residents
-/// ```
-///
-/// The used threads are a bitset of `occ.total_threads()` bits; every
-/// thread list keeps its order, and the residents theirs. The simulator
-/// accumulates its loads thread by thread, so the same threads in
-/// another order can score differently, and a key that forgot the order
-/// would answer one query with another's penalty. Names and lists carry
-/// their lengths and the bitset has a fixed width, so distinct inputs
-/// never encode alike.
-///
-/// `None` when the occupancy holds no resident thread at all (the
-/// penalty is trivially `1.0`).
-fn encode_key(
-    workload: &str,
-    threads: &[ThreadId],
-    occ: &OccupancyMap,
-    residents: &[ResidentWorkload],
-) -> Option<Vec<u32>> {
-    if occ.used_threads() == 0 {
-        return None;
-    }
-    let total = occ.total_threads();
-    assert!(total <= 1 << 16, "thread indices are keyed in 16 bits");
-    let mut key = Vec::with_capacity(
-        8 + threads.len() / 2 + total / 32 + residents.len() * 4 + occ.used_threads() / 2,
-    );
-    push_str(&mut key, workload);
-    push_threads(&mut key, threads);
-    let used = key.len();
-    key.resize(used + total.div_ceil(32), 0);
-    for t in (0..total).filter(|&t| !occ.is_free(ThreadId(t))) {
-        key[used + t / 32] |= 1 << (t % 32);
-    }
-    key.push(residents.len() as u32);
-    for r in residents {
-        push_str(&mut key, &r.workload);
-        push_threads(&mut key, &r.threads);
-    }
-    Some(key)
 }
 
 /// Memoizing front-end over an [`InterferenceOracle`].
@@ -175,10 +120,15 @@ fn encode_key(
 /// outside the lock — the `vc-engine` serving path does exactly that.
 pub struct InterferenceModel {
     oracle: SharedInterferenceOracle,
-    /// Clamped penalty per [`encode_key`] key, least-recently-used
+    /// Clamped penalty per [`Self::key`], least-recently-used
     /// entries dropped beyond the bound (churny fleets reach ever new
     /// occupancies, so the key space is unbounded).
     cache: KeyedCache<Vec<u32>, f64>,
+    /// Every workload name a key has named, numbered in order of first
+    /// appearance: a key writes a name as its number. As many entries
+    /// as the workloads the oracle is asked about.
+    names: KeyedCache<String, u32>,
+    next_name: Counter,
     lookups: Counter,
     hits: Counter,
 }
@@ -197,9 +147,66 @@ impl InterferenceModel {
         InterferenceModel {
             oracle,
             cache: KeyedCache::bounded(capacity),
+            names: KeyedCache::default(),
+            next_name: Counter::new(),
             lookups: Counter::new(),
             hits: Counter::new(),
         }
+    }
+
+    /// The number of workload `name` in this model's keys.
+    fn name(&self, name: &str) -> u32 {
+        self.names.get_or_compute(name, || self.next_name.incr() as u32)
+    }
+
+    /// The memo key of one penalty query, as one flat word string: the
+    /// oracle's whole input,
+    ///
+    /// ```text
+    /// workload | candidate threads | used threads | residents
+    /// ```
+    ///
+    /// Workloads are written as their [`Self::name`] numbers and the
+    /// used threads as a bitset of `occ.total_threads()` bits. Every
+    /// thread list keeps its order, and the residents theirs: the
+    /// simulator accumulates its loads thread by thread, so the same
+    /// threads in another order can score differently, and a key that
+    /// forgot the order would answer one query with another's penalty.
+    /// Indices take a byte each on machines of up to 256 threads and
+    /// two bytes beyond. Lists carry their lengths and the bitset has a
+    /// fixed width, so distinct inputs never encode alike.
+    ///
+    /// `None` when the occupancy holds no resident thread at all (the
+    /// penalty is trivially `1.0`).
+    fn key(
+        &self,
+        workload: &str,
+        threads: &[ThreadId],
+        occ: &OccupancyMap,
+        residents: &[ResidentWorkload],
+    ) -> Option<Vec<u32>> {
+        if occ.used_threads() == 0 {
+            return None;
+        }
+        let total = occ.total_threads();
+        let bits = if total <= 1 << 8 { 8 } else { 16 };
+        assert!(total <= 1 << 16, "thread indices are keyed in at most 16 bits");
+        let mut key = Vec::with_capacity(
+            4 + total / 32 + residents.len() * 3 + (threads.len() + occ.used_threads()) / 4,
+        );
+        key.push(self.name(workload));
+        push_threads(&mut key, threads, bits);
+        let used = key.len();
+        key.resize(used + total.div_ceil(32), 0);
+        for t in (0..total).filter(|&t| !occ.is_free(ThreadId(t))) {
+            key[used + t / 32] |= 1 << (t % 32);
+        }
+        key.push(residents.len() as u32);
+        for r in residents {
+            key.push(self.name(&r.workload));
+            push_threads(&mut key, &r.threads, bits);
+        }
+        Some(key)
     }
 
     /// The cached occupancy-conditional penalty for placing `workload`
@@ -223,7 +230,7 @@ impl InterferenceModel {
         residents: &[ResidentWorkload],
     ) -> f64 {
         self.lookups.incr();
-        let Some(key) = encode_key(workload, threads, occ, residents) else {
+        let Some(key) = self.key(workload, threads, occ, residents) else {
             self.hits.incr();
             return 1.0;
         };
@@ -487,15 +494,16 @@ mod tests {
             threads: [m.threads_on_node(NodeId(4))[0], m.threads_on_node(NodeId(5))[0]].to_vec(),
         }];
         // The key of `workload` on `threads` next to `residents`.
+        let model = InterferenceModel::new(Arc::new(PatternOracle));
         let key = |workload: &str, threads: &[usize], residents: &[ResidentWorkload]| {
             let threads: Vec<ThreadId> = threads.iter().map(|&t| ThreadId(t)).collect();
             let occ = occupancy_of(&m, residents);
-            encode_key(workload, &threads, &occ, residents).expect("busy host")
+            model.key(workload, &threads, &occ, residents).expect("busy host")
         };
         let keys = [
             key("w", &[0, 1, 2, 3], &one),
-            // Names that are prefixes of each other, within one word and
-            // across a word boundary, with and without trailing NULs.
+            // Names that are prefixes of each other, with and without
+            // trailing NULs: each is numbered apart.
             key("w1", &[0, 1, 2, 3], &one),
             key("abcd", &[0, 1, 2, 3], &one),
             key("abcde", &[0, 1, 2, 3], &one),
@@ -542,6 +550,10 @@ mod tests {
         let occ = occupancy_of(&m, &residents);
         let on = |node: usize| m.threads_on_node(NodeId(node))[..2].to_vec();
         let threads = [on(2), on(0), on(1)].concat();
+        let model = InterferenceModel::new(Arc::new(PatternOracle));
+        let encode_key = |w: &str, t: &[ThreadId], occ: &OccupancyMap, r: &[ResidentWorkload]| {
+            model.key(w, t, occ, r)
+        };
         let key = encode_key("w", &threads, &occ, &residents).unwrap();
         // The occupancy is its used threads, however it got there.
         let mut detour = OccupancyMap::new(&m);
@@ -672,11 +684,11 @@ mod tests {
         // function of the script: one compute per distinct busy key,
         // every other lookup a hit (idle short circuits included).
         let queries = scripted_queries(2000);
+        let model = InterferenceModel::new(Arc::new(PatternOracle));
         let keys: HashSet<Vec<u32>> = queries
             .iter()
-            .filter_map(|(w, threads, occ, residents)| encode_key(w, threads, occ, residents))
+            .filter_map(|(w, threads, occ, residents)| model.key(w, threads, occ, residents))
             .collect();
-        let model = InterferenceModel::new(Arc::new(PatternOracle));
         for (w, threads, occ, residents) in &queries {
             model.penalty(w, threads, occ, residents);
         }
