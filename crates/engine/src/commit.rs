@@ -236,10 +236,22 @@ impl PlacementEngine {
     /// Class preference among goal-clearing, currently-hostable
     /// classes: fewest nodes (cheapest for the operator), then fewest
     /// pristine nodes broken open (least fragmentation of contiguous
-    /// room), then highest (adjusted) predicted performance. `Err`
-    /// carries a human-readable reason naming the exhausted node — or
-    /// the interference, when capacity existed but every hostable
-    /// class's adjusted prediction fell below the goal.
+    /// room), then highest (adjusted) predicted performance, then the
+    /// earlier class in `available`. `Err` carries a human-readable
+    /// reason naming the exhausted node — or the interference, when
+    /// capacity existed but every hostable class's adjusted prediction
+    /// fell below the goal.
+    ///
+    /// The classes are walked by rank, then by idle prediction,
+    /// descending, and only penalties that could change the answer are
+    /// looked up. A penalty is at most `1.0`, so no class beats the best
+    /// so far unless its idle prediction does (or ties it from an
+    /// earlier position), and no member of a later rank group beats a
+    /// goal-clearing member of an earlier one: the walk stops after the
+    /// first rank group that clears the goal. The memo is exact, so a
+    /// skipped lookup changes no later answer either. When nothing
+    /// clears the goal, nothing was skipped, and the interference count
+    /// in the error is complete.
     fn best_available(
         &self,
         scope: &LockScope,
@@ -255,24 +267,37 @@ impl PlacementEngine {
             Vec::new()
         };
         let occ = record.occupancy();
-        let available = cand.catalog.availability.available(&host.machine, occ);
-        let mut best: Option<(&AvailablePlacement, f64, f64)> = None;
+        let mut available = cand.catalog.availability.available(&host.machine, occ);
+        let idle = |ap: &AvailablePlacement| cand.predicted[ap.id - 1];
+        let rank = |ap: &AvailablePlacement| (ap.spec.num_nodes(), ap.pristine_consumed);
+        // The penalty is ≤ 1, so a class whose idle-host prediction
+        // already misses the goal cannot clear it adjusted.
+        let mut order: Vec<usize> = (0..available.len())
+            .filter(|&i| idle(&available[i]) >= cand.goal_perf)
+            .collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&available[a], &available[b]);
+            rank(a).cmp(&rank(b)).then(idle(b).total_cmp(&idle(a)))
+        });
+        // `(index into available, adjusted prediction, penalty)`.
+        let mut best: Option<(usize, f64, f64)> = None;
         let mut interference_blocked = 0usize;
-        for ap in &available {
-            let idle_p = cand.predicted[ap.id - 1];
-            // The penalty is ≤ 1, so a class whose idle-host prediction
-            // already misses the goal cannot clear it adjusted — skip
-            // before the (potentially simulating) penalty lookup.
-            if idle_p < cand.goal_perf {
-                continue;
+        for i in order {
+            let ap = &available[i];
+            let idle_p = idle(ap);
+            if let Some((b, bp, _)) = best {
+                if rank(ap) != rank(&available[b]) {
+                    break;
+                }
+                // The most this class can score adjusted.
+                let ceiling = idle_p.max(0.0);
+                if ceiling < bp || (ceiling == bp && i > b) {
+                    continue;
+                }
             }
             let penalty = if interference {
-                host.interference(scope).penalty(
-                    &cand.request.workload,
-                    &ap.threads,
-                    occ,
-                    &residents,
-                )
+                host.interference(scope)
+                    .penalty(&cand.request.workload, &ap.threads, occ, &residents)
             } else {
                 1.0
             };
@@ -281,22 +306,14 @@ impl PlacementEngine {
                 interference_blocked += 1;
                 continue;
             }
-            let rank = (ap.spec.num_nodes(), ap.pristine_consumed);
-            let better = match best {
-                None => true,
-                Some((cur, cur_p, _)) => {
-                    let cur_rank = (cur.spec.num_nodes(), cur.pristine_consumed);
-                    rank < cur_rank || (rank == cur_rank && p > cur_p)
-                }
-            };
-            if better {
-                best = Some((ap, p, penalty));
+            if best.is_none_or(|(b, bp, _)| p > bp || (p == bp && i < b)) {
+                best = Some((i, p, penalty));
             }
         }
         match best {
-            Some((ap, perf, penalty)) => Ok(Plan {
+            Some((i, perf, penalty)) => Ok(Plan {
                 host: id,
-                placement: ap.clone(),
+                placement: available.swap_remove(i),
                 perf,
                 penalty,
                 record,

@@ -13,7 +13,9 @@
 //!   passes' reports;
 //! * whatever the interleaving, every host's registry owns exactly its
 //!   occupancy's threads (`audit()`), and every container drains by its
-//!   admission-time handle.
+//!   admission-time handle;
+//! * admission's pruned, memoised scoring commits exactly what an
+//!   unmemoised full scan decides, through churn and passes.
 
 use std::sync::OnceLock;
 
@@ -24,6 +26,9 @@ use vc_engine::{
 };
 use vc_ml::forest::ForestConfig;
 use vc_topology::machines;
+
+#[path = "support/reference.rs"]
+mod reference;
 
 fn fast_config() -> EngineConfig {
     EngineConfig {
@@ -337,6 +342,55 @@ fn periodic_rebalance_under_churn_moves_and_prices_containers() {
     );
     drain(&engine, &out, &ops);
     assert_eq!(engine.stats().release_failures, 0);
+}
+
+/// Admission skips the penalty lookups of classes that cannot beat the
+/// best so far, and reads the rest from the memo; neither may change a
+/// decision. Single-threaded churn on three hosts — arrivals of 2, 4, 8
+/// and 16 vCPUs under FirstFit and BestScore, departures, rebalance
+/// passes — where every admission must equal the reference's full scan,
+/// each class's penalty asked straight from the oracle, bit for bit.
+#[test]
+fn pruned_admissions_equal_the_unmemoised_full_scan() {
+    let mut engine = PlacementEngine::new(EngineConfig {
+        interference: true,
+        degradation_budget: Some(0.01),
+        ..fast_config()
+    });
+    for _ in 0..3 {
+        engine.add_machine(machines::amd_opteron_6272());
+    }
+    let workloads = ["streamcluster", "WTbtree", "swaptions", "canneal"];
+    let strategies = [BatchStrategy::FirstFit, BatchStrategy::BestScore];
+    let mut live: Vec<Placed> = Vec::new();
+    let (mut penalised, mut rejected) = (0, 0);
+    for i in 0..60usize {
+        let req = PlacementRequest::new(workloads[i % 4], [2, 4, 8, 16][i / 3 % 4])
+            .with_goal([0.0, 0.0, 0.9][i % 3])
+            .with_probe_seed(i as u64);
+        let strategy = strategies[i / 2 % 2];
+        match reference::place_checked(&engine, &req, strategy, &format!("arrival {i}")) {
+            Some(placed) => {
+                penalised += usize::from(placed.interference_penalty < 1.0);
+                live.push(placed);
+            }
+            None => rejected += 1,
+        }
+        if i % 3 == 2 && !live.is_empty() {
+            let gone = live.remove(i * 7 % live.len());
+            engine.release(&gone).unwrap();
+        }
+        if i % 10 == 9 {
+            engine.rebalance(&RebalancePolicy::default());
+            engine.audit().unwrap();
+        }
+    }
+    assert!(penalised >= 20, "only {penalised} admissions priced a neighbour");
+    assert!(rejected > 0, "the fleet must fill up");
+    for placed in &live {
+        engine.release(placed).unwrap();
+    }
+    engine.audit().unwrap();
 }
 
 /// One engine shared by every case: models warm up once, and each case
