@@ -35,7 +35,6 @@
 
 use std::sync::Arc;
 
-use vc_core::availability::AvailablePlacement;
 use vc_core::interference::ResidentWorkload;
 use vc_migration::{MigrationEstimate, MigrationMode, MigrationModel};
 use vc_sync::lock::LockScope;
@@ -347,6 +346,36 @@ impl<'a> Home<'a> {
             others: snapshot.resident_workloads_without(resident.ticket),
         }
     }
+
+    /// The home host as a move target: its record minus the mover.
+    fn view(&self) -> View<'_> {
+        View {
+            id: self.id,
+            record: self.snapshot,
+            occ: &self.occ,
+            residents: &self.others,
+        }
+    }
+}
+
+/// A host as a move plan scores it: the record a move there commits
+/// against, and the occupancy and residents the mover would join.
+struct View<'a> {
+    id: MachineId,
+    record: &'a Arc<HostSnapshot>,
+    occ: &'a OccupancyMap,
+    residents: &'a [ResidentWorkload],
+}
+
+/// The order move plans are chosen by, lowest first: predicted
+/// degradation, then the negated adjusted prediction, then whether the
+/// move leaves the source host, then the target's id.
+type MoveKey = (f64, f64, u8, usize);
+
+/// The [`MoveKey`] of a placement on `host` with `penalty` and
+/// adjusted prediction `perf`, for a mover from `src`.
+fn move_key(host: MachineId, perf: f64, penalty: f64, src: MachineId) -> MoveKey {
+    (1.0 - penalty, -perf, (host != src) as u8, host.0)
 }
 
 /// A move plan: [`Plan::host`] is the target, and its record the
@@ -358,21 +387,14 @@ impl Plan {
         1.0 - self.penalty
     }
 
-    /// Whether `self` beats `other`: lower predicted degradation, then
-    /// higher adjusted prediction, then staying on the current machine
-    /// (an intra-machine node-set move is the §7 setting the Table 2
-    /// costs were measured in; a cross-host move is at best as cheap),
-    /// then the lower machine id — a total, deterministic order.
-    fn beats(&self, other: &Plan, src: MachineId) -> bool {
-        let key = |m: &Plan| {
-            (
-                m.degradation_after(),
-                -m.perf,
-                (m.host != src) as u8,
-                m.host.0,
-            )
-        };
-        key(self) < key(other)
+    /// Where `self` stands among the moves of a mover from `src`
+    /// ([`MoveKey`]): lower predicted degradation, then higher adjusted
+    /// prediction, then staying on the current machine (an
+    /// intra-machine node-set move is the §7 setting the Table 2 costs
+    /// were measured in; a cross-host move is at best as cheap), then
+    /// the lower machine id — a total, deterministic order.
+    fn key(&self, src: MachineId) -> MoveKey {
+        move_key(self.host, self.perf, self.penalty, src)
     }
 }
 
@@ -392,7 +414,9 @@ impl PlacementEngine {
     ///    over-budget resident (lowest predicted degradation, then
     ///    highest adjusted prediction, then lowest machine id): every
     ///    summary-admissible host is scored over its full availability
-    ///    orbits on its published snapshot.
+    ///    orbits on its published snapshot, idle hosts first, and a
+    ///    class that provably cannot beat the best plan so far is never
+    ///    realised.
     /// 3. **Price** the move with [`RebalancePolicy::model`] in
     ///    [`RebalancePolicy::mode`] and execute it only when
     ///    `benefit_s > cost_s` ([`RebalancePolicy`] documents both
@@ -408,8 +432,19 @@ impl PlacementEngine {
     /// The moved container keeps its [`PlacementTicket`], so handles
     /// returned at admission still release it.
     pub fn rebalance(&self, policy: &RebalancePolicy) -> RebalanceReport {
+        self.rebalance_planned_by(&mut LockScope::new(), policy, Self::plan_move)
+    }
+
+    /// [`Self::rebalance`] on `scope` (fresh: its grants are the pass's
+    /// lock count) with `planner` in [`Self::plan_move`]'s place (the
+    /// tests run passes with an exhaustive one).
+    fn rebalance_planned_by(
+        &self,
+        scope: &mut LockScope,
+        policy: &RebalancePolicy,
+        planner: impl Fn(&Self, &LockScope, &Home<'_>, &PlacementRequest, f64) -> Option<Plan>,
+    ) -> RebalanceReport {
         let mut report = RebalanceReport::default();
-        let mut scope = LockScope::new();
         // The engine-wide pass clock (1-based) ticks even when the
         // budget is unset.
         let pass = self.counters.rebalance_passes.incr() + 1;
@@ -441,7 +476,7 @@ impl PlacementEngine {
                     };
                     let home = Home::new(src, &snapshot, resident);
                     let degradation = 1.0
-                        - self.hosts[src.0].interference(&scope).penalty(
+                        - self.hosts[src.0].interference(scope).penalty(
                             &resident.request.workload,
                             &resident.threads,
                             &home.occ,
@@ -453,8 +488,7 @@ impl PlacementEngine {
                     if attempt == 0 {
                         report.over_budget += 1;
                     }
-                    let Some(plan) = self.plan_move(&scope, &home, &resident.request, degradation)
-                    else {
+                    let Some(plan) = planner(self, scope, &home, &resident.request, degradation) else {
                         report.blocked_no_target += 1;
                         break;
                     };
@@ -462,7 +496,7 @@ impl PlacementEngine {
                     // (so generated or renamed workloads keep their
                     // calibrated THP fraction).
                     let workload = self.hosts[src.0]
-                        .sim(&scope)
+                        .sim(scope)
                         .workloads()
                         .iter()
                         .find(|w| w.name == resident.request.workload)
@@ -483,7 +517,7 @@ impl PlacementEngine {
                             break;
                         }
                     }
-                    match self.commit_move(&mut scope, pass, &home, resident, plan) {
+                    match self.commit_move(scope, pass, &home, resident, plan) {
                         Some(placed) => {
                             pass_moved_gb += estimate.moved_gb;
                             report.migrations.push(Migration {
@@ -513,8 +547,25 @@ impl PlacementEngine {
     /// `request` (warm-cache work) and every summary-admissible host
     /// scored on its snapshot — the resident's own host *minus itself*
     /// (`home`), so staying on freed-up local nodes competes fairly
-    /// with moving away. Returns `None` when no candidate strictly
-    /// improves on `degradation_before`.
+    /// with moving away. The plan is the lowest [`MoveKey`] over every
+    /// hostable realisation of every goal-clearing class on those
+    /// hosts (full availability orbits, not admission's
+    /// fragmentation-first head: on the victim's own host the head
+    /// would re-offer a stacked victim the very node set beside its
+    /// noisy neighbour), ties to the first realisation scored on the
+    /// host. Returns `None` when no candidate strictly improves on
+    /// `degradation_before`.
+    ///
+    /// Only realisations that could still win are scored. A penalty is
+    /// at most `1.0`, so every realisation of a class with idle
+    /// prediction `idle_p` on host `h` has a key no lower than
+    /// `(0.0, −idle_p, h ≠ src, h)`; a class whose bound is not below
+    /// the best plan's key is never realised. Idle hosts are scored
+    /// first: their penalties are `1.0` without a simulation, and the
+    /// plan they set prunes most of the busy hosts' classes. Keys are
+    /// unique per host, so the order hosts are scored in does not
+    /// change the plan, and the memo is exact, so a skipped lookup
+    /// changes no later answer either.
     fn plan_move(
         &self,
         scope: &LockScope,
@@ -522,102 +573,101 @@ impl PlacementEngine {
         request: &PlacementRequest,
         degradation_before: f64,
     ) -> Option<Plan> {
-        let mut best: Option<Plan> = None;
-        for class in 0..self.fleet_index().num_classes() {
-            let Ok(cand) = self.evaluate(scope, class, request) else {
-                continue;
-            };
-            for &id in self.fleet_index().classes()[class].members() {
+        let candidates: Vec<Candidate> = (0..self.fleet_index().num_classes())
+            .filter_map(|class| self.evaluate(scope, class, request).ok())
+            .collect();
+        // Every admissible host once, with the record it is scored on.
+        let mut targets = Vec::new();
+        for cand in &candidates {
+            for &id in self.fleet_index().classes()[cand.class].members() {
                 // Lock-free prefilter, exactly like admission: a host
                 // whose summary leaves no goal-clearing shape possible
-                // is skipped without being locked, cloned or scored.
-                // (The victim's own host is exempt — minus-self it has
-                // at least its current placement free.)
-                if id != home.id && !cand.fits_summary(&self.hosts[id.0].summary) {
-                    continue;
-                }
-                let (target, scored) = if id == home.id {
-                    let scored =
-                        self.best_escape_on_view(scope, id, &cand, &home.occ, &home.others);
-                    (Arc::clone(home.snapshot), scored)
-                } else {
-                    let target = self.host_snapshot(id);
-                    let residents = target.resident_workloads();
-                    let scored =
-                        self.best_escape_on_view(scope, id, &cand, target.occupancy(), &residents);
-                    (target, scored)
-                };
-                let Some((placement, perf, penalty)) = scored else {
-                    continue;
-                };
-                let plan = Plan {
-                    host: id,
-                    record: target,
-                    placement,
-                    perf,
-                    penalty,
-                };
-                if plan.degradation_after() >= degradation_before {
-                    continue;
-                }
-                if best.as_ref().is_none_or(|b| plan.beats(b, home.id)) {
-                    best = Some(plan);
+                // is skipped without being loaded or scored. (The
+                // victim's own host is exempt — minus-self it has at
+                // least its current placement free.)
+                if id == home.id {
+                    targets.push((cand, id, Arc::clone(home.snapshot)));
+                } else if cand.fits_summary(&self.hosts[id.0].summary) {
+                    targets.push((cand, id, self.host_snapshot(id)));
                 }
             }
+        }
+        targets.sort_by_key(|(_, id, record)| {
+            let occ = if *id == home.id { &home.occ } else { record.occupancy() };
+            occ.used_threads() > 0
+        });
+        let mut best: Option<Plan> = None;
+        for (cand, id, record) in &targets {
+            let residents;
+            let view = if *id == home.id {
+                home.view()
+            } else {
+                residents = record.resident_workloads();
+                View {
+                    id: *id,
+                    record,
+                    occ: record.occupancy(),
+                    residents: &residents,
+                }
+            };
+            self.improve_escape(scope, &mut best, cand, &view, home.id, degradation_before);
         }
         best
     }
 
-    /// The least-interfering goal-clearing placement on a host
-    /// snapshot: scans *every* hostable realisation of every class
-    /// (full availability orbits, not admission's fragmentation-first
-    /// head) and minimises predicted degradation, then maximises the
-    /// adjusted prediction. On the victim's own host the head would
-    /// re-offer a stacked victim the very node set beside its noisy
-    /// neighbour; the rebalancer pays the O(orbit) penalty lookups on
-    /// every target it scores, so it sees the best realisation
-    /// everywhere.
-    fn best_escape_on_view(
+    /// Replaces `best` with the lowest-keyed goal-clearing realisation
+    /// on `view` below both `best` and `degradation_before`, if any
+    /// (ties keep the earlier). Classes and realisations whose bound
+    /// (see [`Self::plan_move`]) is not below `best` are skipped before
+    /// they are realised or scored.
+    fn improve_escape(
         &self,
         scope: &LockScope,
-        id: MachineId,
+        best: &mut Option<Plan>,
         cand: &Candidate,
-        occ: &OccupancyMap,
-        residents: &[ResidentWorkload],
-    ) -> Option<(AvailablePlacement, f64, f64)> {
-        let host = &self.hosts[id.0];
+        view: &View<'_>,
+        src: MachineId,
+        degradation_before: f64,
+    ) {
+        let host = &self.hosts[view.id.0];
         let interference = host.interference(scope);
-        let mut best: Option<(AvailablePlacement, f64, f64)> = None;
         for (i, ip) in cand.catalog.placements.iter().enumerate() {
             let idle_p = cand.predicted[ip.id - 1];
             if idle_p < cand.goal_perf {
                 continue;
             }
+            let bound = move_key(view.id, idle_p.max(0.0), 1.0, src);
+            let can_win =
+                |best: &Option<Plan>| best.as_ref().is_none_or(|b| bound < b.key(src));
+            if !can_win(best) {
+                continue;
+            }
             for ap in cand
                 .catalog
                 .availability
-                .realisations(i, &host.machine, occ)
+                .realisations(i, &host.machine, view.occ)
             {
-                let penalty = interference.penalty(
-                    &cand.request.workload,
-                    &ap.threads,
-                    occ,
-                    residents,
-                );
-                let p = idle_p * penalty;
-                if p < cand.goal_perf {
+                let workload = &cand.request.workload;
+                let penalty = interference.penalty(workload, &ap.threads, view.occ, view.residents);
+                let perf = idle_p * penalty;
+                if perf < cand.goal_perf || 1.0 - penalty >= degradation_before {
                     continue;
                 }
-                let better = match &best {
-                    None => true,
-                    Some((_, bp, bpen)) => penalty > *bpen || (penalty == *bpen && p > *bp),
-                };
-                if better {
-                    best = Some((ap, p, penalty));
+                let key = move_key(view.id, perf, penalty, src);
+                if best.as_ref().is_none_or(|b| key < b.key(src)) {
+                    *best = Some(Plan {
+                        host: view.id,
+                        record: Arc::clone(view.record),
+                        placement: ap,
+                        perf,
+                        penalty,
+                    });
+                    if !can_win(best) {
+                        break;
+                    }
                 }
             }
         }
-        best
     }
 
     /// Commits `plan` for `resident` (an entry of `home.snapshot`) as
@@ -678,6 +728,8 @@ mod tests {
     use super::*;
     use crate::engine::fast_test_config;
     use crate::EngineConfig;
+    use std::cell::Cell;
+    use vc_core::interference::InterferenceOracle;
     use vc_core::placement::PlacementSpec;
     use vc_topology::{machines, NodeId};
 
@@ -949,6 +1001,158 @@ mod tests {
             let home = engine.host_snapshot(to);
             let moved = home.resident(mover).expect("re-homed");
             assert_eq!(moved.moved_in_pass, Some(1));
+        }
+    }
+
+    /// The move planner without pruning or memo, kept as the reference:
+    /// every admissible host, every hostable realisation of every
+    /// goal-clearing class, each penalty asked straight from the host's
+    /// oracle (clamped; an idle host costs nothing). Per host the
+    /// highest penalty wins, then the highest adjusted prediction, the
+    /// first found on ties; across hosts the lowest [`MoveKey`].
+    fn exhaustive_plan(
+        engine: &PlacementEngine,
+        scope: &LockScope,
+        home: &Home<'_>,
+        request: &PlacementRequest,
+        degradation_before: f64,
+    ) -> Option<Plan> {
+        let mut best: Option<Plan> = None;
+        for class in 0..engine.fleet_index().num_classes() {
+            let Ok(cand) = engine.evaluate(scope, class, request) else {
+                continue;
+            };
+            for &id in engine.fleet_index().classes()[class].members() {
+                let host = &engine.hosts[id.0];
+                let (record, occ, residents) = if id == home.id {
+                    (Arc::clone(home.snapshot), home.occ.clone(), home.others.clone())
+                } else if cand.fits_summary(&host.summary) {
+                    let record = engine.host_snapshot(id);
+                    let (occ, residents) = (record.occupancy().clone(), record.resident_workloads());
+                    (record, occ, residents)
+                } else {
+                    continue;
+                };
+                let mut on_host: Option<Plan> = None;
+                for (i, ip) in cand.catalog.placements.iter().enumerate() {
+                    let idle_p = cand.predicted[ip.id - 1];
+                    if idle_p < cand.goal_perf {
+                        continue;
+                    }
+                    for ap in cand.catalog.availability.realisations(i, &host.machine, &occ) {
+                        let penalty = if occ.used_threads() == 0 {
+                            1.0
+                        } else {
+                            let raw = host.sim(scope).co_location_penalty(
+                                &request.workload,
+                                &ap.threads,
+                                &occ,
+                                &residents,
+                            );
+                            if raw.is_finite() { raw.clamp(f64::MIN_POSITIVE, 1.0) } else { 1.0 }
+                        };
+                        let perf = idle_p * penalty;
+                        if perf < cand.goal_perf {
+                            continue;
+                        }
+                        let better = on_host.as_ref().is_none_or(|b| {
+                            penalty > b.penalty || (penalty == b.penalty && perf > b.perf)
+                        });
+                        if better {
+                            let record = Arc::clone(&record);
+                            on_host = Some(Plan { host: id, record, placement: ap, perf, penalty });
+                        }
+                    }
+                }
+                let Some(plan) = on_host else {
+                    continue;
+                };
+                if plan.degradation_after() >= degradation_before {
+                    continue;
+                }
+                if best.as_ref().is_none_or(|b| plan.key(home.id) < b.key(home.id)) {
+                    best = Some(plan);
+                }
+            }
+        }
+        best
+    }
+
+    /// Every count of a report, and each migration's ticket, hosts,
+    /// degradations (as bits) and threads.
+    fn report_counts(r: &RebalanceReport) -> impl PartialEq + std::fmt::Debug {
+        let moves: Vec<_> = r
+            .migrations
+            .iter()
+            .map(|m| {
+                let degradations = (m.degradation_before.to_bits(), m.degradation_after.to_bits());
+                (m.ticket, m.from, m.to, degradations, m.placed.threads.clone())
+            })
+            .collect();
+        let gates = (r.blocked_no_target, r.blocked_by_cost, r.blocked_by_gb_cap);
+        let skips = (r.failed_commits, r.suppressed_by_cooldown, r.host_lock_acquisitions);
+        (r.scanned, r.over_budget, gates, skips, moves)
+    }
+
+    /// Dense fleets built by a fixed script — packed hosts with holes,
+    /// then idle ones — rebalanced twice over by twin engines: one
+    /// plans with the pruned [`PlacementEngine::plan_move`], the other
+    /// with [`exhaustive_plan`], and asks the pruned planner too at
+    /// every step. The plans agree on host, threads and the bits of
+    /// prediction and penalty, and the passes on every count.
+    #[test]
+    fn pruned_move_plans_equal_the_exhaustive_scan() {
+        let policy = RebalancePolicy::default();
+        for (hosts, arrivals) in [(1, 20), (2, 40), (4, 30)] {
+            let build = || {
+                let mut engine = PlacementEngine::new(EngineConfig {
+                    interference: true,
+                    degradation_budget: Some(0.005),
+                    ..fast_test_config()
+                });
+                for _ in 0..hosts {
+                    engine.add_machine(machines::amd_opteron_6272());
+                }
+                let placed: Vec<Placed> = (0..arrivals)
+                    .filter_map(|i| {
+                        let workload = ["streamcluster", "WTbtree", "swaptions", "canneal"][i % 4];
+                        let req = PlacementRequest::new(workload, [2, 4, 8][i % 3])
+                            .with_probe_seed(i as u64);
+                        engine.place(&req).placed().cloned()
+                    })
+                    .collect();
+                for gone in placed.iter().step_by(5) {
+                    engine.release(gone).unwrap();
+                }
+                engine
+            };
+            let (pruned, exhaustive) = (build(), build());
+            let (planned, mut moved) = (Cell::new(0), 0);
+            for pass in 0..2 {
+                let planner = |engine: &PlacementEngine,
+                               scope: &LockScope,
+                               home: &Home<'_>,
+                               req: &PlacementRequest,
+                               before| {
+                    let want = exhaustive_plan(engine, scope, home, req, before);
+                    let got = engine.plan_move(scope, home, req, before);
+                    let summary = |p: &Plan| {
+                        let bits = (p.perf.to_bits(), p.penalty.to_bits());
+                        (p.host, p.placement.threads.clone(), bits)
+                    };
+                    let ctx = format!("{hosts} hosts, pass {pass}, {:?}", home.id);
+                    assert_eq!(got.as_ref().map(summary), want.as_ref().map(summary), "{ctx}");
+                    planned.set(planned.get() + 1);
+                    want
+                };
+                let want = exhaustive.rebalance_planned_by(&mut LockScope::new(), &policy, planner);
+                let got = pruned.rebalance(&policy);
+                assert_eq!(report_counts(&got), report_counts(&want), "{hosts} hosts, pass {pass}");
+                moved += got.migrations.len();
+                pruned.audit().unwrap();
+            }
+            let planned = planned.get();
+            assert!(planned > 4 && moved > 0, "{hosts} hosts: {planned} plans, {moved} moves");
         }
     }
 }
