@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out.
+//! Ablations over the paper's modelling choices:
 //!
 //! * probe-pair choice (selected vs worst vs naive neighbour);
 //! * Random Forest vs a single CART tree;

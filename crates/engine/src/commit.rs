@@ -219,10 +219,10 @@ impl PlacementEngine {
         }
     }
 
-    /// The plan `try_commit` would commit for `cand` on host `id` with
-    /// `record` as the host's record: the best goal-clearing class
-    /// currently hostable, via the catalog's precomputed availability
-    /// index (no node-set scoring happens here).
+    /// The plan for `cand` on host `id` with `record` as the host's
+    /// record: the best goal-clearing class currently hostable, via the
+    /// catalog's precomputed availability index (no node-set scoring
+    /// happens here).
     ///
     /// With interference scoring on, each hostable class's idle-host
     /// prediction is multiplied by the occupancy-conditional co-location
@@ -337,46 +337,27 @@ impl PlacementEngine {
         }
     }
 
-    /// The predicted performance `try_commit` would deliver for `cand`
-    /// on host `id` right now, without reserving anything, and whether
-    /// the record it scored was idle. Scores the published record —
-    /// wait-free (zero lock acquisitions), so BestScore dry runs never
-    /// contend with writers and penalty cold misses simulate with no
-    /// lock held.
-    fn offer(
-        &self,
-        scope: &LockScope,
-        id: MachineId,
-        cand: &Candidate,
-    ) -> Result<(f64, bool), ChooseError> {
-        self.counters.offers.incr();
-        let record = self.view(&self.hosts[id.0]);
-        let idle = record.occupancy().used_threads() == 0;
-        self.best_available(scope, id, cand, record)
-            .map(|plan| (plan.perf, idle))
-    }
-
-    /// Commits a candidate on host `id`: plans on the host's published
-    /// record ([`Self::best_available`], no lock held) and commits that
-    /// plan through [`HostGuard::commit`], which re-publishes the
-    /// host's lock-free views before the lock is dropped.
+    /// Commits `plan`, made for `cand` by [`Self::best_available`] on a
+    /// published record with no lock held, through
+    /// [`HostGuard::commit`], which re-publishes the host's lock-free
+    /// views before the lock is dropped.
     ///
     /// A plan refused because a concurrent commit, release or move
     /// published on the host in between is re-planned on the fresh
-    /// record (counted in [`SnapshotCounters::stale_retries`]). So the
-    /// request is never bounced off a host that still has room because
-    /// of a racing neighbour, and what it commits — class, threads,
-    /// prediction and penalty — is what serial admission would choose
-    /// on the record it lands on.
+    /// record (counted in [`SnapshotCounters::stale_retries`]), up to
+    /// [`REPLANS`] plans in all. So the request is never bounced off a
+    /// host that still has room because of a racing neighbour, and what
+    /// it commits — class, threads, prediction and penalty — is what
+    /// serial admission would choose on the record it lands on.
     fn try_commit(
         &self,
         scope: &mut LockScope,
-        id: MachineId,
+        mut plan: Plan,
         cand: &Candidate,
     ) -> Result<Placed, ChooseError> {
+        let id = plan.host;
         let host = &self.hosts[id.0];
-        for _ in 0..REPLANS {
-            let plan = self.best_available(scope, id, cand, self.view(host))?;
+        for planned in 1..=REPLANS {
             let mut guard = self.lock_host(scope, host);
             if guard.commit(&plan, &[]) {
                 let placed = plan.placed(PlacementTicket(self.next_ticket.incr()), cand.goal_perf);
@@ -385,6 +366,9 @@ impl PlacementEngine {
             }
             drop(guard);
             self.counters.snapshot_stale_retries.incr();
+            if planned < REPLANS {
+                plan = self.best_available(scope, id, cand, self.view(host))?;
+            }
         }
         Err(ChooseError::Capacity(format!(
             "{}: its record kept changing between plan and commit \
@@ -442,9 +426,9 @@ impl PlacementEngine {
     /// the lock), under the host's lock and only onto the record it was
     /// scored on — committed containers never share hardware threads,
     /// even across concurrent batches. A host admitted by a stale
-    /// summary that its record then rejects is excluded and the request
-    /// re-offered to the rest. Requests that fit nowhere — or whose goal
-    /// no machine class is predicted to meet — are rejected with a
+    /// summary that its record then rejects is passed over, and the
+    /// walk goes on to the rest. Requests that fit nowhere — or whose
+    /// goal no machine class is predicted to meet — are rejected with a
     /// reason naming the exhausted node.
     pub fn place_batch(
         &self,
@@ -456,10 +440,10 @@ impl PlacementEngine {
         let mut scope = LockScope::new();
         let candidates = self.evaluate_candidates(&scope, reqs);
 
-        // Phase 2: commit sequentially in request order. A commit that
-        // finds a host exhausted (either by earlier requests in this
-        // batch or by a concurrent batch) removes the host from this
-        // request's consideration and re-plans on the rest.
+        // Phase 2: commit sequentially in request order. A host whose
+        // record holds no plan (exhausted by earlier requests in this
+        // batch or by a concurrent batch) is passed over, and the
+        // request is planned on the rest.
         let mut decisions = Vec::with_capacity(reqs.len());
         for options in candidates {
             decisions.push(self.commit_one(&mut scope, &options, strategy));
@@ -467,9 +451,11 @@ impl PlacementEngine {
         decisions
     }
 
-    /// Phase 2 for one request: pick hosts by `strategy` among the
-    /// members of goal-clearing classes, prefiltered by capacity
-    /// summaries, until a commit succeeds.
+    /// Phase 2 for one request: walk the members of goal-clearing
+    /// classes, prefiltered by sketches and capacity summaries, plan
+    /// each admitted host once on its published record, and commit the
+    /// plan `strategy` picks. The walk repeats only after that commit
+    /// lost a race for its host.
     fn commit_one(
         &self,
         scope: &mut LockScope,
@@ -478,11 +464,6 @@ impl PlacementEngine {
     ) -> PlacementDecision {
         let mut commit_errors: Vec<String> = Vec::new();
         let mut tried = vec![false; self.hosts.len()];
-        // Hosts the summary prefilter ruled out, as of the last pass
-        // (used to explain rejections without ever locking them), and
-        // hosts whole shards of which the sketch descent never read.
-        let mut skipped: Vec<usize>;
-        let mut sketch_skipped: usize;
         // Viable class candidates, indexed by class for host lookup.
         let mut viable: Vec<Option<&Candidate>> = vec![None; self.fleet.num_classes()];
         for c in options.iter().filter_map(|c| c.as_ref().ok()) {
@@ -491,16 +472,28 @@ impl PlacementEngine {
             }
         }
         loop {
-            skipped = Vec::new();
-            sketch_skipped = 0;
-            let chosen: Option<(MachineId, &Candidate)> = match strategy {
+            // Hosts the summary prefilter ruled out on this walk (used
+            // to explain rejections without ever locking them), hosts
+            // whole shards of which the sketch descent never read, and
+            // admitted hosts whose record held no plan.
+            let mut skipped: Vec<usize> = Vec::new();
+            let mut sketch_skipped = 0;
+            let mut failed: Vec<(MachineId, ChooseError)> = Vec::new();
+            // Plans an admitted host on its published record: wait-free,
+            // so penalty cold misses simulate with no lock held.
+            let mut plan = |id: MachineId, cand: &Candidate| {
+                self.best_available(scope, id, cand, self.view(&self.hosts[id.0]))
+                    .map_err(|e| failed.push((id, e)))
+                    .ok()
+            };
+            let chosen: Option<(Plan, &Candidate)> = match strategy {
                 BatchStrategy::FirstFit => {
                     // The first member (fleet order) of a goal-clearing
-                    // class whose summary leaves room wins.
+                    // class whose record holds a plan wins.
                     let mut found = None;
                     self.walk_admitted(&viable, &tried, &mut skipped, &mut sketch_skipped, |id, cand| {
-                        found = Some((id, cand));
-                        true
+                        found = plan(id, cand).map(|p| (p, cand));
+                        found.is_some()
                     });
                     found
                 }
@@ -511,70 +504,63 @@ impl PlacementEngine {
                     // 1. machine classes are ranked by their idle-host
                     //    ceiling (best goal-clearing prediction),
                     //    descending;
-                    // 2. members of the leading classes are dry-run in
-                    //    fleet order — each offer is the occupancy-
-                    //    (and, when enabled, interference-) adjusted
-                    //    score of the placement a commit would take;
+                    // 2. members of the leading classes are planned in
+                    //    fleet order — a plan's prediction is the
+                    //    occupancy- (and, when enabled, interference-)
+                    //    adjusted score of the placement it commits;
                     // 3. a class's walk stops at its first *idle*
-                    //    member: every other idle member would offer
+                    //    member: every other idle member would plan
                     //    the identical class-canonical placement and
                     //    then lose the lowest-id tie-break;
                     // 4. branch-and-bound over the remaining classes:
-                    //    an offer never exceeds its class's ceiling, so
-                    //    once the best offer found so far beats a
+                    //    a plan never exceeds its class's ceiling, so
+                    //    once the best plan found so far beats a
                     //    class's ceiling outright, that class (and
-                    //    every lower-ranked one) is never realised —
-                    //    it provably cannot produce a better offer.
-                    //    Ceiling ties keep walking, preserving the
-                    //    lowest-id tie-break.
+                    //    every lower-ranked one) is never planned — it
+                    //    provably cannot produce a better plan. Ceiling
+                    //    ties keep walking, preserving the lowest-id
+                    //    tie-break.
                     //
-                    // The best offer wins (highest adjusted score, ties
-                    // to the lowest machine id) — deterministic, and on
-                    // multi-class fleets the dry-run count collapses
-                    // from one per admitted host to a handful
-                    // ([`EngineStats::offers`]; the fleet bench records
-                    // it at both 10 and 1000 hosts).
+                    // The best plan is committed (highest adjusted
+                    // score, ties to the lowest machine id) —
+                    // deterministic, and on multi-class fleets the plan
+                    // count collapses from one per admitted host to a
+                    // handful ([`EngineStats::offers`]; the fleet bench
+                    // records it at both 10 and 1000 hosts).
                     let mut ranked: Vec<&Candidate> = viable.iter().filter_map(|c| *c).collect();
                     ranked.sort_by(|a, b| b.best_perf.total_cmp(&a.best_perf));
-                    let mut best: Option<(MachineId, &Candidate, f64)> = None;
-                    let mut failed: Vec<(MachineId, ChooseError)> = Vec::new();
+                    let mut best: Option<(Plan, &Candidate)> = None;
                     for cand in ranked {
-                        if let Some((_, _, bp)) = best {
-                            if cand.best_perf < bp {
-                                break; // no member can beat or tie the best offer
-                            }
+                        if best.as_ref().is_some_and(|(b, _)| cand.best_perf < b.perf) {
+                            break; // no member can beat or tie the best plan
                         }
                         let mut class_only: Vec<Option<&Candidate>> =
                             vec![None; self.fleet.num_classes()];
                         class_only[cand.class] = Some(cand);
                         self.walk_admitted(&class_only, &tried, &mut skipped, &mut sketch_skipped, |id, cand| {
-                            match self.offer(scope, id, cand) {
-                                Ok((p, idle)) => {
-                                    let better = match best {
-                                        None => true,
-                                        Some((bid, _, bp)) => p > bp || (p == bp && id < bid),
-                                    };
-                                    if better {
-                                        best = Some((id, cand, p));
-                                    }
-                                    idle
-                                }
-                                Err(e) => {
-                                    failed.push((id, e));
-                                    false
-                                }
+                            self.counters.offers.incr();
+                            let Some(p) = plan(id, cand) else { return false };
+                            let idle = p.record.occupancy().used_threads() == 0;
+                            if best.as_ref().is_none_or(|(b, _)| {
+                                p.perf > b.perf || (p.perf == b.perf && id < b.host)
+                            }) {
+                                best = Some((p, cand));
                             }
+                            idle
                         });
                     }
-                    for (id, e) in failed {
-                        self.count_choose_error(&e);
-                        tried[id.0] = true;
-                        commit_errors.push(e.into_message());
-                    }
-                    best.map(|(id, cand, _)| (id, cand))
+                    best
                 }
             };
-            let Some((id, cand)) = chosen else {
+            for (id, e) in failed {
+                // The summary admitted the host, but it was stale (the
+                // record is the authority) or interference blocked every
+                // goal-clearing class: count which.
+                self.count_choose_error(&e);
+                tried[id.0] = true;
+                commit_errors.push(e.into_message());
+            }
+            let Some((plan, cand)) = chosen else {
                 return PlacementDecision::Rejected {
                     reason: self.rejection_reason(
                         options,
@@ -584,15 +570,12 @@ impl PlacementEngine {
                     ),
                 };
             };
-            tried[id.0] = true;
-            match self.try_commit(scope, id, cand) {
+            tried[plan.host.0] = true;
+            match self.try_commit(scope, plan, cand) {
                 Ok(p) => return PlacementDecision::Placed(p),
                 Err(e) => {
-                    // The summary admitted the host but selection found
-                    // no placement: either the summary was stale
-                    // (the record is the authority) or interference
-                    // blocked every goal-clearing class. Count which,
-                    // then re-offer on the remaining hosts.
+                    // The plan lost a race, and its re-plans found no
+                    // room or kept losing: walk the untried hosts again.
                     self.count_choose_error(&e);
                     commit_errors.push(e.into_message());
                 }
@@ -622,8 +605,8 @@ mod tests {
     /// that are still free, but prices a neighbour that is gone — and
     /// serial admission on the new record picks another node set. The
     /// commit step refuses it without changing or publishing anything,
-    /// and `try_commit` lands exactly what serial admission plans on
-    /// the new record.
+    /// and `try_commit`, handed the stale plan, re-plans once and lands
+    /// exactly what serial admission plans on the new record.
     #[test]
     fn a_plan_is_refused_once_its_host_publishes() {
         let id = MachineId(0);
@@ -664,11 +647,11 @@ mod tests {
         assert!(Arc::ptr_eq(&engine.host_snapshot(id), &record));
 
         let cand = engine.evaluate(&scope, 0, &req).unwrap();
-        let placed = engine.try_commit(&mut scope, id, &cand).ok().expect("room");
+        let placed = engine.try_commit(&mut scope, stale, &cand).ok().expect("room");
         assert_eq!(placed.threads, fresh.placement.threads);
         assert_eq!(placed.interference_penalty, fresh.penalty);
         assert_eq!(placed.predicted_perf, fresh.perf);
-        assert_eq!(engine.stats().snapshot.stale_retries, 0);
+        assert_eq!(engine.stats().snapshot.stale_retries, 1);
         drop(scope);
         engine.audit().unwrap();
     }

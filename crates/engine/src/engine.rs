@@ -333,14 +333,14 @@ pub enum BatchStrategy {
     /// The best-scoring home for the request, found class-first:
     /// machine classes are ranked by their best goal-clearing
     /// prediction and realised lazily, branch-and-bound style —
-    /// members are dry-run against live occupancy
-    /// (interference-adjusted when enabled) and the best offer wins;
-    /// a class whose ceiling cannot beat the best offer already found
-    /// is never dry-run at all (an offer never exceeds its class's
-    /// ceiling, so nothing better is lost). A class walk stops at its
-    /// first idle member (other idle members would offer the identical
-    /// placement and lose the lowest-id tie-break), which keeps the
-    /// dry-run count near constant even on thousand-host fleets
+    /// each member is planned once on its published record
+    /// (interference-adjusted when enabled) and the best plan is
+    /// committed; a class whose ceiling cannot beat the best plan
+    /// already found is never planned at all (a plan never exceeds its
+    /// class's ceiling, so nothing better is lost). A class walk stops
+    /// at its first idle member (other idle members would plan the
+    /// identical placement and lose the lowest-id tie-break), which
+    /// keeps the plan count near constant even on thousand-host fleets
     /// ([`EngineStats::offers`]).
     BestScore,
 }

@@ -60,7 +60,7 @@
 //! that copy *before* the host lock is released, together with one
 //! fresh sketch profile: stored as the capacity summary and applied to
 //! the shard sketch as a delta.
-//! Scoring, BestScore dry runs, interference probes, the
+//! Admission plans, interference probes, the
 //! utilisation/occupancy accessors and the whole rebalance planning
 //! phase read these snapshots with **zero lock acquisitions** — only
 //! the commit takes the host mutex (counter-verified via

@@ -14,15 +14,17 @@ pub struct SummaryCounters {
     /// Hosts skipped by the prefilter — no host lock was taken for
     /// these.
     pub skips: u64,
-    /// Hosts the prefilter admitted (each admission leads to at most
-    /// one lock-validated offer or commit attempt).
+    /// Hosts the prefilter admitted (each admission leads to one plan
+    /// on the host's published record, re-planned only when its commit
+    /// loses a race).
     pub admits: u64,
-    /// Admitted hosts whose lock-validated commit/offer then found no
-    /// room; the request was re-offered to the remaining hosts. Under
-    /// concurrency this is usually a stale-optimistic summary, but it
-    /// also counts constraints the node-granular summary cannot
-    /// express (score-equivalent node sets all busy, intra-node L2
-    /// fragmentation), so it can be nonzero single-threaded.
+    /// Admitted hosts whose record then held no goal-clearing plan (or
+    /// whose plans kept losing races at commit); the walk went on to
+    /// the remaining hosts. Under concurrency this is usually a
+    /// stale-optimistic summary, but it also counts constraints the
+    /// node-granular summary cannot express (score-equivalent node sets
+    /// all busy, intra-node L2 fragmentation), so it can be nonzero
+    /// single-threaded.
     pub stale: u64,
 }
 
@@ -87,17 +89,19 @@ pub struct EngineStats {
     /// zero when [`EngineConfig::interference`](crate::EngineConfig::interference)
     /// is off.
     pub interference: InterferenceCounters,
-    /// Commit/offer attempts abandoned because the host had free
-    /// capacity for goal-clearing classes, but co-location interference
-    /// pushed every adjusted prediction below the goal. Counted
+    /// Admission plans abandoned because the host had free capacity
+    /// for goal-clearing classes, but co-location interference pushed
+    /// every adjusted prediction below the goal. Counted
     /// separately from [`SummaryCounters::stale`] — these hosts are
     /// neither stale nor re-validatable.
     pub interference_blocked: u64,
-    /// BestScore dry-run offers (per-host availability realisations).
-    /// Class-ranked commitment offers only the members of the
-    /// best-scoring machine class (lower-ranked classes are realised
-    /// lazily, only when the leader cannot host), so on multi-class
-    /// fleets this stays well below the admitted-host count.
+    /// BestScore plans (one per admitted host it walks, each an
+    /// availability realisation on the host's published record; the
+    /// winner commits as planned). Class-ranked commitment plans only
+    /// the members of the best-scoring machine class (lower-ranked
+    /// classes are realised lazily, only when the leader cannot host),
+    /// so on multi-class fleets this stays well below the admitted-host
+    /// count.
     pub offers: u64,
     /// Successful releases (departures whose ticket resolved).
     pub releases: u64,

@@ -24,23 +24,14 @@ use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, Placed, PlacementDecision, PlacementEngine,
     PlacementRequest, RebalancePolicy, RebalanceReport, RebalanceTotals,
 };
-use vc_ml::forest::ForestConfig;
 use vc_topology::machines;
 
+#[path = "support/config.rs"]
+mod config;
 #[path = "support/reference.rs"]
 mod reference;
 
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
-}
+use config::fast_config;
 
 fn two_amd(budget: Option<f64>) -> PlacementEngine {
     let mut engine = PlacementEngine::new(EngineConfig {

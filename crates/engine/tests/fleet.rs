@@ -3,8 +3,12 @@
 //! a placement through that the occupancy map would reject, and the
 //! per-class work accounting holds at fleet scale.
 
+#[path = "support/config.rs"]
+mod config;
 #[path = "support/reference.rs"]
 mod reference;
+
+use config::fast_config;
 
 use std::sync::{Arc, OnceLock};
 
@@ -13,20 +17,7 @@ use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, Placed, PlacementEngine, PlacementRequest,
     RebalancePolicy,
 };
-use vc_ml::forest::ForestConfig;
 use vc_topology::{machines, ThreadId};
-
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
-}
 
 /// The reference semantics `place_batch` must preserve: one independent
 /// single-machine engine per host, swept in fleet order per request —
@@ -365,8 +356,8 @@ fn full_hosts_are_skipped_by_sketches_without_locking() {
 }
 
 /// Racing batches against a small fleet: stale summaries may admit a
-/// host whose occupancy then rejects the commit (counted as `stale`,
-/// re-offered elsewhere), but capacity is never over-committed and the
+/// host whose record then holds no plan (counted as `stale`, placed
+/// elsewhere), but capacity is never over-committed and the
 /// summaries converge to the occupancy maps at quiescence.
 #[test]
 fn racing_batches_stay_consistent_under_stale_summaries() {
@@ -408,11 +399,12 @@ fn racing_batches_stay_consistent_under_stale_summaries() {
     assert_summaries_published(&engine);
 }
 
-/// BestScore ranks machine classes before realising offers: on a fleet
+/// BestScore ranks machine classes before planning offers: on a fleet
 /// where one class dominates, members of the other classes are never
-/// dry-run at all — `EngineStats::offers` stays at the winning class's
-/// realisations instead of one per admitted host (the pre-ranking
-/// engine offered every one of the 101 hosts).
+/// planned at all — `EngineStats::offers` stays at the winning class's
+/// plans instead of one per admitted host (the pre-ranking engine
+/// offered every one of the 101 hosts) — and the winning plan commits
+/// without a second read of its host's record.
 #[test]
 fn best_score_offers_only_the_winning_class() {
     let mut engine = PlacementEngine::new(fast_config());
@@ -422,6 +414,7 @@ fn best_score_offers_only_the_winning_class() {
     engine.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
 
     let req = PlacementRequest::new("WTbtree", 16);
+    let before = engine.stats();
     let placed = engine
         .place_batch(std::slice::from_ref(&req), BatchStrategy::BestScore)
         .pop()
@@ -433,8 +426,15 @@ fn best_score_offers_only_the_winning_class() {
     assert!(
         stats.offers <= 2,
         "class-ranked BestScore must stop at the leader's ceiling \
-         (idle host offers it immediately), not dry-run 101 hosts: {} offers",
+         (idle host offers it immediately), not plan 101 hosts: {} offers",
         stats.offers
+    );
+    // Each offer plans on one published record, and the winner commits
+    // that plan: no record is read again to re-plan it.
+    assert_eq!(
+        stats.snapshot.reads - before.snapshot.reads,
+        stats.offers - before.offers,
+        "one snapshot read per offer"
     );
     // And the choice is still the best-scoring host: the winning class
     // ceiling equals the committed prediction (idle fleet, no penalty).
@@ -452,6 +452,50 @@ fn best_score_offers_only_the_winning_class() {
         .clone();
     assert_eq!(again.machine, placed.machine, "deterministic tie-break");
     engine.release(&again).unwrap();
+}
+
+/// FirstFit plans each admitted host once and walks on past a host
+/// whose record holds no plan. Host 0 is full; host 1's summary admits
+/// the request, but its residents share every node it could use, and
+/// interference pushes each goal-clearing class below the goal; idle
+/// host 2 takes it. Host 0's summary is read once: the walk does not
+/// restart from the front of the fleet.
+#[test]
+fn first_fit_walks_on_past_a_host_without_a_plan() {
+    let mut engine = PlacementEngine::new(EngineConfig {
+        interference: true,
+        ..fast_config()
+    });
+    for _ in 0..3 {
+        engine.add_machine(machines::amd_opteron_6272());
+    }
+    // Four 16-vCPU containers fill host 0; eight 6-vCPU ones leave two
+    // threads free on each of host 1's eight nodes.
+    let residents = [("swaptions", 16, 0); 4]
+        .into_iter()
+        .chain([("streamcluster", 6, 1); 8]);
+    for (workload, vcpus, host) in residents {
+        let placed = engine.place(&PlacementRequest::new(workload, vcpus).with_goal(0.0));
+        assert_eq!(placed.placed().expect("room").machine, MachineId(host));
+    }
+
+    let req = PlacementRequest::new("streamcluster", 4).with_goal(0.9);
+    let before = engine.stats();
+    let placed = engine.place(&req).placed().expect("host 2 is idle").clone();
+    let after = engine.stats();
+    assert_eq!(placed.machine, MachineId(2));
+    assert_eq!(placed.interference_penalty, 1.0);
+    assert_eq!(
+        after.interference_blocked,
+        before.interference_blocked + 1,
+        "host 1's summary admits, but its record holds no plan"
+    );
+    assert_eq!(after.summary.admits, before.summary.admits + 2);
+    assert_eq!(
+        after.summary.skips,
+        before.summary.skips + 1,
+        "host 0's summary is read once"
+    );
 }
 
 /// LRU-bounded engines stay bounded: distinct vcpus values beyond

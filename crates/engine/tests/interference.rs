@@ -12,24 +12,16 @@
 //!   simulator call ever runs under a host lock (scoring runs against
 //!   occupancy snapshots taken outside it).
 
+#[path = "support/config.rs"]
+mod config;
+
+use config::fast_config;
+
 use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, Placed, PlacementEngine, PlacementRequest,
 };
-use vc_ml::forest::ForestConfig;
 use vc_sim::{simulate_co_location, ContainerRun, SimConfig};
 use vc_topology::machines;
-
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
-}
 
 fn engine_with(interference: bool) -> PlacementEngine {
     let mut engine = PlacementEngine::new(EngineConfig {

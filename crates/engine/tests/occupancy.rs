@@ -3,27 +3,17 @@
 //! they held; and the old machine-granular accounting bug (two
 //! containers "placed" on overlapping node sets) stays fixed.
 
+#[path = "support/config.rs"]
+mod config;
+
+use config::fast_config;
+
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use vc_engine::{
-    BatchStrategy, EngineConfig, MachineId, Placed, PlacementEngine, PlacementRequest,
-};
-use vc_ml::forest::ForestConfig;
+use vc_engine::{BatchStrategy, MachineId, Placed, PlacementEngine, PlacementRequest};
 use vc_topology::machines;
-
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
-}
 
 /// Asserts that no two placements in `live` share a hardware thread and
 /// that the engine's counters agree with the live set.

@@ -1,15 +1,17 @@
 //! Cache-layer guarantees: cached answers are identical to uncached
 //! ones, and concurrent serving never deadlocks or double-computes.
 
+#[path = "support/config.rs"]
+mod config;
+
+use config::fast_config;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use vc_core::concern::ConcernSet;
 use vc_core::important::important_placements;
-use vc_engine::{
-    BatchStrategy, EngineConfig, MachineId, PlacementEngine, PlacementRequest,
-};
-use vc_ml::forest::ForestConfig;
+use vc_engine::{BatchStrategy, MachineId, PlacementEngine, PlacementRequest};
 use vc_topology::{machines, CacheConfig, Machine, MachineBuilder};
 
 /// A small random machine, mirroring the root property tests.
@@ -39,18 +41,6 @@ fn arb_machine() -> impl Strategy<Value = Machine> {
                 .build()
                 .expect("constrained builder always yields a valid machine")
         })
-}
-
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
 }
 
 proptest! {

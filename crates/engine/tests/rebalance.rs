@@ -17,25 +17,17 @@
 //! tests, which all take host locks through commits/releases while
 //! penalties simulate, exercises exactly that).
 
+#[path = "support/config.rs"]
+mod config;
+
+use config::fast_config;
+
 use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, MigrationMode, Placed, PlacementEngine,
     PlacementRequest, RebalancePolicy, ReleaseError,
 };
-use vc_ml::forest::ForestConfig;
 use vc_sim::{simulate_co_location, ContainerRun, SimConfig};
 use vc_topology::machines;
-
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
-}
 
 fn two_amd(budget: Option<f64>) -> PlacementEngine {
     let mut engine = PlacementEngine::new(EngineConfig {

@@ -6,28 +6,19 @@
 //! `can_fit` counts exactly the full-scan hosts while charging skipped
 //! shards to [`FitProbe::sketch_skipped`](vc_engine::FitProbe).
 
+#[path = "support/config.rs"]
+mod config;
 #[path = "support/reference.rs"]
 mod reference;
+
+use config::fast_config;
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use vc_engine::{
     BatchStrategy, EngineConfig, Placed, PlacementEngine, PlacementRequest, RebalancePolicy,
 };
-use vc_ml::forest::ForestConfig;
 use vc_topology::{machines, L2GroupId, Machine, NodeId};
-
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        n_seeds: 2,
-        extra_synthetic: 0,
-        forest: ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        },
-        ..EngineConfig::default()
-    }
-}
 
 /// 2-host shards, so small test fleets still exercise the multi-shard
 /// merge, shard skipping and remainder shards.

@@ -3,12 +3,7 @@
 //! The paper's evaluation is *per-application cross-validated*: when
 //! predicting a workload, neither it nor its relatives (e.g. the two Spark
 //! workloads) appear in the training set (§6). [`leave_group_out`]
-//! implements exactly that discipline; [`k_fold`] is the generic variant
-//! used for hyper-parameter selection inside the training pipeline.
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+//! implements exactly that discipline.
 
 /// A single train/test split as index lists.
 #[derive(Debug, Clone)]
@@ -17,36 +12,6 @@ pub struct Split {
     pub train: Vec<usize>,
     /// Indices of held-out rows.
     pub test: Vec<usize>,
-}
-
-/// Shuffled k-fold splits over `n` samples.
-///
-/// # Panics
-///
-/// Panics if `k` is 0 or exceeds `n`.
-pub fn k_fold(n: usize, k: usize, seed: u64) -> Vec<Split> {
-    assert!(k >= 1 && k <= n, "k must be in 1..=n");
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut StdRng::seed_from_u64(seed));
-    let mut splits = Vec::with_capacity(k);
-    for fold in 0..k {
-        let test: Vec<usize> = order
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| i % k == fold)
-            .map(|(_, v)| v)
-            .collect();
-        let train: Vec<usize> = order
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| i % k != fold)
-            .map(|(_, v)| v)
-            .collect();
-        splits.push(Split { train, test });
-    }
-    splits
 }
 
 /// Leave-one-group-out splits: one split per distinct group label, with
@@ -83,33 +48,6 @@ pub fn leave_group_out(groups: &[&str]) -> Vec<Split> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn k_fold_partitions_all_samples() {
-        let splits = k_fold(10, 3, 0);
-        assert_eq!(splits.len(), 3);
-        let mut seen = [false; 10];
-        for s in &splits {
-            for &i in &s.test {
-                assert!(!seen[i], "sample {i} tested twice");
-                seen[i] = true;
-            }
-            assert_eq!(s.train.len() + s.test.len(), 10);
-            for &i in &s.train {
-                assert!(!s.test.contains(&i));
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn k_fold_is_deterministic_per_seed() {
-        let a = k_fold(20, 4, 7);
-        let b = k_fold(20, 4, 7);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.test, y.test);
-        }
-    }
 
     #[test]
     fn leave_group_out_holds_out_whole_group() {

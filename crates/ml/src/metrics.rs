@@ -44,21 +44,6 @@ pub fn mean_abs_pct_error(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
     }
 }
 
-/// Root mean squared error over all outputs of all rows.
-pub fn rmse(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "row count mismatch");
-    assert!(!pred.is_empty(), "empty input");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, t) in pred.iter().zip(truth) {
-        for (a, b) in p.iter().zip(t) {
-            total += (a - b) * (a - b);
-            count += 1;
-        }
-    }
-    (total / count as f64).sqrt()
-}
-
 /// Coefficient of determination (R²), pooled over all outputs.
 ///
 /// Returns 1.0 for a perfect fit; can be negative for fits worse than
@@ -119,13 +104,6 @@ mod tests {
         let t = vec![vec![1.0, 0.0]];
         let e = mean_abs_pct_error(&p, &t);
         assert!((e - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rmse_penalises_outliers_more_than_mae() {
-        let p = vec![vec![0.0], vec![4.0]];
-        let t = vec![vec![0.0], vec![0.0]];
-        assert!(rmse(&p, &t) > mean_abs_error(&p, &t));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the ML primitives.
 
 use proptest::prelude::*;
-use vc_ml::cv::{k_fold, leave_group_out};
+use vc_ml::cv::leave_group_out;
 use vc_ml::forest::{ForestConfig, RandomForest};
 use vc_ml::kmeans::{silhouette, KMeans, KMeansConfig};
 use vc_ml::tree::{DecisionTree, TreeConfig};
@@ -94,18 +94,6 @@ proptest! {
         let model = KMeans::fit(&data, &KMeansConfig { k, ..KMeansConfig::default() }, 5);
         let s = silhouette(&data, &model.labels);
         prop_assert!((-1.0..=1.0).contains(&s), "s = {s}");
-    }
-
-    #[test]
-    fn k_fold_covers_each_index_exactly_once(n in 2usize..60, k in 1usize..8, seed in 0u64..100) {
-        prop_assume!(k <= n);
-        let mut count = vec![0usize; n];
-        for split in k_fold(n, k, seed) {
-            for &i in &split.test {
-                count[i] += 1;
-            }
-        }
-        prop_assert!(count.iter().all(|&c| c == 1));
     }
 
     #[test]

@@ -534,7 +534,7 @@ wire_struct! {
         pub protocol_errors: u64,
         /// Engine candidate evaluations.
         pub evaluations: u64,
-        /// Engine BestScore dry-run offers.
+        /// Engine BestScore plans (`EngineStats::offers`).
         pub offers: u64,
         /// Successful releases.
         pub releases: u64,

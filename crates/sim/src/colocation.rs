@@ -45,12 +45,6 @@ impl CoLocationReport {
         penalty(&self.candidate, &self.candidate_solo)
     }
 
-    /// `1 − penalty` for the candidate: the fraction of idle-host
-    /// performance the neighbours cost, in `[0, 1)`.
-    pub fn candidate_degradation(&self) -> f64 {
-        1.0 - self.candidate_penalty()
-    }
-
     /// Per-resident penalties in `(0, 1]`, input order — what admitting
     /// the candidate costs the containers already on the host.
     pub fn resident_penalties(&self) -> Vec<f64> {
@@ -59,11 +53,6 @@ impl CoLocationReport {
             .zip(&self.residents_solo)
             .map(|(co, solo)| penalty(co, solo))
             .collect()
-    }
-
-    /// Per-resident degradations (`1 − penalty`), input order.
-    pub fn resident_degradations(&self) -> Vec<f64> {
-        self.resident_penalties().iter().map(|p| 1.0 - p).collect()
     }
 }
 
@@ -202,11 +191,11 @@ mod tests {
             "bandwidth-bound candidate must feel node-sharing residents: {}",
             report.candidate_penalty()
         );
-        assert_eq!(report.resident_degradations().len(), 1);
-        for d in report.resident_degradations() {
-            assert!((0.0..1.0).contains(&d));
+        assert_eq!(report.resident_penalties().len(), 1);
+        for p in report.resident_penalties() {
+            assert!(p > 0.0);
             assert!(
-                d > 0.0,
+                p < 1.0,
                 "the candidate must also cost the residents something"
             );
         }

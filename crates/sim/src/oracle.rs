@@ -21,11 +21,11 @@ use crate::noise::measurement_rng;
 
 /// A performance oracle for one machine: resolves workload names against
 /// the paper suite (plus optional extra workloads) and simulates each
-/// requested (workload, placement) measurement.
+/// requested (workload, placement) measurement with
+/// [`SimConfig::default`].
 pub struct SimOracle {
     machine: Machine,
     workloads: Vec<Workload>,
-    config: SimConfig,
     /// The canonical assignment of every spec measured so far. An
     /// assignment is a pure function of (machine, spec), so it is kept
     /// beside its spec instead of being rebuilt through a fresh
@@ -49,15 +49,8 @@ impl SimOracle {
         SimOracle {
             machine,
             workloads,
-            config: SimConfig::default(),
             assignments: RwLock::default(),
         }
-    }
-
-    /// Overrides the simulator configuration.
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The machine this oracle simulates.
@@ -107,7 +100,7 @@ impl SimOracle {
             workload: self.workload(name),
             assignment: &self.assignment(name, spec),
         };
-        let result = simulate(&self.machine, &[run], &self.config, seed);
+        let result = simulate(&self.machine, &[run], &SimConfig::default(), seed);
         result
             .per_container
             .into_iter()
@@ -183,7 +176,7 @@ impl PerfOracle for SimOracle {
         let w = self.workload(workload);
         let assignment = self.assignment(workload, spec);
         let mut rng = measurement_rng(workload, &assignment, seed, 2);
-        hpe::synthesise(w, &perf, &mut rng, self.config.hpe_noise)
+        hpe::synthesise(w, &perf, &mut rng, SimConfig::default().hpe_noise)
     }
 
     fn hpe_names(&self) -> Vec<String> {

@@ -213,19 +213,9 @@ impl OccupancyMap {
         self.layout.node_of[thread.index()]
     }
 
-    /// Reserved threads on `node`.
-    pub fn used_on_node(&self, node: NodeId) -> usize {
-        self.used_per_node[node.index()]
-    }
-
     /// Free threads on `node`.
     pub fn free_on_node(&self, node: NodeId) -> usize {
         self.layout.cap_per_node[node.index()] - self.used_per_node[node.index()]
-    }
-
-    /// Reserved threads in L2 group `l2`.
-    pub fn used_in_l2(&self, l2: L2GroupId) -> usize {
-        self.used_per_l2[l2.index()]
     }
 
     /// Free threads in L2 group `l2`.
