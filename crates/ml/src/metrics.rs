@@ -113,4 +113,27 @@ mod tests {
         let mean_pred = vec![vec![2.0], vec![2.0], vec![2.0]];
         assert!((r2_score(&mean_pred, &t)).abs() < 1e-12);
     }
+
+    #[test]
+    fn r2_is_negative_for_fits_worse_than_the_mean() {
+        let t = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let reversed = vec![vec![3.0], vec![2.0], vec![1.0]];
+        // ss_res = 8, ss_tot = 2.
+        assert!((r2_score(&reversed, &t) + 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn r2_of_constant_truth_is_one_only_for_an_exact_fit() {
+        let t = vec![vec![5.0], vec![5.0]];
+        assert_eq!(r2_score(&t, &t), 1.0);
+        let off = vec![vec![5.0], vec![6.0]];
+        assert_eq!(r2_score(&off, &t), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn mape_is_zero_when_every_truth_is_zero() {
+        let p = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let t = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
+        assert_eq!(mean_abs_pct_error(&p, &t), 0.0);
+    }
 }

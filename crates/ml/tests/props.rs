@@ -107,4 +107,17 @@ proptest! {
             prop_assert_eq!(split.test.len() + split.train.len(), refs.len());
         }
     }
+
+    #[test]
+    fn leave_group_out_tests_each_index_exactly_once(labels in proptest::collection::vec(0u8..5, 1..30)) {
+        let names: Vec<String> = labels.iter().map(|l| format!("g{l}")).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut tested = vec![0usize; refs.len()];
+        for split in leave_group_out(&refs) {
+            for &t in &split.test {
+                tested[t] += 1;
+            }
+        }
+        prop_assert!(tested.iter().all(|&c| c == 1), "tested = {tested:?}");
+    }
 }
