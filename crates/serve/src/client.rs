@@ -248,8 +248,9 @@ impl Client {
         self.control(&Request::Drain { token })
     }
 
-    /// Asks the daemon to exit. The ack is sent before the daemon stops
-    /// accepting, so the call observes a clean shutdown handshake.
+    /// Asks the daemon to exit. The daemon leaves this connection out of
+    /// the ones it shuts down, so the call observes the ack before the
+    /// connection closes: a clean shutdown handshake.
     ///
     /// # Errors
     ///

@@ -293,3 +293,56 @@ fn single_placement_sizes_answer_through_the_daemon() {
     server.join();
     engine.audit().expect("published views drifted from host state");
 }
+
+/// Shutdown does not wait on a paused loop or an idle client: with the
+/// loop parked on its condvar and one client connected but silent,
+/// `shutdown()` returns, the idle client's next call fails instead of
+/// hanging, and the engine is quiescent and consistent.
+#[test]
+fn shutdown_returns_with_the_loop_paused_and_a_client_idle() {
+    let engine = small_engine();
+    let config = ServerConfig::default().with_rebalance(LoopConfig {
+        start_paused: true,
+        ..LoopConfig::default()
+    });
+    let server = PlacementServer::spawn(Arc::clone(&engine), config).expect("bind");
+    let mut idle = Client::connect(server.local_addr()).expect("connect");
+    assert!(idle.stats().expect("stats").paused);
+
+    server.shutdown();
+
+    assert!(idle.ping().is_err(), "the idle client's connection must be closed");
+    assert_eq!(engine.stats().rebalance_passes, 0, "a paused loop never ran");
+    engine.audit().expect("published views drifted from host state");
+}
+
+/// A `Shutdown` verb followed by `PlacementServer::shutdown()`: the
+/// second shutdown returns, and its wake connect — made after the
+/// listener may already be gone — is harmless.
+#[test]
+fn shutdown_after_the_shutdown_verb_returns() {
+    let engine = small_engine();
+    let config = ServerConfig::default().with_rebalance(LoopConfig {
+        interval: Duration::from_millis(1),
+        ..LoopConfig::default()
+    });
+    let server = PlacementServer::spawn(Arc::clone(&engine), config).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let ticket = match client
+        .place(wire("swaptions", 16, 1), BatchStrategy::FirstFit)
+        .expect("place")
+    {
+        PlaceOutcome::Placed(info) => info.ticket,
+        PlaceOutcome::Rejected { reason } => panic!("empty fleet rejected a placement: {reason}"),
+    };
+    assert!(client.shutdown().expect("shutdown verb acked").shutting_down);
+
+    server.shutdown();
+
+    let tickets: Vec<u64> = (0..engine.num_machines())
+        .flat_map(|m| engine.residents(vc_engine::MachineId(m)))
+        .map(|r| r.ticket.0)
+        .collect();
+    assert_eq!(tickets, [ticket]);
+    engine.audit().expect("published views drifted from host state");
+}

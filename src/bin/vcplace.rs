@@ -17,7 +17,7 @@
 
 use vc_bench::experiments::fig5::{PackingScenario, POLICIES};
 use vcplace::core::concern::ConcernSet;
-use vcplace::core::important::important_placements;
+use vcplace::core::important::{important_placements, surviving_packings};
 use vcplace::core::model::PerfOracle;
 use vcplace::migration::MigrationModel;
 use vcplace::topology::{machines, render, Machine};
@@ -89,7 +89,7 @@ fn main() {
 /// the shutdown verb.
 fn cmd_serve(args: &[String]) {
     use std::time::Duration;
-    use vcplace::engine::{EngineConfig, PlacementEngine, RebalancePolicy};
+    use vcplace::engine::{EngineConfig, PlacementEngine};
     use vcplace::ml::forest::ForestConfig;
     use vc_bench::load::Load;
     use vcplace::serve::{Client, LoopConfig, PlacementServer, ServerConfig};
@@ -141,10 +141,8 @@ fn cmd_serve(args: &[String]) {
         .with_addr(addr.as_str())
         .with_rebalance(LoopConfig {
             interval: Duration::from_millis(interval_ms),
-            policy: RebalancePolicy::default()
-                .with_cooldown_passes(8)
-                .with_moved_gb_cap(1.0),
             start_paused,
+            ..LoopConfig::default()
         });
     if let Some(token) = control_token {
         config = config.with_control_token(token);
@@ -201,6 +199,8 @@ fn cmd_machines() {
         machines::zen_like(),
     ] {
         print!("{}", render::render_machine(&m));
+        println!("measured pairwise bandwidth (GB/s):");
+        print!("{}", render::render_bandwidth_matrix(&m));
         let cs = ConcernSet::for_machine(&m);
         let names: Vec<&str> = cs.concerns().iter().map(|c| c.name.as_str()).collect();
         println!("  concerns: {}\n", names.join(", "));
@@ -224,6 +224,25 @@ fn cmd_placements(machine: &Machine, vcpus: usize) {
             eprintln!("no balanced feasible placement: {e}");
             std::process::exit(1);
         }
+    }
+    let packings = surviving_packings(machine, &cs, vcpus).unwrap_or_else(|e| {
+        eprintln!("no balanced feasible packing: {e}");
+        std::process::exit(1);
+    });
+    println!("\n{} surviving packings (co-location options):", packings.len());
+    for p in packings.iter().take(12) {
+        let parts: Vec<String> = p
+            .parts
+            .iter()
+            .map(|part| {
+                let ids: Vec<String> = part.iter().map(|n| n.index().to_string()).collect();
+                format!("{{{}}}", ids.join(","))
+            })
+            .collect();
+        println!("  {}", parts.join(" + "));
+    }
+    if packings.len() > 12 {
+        println!("  ... and {} more", packings.len() - 12);
     }
 }
 

@@ -157,6 +157,31 @@ fn pack_rejects_bad_input_with_one_line_and_exit_1() {
     }
 }
 
+/// `vcplace machines` prints each bundled machine's measured bandwidth
+/// matrix, and `vcplace placements` the surviving packings after the
+/// important placements: the first 12, then how many more.
+#[test]
+fn machines_and_placements_print_bandwidth_and_packings() {
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vcplace"))
+            .args(args)
+            .output()
+            .expect("vcplace runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    assert_eq!(run(&["machines"]).matches("measured pairwise bandwidth (GB/s):").count(), 3);
+    let amd = run(&["placements", "amd", "16"]);
+    assert!(amd.contains("13 important placements"), "{amd}");
+    assert!(amd.contains("8 surviving packings"), "{amd}");
+    assert!(amd.contains("  {0,2,4,6} + {1,3,5,7}\n"), "{amd}");
+    assert!(!amd.contains("more"), "{amd}");
+    let amd8 = run(&["placements", "amd", "8"]);
+    let listed = amd8.lines().skip_while(|l| !l.contains("16 surviving packings")).skip(1);
+    assert_eq!(listed.clone().filter(|l| l.starts_with("  {")).count(), 12, "{amd8}");
+    assert_eq!(listed.last(), Some("  ... and 4 more"), "{amd8}");
+}
+
 /// `vcplace serve --budget` must be a fraction in `[0, 1)`: NaN,
 /// negative and ≥ 1 budgets are refused before training with one line
 /// and exit 2. `--demo` bounds the run should one be accepted.
