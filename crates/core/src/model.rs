@@ -28,6 +28,16 @@ pub trait PerfOracle {
     /// `seed` selects the measurement-noise realisation.
     fn perf(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> f64;
 
+    /// Measured performance of `workload` in `spec` under every noise
+    /// seed `0..seeds`, in seed order: element `s` is exactly the value
+    /// [`Self::perf`] returns for seed `s`, to the last bit. On hardware
+    /// that means `seeds` repeated runs, which is what the default does;
+    /// a simulator whose noise is drawn after its solve may share one
+    /// solve across the seeds instead.
+    fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
+        (0..seeds).map(|seed| self.perf(workload, spec, seed)).collect()
+    }
+
     /// Hardware performance events observed while running `workload` in
     /// `spec`, in [`Self::hpe_names`] order.
     fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64>;
@@ -47,6 +57,10 @@ impl<T: PerfOracle + ?Sized> PerfOracle for std::sync::Arc<T> {
         (**self).perf(workload, spec, seed)
     }
 
+    fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
+        (**self).perf_seeds(workload, spec, seeds)
+    }
+
     fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
         (**self).hpes(workload, spec, seed)
     }
@@ -59,6 +73,10 @@ impl<T: PerfOracle + ?Sized> PerfOracle for std::sync::Arc<T> {
 impl<T: PerfOracle + ?Sized> PerfOracle for &T {
     fn perf(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> f64 {
         (**self).perf(workload, spec, seed)
+    }
+
+    fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
+        (**self).perf_seeds(workload, spec, seeds)
     }
 
     fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
@@ -103,6 +121,12 @@ pub struct TrainingSet {
 impl TrainingSet {
     /// Measures every workload in every important placement with
     /// `n_seeds` noise realisations (the training corpus of §5).
+    ///
+    /// Each (workload, placement) pair is one
+    /// [`PerfOracle::perf_seeds`] call for all seeds at once, and each
+    /// row divides by the baseline placement's measurement under the same
+    /// seed. The HPE features are observed in the baseline placement, one
+    /// [`PerfOracle::hpes`] call per seed.
     pub fn build(
         oracle: &dyn PerfOracle,
         workloads: &[TrainingWorkload],
@@ -115,15 +139,15 @@ impl TrainingSet {
         let mut rel = Vec::with_capacity(workloads.len());
         let mut hpe = Vec::with_capacity(workloads.len());
         for w in workloads {
+            let perf: Vec<Vec<f64>> = placements
+                .iter()
+                .map(|p| oracle.perf_seeds(&w.name, &p.spec, n_seeds))
+                .collect();
+            let base = &perf[baseline];
             let mut w_rel = Vec::new();
             let mut w_hpe = Vec::new();
-            for seed in 0..n_seeds {
-                let base = oracle.perf(&w.name, &placements[baseline].spec, seed);
-                let row: Vec<f64> = placements
-                    .iter()
-                    .map(|p| oracle.perf(&w.name, &p.spec, seed) / base)
-                    .collect();
-                w_rel.push(row);
+            for (s, seed) in (0..n_seeds).enumerate() {
+                w_rel.push(perf.iter().map(|p| p[s] / base[s]).collect());
                 w_hpe.push(oracle.hpes(&w.name, &placements[baseline].spec, seed));
             }
             rel.push(w_rel);
@@ -187,30 +211,25 @@ impl PerfPairModel {
         cfg: &ForestConfig,
         seed: u64,
     ) -> Self {
-        let (xs, ys) = Self::design(ts, rows, anchor, other);
+        Self::fit_targets(&anchor_relative(ts, rows, anchor), anchor, other, cfg, seed)
+    }
+
+    /// Fits on anchor-relative target rows ([`anchor_relative`]). The
+    /// input of each row is its `other` entry: the ratio `other / anchor`
+    /// the row was measured at.
+    fn fit_targets(
+        ys: &[Vec<f64>],
+        anchor: usize,
+        other: usize,
+        cfg: &ForestConfig,
+        seed: u64,
+    ) -> Self {
+        let xs: Vec<Vec<f64>> = ys.iter().map(|y| vec![y[other]]).collect();
         PerfPairModel {
             anchor,
             other,
-            forest: RandomForest::fit(&xs, &ys, cfg, seed),
+            forest: RandomForest::fit(&xs, ys, cfg, seed),
         }
-    }
-
-    fn design(
-        ts: &TrainingSet,
-        rows: &[usize],
-        anchor: usize,
-        other: usize,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for &w in rows {
-            for row in &ts.rel[w] {
-                let ratio = row[other] / row[anchor];
-                xs.push(vec![ratio]);
-                ys.push(row.iter().map(|v| v / row[anchor]).collect());
-            }
-        }
-        (xs, ys)
     }
 
     /// Predicts the performance vector relative to the anchor placement,
@@ -238,6 +257,11 @@ impl PerfPairModel {
 /// workload's best placement — the decision the scheduler acts on — and
 /// then by mean error. Returns `(other, cv_error_pct)`.
 ///
+/// The selection is miss-bounded: a candidate's cross-validation stops
+/// at the fold where its misses exceed the best candidate's so far.
+/// Misses only grow, so that candidate could no longer win, and the
+/// result is the one scoring every candidate in full would give.
+///
 /// # Panics
 ///
 /// Panics when the training set has fewer than two placements — there
@@ -246,12 +270,16 @@ impl PerfPairModel {
 /// `PlacementError::NoProbePair` instead of calling).
 pub fn select_probe_pair(ts: &TrainingSet, cfg: &ForestConfig, seed: u64) -> (usize, f64) {
     let anchor = ts.baseline;
+    let cv = PairCv::new(ts, anchor);
     let mut best: Option<(usize, usize, f64)> = None;
     for other in 0..ts.n_placements() {
         if other == anchor {
             continue;
         }
-        let (misses, err) = cv_quality_perf_pair(ts, anchor, other, cfg, seed);
+        let max_misses = best.map_or(usize::MAX, |(bm, _, _)| bm);
+        let Some((misses, err)) = cv.quality(other, cfg, seed, max_misses) else {
+            continue;
+        };
         let better = match best {
             None => true,
             Some((bm, _, be)) => misses < bm || (misses == bm && err < be),
@@ -264,43 +292,83 @@ pub fn select_probe_pair(ts: &TrainingSet, cfg: &ForestConfig, seed: u64) -> (us
     (other, err)
 }
 
-/// CV quality of a probe pair: (count of workloads whose best placement
-/// is mispredicted, mean absolute percentage error).
-fn cv_quality_perf_pair(
-    ts: &TrainingSet,
+/// Leave-family-out cross-validation of perf-pair models with a fixed
+/// anchor. Everything the second probe does not change is built once:
+/// the family splits, each fold's anchor-relative training targets, and
+/// each held-out workload's mean relative vector.
+struct PairCv {
     anchor: usize,
-    other: usize,
-    cfg: &ForestConfig,
-    seed: u64,
-) -> (usize, f64) {
-    let families = ts.families();
-    let splits = leave_group_out(&families);
-    let mut preds = Vec::new();
-    let mut truths = Vec::new();
-    let mut misses = 0usize;
-    let argmax = |v: &[f64]| -> usize {
-        v.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .map(|(i, _)| i)
-            .expect("non-empty")
-    };
-    for split in &splits {
-        let model = PerfPairModel::fit(ts, &split.train, anchor, other, cfg, seed);
-        for &w in &split.test {
-            let truth = ts.mean_rel(w);
-            let ratio = truth[other] / truth[anchor];
-            let rel_anchor = model.predict_rel_to_anchor(ratio);
-            // Convert back to baseline-relative for comparison.
-            let pred: Vec<f64> = rel_anchor.iter().map(|r| r * truth[anchor]).collect();
-            if argmax(&pred) != argmax(&truth) {
-                misses += 1;
-            }
-            preds.push(pred);
-            truths.push(truth);
+    /// One per family split: the training targets ([`anchor_relative`])
+    /// and how many held-out workloads follow in `truths`.
+    folds: Vec<(Vec<Vec<f64>>, usize)>,
+    /// Mean relative vectors ([`TrainingSet::mean_rel`]) of the held-out
+    /// workloads, fold by fold.
+    truths: Vec<Vec<f64>>,
+}
+
+impl PairCv {
+    fn new(ts: &TrainingSet, anchor: usize) -> Self {
+        let mut folds = Vec::new();
+        let mut truths = Vec::new();
+        for split in leave_group_out(&ts.families()) {
+            folds.push((anchor_relative(ts, &split.train, anchor), split.test.len()));
+            truths.extend(split.test.iter().map(|&w| ts.mean_rel(w)));
+        }
+        PairCv {
+            anchor,
+            folds,
+            truths,
         }
     }
-    (misses, mean_abs_pct_error(&preds, &truths))
+
+    /// CV quality of the probe pair `(anchor, other)`: (count of
+    /// workloads whose best placement is mispredicted, mean absolute
+    /// percentage error) — or `None` as soon as the count exceeds
+    /// `max_misses`.
+    fn quality(
+        &self,
+        other: usize,
+        cfg: &ForestConfig,
+        seed: u64,
+        max_misses: usize,
+    ) -> Option<(usize, f64)> {
+        let argmax = |v: &[f64]| -> usize {
+            v.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                .map(|(i, _)| i)
+                .expect("non-empty")
+        };
+        let mut preds = Vec::with_capacity(self.truths.len());
+        let mut misses = 0usize;
+        let mut truths = self.truths.iter();
+        for (ys, n_test) in &self.folds {
+            let model = PerfPairModel::fit_targets(ys, self.anchor, other, cfg, seed);
+            for truth in truths.by_ref().take(*n_test) {
+                let ratio = truth[other] / truth[self.anchor];
+                let rel_anchor = model.predict_rel_to_anchor(ratio);
+                // Convert back to baseline-relative for comparison.
+                let pred: Vec<f64> = rel_anchor.iter().map(|r| r * truth[self.anchor]).collect();
+                if argmax(&pred) != argmax(truth) {
+                    misses += 1;
+                    if misses > max_misses {
+                        return None;
+                    }
+                }
+                preds.push(pred);
+            }
+        }
+        Some((misses, mean_abs_pct_error(&preds, &self.truths)))
+    }
+}
+
+/// The training targets of workloads `rows`: every seed's relative
+/// performance vector divided by its `anchor` entry.
+fn anchor_relative(ts: &TrainingSet, rows: &[usize], anchor: usize) -> Vec<Vec<f64>> {
+    rows.iter()
+        .flat_map(|&w| &ts.rel[w])
+        .map(|row| row.iter().map(|v| v / row[anchor]).collect())
+        .collect()
 }
 
 /// Leave-family-out CV error (mean absolute percentage) of a perf-pair
@@ -312,7 +380,10 @@ pub fn cv_error_perf_pair(
     cfg: &ForestConfig,
     seed: u64,
 ) -> f64 {
-    cv_quality_perf_pair(ts, anchor, other, cfg, seed).1
+    PairCv::new(ts, anchor)
+        .quality(other, cfg, seed, usize::MAX)
+        .expect("no miss bound")
+        .1
 }
 
 /// The HPE-feature baseline model: selected HPEs from a single placement

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Design, Scratch, TreeConfig};
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone)]
@@ -52,10 +52,12 @@ impl RandomForest {
     ///
     /// # Panics
     ///
-    /// Panics on empty or ragged training data (see [`DecisionTree::fit`]).
+    /// Panics on empty, ragged or NaN-featured training data (see
+    /// [`DecisionTree::fit`]).
     pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], cfg: &ForestConfig, seed: u64) -> Self {
-        assert!(!x.is_empty(), "empty training set");
-        let n_features = x[0].len();
+        let design = Design::new(x, y);
+        let n = design.n_rows();
+        let n_features = design.n_features();
         let n_outputs = y[0].len();
         // sqrt-feature heuristic unless the caller fixed max_features.
         let max_features = cfg
@@ -69,21 +71,25 @@ impl RandomForest {
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut trees = Vec::with_capacity(cfg.n_trees);
+        // A tree's sample is a list of row draws into the shared design,
+        // grown in buffers every tree reuses.
+        let mut rows = Vec::with_capacity(n);
+        let mut scratch = Scratch::default();
         for _ in 0..cfg.n_trees {
             let tree_seed: u64 = rng.random();
-            let (bx, by): (Vec<Vec<f64>>, Vec<Vec<f64>>) = if cfg.bootstrap {
-                let mut bx = Vec::with_capacity(x.len());
-                let mut by = Vec::with_capacity(y.len());
-                for _ in 0..x.len() {
-                    let i = rng.random_range(0..x.len());
-                    bx.push(x[i].clone());
-                    by.push(y[i].clone());
-                }
-                (bx, by)
+            rows.clear();
+            if cfg.bootstrap {
+                rows.extend((0..n).map(|_| rng.random_range(0..n)));
             } else {
-                (x.to_vec(), y.to_vec())
-            };
-            trees.push(DecisionTree::fit(&bx, &by, &tree_cfg, tree_seed));
+                rows.extend(0..n);
+            }
+            trees.push(DecisionTree::fit_rows(
+                &design,
+                &rows,
+                &tree_cfg,
+                tree_seed,
+                &mut scratch,
+            ));
         }
         RandomForest { trees, n_outputs }
     }
@@ -106,6 +112,11 @@ impl RandomForest {
     /// Number of trees in the forest.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
+    }
+
+    /// The fitted trees, in fit order.
+    pub fn trees(&self) -> &[DecisionTree] {
+        &self.trees
     }
 
     /// Number of outputs the forest predicts.

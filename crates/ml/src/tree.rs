@@ -5,6 +5,22 @@
 //! standard multi-output extension of CART used by scikit-learn's
 //! `DecisionTreeRegressor`, which is what the paper's Random Forest builds
 //! on.
+//!
+//! # Presorted growth
+//!
+//! A tree grows on flat row-major data and sees its training
+//! sample as a list of row ids, so a bootstrap sample is a list of draws,
+//! not a copy of the rows. Every feature is sorted once per tree, with a
+//! stable sort of the sample in draw order; each node then owns one range
+//! of every sorted list, and a split partitions those ranges stably into
+//! its children. A stable partition of a list sorted by (value, draw
+//! position) is again sorted by (value, draw position) — which is the
+//! order a stable sort of the child's own samples, taken in draw order,
+//! would produce. So every node scans its samples in exactly the order a
+//! per-node sort gives, and every mean, total and prefix sum adds the same
+//! numbers in the same order: the fitted tree is the same to the last bit
+//! as one that re-sorts at every node (`tests/forest_equivalence.rs`
+//! checks this against that tree, kept under `tests/support/`).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -55,30 +71,147 @@ pub struct DecisionTree {
     n_outputs: usize,
 }
 
-impl DecisionTree {
-    /// Fits a tree on feature rows `x` and target rows `y`.
+/// Training data flattened row-major: row `i` has its features at
+/// `x[i * n_features..]` and its targets at `y[i * n_outputs..]`.
+pub(crate) struct Design {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    n_rows: usize,
+    n_features: usize,
+    n_outputs: usize,
+}
+
+impl Design {
+    /// Flattens feature rows `x` and target rows `y`.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is empty, rows are ragged, or `x.len() != y.len()` —
-    /// training data shape errors are programming errors.
-    pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], cfg: &TreeConfig, seed: u64) -> Self {
+    /// Panics if `x` is empty, rows are ragged, or `x.len() != y.len()`.
+    pub(crate) fn new(x: &[Vec<f64>], y: &[Vec<f64>]) -> Self {
         assert!(!x.is_empty(), "empty training set");
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         let n_features = x[0].len();
         let n_outputs = y[0].len();
         assert!(x.iter().all(|r| r.len() == n_features), "ragged features");
         assert!(y.iter().all(|r| r.len() == n_outputs), "ragged targets");
-
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
+        Design {
+            x: x.concat(),
+            y: y.concat(),
+            n_rows: x.len(),
             n_features,
             n_outputs,
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Number of features per row.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    fn x(&self, row: usize, feature: usize) -> f64 {
+        self.x[row * self.n_features + feature]
+    }
+
+    fn y(&self, row: usize) -> &[f64] {
+        &self.y[row * self.n_outputs..(row + 1) * self.n_outputs]
+    }
+}
+
+/// The buffers growing a tree needs, reused across the trees of a forest.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// `n_features + 1` lists of the tree's sample, as row ids, each as
+    /// long as the sample: list 0 in draw order, list `1 + f` stably
+    /// sorted by feature `f`. A node owns the same range of every list.
+    lists: Vec<usize>,
+    /// The right-hand rows of one partition, before they move back.
+    spill: Vec<usize>,
+    /// Per design row: whether it goes left at the split being made.
+    goes_left: Vec<bool>,
+    /// The features a split considers.
+    features: Vec<usize>,
+    /// The current node's mean target vector.
+    mean: Vec<f64>,
+    /// Per output, one split scan's prefix sums of targets and squared
+    /// targets, and their totals over the node.
+    sum: Vec<f64>,
+    sumsq: Vec<f64>,
+    total_sum: Vec<f64>,
+    total_sumsq: Vec<f64>,
+}
+
+impl DecisionTree {
+    /// Fits a tree on feature rows `x` and target rows `y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is empty, rows are ragged, `x.len() != y.len()`, or
+    /// a feature is NaN — training data shape errors are programming
+    /// errors.
+    pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], cfg: &TreeConfig, seed: u64) -> Self {
+        let design = Design::new(x, y);
+        let rows: Vec<usize> = (0..design.n_rows).collect();
+        Self::fit_rows(&design, &rows, cfg, seed, &mut Scratch::default())
+    }
+
+    /// Fits a tree on the sample `rows` of `design` (row ids, repeats
+    /// allowed, in draw order), growing in `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or a feature is NaN.
+    pub(crate) fn fit_rows(
+        design: &Design,
+        rows: &[usize],
+        cfg: &TreeConfig,
+        seed: u64,
+        scratch: &mut Scratch,
+    ) -> Self {
+        assert!(!rows.is_empty(), "empty training set");
+        let (n, k) = (rows.len(), design.n_outputs);
+        let lists = &mut scratch.lists;
+        lists.clear();
+        lists.extend_from_slice(rows);
+        for f in 0..design.n_features {
+            lists.extend_from_slice(rows);
+            lists[(1 + f) * n..].sort_by(|&a, &b| {
+                design
+                    .x(a, f)
+                    .partial_cmp(&design.x(b, f))
+                    .expect("finite features")
+            });
+        }
+        scratch.goes_left.clear();
+        scratch.goes_left.resize(design.n_rows, false);
+        for buf in [
+            &mut scratch.mean,
+            &mut scratch.sum,
+            &mut scratch.sumsq,
+            &mut scratch.total_sum,
+            &mut scratch.total_sumsq,
+        ] {
+            buf.clear();
+            buf.resize(k, 0.0);
+        }
+        let mut grower = Grower {
+            design,
+            cfg,
+            rng: StdRng::seed_from_u64(seed),
+            s: scratch,
+            n,
+            nodes: Vec::new(),
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let indices: Vec<usize> = (0..x.len()).collect();
-        tree.grow(x, y, indices, 0, cfg, &mut rng);
-        tree
+        grower.grow(0, n, 0);
+        DecisionTree {
+            nodes: grower.nodes,
+            n_features: design.n_features,
+            n_outputs: k,
+        }
     }
 
     /// Predicts the target vector for one feature row.
@@ -131,107 +264,143 @@ impl DecisionTree {
             }
         }
     }
+}
 
-    /// Grows the subtree for `indices`, returning its node id.
-    fn grow(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[Vec<f64>],
-        indices: Vec<usize>,
-        depth: usize,
-        cfg: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> usize {
-        let mean = mean_vector(y, &indices, self.n_outputs);
+/// One tree's growth: the node `start..end` is that range of every list
+/// in `s.lists`.
+struct Grower<'a> {
+    design: &'a Design,
+    cfg: &'a TreeConfig,
+    rng: StdRng,
+    s: &'a mut Scratch,
+    /// Sample size: the length of each list.
+    n: usize,
+    nodes: Vec<TreeNode>,
+}
+
+impl Grower<'_> {
+    /// Grows the subtree for the samples `start..end`, returning its
+    /// node id.
+    fn grow(&mut self, start: usize, end: usize, depth: usize) -> usize {
+        let len = end - start;
+        let cfg = self.cfg;
+        self.node_mean(start, end);
         if depth >= cfg.max_depth
-            || indices.len() < cfg.min_samples_split
-            || indices.len() < 2 * cfg.min_samples_leaf
+            || len < cfg.min_samples_split
+            || len < 2 * cfg.min_samples_leaf
         {
-            return self.push_leaf(mean);
+            return self.push_leaf();
         }
-        match self.best_split(x, y, &indices, cfg, rng) {
-            None => self.push_leaf(mean),
-            Some((feature, threshold)) => {
-                let (li, ri): (Vec<usize>, Vec<usize>) =
-                    indices.iter().partition(|&&i| x[i][feature] <= threshold);
-                if li.len() < cfg.min_samples_leaf || ri.len() < cfg.min_samples_leaf {
-                    return self.push_leaf(mean);
-                }
-                // Reserve the split slot before growing children so child
-                // ids are known.
-                let id = self.nodes.len();
-                self.nodes.push(TreeNode::Leaf { value: Vec::new() });
-                let left = self.grow(x, y, li, depth + 1, cfg, rng);
-                let right = self.grow(x, y, ri, depth + 1, cfg, rng);
-                self.nodes[id] = TreeNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                id
-            }
+        let Some((feature, threshold)) = self.best_split(start, end) else {
+            return self.push_leaf();
+        };
+        let n_left = self.mark_left(start, end, feature, threshold);
+        if n_left < cfg.min_samples_leaf || len - n_left < cfg.min_samples_leaf {
+            return self.push_leaf();
         }
+        self.partition(start, end);
+        // Reserve the split slot before growing children so child ids
+        // are known.
+        let id = self.nodes.len();
+        self.nodes.push(TreeNode::Leaf { value: Vec::new() });
+        let left = self.grow(start, start + n_left, depth + 1);
+        let right = self.grow(start + n_left, end, depth + 1);
+        self.nodes[id] = TreeNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        id
     }
 
-    fn push_leaf(&mut self, value: Vec<f64>) -> usize {
-        self.nodes.push(TreeNode::Leaf { value });
+    /// A leaf predicting the mean [`Self::node_mean`] left in scratch.
+    fn push_leaf(&mut self) -> usize {
+        self.nodes.push(TreeNode::Leaf {
+            value: self.s.mean.clone(),
+        });
         self.nodes.len() - 1
     }
 
-    /// Finds the (feature, threshold) minimising summed SSE, or `None` if
-    /// no split improves on the parent.
-    fn best_split(
-        &self,
-        x: &[Vec<f64>],
-        y: &[Vec<f64>],
-        indices: &[usize],
-        cfg: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64)> {
-        let mut features: Vec<usize> = (0..self.n_features).collect();
+    /// Sets `s.mean` to the mean target vector of `start..end`, summed in
+    /// draw order.
+    fn node_mean(&mut self, start: usize, end: usize) {
+        let Scratch { lists, mean, .. } = &mut *self.s;
+        mean.fill(0.0);
+        for &i in &lists[start..end] {
+            for (m, v) in mean.iter_mut().zip(self.design.y(i)) {
+                *m += v;
+            }
+        }
+        for m in mean.iter_mut() {
+            *m /= (end - start) as f64;
+        }
+    }
+
+    /// Finds the (feature, threshold) minimising summed SSE over the
+    /// samples `start..end`, or `None` if no split improves on the
+    /// node. Expects `s.mean` to hold the node's mean.
+    fn best_split(&mut self, start: usize, end: usize) -> Option<(usize, f64)> {
+        let Grower {
+            design: d,
+            cfg,
+            rng,
+            s,
+            n,
+            ..
+        } = self;
+        let n = *n;
+        s.features.clear();
+        s.features.extend(0..d.n_features);
         if let Some(k) = cfg.max_features {
-            features.shuffle(rng);
-            features.truncate(k.max(1).min(self.n_features));
+            s.features.shuffle(rng);
+            s.features.truncate(k.max(1).min(d.n_features));
         }
 
-        let parent_sse = sse(y, indices, self.n_outputs);
+        let parent_sse: f64 = s.lists[start..end]
+            .iter()
+            .map(|&i| {
+                d.y(i)
+                    .iter()
+                    .zip(&s.mean)
+                    .map(|(v, m)| {
+                        let diff = v - m;
+                        diff * diff
+                    })
+                    .sum::<f64>()
+            })
+            .sum();
         let mut best: Option<(f64, usize, f64)> = None;
 
-        for &f in &features {
-            // Sort indices by this feature.
-            let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).expect("finite features"));
+        let len = end - start;
+        for &f in &s.features {
+            let order = &s.lists[(1 + f) * n + start..(1 + f) * n + end];
 
             // Prefix sums of targets and squared targets.
-            let n = order.len();
-            let k = self.n_outputs;
-            let mut sum = vec![0.0; k];
-            let mut sumsq = vec![0.0; k];
-            let total_sum: Vec<f64> = (0..k)
-                .map(|o| order.iter().map(|&i| y[i][o]).sum())
-                .collect();
-            let total_sumsq: Vec<f64> = (0..k)
-                .map(|o| order.iter().map(|&i| y[i][o] * y[i][o]).sum())
-                .collect();
+            for o in 0..d.n_outputs {
+                s.total_sum[o] = order.iter().map(|&i| d.y(i)[o]).sum();
+                s.total_sumsq[o] = order.iter().map(|&i| d.y(i)[o] * d.y(i)[o]).sum();
+            }
+            s.sum.fill(0.0);
+            s.sumsq.fill(0.0);
 
-            for pos in 0..n - 1 {
-                let i = order[pos];
-                for o in 0..k {
-                    sum[o] += y[i][o];
-                    sumsq[o] += y[i][o] * y[i][o];
+            for pos in 0..len - 1 {
+                for (o, &v) in d.y(order[pos]).iter().enumerate() {
+                    s.sum[o] += v;
+                    s.sumsq[o] += v * v;
                 }
                 // Only split between distinct feature values.
-                if x[order[pos]][f] == x[order[pos + 1]][f] {
+                let (here, next) = (d.x(order[pos], f), d.x(order[pos + 1], f));
+                if here == next {
                     continue;
                 }
                 let nl = (pos + 1) as f64;
-                let nr = (n - pos - 1) as f64;
+                let nr = (len - pos - 1) as f64;
                 let mut split_sse = 0.0;
-                for o in 0..k {
-                    let ls = sumsq[o] - sum[o] * sum[o] / nl;
-                    let rs_sum = total_sum[o] - sum[o];
-                    let rs = (total_sumsq[o] - sumsq[o]) - rs_sum * rs_sum / nr;
+                for o in 0..d.n_outputs {
+                    let ls = s.sumsq[o] - s.sum[o] * s.sum[o] / nl;
+                    let rs_sum = s.total_sum[o] - s.sum[o];
+                    let rs = (s.total_sumsq[o] - s.sumsq[o]) - rs_sum * rs_sum / nr;
                     split_sse += ls + rs;
                 }
                 let improves = match best {
@@ -239,41 +408,53 @@ impl DecisionTree {
                     Some((b, _, _)) => split_sse < b,
                 };
                 if improves {
-                    let threshold = 0.5 * (x[order[pos]][f] + x[order[pos + 1]][f]);
-                    best = Some((split_sse, f, threshold));
+                    best = Some((split_sse, f, 0.5 * (here + next)));
                 }
             }
         }
         best.map(|(_, f, t)| (f, t))
     }
-}
 
-fn mean_vector(y: &[Vec<f64>], indices: &[usize], k: usize) -> Vec<f64> {
-    let mut mean = vec![0.0; k];
-    for &i in indices {
-        for o in 0..k {
-            mean[o] += y[i][o];
+    /// Marks which rows of `start..end` go left at `feature <=
+    /// threshold` and returns how many samples do.
+    fn mark_left(&mut self, start: usize, end: usize, feature: usize, threshold: f64) -> usize {
+        let Scratch {
+            lists, goes_left, ..
+        } = &mut *self.s;
+        let mut n_left = 0;
+        for &i in &lists[start..end] {
+            let left = self.design.x(i, feature) <= threshold;
+            goes_left[i] = left;
+            n_left += usize::from(left);
+        }
+        n_left
+    }
+
+    /// Partitions `start..end` of every list stably by the marks of
+    /// [`Self::mark_left`]: left rows first, each side in list order.
+    fn partition(&mut self, start: usize, end: usize) {
+        let Scratch {
+            lists,
+            spill,
+            goes_left,
+            ..
+        } = &mut *self.s;
+        for list in lists.chunks_exact_mut(self.n) {
+            let node = &mut list[start..end];
+            spill.clear();
+            let mut kept = 0;
+            for pos in 0..node.len() {
+                let i = node[pos];
+                if goes_left[i] {
+                    node[kept] = i;
+                    kept += 1;
+                } else {
+                    spill.push(i);
+                }
+            }
+            node[kept..].copy_from_slice(spill);
         }
     }
-    for v in &mut mean {
-        *v /= indices.len() as f64;
-    }
-    mean
-}
-
-fn sse(y: &[Vec<f64>], indices: &[usize], k: usize) -> f64 {
-    let mean = mean_vector(y, indices, k);
-    indices
-        .iter()
-        .map(|&i| {
-            (0..k)
-                .map(|o| {
-                    let d = y[i][o] - mean[o];
-                    d * d
-                })
-                .sum::<f64>()
-        })
-        .sum()
 }
 
 #[cfg(test)]

@@ -12,12 +12,12 @@ use vc_core::interference::{InterferenceOracle, ResidentWorkload};
 use vc_core::model::PerfOracle;
 use vc_core::placement::PlacementSpec;
 use vc_topology::{Machine, OccupancyMap, ThreadId};
-use vc_workloads::{generator, suite, Workload};
+use vc_workloads::{generator, suite, Metric, Workload};
 
 use crate::colocation::simulate_candidate_penalty;
 use crate::engine::{simulate, ContainerRun, SimConfig};
 use crate::hpe;
-use crate::noise::measurement_rng;
+use crate::noise::{measurement_rng, noise_factor};
 
 /// A performance oracle for one machine: resolves workload names against
 /// the paper suite (plus optional extra workloads) and simulates each
@@ -169,6 +169,38 @@ impl InterferenceOracle for SimOracle {
 impl PerfOracle for SimOracle {
     fn perf(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> f64 {
         self.run(workload, spec, seed).metric_value
+    }
+
+    /// One solve shared by every seed. The fixed point does not depend
+    /// on the seed — [`simulate`] draws the measurement noise after it —
+    /// so the run is solved once with the noise off, and each seed's
+    /// noise factor is applied to that rate exactly as `simulate`'s
+    /// measurement step applies it: the same values as [`Self::perf`]
+    /// per seed, to the last bit.
+    fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
+        let cfg = SimConfig::default();
+        let quiet = SimConfig {
+            perf_noise: 0.0,
+            ..cfg.clone()
+        };
+        let w = self.workload(workload);
+        let assignment = self.assignment(workload, spec);
+        let run = ContainerRun {
+            workload: w,
+            assignment: &assignment,
+        };
+        let inst_per_sec = simulate(&self.machine, &[run], &quiet, 0).per_container[0].inst_per_sec;
+        let (clock_hz, threads) = (self.machine.clock_ghz() * 1e9, assignment.len() as f64);
+        (0..seeds)
+            .map(|seed| {
+                let mut rng = measurement_rng(workload, &assignment, seed, 1);
+                let noisy_inst = inst_per_sec * noise_factor(&mut rng, cfg.perf_noise);
+                match w.metric {
+                    Metric::OpsPerSecond => noisy_inst / w.inst_per_op,
+                    Metric::Ipc => noisy_inst / clock_hz / threads,
+                }
+            })
+            .collect()
     }
 
     fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
