@@ -47,8 +47,6 @@ pub use availability::{
 };
 pub use concern::{Concern, ConcernKind, ConcernSet};
 pub use important::{important_placements, ImportantPlacement};
-pub use interference::{
-    InterferenceCounters, InterferenceModel, InterferenceOracle, SharedInterferenceOracle,
-};
+pub use interference::{InterferenceCounters, InterferenceOracle};
 pub use model::{PerfOracle, SharedOracle};
 pub use placement::{PlacementError, PlacementSpec};

@@ -229,7 +229,7 @@ impl PlacementEngine {
     /// penalty against `record`'s *real* resident workloads before the
     /// goal filter and the ranking. `record` is a wait-free load, so a
     /// penalty cold miss simulates without any lock held. With it off,
-    /// the penalty is identically `1.0` and the interference model is
+    /// the penalty is identically `1.0` and the co-location memo is
     /// never consulted, reproducing neighbour-blind scoring bit for
     /// bit.
     ///
@@ -267,7 +267,7 @@ impl PlacementEngine {
             Vec::new()
         };
         let occ = record.occupancy();
-        let mut available = cand.catalog.availability.available(&host.machine, occ);
+        let mut available = cand.catalog.availability.available(host.machine(), occ);
         let idle = |ap: &AvailablePlacement| cand.predicted[ap.id - 1];
         let rank = |ap: &AvailablePlacement| (ap.spec.num_nodes(), ap.pristine_consumed);
         // The penalty is ≤ 1, so a class whose idle-host prediction
@@ -296,7 +296,7 @@ impl PlacementEngine {
                 }
             }
             let penalty = if interference {
-                host.interference(scope)
+                host.sim(scope)
                     .penalty(&cand.request.workload, &ap.threads, occ, &residents)
             } else {
                 1.0
@@ -321,14 +321,14 @@ impl PlacementEngine {
             None if interference_blocked > 0 => Err(ChooseError::Interference(format!(
                 "{}: {interference_blocked} placement class(es) fit the free capacity \
                  but co-location interference pushes every prediction below the goal",
-                host.machine.name(),
+                host.machine().name(),
             ))),
             None => {
                 let node = occ.most_exhausted_node();
                 Err(ChooseError::Capacity(format!(
                     "{}: no goal-clearing placement class fits the free capacity \
                      (node {} exhausted: {}/{} threads free)",
-                    host.machine.name(),
+                    host.machine().name(),
                     node,
                     occ.free_on_node(node),
                     occ.capacity_of_node(node),
@@ -373,7 +373,7 @@ impl PlacementEngine {
         Err(ChooseError::Capacity(format!(
             "{}: its record kept changing between plan and commit \
              ({REPLANS} plans refused)",
-            host.machine.name()
+            host.machine().name()
         )))
     }
 

@@ -40,7 +40,7 @@ impl PlacementEngine {
         format!(
             "{}: no goal-clearing placement class fits the free capacity \
              (node {} exhausted: {}/{} threads free, per its summary)",
-            host.machine.name(),
+            host.machine().name(),
             node,
             occ.free_on_node(node),
             occ.capacity_of_node(node),

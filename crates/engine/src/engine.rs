@@ -8,7 +8,7 @@ use vc_core::concern::ConcernSet;
 use vc_core::important::{
     important_placements_from_packings, surviving_packings, ImportantPlacement,
 };
-use vc_core::interference::{InterferenceModel, ResidentWorkload, SharedInterferenceOracle};
+use vc_core::interference::ResidentWorkload;
 use vc_core::model::{
     select_probe_pair, PerfOracle, PerfPairModel, SharedOracle, TrainingSet, TrainingWorkload,
 };
@@ -43,8 +43,7 @@ pub struct EngineConfig {
     /// of an idle host: commit and BestScore ranking multiply each
     /// class's predicted performance by the occupancy-conditional
     /// co-location penalty (measured by the simulator, memoized per
-    /// oracle input — see
-    /// [`vc_core::interference::InterferenceModel`]).
+    /// solve input — see [`SimOracle::penalty`]).
     ///
     /// `false` (the default) reproduces the neighbour-blind scoring
     /// exactly — decisions are bit-for-bit identical to engines built
@@ -598,24 +597,19 @@ pub struct PlacementEngine {
     cfg: EngineConfig,
     pub(crate) hosts: Vec<Host>,
     pub(crate) fleet: FleetIndex,
-    /// Registered distinct machine structures: `(fingerprint, machine)`,
-    /// index = topology id. Fingerprint narrows the scan; the machine is
-    /// the structural-equality representative that makes ids
-    /// collision-free — and the one `Arc` every same-topology host
-    /// shares.
-    topologies: Vec<(u64, Arc<Machine>)>,
+    /// Registered distinct machine structures: `(fingerprint, oracle)`,
+    /// index = topology id. Fingerprint narrows the scan; the oracle's
+    /// machine is the structural-equality representative that makes ids
+    /// collision-free. The oracle is the one `Arc` every same-topology
+    /// host shares — machine, synthetic corpus (a pure function of
+    /// topology and engine config) and co-location memo.
+    pub(crate) topologies: Vec<(u64, Arc<SimOracle>)>,
     /// Per class, per shard (class members in [`EngineConfig::sketch_shard`]
     /// groups, slot order): the lock-free availability sketch the
     /// descent consults before any member summary. Grown only under
     /// `&mut self` (fleet mutation precedes serving); the sketches
     /// themselves are updated lock-free by every publication.
     pub(crate) class_sketches: Vec<Vec<AvailabilitySketch>>,
-    /// Oracles shared across structurally-identical hosts: the synthetic
-    /// corpus is a pure function of (topology, engine config).
-    shared_oracles: HashMap<usize, Arc<SimOracle>>,
-    /// Memoizing interference models, one per topology, over the shared
-    /// oracles.
-    pub(crate) interference_models: HashMap<usize, Arc<InterferenceModel>>,
     pub(crate) catalogs: KeyedCache<(usize, usize), Result<Arc<PlacementCatalog>, PlacementError>>,
     pub(crate) training_sets: KeyedCache<TrainKey, Result<Arc<TrainingSet>, PlacementError>>,
     pub(crate) models: KeyedCache<TrainKey, Result<Arc<ModelArtifact>, PlacementError>>,
@@ -654,8 +648,6 @@ impl PlacementEngine {
             fleet: FleetIndex::default(),
             topologies: Vec::new(),
             class_sketches: Vec::new(),
-            shared_oracles: HashMap::new(),
-            interference_models: HashMap::new(),
             catalogs: KeyedCache::bounded(cap),
             training_sets: KeyedCache::bounded(cap),
             models: KeyedCache::bounded(cap),
@@ -702,25 +694,12 @@ impl PlacementEngine {
         baseline: usize,
         fingerprint: u64,
     ) -> MachineId {
-        let topo = self.register_topology(fingerprint, &machine);
-        // Every structurally-equal host shares the registered `Arc`:
-        // the caller's copy is dropped here, so a 100k-host fleet holds
-        // one machine description per hardware model, not per host.
-        let machine = Arc::clone(&self.topologies[topo].1);
-        /// Seed of the synthetic corpus generator.
-        const CORPUS_SEED: u64 = 42;
-        let oracle = Arc::clone(self.shared_oracles.entry(topo).or_insert_with(|| {
-            Arc::new(SimOracle::with_synthetic(
-                (*machine).clone(),
-                self.cfg.extra_synthetic,
-                CORPUS_SEED,
-            ))
-        }));
-        let interference = Arc::clone(self.interference_models.entry(topo).or_insert_with(|| {
-            Arc::new(InterferenceModel::new(
-                Arc::clone(&oracle) as SharedInterferenceOracle
-            ))
-        }));
+        // Every structurally-equal host shares the registered oracle:
+        // a known topology drops the caller's copy, so a 100k-host
+        // fleet holds one machine description per hardware model, not
+        // per host.
+        let topo = self.register_topology(fingerprint, machine);
+        let oracle = Arc::clone(&self.topologies[topo].1);
         let id = MachineId(self.hosts.len());
         let class = self.fleet.insert(fingerprint, topo, baseline, id);
         let slot = self.fleet.classes[class].members.len() - 1;
@@ -732,11 +711,10 @@ impl PlacementEngine {
         }
         let shard = slot / self.sketch_shard_size();
         if self.class_sketches[class].len() <= shard {
-            self.class_sketches[class].push(AvailabilitySketch::new(&machine));
+            self.class_sketches[class].push(AvailabilitySketch::new(oracle.machine()));
         }
         let sketch = &self.class_sketches[class][shard];
-        self.hosts
-            .push(Host::new(machine, class, shard, sketch, oracle, interference));
+        self.hosts.push(Host::new(oracle, class, shard, sketch));
         self.counters.snapshot_published.incr();
         id
     }
@@ -745,16 +723,20 @@ impl PlacementEngine {
     /// entry only when the fingerprint *and* the structure match
     /// ([`Machine::same_topology`]), so a hash collision splits into two
     /// ids instead of silently aliasing two topologies onto one set of
-    /// catalogs, oracles and models.
-    fn register_topology(&mut self, fingerprint: u64, machine: &Machine) -> usize {
+    /// catalogs, oracles and models. A new topology gets its oracle.
+    fn register_topology(&mut self, fingerprint: u64, machine: Machine) -> usize {
+        /// Seed of the synthetic corpus generator.
+        const CORPUS_SEED: u64 = 42;
         match self
             .topologies
             .iter()
-            .position(|(fp, rep)| *fp == fingerprint && rep.same_topology(machine))
+            .position(|(fp, rep)| *fp == fingerprint && rep.machine().same_topology(&machine))
         {
             Some(i) => i,
             None => {
-                self.topologies.push((fingerprint, Arc::new(machine.clone())));
+                let oracle =
+                    SimOracle::with_synthetic(machine, self.cfg.extra_synthetic, CORPUS_SEED);
+                self.topologies.push((fingerprint, Arc::new(oracle)));
                 self.topologies.len() - 1
             }
         }
@@ -800,7 +782,7 @@ impl PlacementEngine {
 
     /// The machine behind `id`.
     pub fn machine(&self, id: MachineId) -> &Machine {
-        &self.hosts[id.0].machine
+        self.hosts[id.0].machine()
     }
 
     /// The machine's reporting-baseline placement index.
@@ -887,13 +869,13 @@ impl PlacementEngine {
         let host = &self.hosts[id.0];
         self.catalogs
             .get_or_compute(&(self.class_of(id).topo, vcpus), || {
-                let concerns = ConcernSet::for_machine(&host.machine);
+                let concerns = ConcernSet::for_machine(host.machine());
                 // Generate (and Pareto-filter) the packings once, then
                 // expand them into important placements — a cold miss
                 // pays Algorithm 2 a single time.
-                let packings = surviving_packings(&host.machine, &concerns, vcpus)?;
+                let packings = surviving_packings(host.machine(), &concerns, vcpus)?;
                 let placements = important_placements_from_packings(
-                    &host.machine,
+                    host.machine(),
                     &concerns,
                     vcpus,
                     &packings,
@@ -902,7 +884,7 @@ impl PlacementEngine {
                 // off the serving path: admission then never scores a
                 // node set under a host lock.
                 let availability =
-                    AvailabilityIndex::build(&host.machine, &concerns, &placements);
+                    AvailabilityIndex::build(host.machine(), &concerns, &placements);
                 Ok(Arc::new(PlacementCatalog {
                     concerns,
                     placements,
@@ -1038,7 +1020,7 @@ impl PlacementEngine {
             return Err(format!(
                 "workload {} unknown on machine {}",
                 req.workload,
-                host.machine.name()
+                host.machine().name()
             ));
         }
         // Count only evaluations that reach the model path; malformed
@@ -1046,7 +1028,7 @@ impl PlacementEngine {
         self.counters.evaluations.incr();
         let catalog = self
             .catalog_in(scope, rep, req.vcpus)
-            .map_err(|e| format!("{}: {e}", host.machine.name()))?;
+            .map_err(|e| format!("{}: {e}", host.machine().name()))?;
         let probe = |placement: usize, seed: u64| {
             let spec = &catalog.placements[placement].spec;
             oracle.perf(&req.workload, spec, seed)
@@ -1061,7 +1043,7 @@ impl PlacementEngine {
             let baseline = fc.baseline.min(catalog.placements.len() - 1);
             let artifact = self
                 .model_in(scope, rep, req.vcpus, baseline, None)
-                .map_err(|e| format!("{}: {e}", host.machine.name()))?;
+                .map_err(|e| format!("{}: {e}", host.machine().name()))?;
             let anchor_perf = probe(artifact.baseline, req.probe_seed);
             let other_perf = probe(artifact.probe, req.probe_seed.wrapping_add(1));
             (
@@ -1238,6 +1220,21 @@ mod collision_tests {
         engine.add_machine_with_baseline(machines::intel_xeon_e7_4830_v3(), 1);
         assert_eq!(engine.topologies.len(), 2);
         assert_eq!(engine.fleet_index().num_classes(), 2);
+    }
+
+    /// A topology is one oracle: same-topology hosts share it, and a
+    /// host's machine is that oracle's, not a copy of it.
+    #[test]
+    fn same_topology_hosts_share_one_oracle_and_its_machine() {
+        let mut engine = PlacementEngine::new(fast_test_config());
+        let a = engine.add_machine(machines::amd_opteron_6272());
+        let b = engine.add_machine_with_baseline(machines::amd_opteron_6272(), 1);
+        let intel = engine.add_machine(machines::intel_xeon_e7_4830_v3());
+        assert!(Arc::ptr_eq(&engine.sim_oracle(a), &engine.sim_oracle(b)));
+        assert!(!Arc::ptr_eq(&engine.sim_oracle(a), &engine.sim_oracle(intel)));
+        for id in [a, b, intel] {
+            assert!(std::ptr::eq(engine.machine(id), engine.sim_oracle(id).machine()));
+        }
     }
 }
 

@@ -21,13 +21,14 @@
 //! The mutex is a [`ScopedMutex`]: [`PlacementEngine::lock_host`]
 //! and [`PlacementEngine::lock_pair`] (the one double lock, ordered by
 //! machine id) take it through the caller's [`LockScope`], and the
-//! host's simulator and interference model are reachable only through
-//! accessors that borrow the same scope. Simulating under a host lock,
-//! or taking a second one beside it, therefore does not compile.
+//! host's simulator — with the co-location memo it owns — is reachable
+//! only through an accessor that borrows the same scope. Simulating
+//! under a host lock, or taking a second one beside it, therefore does
+//! not compile.
 
 use std::sync::Arc;
 
-use vc_core::interference::{InterferenceModel, ResidentWorkload};
+use vc_core::interference::ResidentWorkload;
 use vc_sim::SimOracle;
 use vc_sync::lock::{LockScope, ScopedGuard, ScopedMutex, Witness};
 use vc_sync::Slot;
@@ -96,18 +97,16 @@ impl HostSnapshot {
 }
 
 pub(crate) struct Host {
-    /// The host's topology, shared with every structurally-equal host
-    /// (one `Arc` per registered topology): at 10⁵ hosts the machine
-    /// description would otherwise dominate per-host memory.
-    pub(crate) machine: Arc<Machine>,
+    /// The simulator of the host's topology, shared with every
+    /// structurally-equal host (one per registered topology): its
+    /// machine description, its workloads and its co-location memo
+    /// would otherwise dominate per-host memory at 10⁵ hosts.
+    oracle: Arc<SimOracle>,
     /// Index into the fleet index's classes.
     pub(crate) class: usize,
     /// Index of the class shard whose availability sketch counts this
     /// host (member slot / [`EngineConfig::sketch_shard`](crate::EngineConfig::sketch_shard)).
     shard: usize,
-    oracle: Arc<SimOracle>,
-    /// Shared (per topology) memoizing interference model over `oracle`.
-    interference: Arc<InterferenceModel>,
     /// Serialises the host's writers — commits, releases and moves.
     /// It guards no data (see `snapshot`); candidate evaluation and
     /// every read path never take it.
@@ -126,41 +125,37 @@ impl Host {
     /// An idle host, attached to `sketch` — the availability sketch of
     /// shard `shard` of its class.
     pub(crate) fn new(
-        machine: Arc<Machine>,
+        oracle: Arc<SimOracle>,
         class: usize,
         shard: usize,
         sketch: &AvailabilitySketch,
-        oracle: Arc<SimOracle>,
-        interference: Arc<InterferenceModel>,
     ) -> Host {
-        let summary = CapacitySummary::new(&machine);
+        let summary = CapacitySummary::new(oracle.machine());
         sketch.attach(&summary.profile());
         let idle = HostSnapshot {
-            occ: OccupancyMap::new(&machine),
+            occ: OccupancyMap::new(oracle.machine()),
             residents: Vec::new(),
         };
         Host {
             summary,
             snapshot: Slot::new(Arc::new(idle)),
             lock: ScopedMutex::new(()),
-            machine,
+            oracle,
             class,
             shard,
-            oracle,
-            interference,
         }
     }
 
-    /// The host's simulator oracle. The shared scope borrow proves no
-    /// host lock is held on this thread.
-    pub(crate) fn sim(&self, _scope: &LockScope) -> &Arc<SimOracle> {
-        &self.oracle
+    /// The host's topology.
+    pub(crate) fn machine(&self) -> &Machine {
+        self.oracle.machine()
     }
 
-    /// The host's memoizing interference model (a cold miss simulates);
-    /// borrowed under the same proof as [`Self::sim`].
-    pub(crate) fn interference(&self, _scope: &LockScope) -> &InterferenceModel {
-        &self.interference
+    /// The host's simulator oracle, co-location memo included (a cold
+    /// [`SimOracle::penalty`] simulates). The shared scope borrow
+    /// proves no host lock is held on this thread.
+    pub(crate) fn sim(&self, _scope: &LockScope) -> &Arc<SimOracle> {
+        &self.oracle
     }
 
     /// Poisoned acquisitions of this host's mutex recovered so far.

@@ -94,13 +94,13 @@
 //! occupancy-conditional co-location penalty — the candidate simulated
 //! together with the host's **real resident workloads**, read from the
 //! same snapshot as the occupancy (so the penalty the engine acts on is
-//! the penalty the fleet actually experiences), memoized per oracle
-//! input — the candidate's workload and threads, the used threads and
-//! each resident's workload and threads — by
-//! [`vc_core::interference::InterferenceModel`], so a memoised penalty
-//! is exactly the simulator's. The applied penalty
-//! is reported in [`Placed::interference_penalty`] and the cache
-//! counters in [`EngineStats`]. Off (the default), decisions are
+//! the penalty the fleet actually experiences), memoized per solve
+//! input — the candidate's workload and threads, then each resident's
+//! workload and threads — by the topology's [`vc_sim::SimOracle`]
+//! ([`SimOracle::penalty`](vc_sim::SimOracle::penalty)), so a memoised
+//! penalty is exactly the simulator's. The applied penalty is reported
+//! in [`Placed::interference_penalty`] and the memo's counters in
+//! [`EngineStats`]. Off (the default), decisions are
 //! bit-for-bit the neighbour-blind engine's.
 //!
 //! # Resident registry and rebalancing

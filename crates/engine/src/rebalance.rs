@@ -476,7 +476,7 @@ impl PlacementEngine {
                     };
                     let home = Home::new(src, &snapshot, resident);
                     let degradation = 1.0
-                        - self.hosts[src.0].interference(scope).penalty(
+                        - self.hosts[src.0].sim(scope).penalty(
                             &resident.request.workload,
                             &resident.threads,
                             &home.occ,
@@ -630,7 +630,7 @@ impl PlacementEngine {
         degradation_before: f64,
     ) {
         let host = &self.hosts[view.id.0];
-        let interference = host.interference(scope);
+        let oracle = host.sim(scope);
         for (i, ip) in cand.catalog.placements.iter().enumerate() {
             let idle_p = cand.predicted[ip.id - 1];
             if idle_p < cand.goal_perf {
@@ -645,10 +645,10 @@ impl PlacementEngine {
             for ap in cand
                 .catalog
                 .availability
-                .realisations(i, &host.machine, view.occ)
+                .realisations(i, host.machine(), view.occ)
             {
                 let workload = &cand.request.workload;
-                let penalty = interference.penalty(workload, &ap.threads, view.occ, view.residents);
+                let penalty = oracle.penalty(workload, &ap.threads, view.occ, view.residents);
                 let perf = idle_p * penalty;
                 if perf < cand.goal_perf || 1.0 - penalty >= degradation_before {
                     continue;
@@ -1039,18 +1039,13 @@ mod tests {
                     if idle_p < cand.goal_perf {
                         continue;
                     }
-                    for ap in cand.catalog.availability.realisations(i, &host.machine, &occ) {
-                        let penalty = if occ.used_threads() == 0 {
-                            1.0
-                        } else {
-                            let raw = host.sim(scope).co_location_penalty(
-                                &request.workload,
-                                &ap.threads,
-                                &occ,
-                                &residents,
-                            );
-                            if raw.is_finite() { raw.clamp(f64::MIN_POSITIVE, 1.0) } else { 1.0 }
-                        };
+                    for ap in cand.catalog.availability.realisations(i, host.machine(), &occ) {
+                        let penalty = host.sim(scope).co_location_penalty(
+                            &request.workload,
+                            &ap.threads,
+                            &occ,
+                            &residents,
+                        );
                         let perf = idle_p * penalty;
                         if perf < cand.goal_perf {
                             continue;

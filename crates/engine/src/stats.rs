@@ -83,10 +83,12 @@ pub struct EngineStats {
     pub summary: SummaryCounters,
     /// Shard-sketch descent activity (the level above the summaries).
     pub sketch: SketchCounters,
-    /// Interference-penalty activity, aggregated over machine classes:
-    /// `computes` counts co-location simulations (cold misses), `hits`
-    /// the queries served from cache or idle-host short circuits. All
-    /// zero when [`EngineConfig::interference`](crate::EngineConfig::interference)
+    /// Interference-penalty activity, summed over the co-location memos
+    /// of the fleet's topologies (one per `SimOracle`, see
+    /// [`vc_sim::SimOracle::interference_counters`]): `computes` counts
+    /// co-location simulations (cold misses), `hits` the queries served
+    /// from cache or idle-host short circuits. All zero when
+    /// [`EngineConfig::interference`](crate::EngineConfig::interference)
     /// is off.
     pub interference: InterferenceCounters,
     /// Admission plans abandoned because the host had free capacity
@@ -187,10 +189,10 @@ impl PlacementEngine {
                 stale: c.sketch_stale.get(),
             },
             interference: self
-                .interference_models
-                .values()
-                .fold(InterferenceCounters::default(), |acc, m| {
-                    acc.merged(m.counters())
+                .topologies
+                .iter()
+                .fold(InterferenceCounters::default(), |acc, (_, oracle)| {
+                    acc.merged(oracle.interference_counters())
                 }),
             interference_blocked: c.interference_blocked.get(),
             offers: c.offers.get(),

@@ -19,6 +19,7 @@ use config::fast_config;
 
 use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, Placed, PlacementEngine, PlacementRequest,
+    RebalancePolicy,
 };
 use vc_sim::{simulate_co_location, ContainerRun, SimConfig};
 use vc_topology::machines;
@@ -345,4 +346,73 @@ fn warm_interference_lookups_hit_the_cache() {
     );
     assert!(warm.hits > cold.hits, "repeats must be cache hits");
     engine.release(&resident).unwrap();
+}
+
+/// The memo's counters on a fixed script, pinned: admissions next to
+/// residents, departures, repeated requests and rebalance passes (which
+/// score every resident against its own host and price its escape
+/// moves). Which co-location solves run is a function of the lookup
+/// history alone, so a change to the memo's keys, bound or counting
+/// that moves any of these numbers changes the work the engine does.
+#[test]
+fn interference_counters_of_a_fixed_script_are_pinned() {
+    let mut engine = PlacementEngine::new(EngineConfig {
+        interference: true,
+        degradation_budget: Some(0.01),
+        ..fast_config()
+    });
+    engine.add_machine(machines::amd_opteron_6272());
+    engine.add_machine(machines::amd_opteron_6272());
+    let mut live: Vec<Placed> = Vec::new();
+    for i in 0..32usize {
+        let workload = ["streamcluster", "WTbtree", "swaptions", "canneal"][i % 4];
+        let req = PlacementRequest::new(workload, [4, 8, 16][i % 3])
+            .with_goal([0.0, 0.9][(i / 4) % 2])
+            .with_probe_seed((i % 5) as u64);
+        if let Some(placed) = engine.place(&req).placed() {
+            live.push(placed.clone());
+        }
+        if i % 3 == 2 && live.len() > 2 {
+            let gone = live.remove((i * 7) % live.len());
+            engine.release(&gone).unwrap();
+        }
+        if i % 8 == 7 {
+            engine.rebalance(&RebalancePolicy::default());
+        }
+    }
+    let stats = engine.stats();
+    let c = stats.interference;
+    assert_eq!(
+        (c.lookups, c.hits, c.computes, stats.interference_blocked),
+        (161, 26, 135, 1)
+    );
+}
+
+/// Every topology's memo counts its own lookups, and the engine's
+/// counters are their sum: on a mixed fleet, the AMD and Intel oracles
+/// each score their own host's residents.
+#[test]
+fn engine_counters_sum_the_topologies_memos() {
+    let mut engine = PlacementEngine::new(EngineConfig {
+        interference: true,
+        ..fast_config()
+    });
+    let amd = engine.add_machine(machines::amd_opteron_6272());
+    let intel = engine.add_machine(machines::intel_xeon_e7_4830_v3());
+    // FirstFit fills the AMD host (four 16-vCPU containers), then
+    // stacks two on the Intel host.
+    for i in 0..6 {
+        let req = PlacementRequest::new("streamcluster", 16).with_probe_seed(i);
+        let placed = engine.place(&req).placed().expect("room").machine;
+        assert_eq!(placed, if i < 4 { amd } else { intel });
+    }
+    let per_topology = [amd, intel].map(|id| engine.sim_oracle(id).interference_counters());
+    assert!(
+        per_topology.iter().all(|c| c.computes > 0),
+        "each host scores next to its residents: {per_topology:?}"
+    );
+    assert_eq!(
+        engine.stats().interference,
+        per_topology[0].merged(per_topology[1])
+    );
 }

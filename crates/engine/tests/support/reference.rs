@@ -20,8 +20,8 @@
 //!
 //! With `EngineConfig::interference` on, each prediction is multiplied
 //! by the co-location penalty asked straight from the
-//! `InterferenceOracle` with the host's real residents (clamped to
-//! `(0, 1]`, which is the penalty contract; an idle host costs nothing).
+//! `InterferenceOracle` with the host's real residents, unmemoised (in
+//! `(0, 1]`, the penalty contract; an idle host costs nothing).
 
 #![allow(dead_code)] // each including test file uses its own subset
 
@@ -91,11 +91,10 @@ pub fn on_record(
         if idle < goal {
             continue;
         }
-        let penalty = if engine.config().interference && occ.used_threads() > 0 {
-            let raw = engine
+        let penalty = if engine.config().interference {
+            engine
                 .sim_oracle(id)
-                .co_location_penalty(&req.workload, &ap.threads, occ, residents);
-            if raw.is_finite() { raw.clamp(f64::MIN_POSITIVE, 1.0) } else { 1.0 }
+                .co_location_penalty(&req.workload, &ap.threads, occ, residents)
         } else {
             1.0
         };

@@ -16,7 +16,12 @@
 //! [`simulate_co_location`] reports both directions of the damage and
 //! so solves every container alone as well; a caller that only scores
 //! the candidate uses [`simulate_candidate_penalty`], which solves two
-//! systems however many residents there are.
+//! systems however many residents there are. Every penalty either
+//! reports passes through one clamp into `(0, 1]`, NaN included.
+//!
+//! These functions solve on every call. The engine's scoring path asks
+//! [`SimOracle::penalty`](crate::SimOracle::penalty) instead, which
+//! memoises [`simulate_candidate_penalty`] per input.
 
 use vc_topology::Machine;
 
@@ -56,11 +61,21 @@ impl CoLocationReport {
     }
 }
 
+/// `co`'s throughput over `solo`'s, in `(0, 1]`: the one clamp every
+/// penalty of this crate passes through. The model never rewards
+/// contention, so a speed-up (`+∞` included) is `1.0`; and a ratio that
+/// is not a number at all — NaN from a degenerate run — costs nothing
+/// either, where `f64::clamp` would pass it through.
 fn penalty(co: &ContainerPerf, solo: &ContainerPerf) -> f64 {
     if solo.inst_per_sec <= 0.0 {
         return 1.0;
     }
-    (co.inst_per_sec / solo.inst_per_sec).clamp(f64::MIN_POSITIVE, 1.0)
+    let ratio = co.inst_per_sec / solo.inst_per_sec;
+    if ratio.is_nan() {
+        1.0
+    } else {
+        ratio.clamp(f64::MIN_POSITIVE, 1.0)
+    }
 }
 
 /// Simulates `candidate` together with `residents` on `machine` and
@@ -220,6 +235,41 @@ mod tests {
             "node-disjoint, link-free residents should cost almost nothing: {}",
             far_report.candidate_penalty()
         );
+    }
+
+    /// A run with throughput `inst_per_sec` and nothing else.
+    fn perf(inst_per_sec: f64) -> ContainerPerf {
+        ContainerPerf {
+            inst_per_sec,
+            ipc: 0.0,
+            metric_value: 0.0,
+            state: crate::engine::ContainerState::default(),
+        }
+    }
+
+    #[test]
+    fn penalties_stay_in_the_unit_interval_whatever_the_throughputs() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let cases = [
+            // Finite ratios: the plain clamp, bit for bit.
+            (0.5, 2.0, 0.25),
+            (3.0, 2.0, 1.0),
+            (0.0, 2.0, f64::MIN_POSITIVE),
+            (1.0, 0.0, 1.0),
+            // Not a number: a degenerate run costs nothing.
+            (nan, 2.0, 1.0),
+            (2.0, nan, 1.0),
+            (nan, nan, 1.0),
+            (inf, inf, 1.0),
+            // Infinite throughput on one side: the clamp's bounds.
+            (inf, 2.0, 1.0),
+            (2.0, inf, f64::MIN_POSITIVE),
+        ];
+        for (co, solo, expected) in cases {
+            let p = penalty(&perf(co), &perf(solo));
+            assert_eq!(p.to_bits(), expected.to_bits(), "{co} over {solo}: {p}");
+        }
     }
 
     #[test]

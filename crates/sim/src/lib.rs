@@ -28,7 +28,8 @@
 //! together with a host's real residents, each on the threads it holds.
 //! [`SimOracle`]'s `InterferenceOracle` implementation takes the
 //! residents as exactly the containers holding the occupancy's used
-//! threads, and asserts it.
+//! threads, and asserts it; [`SimOracle::penalty`] answers the same
+//! question from a bounded memo keyed by the solve's input.
 
 #![warn(missing_docs)]
 

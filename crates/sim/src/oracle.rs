@@ -1,4 +1,20 @@
-//! [`vc_core::model::PerfOracle`] implementation backed by the simulator.
+//! [`vc_core::model::PerfOracle`] and [`InterferenceOracle`]
+//! implementations backed by the simulator, and the co-location memo.
+//!
+//! A [`SimOracle`] serves one machine. Besides the idle-machine
+//! measurements the paper's model trains on, it prices co-location:
+//! [`InterferenceOracle::co_location_penalty`] solves the candidate
+//! together with the host's residents, and [`SimOracle::penalty`]
+//! answers the same question from a bounded memo keyed by that solve's
+//! input. The solve is a pure function of its input — the machine, the
+//! probe configuration and the seed are fixed per oracle — so a
+//! memoised penalty is, to the last bit, the one a direct call returns:
+//! which lookup filled an entry, and whether it was evicted and filled
+//! again, is invisible in the answers. A caller may therefore skip a
+//! lookup it can prove cannot change its decision without changing any
+//! later one. The memo is the workspace's LRU [`KeyedCache`], whose
+//! victim is chosen by a logical clock, never by a hash seed, so the
+//! counters too depend on the lookup history alone.
 //!
 //! The assignment table's `RwLock` is a plain `std` leaf: it is private
 //! to this file and held only for one map lookup or insert — the
@@ -8,9 +24,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use vc_core::assign::assign_vcpus;
-use vc_core::interference::{InterferenceOracle, ResidentWorkload};
+use vc_core::interference::{InterferenceCounters, InterferenceOracle, ResidentWorkload};
 use vc_core::model::PerfOracle;
 use vc_core::placement::PlacementSpec;
+use vc_sync::{Counter, KeyedCache};
 use vc_topology::{Machine, OccupancyMap, ThreadId};
 use vc_workloads::{generator, suite, Metric, Workload};
 
@@ -33,9 +50,18 @@ pub struct SimOracle {
     /// per valid spec of this machine, and callers probe catalog specs —
     /// a few dozen per container size.
     assignments: RwLock<HashMap<PlacementSpec, Arc<[ThreadId]>>>,
+    /// Co-location penalty per [`Self::penalty_key`], least-recently-used
+    /// entries dropped beyond [`Self::PENALTY_CAPACITY`] (churny fleets
+    /// reach ever new occupancies, so the key space is unbounded).
+    penalties: KeyedCache<Vec<u16>, f64>,
+    lookups: Counter,
+    hits: Counter,
 }
 
 impl SimOracle {
+    /// Bound on the co-location penalties [`Self::penalty`] keeps.
+    pub const PENALTY_CAPACITY: usize = 4096;
+
     /// Oracle over the paper suite on `machine`.
     pub fn new(machine: Machine) -> Self {
         Self::with_synthetic(machine, 0, 0)
@@ -50,6 +76,9 @@ impl SimOracle {
             machine,
             workloads,
             assignments: RwLock::default(),
+            penalties: KeyedCache::bounded(Self::PENALTY_CAPACITY),
+            lookups: Counter::new(),
+            hits: Counter::new(),
         }
     }
 
@@ -63,11 +92,16 @@ impl SimOracle {
         &self.workloads
     }
 
-    fn workload(&self, name: &str) -> &Workload {
+    /// The position of workload `name` in [`Self::workloads`].
+    fn workload_index(&self, name: &str) -> usize {
         self.workloads
             .iter()
-            .find(|w| w.name == name)
+            .position(|w| w.name == name)
             .unwrap_or_else(|| panic!("unknown workload {name}"))
+    }
+
+    fn workload(&self, name: &str) -> &Workload {
+        &self.workloads[self.workload_index(name)]
     }
 
     /// The canonical assignment of `spec` on this machine, computed on
@@ -107,6 +141,110 @@ impl SimOracle {
             .next()
             .expect("one container")
     }
+
+    /// [`InterferenceOracle::co_location_penalty`], memoised: the same
+    /// arguments, contract and answer, to the last bit.
+    ///
+    /// Every lookup checks the contract (one pass over the residents'
+    /// threads), so a warm key is refused an occupancy its residents do
+    /// not exactly hold, as a direct call is. An idle occupancy then
+    /// short-circuits to `1.0` without a key; anything else is looked
+    /// up under the solve's input — the candidate's workload and
+    /// threads, then each resident's, orders kept — and solved once
+    /// per distinct input while it stays among the
+    /// [`Self::PENALTY_CAPACITY`] most recently used. The solve runs
+    /// outside the memo's lock, so concurrent cold misses on
+    /// *different* keys do not serialise (identical racing keys solve
+    /// once: the losers wait for the winner's value and count as
+    /// hits). [`Self::interference_counters`] counts the work.
+    ///
+    /// # Panics
+    ///
+    /// As [`InterferenceOracle::co_location_penalty`].
+    pub fn penalty(
+        &self,
+        workload: &str,
+        threads: &[ThreadId],
+        occ: &OccupancyMap,
+        residents: &[ResidentWorkload],
+    ) -> f64 {
+        self.lookups.incr();
+        assert_residents_hold(occ, residents);
+        if occ.used_threads() == 0 {
+            self.hits.incr();
+            return 1.0;
+        }
+        let key = self.penalty_key(workload, threads, residents);
+        let mut computed = false;
+        let p = self.penalties.get_or_compute(&key[..], || {
+            computed = true;
+            self.co_location_penalty(workload, threads, occ, residents)
+        });
+        if !computed {
+            self.hits.incr();
+        }
+        p
+    }
+
+    /// What [`Self::penalty`] has done so far.
+    pub fn interference_counters(&self) -> InterferenceCounters {
+        InterferenceCounters {
+            lookups: self.lookups.get(),
+            hits: self.hits.get(),
+            computes: self.penalties.counters().computes,
+        }
+    }
+
+    /// The memo key of one penalty query: the co-location solve's
+    /// input, in order and with lengths,
+    ///
+    /// ```text
+    /// candidate workload | candidate threads | (resident workload | resident threads)*
+    /// ```
+    ///
+    /// with each workload written as its index in [`Self::workloads`]
+    /// and each thread list as its length followed by its indices, one
+    /// 16-bit word each. Every thread list keeps its order, and the
+    /// residents theirs: the simulator accumulates its loads thread by
+    /// thread, so the same threads in another order can score
+    /// differently. Lists carry their lengths, so distinct inputs never
+    /// encode alike. The machine, the probe configuration and the seed
+    /// are fixed per oracle, and the occupancy's used threads are the
+    /// residents' (the contract [`Self::penalty`] checks), so none of
+    /// them is keyed.
+    fn penalty_key(
+        &self,
+        workload: &str,
+        threads: &[ThreadId],
+        residents: &[ResidentWorkload],
+    ) -> Vec<u16> {
+        let word = |n: usize| u16::try_from(n).expect("penalty keys index below 2^16");
+        let len = residents.iter().map(|r| 2 + r.threads.len()).sum::<usize>();
+        let mut key = Vec::with_capacity(2 + threads.len() + len);
+        let mut push = |name: &str, threads: &[ThreadId]| {
+            key.push(word(self.workload_index(name)));
+            key.push(word(threads.len()));
+            key.extend(threads.iter().map(|t| word(t.index())));
+        };
+        push(workload, threads);
+        for r in residents {
+            push(&r.workload, &r.threads);
+        }
+        key
+    }
+}
+
+/// Panics unless `residents` hold exactly `occ`'s used threads: as many
+/// threads as the occupancy reserves, every one of them reserved.
+fn assert_residents_hold(occ: &OccupancyMap, residents: &[ResidentWorkload]) {
+    let held: usize = residents.iter().map(|r| r.threads.len()).sum();
+    assert!(
+        held == occ.used_threads()
+            && residents.iter().flat_map(|r| &r.threads).all(|&t| !occ.is_free(t)),
+        "residents hold {held} threads, the occupancy reserves {}: \
+         they must be exactly the containers holding its used threads",
+        occ.used_threads()
+    );
 }
 
 impl InterferenceOracle for SimOracle {
@@ -120,10 +258,10 @@ impl InterferenceOracle for SimOracle {
     /// The probe runs under [`SimConfig::interference_probe`]:
     /// noise-free, fixed-seed, with a tail-averaged fixed point — the
     /// penalty is a pure contention measurement, deterministic per
-    /// `(workload, threads, occupancy, residents)`, which keeps
-    /// memoized penalties coherent across repeated queries. It costs
-    /// two solves — the joint one and the candidate alone
-    /// ([`simulate_candidate_penalty`]) — whatever the resident count.
+    /// `(workload, threads, residents)`, which is what lets
+    /// [`SimOracle::penalty`] memoise it. It costs two solves — the
+    /// joint one and the candidate alone ([`simulate_candidate_penalty`])
+    /// — whatever the resident count. An idle occupancy costs none.
     ///
     /// # Panics
     ///
@@ -139,15 +277,8 @@ impl InterferenceOracle for SimOracle {
         occ: &OccupancyMap,
         residents: &[ResidentWorkload],
     ) -> f64 {
-        let held: usize = residents.iter().map(|r| r.threads.len()).sum();
-        assert!(
-            held == occ.used_threads()
-                && residents.iter().flat_map(|r| &r.threads).all(|&t| !occ.is_free(t)),
-            "residents hold {held} threads, the occupancy reserves {}: \
-             they must be exactly the containers holding its used threads",
-            occ.used_threads()
-        );
-        if held == 0 {
+        assert_residents_hold(occ, residents);
+        if occ.used_threads() == 0 {
             return 1.0;
         }
         let candidate = ContainerRun {

@@ -2,7 +2,7 @@
 //! hit/compute/eviction statistics.
 //!
 //! The engine's expensive intermediates (placement catalogs, training
-//! sets, trained models) and `vc-core`'s co-location penalties are
+//! sets, trained models) and `vc-sim`'s co-location penalties are
 //! memoized behind [`KeyedCache`]s. Each key owns a [`OnceLock`] cell:
 //! when several threads request the same missing key concurrently,
 //! exactly one runs the compute closure and the rest block on the cell

@@ -22,7 +22,7 @@
 //!   on; the one home of that ordering outside this crate's internals.
 //! * [`cache::KeyedCache`] — the workspace's one memo: compute-once per
 //!   key, LRU-bounded, counted with [`Counter`]s. It lives here because
-//!   both `vc-core` (co-location penalties) and `vc-engine` (catalogs,
+//!   both `vc-sim` (co-location penalties) and `vc-engine` (catalogs,
 //!   training sets, models) need it and it needs nothing but `std`.
 //! * [`lock`] — lock discipline as borrows: a [`LockScope`] grants
 //!   [`ScopedMutex`] guards and is shared-borrowed by whatever must not
