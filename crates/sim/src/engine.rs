@@ -20,7 +20,9 @@ pub struct ContainerRun<'a> {
 /// Simulator parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Fixed-point iterations.
+    /// Fixed-point iterations, an upper bound: the solve stops early
+    /// once an iteration leaves every rate's bits unchanged, and the
+    /// result is the one running them all would give, to the last bit.
     pub iterations: usize,
     /// Damping factor for rate updates (0 = frozen, 1 = undamped).
     pub damping: f64,
@@ -489,6 +491,11 @@ struct Solution {
     cpi_parts: Vec<(f64, f64, f64)>,
     dram_util: Vec<f64>,
     link_util: Vec<f64>,
+    /// Iterations run: [`SimConfig::iterations`], or fewer when the
+    /// rates reached a bitwise fixed point. Only the unit tests read
+    /// it: they pin that the exit is taken, and not taken.
+    #[cfg_attr(not(test), allow(dead_code))]
+    iterations: usize,
 }
 
 /// Runs the damped fixed point on instruction rates over `plan`.
@@ -498,6 +505,15 @@ struct Solution {
 /// by thread, destination by destination, memory before communication —
 /// the float sums depend on that order — while the latency update runs
 /// once per [`ThreadClass`].
+///
+/// [`SimConfig::iterations`] is an upper bound, and stopping short of
+/// it is exact. The loads, utilisations, CPI parts and new rates of an
+/// iteration are pure functions of the rates it starts from, so once an
+/// iteration leaves every rate's bits unchanged, each later one would
+/// repeat it bit for bit. The solve stops there and finishes the
+/// Cesàro tail with one `acc += r` per tail iteration left — the very
+/// additions those iterations would make, in their order; a product
+/// would round differently.
 fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
     let lat = machine.latencies();
     let clock_hz = machine.clock_ghz() * 1e9;
@@ -534,6 +550,7 @@ fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
     let tail = cfg.tail_average.min(cfg.iterations);
     let mut rate_tail = vec![0.0f64; if tail > 0 { classes.len() } else { 0 }];
 
+    let mut iterations = cfg.iterations;
     for it in 0..cfg.iterations {
         // Demands.
         for (k, cl) in classes.iter().enumerate() {
@@ -574,6 +591,7 @@ fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
         }
 
         // Latencies and new rates.
+        let mut moved = false;
         for (k, cl) in classes.iter().enumerate() {
             let c = &plan.containers[cl.container];
             let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
@@ -606,13 +624,25 @@ fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
 
             let cpi = cl.cpi_core + cpi_mem + cpi_comm;
             let new_rate = clock_hz / cpi;
-            rate[k] = (1.0 - cfg.damping) * rate[k] + cfg.damping * new_rate;
+            let next = (1.0 - cfg.damping) * rate[k] + cfg.damping * new_rate;
+            moved |= next.to_bits() != rate[k].to_bits();
+            rate[k] = next;
             cpi_parts[k] = (cl.cpi_core, cpi_mem, cpi_comm);
         }
-        if tail > 0 && cfg.iterations - it <= tail {
+        // At a fixed point this iteration stands for every one left.
+        let stands_for = if moved {
+            it..it + 1
+        } else {
+            it..cfg.iterations
+        };
+        for _ in stands_for.filter(|&i| cfg.iterations - i <= tail) {
             for (acc, &r) in rate_tail.iter_mut().zip(&rate) {
                 *acc += r;
             }
+        }
+        if !moved {
+            iterations = it + 1;
+            break;
         }
     }
     if tail > 0 {
@@ -625,6 +655,7 @@ fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
         cpi_parts,
         dram_util,
         link_util,
+        iterations,
     }
 }
 
@@ -649,6 +680,7 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
         cpi_parts,
         dram_util,
         link_util,
+        ..
     } = solve(machine, &plan, cfg);
     let clock_hz = machine.clock_ghz() * 1e9;
 
@@ -721,9 +753,9 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_core::assign::assign_vcpus;
+    use vc_core::assign::{assign_vcpus, assign_vcpus_in};
     use vc_core::placement::PlacementSpec;
-    use vc_topology::machines;
+    use vc_topology::{machines, OccupancyMap};
     use vc_workloads::suite::workload_by_name;
 
     fn run_on(machine: &Machine, w: &str, spec: &PlacementSpec) -> ContainerPerf {
@@ -925,5 +957,55 @@ mod tests {
             &SimConfig::default(),
             0,
         );
+    }
+
+    /// Iterations the solve of `candidate` next to `resident` runs, the
+    /// two on 4 vCPUs each of AMD node 0.
+    fn iterations_next_to(candidate: &str, resident: &str, cfg: &SimConfig) -> usize {
+        let amd = machines::amd_opteron_6272();
+        let spec = PlacementSpec::on_nodes(4, vec![NodeId(0)], 2);
+        let mut occ = OccupancyMap::new(&amd);
+        let first = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+        occ.reserve(&first).unwrap();
+        let second = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+        let (candidate, resident) = (
+            workload_by_name(candidate).unwrap(),
+            workload_by_name(resident).unwrap(),
+        );
+        let runs = [
+            ContainerRun {
+                workload: &candidate,
+                assignment: &first,
+            },
+            ContainerRun {
+                workload: &resident,
+                assignment: &second,
+            },
+        ];
+        solve(&amd, &Plan::build(&amd, &runs), cfg).iterations
+    }
+
+    #[test]
+    fn a_probe_that_settles_stops_at_its_fixed_point() {
+        let probe = SimConfig::interference_probe();
+        let run = iterations_next_to("streamcluster", "canneal", &probe);
+        assert!(run < probe.iterations, "ran all {run} iterations");
+    }
+
+    #[test]
+    fn a_probe_that_never_repeats_runs_every_iteration() {
+        for cfg in [
+            SimConfig::default(),
+            SimConfig::interference_probe(),
+            SimConfig {
+                iterations: 3000,
+                ..SimConfig::interference_probe()
+            },
+        ] {
+            assert_eq!(
+                iterations_next_to("blast", "streamcluster", &cfg),
+                cfg.iterations
+            );
+        }
     }
 }

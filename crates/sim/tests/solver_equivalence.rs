@@ -121,6 +121,52 @@ fn solo_probes_match_on_every_machine_size_and_important_placement() {
     assert!(cases > 1000, "the sweep shrank to {cases} cases");
 }
 
+/// The solver stops once an iteration leaves every rate's bits
+/// unchanged; the reference always runs every iteration. Two 4-vCPU
+/// containers on AMD node 0: `streamcluster` next to `canneal` reaches
+/// its fixed point before the probe's 120 iterations, `blast` next to
+/// `streamcluster` never does (the solver's unit tests pin which is
+/// which). Tails from none to the whole run, so the tail sums finished
+/// past the exit are compared too.
+#[test]
+fn fixed_point_exits_match_the_full_run() {
+    let amd = machines::amd_opteron_6272();
+    let spec = PlacementSpec::on_nodes(4, vec![NodeId(0)], 2);
+    let mut occ = OccupancyMap::new(&amd);
+    let first = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+    occ.reserve(&first).unwrap();
+    let second = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+    let mut cfgs = configs().to_vec();
+    for tail in [1, 7, 120] {
+        cfgs.push(SimConfig {
+            tail_average: tail,
+            ..SimConfig::interference_probe()
+        });
+    }
+    cfgs.push(SimConfig {
+        iterations: 400,
+        ..SimConfig::default()
+    });
+    let suite = paper_suite();
+    let named = |name: &str| suite.iter().find(|w| w.name == name).unwrap();
+    for (candidate, resident) in [("streamcluster", "canneal"), ("blast", "streamcluster")] {
+        let runs = [
+            ContainerRun {
+                workload: named(candidate),
+                assignment: &first,
+            },
+            ContainerRun {
+                workload: named(resident),
+                assignment: &second,
+            },
+        ];
+        for cfg in &cfgs {
+            both(&amd, &runs, cfg, 1);
+            both(&amd, &runs[..1], cfg, 1);
+        }
+    }
+}
+
 /// A host filled with 1–6 residents in catalog shapes plus a candidate
 /// that still fits, drawn from `rng`.
 struct Host {

@@ -17,16 +17,42 @@
 //! stamped per lookup, so which entry goes is a function of the lookup
 //! history alone — never of the map's hash seed.
 //!
+//! The victim is the completed entry with the lowest stamp other than
+//! the key being served, exactly what a scan of the whole map for it
+//! would pick; finding it does not scan. A refill takes the cut-off
+//! stamp of the 64 (at most `capacity`) oldest evictable entries and
+//! queues every `(stamp, key)` pair at or below it, oldest first. Every
+//! stamp handed out later is newer than all of them, so a queued pair
+//! whose key still carries that stamp is older than every key outside
+//! the queue, and the first such pair that is completed and not the
+//! caller's is the victim; a pair whose key was stamped again or
+//! removed is dropped as it is met. An eviction therefore costs one
+//! hash probe per queued pair it inspects. A queue that holds no victim
+//! is refilled by two passes over the map (one finds the cut-off, one
+//! copies the keys out), allocating nothing beyond the queue; a fresh
+//! queue holds a victim whenever the map does. A cache missing on every
+//! lookup refills once per 64 evictions, or once per `capacity` below
+//! 64 entries. At worst, when every other queued key is used again
+//! before it is needed, each eviction refills: two passes where a scan
+//! was one.
+//!
 //! The map's mutex is a plain `std` leaf rather than a
 //! [`crate::lock::LeafMutex`]: it is private to this file, and nothing
-//! is called while it is held — `f` runs after the map lock drops.
+//! is called while it is held — `f` runs after the map lock drops. The
+//! lock is held for one map probe (and insert) per lookup, and, when
+//! the map is over its bound, for the evictions that bring it back:
+//! the queue probes above, plus a refill when the queue holds no victim.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::Counter;
+
+/// Most `(stamp, key)` pairs a refill of the eviction queue keeps
+/// evictable (see the module docs).
+const QUEUE_LEN: usize = 64;
 
 /// Snapshot of one cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,16 +79,97 @@ struct Slot<V> {
     last_used: u64,
 }
 
+/// Everything the map mutex guards.
+struct Entries<K, V> {
+    map: HashMap<K, Slot<V>>,
+    /// Logical clock: the stamp of the latest lookup. It advances under
+    /// the lock, so stamps are ordered as the lookups took the map.
+    tick: u64,
+    /// Eviction candidates, oldest first: the oldest `(stamp, key)`
+    /// pairs of the last refill pass (see the module docs).
+    oldest: VecDeque<(u64, K)>,
+}
+
+impl<K: Eq + Hash + Clone, V> Entries<K, V> {
+    /// Whether `key` may be evicted while `just_used` is being served.
+    fn evictable<Q>(key: &K, slot: &Slot<V>, just_used: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        key.borrow() != just_used && slot.cell.get().is_some()
+    }
+
+    /// Takes the first queued pair that is still current and evictable,
+    /// dropping the stale pairs met before it.
+    fn queued_victim<Q>(&mut self, just_used: &Q) -> Option<K>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let mut i = 0;
+        while let Some((stamp, key)) = self.oldest.get(i) {
+            match self.map.get::<K>(key) {
+                Some(slot) if slot.last_used == *stamp => {
+                    if Self::evictable(key, slot, just_used) {
+                        return self.oldest.remove(i).map(|(_, key)| key);
+                    }
+                    i += 1;
+                }
+                _ => {
+                    self.oldest.remove(i);
+                }
+            }
+        }
+        None
+    }
+
+    /// Refills the queue: one pass finds the newest stamp among the
+    /// `keep` oldest evictable entries, a second copies out every key at
+    /// or below it, in flight or not, so that each key left out is newer
+    /// than each queued pair. The queue then holds the oldest evictable
+    /// entry, or is empty when there is none.
+    fn refill<Q>(&mut self, keep: usize, just_used: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let mut kept = BinaryHeap::with_capacity(keep);
+        for (key, slot) in &self.map {
+            if !Self::evictable(key, slot, just_used) {
+                continue;
+            }
+            if kept.len() < keep {
+                kept.push(slot.last_used);
+            } else if let Some(mut newest) = kept.peek_mut() {
+                if slot.last_used < *newest {
+                    *newest = slot.last_used;
+                }
+            }
+        }
+        self.oldest.clear();
+        let Some(&cutoff) = kept.peek() else {
+            return;
+        };
+        let mut oldest: Vec<(u64, K)> = self
+            .map
+            .iter()
+            .filter(|(_, slot)| slot.last_used <= cutoff)
+            .map(|(key, slot)| (slot.last_used, key.clone()))
+            .collect();
+        oldest.sort_unstable_by_key(|&(stamp, _)| stamp);
+        self.oldest = oldest.into();
+    }
+}
+
 /// A compute-once cache from `K` to `V`, optionally LRU-bounded.
 ///
 /// `V` is cloned out on every lookup, so values should be cheap to clone
 /// (the engine stores `Result<Arc<T>, E>`).
 pub struct KeyedCache<K, V> {
-    map: Mutex<HashMap<K, Slot<V>>>,
+    entries: Mutex<Entries<K, V>>,
     /// Maximum resident keys; 0 means unbounded.
     capacity: usize,
-    /// Logical clock for recency stamps.
-    tick: Counter,
     lookups: Counter,
     computes: Counter,
     evictions: Counter,
@@ -79,9 +186,12 @@ impl<K, V> KeyedCache<K, V> {
     /// resident keys (`0` = unbounded).
     pub fn bounded(capacity: usize) -> Self {
         KeyedCache {
-            map: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries {
+                map: HashMap::new(),
+                tick: 0,
+                oldest: VecDeque::new(),
+            }),
             capacity,
-            tick: Counter::new(),
             lookups: Counter::new(),
             computes: Counter::new(),
             evictions: Counter::new(),
@@ -91,6 +201,10 @@ impl<K, V> KeyedCache<K, V> {
     /// The configured bound (`0` = unbounded).
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Entries<K, V>> {
+        self.entries.lock().expect("cache lock poisoned")
     }
 }
 
@@ -109,10 +223,12 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
         F: FnOnce() -> V,
     {
         self.lookups.incr();
-        let stamp = self.tick.incr() + 1;
         let (cell, oversized) = {
-            let mut map = self.map.lock().expect("cache lock poisoned");
-            let cell = match map.get_mut(key) {
+            let mut entries = self.lock();
+            let entries = &mut *entries;
+            entries.tick += 1;
+            let stamp = entries.tick;
+            let cell = match entries.map.get_mut(key) {
                 Some(slot) => {
                     slot.last_used = stamp;
                     Arc::clone(&slot.cell)
@@ -123,11 +239,11 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
                         cell: Arc::clone(&cell),
                         last_used: stamp,
                     };
-                    map.insert(key.to_owned(), slot);
+                    entries.map.insert(key.to_owned(), slot);
                     cell
                 }
             };
-            (cell, self.capacity > 0 && map.len() > self.capacity)
+            (cell, self.capacity > 0 && entries.map.len() > self.capacity)
         };
         let value = cell
             .get_or_init(|| {
@@ -154,18 +270,15 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
     {
-        let mut map = self.map.lock().expect("cache lock poisoned");
-        while map.len() > self.capacity {
-            let victim: Option<K> = map
-                .iter()
-                .filter(|(k, slot)| {
-                    Borrow::<Q>::borrow(*k) != just_used && slot.cell.get().is_some()
-                })
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone());
+        let mut entries = self.lock();
+        while entries.map.len() > self.capacity {
+            let victim = entries.queued_victim(just_used).or_else(|| {
+                entries.refill(self.capacity.min(QUEUE_LEN), just_used);
+                entries.queued_victim(just_used)
+            });
             match victim {
-                Some(k) => {
-                    map.remove::<K>(&k);
+                Some(key) => {
+                    entries.map.remove::<K>(&key);
                     self.evictions.incr();
                 }
                 None => break,
@@ -184,7 +297,7 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
 
     /// Number of distinct keys resident.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock poisoned").len()
+        self.lock().map.len()
     }
 
     /// Whether the cache holds no keys.
