@@ -17,8 +17,9 @@
 use std::sync::Arc;
 
 use vc_core::availability::AvailablePlacement;
+use vc_core::interference::ResidentWorkload;
 use vc_sync::lock::LockScope;
-use vc_topology::ThreadId;
+use vc_topology::{OccupancyMap, ThreadId};
 
 use crate::engine::{
     BatchStrategy, Candidate, MachineId, Placed, PlacementDecision, PlacementEngine,
@@ -62,6 +63,79 @@ impl Plan {
             interference_penalty: self.penalty,
             goal_perf,
             goal_met: self.perf >= goal_perf,
+        }
+    }
+}
+
+/// A host as [`PlacementEngine::score_walk`] prices it.
+pub(crate) struct Target<'a> {
+    pub(crate) id: MachineId,
+    /// The record a plan here commits against.
+    pub(crate) record: &'a Arc<HostSnapshot>,
+    /// The occupancy a placement may use.
+    pub(crate) occ: &'a OccupancyMap,
+    /// The workloads a placement would run beside. `None` scores
+    /// neighbour-blind: every penalty is `1.0`, and the co-location memo
+    /// is never asked.
+    pub(crate) residents: Option<&'a [ResidentWorkload]>,
+}
+
+impl PlacementEngine {
+    /// The one scoring walk: admission and rebalance moves price every
+    /// realisation through it, each with its own order and key, and
+    /// `best` keeps the lowest-keyed plan over this call and earlier
+    /// ones (ties keep the earlier).
+    ///
+    /// `classes` come in the caller's order as `(bound, idle
+    /// prediction, realise)`. A realisation's adjusted prediction is its
+    /// idle prediction times its co-location penalty against `target`,
+    /// and `key(placement, adjusted, penalty)` ranks it (`None`: it
+    /// cannot be chosen). A penalty is at most `1.0`, so `bound` — the
+    /// key of the class's best conceivable realisation — is no higher
+    /// than any key the class scores: a class whose bound is not below
+    /// the best key is skipped before it is realised, and left once
+    /// that holds. The walk skips and never stops, so it asks the memo
+    /// for exactly the penalties that could change the answer, in order;
+    /// the memo is exact, so a skipped lookup changes no later answer
+    /// either.
+    pub(crate) fn score_walk<K, F, R>(
+        &self,
+        scope: &LockScope,
+        workload: &str,
+        target: &Target<'_>,
+        classes: impl IntoIterator<Item = (K, f64, F)>,
+        mut key: impl FnMut(&AvailablePlacement, f64, f64) -> Option<K>,
+        best: &mut Option<(K, Plan)>,
+    ) where
+        K: PartialOrd,
+        F: FnOnce() -> R,
+        R: IntoIterator<Item = AvailablePlacement>,
+    {
+        let oracle = self.hosts[target.id.0].sim(scope);
+        let can_win = |bound: &K, best: &Option<(K, Plan)>| {
+            best.as_ref().is_none_or(|(b, _)| bound < b)
+        };
+        for (bound, idle, realise) in classes {
+            if !can_win(&bound, best) {
+                continue;
+            }
+            for placement in realise() {
+                let penalty = target.residents.map_or(1.0, |residents| {
+                    oracle.penalty(workload, &placement.threads, target.occ, residents)
+                });
+                let perf = idle * penalty;
+                let Some(k) = key(&placement, perf, penalty) else {
+                    continue;
+                };
+                if best.as_ref().is_none_or(|(b, _)| k < *b) {
+                    let record = Arc::clone(target.record);
+                    let plan = Plan { host: target.id, record, placement, perf, penalty };
+                    *best = Some((k, plan));
+                    if !can_win(&bound, best) {
+                        break;
+                    }
+                }
+            }
         }
     }
 }
@@ -242,16 +316,14 @@ impl PlacementEngine {
     /// capacity existed but every hostable class's adjusted prediction
     /// fell below the goal.
     ///
-    /// The classes are walked by rank, then by idle prediction,
-    /// descending, and only penalties that could change the answer are
-    /// looked up. A penalty is at most `1.0`, so no class beats the best
-    /// so far unless its idle prediction does (or ties it from an
-    /// earlier position), and no member of a later rank group beats a
-    /// goal-clearing member of an earlier one: the walk stops after the
-    /// first rank group that clears the goal. The memo is exact, so a
-    /// skipped lookup changes no later answer either. When nothing
-    /// clears the goal, nothing was skipped, and the interference count
-    /// in the error is complete.
+    /// The classes are walked through [`Self::score_walk`] by rank, then
+    /// by idle prediction, descending, keyed `(rank, −adjusted, class
+    /// id)` and bounded by `(rank, −max(idle, 0), class id)`: no class
+    /// beats the best so far unless its idle prediction does (or ties it
+    /// from an earlier class), and no member of a later rank group beats
+    /// a goal-clearing member of an earlier one. When nothing clears the
+    /// goal, nothing was skipped, and the interference count in the error
+    /// is complete.
     fn best_available(
         &self,
         scope: &LockScope,
@@ -260,64 +332,37 @@ impl PlacementEngine {
         record: Arc<HostSnapshot>,
     ) -> Result<Plan, ChooseError> {
         let host = &self.hosts[id.0];
-        let interference = self.config().interference;
-        let residents = if interference {
-            record.resident_workloads()
-        } else {
-            Vec::new()
-        };
+        let residents = self.config().interference.then(|| record.resident_workloads());
         let occ = record.occupancy();
         let mut available = cand.catalog.availability.available(host.machine(), occ);
         let idle = |ap: &AvailablePlacement| cand.predicted[ap.id - 1];
         let rank = |ap: &AvailablePlacement| (ap.spec.num_nodes(), ap.pristine_consumed);
         // The penalty is ≤ 1, so a class whose idle-host prediction
         // already misses the goal cannot clear it adjusted.
-        let mut order: Vec<usize> = (0..available.len())
-            .filter(|&i| idle(&available[i]) >= cand.goal_perf)
-            .collect();
-        order.sort_by(|&a, &b| {
-            let (a, b) = (&available[a], &available[b]);
-            rank(a).cmp(&rank(b)).then(idle(b).total_cmp(&idle(a)))
+        available.retain(|ap| idle(ap) >= cand.goal_perf);
+        available.sort_by(|a, b| rank(a).cmp(&rank(b)).then(idle(b).total_cmp(&idle(a))));
+        let classes = available.into_iter().map(|ap| {
+            let bound = (rank(&ap), -idle(&ap).max(0.0), ap.id);
+            (bound, idle(&ap), move || Some(ap))
         });
-        // `(index into available, adjusted prediction, penalty)`.
-        let mut best: Option<(usize, f64, f64)> = None;
+        let target = Target {
+            id,
+            record: &record,
+            occ,
+            residents: residents.as_deref(),
+        };
+        let mut best = None;
         let mut interference_blocked = 0usize;
-        for i in order {
-            let ap = &available[i];
-            let idle_p = idle(ap);
-            if let Some((b, bp, _)) = best {
-                if rank(ap) != rank(&available[b]) {
-                    break;
-                }
-                // The most this class can score adjusted.
-                let ceiling = idle_p.max(0.0);
-                if ceiling < bp || (ceiling == bp && i > b) {
-                    continue;
-                }
-            }
-            let penalty = if interference {
-                host.sim(scope)
-                    .penalty(&cand.request.workload, &ap.threads, occ, &residents)
-            } else {
-                1.0
-            };
-            let p = idle_p * penalty;
-            if p < cand.goal_perf {
+        let key = |ap: &AvailablePlacement, perf: f64, _| {
+            if perf < cand.goal_perf {
                 interference_blocked += 1;
-                continue;
+                return None;
             }
-            if best.is_none_or(|(b, bp, _)| p > bp || (p == bp && i < b)) {
-                best = Some((i, p, penalty));
-            }
-        }
+            Some((rank(ap), -perf, ap.id))
+        };
+        self.score_walk(scope, &cand.request.workload, &target, classes, key, &mut best);
         match best {
-            Some((i, perf, penalty)) => Ok(Plan {
-                host: id,
-                placement: available.swap_remove(i),
-                perf,
-                penalty,
-                record,
-            }),
+            Some((_, plan)) => Ok(plan),
             None if interference_blocked > 0 => Err(ChooseError::Interference(format!(
                 "{}: {interference_blocked} placement class(es) fit the free capacity \
                  but co-location interference pushes every prediction below the goal",
@@ -525,8 +570,9 @@ impl PlacementEngine {
                     // score, ties to the lowest machine id) —
                     // deterministic, and on multi-class fleets the plan
                     // count collapses from one per admitted host to a
-                    // handful ([`EngineStats::offers`]; the fleet bench
-                    // records it at both 10 and 1000 hosts).
+                    // handful ([`EngineStats::offers`]; `benchmark/`
+                    // reports it per request as the per-layer
+                    // `engine.offers` of `batch_packed`).
                     let mut ranked: Vec<&Candidate> = viable.iter().filter_map(|c| *c).collect();
                     ranked.sort_by(|a, b| b.best_perf.total_cmp(&a.best_perf));
                     let mut best: Option<(Plan, &Candidate)> = None;
@@ -599,7 +645,63 @@ impl PlacementEngine {
 mod tests {
     use super::*;
     use crate::engine::{fast_test_config, EngineConfig};
-    use vc_topology::machines;
+    use std::cell::RefCell;
+    use vc_core::placement::PlacementSpec;
+    use vc_topology::{machines, NodeId};
+
+    /// What [`walk`] saw: the winner's `(key, id)`, the classes it
+    /// realised and the realisations it keyed, in order.
+    type Walked = (Option<(f64, usize)>, Vec<usize>, Vec<usize>);
+
+    /// Runs the scoring walk neighbour-blind over `classes`, each a bound
+    /// and its realisations as `(id, key)`, lower keys winning.
+    fn walk(classes: &[(f64, &[(usize, f64)])]) -> Walked {
+        let engine = PlacementEngine::single(machines::amd_opteron_6272(), fast_test_config());
+        let record = engine.host_snapshot(MachineId(0));
+        let occ = record.occupancy();
+        let target = Target { id: MachineId(0), record: &record, occ, residents: None };
+        let (realised, keyed) = (&RefCell::new(Vec::new()), &RefCell::new(Vec::new()));
+        let walked = classes.iter().enumerate().map(|(class, &(bound, members))| {
+            let realise = move || {
+                realised.borrow_mut().push(class);
+                members.iter().map(|&(id, _)| AvailablePlacement {
+                    id,
+                    spec: PlacementSpec::on_nodes(4, vec![NodeId(0)], 2),
+                    threads: Vec::new(),
+                    pristine_consumed: 0,
+                })
+            };
+            (bound, 1.0, realise)
+        });
+        let key = |ap: &AvailablePlacement, perf: f64, penalty: f64| {
+            assert_eq!((perf, penalty), (1.0, 1.0), "neighbour-blind: the idle prediction");
+            keyed.borrow_mut().push(ap.id);
+            let mut members = classes.iter().flat_map(|(_, members)| members.iter());
+            members.find(|(id, _)| *id == ap.id).map(|&(_, key)| key)
+        };
+        let mut best = None;
+        engine.score_walk(&LockScope::new(), "WTbtree", &target, walked, key, &mut best);
+        let best = best.map(|(key, plan)| (key, plan.placement.id));
+        (best, realised.take(), keyed.take())
+    }
+
+    /// The walk prices no realisation that cannot win. The bounds here
+    /// overstate on purpose, so every realisation the walk must not
+    /// reach would win if it were scored.
+    #[test]
+    fn the_scoring_walk_prices_only_what_can_win() {
+        // A class whose bound ties or exceeds the best key is never
+        // realised.
+        let skipped = walk(&[(0.0, &[(1, 2.0)]), (2.0, &[(2, 0.0)]), (3.0, &[(3, 0.0)])]);
+        assert_eq!(skipped, (Some((2.0, 1)), vec![0], vec![1]));
+        // A class is left once the best key is no longer above its
+        // bound, and walked on while it is.
+        let left = walk(&[(0.5, &[(1, 1.0), (2, 0.5), (3, 0.25)])]);
+        assert_eq!(left, (Some((0.5, 2)), vec![0], vec![1, 2]));
+        // Of two equal keys the earlier wins, in a class or across.
+        let tied = walk(&[(0.0, &[(1, 1.0), (2, 1.0)]), (0.0, &[(3, 1.0)])]);
+        assert_eq!(tied, (Some((1.0, 1)), vec![0, 1], vec![1, 2, 3]));
+    }
 
     /// An admission planned before its neighbour departs holds threads
     /// that are still free, but prices a neighbour that is gone — and

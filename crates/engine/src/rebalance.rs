@@ -35,12 +35,13 @@
 
 use std::sync::Arc;
 
+use vc_core::availability::AvailablePlacement;
 use vc_core::interference::ResidentWorkload;
 use vc_migration::{MigrationEstimate, MigrationMode, MigrationModel};
 use vc_sync::lock::LockScope;
 use vc_topology::OccupancyMap;
 
-use crate::commit::Plan;
+use crate::commit::{Plan, Target};
 use crate::engine::{
     Candidate, MachineId, Placed, PlacementEngine, PlacementRequest, PlacementTicket, Resident,
 };
@@ -76,12 +77,13 @@ pub struct RebalancePolicy {
     /// between suppresses nothing, but does not erase the history a
     /// later pass reads. For a fixed policy this changes nothing.
     pub cooldown_passes: u64,
-    /// Upper bound on data moved per pass (GB). Once executing the next
-    /// candidate move would push the pass total over the cap, that move
-    /// (and every later one this pass) is skipped and counted in
-    /// [`RebalanceReport::blocked_by_gb_cap`] — bounding the migration
-    /// bandwidth a background loop can consume per interval. `None`
-    /// (the default) leaves the pass uncapped.
+    /// Upper bound on data moved per pass (GB). Each cost-justified move
+    /// is checked against the pass's running total: one that would push
+    /// the total over the cap is skipped and counted in
+    /// [`RebalanceReport::blocked_by_gb_cap`], and a later move that
+    /// still fits executes — bounding the migration bandwidth a
+    /// background loop can consume per interval. `None` (the default)
+    /// leaves the pass uncapped.
     pub max_moved_gb_per_pass: Option<f64>,
 }
 
@@ -323,8 +325,9 @@ impl RebalanceTotals {
 struct Home<'a> {
     id: MachineId,
     /// The host snapshot loaded for this step. The resident's
-    /// degradation, a same-host target and the move's source all read
-    /// it, and a move commits only if the host still holds this `Arc`.
+    /// degradation, a same-host [`Target`] and the move's source all
+    /// read it, and a move commits only if the host still holds this
+    /// `Arc`.
     snapshot: &'a Arc<HostSnapshot>,
     /// `snapshot`'s occupancy with the resident's threads freed.
     occ: OccupancyMap,
@@ -346,56 +349,19 @@ impl<'a> Home<'a> {
             others: snapshot.resident_workloads_without(resident.ticket),
         }
     }
-
-    /// The home host as a move target: its record minus the mover.
-    fn view(&self) -> View<'_> {
-        View {
-            id: self.id,
-            record: self.snapshot,
-            occ: &self.occ,
-            residents: &self.others,
-        }
-    }
-}
-
-/// A host as a move plan scores it: the record a move there commits
-/// against, and the occupancy and residents the mover would join.
-struct View<'a> {
-    id: MachineId,
-    record: &'a Arc<HostSnapshot>,
-    occ: &'a OccupancyMap,
-    residents: &'a [ResidentWorkload],
 }
 
 /// The order move plans are chosen by, lowest first: predicted
-/// degradation, then the negated adjusted prediction, then whether the
-/// move leaves the source host, then the target's id.
+/// degradation, then higher adjusted prediction, then staying on the
+/// current machine (an intra-machine node-set move is the §7 setting
+/// the Table 2 costs were measured in; a cross-host move is at best as
+/// cheap), then the lower machine id — a total, deterministic order.
 type MoveKey = (f64, f64, u8, usize);
 
 /// The [`MoveKey`] of a placement on `host` with `penalty` and
 /// adjusted prediction `perf`, for a mover from `src`.
 fn move_key(host: MachineId, perf: f64, penalty: f64, src: MachineId) -> MoveKey {
     (1.0 - penalty, -perf, (host != src) as u8, host.0)
-}
-
-/// A move plan: [`Plan::host`] is the target, and its record the
-/// target's snapshot — the home snapshot when the move stays on the
-/// resident's own host.
-impl Plan {
-    /// Predicted degradation in the planned placement.
-    fn degradation_after(&self) -> f64 {
-        1.0 - self.penalty
-    }
-
-    /// Where `self` stands among the moves of a mover from `src`
-    /// ([`MoveKey`]): lower predicted degradation, then higher adjusted
-    /// prediction, then staying on the current machine (an
-    /// intra-machine node-set move is the §7 setting the Table 2 costs
-    /// were measured in; a cross-host move is at best as cheap), then
-    /// the lower machine id — a total, deterministic order.
-    fn key(&self, src: MachineId) -> MoveKey {
-        move_key(self.host, self.perf, self.penalty, src)
-    }
 }
 
 impl PlacementEngine {
@@ -502,7 +468,7 @@ impl PlacementEngine {
                         .find(|w| w.name == resident.request.workload)
                         .expect("resident workloads resolve against their host's oracle");
                     let estimate = policy.model.estimate(workload, policy.mode);
-                    let degradation_after = plan.degradation_after();
+                    let degradation_after = 1.0 - plan.penalty;
                     let benefit = policy.benefit_s(degradation, degradation_after);
                     if benefit <= policy.cost_s(&estimate) {
                         report.blocked_by_cost += 1;
@@ -556,16 +522,13 @@ impl PlacementEngine {
     /// host. Returns `None` when no candidate strictly improves on
     /// `degradation_before`.
     ///
-    /// Only realisations that could still win are scored. A penalty is
-    /// at most `1.0`, so every realisation of a class with idle
-    /// prediction `idle_p` on host `h` has a key no lower than
-    /// `(0.0, −idle_p, h ≠ src, h)`; a class whose bound is not below
-    /// the best plan's key is never realised. Idle hosts are scored
-    /// first: their penalties are `1.0` without a simulation, and the
-    /// plan they set prunes most of the busy hosts' classes. Keys are
-    /// unique per host, so the order hosts are scored in does not
-    /// change the plan, and the memo is exact, so a skipped lookup
-    /// changes no later answer either.
+    /// Only realisations that could still win are scored: each host goes
+    /// through [`Self::score_walk`] with the classes in catalog order,
+    /// bounded by the [`MoveKey`] of a realisation with penalty `1.0`.
+    /// Idle hosts are scored first: their penalties are `1.0` without a
+    /// simulation, and the plan they set prunes most of the busy hosts'
+    /// classes. Keys are unique per host, so the order hosts are scored
+    /// in does not change the plan.
     fn plan_move(
         &self,
         scope: &LockScope,
@@ -596,78 +559,30 @@ impl PlacementEngine {
             let occ = if *id == home.id { &home.occ } else { record.occupancy() };
             occ.used_threads() > 0
         });
-        let mut best: Option<Plan> = None;
+        let mut best = None;
         for (cand, id, record) in &targets {
-            let residents;
-            let view = if *id == home.id {
-                home.view()
+            let owned;
+            let (occ, residents) = if *id == home.id {
+                (&home.occ, &home.others)
             } else {
-                residents = record.resident_workloads();
-                View {
-                    id: *id,
-                    record,
-                    occ: record.occupancy(),
-                    residents: &residents,
-                }
+                owned = record.resident_workloads();
+                (record.occupancy(), &owned)
             };
-            self.improve_escape(scope, &mut best, cand, &view, home.id, degradation_before);
+            let target = Target { id: *id, record, occ, residents: Some(residents) };
+            let machine = self.hosts[id.0].machine();
+            let classes = cand.catalog.placements.iter().enumerate().filter_map(|(i, ip)| {
+                let idle = cand.predicted[ip.id - 1];
+                let bound = move_key(*id, idle.max(0.0), 1.0, home.id);
+                let realise = move || cand.catalog.availability.realisations(i, machine, occ);
+                (idle >= cand.goal_perf).then_some((bound, idle, realise))
+            });
+            let key = |_: &AvailablePlacement, perf: f64, penalty: f64| {
+                let escapes = perf >= cand.goal_perf && 1.0 - penalty < degradation_before;
+                escapes.then(|| move_key(*id, perf, penalty, home.id))
+            };
+            self.score_walk(scope, &cand.request.workload, &target, classes, key, &mut best);
         }
-        best
-    }
-
-    /// Replaces `best` with the lowest-keyed goal-clearing realisation
-    /// on `view` below both `best` and `degradation_before`, if any
-    /// (ties keep the earlier). Classes and realisations whose bound
-    /// (see [`Self::plan_move`]) is not below `best` are skipped before
-    /// they are realised or scored.
-    fn improve_escape(
-        &self,
-        scope: &LockScope,
-        best: &mut Option<Plan>,
-        cand: &Candidate,
-        view: &View<'_>,
-        src: MachineId,
-        degradation_before: f64,
-    ) {
-        let host = &self.hosts[view.id.0];
-        let oracle = host.sim(scope);
-        for (i, ip) in cand.catalog.placements.iter().enumerate() {
-            let idle_p = cand.predicted[ip.id - 1];
-            if idle_p < cand.goal_perf {
-                continue;
-            }
-            let bound = move_key(view.id, idle_p.max(0.0), 1.0, src);
-            let can_win =
-                |best: &Option<Plan>| best.as_ref().is_none_or(|b| bound < b.key(src));
-            if !can_win(best) {
-                continue;
-            }
-            for ap in cand
-                .catalog
-                .availability
-                .realisations(i, host.machine(), view.occ)
-            {
-                let workload = &cand.request.workload;
-                let penalty = oracle.penalty(workload, &ap.threads, view.occ, view.residents);
-                let perf = idle_p * penalty;
-                if perf < cand.goal_perf || 1.0 - penalty >= degradation_before {
-                    continue;
-                }
-                let key = move_key(view.id, perf, penalty, src);
-                if best.as_ref().is_none_or(|b| key < b.key(src)) {
-                    *best = Some(Plan {
-                        host: view.id,
-                        record: Arc::clone(view.record),
-                        placement: ap,
-                        perf,
-                        penalty,
-                    });
-                    if !can_win(best) {
-                        break;
-                    }
-                }
-            }
-        }
+        best.map(|(_, plan)| plan)
     }
 
     /// Commits `plan` for `resident` (an entry of `home.snapshot`) as
@@ -1062,10 +977,11 @@ mod tests {
                 let Some(plan) = on_host else {
                     continue;
                 };
-                if plan.degradation_after() >= degradation_before {
+                if 1.0 - plan.penalty >= degradation_before {
                     continue;
                 }
-                if best.as_ref().is_none_or(|b| plan.key(home.id) < b.key(home.id)) {
+                let key = |p: &Plan| move_key(p.host, p.perf, p.penalty, home.id);
+                if best.as_ref().is_none_or(|b| key(&plan) < key(b)) {
                     best = Some(plan);
                 }
             }
