@@ -211,24 +211,11 @@ impl PerfPairModel {
         cfg: &ForestConfig,
         seed: u64,
     ) -> Self {
-        Self::fit_targets(&anchor_relative(ts, rows, anchor), anchor, other, cfg, seed)
-    }
-
-    /// Fits on anchor-relative target rows ([`anchor_relative`]). The
-    /// input of each row is its `other` entry: the ratio `other / anchor`
-    /// the row was measured at.
-    fn fit_targets(
-        ys: &[Vec<f64>],
-        anchor: usize,
-        other: usize,
-        cfg: &ForestConfig,
-        seed: u64,
-    ) -> Self {
-        let xs: Vec<Vec<f64>> = ys.iter().map(|y| vec![y[other]]).collect();
+        let ys = anchor_relative(ts, rows, anchor);
         PerfPairModel {
             anchor,
             other,
-            forest: RandomForest::fit(&xs, ys, cfg, seed),
+            forest: RandomForest::fit(&ratio_inputs(&ys, other), &ys, cfg, seed),
         }
     }
 
@@ -295,7 +282,10 @@ pub fn select_probe_pair(ts: &TrainingSet, cfg: &ForestConfig, seed: u64) -> (us
 /// Leave-family-out cross-validation of perf-pair models with a fixed
 /// anchor. Everything the second probe does not change is built once:
 /// the family splits, each fold's anchor-relative training targets, and
-/// each held-out workload's mean relative vector.
+/// each held-out workload's mean relative vector. A fold's forest is
+/// only ever read at its held-out workloads, so it is grown only where
+/// they fall ([`RandomForest::fit_predict`]): the predictions a fitted
+/// [`PerfPairModel`] makes, to the last bit, without whole trees.
 struct PairCv {
     anchor: usize,
     /// One per family split: the training targets ([`anchor_relative`])
@@ -341,12 +331,13 @@ impl PairCv {
         };
         let mut preds = Vec::with_capacity(self.truths.len());
         let mut misses = 0usize;
-        let mut truths = self.truths.iter();
+        let mut held_out = 0;
         for (ys, n_test) in &self.folds {
-            let model = PerfPairModel::fit_targets(ys, self.anchor, other, cfg, seed);
-            for truth in truths.by_ref().take(*n_test) {
-                let ratio = truth[other] / truth[self.anchor];
-                let rel_anchor = model.predict_rel_to_anchor(ratio);
+            let truths = &self.truths[held_out..held_out + n_test];
+            held_out += n_test;
+            let ratios: Vec<f64> = truths.iter().map(|t| t[other] / t[self.anchor]).collect();
+            let rel = RandomForest::fit_predict(&ratio_inputs(ys, other), ys, cfg, seed, &ratios);
+            for (truth, rel_anchor) in truths.iter().zip(rel) {
                 // Convert back to baseline-relative for comparison.
                 let pred: Vec<f64> = rel_anchor.iter().map(|r| r * truth[self.anchor]).collect();
                 if argmax(&pred) != argmax(truth) {
@@ -360,6 +351,12 @@ impl PairCv {
         }
         Some((misses, mean_abs_pct_error(&preds, &self.truths)))
     }
+}
+
+/// The model's input rows for anchor-relative targets `ys`: each row's
+/// `other` entry, the ratio `other / anchor` it was measured at.
+fn ratio_inputs(ys: &[Vec<f64>], other: usize) -> Vec<Vec<f64>> {
+    ys.iter().map(|y| vec![y[other]]).collect()
 }
 
 /// The training targets of workloads `rows`: every seed's relative

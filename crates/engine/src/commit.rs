@@ -14,6 +14,7 @@
 //! move once per pass (see [`crate::rebalance`]). Single-threaded, no
 //! record changes between plan and commit, so no plan is ever refused.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use vc_core::availability::AvailablePlacement;
@@ -74,10 +75,41 @@ pub(crate) struct Target<'a> {
     pub(crate) record: &'a Arc<HostSnapshot>,
     /// The occupancy a placement may use.
     pub(crate) occ: &'a OccupancyMap,
-    /// The workloads a placement would run beside. `None` scores
-    /// neighbour-blind: every penalty is `1.0`, and the co-location memo
-    /// is never asked.
-    pub(crate) residents: Option<&'a [ResidentWorkload]>,
+    /// The workloads a placement would run beside.
+    pub(crate) neighbours: Neighbours<'a>,
+}
+
+/// The workloads a placement on a [`Target`] would run beside.
+pub(crate) enum Neighbours<'a> {
+    /// None: every penalty is `1.0`, and the co-location memo is never
+    /// asked.
+    Blind,
+    /// These workloads.
+    Listed(&'a [ResidentWorkload]),
+    /// The record's residents, listed on the walk's first penalty: most
+    /// busy targets have no class that can win, and list nothing.
+    Record(OnceCell<Vec<ResidentWorkload>>),
+}
+
+impl Neighbours<'_> {
+    /// The record's residents, listed on first use.
+    pub(crate) fn of_record() -> Self {
+        Neighbours::Record(OnceCell::new())
+    }
+}
+
+impl Target<'_> {
+    /// The workloads a placement here runs beside; `None` when scoring
+    /// neighbour-blind.
+    fn residents(&self) -> Option<&[ResidentWorkload]> {
+        match &self.neighbours {
+            Neighbours::Blind => None,
+            Neighbours::Listed(residents) => Some(residents),
+            Neighbours::Record(listed) => {
+                Some(listed.get_or_init(|| self.record.resident_workloads()))
+            }
+        }
+    }
 }
 
 impl PlacementEngine {
@@ -120,7 +152,7 @@ impl PlacementEngine {
                 continue;
             }
             for placement in realise() {
-                let penalty = target.residents.map_or(1.0, |residents| {
+                let penalty = target.residents().map_or(1.0, |residents| {
                     oracle.penalty(workload, &placement.threads, target.occ, residents)
                 });
                 let perf = idle * penalty;
@@ -332,7 +364,6 @@ impl PlacementEngine {
         record: Arc<HostSnapshot>,
     ) -> Result<Plan, ChooseError> {
         let host = &self.hosts[id.0];
-        let residents = self.config().interference.then(|| record.resident_workloads());
         let occ = record.occupancy();
         let mut available = cand.catalog.availability.available(host.machine(), occ);
         let idle = |ap: &AvailablePlacement| cand.predicted[ap.id - 1];
@@ -345,12 +376,12 @@ impl PlacementEngine {
             let bound = (rank(&ap), -idle(&ap).max(0.0), ap.id);
             (bound, idle(&ap), move || Some(ap))
         });
-        let target = Target {
-            id,
-            record: &record,
-            occ,
-            residents: residents.as_deref(),
+        let neighbours = if self.config().interference {
+            Neighbours::of_record()
+        } else {
+            Neighbours::Blind
         };
+        let target = Target { id, record: &record, occ, neighbours };
         let mut best = None;
         let mut interference_blocked = 0usize;
         let key = |ap: &AvailablePlacement, perf: f64, _| {
@@ -659,7 +690,8 @@ mod tests {
         let engine = PlacementEngine::single(machines::amd_opteron_6272(), fast_test_config());
         let record = engine.host_snapshot(MachineId(0));
         let occ = record.occupancy();
-        let target = Target { id: MachineId(0), record: &record, occ, residents: None };
+        let neighbours = Neighbours::Blind;
+        let target = Target { id: MachineId(0), record: &record, occ, neighbours };
         let (realised, keyed) = (&RefCell::new(Vec::new()), &RefCell::new(Vec::new()));
         let walked = classes.iter().enumerate().map(|(class, &(bound, members))| {
             let realise = move || {

@@ -41,7 +41,7 @@ use vc_migration::{MigrationEstimate, MigrationMode, MigrationModel};
 use vc_sync::lock::LockScope;
 use vc_topology::OccupancyMap;
 
-use crate::commit::{Plan, Target};
+use crate::commit::{Neighbours, Plan, Target};
 use crate::engine::{
     Candidate, MachineId, Placed, PlacementEngine, PlacementRequest, PlacementTicket, Resident,
 };
@@ -561,14 +561,12 @@ impl PlacementEngine {
         });
         let mut best = None;
         for (cand, id, record) in &targets {
-            let owned;
-            let (occ, residents) = if *id == home.id {
-                (&home.occ, &home.others)
+            let (occ, neighbours) = if *id == home.id {
+                (&home.occ, Neighbours::Listed(&home.others))
             } else {
-                owned = record.resident_workloads();
-                (record.occupancy(), &owned)
+                (record.occupancy(), Neighbours::of_record())
             };
-            let target = Target { id: *id, record, occ, residents: Some(residents) };
+            let target = Target { id: *id, record, occ, neighbours };
             let machine = self.hosts[id.0].machine();
             let classes = cand.catalog.placements.iter().enumerate().filter_map(|(i, ip)| {
                 let idle = cand.predicted[ip.id - 1];

@@ -8,12 +8,12 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 
-use crate::tree::{DecisionTree, Design, Scratch, TreeConfig};
+use crate::tree::{add_leaf, DecisionTree, Design, Scratch, TreeConfig};
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct ForestConfig {
-    /// Number of trees.
+    /// Number of trees; at least one.
     pub n_trees: usize,
     /// Per-tree growth parameters. `max_features = None` here means
     /// "use sqrt(n_features)" at fit time (the usual forest default).
@@ -52,60 +52,59 @@ impl RandomForest {
     ///
     /// # Panics
     ///
-    /// Panics on empty, ragged or NaN-featured training data (see
+    /// Panics with "a forest needs at least one tree" if `cfg.n_trees`
+    /// is 0, and on empty, ragged or NaN-featured training data (see
     /// [`DecisionTree::fit`]).
     pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], cfg: &ForestConfig, seed: u64) -> Self {
         let design = Design::new(x, y);
-        let n = design.n_rows();
-        let n_features = design.n_features();
-        let n_outputs = y[0].len();
-        // sqrt-feature heuristic unless the caller fixed max_features.
-        let max_features = cfg
-            .tree
-            .max_features
-            .unwrap_or_else(|| ((n_features as f64).sqrt().ceil() as usize).max(1));
-        let tree_cfg = TreeConfig {
-            max_features: Some(max_features),
-            ..cfg.tree.clone()
-        };
-
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut trees = Vec::with_capacity(cfg.n_trees);
-        // A tree's sample is a list of row draws into the shared design,
-        // grown in buffers every tree reuses.
-        let mut rows = Vec::with_capacity(n);
-        let mut scratch = Scratch::default();
-        for _ in 0..cfg.n_trees {
-            let tree_seed: u64 = rng.random();
-            rows.clear();
-            if cfg.bootstrap {
-                rows.extend((0..n).map(|_| rng.random_range(0..n)));
-            } else {
-                rows.extend(0..n);
-            }
-            trees.push(DecisionTree::fit_rows(
-                &design,
-                &rows,
-                &tree_cfg,
-                tree_seed,
-                &mut scratch,
-            ));
+        for_each_tree(&design, cfg, seed, |rows, tree_cfg, tree_seed, scratch| {
+            trees.push(DecisionTree::fit_rows(&design, rows, tree_cfg, tree_seed, scratch));
+        });
+        RandomForest {
+            trees,
+            n_outputs: design.n_outputs(),
         }
-        RandomForest { trees, n_outputs }
+    }
+
+    /// What [`Self::fit`] on `x`, `y`, `cfg` and `seed` followed by
+    /// [`Self::predict`] at `[q]` returns for each `q` of `queries`, to
+    /// the last bit, for a one-feature design. Each tree grows only the
+    /// branches some query falls into (see the `tree` module's
+    /// "Query-driven growth"); no tree is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "a forest needs at least one tree" if `cfg.n_trees`
+    /// is 0, if the rows of `x` have more than one feature (the per-node
+    /// feature shuffle would make skipped branches shift the randomness
+    /// of later ones), and where [`Self::fit`] panics.
+    pub fn fit_predict(
+        x: &[Vec<f64>],
+        y: &[Vec<f64>],
+        cfg: &ForestConfig,
+        seed: u64,
+        queries: &[f64],
+    ) -> Vec<Vec<f64>> {
+        let design = Design::new(x, y);
+        let k = design.n_outputs();
+        let mut sums = vec![0.0; queries.len() * k];
+        for_each_tree(&design, cfg, seed, |rows, tree_cfg, tree_seed, scratch| {
+            DecisionTree::add_leaves(
+                &design, rows, tree_cfg, tree_seed, scratch, queries, &mut sums,
+            );
+        });
+        mean_over_trees(&mut sums, cfg.n_trees);
+        (0..queries.len()).map(|q| sums[q * k..(q + 1) * k].to_vec()).collect()
     }
 
     /// Predicts the mean target vector over all trees.
     pub fn predict(&self, features: &[f64]) -> Vec<f64> {
         let mut acc = vec![0.0; self.n_outputs];
         for t in &self.trees {
-            let p = t.predict(features);
-            for (a, v) in acc.iter_mut().zip(p) {
-                *a += v;
-            }
+            add_leaf(&mut acc, t.leaf(features));
         }
-        for a in &mut acc {
-            *a /= self.trees.len() as f64;
-        }
+        mean_over_trees(&mut acc, self.trees.len());
         acc
     }
 
@@ -122,6 +121,53 @@ impl RandomForest {
     /// Number of outputs the forest predicts.
     pub fn n_outputs(&self) -> usize {
         self.n_outputs
+    }
+}
+
+/// Draws each tree's sample and seed from `seed`, in tree order, and
+/// hands them to `grow` with the per-tree configuration and the buffers
+/// every tree reuses. A tree's sample is a list of row draws into the
+/// shared design.
+///
+/// # Panics
+///
+/// Panics if `cfg.n_trees` is 0: the mean over no trees is `0/0`.
+fn for_each_tree(
+    design: &Design,
+    cfg: &ForestConfig,
+    seed: u64,
+    mut grow: impl FnMut(&[usize], &TreeConfig, u64, &mut Scratch),
+) {
+    assert!(cfg.n_trees > 0, "a forest needs at least one tree");
+    let n = design.n_rows();
+    // sqrt-feature heuristic unless the caller fixed max_features.
+    let max_features = cfg
+        .tree
+        .max_features
+        .unwrap_or_else(|| ((design.n_features() as f64).sqrt().ceil() as usize).max(1));
+    let tree_cfg = TreeConfig {
+        max_features: Some(max_features),
+        ..cfg.tree.clone()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows = Vec::with_capacity(n);
+    let mut scratch = Scratch::default();
+    for _ in 0..cfg.n_trees {
+        let tree_seed: u64 = rng.random();
+        rows.clear();
+        if cfg.bootstrap {
+            rows.extend((0..n).map(|_| rng.random_range(0..n)));
+        } else {
+            rows.extend(0..n);
+        }
+        grow(&rows, &tree_cfg, tree_seed, &mut scratch);
+    }
+}
+
+/// Divides sums of `n_trees` leaves into their means.
+fn mean_over_trees(sum: &mut [f64], n_trees: usize) {
+    for s in sum {
+        *s /= n_trees as f64;
     }
 }
 
@@ -190,6 +236,28 @@ mod tests {
         let rf = RandomForest::fit(&xs, &ys, &ForestConfig::default(), 3);
         assert_eq!(rf.n_outputs(), 3);
         assert_eq!(rf.predict(&[25.0]).len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "a forest needs at least one tree")]
+    fn fit_refuses_a_forest_of_no_trees() {
+        let (xs, ys) = noisy_quadratic(10);
+        let cfg = ForestConfig {
+            n_trees: 0,
+            ..ForestConfig::default()
+        };
+        RandomForest::fit(&xs, &ys, &cfg, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a forest needs at least one tree")]
+    fn fit_predict_refuses_a_forest_of_no_trees() {
+        let (xs, ys) = noisy_quadratic(10);
+        let cfg = ForestConfig {
+            n_trees: 0,
+            ..ForestConfig::default()
+        };
+        RandomForest::fit_predict(&xs, &ys, &cfg, 0, &[1.0]);
     }
 
     #[test]

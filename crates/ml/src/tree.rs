@@ -21,6 +21,27 @@
 //! numbers in the same order: the fitted tree is the same to the last bit
 //! as one that re-sorts at every node (`tests/forest_equivalence.rs`
 //! checks this against that tree, kept under `tests/support/`).
+//!
+//! # Query-driven growth
+//!
+//! Cross-validation reads a fitted forest only at a few held-out rows.
+//! [`RandomForest::fit_predict`](crate::forest::RandomForest::fit_predict)
+//! grows each tree with the same recursion but descends only into the
+//! children some query falls into (`x[f] <= threshold`, the test
+//! [`DecisionTree::predict`] makes), and adds the leaf each query reaches
+//! to that query's sum. That is exact on a one-feature design, for three
+//! reasons. A node's split and mean are a pure function of its range of
+//! the presorted lists. Growing a node permutes only its own range of
+//! each list, so skipping a sibling changes nothing another node reads.
+//! And with one feature, `best_split`'s shuffle of a one-element list
+//! draws nothing from the tree's RNG, so a skipped node leaves the stream
+//! where every later node expects it. Every node on a query's path, and
+//! its leaf mean, is therefore the one full growth makes. With more
+//! features the shuffle draws once per node in growth order, a skipped
+//! subtree would shift every later draw, and the query path refuses such
+//! a design.
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -113,6 +134,11 @@ impl Design {
         self.n_features
     }
 
+    /// Number of targets per row.
+    pub(crate) fn n_outputs(&self) -> usize {
+        self.n_outputs
+    }
+
     fn x(&self, row: usize, feature: usize) -> f64 {
         self.x[row * self.n_features + feature]
     }
@@ -135,6 +161,9 @@ pub(crate) struct Scratch {
     goes_left: Vec<bool>,
     /// The features a split considers.
     features: Vec<usize>,
+    /// Query growth: query ids. A node some query falls into owns one
+    /// range of it, and a split partitions that range into its children.
+    reach: Vec<usize>,
     /// The current node's mean target vector.
     mean: Vec<f64>,
     /// Per output, one split scan's prefix sums of targets and squared
@@ -172,46 +201,44 @@ impl DecisionTree {
         seed: u64,
         scratch: &mut Scratch,
     ) -> Self {
-        assert!(!rows.is_empty(), "empty training set");
-        let (n, k) = (rows.len(), design.n_outputs);
-        let lists = &mut scratch.lists;
-        lists.clear();
-        lists.extend_from_slice(rows);
-        for f in 0..design.n_features {
-            lists.extend_from_slice(rows);
-            lists[(1 + f) * n..].sort_by(|&a, &b| {
-                design
-                    .x(a, f)
-                    .partial_cmp(&design.x(b, f))
-                    .expect("finite features")
-            });
-        }
-        scratch.goes_left.clear();
-        scratch.goes_left.resize(design.n_rows, false);
-        for buf in [
-            &mut scratch.mean,
-            &mut scratch.sum,
-            &mut scratch.sumsq,
-            &mut scratch.total_sum,
-            &mut scratch.total_sumsq,
-        ] {
-            buf.clear();
-            buf.resize(k, 0.0);
-        }
-        let mut grower = Grower {
-            design,
-            cfg,
-            rng: StdRng::seed_from_u64(seed),
-            s: scratch,
-            n,
-            nodes: Vec::new(),
-        };
-        grower.grow(0, n, 0);
+        let mut grower = Grower::new(design, rows, cfg, seed, scratch, &[], &mut []);
+        grower.grow(0, rows.len(), 0, None);
         DecisionTree {
             nodes: grower.nodes,
             n_features: design.n_features,
-            n_outputs: k,
+            n_outputs: design.n_outputs,
         }
+    }
+
+    /// Grows the tree [`Self::fit_rows`] fits only as far as `queries`
+    /// (the one feature of each query row) fall, and adds the leaf each
+    /// reaches to its row of `sums` (`n_outputs` values per query) with
+    /// [`add_leaf`]. The module doc's "Query-driven growth" says why the
+    /// leaves are the ones full growth makes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty, a feature is NaN, or the design has
+    /// more than one feature.
+    pub(crate) fn add_leaves(
+        design: &Design,
+        rows: &[usize],
+        cfg: &TreeConfig,
+        seed: u64,
+        scratch: &mut Scratch,
+        queries: &[f64],
+        sums: &mut [f64],
+    ) {
+        assert_eq!(design.n_features, 1, "query-driven growth needs a one-feature design");
+        if queries.is_empty() {
+            return;
+        }
+        Grower::new(design, rows, cfg, seed, scratch, queries, sums).grow(
+            0,
+            rows.len(),
+            0,
+            Some(0..queries.len()),
+        );
     }
 
     /// Predicts the target vector for one feature row.
@@ -220,11 +247,20 @@ impl DecisionTree {
     ///
     /// Panics if `features.len()` differs from the training feature count.
     pub fn predict(&self, features: &[f64]) -> Vec<f64> {
+        self.leaf(features).to_vec()
+    }
+
+    /// The mean target vector of the leaf `features` falls into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the training feature count.
+    pub(crate) fn leaf(&self, features: &[f64]) -> &[f64] {
         assert_eq!(features.len(), self.n_features, "feature count mismatch");
         let mut node = 0usize;
         loop {
             match &self.nodes[node] {
-                TreeNode::Leaf { value } => return value.clone(),
+                TreeNode::Leaf { value } => return value,
                 TreeNode::Split {
                     feature,
                     threshold,
@@ -275,13 +311,84 @@ struct Grower<'a> {
     s: &'a mut Scratch,
     /// Sample size: the length of each list.
     n: usize,
+    /// The fitted nodes; full growth only.
     nodes: Vec<TreeNode>,
+    /// Query growth: each query's feature value, and per query its
+    /// running sum of leaves (`n_outputs` values). Empty in full growth.
+    queries: &'a [f64],
+    sums: &'a mut [f64],
 }
 
-impl Grower<'_> {
-    /// Grows the subtree for the samples `start..end`, returning its
-    /// node id.
-    fn grow(&mut self, start: usize, end: usize, depth: usize) -> usize {
+impl<'a> Grower<'a> {
+    /// Sorts the sample `rows` (row ids in draw order) into the lists of
+    /// `scratch`, lists every query in its `reach`, and sizes its buffers
+    /// for `design`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or a feature is NaN.
+    fn new(
+        design: &'a Design,
+        rows: &[usize],
+        cfg: &'a TreeConfig,
+        seed: u64,
+        scratch: &'a mut Scratch,
+        queries: &'a [f64],
+        sums: &'a mut [f64],
+    ) -> Self {
+        assert!(!rows.is_empty(), "empty training set");
+        let n = rows.len();
+        let lists = &mut scratch.lists;
+        lists.clear();
+        lists.extend_from_slice(rows);
+        for f in 0..design.n_features {
+            lists.extend_from_slice(rows);
+            lists[(1 + f) * n..].sort_by(|&a, &b| {
+                design
+                    .x(a, f)
+                    .partial_cmp(&design.x(b, f))
+                    .expect("finite features")
+            });
+        }
+        scratch.goes_left.clear();
+        scratch.goes_left.resize(design.n_rows, false);
+        scratch.reach.clear();
+        scratch.reach.extend(0..queries.len());
+        for buf in [
+            &mut scratch.mean,
+            &mut scratch.sum,
+            &mut scratch.sumsq,
+            &mut scratch.total_sum,
+            &mut scratch.total_sumsq,
+        ] {
+            buf.clear();
+            buf.resize(design.n_outputs, 0.0);
+        }
+        Grower {
+            design,
+            cfg,
+            rng: StdRng::seed_from_u64(seed),
+            s: scratch,
+            n,
+            nodes: Vec::new(),
+            queries,
+            sums,
+        }
+    }
+
+    /// Grows the subtree for the samples `start..end`. In full growth
+    /// (`reach` is `None`: every branch is wanted) it records the
+    /// subtree's nodes and returns the id of its root. In query growth
+    /// `reach` is the node's range of `s.reach`, never empty; it grows
+    /// only the children some query falls into, records no node, and
+    /// returns nothing meaningful.
+    fn grow(
+        &mut self,
+        start: usize,
+        end: usize,
+        depth: usize,
+        reach: Option<Range<usize>>,
+    ) -> usize {
         let len = end - start;
         let cfg = self.cfg;
         self.node_mean(start, end);
@@ -289,37 +396,67 @@ impl Grower<'_> {
             || len < cfg.min_samples_split
             || len < 2 * cfg.min_samples_leaf
         {
-            return self.push_leaf();
+            return self.leaf(reach);
         }
         let Some((feature, threshold)) = self.best_split(start, end) else {
-            return self.push_leaf();
+            return self.leaf(reach);
         };
         let n_left = self.mark_left(start, end, feature, threshold);
         if n_left < cfg.min_samples_leaf || len - n_left < cfg.min_samples_leaf {
-            return self.push_leaf();
+            return self.leaf(reach);
         }
         self.partition(start, end);
-        // Reserve the split slot before growing children so child ids
-        // are known.
-        let id = self.nodes.len();
-        self.nodes.push(TreeNode::Leaf { value: Vec::new() });
-        let left = self.grow(start, start + n_left, depth + 1);
-        let right = self.grow(start + n_left, end, depth + 1);
-        self.nodes[id] = TreeNode::Split {
-            feature,
-            threshold,
-            left,
-            right,
+        let mid = start + n_left;
+        let Some(reach) = reach else {
+            // Reserve the split slot before growing children so child ids
+            // are known.
+            let id = self.nodes.len();
+            self.nodes.push(TreeNode::Leaf { value: Vec::new() });
+            let left = self.grow(start, mid, depth + 1, None);
+            let right = self.grow(mid, end, depth + 1, None);
+            self.nodes[id] = TreeNode::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            };
+            return id;
         };
-        id
+        // The queries that go left, by `predict`'s test, first.
+        let queries = self.queries;
+        let ids = &mut self.s.reach[reach.clone()];
+        let mut split = 0;
+        for pos in 0..ids.len() {
+            if queries[ids[pos]] <= threshold {
+                ids.swap(split, pos);
+                split += 1;
+            }
+        }
+        let split = reach.start + split;
+        if split > reach.start {
+            self.grow(start, mid, depth + 1, Some(reach.start..split));
+        }
+        if split < reach.end {
+            self.grow(mid, end, depth + 1, Some(split..reach.end));
+        }
+        usize::MAX
     }
 
-    /// A leaf predicting the mean [`Self::node_mean`] left in scratch.
-    fn push_leaf(&mut self) -> usize {
-        self.nodes.push(TreeNode::Leaf {
-            value: self.s.mean.clone(),
-        });
-        self.nodes.len() - 1
+    /// A leaf predicting the mean [`Self::node_mean`] left in scratch: in
+    /// full growth a recorded node, whose id is returned; in query growth
+    /// added to the sum of every query in `reach`.
+    fn leaf(&mut self, reach: Option<Range<usize>>) -> usize {
+        let Some(reach) = reach else {
+            self.nodes.push(TreeNode::Leaf {
+                value: self.s.mean.clone(),
+            });
+            return self.nodes.len() - 1;
+        };
+        let k = self.design.n_outputs;
+        for &q in &self.s.reach[reach] {
+            add_leaf(&mut self.sums[q * k..(q + 1) * k], &self.s.mean);
+        }
+        usize::MAX
     }
 
     /// Sets `s.mean` to the mean target vector of `start..end`, summed in
@@ -454,6 +591,17 @@ impl Grower<'_> {
             }
             node[kept..].copy_from_slice(spill);
         }
+    }
+}
+
+/// Adds a leaf's mean target vector to a running sum, output by output:
+/// the one addition both [`RandomForest::predict`] and query growth make
+/// per tree.
+///
+/// [`RandomForest::predict`]: crate::forest::RandomForest::predict
+pub(crate) fn add_leaf(sum: &mut [f64], leaf: &[f64]) {
+    for (s, v) in sum.iter_mut().zip(leaf) {
+        *s += v;
     }
 }
 

@@ -10,6 +10,10 @@
 //! (equal under the split comparison, distinct in bits), 1–4 features
 //! (so the per-split feature shuffle runs), 1–12 outputs, bootstrap on
 //! and off, and the growth limits varied.
+//!
+//! `RandomForest::fit_predict`, which grows only the branches its
+//! queries fall into, is checked the same way against `fit` followed by
+//! `predict`, on the one-feature designs it accepts.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -149,8 +153,54 @@ fn check(c: &Case, seed: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Queries for a one-feature design: [`probes`] (every training value
+/// and every midpoint between sorted values, which is where a split's
+/// threshold lies, so some queries land exactly on one), all of them
+/// again, and values outside the training range.
+fn queries(x: &[Vec<f64>]) -> Vec<f64> {
+    let once: Vec<f64> = probes(x).iter().map(|p| p[0]).collect();
+    let mut out = [once.as_slice(), once.as_slice()].concat();
+    out.extend([-1e9, 1e9, f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -0.0, 0.0]);
+    out
+}
+
+/// `fit_predict` at every query against `fit` then `predict` at it.
+fn check_queries(c: &Case, seed: u64, n_trees: usize) -> Result<(), TestCaseError> {
+    let cfg = ForestConfig {
+        n_trees,
+        tree: c.tree.clone(),
+        bootstrap: c.bootstrap,
+    };
+    let forest = RandomForest::fit(&c.x, &c.y, &cfg, seed);
+    let queries = queries(&c.x);
+    let grown = RandomForest::fit_predict(&c.x, &c.y, &cfg, seed, &queries);
+    prop_assert_eq!(grown.len(), queries.len());
+    for (q, pred) in queries.iter().zip(&grown) {
+        prop_assert_eq!(
+            bits(pred),
+            bits(&forest.predict(&[*q])),
+            "query {} with {} trees: {:?}",
+            q,
+            n_trees,
+            c
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn query_driven_predictions_match_fit_then_predict(
+        seed in 0u64..1_000_000,
+        n_outputs in 1usize..13,
+        levels in 1u64..9,
+    ) {
+        let c = case(seed, 1, n_outputs, levels);
+        check_queries(&c, seed, c.n_trees)?;
+        check_queries(&c, seed, 1)?;
+    }
 
     #[test]
     fn fits_match_the_reference_bit_for_bit(
@@ -192,4 +242,34 @@ fn engine_shaped_forest_matches_the_reference() {
     for probe in probes(&x) {
         assert_eq!(bits(&forest.predict(&probe)), bits(&old.predict(&probe)));
     }
+}
+
+/// The engine-shaped forest again, queried through `fit_predict`.
+#[test]
+fn engine_shaped_queries_match_fit_then_predict() {
+    let mut next = stream(11);
+    let x: Vec<Vec<f64>> = (0..36).map(|_| vec![next(60) as f64 / 40.0]).collect();
+    let y: Vec<Vec<f64>> = (0..36)
+        .map(|_| (0..12).map(|_| next(1000) as f64 / 500.0).collect())
+        .collect();
+    let cfg = ForestConfig {
+        n_trees: 20,
+        ..ForestConfig::default()
+    };
+    let forest = RandomForest::fit(&x, &y, &cfg, 7);
+    let queries = queries(&x);
+    let grown = RandomForest::fit_predict(&x, &y, &cfg, 7, &queries);
+    for (q, pred) in queries.iter().zip(&grown) {
+        assert_eq!(bits(pred), bits(&forest.predict(&[*q])), "query {q}");
+    }
+}
+
+/// With two features the per-node feature shuffle draws from the tree's
+/// randomness, so skipping a branch would shift every later draw.
+#[test]
+#[should_panic(expected = "query-driven growth needs a one-feature design")]
+fn query_driven_growth_refuses_two_features() {
+    let x = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0, 2.0]];
+    let y = vec![vec![0.0], vec![1.0], vec![2.0]];
+    RandomForest::fit_predict(&x, &y, &ForestConfig::default(), 0, &[0.5]);
 }

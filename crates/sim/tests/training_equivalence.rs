@@ -1,8 +1,11 @@
 //! Training against the computations it replaced, bit for bit:
 //!
 //! - `select_probe_pair`, which stops a candidate's cross-validation
-//!   once it can no longer win, against the exhaustive selection that
-//!   scores every candidate in full (kept verbatim below);
+//!   once it can no longer win and grows each fold's forest only where
+//!   its held-out workloads fall, against the exhaustive selection that
+//!   fits and scores every candidate in full (kept verbatim below), at
+//!   every size the engine trains on all three machines;
+//! - `cv_error_perf_pair` against the same full fits, every candidate;
 //! - `SimOracle::perf_seeds`, one solve shared by every noise seed,
 //!   against per-seed `perf`;
 //! - `TrainingSet::build` through `SimOracle` against a build through an
@@ -11,7 +14,8 @@
 use vc_core::concern::ConcernSet;
 use vc_core::important::{important_placements, ImportantPlacement};
 use vc_core::model::{
-    select_probe_pair, PerfOracle, PerfPairModel, TrainingSet, TrainingWorkload,
+    cv_error_perf_pair, select_probe_pair, PerfOracle, PerfPairModel, TrainingSet,
+    TrainingWorkload,
 };
 use vc_core::placement::PlacementSpec;
 use vc_ml::cv::leave_group_out;
@@ -54,7 +58,8 @@ fn suite(oracle: &SimOracle) -> Vec<TrainingWorkload> {
 }
 
 /// The selection before miss-bounding: every candidate scored in full,
-/// ranked by misses and then by error.
+/// ranked by misses and then by error. Also checks each candidate's
+/// `cv_error_perf_pair` against its full score.
 fn exhaustive_select(ts: &TrainingSet, cfg: &ForestConfig, seed: u64) -> (usize, f64) {
     let anchor = ts.baseline;
     let mut best: Option<(usize, usize, f64)> = None;
@@ -63,6 +68,8 @@ fn exhaustive_select(ts: &TrainingSet, cfg: &ForestConfig, seed: u64) -> (usize,
             continue;
         }
         let (misses, err) = full_quality(ts, anchor, other, cfg, seed);
+        let cv_err = cv_error_perf_pair(ts, anchor, other, cfg, seed);
+        assert_eq!(cv_err.to_bits(), err.to_bits(), "cv error of {other}: {cv_err} vs {err}");
         let better = match best {
             None => true,
             Some((bm, _, be)) => misses < bm || (misses == bm && err < be),
@@ -124,11 +131,19 @@ fn assert_selection_matches(ts: &TrainingSet, cfg: &ForestConfig, seed: u64, lab
 #[test]
 fn probe_selection_matches_the_exhaustive_scan() {
     let cfg = fast_forest();
-    for (machine, sizes) in machines_and_sizes() {
+    for (machine, _) in machines_and_sizes() {
         let oracle = SimOracle::new(machine.clone());
         let workloads = suite(&oracle);
-        for vcpus in sizes {
-            let placements = catalog(&machine, vcpus);
+        // Every size the engine trains at: those with a second probe.
+        for vcpus in [2, 4, 8, 16, 32] {
+            let Ok(placements) =
+                important_placements(&machine, &ConcernSet::for_machine(&machine), vcpus)
+            else {
+                continue;
+            };
+            if placements.len() < 2 {
+                continue;
+            }
             for baseline in [0, 1] {
                 let ts = TrainingSet::build(&oracle, &workloads, &placements, baseline, 2);
                 let label = format!("{} at {vcpus} vCPUs, baseline {baseline}", machine.name());
