@@ -91,13 +91,6 @@ pub(crate) enum Neighbours<'a> {
     Record(OnceCell<Vec<ResidentWorkload>>),
 }
 
-impl Neighbours<'_> {
-    /// The record's residents, listed on first use.
-    pub(crate) fn of_record() -> Self {
-        Neighbours::Record(OnceCell::new())
-    }
-}
-
 impl Target<'_> {
     /// The workloads a placement here runs beside; `None` when scoring
     /// neighbour-blind.
@@ -377,7 +370,7 @@ impl PlacementEngine {
             (bound, idle(&ap), move || Some(ap))
         });
         let neighbours = if self.config().interference {
-            Neighbours::of_record()
+            Neighbours::Record(OnceCell::new())
         } else {
             Neighbours::Blind
         };

@@ -33,6 +33,7 @@
 //! This module is the whole move path: planning, the gates, and the
 //! commit under the host locks.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use vc_core::availability::AvailablePlacement;
@@ -564,7 +565,7 @@ impl PlacementEngine {
             let (occ, neighbours) = if *id == home.id {
                 (&home.occ, Neighbours::Listed(&home.others))
             } else {
-                (record.occupancy(), Neighbours::of_record())
+                (record.occupancy(), Neighbours::Record(OnceCell::new()))
             };
             let target = Target { id: *id, record, occ, neighbours };
             let machine = self.hosts[id.0].machine();

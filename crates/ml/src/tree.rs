@@ -381,14 +381,14 @@ impl<'a> Grower<'a> {
     /// subtree's nodes and returns the id of its root. In query growth
     /// `reach` is the node's range of `s.reach`, never empty; it grows
     /// only the children some query falls into, records no node, and
-    /// returns nothing meaningful.
+    /// returns `None`.
     fn grow(
         &mut self,
         start: usize,
         end: usize,
         depth: usize,
         reach: Option<Range<usize>>,
-    ) -> usize {
+    ) -> Option<usize> {
         let len = end - start;
         let cfg = self.cfg;
         self.node_mean(start, end);
@@ -412,15 +412,15 @@ impl<'a> Grower<'a> {
             // are known.
             let id = self.nodes.len();
             self.nodes.push(TreeNode::Leaf { value: Vec::new() });
-            let left = self.grow(start, mid, depth + 1, None);
-            let right = self.grow(mid, end, depth + 1, None);
+            let left = self.grow(start, mid, depth + 1, None)?;
+            let right = self.grow(mid, end, depth + 1, None)?;
             self.nodes[id] = TreeNode::Split {
                 feature,
                 threshold,
                 left,
                 right,
             };
-            return id;
+            return Some(id);
         };
         // The queries that go left, by `predict`'s test, first.
         let queries = self.queries;
@@ -439,24 +439,24 @@ impl<'a> Grower<'a> {
         if split < reach.end {
             self.grow(mid, end, depth + 1, Some(split..reach.end));
         }
-        usize::MAX
+        None
     }
 
     /// A leaf predicting the mean [`Self::node_mean`] left in scratch: in
     /// full growth a recorded node, whose id is returned; in query growth
-    /// added to the sum of every query in `reach`.
-    fn leaf(&mut self, reach: Option<Range<usize>>) -> usize {
+    /// added to the sum of every query in `reach`, returning `None`.
+    fn leaf(&mut self, reach: Option<Range<usize>>) -> Option<usize> {
         let Some(reach) = reach else {
             self.nodes.push(TreeNode::Leaf {
                 value: self.s.mean.clone(),
             });
-            return self.nodes.len() - 1;
+            return Some(self.nodes.len() - 1);
         };
         let k = self.design.n_outputs;
         for &q in &self.s.reach[reach] {
             add_leaf(&mut self.sums[q * k..(q + 1) * k], &self.s.mean);
         }
-        usize::MAX
+        None
     }
 
     /// Sets `s.mean` to the mean target vector of `start..end`, summed in

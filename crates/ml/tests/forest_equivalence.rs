@@ -225,7 +225,8 @@ proptest! {
 }
 
 /// The forest configuration the engine trains with, on a dataset shaped
-/// like a probe-pair design: one ratio feature, a dozen outputs.
+/// like a probe-pair design: one ratio feature, a dozen outputs. Its
+/// `fit_predict` must also match its `predict` at every query.
 #[test]
 fn engine_shaped_forest_matches_the_reference() {
     let mut next = stream(11);
@@ -242,21 +243,6 @@ fn engine_shaped_forest_matches_the_reference() {
     for probe in probes(&x) {
         assert_eq!(bits(&forest.predict(&probe)), bits(&old.predict(&probe)));
     }
-}
-
-/// The engine-shaped forest again, queried through `fit_predict`.
-#[test]
-fn engine_shaped_queries_match_fit_then_predict() {
-    let mut next = stream(11);
-    let x: Vec<Vec<f64>> = (0..36).map(|_| vec![next(60) as f64 / 40.0]).collect();
-    let y: Vec<Vec<f64>> = (0..36)
-        .map(|_| (0..12).map(|_| next(1000) as f64 / 500.0).collect())
-        .collect();
-    let cfg = ForestConfig {
-        n_trees: 20,
-        ..ForestConfig::default()
-    };
-    let forest = RandomForest::fit(&x, &y, &cfg, 7);
     let queries = queries(&x);
     let grown = RandomForest::fit_predict(&x, &y, &cfg, 7, &queries);
     for (q, pred) in queries.iter().zip(&grown) {

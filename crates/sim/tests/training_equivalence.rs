@@ -3,8 +3,9 @@
 //! - `select_probe_pair`, which stops a candidate's cross-validation
 //!   once it can no longer win and grows each fold's forest only where
 //!   its held-out workloads fall, against the exhaustive selection that
-//!   fits and scores every candidate in full (kept verbatim below), at
-//!   every size the engine trains on all three machines;
+//!   fits and scores every candidate in full (kept verbatim below), on
+//!   all three machines at their own sizes and at 2, 4, 8, 16 and 32
+//!   vCPUs, wherever a size has two placements to probe;
 //! - `cv_error_perf_pair` against the same full fits, every candidate;
 //! - `SimOracle::perf_seeds`, one solve shared by every noise seed,
 //!   against per-seed `perf`;
@@ -131,11 +132,17 @@ fn assert_selection_matches(ts: &TrainingSet, cfg: &ForestConfig, seed: u64, lab
 #[test]
 fn probe_selection_matches_the_exhaustive_scan() {
     let cfg = fast_forest();
-    for (machine, _) in machines_and_sizes() {
+    for (machine, own) in machines_and_sizes() {
         let oracle = SimOracle::new(machine.clone());
         let workloads = suite(&oracle);
-        // Every size the engine trains at: those with a second probe.
-        for vcpus in [2, 4, 8, 16, 32] {
+        // The machine's own sizes plus the power-of-two sweep, each
+        // size that has a second placement to probe.
+        let mut sizes = vec![2, 4, 8, 16, 32];
+        sizes.extend(own);
+        sizes.sort_unstable();
+        sizes.dedup();
+        let mut checked = 0;
+        for vcpus in sizes {
             let Ok(placements) =
                 important_placements(&machine, &ConcernSet::for_machine(&machine), vcpus)
             else {
@@ -149,7 +156,9 @@ fn probe_selection_matches_the_exhaustive_scan() {
                 let label = format!("{} at {vcpus} vCPUs, baseline {baseline}", machine.name());
                 assert_selection_matches(&ts, &cfg, 7, &label);
             }
+            checked += 1;
         }
+        assert!(checked > 0, "{}: no size has two placements", machine.name());
     }
 }
 
