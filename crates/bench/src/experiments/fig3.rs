@@ -10,9 +10,10 @@ use std::fmt::Write as _;
 use vc_core::concern::ConcernSet;
 use vc_core::important::important_placements;
 use vc_core::model::{TrainingSet, TrainingWorkload};
-use vc_ml::kmeans::{select_k, KMeans};
 use vc_sim::SimOracle;
 use vc_topology::Machine;
+
+use super::kmeans::{select_k, KMeans};
 
 /// The clustering result for one machine.
 #[derive(Debug, Clone)]

@@ -9,26 +9,10 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 
-/// k-means parameters.
-#[derive(Debug, Clone)]
-pub struct KMeansConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iter: usize,
-    /// Number of random restarts (best inertia wins).
-    pub n_init: usize,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig {
-            k: 2,
-            max_iter: 100,
-            n_init: 8,
-        }
-    }
-}
+/// Maximum Lloyd iterations of one restart.
+const MAX_ITER: usize = 100;
+/// Random restarts per fit (best inertia wins).
+const N_INIT: usize = 8;
 
 /// A fitted k-means model.
 #[derive(Debug, Clone)]
@@ -46,21 +30,21 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 impl KMeans {
-    /// Fits k-means to `data` (rows = points).
+    /// Fits `k` clusters to `data` (rows = points).
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty, ragged, or has fewer points than `k`.
-    pub fn fit(data: &[Vec<f64>], cfg: &KMeansConfig, seed: u64) -> Self {
+    pub fn fit(data: &[Vec<f64>], k: usize, seed: u64) -> Self {
         assert!(!data.is_empty(), "empty data");
-        assert!(data.len() >= cfg.k, "fewer points than clusters");
+        assert!(data.len() >= k, "fewer points than clusters");
         let dim = data[0].len();
         assert!(data.iter().all(|r| r.len() == dim), "ragged data");
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut best: Option<KMeans> = None;
-        for _ in 0..cfg.n_init.max(1) {
-            let model = Self::fit_once(data, cfg, &mut rng);
+        for _ in 0..N_INIT {
+            let model = Self::fit_once(data, k, &mut rng);
             if best.as_ref().is_none_or(|b| model.inertia < b.inertia) {
                 best = Some(model);
             }
@@ -68,14 +52,14 @@ impl KMeans {
         best.expect("at least one restart")
     }
 
-    fn fit_once(data: &[Vec<f64>], cfg: &KMeansConfig, rng: &mut StdRng) -> KMeans {
-        let mut centroids = kmeans_pp_init(data, cfg.k, rng);
+    fn fit_once(data: &[Vec<f64>], k: usize, rng: &mut StdRng) -> KMeans {
+        let mut centroids = kmeans_pp_init(data, k, rng);
         let mut labels = vec![0usize; data.len()];
-        for _ in 0..cfg.max_iter {
+        for _ in 0..MAX_ITER {
             // Assignment step.
             let mut changed = false;
             for (i, p) in data.iter().enumerate() {
-                let nearest = (0..cfg.k)
+                let nearest = (0..k)
                     .min_by(|&a, &b| {
                         sq_dist(p, &centroids[a])
                             .partial_cmp(&sq_dist(p, &centroids[b]))
@@ -89,15 +73,15 @@ impl KMeans {
             }
             // Update step.
             let dim = data[0].len();
-            let mut sums = vec![vec![0.0; dim]; cfg.k];
-            let mut counts = vec![0usize; cfg.k];
+            let mut sums = vec![vec![0.0; dim]; k];
+            let mut counts = vec![0usize; k];
             for (p, &l) in data.iter().zip(&labels) {
                 counts[l] += 1;
                 for (s, v) in sums[l].iter_mut().zip(p) {
                     *s += v;
                 }
             }
-            for c in 0..cfg.k {
+            for c in 0..k {
                 if counts[c] > 0 {
                     for s in &mut sums[c] {
                         *s /= counts[c] as f64;
@@ -232,10 +216,7 @@ pub fn select_k(
         }
         let model = KMeans::fit(
             data,
-            &KMeansConfig {
-                k,
-                ..KMeansConfig::default()
-            },
+            k,
             seed ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
         let s = silhouette(data, &model.labels);
@@ -269,14 +250,7 @@ mod tests {
     #[test]
     fn kmeans_recovers_separated_blobs() {
         let (data, truth) = blobs();
-        let model = KMeans::fit(
-            &data,
-            &KMeansConfig {
-                k: 3,
-                ..KMeansConfig::default()
-            },
-            0,
-        );
+        let model = KMeans::fit(&data, 3, 0);
         // Same-truth points must share a label; different-truth points not.
         for i in 0..data.len() {
             for j in 0..data.len() {
@@ -313,34 +287,16 @@ mod tests {
     #[test]
     fn kmeans_is_deterministic_for_fixed_seed() {
         let (data, _) = blobs();
-        let cfg = KMeansConfig {
-            k: 3,
-            ..KMeansConfig::default()
-        };
-        let a = KMeans::fit(&data, &cfg, 5);
-        let b = KMeans::fit(&data, &cfg, 5);
+        let a = KMeans::fit(&data, 3, 5);
+        let b = KMeans::fit(&data, 3, 5);
         assert_eq!(a.labels, b.labels);
     }
 
     #[test]
     fn inertia_decreases_with_more_clusters() {
         let (data, _) = blobs();
-        let k2 = KMeans::fit(
-            &data,
-            &KMeansConfig {
-                k: 2,
-                ..KMeansConfig::default()
-            },
-            0,
-        );
-        let k3 = KMeans::fit(
-            &data,
-            &KMeansConfig {
-                k: 3,
-                ..KMeansConfig::default()
-            },
-            0,
-        );
+        let k2 = KMeans::fit(&data, 2, 0);
+        let k3 = KMeans::fit(&data, 3, 0);
         assert!(k3.inertia < k2.inertia);
     }
 

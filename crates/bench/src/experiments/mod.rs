@@ -1,11 +1,16 @@
-//! One module per paper artefact.
+//! One module per paper artefact, and the learning only the figures use:
+//! k-means (Fig. 3) and the HPE baseline with its feature selection
+//! (Fig. 4).
 
 pub mod ablations;
 pub mod fig1;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
+pub mod hpe_model;
+pub mod kmeans;
 pub mod placements;
+pub mod sfs;
 pub mod table2;
 
 /// The two reference machines with the vCPU counts and baseline

@@ -12,8 +12,6 @@ pub struct SfsResult {
     pub selected: Vec<usize>,
     /// Score of the final selection (lower is better).
     pub score: f64,
-    /// Score after each greedy addition.
-    pub trajectory: Vec<f64>,
 }
 
 /// Runs SFS over `n_features`, scoring candidate subsets with `score_fn`
@@ -32,7 +30,6 @@ where
 {
     let mut selected: Vec<usize> = Vec::new();
     let mut best_score = f64::INFINITY;
-    let mut trajectory = Vec::new();
 
     while selected.len() < max_features.min(n_features) {
         let mut best_candidate: Option<(usize, f64)> = None;
@@ -53,7 +50,6 @@ where
         if s < best_score - min_improvement {
             selected.push(f);
             best_score = s;
-            trajectory.push(s);
         } else {
             break;
         }
@@ -61,7 +57,6 @@ where
     SfsResult {
         selected,
         score: best_score,
-        trajectory,
     }
 }
 
@@ -104,12 +99,29 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_is_monotone_decreasing() {
-        let score = |sel: &[usize]| 10.0 / (sel.len() as f64 + 1.0);
-        let r = sequential_forward_selection(6, 6, 0.0, score);
-        for w in r.trajectory.windows(2) {
-            assert!(w[1] < w[0]);
-        }
+    fn gains_below_min_improvement_stop_the_search() {
+        // Feature 0 alone scores 1.0; each further feature gains 0.01.
+        let score = |sel: &[usize]| -> f64 {
+            let base = if sel.contains(&0) { 1.0 } else { 2.0 };
+            base - 0.01 * (sel.len() as f64 - 1.0)
+        };
+        let r = sequential_forward_selection(4, 4, 0.05, score);
+        assert_eq!(r.selected, vec![0]);
+        assert_eq!(r.score, 1.0);
+        let greedy = sequential_forward_selection(4, 4, 0.0, score);
+        assert_eq!(greedy.selected.len(), 4);
+    }
+
+    #[test]
+    fn score_is_that_of_the_final_selection() {
+        let score = |sel: &[usize]| -> f64 {
+            sel.iter()
+                .map(|&f| [0.4, 0.1, 0.3, 0.05][f])
+                .fold(1.0, |s, gain| s - gain)
+        };
+        let r = sequential_forward_selection(4, 3, 0.0, score);
+        assert_eq!(r.selected, vec![0, 2, 1]);
+        assert_eq!(r.score, score(&r.selected));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **The prediction pipeline** (§5): training a multi-output Random
 //!   Forest that maps performance observed in two probe placements to the
 //!   full relative-performance vector, including automatic probe-pair
-//!   selection and the HPE-feature baseline variant.
+//!   selection.
 //!
 //! The crate is deliberately independent of the performance *source*: the
 //! pipeline consumes a [`model::PerfOracle`], implemented by the `vc-sim`

@@ -6,15 +6,13 @@
 //! reporting baseline and the second probe is the placement that gives the
 //! best cross-validated accuracy.
 //!
-//! A baseline variant feeds hardware performance events (HPEs) observed in
-//! a *single* placement through the same Random Forest, with Sequential
-//! Forward Selection over the plausible HPE set — the approach the paper
-//! shows to be markedly less reliable.
+//! The paper's comparison baseline, a forest over hardware performance
+//! events observed in a single placement, is not part of the pipeline: it
+//! lives with the Fig. 4 experiment in `vc-bench`.
 
 use vc_ml::cv::leave_group_out;
 use vc_ml::forest::{ForestConfig, RandomForest};
 use vc_ml::metrics::mean_abs_pct_error;
-use vc_ml::sfs::sequential_forward_selection;
 
 use crate::important::ImportantPlacement;
 use crate::placement::PlacementSpec;
@@ -37,13 +35,6 @@ pub trait PerfOracle {
     fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
         (0..seeds).map(|seed| self.perf(workload, spec, seed)).collect()
     }
-
-    /// Hardware performance events observed while running `workload` in
-    /// `spec`, in [`Self::hpe_names`] order.
-    fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64>;
-
-    /// Names of the HPEs this oracle reports.
-    fn hpe_names(&self) -> Vec<String>;
 }
 
 /// A thread-safe, reference-counted oracle, shareable across a serving
@@ -60,14 +51,6 @@ impl<T: PerfOracle + ?Sized> PerfOracle for std::sync::Arc<T> {
     fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
         (**self).perf_seeds(workload, spec, seeds)
     }
-
-    fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
-        (**self).hpes(workload, spec, seed)
-    }
-
-    fn hpe_names(&self) -> Vec<String> {
-        (**self).hpe_names()
-    }
 }
 
 impl<T: PerfOracle + ?Sized> PerfOracle for &T {
@@ -77,14 +60,6 @@ impl<T: PerfOracle + ?Sized> PerfOracle for &T {
 
     fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
         (**self).perf_seeds(workload, spec, seeds)
-    }
-
-    fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
-        (**self).hpes(workload, spec, seed)
-    }
-
-    fn hpe_names(&self) -> Vec<String> {
-        (**self).hpe_names()
     }
 }
 
@@ -111,11 +86,6 @@ pub struct TrainingSet {
     /// `rel[w][s][p]`: performance of workload `w` under seed `s` in
     /// placement `p`, relative to the baseline placement.
     pub rel: Vec<Vec<Vec<f64>>>,
-    /// `hpe[w][s][f]`: HPE features of workload `w` under seed `s`,
-    /// observed in the baseline placement.
-    pub hpe: Vec<Vec<Vec<f64>>>,
-    /// HPE feature names.
-    pub hpe_names: Vec<String>,
 }
 
 impl TrainingSet {
@@ -125,8 +95,7 @@ impl TrainingSet {
     /// Each (workload, placement) pair is one
     /// [`PerfOracle::perf_seeds`] call for all seeds at once, and each
     /// row divides by the baseline placement's measurement under the same
-    /// seed. The HPE features are observed in the baseline placement, one
-    /// [`PerfOracle::hpes`] call per seed.
+    /// seed.
     pub fn build(
         oracle: &dyn PerfOracle,
         workloads: &[TrainingWorkload],
@@ -136,30 +105,24 @@ impl TrainingSet {
     ) -> Self {
         assert!(baseline < placements.len(), "baseline out of range");
         assert!(n_seeds > 0, "need at least one seed");
-        let mut rel = Vec::with_capacity(workloads.len());
-        let mut hpe = Vec::with_capacity(workloads.len());
-        for w in workloads {
-            let perf: Vec<Vec<f64>> = placements
-                .iter()
-                .map(|p| oracle.perf_seeds(&w.name, &p.spec, n_seeds))
-                .collect();
-            let base = &perf[baseline];
-            let mut w_rel = Vec::new();
-            let mut w_hpe = Vec::new();
-            for (s, seed) in (0..n_seeds).enumerate() {
-                w_rel.push(perf.iter().map(|p| p[s] / base[s]).collect());
-                w_hpe.push(oracle.hpes(&w.name, &placements[baseline].spec, seed));
-            }
-            rel.push(w_rel);
-            hpe.push(w_hpe);
-        }
+        let rel = workloads
+            .iter()
+            .map(|w| {
+                let perf: Vec<Vec<f64>> = placements
+                    .iter()
+                    .map(|p| oracle.perf_seeds(&w.name, &p.spec, n_seeds))
+                    .collect();
+                let base = &perf[baseline];
+                (0..base.len())
+                    .map(|s| perf.iter().map(|p| p[s] / base[s]).collect())
+                    .collect()
+            })
+            .collect();
         TrainingSet {
             workloads: workloads.to_vec(),
             placements: placements.to_vec(),
             baseline,
             rel,
-            hpe,
-            hpe_names: oracle.hpe_names(),
         }
     }
 
@@ -383,100 +346,6 @@ pub fn cv_error_perf_pair(
         .1
 }
 
-/// The HPE-feature baseline model: selected HPEs from a single placement
-/// in, performance vector out.
-#[derive(Debug, Clone)]
-pub struct HpeModel {
-    /// Indices of the selected HPE features.
-    pub selected: Vec<usize>,
-    forest: RandomForest,
-}
-
-impl HpeModel {
-    /// Fits on explicit feature indices.
-    pub fn fit(
-        ts: &TrainingSet,
-        rows: &[usize],
-        selected: &[usize],
-        cfg: &ForestConfig,
-        seed: u64,
-    ) -> Self {
-        let (xs, ys) = Self::design(ts, rows, selected);
-        HpeModel {
-            selected: selected.to_vec(),
-            forest: RandomForest::fit(&xs, &ys, cfg, seed),
-        }
-    }
-
-    fn design(
-        ts: &TrainingSet,
-        rows: &[usize],
-        selected: &[usize],
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for &w in rows {
-            for (srow, hrow) in ts.rel[w].iter().zip(&ts.hpe[w]) {
-                xs.push(selected.iter().map(|&f| hrow[f]).collect());
-                ys.push(srow.clone());
-            }
-        }
-        (xs, ys)
-    }
-
-    /// Predicts the baseline-relative performance vector from an HPE
-    /// observation.
-    pub fn predict(&self, hpes: &[f64]) -> Vec<f64> {
-        let features: Vec<f64> = self.selected.iter().map(|&f| hpes[f]).collect();
-        self.forest.predict(&features)
-    }
-
-    /// Runs Sequential Forward Selection over the HPE features, scoring
-    /// candidate subsets by leave-family-out CV error. Returns the
-    /// selected indices and final CV error.
-    pub fn select_features(
-        ts: &TrainingSet,
-        max_features: usize,
-        cfg: &ForestConfig,
-        seed: u64,
-    ) -> (Vec<usize>, f64) {
-        let n = ts.hpe_names.len();
-        let result = sequential_forward_selection(n, max_features, 0.05, |subset| {
-            cv_error_hpe(ts, subset, cfg, seed)
-        });
-        (result.selected, result.score)
-    }
-}
-
-/// Leave-family-out CV error of an HPE model on a feature subset.
-pub fn cv_error_hpe(ts: &TrainingSet, selected: &[usize], cfg: &ForestConfig, seed: u64) -> f64 {
-    let families = ts.families();
-    let splits = leave_group_out(&families);
-    let mut preds = Vec::new();
-    let mut truths = Vec::new();
-    for split in &splits {
-        let model = HpeModel::fit(ts, &split.train, selected, cfg, seed);
-        for &w in &split.test {
-            let truth = ts.mean_rel(w);
-            // Mean HPE observation over seeds.
-            let n_seeds = ts.hpe[w].len();
-            let nf = ts.hpe_names.len();
-            let mut mean_hpe = vec![0.0; nf];
-            for srow in &ts.hpe[w] {
-                for (m, v) in mean_hpe.iter_mut().zip(srow) {
-                    *m += v;
-                }
-            }
-            for m in &mut mean_hpe {
-                *m /= n_seeds as f64;
-            }
-            preds.push(model.predict(&mean_hpe));
-            truths.push(truth);
-        }
-    }
-    mean_abs_pct_error(&preds, &truths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,22 +368,6 @@ mod tests {
                 40.0 + 20.0 * nodes
             };
             base * noise
-        }
-
-        fn hpes(&self, workload: &str, _spec: &PlacementSpec, seed: u64) -> Vec<f64> {
-            let intensity = if workload.starts_with("flat") {
-                1.0
-            } else {
-                9.0
-            };
-            vec![
-                intensity + 0.01 * (seed as f64).cos(),
-                5.0, // uninformative constant
-            ]
-        }
-
-        fn hpe_names(&self) -> Vec<String> {
-            vec!["mem_intensity".into(), "noise".into()]
         }
     }
 
@@ -581,18 +434,6 @@ mod tests {
         // baseline, otherwise the ratio carries no category signal.
         assert_ne!(ts.placements[other].spec.num_nodes(), 2);
         assert!(err < 5.0, "cv error too high: {err}");
-    }
-
-    #[test]
-    fn hpe_sfs_picks_the_informative_counter() {
-        let ts = toy_training_set();
-        let cfg = ForestConfig {
-            n_trees: 20,
-            ..ForestConfig::default()
-        };
-        let (selected, err) = HpeModel::select_features(&ts, 2, &cfg, 0);
-        assert!(selected.contains(&0), "selected {selected:?}");
-        assert!(err < 10.0);
     }
 
     #[test]

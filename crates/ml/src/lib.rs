@@ -2,11 +2,11 @@
 //!
 //! The paper trains a *multi-output Random Forest regressor* whose inputs
 //! are performance observations in two placements and whose output is the
-//! full relative-performance vector over all important placements (§5). It
-//! also uses k-means clustering with silhouette-based `k` selection to show
-//! that workloads fall into a small number of performance-shape categories
-//! (Figure 3), and Sequential Forward Selection to pick hardware
-//! performance events for the baseline HPE model.
+//! full relative-performance vector over all important placements (§5),
+//! chosen by leave-family-out cross-validation. The paper's other learning
+//! — k-means for Figure 3, Sequential Forward Selection for the HPE
+//! baseline of Figure 4 — draws figures only and lives with them in
+//! `vc-bench`.
 //!
 //! Everything here is implemented from scratch on top of `rand` so the
 //! whole pipeline is deterministic under a fixed seed.
@@ -30,11 +30,8 @@
 
 pub mod cv;
 pub mod forest;
-pub mod kmeans;
 pub mod metrics;
-pub mod sfs;
 pub mod tree;
 
 pub use forest::{ForestConfig, RandomForest};
-pub use kmeans::{KMeans, KMeansConfig};
 pub use tree::{DecisionTree, TreeConfig};

@@ -44,43 +44,6 @@ pub fn mean_abs_pct_error(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
     }
 }
 
-/// Coefficient of determination (R²), pooled over all outputs.
-///
-/// Returns 1.0 for a perfect fit; can be negative for fits worse than
-/// predicting the mean.
-pub fn r2_score(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "row count mismatch");
-    assert!(!pred.is_empty(), "empty input");
-    let k = truth[0].len();
-    let n = truth.len() as f64;
-    let mut mean = vec![0.0; k];
-    for t in truth {
-        for (m, v) in mean.iter_mut().zip(t) {
-            *m += v;
-        }
-    }
-    for m in &mut mean {
-        *m /= n;
-    }
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for (p, t) in pred.iter().zip(truth) {
-        for o in 0..k {
-            ss_res += (t[o] - p[o]) * (t[o] - p[o]);
-            ss_tot += (t[o] - mean[o]) * (t[o] - mean[o]);
-        }
-    }
-    if ss_tot == 0.0 {
-        if ss_res == 0.0 {
-            1.0
-        } else {
-            f64::NEG_INFINITY
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,30 +67,6 @@ mod tests {
         let t = vec![vec![1.0, 0.0]];
         let e = mean_abs_pct_error(&p, &t);
         assert!((e - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn r2_is_one_for_perfect_and_zero_for_mean_predictor() {
-        let t = vec![vec![1.0], vec![2.0], vec![3.0]];
-        assert_eq!(r2_score(&t, &t), 1.0);
-        let mean_pred = vec![vec![2.0], vec![2.0], vec![2.0]];
-        assert!((r2_score(&mean_pred, &t)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_is_negative_for_fits_worse_than_the_mean() {
-        let t = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let reversed = vec![vec![3.0], vec![2.0], vec![1.0]];
-        // ss_res = 8, ss_tot = 2.
-        assert!((r2_score(&reversed, &t) + 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_of_constant_truth_is_one_only_for_an_exact_fit() {
-        let t = vec![vec![5.0], vec![5.0]];
-        assert_eq!(r2_score(&t, &t), 1.0);
-        let off = vec![vec![5.0], vec![6.0]];
-        assert_eq!(r2_score(&off, &t), f64::NEG_INFINITY);
     }
 
     #[test]

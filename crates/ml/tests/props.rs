@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use vc_ml::cv::leave_group_out;
 use vc_ml::forest::{ForestConfig, RandomForest};
-use vc_ml::kmeans::{silhouette, KMeans, KMeansConfig};
 use vc_ml::tree::{DecisionTree, TreeConfig};
 
 /// Random small regression dataset: n rows, f features, k outputs.
@@ -77,23 +76,6 @@ proptest! {
                 prop_assert!((a - b).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn kmeans_labels_are_in_range(k in 2usize..5, (data, _) in arb_dataset()) {
-        prop_assume!(data.len() >= k);
-        let model = KMeans::fit(&data, &KMeansConfig { k, ..KMeansConfig::default() }, 3);
-        prop_assert_eq!(model.labels.len(), data.len());
-        prop_assert!(model.labels.iter().all(|&l| l < k));
-        prop_assert!(model.inertia >= 0.0);
-    }
-
-    #[test]
-    fn silhouette_is_bounded((data, _) in arb_dataset(), k in 2usize..4) {
-        prop_assume!(data.len() >= k);
-        let model = KMeans::fit(&data, &KMeansConfig { k, ..KMeansConfig::default() }, 5);
-        let s = silhouette(&data, &model.labels);
-        prop_assert!((-1.0..=1.0).contains(&s), "s = {s}");
     }
 
     #[test]

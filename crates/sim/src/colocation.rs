@@ -243,7 +243,6 @@ mod tests {
             inst_per_sec,
             ipc: 0.0,
             metric_value: 0.0,
-            state: crate::engine::ContainerState::default(),
         }
     }
 

@@ -28,8 +28,6 @@ pub struct SimConfig {
     pub damping: f64,
     /// Relative measurement noise on reported performance.
     pub perf_noise: f64,
-    /// Relative measurement noise on reported HPEs.
-    pub hpe_noise: f64,
     /// Report rates averaged over the last `tail_average` iterations
     /// instead of the final iteration alone (`0` = final iteration,
     /// the historical behaviour).
@@ -50,7 +48,6 @@ impl Default for SimConfig {
             iterations: 30,
             damping: 0.5,
             perf_noise: 0.01,
-            hpe_noise: 0.12,
             tail_average: 0,
         }
     }
@@ -65,7 +62,6 @@ impl SimConfig {
             iterations: 120,
             damping: 0.3,
             perf_noise: 0.0,
-            hpe_noise: 0.0,
             tail_average: 60,
         }
     }
@@ -81,34 +77,6 @@ pub struct ContainerPerf {
     /// The workload's online metric: ops/s for
     /// [`Metric::OpsPerSecond`], aggregate IPC otherwise.
     pub metric_value: f64,
-    /// Internal per-thread state (exposed for the HPE synthesiser).
-    pub state: ContainerState,
-}
-
-/// Aggregated internal model state for one container (feeds simulated
-/// HPEs).
-#[derive(Debug, Clone, Default)]
-pub struct ContainerState {
-    /// Mean L2 miss ratio over threads.
-    pub l2_miss_ratio: f64,
-    /// Mean L3 miss ratio (of L2 misses) over threads.
-    pub l3_miss_ratio: f64,
-    /// Mean fraction of DRAM accesses that were remote.
-    pub remote_fraction: f64,
-    /// Mean DRAM-node utilisation seen by this container's accesses.
-    pub dram_utilisation: f64,
-    /// Mean max-link utilisation along this container's remote routes.
-    pub link_utilisation: f64,
-    /// Mean effective communication latency (cycles).
-    pub comm_latency_cycles: f64,
-    /// Mean pipeline sharing multiplier (1.0 = exclusive core).
-    pub pipeline_mult: f64,
-    /// Mean CPI decomposition: base component.
-    pub cpi_core: f64,
-    /// Mean CPI decomposition: memory stalls.
-    pub cpi_mem: f64,
-    /// Mean CPI decomposition: communication stalls.
-    pub cpi_comm: f64,
 }
 
 /// Full simulation output.
@@ -153,7 +121,7 @@ pub fn queue_multiplier(u: f64) -> f64 {
 /// flows, and what the distance costs — everything about the pair that
 /// depends on the assignment and not on the rates.
 #[derive(Debug, Clone, Copy)]
-struct NodePair {
+pub(crate) struct NodePair {
     /// Links crossed, a→x then x→b (`links[..len]`); `None` when the
     /// pair is unreachable even machine-wide, which loads nothing and
     /// queues like a saturated link.
@@ -220,7 +188,7 @@ impl NodePair {
 
     /// Queueing multiplier of the most loaded link on the route.
     #[inline]
-    fn queue_mult(&self, link_util: &[f64]) -> f64 {
+    pub(crate) fn queue_mult(&self, link_util: &[f64]) -> f64 {
         let Some((links, len)) = self.route else {
             return queue_multiplier(0.97);
         };
@@ -233,7 +201,7 @@ impl NodePair {
 }
 
 /// The per-container constants of the fixed point.
-struct ContainerPlan {
+pub(crate) struct ContainerPlan {
     /// First thread of the container in [`Plan::class_of`] (threads are
     /// laid out container by container, assignment order).
     thread_base: usize,
@@ -241,11 +209,11 @@ struct ContainerPlan {
     threads: usize,
     /// First of the container's `n` sorted, distinct nodes in
     /// [`Plan::node_idx`] / [`Plan::partner_frac`].
-    node_base: usize,
+    pub(crate) node_base: usize,
     /// Number of distinct nodes the container spans.
-    n: usize,
+    pub(crate) n: usize,
     /// Row-major `n × n` block of the container in [`Plan::pairs`].
-    pair_base: usize,
+    pub(crate) pair_base: usize,
     /// Share of memory traffic each of the `n` nodes serves.
     frac: f64,
     /// Communication events per instruction.
@@ -266,7 +234,7 @@ struct ContainerPlan {
 /// same node, same cache footprints and sharing counts, same pipeline
 /// sharing. They start at one rate and see one CPI every iteration, so
 /// the latency update runs once per class.
-struct ThreadClass {
+pub(crate) struct ThreadClass {
     container: usize,
     /// Position of the class's node among the container's nodes.
     si: usize,
@@ -274,9 +242,9 @@ struct ThreadClass {
     /// counts on the L2/L3, pipeline multiplier — everything the miss
     /// ratios and stall components are computed from.
     key: (u64, u64, usize, usize, u64),
-    m2: f64,
-    m3: f64,
-    pipeline_mult: f64,
+    pub(crate) m2: f64,
+    pub(crate) m3: f64,
+    pub(crate) pipeline_mult: f64,
     /// L3 misses per instruction.
     miss_per_inst: f64,
     /// L2 misses per instruction.
@@ -288,25 +256,25 @@ struct ThreadClass {
 
 /// Everything [`simulate`] derives from the assignment before the
 /// first iteration. Nothing in here depends on a rate.
-struct Plan {
-    containers: Vec<ContainerPlan>,
-    classes: Vec<ThreadClass>,
+pub(crate) struct Plan {
+    pub(crate) containers: Vec<ContainerPlan>,
+    pub(crate) classes: Vec<ThreadClass>,
     /// Thread → class, container by container in assignment order: the
     /// order every load accumulates in.
     class_of: Vec<usize>,
     /// Node index of each (container, node position).
-    node_idx: Vec<usize>,
+    pub(crate) node_idx: Vec<usize>,
     /// Fraction of a thread's partners on each (container, node
     /// position); unused for single-thread containers.
     partner_frac: Vec<f64>,
-    pairs: Vec<NodePair>,
+    pub(crate) pairs: Vec<NodePair>,
 }
 
 impl Plan {
     /// # Panics
     ///
     /// Panics if a thread is assigned twice or an assignment is empty.
-    fn build(machine: &Machine, runs: &[ContainerRun]) -> Plan {
+    pub(crate) fn build(machine: &Machine, runs: &[ContainerRun]) -> Plan {
         let (n_l2, n_l3) = (machine.num_l2_groups(), machine.num_l3_groups());
         let total_threads: usize = runs.iter().map(|r| r.assignment.len()).sum();
 
@@ -481,16 +449,21 @@ impl Plan {
         }
         plan
     }
+
+    /// The class of each thread of container `c`, in assignment order.
+    pub(crate) fn thread_classes(&self, c: &ContainerPlan) -> &[usize] {
+        &self.class_of[c.thread_base..c.thread_base + c.threads]
+    }
 }
 
 /// What the fixed point settles on.
-struct Solution {
+pub(crate) struct Solution {
     /// Instruction rate per thread class.
-    rate: Vec<f64>,
+    pub(crate) rate: Vec<f64>,
     /// `(core, memory, communication)` CPI components per thread class.
-    cpi_parts: Vec<(f64, f64, f64)>,
-    dram_util: Vec<f64>,
-    link_util: Vec<f64>,
+    pub(crate) cpi_parts: Vec<(f64, f64, f64)>,
+    pub(crate) dram_util: Vec<f64>,
+    pub(crate) link_util: Vec<f64>,
     /// Iterations run: [`SimConfig::iterations`], or fewer when the
     /// rates reached a bitwise fixed point. Only the unit tests read
     /// it: they pin that the exit is taken, and not taken.
@@ -514,7 +487,7 @@ struct Solution {
 /// Cesàro tail with one `acc += r` per tail iteration left — the very
 /// additions those iterations would make, in their order; a product
 /// would round differently.
-fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
+pub(crate) fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
     let lat = machine.latencies();
     let clock_hz = machine.clock_ghz() * 1e9;
     let dram_cap: Vec<f64> = machine
@@ -675,13 +648,7 @@ fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
 /// containers (hardware threads host at most one vCPU, §1) or is empty.
 pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
     let plan = Plan::build(machine, runs);
-    let Solution {
-        rate,
-        cpi_parts,
-        dram_util,
-        link_util,
-        ..
-    } = solve(machine, &plan, cfg);
+    let rate = solve(machine, &plan, cfg).rate;
     let clock_hz = machine.clock_ghz() * 1e9;
 
     // Aggregate per container.
@@ -689,49 +656,8 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
     for (run, c) in runs.iter().zip(&plan.containers) {
         let w = run.workload;
         let n = c.threads as f64;
-        let classes = &plan.class_of[c.thread_base..c.thread_base + c.threads];
-        let inst_per_sec: f64 = classes.iter().map(|&k| rate[k]).sum();
+        let inst_per_sec: f64 = plan.thread_classes(c).iter().map(|&k| rate[k]).sum();
         let ipc = inst_per_sec / n / clock_hz;
-
-        // State means for the HPE layer.
-        let mean = |f: &dyn Fn(usize) -> f64| classes.iter().map(|&k| f(k)).sum::<f64>() / n;
-        let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
-        let remote_fraction = 1.0 - 1.0 / c.n as f64;
-        let dram_u = dests.iter().map(|&d| dram_util[d]).sum::<f64>() / c.n as f64;
-        let link_u = {
-            let mut acc = 0.0;
-            let mut cnt = 0.0;
-            for a in 0..c.n {
-                for b in a + 1..c.n {
-                    acc += plan.pairs[c.pair_base + a * c.n + b].queue_mult(&link_util) - 1.0;
-                    cnt += 1.0;
-                }
-            }
-            if cnt > 0.0 {
-                acc / cnt
-            } else {
-                0.0
-            }
-        };
-        let state = ContainerState {
-            l2_miss_ratio: mean(&|k| plan.classes[k].m2),
-            l3_miss_ratio: mean(&|k| plan.classes[k].m3),
-            remote_fraction,
-            dram_utilisation: dram_u,
-            link_utilisation: link_u,
-            comm_latency_cycles: mean(&|k| {
-                let (_, _, comm) = cpi_parts[k];
-                if w.comm_per_kinst > 0.0 {
-                    comm / (w.comm_per_kinst / 1000.0).max(1e-12)
-                } else {
-                    0.0
-                }
-            }),
-            pipeline_mult: mean(&|k| plan.classes[k].pipeline_mult),
-            cpi_core: mean(&|k| cpi_parts[k].0),
-            cpi_mem: mean(&|k| cpi_parts[k].1),
-            cpi_comm: mean(&|k| cpi_parts[k].2),
-        };
 
         // Measurement noise.
         let mut rng = measurement_rng(&w.name, run.assignment, seed, 1);
@@ -744,7 +670,6 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
             inst_per_sec: noisy_inst,
             ipc,
             metric_value,
-            state,
         });
     }
     SimResult { per_container }
@@ -769,7 +694,6 @@ mod tests {
             }],
             &SimConfig {
                 perf_noise: 0.0,
-                hpe_noise: 0.0,
                 ..SimConfig::default()
             },
             0,

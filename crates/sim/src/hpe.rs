@@ -17,15 +17,133 @@
 //! from (cache, memory, TLB, interconnect and pipeline behaviour), plus
 //! deliberately uninformative counters so Sequential Forward Selection
 //! has chaff to reject.
+//!
+//! Only the paper's HPE baseline (Fig. 4) reads counters, so nothing on
+//! the placement path computes them: [`crate::simulate`] reports rates
+//! alone, and [`observe`] re-solves a run through the same plan and fixed
+//! point to read the state the counters come from.
 
 use rand::rngs::StdRng;
 
+use vc_topology::Machine;
 use vc_workloads::Workload;
 
-use crate::engine::{ContainerPerf, ContainerState};
-use crate::noise::noise_factor;
+use crate::engine::{solve, ContainerRun, Plan, SimConfig, Solution};
+use crate::noise::{measurement_rng, noise_factor};
 
-/// Names of the simulated HPEs, in the order [`synthesise`] reports them.
+/// Relative sampling noise on every reported counter.
+const NOISE: f64 = 0.12;
+
+/// Aggregated internal model state of one container: what the counters
+/// are synthesised from.
+#[derive(Debug, Clone)]
+pub struct ContainerState {
+    /// Mean L2 miss ratio over threads.
+    pub l2_miss_ratio: f64,
+    /// Mean L3 miss ratio (of L2 misses) over threads.
+    pub l3_miss_ratio: f64,
+    /// Mean fraction of DRAM accesses that were remote.
+    pub remote_fraction: f64,
+    /// Mean DRAM-node utilisation seen by this container's accesses.
+    pub dram_utilisation: f64,
+    /// Mean max-link utilisation along this container's remote routes.
+    pub link_utilisation: f64,
+    /// Mean effective communication latency (cycles).
+    pub comm_latency_cycles: f64,
+    /// Mean pipeline sharing multiplier (1.0 = exclusive core).
+    pub pipeline_mult: f64,
+    /// Mean CPI decomposition: base component.
+    pub cpi_core: f64,
+    /// Mean CPI decomposition: memory stalls.
+    pub cpi_mem: f64,
+    /// Mean CPI decomposition: communication stalls.
+    pub cpi_comm: f64,
+}
+
+/// Solves `runs` under `cfg` — [`crate::simulate`]'s own plan and fixed
+/// point — and returns each container's state means, in run order.
+pub fn state_means(
+    machine: &Machine,
+    runs: &[ContainerRun],
+    cfg: &SimConfig,
+) -> Vec<ContainerState> {
+    let plan = Plan::build(machine, runs);
+    let solution = solve(machine, &plan, cfg);
+    runs.iter()
+        .enumerate()
+        .map(|(ci, run)| means(&plan, &solution, ci, run.workload))
+        .collect()
+}
+
+/// The HPE vector, in [`hpe_names`] order, of `run` measured alone on
+/// `machine` under [`SimConfig::default`] with measurement seed `seed`.
+///
+/// The counters' sampling noise draws on the run's measurement stream 2,
+/// apart from the performance noise on stream 1, so observing counters
+/// never moves a performance measurement.
+pub fn observe(machine: &Machine, run: &ContainerRun, seed: u64) -> Vec<f64> {
+    let (ipc, state) = solve_alone(machine, run);
+    let mut rng = measurement_rng(&run.workload.name, run.assignment, seed, 2);
+    synthesise(run.workload, ipc, &state, &mut rng, NOISE)
+}
+
+/// `run` solved alone under [`SimConfig::default`]: its mean per-thread
+/// IPC and its state means.
+fn solve_alone(machine: &Machine, run: &ContainerRun) -> (f64, ContainerState) {
+    let plan = Plan::build(machine, std::slice::from_ref(run));
+    let solution = solve(machine, &plan, &SimConfig::default());
+    let classes = plan.thread_classes(&plan.containers[0]);
+    let inst_per_sec: f64 = classes.iter().map(|&k| solution.rate[k]).sum();
+    let ipc = inst_per_sec / classes.len() as f64 / (machine.clock_ghz() * 1e9);
+    (ipc, means(&plan, &solution, 0, run.workload))
+}
+
+/// The state means of container `ci` of a solved plan.
+fn means(plan: &Plan, solution: &Solution, ci: usize, w: &Workload) -> ContainerState {
+    let c = &plan.containers[ci];
+    let classes = plan.thread_classes(c);
+    let n = classes.len() as f64;
+    let mean = |f: &dyn Fn(usize) -> f64| classes.iter().map(|&k| f(k)).sum::<f64>() / n;
+    let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
+    let dram_u = dests.iter().map(|&d| solution.dram_util[d]).sum::<f64>() / c.n as f64;
+    let link_u = {
+        let mut acc = 0.0;
+        let mut cnt = 0.0;
+        for a in 0..c.n {
+            for b in a + 1..c.n {
+                acc += plan.pairs[c.pair_base + a * c.n + b].queue_mult(&solution.link_util) - 1.0;
+                cnt += 1.0;
+            }
+        }
+        if cnt > 0.0 {
+            acc / cnt
+        } else {
+            0.0
+        }
+    };
+    let cpi_parts = &solution.cpi_parts;
+    ContainerState {
+        l2_miss_ratio: mean(&|k| plan.classes[k].m2),
+        l3_miss_ratio: mean(&|k| plan.classes[k].m3),
+        remote_fraction: 1.0 - 1.0 / c.n as f64,
+        dram_utilisation: dram_u,
+        link_utilisation: link_u,
+        comm_latency_cycles: mean(&|k| {
+            let (_, _, comm) = cpi_parts[k];
+            if w.comm_per_kinst > 0.0 {
+                comm / (w.comm_per_kinst / 1000.0).max(1e-12)
+            } else {
+                0.0
+            }
+        }),
+        pipeline_mult: mean(&|k| plan.classes[k].pipeline_mult),
+        cpi_core: mean(&|k| cpi_parts[k].0),
+        cpi_mem: mean(&|k| cpi_parts[k].1),
+        cpi_comm: mean(&|k| cpi_parts[k].2),
+    }
+}
+
+/// Names of the simulated HPEs, in the order [`observe`] reports them.
 pub fn hpe_names() -> Vec<String> {
     [
         "ipc",
@@ -59,17 +177,16 @@ pub fn hpe_names() -> Vec<String> {
     .collect()
 }
 
-/// Synthesises the HPE vector for one container run.
-///
-/// `rng` supplies sampling noise; pass a [`crate::noise::measurement_rng`]
-/// derived from the run identity for reproducibility.
-pub fn synthesise(
+/// Synthesises the HPE vector of one container run from its mean IPC and
+/// state means, each counter scaled by a draw from `rng` within
+/// `±noise`.
+fn synthesise(
     workload: &Workload,
-    perf: &ContainerPerf,
+    ipc: f64,
+    s: &ContainerState,
     rng: &mut StdRng,
     noise: f64,
 ) -> Vec<f64> {
-    let s: &ContainerState = &perf.state;
     let mem = workload.mem_per_kinst;
     let l2_miss_pki = mem * s.l2_miss_ratio;
     let l3_capacity_miss_pki = l2_miss_pki * s.l3_miss_ratio;
@@ -87,7 +204,7 @@ pub fn synthesise(
     let branch_miss = 1.0 + 6.0 * (1.0 - workload.ipc_base / 2.5).max(0.0) + quirk;
 
     let raw: Vec<f64> = vec![
-        perf.ipc,
+        ipc,
         l2_miss_pki,
         l3_miss_or_forward_pki,
         dram_access_pki,
@@ -121,53 +238,108 @@ pub fn synthesise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, ContainerRun, SimConfig};
-    use crate::noise::measurement_rng;
-    use vc_core::assign::assign_vcpus;
+    use vc_core::assign::{assign_vcpus, assign_vcpus_in};
     use vc_core::placement::PlacementSpec;
     use vc_topology::machines;
-    use vc_topology::NodeId;
+    use vc_topology::{NodeId, OccupancyMap};
     use vc_workloads::suite::workload_by_name;
 
-    fn perf_for(w: &str, nodes: Vec<NodeId>, l2: usize) -> (vc_workloads::Workload, ContainerPerf) {
+    /// The HPE vector of `w` alone in `nodes` × `l2` on AMD, with
+    /// sampling noise `noise` drawn from seed 1's stream.
+    fn observed(w: &str, nodes: Vec<NodeId>, l2: usize, noise: f64) -> Vec<f64> {
         let amd = machines::amd_opteron_6272();
         let workload = workload_by_name(w).unwrap();
         let spec = PlacementSpec::on_nodes(16, nodes, l2);
         let assignment = assign_vcpus(&amd, &spec).unwrap();
-        let r = simulate(
-            &amd,
-            &[ContainerRun {
-                workload: &workload,
-                assignment: &assignment,
-            }],
-            &SimConfig::default(),
-            0,
-        );
-        (workload, r.per_container.into_iter().next().unwrap())
+        let run = ContainerRun {
+            workload: &workload,
+            assignment: &assignment,
+        };
+        let (ipc, state) = solve_alone(&amd, &run);
+        let mut rng = measurement_rng(w, &assignment, 1, 2);
+        synthesise(&workload, ipc, &state, &mut rng, noise)
+    }
+
+    fn counter(v: &[f64], name: &str) -> f64 {
+        v[hpe_names().iter().position(|n| n == name).unwrap()]
     }
 
     #[test]
     fn hpe_vector_matches_name_list() {
-        let (w, p) = perf_for("blast", vec![NodeId(0), NodeId(1)], 8);
-        let mut rng = measurement_rng("blast", &[], 0, 2);
-        let v = synthesise(&w, &p, &mut rng, 0.0);
+        let v = observed("blast", vec![NodeId(0), NodeId(1)], 8, 0.0);
         assert_eq!(v.len(), hpe_names().len());
         assert!(v.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn observe_is_the_noisy_synthesis_of_the_default_solve() {
+        let amd = machines::amd_opteron_6272();
+        let workload = workload_by_name("kmeans").unwrap();
+        let spec = PlacementSpec::on_nodes(16, vec![NodeId(2), NodeId(3)], 8);
+        let assignment = assign_vcpus(&amd, &spec).unwrap();
+        let run = ContainerRun {
+            workload: &workload,
+            assignment: &assignment,
+        };
+        let clean = observed("kmeans", vec![NodeId(2), NodeId(3)], 8, 0.0);
+        let noisy = observe(&amd, &run, 1);
+        assert_eq!(
+            noisy,
+            observed("kmeans", vec![NodeId(2), NodeId(3)], 8, NOISE)
+        );
+        assert_ne!(noisy, clean);
+        assert_ne!(noisy, observe(&amd, &run, 2), "seeds draw different noise");
+    }
+
+    #[test]
+    fn state_means_of_a_lone_run_are_the_state_observe_reads() {
+        let amd = machines::amd_opteron_6272();
+        let workload = workload_by_name("canneal").unwrap();
+        let spec = PlacementSpec::on_nodes(8, vec![NodeId(0), NodeId(4)], 4);
+        let assignment = assign_vcpus(&amd, &spec).unwrap();
+        let run = ContainerRun {
+            workload: &workload,
+            assignment: &assignment,
+        };
+        let (_, alone) = solve_alone(&amd, &run);
+        let listed = state_means(&amd, &[run], &SimConfig::default());
+        assert_eq!(listed.len(), 1);
+        assert_eq!(format!("{:?}", listed[0]), format!("{alone:?}"));
+    }
+
+    #[test]
+    fn a_co_runner_on_the_same_node_loads_its_dram() {
+        let amd = machines::amd_opteron_6272();
+        let workload = workload_by_name("blast").unwrap();
+        let spec = PlacementSpec::on_nodes(4, vec![NodeId(0)], 2);
+        let mut occ = OccupancyMap::new(&amd);
+        let first = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+        occ.reserve(&first).unwrap();
+        let second = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+        let run = |assignment| ContainerRun {
+            workload: &workload,
+            assignment,
+        };
+        let cfg = SimConfig::default();
+        let alone = state_means(&amd, &[run(&first)], &cfg);
+        let joint = state_means(&amd, &[run(&first), run(&second)], &cfg);
+        assert_eq!(joint.len(), 2);
+        assert!(
+            joint[0].dram_utilisation > alone[0].dram_utilisation,
+            "joint {} vs alone {}",
+            joint[0].dram_utilisation,
+            alone[0].dram_utilisation
+        );
+        assert_eq!(joint[0].remote_fraction, alone[0].remote_fraction);
     }
 
     #[test]
     fn forwards_and_capacity_misses_are_merged() {
         // A communication-heavy workload with a cache-resident working
         // set still shows a large l3_miss_or_forward count.
-        let (w, p) = perf_for("WTbtree", vec![NodeId(0), NodeId(1)], 8);
-        let mut rng = measurement_rng("WTbtree", &[], 0, 2);
-        let v = synthesise(&w, &p, &mut rng, 0.0);
-        let names = hpe_names();
-        let merged = v[names
-            .iter()
-            .position(|n| n == "l3_miss_or_forward_pki")
-            .unwrap()];
-        let dram = v[names.iter().position(|n| n == "dram_access_pki").unwrap()];
+        let v = observed("WTbtree", vec![NodeId(0), NodeId(1)], 8, 0.0);
+        let merged = counter(&v, "l3_miss_or_forward_pki");
+        let dram = counter(&v, "dram_access_pki");
         // The merged counter includes ~6 forwards per kinst on top of
         // capacity misses.
         assert!(merged > dram + 5.0, "merged={merged} dram={dram}");
@@ -175,32 +347,24 @@ mod tests {
 
     #[test]
     fn remote_fraction_scales_with_node_count() {
-        let (w2, p2) = perf_for("blast", vec![NodeId(0), NodeId(1)], 8);
-        let (w8, p8) = perf_for("blast", (0..8).map(NodeId).collect(), 16);
-        let mut rng = measurement_rng("blast", &[], 0, 2);
-        let names = hpe_names();
-        let i = names.iter().position(|n| n == "dram_remote_pki").unwrap();
-        let v2 = synthesise(&w2, &p2, &mut rng, 0.0);
-        let v8 = synthesise(&w8, &p8, &mut rng, 0.0);
-        assert!(v8[i] / v8[i].max(1e-12) >= 0.0); // finite
-                                                  // 8-node placement has 7/8 remote vs 1/2 remote: bigger remote
-                                                  // share even if total misses shrink.
+        // 8 nodes put 7/8 of DRAM accesses on remote nodes, 2 nodes 1/2:
+        // a bigger remote share even if total misses shrink.
+        let remote_share =
+            |v: &[f64]| counter(v, "dram_remote_pki") / counter(v, "dram_access_pki");
+        let v2 = observed("blast", vec![NodeId(0), NodeId(1)], 8, 0.0);
+        let v8 = observed("blast", (0..8).map(NodeId).collect(), 16, 0.0);
         assert!(
-            p8.state.remote_fraction > p2.state.remote_fraction,
+            remote_share(&v8) > remote_share(&v2),
             "{} vs {}",
-            p8.state.remote_fraction,
-            p2.state.remote_fraction
+            remote_share(&v8),
+            remote_share(&v2)
         );
-        let _ = (v2, v8);
     }
 
     #[test]
     fn noise_perturbs_but_preserves_scale() {
-        let (w, p) = perf_for("gcc", vec![NodeId(0), NodeId(1)], 8);
-        let mut rng = measurement_rng("gcc", &[], 1, 2);
-        let clean = synthesise(&w, &p, &mut rng, 0.0);
-        let mut rng = measurement_rng("gcc", &[], 1, 2);
-        let noisy = synthesise(&w, &p, &mut rng, 0.05);
+        let clean = observed("gcc", vec![NodeId(0), NodeId(1)], 8, 0.0);
+        let noisy = observed("gcc", vec![NodeId(0), NodeId(1)], 8, 0.05);
         for (c, n) in clean.iter().zip(&noisy) {
             if *c != 0.0 {
                 assert!((n / c - 1.0).abs() <= 0.05 + 1e-9);

@@ -3,8 +3,9 @@
 //! This crate is the repository's stand-in for the paper's two physical
 //! test machines. Given a machine description, one or more containers
 //! (workload + concrete vCPU-to-hardware-thread assignment) and a noise
-//! seed, it produces steady-state performance and simulated hardware
-//! performance events.
+//! seed, it produces steady-state performance. The simulated hardware
+//! performance events of the paper's comparison baseline come from the
+//! same solve, on request only ([`hpe`]).
 //!
 //! The model is a CPI stack solved to a fixed point:
 //!

@@ -33,7 +33,6 @@ use vc_workloads::{generator, suite, Metric, Workload};
 
 use crate::colocation::simulate_candidate_penalty;
 use crate::engine::{simulate, ContainerRun, SimConfig};
-use crate::hpe;
 use crate::noise::{measurement_rng, noise_factor};
 
 /// A performance oracle for one machine: resolves workload names against
@@ -100,7 +99,12 @@ impl SimOracle {
             .unwrap_or_else(|| panic!("unknown workload {name}"))
     }
 
-    fn workload(&self, name: &str) -> &Workload {
+    /// The workload named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the oracle has no workload of that name.
+    pub fn workload(&self, name: &str) -> &Workload {
         &self.workloads[self.workload_index(name)]
     }
 
@@ -125,21 +129,6 @@ impl SimOracle {
             .expect("assignment table poisoned")
             .insert(spec.clone(), Arc::clone(&assignment));
         assignment
-    }
-
-    /// Runs one container alone on the machine and returns its full
-    /// simulated performance.
-    pub fn run(&self, name: &str, spec: &PlacementSpec, seed: u64) -> crate::engine::ContainerPerf {
-        let run = ContainerRun {
-            workload: self.workload(name),
-            assignment: &self.assignment(name, spec),
-        };
-        let result = simulate(&self.machine, &[run], &SimConfig::default(), seed);
-        result
-            .per_container
-            .into_iter()
-            .next()
-            .expect("one container")
     }
 
     /// [`InterferenceOracle::co_location_penalty`], memoised: the same
@@ -299,7 +288,11 @@ impl InterferenceOracle for SimOracle {
 
 impl PerfOracle for SimOracle {
     fn perf(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> f64 {
-        self.run(workload, spec, seed).metric_value
+        let run = ContainerRun {
+            workload: self.workload(workload),
+            assignment: &self.assignment(workload, spec),
+        };
+        simulate(&self.machine, &[run], &SimConfig::default(), seed).per_container[0].metric_value
     }
 
     /// One solve shared by every seed. The fixed point does not depend
@@ -333,18 +326,6 @@ impl PerfOracle for SimOracle {
             })
             .collect()
     }
-
-    fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
-        let perf = self.run(workload, spec, seed);
-        let w = self.workload(workload);
-        let assignment = self.assignment(workload, spec);
-        let mut rng = measurement_rng(workload, &assignment, seed, 2);
-        hpe::synthesise(w, &perf, &mut rng, SimConfig::default().hpe_noise)
-    }
-
-    fn hpe_names(&self) -> Vec<String> {
-        hpe::hpe_names()
-    }
 }
 
 #[cfg(test)]
@@ -372,8 +353,12 @@ mod tests {
     fn hpes_have_consistent_arity() {
         let o = SimOracle::new(machines::intel_xeon_e7_4830_v3());
         let spec = PlacementSpec::on_nodes(24, vec![NodeId(0)], 12);
-        let h = o.hpes("kmeans", &spec, 0);
-        assert_eq!(h.len(), o.hpe_names().len());
+        let run = ContainerRun {
+            workload: o.workload("kmeans"),
+            assignment: &assign_vcpus(o.machine(), &spec).unwrap(),
+        };
+        let h = crate::hpe::observe(o.machine(), &run, 0);
+        assert_eq!(h.len(), crate::hpe::hpe_names().len());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `vc_sim::simulate` against the per-thread solver it replaced
-//! (`support/reference.rs`): every field of every `SimResult` equal to
-//! the last bit. There is no tolerance anywhere in this file — the
+//! (`support/reference.rs`): every field of every `SimResult`, and every
+//! state mean `vc_sim::hpe::state_means` reads off the same solve, equal
+//! to the last bit. There is no tolerance anywhere in this file — the
 //! plan/solve split, the once-per-class latency update and the reused
 //! load buffers are reorganisations, not approximations.
 //!
@@ -25,6 +26,7 @@ use vc_core::concern::ConcernSet;
 use vc_core::important::important_placements;
 use vc_core::placement::PlacementSpec;
 use vc_sim::engine::{ContainerPerf, ContainerRun, SimConfig, SimResult};
+use vc_sim::hpe::{state_means, ContainerState};
 use vc_sim::{simulate, simulate_candidate_penalty};
 use vc_topology::machine::MachineBuilder;
 use vc_topology::{machines, Machine, NodeId, OccupancyMap, ThreadId};
@@ -45,8 +47,7 @@ fn configs() -> [SimConfig; 2] {
     [SimConfig::default(), SimConfig::interference_probe()]
 }
 
-fn bits(p: &ContainerPerf) -> [u64; 13] {
-    let s = &p.state;
+fn bits(p: &ContainerPerf, s: &ContainerState) -> [u64; 13] {
     [
         p.inst_per_sec,
         p.ipc,
@@ -65,27 +66,45 @@ fn bits(p: &ContainerPerf) -> [u64; 13] {
     .map(f64::to_bits)
 }
 
-fn same_bits(new: &SimResult, old: &SimResult) -> bool {
-    new.per_container.len() == old.per_container.len()
+/// Every rate and state mean of `runs`, per container, from the
+/// production solver and from the reference.
+type Solved = Vec<(ContainerPerf, ContainerState)>;
+
+fn solved_new(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> Solved {
+    let rates = simulate(machine, runs, cfg, seed).per_container;
+    rates
+        .into_iter()
+        .zip(state_means(machine, runs, cfg))
+        .collect()
+}
+
+fn solved_old(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> Solved {
+    let (rates, states) = reference::simulate(machine, runs, cfg, seed);
+    rates.per_container.into_iter().zip(states).collect()
+}
+
+fn same_bits(new: &Solved, old: &Solved) -> bool {
+    new.len() == old.len()
         && new
-            .per_container
             .iter()
-            .zip(&old.per_container)
-            .all(|(n, o)| bits(n) == bits(o))
+            .zip(old)
+            .all(|((np, ns), (op, os))| bits(np, ns) == bits(op, os))
 }
 
 /// Solves `runs` with both solvers and returns the (checked-equal)
 /// result.
 fn both(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
-    let new = simulate(machine, runs, cfg, seed);
-    let old = reference::simulate(machine, runs, cfg, seed);
+    let new = solved_new(machine, runs, cfg, seed);
+    let old = solved_old(machine, runs, cfg, seed);
     assert!(
         same_bits(&new, &old),
         "solver diverged on {} (seed {seed}, {} iterations)\n runs: {runs:?}\n new: {new:?}\n old: {old:?}",
         machine.name(),
         cfg.iterations,
     );
-    new
+    SimResult {
+        per_container: new.into_iter().map(|(perf, _)| perf).collect(),
+    }
 }
 
 /// The important placements of `vcpus` on `machine`; empty when the
@@ -361,8 +380,8 @@ proptest! {
             .map(|(w, assignment)| ContainerRun { workload: &suite[*w], assignment })
             .collect();
         let cfg = &configs()[(seed % 2) as usize];
-        let new = simulate(machine, &runs, cfg, seed);
-        let old = reference::simulate(machine, &runs, cfg, seed);
+        let new = solved_new(machine, &runs, cfg, seed);
+        let old = solved_old(machine, &runs, cfg, seed);
         prop_assert!(
             same_bits(&new, &old),
             "solver diverged on {} for {:?}: {:?} vs {:?}", machine.name(), runs, new, old

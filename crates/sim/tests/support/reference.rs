@@ -7,11 +7,13 @@
 //! equivalence suite compares two independent computations. Test files
 //! include it with `#[path = "support/reference.rs"] mod reference;`.
 //!
-//! The body is the old one verbatim; the only edit is that
+//! The body is the old one verbatim; the only edits are that
 //! [`ContainerRun`] now lends its workload and assignment instead of
-//! owning them.
+//! owning them, and that each container's state means come back beside
+//! its rates instead of inside them.
 
-use vc_sim::engine::{ContainerPerf, ContainerRun, ContainerState, SimConfig, SimResult};
+use vc_sim::engine::{ContainerPerf, ContainerRun, SimConfig, SimResult};
+use vc_sim::hpe::ContainerState;
 use vc_sim::noise::{measurement_rng, noise_factor};
 use vc_topology::{Machine, NodeId};
 use vc_workloads::Metric;
@@ -56,7 +58,12 @@ struct ThreadCtx {
 ///
 /// Panics if an assignment references a thread twice across all
 /// containers (hardware threads host at most one vCPU, §1) or is empty.
-pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
+pub fn simulate(
+    machine: &Machine,
+    runs: &[ContainerRun],
+    cfg: &SimConfig,
+    seed: u64,
+) -> (SimResult, Vec<ContainerState>) {
     // Build thread contexts and check exclusivity.
     let mut used = vec![false; machine.num_threads()];
     let mut threads: Vec<ThreadCtx> = Vec::new();
@@ -295,6 +302,7 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
 
     // Aggregate per container.
     let mut per_container = Vec::with_capacity(runs.len());
+    let mut states = Vec::with_capacity(runs.len());
     for (ci, run) in runs.iter().enumerate() {
         let idx: Vec<usize> = threads
             .iter()
@@ -362,10 +370,10 @@ pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed:
             inst_per_sec: noisy_inst,
             ipc,
             metric_value,
-            state,
         });
+        states.push(state);
     }
-    SimResult { per_container }
+    (SimResult { per_container }, states)
 }
 
 /// Fraction of a container's threads residing on `node`.

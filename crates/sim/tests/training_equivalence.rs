@@ -177,14 +177,6 @@ impl PerfOracle for ToyOracle {
         };
         base * noise
     }
-
-    fn hpes(&self, _workload: &str, _spec: &PlacementSpec, _seed: u64) -> Vec<f64> {
-        Vec::new()
-    }
-
-    fn hpe_names(&self) -> Vec<String> {
-        Vec::new()
-    }
 }
 
 /// With an eight-node baseline, the first candidate (two nodes) tells
@@ -240,21 +232,13 @@ fn perf_seeds_match_per_seed_perf() {
     }
 }
 
-/// Forwards `perf`, `hpes` and `hpe_names` only, so `perf_seeds` is the
-/// trait's per-seed default.
+/// Forwards `perf` only, so `perf_seeds` is the trait's per-seed
+/// default.
 struct PerSeed<'a>(&'a SimOracle);
 
 impl PerfOracle for PerSeed<'_> {
     fn perf(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> f64 {
         self.0.perf(workload, spec, seed)
-    }
-
-    fn hpes(&self, workload: &str, spec: &PlacementSpec, seed: u64) -> Vec<f64> {
-        self.0.hpes(workload, spec, seed)
-    }
-
-    fn hpe_names(&self) -> Vec<String> {
-        self.0.hpe_names()
     }
 }
 
@@ -273,7 +257,5 @@ fn training_sets_match_per_seed_measurement() {
         let shared = TrainingSet::build(&oracle, &workloads, &placements, 1, 3);
         let per_seed = TrainingSet::build(&PerSeed(&oracle), &workloads, &placements, 1, 3);
         assert_eq!(bits(&shared.rel), bits(&per_seed.rel), "{} rel", machine.name());
-        assert_eq!(bits(&shared.hpe), bits(&per_seed.hpe), "{} hpe", machine.name());
-        assert_eq!(shared.hpe_names, per_seed.hpe_names);
     }
 }

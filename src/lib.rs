@@ -11,11 +11,11 @@
 //!   stream-style bandwidth measurement;
 //! * [`workloads`] — the paper's benchmark suite as behavioural
 //!   descriptors, plus a synthetic generator;
-//! * [`ml`] — from-scratch random forests, k-means and feature selection;
+//! * [`ml`] — from-scratch random forests and cross-validation;
 //! * [`core`] — scheduling concerns, important placements (Algorithms
 //!   1–3) and the two-probe prediction pipeline;
-//! * [`sim`] — the analytic NUMA performance simulator and HPE
-//!   synthesiser;
+//! * [`sim`] — the analytic NUMA performance simulator, and the HPE
+//!   synthesiser only the Fig. 4 baseline calls;
 //! * [`migration`] — the Table 2 memory migration cost model;
 //! * [`engine`] — the cluster-scale placement service: a cache-backed
 //!   [`engine::PlacementEngine`] serving placement and packing queries
