@@ -26,10 +26,11 @@ use vc_core::model::{PerfOracle, SharedOracle};
 use vc_core::packing::NodeSet;
 use vc_core::placement::{PlacementError, PlacementSpec};
 use vc_engine::{EngineConfig, MachineId, ModelArtifact, PlacementCatalog, PlacementEngine};
-use vc_sim::engine::{simulate, ContainerRun, SimConfig};
-use vc_sim::os_sched::linux_like_assignments;
+use vc_sim::engine::{simulate, ContainerRun};
 use vc_topology::{Machine, ThreadId};
 use vc_workloads::suite::workload_by_name;
+
+use super::os_sched::linux_like_assignments;
 
 /// The four placement policies of §7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +198,9 @@ impl PackingScenario {
                 assignment: a,
             })
             .collect();
-        let result = simulate(&self.machine, &runs, &SimConfig::default(), seed);
-        let total: f64 = result
-            .per_container
+        let total: f64 = simulate(&self.machine, &runs, seed)
             .iter()
-            .map(|p| ((goal - p.metric_value) / goal).max(0.0) * 100.0)
+            .map(|&measured| ((goal - measured) / goal).max(0.0) * 100.0)
             .sum();
         total / assignments.len() as f64
     }

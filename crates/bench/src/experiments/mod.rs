@@ -1,6 +1,6 @@
-//! One module per paper artefact, and the learning only the figures use:
-//! k-means (Fig. 3) and the HPE baseline with its feature selection
-//! (Fig. 4).
+//! One module per paper artefact, and what only the figures use: k-means
+//! (Fig. 3), the HPE baseline with its feature selection (Fig. 4) and
+//! the Linux-like vCPU mapper of Fig. 5's unpinned policies.
 
 pub mod ablations;
 pub mod fig1;
@@ -9,6 +9,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod hpe_model;
 pub mod kmeans;
+pub mod os_sched;
 pub mod placements;
 pub mod sfs;
 pub mod table2;

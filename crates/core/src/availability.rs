@@ -329,19 +329,6 @@ pub fn available_placements(
         .collect()
 }
 
-/// Retargets a single class onto free hardware (`None` when every
-/// equivalent node set is busy). One-shot variant of one class's entry
-/// in [`AvailabilityIndex::available`].
-pub fn retarget_placement(
-    machine: &Machine,
-    concerns: &ConcernSet,
-    placement: &ImportantPlacement,
-    occ: &OccupancyMap,
-) -> Option<AvailablePlacement> {
-    let mut cache = ScoreCache::new();
-    retarget_lazy(machine, concerns, placement, occ, &mut cache)
-}
-
 /// Lazy retargeting for the one-shot entry points: size-n subsets of
 /// the *currently eligible* nodes, cheapest fragmentation first, scored
 /// one at a time until an equivalent, assignable set is found.
@@ -590,12 +577,17 @@ mod tests {
             .iter()
             .find(|ip| ip.spec.num_nodes() == 1)
             .expect("12 vCPUs fit one 24-thread node");
+        let retarget = |occ: &OccupancyMap| {
+            let mut avail = available_placements(&intel, &cs, std::slice::from_ref(single), occ);
+            assert_eq!(avail.len(), 1, "the class is hostable");
+            avail.pop().unwrap()
+        };
         let mut occ = OccupancyMap::new(&intel);
-        let first = retarget_placement(&intel, &cs, single, &occ).unwrap();
+        let first = retarget(&occ);
         occ.reserve(&first.threads).unwrap();
         // The second instance of the same class must pack onto the
         // half-used node rather than break open a pristine one.
-        let second = retarget_placement(&intel, &cs, single, &occ).unwrap();
+        let second = retarget(&occ);
         assert_eq!(second.pristine_consumed, 0);
         assert_eq!(second.spec.nodes, first.spec.nodes);
         for &t in &second.threads {

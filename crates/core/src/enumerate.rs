@@ -40,17 +40,6 @@ pub fn node_scores(machine: &Machine, vcpus: usize) -> Vec<usize> {
     feasible_scores(vcpus, machine.num_nodes(), machine.node_capacity())
 }
 
-/// Balanced, feasible L3-group counts (distinct from [`node_scores`] only
-/// on machines with multiple L3 groups per node).
-pub fn l3_scores(machine: &Machine, vcpus: usize) -> Vec<usize> {
-    feasible_scores(vcpus, machine.num_l3_groups(), machine.l3_capacity())
-}
-
-/// Balanced, feasible L2-group counts (the paper's `L2Scores`).
-pub fn l2_scores(machine: &Machine, vcpus: usize) -> Vec<usize> {
-    feasible_scores(vcpus, machine.num_l2_groups(), machine.l2_capacity())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,8 +51,10 @@ mod tests {
         // Paper §4: node scores {2,4,8} (one node cannot hold 16 vCPUs),
         // L2 scores {8,16}.
         assert_eq!(node_scores(&amd, 16), vec![2, 4, 8]);
-        assert_eq!(l2_scores(&amd, 16), vec![8, 16]);
-        assert_eq!(l3_scores(&amd, 16), vec![2, 4, 8]);
+        let l2_scores = feasible_scores(16, amd.num_l2_groups(), amd.l2_capacity());
+        assert_eq!(l2_scores, vec![8, 16]);
+        let l3_scores = feasible_scores(16, amd.num_l3_groups(), amd.l3_capacity());
+        assert_eq!(l3_scores, vec![2, 4, 8]);
     }
 
     #[test]
@@ -71,7 +62,8 @@ mod tests {
         let intel = machines::intel_xeon_e7_4830_v3();
         // 24 vCPUs fit a single 24-thread node; L2 scores {12, 24}.
         assert_eq!(node_scores(&intel, 24), vec![1, 2, 3, 4]);
-        assert_eq!(l2_scores(&intel, 24), vec![12, 24]);
+        let l2_scores = feasible_scores(24, intel.num_l2_groups(), intel.l2_capacity());
+        assert_eq!(l2_scores, vec![12, 24]);
     }
 
     #[test]

@@ -775,11 +775,6 @@ impl PlacementEngine {
         &self.fleet
     }
 
-    /// Index (into [`FleetIndex::classes`]) of the machine's class.
-    pub fn machine_class(&self, id: MachineId) -> usize {
-        self.hosts[id.0].class
-    }
-
     /// The machine behind `id`.
     pub fn machine(&self, id: MachineId) -> &Machine {
         self.hosts[id.0].machine()
@@ -1206,7 +1201,7 @@ mod collision_tests {
         req: &PlacementRequest,
     ) -> Result<(), String> {
         engine
-            .evaluate(&LockScope::new(), engine.machine_class(id), req)
+            .evaluate(&LockScope::new(), engine.hosts[id.0].class, req)
             .map(|_| ())
     }
 

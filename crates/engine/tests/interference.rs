@@ -21,7 +21,7 @@ use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, Placed, PlacementEngine, PlacementRequest,
     RebalancePolicy,
 };
-use vc_sim::{simulate_co_location, ContainerRun, SimConfig};
+use vc_sim::{simulate_co_location, ContainerRun};
 use vc_topology::machines;
 
 fn engine_with(interference: bool) -> PlacementEngine {
@@ -213,7 +213,6 @@ fn interference_steers_best_score_away_from_busy_hosts() {
             assignment: &p.threads,
         })
         .collect();
-    let probe = SimConfig::interference_probe();
     // Option A (neighbour-blind choice): co-located on machine 0.
     let co = simulate_co_location(
         &intel,
@@ -222,8 +221,6 @@ fn interference_steers_best_score_away_from_busy_hosts() {
             assignment: &off_placed.threads,
         },
         &resident_runs,
-        &probe,
-        0,
     );
     // Option B (interference-aware choice): alone on idle machine 1.
     let alone = simulate_co_location(
@@ -233,15 +230,13 @@ fn interference_steers_best_score_away_from_busy_hosts() {
             assignment: &on_placed.threads,
         },
         &[],
-        &probe,
-        0,
     );
     assert!(
-        alone.candidate.inst_per_sec > co.candidate.inst_per_sec,
+        alone.candidate > co.candidate,
         "the interference-aware decision must be strictly better: \
          alone {} vs co-located {}",
-        alone.candidate.inst_per_sec,
-        co.candidate.inst_per_sec
+        alone.candidate,
+        co.candidate
     );
     // Keep the borrows honest: residents stay alive through the check.
     drop(on_residents);

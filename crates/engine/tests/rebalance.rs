@@ -26,7 +26,7 @@ use vc_engine::{
     BatchStrategy, EngineConfig, MachineId, MigrationMode, Placed, PlacementEngine,
     PlacementRequest, RebalancePolicy, ReleaseError,
 };
-use vc_sim::{simulate_co_location, ContainerRun, SimConfig};
+use vc_sim::{simulate_co_location, ContainerRun};
 use vc_topology::machines;
 
 fn two_amd(budget: Option<f64>) -> PlacementEngine {
@@ -223,7 +223,6 @@ fn degraded_resident_is_migrated_and_measurably_faster() {
             .find(|w| w.name == name)
             .expect("suite workload")
     };
-    let probe = SimConfig::interference_probe();
     let before = simulate_co_location(
         &amd,
         &ContainerRun {
@@ -234,8 +233,6 @@ fn degraded_resident_is_migrated_and_measurably_faster() {
             workload: workload_of("WTbtree"),
             assignment: &victim.threads,
         }],
-        &probe,
-        0,
     );
     let neighbours = engine.residents(m.to);
     let after_neighbours: Vec<ContainerRun> = neighbours
@@ -253,14 +250,12 @@ fn degraded_resident_is_migrated_and_measurably_faster() {
             assignment: &m.placed.threads,
         },
         &after_neighbours,
-        &probe,
-        0,
     );
     assert!(
-        after.candidate.inst_per_sec > before.candidate.inst_per_sec,
+        after.candidate > before.candidate,
         "the move must measurably help: after {} vs before {}",
-        after.candidate.inst_per_sec,
-        before.candidate.inst_per_sec
+        after.candidate,
+        before.candidate
     );
 
     // The caller never heard about the move; its admission-time handle

@@ -1,26 +1,5 @@
 //! Regression error metrics.
 
-/// Mean absolute error between prediction rows and target rows, averaged
-/// over every output of every row.
-///
-/// # Panics
-///
-/// Panics if shapes differ or the input is empty.
-pub fn mean_abs_error(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "row count mismatch");
-    assert!(!pred.is_empty(), "empty input");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, t) in pred.iter().zip(truth) {
-        assert_eq!(p.len(), t.len(), "column count mismatch");
-        for (a, b) in p.iter().zip(t) {
-            total += (a - b).abs();
-            count += 1;
-        }
-    }
-    total / count as f64
-}
-
 /// Mean absolute *percentage* error (in percent) relative to the truth.
 ///
 /// Entries whose truth is zero are skipped; returns 0.0 if everything was
@@ -47,19 +26,6 @@ pub fn mean_abs_pct_error(pred: &[Vec<f64>], truth: &[Vec<f64>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mae_of_perfect_prediction_is_zero() {
-        let y = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        assert_eq!(mean_abs_error(&y, &y), 0.0);
-    }
-
-    #[test]
-    fn mae_averages_all_cells() {
-        let p = vec![vec![1.0, 3.0]];
-        let t = vec![vec![0.0, 0.0]];
-        assert_eq!(mean_abs_error(&p, &t), 2.0);
-    }
 
     #[test]
     fn mape_is_relative_and_skips_zero_truth() {

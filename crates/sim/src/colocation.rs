@@ -1,17 +1,14 @@
 //! Co-location scenarios: a candidate container simulated *together
-//! with* a host's resident containers.
+//! with* a host's resident containers — the real containers already on
+//! the host, each running its own workload on the threads it holds.
 //!
-//! The single-container entry points of this crate answer "how fast is
-//! this placement on an idle machine?" — the question the paper's model
-//! is trained on. A serving fleet needs a second question answered:
-//! "how fast is it *next to the containers already running here*?" This
-//! module simulates the candidate and the residents in one
-//! [`simulate`] call (the CPI stack already resolves cross-container
-//! contention on caches, memory controllers and links) and reports
-//! per-container degradation deltas against each container's solo run.
-//!
-//! The residents are the real containers already on the host, each
-//! running its own workload on the threads it holds.
+//! The paper's model answers "how fast is this placement on an idle
+//! machine?"; a serving fleet also asks "how fast is it *next to the
+//! containers already running here*?" This module solves the candidate
+//! and the residents together in one [`rates`] call under
+//! [`Profile::Probe`], which has no noise, and reports each container's
+//! degradation against its solo run: pure contention on caches, memory
+//! controllers and links, a pure function of the input.
 //!
 //! [`simulate_co_location`] reports both directions of the damage and
 //! so solves every container alone as well; a caller that only scores
@@ -25,21 +22,22 @@
 
 use vc_topology::Machine;
 
-use crate::engine::{simulate, ContainerPerf, ContainerRun, SimConfig};
+use crate::engine::{rates, ContainerRun, Profile};
 
-/// Joint simulation of one candidate and its co-resident containers,
-/// with the solo baselines needed to express degradation.
+/// Joint instruction rates of one candidate and its co-resident
+/// containers, with the solo rates needed to express degradation, all
+/// under [`Profile::Probe`].
 #[derive(Debug, Clone)]
 pub struct CoLocationReport {
-    /// The candidate's performance with all residents running.
-    pub candidate: ContainerPerf,
-    /// The candidate alone on the machine (same assignment, same seed).
-    pub candidate_solo: ContainerPerf,
-    /// Each resident's performance with the candidate (and the other
+    /// The candidate's rate with all residents running.
+    pub candidate: f64,
+    /// The candidate's rate alone on the machine (same assignment).
+    pub candidate_solo: f64,
+    /// Each resident's rate with the candidate (and the other
     /// residents) running, input order.
-    pub residents: Vec<ContainerPerf>,
-    /// Each resident alone on the machine, input order.
-    pub residents_solo: Vec<ContainerPerf>,
+    pub residents: Vec<f64>,
+    /// Each resident's rate alone on the machine, input order.
+    pub residents_solo: Vec<f64>,
 }
 
 impl CoLocationReport {
@@ -47,7 +45,7 @@ impl CoLocationReport {
     /// co-located throughput over solo throughput (clamped — the model
     /// never rewards contention).
     pub fn candidate_penalty(&self) -> f64 {
-        penalty(&self.candidate, &self.candidate_solo)
+        penalty(self.candidate, self.candidate_solo)
     }
 
     /// Per-resident penalties in `(0, 1]`, input order — what admitting
@@ -56,7 +54,7 @@ impl CoLocationReport {
         self.residents
             .iter()
             .zip(&self.residents_solo)
-            .map(|(co, solo)| penalty(co, solo))
+            .map(|(&co, &solo)| penalty(co, solo))
             .collect()
     }
 }
@@ -66,11 +64,11 @@ impl CoLocationReport {
 /// contention, so a speed-up (`+∞` included) is `1.0`; and a ratio that
 /// is not a number at all — NaN from a degenerate run — costs nothing
 /// either, where `f64::clamp` would pass it through.
-fn penalty(co: &ContainerPerf, solo: &ContainerPerf) -> f64 {
-    if solo.inst_per_sec <= 0.0 {
+fn penalty(co: f64, solo: f64) -> f64 {
+    if solo <= 0.0 {
         return 1.0;
     }
-    let ratio = co.inst_per_sec / solo.inst_per_sec;
+    let ratio = co / solo;
     if ratio.is_nan() {
         1.0
     } else {
@@ -78,30 +76,22 @@ fn penalty(co: &ContainerPerf, solo: &ContainerPerf) -> f64 {
     }
 }
 
-/// Simulates `candidate` together with `residents` on `machine` and
-/// returns the joint performance plus each container's solo baseline.
+/// Solves `candidate` together with `residents` on `machine` and
+/// returns the joint rates plus each container's solo rate.
 ///
-/// All assignments must be pairwise thread-disjoint (the underlying
-/// [`simulate`] panics otherwise — hardware threads host one vCPU).
-/// The same `seed` is used for the joint run and every solo run, so
-/// with `cfg.perf_noise == 0` the deltas are pure contention, no noise.
+/// All assignments must be pairwise thread-disjoint ([`rates`] panics
+/// otherwise — hardware threads host one vCPU).
 pub fn simulate_co_location(
     machine: &Machine,
     candidate: &ContainerRun,
     residents: &[ContainerRun],
-    cfg: &SimConfig,
-    seed: u64,
 ) -> CoLocationReport {
-    let mut joint = simulate_joint(machine, candidate, residents, cfg, seed);
-    let candidate_co = joint.remove(0);
+    let mut co = joint(machine, candidate, residents);
     CoLocationReport {
-        candidate: candidate_co,
-        candidate_solo: simulate_solo(machine, candidate, cfg, seed),
-        residents: joint,
-        residents_solo: residents
-            .iter()
-            .map(|r| simulate_solo(machine, r, cfg, seed))
-            .collect(),
+        candidate: co.remove(0),
+        candidate_solo: solo(machine, candidate),
+        residents: co,
+        residents_solo: residents.iter().map(|r| solo(machine, r)).collect(),
     }
 }
 
@@ -114,38 +104,23 @@ pub fn simulate_candidate_penalty(
     machine: &Machine,
     candidate: &ContainerRun,
     residents: &[ContainerRun],
-    cfg: &SimConfig,
-    seed: u64,
 ) -> f64 {
-    let joint = simulate_joint(machine, candidate, residents, cfg, seed);
-    penalty(&joint[0], &simulate_solo(machine, candidate, cfg, seed))
+    penalty(
+        joint(machine, candidate, residents)[0],
+        solo(machine, candidate),
+    )
 }
 
 /// Candidate first, residents after, one solve.
-fn simulate_joint(
-    machine: &Machine,
-    candidate: &ContainerRun,
-    residents: &[ContainerRun],
-    cfg: &SimConfig,
-    seed: u64,
-) -> Vec<ContainerPerf> {
+fn joint(machine: &Machine, candidate: &ContainerRun, residents: &[ContainerRun]) -> Vec<f64> {
     let mut runs = Vec::with_capacity(1 + residents.len());
     runs.push(*candidate);
     runs.extend_from_slice(residents);
-    simulate(machine, &runs, cfg, seed).per_container
+    rates(machine, &runs, Profile::Probe)
 }
 
-fn simulate_solo(
-    machine: &Machine,
-    run: &ContainerRun,
-    cfg: &SimConfig,
-    seed: u64,
-) -> ContainerPerf {
-    simulate(machine, std::slice::from_ref(run), cfg, seed)
-        .per_container
-        .into_iter()
-        .next()
-        .expect("one container in, one out")
+fn solo(machine: &Machine, run: &ContainerRun) -> f64 {
+    rates(machine, std::slice::from_ref(run), Profile::Probe)[0]
 }
 
 #[cfg(test)]
@@ -158,7 +133,7 @@ mod tests {
     use vc_workloads::suite::workload_by_name;
 
     /// `workload` on `threads` next to one `neighbour` container per
-    /// group of `neighbours`, noise off.
+    /// group of `neighbours`.
     fn against(
         machine: &Machine,
         workload: &str,
@@ -179,10 +154,9 @@ mod tests {
             workload: &workload,
             assignment: threads,
         };
-        let cfg = SimConfig::interference_probe();
-        let report = simulate_co_location(machine, &candidate, &residents, &cfg, 0);
+        let report = simulate_co_location(machine, &candidate, &residents);
         assert_eq!(
-            simulate_candidate_penalty(machine, &candidate, &residents, &cfg, 0).to_bits(),
+            simulate_candidate_penalty(machine, &candidate, &residents).to_bits(),
             report.candidate_penalty().to_bits(),
             "the candidate-only path must report the full report's penalty"
         );
@@ -237,15 +211,6 @@ mod tests {
         );
     }
 
-    /// A run with throughput `inst_per_sec` and nothing else.
-    fn perf(inst_per_sec: f64) -> ContainerPerf {
-        ContainerPerf {
-            inst_per_sec,
-            ipc: 0.0,
-            metric_value: 0.0,
-        }
-    }
-
     #[test]
     fn penalties_stay_in_the_unit_interval_whatever_the_throughputs() {
         let nan = f64::NAN;
@@ -266,7 +231,7 @@ mod tests {
             (2.0, inf, f64::MIN_POSITIVE),
         ];
         for (co, solo, expected) in cases {
-            let p = penalty(&perf(co), &perf(solo));
+            let p = penalty(co, solo);
             assert_eq!(p.to_bits(), expected.to_bits(), "{co} over {solo}: {p}");
         }
     }

@@ -1,9 +1,11 @@
-//! The CPI-stack fixed-point solver.
+//! The CPI-stack fixed-point solver, [`rates`]: noise-free instruction
+//! rates, a pure function of the machine, the runs and a [`Profile`].
+//! Measurement noise is applied after it ([`simulate`]).
 
-use vc_topology::{Machine, NodeId, ThreadId};
-use vc_workloads::{Metric, Workload};
+use vc_topology::{LatencyConfig, Machine, NodeId, ThreadId};
+use vc_workloads::Workload;
 
-use crate::noise::{measurement_rng, noise_factor};
+use crate::noise::measure;
 
 /// One container to simulate: a workload plus its concrete vCPU
 /// assignment, both on loan from whoever keeps them (an oracle's
@@ -17,73 +19,45 @@ pub struct ContainerRun<'a> {
     pub assignment: &'a [ThreadId],
 }
 
-/// Simulator parameters.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Fixed-point iterations, an upper bound: the solve stops early
-    /// once an iteration leaves every rate's bits unchanged, and the
-    /// result is the one running them all would give, to the last bit.
-    pub iterations: usize,
+/// How a solve is run. Each profile fixes every solver parameter, and
+/// no caller sets one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Profile {
+    /// An idle-machine measurement, a short fixed point reporting its
+    /// final iteration: training, [`simulate`], the oracle's `perf` and
+    /// [`crate::hpe::observe`].
+    Measure,
+    /// A contention probe ([`crate::colocation`]): a longer, more
+    /// strongly damped fixed point whose rates are averaged over its
+    /// last half. Heavily contended runs can ring (rate → utilisation →
+    /// latency → rate), and a mid-oscillation sample would read as a
+    /// speed-up; the Cesàro tail average is stable.
+    Probe,
+}
+
+impl Profile {
+    pub(crate) const fn params(self) -> Params {
+        let (iterations, damping, tail) = match self {
+            Profile::Measure => (30, 0.5, 0),
+            Profile::Probe => (120, 0.3, 60),
+        };
+        Params {
+            iterations,
+            damping,
+            tail,
+        }
+    }
+}
+
+/// The solver parameters a [`Profile`] fixes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Params {
+    /// Fixed-point iterations, an upper bound ([`solve`]).
+    pub(crate) iterations: usize,
     /// Damping factor for rate updates (0 = frozen, 1 = undamped).
-    pub damping: f64,
-    /// Relative measurement noise on reported performance.
-    pub perf_noise: f64,
-    /// Report rates averaged over the last `tail_average` iterations
-    /// instead of the final iteration alone (`0` = final iteration,
-    /// the historical behaviour).
-    ///
-    /// The queueing feedback (rate → utilisation → latency → rate) can
-    /// ring for heavily contended runs, in which case the final
-    /// iteration is a mid-oscillation sample; a Cesàro tail average is
-    /// stable. Comparative probes — the co-location penalty
-    /// measurement in [`crate::colocation`] — need this; the absolute
-    /// oracle measurements keep `0` so the trained-corpus numbers stay
-    /// reproducible.
-    pub tail_average: usize,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            iterations: 30,
-            damping: 0.5,
-            perf_noise: 0.01,
-            tail_average: 0,
-        }
-    }
-}
-
-impl SimConfig {
-    /// The configuration for *comparative* contention probes: noise
-    /// off, a longer, more strongly damped fixed point, and rates
-    /// tail-averaged so oscillation cannot masquerade as speed-up.
-    pub fn interference_probe() -> Self {
-        SimConfig {
-            iterations: 120,
-            damping: 0.3,
-            perf_noise: 0.0,
-            tail_average: 60,
-        }
-    }
-}
-
-/// Per-container simulation output.
-#[derive(Debug, Clone)]
-pub struct ContainerPerf {
-    /// Aggregate instruction throughput (instructions per second).
-    pub inst_per_sec: f64,
-    /// Mean per-thread IPC.
-    pub ipc: f64,
-    /// The workload's online metric: ops/s for
-    /// [`Metric::OpsPerSecond`], aggregate IPC otherwise.
-    pub metric_value: f64,
-}
-
-/// Full simulation output.
-#[derive(Debug, Clone)]
-pub struct SimResult {
-    /// One entry per input container, same order.
-    pub per_container: Vec<ContainerPerf>,
+    pub(crate) damping: f64,
+    /// Rates averaged over the last `tail` iterations (`0`: the last).
+    pub(crate) tail: usize,
 }
 
 /// Smooth miss-ratio curve: footprint `f` (MiB) over capacity `c` (MiB).
@@ -254,7 +228,7 @@ pub(crate) struct ThreadClass {
     comm_lat_local: f64,
 }
 
-/// Everything [`simulate`] derives from the assignment before the
+/// Everything [`rates`] derives from the assignment before the
 /// first iteration. Nothing in here depends on a rate.
 pub(crate) struct Plan {
     pub(crate) containers: Vec<ContainerPlan>,
@@ -454,21 +428,70 @@ impl Plan {
     pub(crate) fn thread_classes(&self, c: &ContainerPlan) -> &[usize] {
         &self.class_of[c.thread_base..c.thread_base + c.threads]
     }
+
+    /// Each container's rate, the sum of its threads' class `rate`s.
+    pub(crate) fn container_rates(&self, rate: &[f64]) -> Vec<f64> {
+        let sum = |c| self.thread_classes(c).iter().map(|&k| rate[k]).sum();
+        self.containers.iter().map(sum).collect()
+    }
+
+    /// `cl`'s `(core, memory, communication)` CPI components at the
+    /// queueing multipliers `q_dram` (per node) and `q_link` (per pair).
+    #[inline]
+    pub(crate) fn cpi_parts(
+        &self,
+        cl: &ThreadClass,
+        lat: &LatencyConfig,
+        q_dram: &[f64],
+        q_link: &[f64],
+    ) -> (f64, f64, f64) {
+        let c = &self.containers[cl.container];
+        let dests = &self.node_idx[c.node_base..c.node_base + c.n];
+        let row = c.pair_base + cl.si * c.n;
+        let mut dram_lat = 0.0;
+        for (di, &dest) in dests.iter().enumerate() {
+            let mut access = lat.dram_cycles * q_dram[dest];
+            if di != cl.si {
+                access += self.pairs[row + di].remote_cost * q_link[row + di];
+            }
+            dram_lat += c.frac * access;
+        }
+        let mem_stall_per_l2_miss = lat.l3_cycles + cl.m3 * dram_lat;
+        let cpi_mem = cl.l2_miss_per_inst * mem_stall_per_l2_miss * c.one_minus_mlp;
+
+        let cpi_comm = if c.has_comm {
+            let partner_frac = &self.partner_frac[c.node_base..c.node_base + c.n];
+            let mut comm_lat = cl.comm_lat_local;
+            for di in (0..c.n).filter(|&di| di != cl.si) {
+                let q = q_link[row + di];
+                // The base cross-node transfer cost covers the first
+                // hop; extra hops and loaded links add on top.
+                comm_lat += partner_frac[di]
+                    * (lat.c2c_remote_cycles * q + self.pairs[row + di].extra_hop_cost * q);
+            }
+            c.comm_per_inst * comm_lat * c.comm_exposed
+        } else {
+            0.0
+        };
+        (cl.cpi_core, cpi_mem, cpi_comm)
+    }
 }
 
 /// What the fixed point settles on.
 pub(crate) struct Solution {
     /// Instruction rate per thread class.
     pub(crate) rate: Vec<f64>,
-    /// `(core, memory, communication)` CPI components per thread class.
-    pub(crate) cpi_parts: Vec<(f64, f64, f64)>,
-    pub(crate) dram_util: Vec<f64>,
-    pub(crate) link_util: Vec<f64>,
-    /// Iterations run: [`SimConfig::iterations`], or fewer when the
-    /// rates reached a bitwise fixed point. Only the unit tests read
-    /// it: they pin that the exit is taken, and not taken.
+    /// Iterations run: fewer than [`Params::iterations`] when the rates
+    /// reached a bitwise fixed point. Only the unit tests read it.
     #[cfg_attr(not(test), allow(dead_code))]
     iterations: usize,
+}
+
+/// Per-node DRAM and per-link utilisations: the solve's own load
+/// buffers, holding its last iteration's when it returns.
+pub(crate) struct Utilisation {
+    pub(crate) dram: Vec<f64>,
+    pub(crate) link: Vec<f64>,
 }
 
 /// Runs the damped fixed point on instruction rates over `plan`.
@@ -479,15 +502,15 @@ pub(crate) struct Solution {
 /// the float sums depend on that order — while the latency update runs
 /// once per [`ThreadClass`].
 ///
-/// [`SimConfig::iterations`] is an upper bound, and stopping short of
-/// it is exact. The loads, utilisations, CPI parts and new rates of an
+/// [`Params::iterations`] is an upper bound, and stopping short of it
+/// is exact. The loads, utilisations, CPI parts and new rates of an
 /// iteration are pure functions of the rates it starts from, so once an
 /// iteration leaves every rate's bits unchanged, each later one would
 /// repeat it bit for bit. The solve stops there and finishes the
 /// Cesàro tail with one `acc += r` per tail iteration left — the very
 /// additions those iterations would make, in their order; a product
 /// would round differently.
-pub(crate) fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution {
+pub(crate) fn solve(machine: &Machine, plan: &Plan, params: Params) -> (Solution, Utilisation) {
     let lat = machine.latencies();
     let clock_hz = machine.clock_ghz() * 1e9;
     let dram_cap: Vec<f64> = machine
@@ -507,24 +530,24 @@ pub(crate) fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution
         .iter()
         .map(|cl| plan.containers[cl.container].initial_rate)
         .collect();
-    let mut cpi_parts = vec![(0.0f64, 0.0f64, 0.0f64); classes.len()];
-    let mut dram_load = vec![0.0f64; dram_cap.len()];
-    let mut link_load = vec![0.0f64; link_cap.len()];
-    let mut dram_util = vec![0.0f64; dram_cap.len()];
-    let mut link_util = vec![0.0f64; link_cap.len()];
+    // Loads, divided into utilisations in place once summed.
+    let mut util = Utilisation {
+        dram: vec![0.0f64; dram_cap.len()],
+        link: vec![0.0f64; link_cap.len()],
+    };
     let mut q_dram = vec![0.0f64; dram_cap.len()];
     let mut q_link = vec![0.0f64; plan.pairs.len()];
     // Per class: memory bytes/s towards each of its container's nodes,
     // and communication bytes/s in total.
     let mut mem_share = vec![0.0f64; classes.len()];
     let mut comm_bytes = vec![0.0f64; classes.len()];
-    // Cesàro tail: mean rate over the last `tail_average` iterations
-    // (see [`SimConfig::tail_average`]); empty when disabled.
-    let tail = cfg.tail_average.min(cfg.iterations);
+    // Cesàro tail: mean rate over the last `params.tail` iterations;
+    // empty when disabled.
+    let tail = params.tail.min(params.iterations);
     let mut rate_tail = vec![0.0f64; if tail > 0 { classes.len() } else { 0 }];
 
-    let mut iterations = cfg.iterations;
-    for it in 0..cfg.iterations {
+    let mut iterations = params.iterations;
+    for it in 0..params.iterations {
         // Demands.
         for (k, cl) in classes.iter().enumerate() {
             let c = &plan.containers[cl.container];
@@ -532,83 +555,54 @@ pub(crate) fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution
             // Communication traffic also crosses the interconnect.
             comm_bytes[k] = rate[k] * c.comm_per_inst * 64.0;
         }
-        dram_load.fill(0.0);
-        link_load.fill(0.0);
+        util.dram.fill(0.0);
+        util.link.fill(0.0);
         for &k in &plan.class_of {
             let cl = &classes[k];
             let c = &plan.containers[cl.container];
             let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
             let row = &plan.pairs[c.pair_base + cl.si * c.n..][..c.n];
             for (di, &dest) in dests.iter().enumerate() {
-                dram_load[dest] += mem_share[k];
+                util.dram[dest] += mem_share[k];
                 if di != cl.si {
-                    row[di].add_load(mem_share[k], &mut link_load);
+                    row[di].add_load(mem_share[k], &mut util.link);
                 }
             }
             if c.has_partners {
                 let partner_frac = &plan.partner_frac[c.node_base..c.node_base + c.n];
                 for di in (0..c.n).filter(|&di| di != cl.si) {
-                    row[di].add_load(comm_bytes[k] * partner_frac[di], &mut link_load);
+                    row[di].add_load(comm_bytes[k] * partner_frac[di], &mut util.link);
                 }
             }
         }
-        for n in 0..dram_cap.len() {
-            dram_util[n] = dram_load[n] / dram_cap[n];
-            q_dram[n] = queue_multiplier(dram_util[n]);
+        for ((u, cap), q) in util.dram.iter_mut().zip(&dram_cap).zip(&mut q_dram) {
+            *u /= cap;
+            *q = queue_multiplier(*u);
         }
-        for l in 0..link_cap.len() {
-            link_util[l] = link_load[l] / link_cap[l];
+        for (u, cap) in util.link.iter_mut().zip(&link_cap) {
+            *u /= cap;
         }
         for (q, pair) in q_link.iter_mut().zip(&plan.pairs) {
-            *q = pair.queue_mult(&link_util);
+            *q = pair.queue_mult(&util.link);
         }
 
         // Latencies and new rates.
         let mut moved = false;
         for (k, cl) in classes.iter().enumerate() {
-            let c = &plan.containers[cl.container];
-            let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
-            let row = c.pair_base + cl.si * c.n;
-            let mut dram_lat = 0.0;
-            for (di, &dest) in dests.iter().enumerate() {
-                let mut access = lat.dram_cycles * q_dram[dest];
-                if di != cl.si {
-                    access += plan.pairs[row + di].remote_cost * q_link[row + di];
-                }
-                dram_lat += c.frac * access;
-            }
-            let mem_stall_per_l2_miss = lat.l3_cycles + cl.m3 * dram_lat;
-            let cpi_mem = cl.l2_miss_per_inst * mem_stall_per_l2_miss * c.one_minus_mlp;
-
-            let cpi_comm = if c.has_comm {
-                let partner_frac = &plan.partner_frac[c.node_base..c.node_base + c.n];
-                let mut comm_lat = cl.comm_lat_local;
-                for di in (0..c.n).filter(|&di| di != cl.si) {
-                    let q = q_link[row + di];
-                    // The base cross-node transfer cost covers the first
-                    // hop; extra hops and loaded links add on top.
-                    comm_lat += partner_frac[di]
-                        * (lat.c2c_remote_cycles * q + plan.pairs[row + di].extra_hop_cost * q);
-                }
-                c.comm_per_inst * comm_lat * c.comm_exposed
-            } else {
-                0.0
-            };
-
-            let cpi = cl.cpi_core + cpi_mem + cpi_comm;
+            let (cpi_core, cpi_mem, cpi_comm) = plan.cpi_parts(cl, &lat, &q_dram, &q_link);
+            let cpi = cpi_core + cpi_mem + cpi_comm;
             let new_rate = clock_hz / cpi;
-            let next = (1.0 - cfg.damping) * rate[k] + cfg.damping * new_rate;
+            let next = (1.0 - params.damping) * rate[k] + params.damping * new_rate;
             moved |= next.to_bits() != rate[k].to_bits();
             rate[k] = next;
-            cpi_parts[k] = (cl.cpi_core, cpi_mem, cpi_comm);
         }
         // At a fixed point this iteration stands for every one left.
         let stands_for = if moved {
             it..it + 1
         } else {
-            it..cfg.iterations
+            it..params.iterations
         };
-        for _ in stands_for.filter(|&i| cfg.iterations - i <= tail) {
+        for _ in stands_for.filter(|&i| params.iterations - i <= tail) {
             for (acc, &r) in rate_tail.iter_mut().zip(&rate) {
                 *acc += r;
             }
@@ -623,17 +617,13 @@ pub(crate) fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution
             *r = acc / tail as f64;
         }
     }
-    Solution {
-        rate,
-        cpi_parts,
-        dram_util,
-        link_util,
-        iterations,
-    }
+    (Solution { rate, iterations }, util)
 }
 
-/// Simulates one or more containers sharing a machine and returns their
-/// steady-state performance.
+/// Simulates one or more containers sharing a machine under `profile`
+/// and returns each container's steady-state instruction rate
+/// (instructions per second), in input order: noise-free, a pure
+/// function of its arguments.
 ///
 /// The work splits into what depends on the assignment — thread
 /// fractions, routes, hop costs, miss ratios, thread classes — built
@@ -646,59 +636,50 @@ pub(crate) fn solve(machine: &Machine, plan: &Plan, cfg: &SimConfig) -> Solution
 ///
 /// Panics if an assignment references a thread twice across all
 /// containers (hardware threads host at most one vCPU, §1) or is empty.
-pub fn simulate(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
+pub fn rates(machine: &Machine, runs: &[ContainerRun], profile: Profile) -> Vec<f64> {
     let plan = Plan::build(machine, runs);
-    let rate = solve(machine, &plan, cfg).rate;
-    let clock_hz = machine.clock_ghz() * 1e9;
+    let rate = solve(machine, &plan, profile.params()).0.rate;
+    plan.container_rates(&rate)
+}
 
-    // Aggregate per container.
-    let mut per_container = Vec::with_capacity(runs.len());
-    for (run, c) in runs.iter().zip(&plan.containers) {
-        let w = run.workload;
-        let n = c.threads as f64;
-        let inst_per_sec: f64 = plan.thread_classes(c).iter().map(|&k| rate[k]).sum();
-        let ipc = inst_per_sec / n / clock_hz;
-
-        // Measurement noise.
-        let mut rng = measurement_rng(&w.name, run.assignment, seed, 1);
-        let noisy_inst = inst_per_sec * noise_factor(&mut rng, cfg.perf_noise);
-        let metric_value = match w.metric {
-            Metric::OpsPerSecond => noisy_inst / w.inst_per_op,
-            Metric::Ipc => noisy_inst / clock_hz / n,
-        };
-        per_container.push(ContainerPerf {
-            inst_per_sec: noisy_inst,
-            ipc,
-            metric_value,
-        });
+/// Runs `runs` together under [`Profile::Measure`] and measures each,
+/// in input order, with seed `seed`'s noise in its workload's online
+/// metric (ops/s, or mean per-thread IPC).
+///
+/// # Panics
+///
+/// As [`rates`].
+pub fn simulate(machine: &Machine, runs: &[ContainerRun], seed: u64) -> Vec<f64> {
+    let mut measured = rates(machine, runs, Profile::Measure);
+    for (value, run) in measured.iter_mut().zip(runs) {
+        *value = measure(machine, run, *value, seed);
     }
-    SimResult { per_container }
+    measured
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hpe::ContainerState;
+    use crate::noise::PERF_NOISE;
+    use crate::reference::{self, Perf};
     use vc_core::assign::{assign_vcpus, assign_vcpus_in};
     use vc_core::placement::PlacementSpec;
     use vc_topology::{machines, OccupancyMap};
     use vc_workloads::suite::workload_by_name;
 
-    fn run_on(machine: &Machine, w: &str, spec: &PlacementSpec) -> ContainerPerf {
+    const MEASURE: Params = Profile::Measure.params();
+    const PROBE: Params = Profile::Probe.params();
+
+    /// The noise-free rate of `w` alone in `spec` on `machine`.
+    fn run_on(machine: &Machine, w: &str, spec: &PlacementSpec) -> f64 {
         let workload = workload_by_name(w).unwrap();
         let assignment = assign_vcpus(machine, spec).unwrap();
-        let result = simulate(
-            machine,
-            &[ContainerRun {
-                workload: &workload,
-                assignment: &assignment,
-            }],
-            &SimConfig {
-                perf_noise: 0.0,
-                ..SimConfig::default()
-            },
-            0,
-        );
-        result.per_container.into_iter().next().unwrap()
+        let run = ContainerRun {
+            workload: &workload,
+            assignment: &assignment,
+        };
+        rates(machine, &[run], Profile::Measure)[0]
     }
 
     #[test]
@@ -735,7 +716,7 @@ mod tests {
             &PlacementSpec::on_nodes(16, (0..8).map(NodeId).collect(), 16),
         );
         // Module sharing costs a little; beyond that, nearly flat.
-        let ratio = b.inst_per_sec / a.inst_per_sec;
+        let ratio = b / a;
         assert!((0.9..=1.35).contains(&ratio), "ratio={ratio}");
     }
 
@@ -752,12 +733,7 @@ mod tests {
             "streamcluster",
             &PlacementSpec::on_nodes(16, (0..8).map(NodeId).collect(), 16),
         );
-        assert!(
-            eight.inst_per_sec > 1.5 * two.inst_per_sec,
-            "8-node {} vs 2-node {}",
-            eight.inst_per_sec,
-            two.inst_per_sec
-        );
+        assert!(eight > 1.5 * two, "8-node {eight} vs 2-node {two}");
     }
 
     #[test]
@@ -773,12 +749,7 @@ mod tests {
             "WTbtree",
             &PlacementSpec::on_nodes(24, (0..4).map(NodeId).collect(), 24),
         );
-        assert!(
-            one.metric_value > four.metric_value,
-            "1-node {} vs 4-node {}",
-            one.metric_value,
-            four.metric_value
-        );
+        assert!(one > four, "1-node {one} vs 4-node {four}");
     }
 
     #[test]
@@ -789,14 +760,13 @@ mod tests {
         let w = workload_by_name("streamcluster").unwrap();
         let spec = PlacementSpec::on_nodes(8, vec![NodeId(0), NodeId(1)], 4);
         let solo_assign = assign_vcpus(&amd, &spec).unwrap();
-        let solo = simulate(
+        let solo = rates(
             &amd,
             &[ContainerRun {
                 workload: &w,
                 assignment: &solo_assign,
             }],
-            &SimConfig::default(),
-            0,
+            Profile::Measure,
         );
         // Second instance on the remaining threads of the same two nodes.
         let mut taken: Vec<bool> = vec![false; amd.num_threads()];
@@ -811,7 +781,7 @@ mod tests {
             .take(8)
             .collect();
         assert_eq!(free.len(), 8);
-        let both = simulate(
+        let both = rates(
             &amd,
             &[
                 ContainerRun {
@@ -823,14 +793,13 @@ mod tests {
                     assignment: &free,
                 },
             ],
-            &SimConfig::default(),
-            0,
+            Profile::Measure,
         );
         assert!(
-            both.per_container[0].inst_per_sec < 0.8 * solo.per_container[0].inst_per_sec,
+            both[0] < 0.8 * solo[0],
             "no interference: {} vs {}",
-            both.per_container[0].inst_per_sec,
-            solo.per_container[0].inst_per_sec
+            both[0],
+            solo[0]
         );
     }
 
@@ -853,8 +822,8 @@ mod tests {
         );
         let f_share = run_on(&amd, "ft.C", &PlacementSpec::on_nodes(16, nodes.clone(), 8));
         let f_excl = run_on(&amd, "ft.C", &PlacementSpec::on_nodes(16, nodes, 16));
-        let k_ratio = k_share.inst_per_sec / k_excl.inst_per_sec;
-        let f_ratio = f_share.inst_per_sec / f_excl.inst_per_sec;
+        let k_ratio = k_share / k_excl;
+        let f_ratio = f_share / f_excl;
         assert!(k_ratio > f_ratio, "kmeans {k_ratio} vs ft.C {f_ratio}");
     }
 
@@ -864,7 +833,7 @@ mod tests {
         let spec = PlacementSpec::on_nodes(16, vec![NodeId(0), NodeId(1)], 8);
         let a = run_on(&amd, "blast", &spec);
         let b = run_on(&amd, "blast", &spec);
-        assert_eq!(a.inst_per_sec, b.inst_per_sec);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
@@ -872,26 +841,39 @@ mod tests {
     fn double_assignment_panics() {
         let amd = machines::amd_opteron_6272();
         let w = workload_by_name("gcc").unwrap();
-        simulate(
+        rates(
             &amd,
             &[ContainerRun {
                 workload: &w,
                 assignment: &[ThreadId(0), ThreadId(0)],
             }],
-            &SimConfig::default(),
-            0,
+            Profile::Measure,
         );
+    }
+
+    /// Two 4-vCPU containers' threads on AMD node 0, the second placed
+    /// after the first.
+    fn node0_pair(amd: &Machine) -> (Vec<ThreadId>, Vec<ThreadId>) {
+        let spec = PlacementSpec::on_nodes(4, vec![NodeId(0)], 2);
+        let mut occ = OccupancyMap::new(amd);
+        let first = assign_vcpus_in(amd, &spec, &occ).unwrap();
+        occ.reserve(&first).unwrap();
+        let second = assign_vcpus_in(amd, &spec, &occ).unwrap();
+        (first, second)
+    }
+
+    /// Iterations the solve of `runs` under `params` runs.
+    fn iterations_of(machine: &Machine, runs: &[ContainerRun], params: Params) -> usize {
+        solve(machine, &Plan::build(machine, runs), params)
+            .0
+            .iterations
     }
 
     /// Iterations the solve of `candidate` next to `resident` runs, the
     /// two on 4 vCPUs each of AMD node 0.
-    fn iterations_next_to(candidate: &str, resident: &str, cfg: &SimConfig) -> usize {
+    fn iterations_next_to(candidate: &str, resident: &str, params: Params) -> usize {
         let amd = machines::amd_opteron_6272();
-        let spec = PlacementSpec::on_nodes(4, vec![NodeId(0)], 2);
-        let mut occ = OccupancyMap::new(&amd);
-        let first = assign_vcpus_in(&amd, &spec, &occ).unwrap();
-        occ.reserve(&first).unwrap();
-        let second = assign_vcpus_in(&amd, &spec, &occ).unwrap();
+        let (first, second) = node0_pair(&amd);
         let (candidate, resident) = (
             workload_by_name(candidate).unwrap(),
             workload_by_name(resident).unwrap(),
@@ -906,30 +888,128 @@ mod tests {
                 assignment: &second,
             },
         ];
-        solve(&amd, &Plan::build(&amd, &runs), cfg).iterations
+        iterations_of(&amd, &runs, params)
     }
 
     #[test]
     fn a_probe_that_settles_stops_at_its_fixed_point() {
-        let probe = SimConfig::interference_probe();
-        let run = iterations_next_to("streamcluster", "canneal", &probe);
-        assert!(run < probe.iterations, "ran all {run} iterations");
+        let run = iterations_next_to("streamcluster", "canneal", PROBE);
+        assert!(run < PROBE.iterations, "ran all {run} iterations");
+    }
+
+    /// A solo measurement that `solver_equivalence`'s solo sweep runs
+    /// (`blast` in an important placement of 8 vCPUs on AMD) settles
+    /// early: so the sweep compares the exit, and not only full runs, on
+    /// the profile training solves under.
+    #[test]
+    fn a_measurement_that_settles_stops_at_its_fixed_point() {
+        let amd = machines::amd_opteron_6272();
+        let spec = PlacementSpec::new(8, vec![NodeId(0), NodeId(1)], 2, 4);
+        let assignment = assign_vcpus(&amd, &spec).unwrap();
+        let workload = workload_by_name("blast").unwrap();
+        let run = ContainerRun {
+            workload: &workload,
+            assignment: &assignment,
+        };
+        let ran = iterations_of(&amd, &[run], MEASURE);
+        assert!(ran < MEASURE.iterations, "ran all {ran} iterations");
     }
 
     #[test]
     fn a_probe_that_never_repeats_runs_every_iteration() {
-        for cfg in [
-            SimConfig::default(),
-            SimConfig::interference_probe(),
-            SimConfig {
+        for params in [
+            MEASURE,
+            PROBE,
+            Params {
                 iterations: 3000,
-                ..SimConfig::interference_probe()
+                ..PROBE
             },
         ] {
             assert_eq!(
-                iterations_next_to("blast", "streamcluster", &cfg),
-                cfg.iterations
+                iterations_next_to("blast", "streamcluster", params),
+                params.iterations
             );
+        }
+    }
+
+    /// Every rate, IPC, measured metric and state mean of `runs` solved
+    /// under `params` and measured with seed `seed`, as the crate
+    /// computes them.
+    fn solved(
+        machine: &Machine,
+        runs: &[ContainerRun],
+        params: Params,
+        seed: u64,
+    ) -> Vec<(Perf, ContainerState)> {
+        let clock_hz = machine.clock_ghz() * 1e9;
+        let plan = Plan::build(machine, runs);
+        plan.container_rates(&solve(machine, &plan, params).0.rate)
+            .into_iter()
+            .zip(runs)
+            .map(|(rate, run)| Perf {
+                inst_per_sec: rate,
+                ipc: rate / run.assignment.len() as f64 / clock_hz,
+                metric_value: measure(machine, run, rate, seed),
+            })
+            .zip(
+                crate::hpe::solved(machine, runs, params)
+                    .into_iter()
+                    .map(|(_, s)| s),
+            )
+            .collect()
+    }
+
+    /// The cases of `tests/solver_equivalence.rs`'s
+    /// `fixed_point_exits_match_the_full_run` that neither profile
+    /// reaches: tails from one iteration to the whole run, and a
+    /// measurement four hundred iterations long, each against the
+    /// reference on the same parameters, every field to the last bit.
+    /// `streamcluster` next to `canneal` settles early, `blast` next to
+    /// `streamcluster` never does, and each candidate runs alone too.
+    #[test]
+    fn off_profile_exits_match_the_reference() {
+        let amd = machines::amd_opteron_6272();
+        let (first, second) = node0_pair(&amd);
+        let mut cases: Vec<Params> = [1, 7, 120].map(|tail| Params { tail, ..PROBE }).to_vec();
+        cases.push(Params {
+            iterations: 400,
+            ..MEASURE
+        });
+        for (candidate, resident) in [("streamcluster", "canneal"), ("blast", "streamcluster")] {
+            let (candidate, resident) = (
+                workload_by_name(candidate).unwrap(),
+                workload_by_name(resident).unwrap(),
+            );
+            let runs = [
+                ContainerRun {
+                    workload: &candidate,
+                    assignment: &first,
+                },
+                ContainerRun {
+                    workload: &resident,
+                    assignment: &second,
+                },
+            ];
+            for &params in &cases {
+                let config = reference::Config {
+                    iterations: params.iterations,
+                    damping: params.damping,
+                    perf_noise: PERF_NOISE,
+                    tail_average: params.tail,
+                };
+                for runs in [&runs[..], &runs[..1]] {
+                    let new = solved(&amd, runs, params, 1);
+                    let old = reference::simulate(&amd, runs, &config, 1);
+                    assert_eq!(new.len(), old.len());
+                    for ((np, ns), (op, os)) in new.iter().zip(&old) {
+                        assert_eq!(
+                            reference::bits(np, ns),
+                            reference::bits(op, os),
+                            "{params:?}\n new: {np:?} {ns:?}\n old: {op:?} {os:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -19,16 +19,16 @@
 //! has chaff to reject.
 //!
 //! Only the paper's HPE baseline (Fig. 4) reads counters, so nothing on
-//! the placement path computes them: [`crate::simulate`] reports rates
+//! the placement path computes them: [`crate::rates`] solves for rates
 //! alone, and [`observe`] re-solves a run through the same plan and fixed
-//! point to read the state the counters come from.
+//! point, recording the state the counters come from as it goes.
 
 use rand::rngs::StdRng;
 
 use vc_topology::Machine;
 use vc_workloads::Workload;
 
-use crate::engine::{solve, ContainerRun, Plan, SimConfig, Solution};
+use crate::engine::{queue_multiplier, solve, ContainerRun, Params, Plan, Profile, Utilisation};
 use crate::noise::{measurement_rng, noise_factor};
 
 /// Relative sampling noise on every reported counter.
@@ -60,58 +60,79 @@ pub struct ContainerState {
     pub cpi_comm: f64,
 }
 
-/// Solves `runs` under `cfg` — [`crate::simulate`]'s own plan and fixed
+/// `runs` solved under `params`: each container's mean per-thread IPC
+/// and state means (its last iteration's), in run order.
+pub(crate) fn solved(
+    machine: &Machine,
+    runs: &[ContainerRun],
+    params: Params,
+) -> Vec<(f64, ContainerState)> {
+    let plan = Plan::build(machine, runs);
+    let (solution, util) = solve(machine, &plan, params);
+    let lat = machine.latencies();
+    let q_dram: Vec<f64> = util.dram.iter().map(|&u| queue_multiplier(u)).collect();
+    let q_link: Vec<f64> = plan
+        .pairs
+        .iter()
+        .map(|p| p.queue_mult(&util.link))
+        .collect();
+    let cpi = |cl| plan.cpi_parts(cl, &lat, &q_dram, &q_link);
+    let cpi_parts: Vec<(f64, f64, f64)> = plan.classes.iter().map(cpi).collect();
+    let clock_hz = machine.clock_ghz() * 1e9;
+    let rates = plan.container_rates(&solution.rate);
+    (rates.iter().zip(runs).enumerate())
+        .map(|(ci, (inst_per_sec, run))| {
+            let ipc = inst_per_sec / run.assignment.len() as f64 / clock_hz;
+            (ipc, means(&plan, &util, &cpi_parts, ci, run.workload))
+        })
+        .collect()
+}
+
+/// Solves `runs` under `profile` — [`crate::rates`]' own plan and fixed
 /// point — and returns each container's state means, in run order.
 pub fn state_means(
     machine: &Machine,
     runs: &[ContainerRun],
-    cfg: &SimConfig,
+    profile: Profile,
 ) -> Vec<ContainerState> {
-    let plan = Plan::build(machine, runs);
-    let solution = solve(machine, &plan, cfg);
-    runs.iter()
-        .enumerate()
-        .map(|(ci, run)| means(&plan, &solution, ci, run.workload))
+    solved(machine, runs, profile.params())
+        .into_iter()
+        .map(|(_, s)| s)
         .collect()
 }
 
 /// The HPE vector, in [`hpe_names`] order, of `run` measured alone on
-/// `machine` under [`SimConfig::default`] with measurement seed `seed`.
+/// `machine` under [`Profile::Measure`] with measurement seed `seed`.
 ///
 /// The counters' sampling noise draws on the run's measurement stream 2,
 /// apart from the performance noise on stream 1, so observing counters
 /// never moves a performance measurement.
 pub fn observe(machine: &Machine, run: &ContainerRun, seed: u64) -> Vec<f64> {
-    let (ipc, state) = solve_alone(machine, run);
+    let (ipc, state) = solved(machine, &[*run], Profile::Measure.params()).remove(0);
     let mut rng = measurement_rng(&run.workload.name, run.assignment, seed, 2);
     synthesise(run.workload, ipc, &state, &mut rng, NOISE)
 }
 
-/// `run` solved alone under [`SimConfig::default`]: its mean per-thread
-/// IPC and its state means.
-fn solve_alone(machine: &Machine, run: &ContainerRun) -> (f64, ContainerState) {
-    let plan = Plan::build(machine, std::slice::from_ref(run));
-    let solution = solve(machine, &plan, &SimConfig::default());
-    let classes = plan.thread_classes(&plan.containers[0]);
-    let inst_per_sec: f64 = classes.iter().map(|&k| solution.rate[k]).sum();
-    let ipc = inst_per_sec / classes.len() as f64 / (machine.clock_ghz() * 1e9);
-    (ipc, means(&plan, &solution, 0, run.workload))
-}
-
 /// The state means of container `ci` of a solved plan.
-fn means(plan: &Plan, solution: &Solution, ci: usize, w: &Workload) -> ContainerState {
+fn means(
+    plan: &Plan,
+    util: &Utilisation,
+    cpi_parts: &[(f64, f64, f64)],
+    ci: usize,
+    w: &Workload,
+) -> ContainerState {
     let c = &plan.containers[ci];
     let classes = plan.thread_classes(c);
     let n = classes.len() as f64;
     let mean = |f: &dyn Fn(usize) -> f64| classes.iter().map(|&k| f(k)).sum::<f64>() / n;
     let dests = &plan.node_idx[c.node_base..c.node_base + c.n];
-    let dram_u = dests.iter().map(|&d| solution.dram_util[d]).sum::<f64>() / c.n as f64;
+    let dram_u = dests.iter().map(|&d| util.dram[d]).sum::<f64>() / c.n as f64;
     let link_u = {
         let mut acc = 0.0;
         let mut cnt = 0.0;
         for a in 0..c.n {
             for b in a + 1..c.n {
-                acc += plan.pairs[c.pair_base + a * c.n + b].queue_mult(&solution.link_util) - 1.0;
+                acc += plan.pairs[c.pair_base + a * c.n + b].queue_mult(&util.link) - 1.0;
                 cnt += 1.0;
             }
         }
@@ -121,7 +142,6 @@ fn means(plan: &Plan, solution: &Solution, ci: usize, w: &Workload) -> Container
             0.0
         }
     };
-    let cpi_parts = &solution.cpi_parts;
     ContainerState {
         l2_miss_ratio: mean(&|k| plan.classes[k].m2),
         l3_miss_ratio: mean(&|k| plan.classes[k].m3),
@@ -255,7 +275,7 @@ mod tests {
             workload: &workload,
             assignment: &assignment,
         };
-        let (ipc, state) = solve_alone(&amd, &run);
+        let (ipc, state) = solved(&amd, &[run], Profile::Measure.params()).remove(0);
         let mut rng = measurement_rng(w, &assignment, 1, 2);
         synthesise(&workload, ipc, &state, &mut rng, noise)
     }
@@ -301,8 +321,8 @@ mod tests {
             workload: &workload,
             assignment: &assignment,
         };
-        let (_, alone) = solve_alone(&amd, &run);
-        let listed = state_means(&amd, &[run], &SimConfig::default());
+        let (_, alone) = solved(&amd, &[run], Profile::Measure.params()).remove(0);
+        let listed = state_means(&amd, &[run], Profile::Measure);
         assert_eq!(listed.len(), 1);
         assert_eq!(format!("{:?}", listed[0]), format!("{alone:?}"));
     }
@@ -320,9 +340,8 @@ mod tests {
             workload: &workload,
             assignment,
         };
-        let cfg = SimConfig::default();
-        let alone = state_means(&amd, &[run(&first)], &cfg);
-        let joint = state_means(&amd, &[run(&first), run(&second)], &cfg);
+        let alone = state_means(&amd, &[run(&first)], Profile::Measure);
+        let joint = state_means(&amd, &[run(&first), run(&second)], Profile::Measure);
         assert_eq!(joint.len(), 2);
         assert!(
             joint[0].dram_utilisation > alone[0].dram_utilisation,

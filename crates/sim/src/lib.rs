@@ -1,11 +1,12 @@
 //! Analytic NUMA performance simulator.
 //!
 //! This crate is the repository's stand-in for the paper's two physical
-//! test machines. Given a machine description, one or more containers
-//! (workload + concrete vCPU-to-hardware-thread assignment) and a noise
-//! seed, it produces steady-state performance. The simulated hardware
-//! performance events of the paper's comparison baseline come from the
-//! same solve, on request only ([`hpe`]).
+//! test machines. [`rates`] is its one solve: the noise-free steady-state
+//! instruction rates of one or more containers (workload + concrete
+//! vCPU-to-hardware-thread assignment) under a [`Profile`] that fixes
+//! every solver parameter; [`simulate`] and [`SimOracle`] measure them
+//! with noise. The simulated hardware performance events of the paper's
+//! comparison baseline come from the same solve, on request only ([`hpe`]).
 //!
 //! The model is a CPI stack solved to a fixed point:
 //!
@@ -37,10 +38,17 @@
 pub mod colocation;
 pub mod engine;
 pub mod hpe;
-pub mod noise;
+mod noise;
 pub mod oracle;
-pub mod os_sched;
 
 pub use colocation::{simulate_candidate_penalty, simulate_co_location, CoLocationReport};
-pub use engine::{simulate, ContainerPerf, ContainerRun, SimConfig, SimResult};
+pub use engine::{rates, simulate, ContainerRun, Profile};
 pub use oracle::SimOracle;
+
+#[cfg(test)]
+extern crate self as vc_sim;
+// The per-thread reference of `tests/solver_equivalence.rs`, which the
+// unit tests run on parameters neither profile has.
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;

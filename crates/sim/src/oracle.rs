@@ -6,8 +6,8 @@
 //! [`InterferenceOracle::co_location_penalty`] solves the candidate
 //! together with the host's residents, and [`SimOracle::penalty`]
 //! answers the same question from a bounded memo keyed by that solve's
-//! input. The solve is a pure function of its input — the machine, the
-//! probe configuration and the seed are fixed per oracle — so a
+//! input. The solve is a pure function of its input — the machine is
+//! fixed per oracle, and the probe is noise-free — so a
 //! memoised penalty is, to the last bit, the one a direct call returns:
 //! which lookup filled an entry, and whether it was evicted and filled
 //! again, is invisible in the answers. A caller may therefore skip a
@@ -29,16 +29,16 @@ use vc_core::model::PerfOracle;
 use vc_core::placement::PlacementSpec;
 use vc_sync::{Counter, KeyedCache};
 use vc_topology::{Machine, OccupancyMap, ThreadId};
-use vc_workloads::{generator, suite, Metric, Workload};
+use vc_workloads::{generator, suite, Workload};
 
 use crate::colocation::simulate_candidate_penalty;
-use crate::engine::{simulate, ContainerRun, SimConfig};
-use crate::noise::{measurement_rng, noise_factor};
+use crate::engine::{rates, simulate, ContainerRun, Profile};
+use crate::noise::measure;
 
 /// A performance oracle for one machine: resolves workload names against
 /// the paper suite (plus optional extra workloads) and simulates each
-/// requested (workload, placement) measurement with
-/// [`SimConfig::default`].
+/// requested (workload, placement) measurement under
+/// [`Profile::Measure`].
 pub struct SimOracle {
     machine: Machine,
     workloads: Vec<Workload>,
@@ -197,8 +197,8 @@ impl SimOracle {
     /// residents theirs: the simulator accumulates its loads thread by
     /// thread, so the same threads in another order can score
     /// differently. Lists carry their lengths, so distinct inputs never
-    /// encode alike. The machine, the probe configuration and the seed
-    /// are fixed per oracle, and the occupancy's used threads are the
+    /// encode alike. The machine and the profile are fixed per oracle,
+    /// and the occupancy's used threads are the
     /// residents' (the contract [`Self::penalty`] checks), so none of
     /// them is keyed.
     fn penalty_key(
@@ -244,13 +244,9 @@ impl InterferenceOracle for SimOracle {
     /// the penalty the engine acts on is the penalty the fleet actually
     /// experiences.
     ///
-    /// The probe runs under [`SimConfig::interference_probe`]:
-    /// noise-free, fixed-seed, with a tail-averaged fixed point — the
-    /// penalty is a pure contention measurement, deterministic per
-    /// `(workload, threads, residents)`, which is what lets
-    /// [`SimOracle::penalty`] memoise it. It costs two solves — the
-    /// joint one and the candidate alone ([`simulate_candidate_penalty`])
-    /// — whatever the resident count. An idle occupancy costs none.
+    /// It runs [`simulate_candidate_penalty`] under the noise-free
+    /// [`Profile::Probe`]: two solves, the joint one and the candidate
+    /// alone, whatever the resident count. An idle occupancy costs none.
     ///
     /// # Panics
     ///
@@ -281,8 +277,7 @@ impl InterferenceOracle for SimOracle {
                 assignment: &r.threads,
             })
             .collect();
-        let probe_config = SimConfig::interference_probe();
-        simulate_candidate_penalty(&self.machine, &candidate, &resident_runs, &probe_config, 0)
+        simulate_candidate_penalty(&self.machine, &candidate, &resident_runs)
     }
 }
 
@@ -292,38 +287,20 @@ impl PerfOracle for SimOracle {
             workload: self.workload(workload),
             assignment: &self.assignment(workload, spec),
         };
-        simulate(&self.machine, &[run], &SimConfig::default(), seed).per_container[0].metric_value
+        simulate(&self.machine, &[run], seed)[0]
     }
 
-    /// One solve shared by every seed. The fixed point does not depend
-    /// on the seed — [`simulate`] draws the measurement noise after it —
-    /// so the run is solved once with the noise off, and each seed's
-    /// noise factor is applied to that rate exactly as `simulate`'s
-    /// measurement step applies it: the same values as [`Self::perf`]
-    /// per seed, to the last bit.
+    /// One solve shared by every seed: the rate is noise-free, and each
+    /// seed's measurement is taken of it as [`simulate`] takes it — the
+    /// same values as [`Self::perf`] per seed, to the last bit.
     fn perf_seeds(&self, workload: &str, spec: &PlacementSpec, seeds: u64) -> Vec<f64> {
-        let cfg = SimConfig::default();
-        let quiet = SimConfig {
-            perf_noise: 0.0,
-            ..cfg.clone()
-        };
-        let w = self.workload(workload);
-        let assignment = self.assignment(workload, spec);
         let run = ContainerRun {
-            workload: w,
-            assignment: &assignment,
+            workload: self.workload(workload),
+            assignment: &self.assignment(workload, spec),
         };
-        let inst_per_sec = simulate(&self.machine, &[run], &quiet, 0).per_container[0].inst_per_sec;
-        let (clock_hz, threads) = (self.machine.clock_ghz() * 1e9, assignment.len() as f64);
+        let rate = rates(&self.machine, &[run], Profile::Measure)[0];
         (0..seeds)
-            .map(|seed| {
-                let mut rng = measurement_rng(workload, &assignment, seed, 1);
-                let noisy_inst = inst_per_sec * noise_factor(&mut rng, cfg.perf_noise);
-                match w.metric {
-                    Metric::OpsPerSecond => noisy_inst / w.inst_per_op,
-                    Metric::Ipc => noisy_inst / clock_hz / threads,
-                }
-            })
+            .map(|seed| measure(&self.machine, &run, rate, seed))
             .collect()
     }
 }

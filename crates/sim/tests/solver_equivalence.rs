@@ -1,16 +1,18 @@
-//! `vc_sim::simulate` against the per-thread solver it replaced
-//! (`support/reference.rs`): every field of every `SimResult`, and every
-//! state mean `vc_sim::hpe::state_means` reads off the same solve, equal
-//! to the last bit. There is no tolerance anywhere in this file — the
-//! plan/solve split, the once-per-class latency update and the reused
-//! load buffers are reorganisations, not approximations.
+//! `vc_sim::rates` against the per-thread solver it replaced
+//! (`support/reference.rs`): every container's rate, IPC and measured
+//! metric, and every state mean `vc_sim::hpe::state_means` reads off the
+//! same solve, equal to the last bit. There is no tolerance anywhere in
+//! this file — the plan/solve split, the once-per-class latency update
+//! and the reused load buffers are reorganisations, not approximations.
 //!
 //! The solo sweep covers machines × sizes × important placements × both
-//! `SimConfig`s in full and strides the 18 suite workloads by three,
+//! `Profile`s in full and strides the 18 suite workloads by three,
 //! starting one further along for each successive placement, so every
-//! workload meets every machine, size and config (about a third of the
+//! workload meets every machine, size and profile (about a third of the
 //! full cross product; the whole suite fits the 20 s debug budget on a
-//! 2-core VM that way).
+//! 2-core VM that way). Parameters neither profile has — other tails,
+//! longer runs — are compared by the crate's unit tests
+//! (`engine::tests::off_profile_exits_match_the_reference`).
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -20,17 +22,17 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
+use reference::{bits, Perf};
 use vc_core::assign::{assign_vcpus, assign_vcpus_in};
 use vc_core::availability::AvailabilityIndex;
 use vc_core::concern::ConcernSet;
 use vc_core::important::important_placements;
 use vc_core::placement::PlacementSpec;
-use vc_sim::engine::{ContainerPerf, ContainerRun, SimConfig, SimResult};
 use vc_sim::hpe::{state_means, ContainerState};
-use vc_sim::{simulate, simulate_candidate_penalty};
+use vc_sim::{rates, simulate, simulate_candidate_penalty, ContainerRun, Profile};
 use vc_topology::machine::MachineBuilder;
 use vc_topology::{machines, Machine, NodeId, OccupancyMap, ThreadId};
-use vc_workloads::{paper_suite, Workload};
+use vc_workloads::{paper_suite, Metric, Workload};
 
 const SIZES: [usize; 5] = [2, 4, 8, 16, 32];
 
@@ -43,44 +45,64 @@ fn fleet() -> Vec<Machine> {
     ]
 }
 
-fn configs() -> [SimConfig; 2] {
-    [SimConfig::default(), SimConfig::interference_probe()]
-}
+const PROFILES: [Profile; 2] = [Profile::Measure, Profile::Probe];
 
-fn bits(p: &ContainerPerf, s: &ContainerState) -> [u64; 13] {
-    [
-        p.inst_per_sec,
-        p.ipc,
-        p.metric_value,
-        s.l2_miss_ratio,
-        s.l3_miss_ratio,
-        s.remote_fraction,
-        s.dram_utilisation,
-        s.link_utilisation,
-        s.comm_latency_cycles,
-        s.pipeline_mult,
-        s.cpi_core,
-        s.cpi_mem,
-        s.cpi_comm,
-    ]
-    .map(f64::to_bits)
+/// What the reference runs with for `profile`: the profile's solver
+/// parameters, and the measurement noise where [`simulate`] measures.
+fn reference_config(profile: Profile) -> reference::Config {
+    match profile {
+        Profile::Measure => reference::Config {
+            iterations: 30,
+            damping: 0.5,
+            perf_noise: 0.01,
+            tail_average: 0,
+        },
+        Profile::Probe => reference::Config {
+            iterations: 120,
+            damping: 0.3,
+            perf_noise: 0.0,
+            tail_average: 60,
+        },
+    }
 }
 
 /// Every rate and state mean of `runs`, per container, from the
 /// production solver and from the reference.
-type Solved = Vec<(ContainerPerf, ContainerState)>;
+type Solved = Vec<(Perf, ContainerState)>;
 
-fn solved_new(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> Solved {
-    let rates = simulate(machine, runs, cfg, seed).per_container;
+/// `runs` under `profile`, as the crate reports them: each rate from
+/// [`rates`], its mean per-thread IPC, and its metric measured with
+/// seed `seed` by [`simulate`]. Nothing measures under
+/// [`Profile::Probe`], which has no noise: its metric is the rate's own.
+fn solved_new(machine: &Machine, runs: &[ContainerRun], profile: Profile, seed: u64) -> Solved {
+    let clock_hz = machine.clock_ghz() * 1e9;
+    let rates = rates(machine, runs, profile);
+    let metrics = match profile {
+        Profile::Measure => simulate(machine, runs, seed),
+        Profile::Probe => rates
+            .iter()
+            .zip(runs)
+            .map(|(&rate, run)| match run.workload.metric {
+                Metric::OpsPerSecond => rate / run.workload.inst_per_op,
+                Metric::Ipc => rate / clock_hz / run.assignment.len() as f64,
+            })
+            .collect(),
+    };
     rates
-        .into_iter()
-        .zip(state_means(machine, runs, cfg))
+        .iter()
+        .zip(metrics)
+        .zip(runs)
+        .map(|((&rate, metric_value), run)| Perf {
+            inst_per_sec: rate,
+            ipc: rate / run.assignment.len() as f64 / clock_hz,
+            metric_value,
+        })
+        .zip(state_means(machine, runs, profile))
         .collect()
 }
 
-fn solved_old(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> Solved {
-    let (rates, states) = reference::simulate(machine, runs, cfg, seed);
-    rates.per_container.into_iter().zip(states).collect()
+fn solved_old(machine: &Machine, runs: &[ContainerRun], profile: Profile, seed: u64) -> Solved {
+    reference::simulate(machine, runs, &reference_config(profile), seed)
 }
 
 fn same_bits(new: &Solved, old: &Solved) -> bool {
@@ -92,19 +114,16 @@ fn same_bits(new: &Solved, old: &Solved) -> bool {
 }
 
 /// Solves `runs` with both solvers and returns the (checked-equal)
-/// result.
-fn both(machine: &Machine, runs: &[ContainerRun], cfg: &SimConfig, seed: u64) -> SimResult {
-    let new = solved_new(machine, runs, cfg, seed);
-    let old = solved_old(machine, runs, cfg, seed);
+/// rates.
+fn both(machine: &Machine, runs: &[ContainerRun], profile: Profile, seed: u64) -> Vec<f64> {
+    let new = solved_new(machine, runs, profile, seed);
+    let old = solved_old(machine, runs, profile, seed);
     assert!(
         same_bits(&new, &old),
-        "solver diverged on {} (seed {seed}, {} iterations)\n runs: {runs:?}\n new: {new:?}\n old: {old:?}",
+        "solver diverged on {} (seed {seed}, {profile:?})\n runs: {runs:?}\n new: {new:?}\n old: {old:?}",
         machine.name(),
-        cfg.iterations,
     );
-    SimResult {
-        per_container: new.into_iter().map(|(perf, _)| perf).collect(),
-    }
+    new.into_iter().map(|(perf, _)| perf.inst_per_sec).collect()
 }
 
 /// The important placements of `vcpus` on `machine`; empty when the
@@ -129,8 +148,8 @@ fn solo_probes_match_on_every_machine_size_and_important_placement() {
                         workload,
                         assignment: &assignment,
                     };
-                    for cfg in configs() {
-                        both(&machine, &[run], &cfg, cases as u64);
+                    for profile in PROFILES {
+                        both(&machine, &[run], profile, cases as u64);
                         cases += 1;
                     }
                 }
@@ -145,8 +164,9 @@ fn solo_probes_match_on_every_machine_size_and_important_placement() {
 /// containers on AMD node 0: `streamcluster` next to `canneal` reaches
 /// its fixed point before the probe's 120 iterations, `blast` next to
 /// `streamcluster` never does (the solver's unit tests pin which is
-/// which). Tails from none to the whole run, so the tail sums finished
-/// past the exit are compared too.
+/// which). The probe's tail sums finished past the exit are compared
+/// too; other tails, and longer measurements, are the unit tests'
+/// (`engine::tests::off_profile_exits_match_the_reference`).
 #[test]
 fn fixed_point_exits_match_the_full_run() {
     let amd = machines::amd_opteron_6272();
@@ -155,17 +175,6 @@ fn fixed_point_exits_match_the_full_run() {
     let first = assign_vcpus_in(&amd, &spec, &occ).unwrap();
     occ.reserve(&first).unwrap();
     let second = assign_vcpus_in(&amd, &spec, &occ).unwrap();
-    let mut cfgs = configs().to_vec();
-    for tail in [1, 7, 120] {
-        cfgs.push(SimConfig {
-            tail_average: tail,
-            ..SimConfig::interference_probe()
-        });
-    }
-    cfgs.push(SimConfig {
-        iterations: 400,
-        ..SimConfig::default()
-    });
     let suite = paper_suite();
     let named = |name: &str| suite.iter().find(|w| w.name == name).unwrap();
     for (candidate, resident) in [("streamcluster", "canneal"), ("blast", "streamcluster")] {
@@ -179,9 +188,9 @@ fn fixed_point_exits_match_the_full_run() {
                 assignment: &second,
             },
         ];
-        for cfg in &cfgs {
-            both(&amd, &runs, cfg, 1);
-            both(&amd, &runs[..1], cfg, 1);
+        for profile in PROFILES {
+            both(&amd, &runs, profile, 1);
+            both(&amd, &runs[..1], profile, 1);
         }
     }
 }
@@ -250,18 +259,19 @@ fn joint_runs_match_with_real_residents() {
                 .collect();
             let held: usize = runs[1..].iter().map(|r| r.assignment.len()).sum();
             assert_eq!(held, host.occ.used_threads(), "the residents hold the occupancy");
-            for cfg in configs() {
-                let joint = both(machine, &runs, &cfg, residents as u64);
+            for profile in PROFILES {
+                let joint = both(machine, &runs, profile, residents as u64);
+                let solo = both(machine, &runs[..1], profile, residents as u64);
                 // The probe's candidate-only path: the clamped ratio of
-                // the same two solves.
-                let solo = both(machine, &runs[..1], &cfg, residents as u64);
-                let ratio =
-                    joint.per_container[0].inst_per_sec / solo.per_container[0].inst_per_sec;
-                assert_eq!(
-                    simulate_candidate_penalty(machine, &runs[0], &runs[1..], &cfg, residents as u64)
-                        .to_bits(),
-                    ratio.clamp(f64::MIN_POSITIVE, 1.0).to_bits(),
-                );
+                // the same two solves. A penalty is defined under the
+                // probe alone.
+                if profile == Profile::Probe {
+                    let ratio = joint[0] / solo[0];
+                    assert_eq!(
+                        simulate_candidate_penalty(machine, &runs[0], &runs[1..]).to_bits(),
+                        ratio.clamp(f64::MIN_POSITIVE, 1.0).to_bits(),
+                    );
+                }
             }
         }
     }
@@ -341,8 +351,8 @@ fn corner_assignments_match() {
                     assignment,
                 })
                 .collect();
-            for cfg in configs() {
-                both(machine, &runs, &cfg, wi as u64);
+            for profile in PROFILES {
+                both(machine, &runs, profile, wi as u64);
             }
         }
     }
@@ -379,9 +389,9 @@ proptest! {
             .iter()
             .map(|(w, assignment)| ContainerRun { workload: &suite[*w], assignment })
             .collect();
-        let cfg = &configs()[(seed % 2) as usize];
-        let new = solved_new(machine, &runs, cfg, seed);
-        let old = solved_old(machine, &runs, cfg, seed);
+        let profile = PROFILES[(seed % 2) as usize];
+        let new = solved_new(machine, &runs, profile, seed);
+        let old = solved_old(machine, &runs, profile, seed);
         prop_assert!(
             same_bits(&new, &old),
             "solver diverged on {} for {:?}: {:?} vs {:?}", machine.name(), runs, new, old
@@ -392,14 +402,10 @@ proptest! {
 /// What retargeting relies on: a class's orbit is the set of node sets
 /// scoring like its representative, the engine commits any of them at
 /// the representative's prediction, and the measurement-noise stream is
-/// keyed by the concrete assignment — so with noise off, every member
+/// keyed by the concrete assignment — so before the noise, every member
 /// must simulate exactly alike.
 #[test]
 fn placements_in_one_orbit_simulate_alike_with_noise_off() {
-    let quiet = SimConfig {
-        perf_noise: 0.0,
-        ..SimConfig::default()
-    };
     let suite = paper_suite();
     for machine in [
         machines::amd_opteron_6272(),
@@ -423,7 +429,7 @@ fn placements_in_one_orbit_simulate_alike_with_noise_off() {
                             workload,
                             assignment: &assignment,
                         };
-                        both(&machine, &[run], &quiet, 0).per_container[0].inst_per_sec
+                        both(&machine, &[run], Profile::Measure, 0)[0]
                     };
                     let representative = throughput(&ip.spec.nodes);
                     for nodes in &orbit.node_sets {

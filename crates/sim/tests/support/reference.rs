@@ -4,19 +4,102 @@
 //! and hop counts inside the loop, and every iteration allocates its
 //! load vectors. Nothing here is shared with the production solver
 //! (the miss curve and the queueing multiplier are copied too), so the
-//! equivalence suite compares two independent computations. Test files
-//! include it with `#[path = "support/reference.rs"] mod reference;`.
+//! equivalence suite compares two independent computations; the
+//! measurement noise is copied as well. `tests/solver_equivalence.rs`
+//! includes it with `#[path = "support/reference.rs"] mod reference;`,
+//! and the crate's unit tests include it from `src/lib.rs`, to run it on
+//! parameters no [`vc_sim::Profile`] has.
 //!
 //! The body is the old one verbatim; the only edits are that
 //! [`ContainerRun`] now lends its workload and assignment instead of
-//! owning them, and that each container's state means come back beside
-//! its rates instead of inside them.
+//! owning them, that each container's state means come back beside its
+//! rates instead of inside them, that the parameters come in a
+//! [`Config`] of its own, and that the rate it reports is the one before
+//! the measurement noise (the noise shows in the metric).
 
-use vc_sim::engine::{ContainerPerf, ContainerRun, SimConfig, SimResult};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use vc_sim::engine::ContainerRun;
 use vc_sim::hpe::ContainerState;
-use vc_sim::noise::{measurement_rng, noise_factor};
-use vc_topology::{Machine, NodeId};
+use vc_topology::{Machine, NodeId, ThreadId};
 use vc_workloads::Metric;
+
+/// The solver parameters and the measurement noise the reference runs
+/// with.
+#[derive(Debug, Clone, Copy)]
+pub struct Config {
+    /// Fixed-point iterations, all of them run.
+    pub iterations: usize,
+    /// Damping factor for rate updates (0 = frozen, 1 = undamped).
+    pub damping: f64,
+    /// Relative measurement noise on reported performance.
+    pub perf_noise: f64,
+    /// Report rates averaged over the last `tail_average` iterations
+    /// instead of the final iteration alone (`0` = final iteration).
+    pub tail_average: usize,
+}
+
+/// One container's performance.
+#[derive(Debug, Clone, Copy)]
+pub struct Perf {
+    /// Aggregate instruction throughput (instructions per second),
+    /// before the measurement noise.
+    pub inst_per_sec: f64,
+    /// Mean per-thread IPC.
+    pub ipc: f64,
+    /// The workload's online metric, measured with noise: ops/s for
+    /// [`Metric::OpsPerSecond`], aggregate IPC otherwise.
+    pub metric_value: f64,
+}
+
+/// Every value an equivalence test compares, as bits: a container's
+/// three performance figures and its ten state means.
+pub fn bits(p: &Perf, s: &ContainerState) -> [u64; 13] {
+    [
+        p.inst_per_sec,
+        p.ipc,
+        p.metric_value,
+        s.l2_miss_ratio,
+        s.l3_miss_ratio,
+        s.remote_fraction,
+        s.dram_utilisation,
+        s.link_utilisation,
+        s.comm_latency_cycles,
+        s.pipeline_mult,
+        s.cpi_core,
+        s.cpi_mem,
+        s.cpi_comm,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Builds a seeded RNG from a workload name, an assignment and a run
+/// seed. Identical inputs always produce the identical RNG.
+fn measurement_rng(workload: &str, assignment: &[ThreadId], seed: u64, stream: u64) -> StdRng {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    };
+    for b in workload.bytes() {
+        mix(b as u64);
+    }
+    for t in assignment {
+        mix(t.index() as u64 + 0x9e37);
+    }
+    mix(seed);
+    mix(stream);
+    StdRng::seed_from_u64(h)
+}
+
+/// A multiplicative noise factor around 1.0 with relative spread `sigma`
+/// (uniform in `[1-sigma, 1+sigma]`).
+fn noise_factor(rng: &mut StdRng, sigma: f64) -> f64 {
+    if sigma <= 0.0 {
+        return 1.0;
+    }
+    1.0 + rng.random_range(-sigma..sigma)
+}
 
 /// Smooth miss-ratio curve: footprint `f` (MiB) over capacity `c` (MiB).
 ///
@@ -51,8 +134,8 @@ struct ThreadCtx {
     core: usize,
 }
 
-/// Simulates one or more containers sharing a machine and returns their
-/// steady-state performance.
+/// Simulates one or more containers sharing a machine and returns each
+/// one's steady-state performance and state means, in input order.
 ///
 /// # Panics
 ///
@@ -61,9 +144,9 @@ struct ThreadCtx {
 pub fn simulate(
     machine: &Machine,
     runs: &[ContainerRun],
-    cfg: &SimConfig,
+    cfg: &Config,
     seed: u64,
-) -> (SimResult, Vec<ContainerState>) {
+) -> Vec<(Perf, ContainerState)> {
     // Build thread contexts and check exclusivity.
     let mut used = vec![false; machine.num_threads()];
     let mut threads: Vec<ThreadCtx> = Vec::new();
@@ -176,7 +259,7 @@ pub fn simulate(
     let mut dram_util = vec![0.0f64; machine.num_nodes()];
     let mut link_util = vec![0.0f64; machine.interconnect().links().len()];
     // Cesàro tail: mean rate over the last `tail_average` iterations
-    // (see [`SimConfig::tail_average`]); empty when disabled.
+    // (see [`Config::tail_average`]); empty when disabled.
     let tail = cfg.tail_average.min(cfg.iterations);
     let mut rate_tail = vec![0.0f64; if tail > 0 { threads.len() } else { 0 }];
 
@@ -302,7 +385,6 @@ pub fn simulate(
 
     // Aggregate per container.
     let mut per_container = Vec::with_capacity(runs.len());
-    let mut states = Vec::with_capacity(runs.len());
     for (ci, run) in runs.iter().enumerate() {
         let idx: Vec<usize> = threads
             .iter()
@@ -366,14 +448,16 @@ pub fn simulate(
             Metric::OpsPerSecond => noisy_inst / run.workload.inst_per_op,
             Metric::Ipc => noisy_inst / clock_hz / n,
         };
-        per_container.push(ContainerPerf {
-            inst_per_sec: noisy_inst,
-            ipc,
-            metric_value,
-        });
-        states.push(state);
+        per_container.push((
+            Perf {
+                inst_per_sec,
+                ipc,
+                metric_value,
+            },
+            state,
+        ));
     }
-    (SimResult { per_container }, states)
+    per_container
 }
 
 /// Fraction of a container's threads residing on `node`.

@@ -166,26 +166,6 @@ impl Interconnect {
         })
     }
 
-    /// Average hop distance over all distinct node pairs in `nodes`.
-    ///
-    /// Unreachable pairs count as 3 hops, a pessimistic stand-in that keeps
-    /// the average finite.
-    pub fn mean_hops(&self, nodes: &[NodeId]) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0u32;
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                total += self.hops(a, b).unwrap_or(3) as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
     /// Sum of the bandwidths of all links with both endpoints in `nodes`.
     ///
     /// This is the naive "add up the total available bandwidth of all links
@@ -228,6 +208,20 @@ mod tests {
         assert_eq!(ic.hops(NodeId(0), NodeId(2)), Some(1));
         // Node 3 is isolated.
         assert_eq!(ic.hops(NodeId(0), NodeId(3)), None);
+    }
+
+    #[test]
+    fn hops_through_one_intermediate_are_two_and_symmetric() {
+        // A line 0 - 1 - 2 - 3.
+        let mut ic = Interconnect::new(4);
+        ic.add_link(NodeId(0), NodeId(1), 1.0);
+        ic.add_link(NodeId(1), NodeId(2), 1.0);
+        ic.add_link(NodeId(2), NodeId(3), 1.0);
+        assert_eq!(ic.hops(NodeId(0), NodeId(2)), Some(2));
+        assert_eq!(ic.hops(NodeId(2), NodeId(0)), Some(2));
+        // Three hops are beyond the routing tables.
+        assert_eq!(ic.hops(NodeId(0), NodeId(3)), None);
+        assert_eq!(ic.hops(NodeId(3), NodeId(0)), None);
     }
 
     #[test]
@@ -278,13 +272,6 @@ mod tests {
         ic.scale_bandwidths(0.5);
         assert_eq!(ic.direct_bandwidth(NodeId(0), NodeId(1)), Some(2.0));
         assert_eq!(ic.direct_bandwidth(NodeId(1), NodeId(2)), Some(1.0));
-    }
-
-    #[test]
-    fn mean_hops_averages_pairs() {
-        let ic = triangle();
-        // Pairs (0,1)=1, (0,2)=1, (1,2)=1.
-        assert_eq!(ic.mean_hops(&[NodeId(0), NodeId(1), NodeId(2)]), 1.0);
     }
 
     #[test]

@@ -186,8 +186,8 @@ impl OccupancyMap {
         self.layout.cap_per_node.iter().copied().max().unwrap_or(0)
     }
 
-    /// Hardware threads in the largest L2 group. Prefer
-    /// [`Self::capacity_of_l2`] on machines with uneven domains.
+    /// Hardware threads in the largest L2 group (on uniform machines,
+    /// every L2 group's capacity).
     pub fn l2_capacity(&self) -> usize {
         self.layout.cap_per_l2.iter().copied().max().unwrap_or(0)
     }
@@ -195,11 +195,6 @@ impl OccupancyMap {
     /// Hardware threads on `node`.
     pub fn capacity_of_node(&self, node: NodeId) -> usize {
         self.layout.cap_per_node[node.index()]
-    }
-
-    /// Hardware threads in L2 group `l2`.
-    pub fn capacity_of_l2(&self, l2: L2GroupId) -> usize {
-        self.layout.cap_per_l2[l2.index()]
     }
 
     /// Whether `thread` is currently free.

@@ -6,7 +6,7 @@ use vcplace::core::assign::assign_vcpus;
 use vcplace::core::concern::ConcernSet;
 use vcplace::core::important::important_placements;
 use vcplace::core::packing::generate_packings;
-use vcplace::sim::engine::{miss_curve, queue_multiplier, simulate, ContainerRun, SimConfig};
+use vcplace::sim::engine::{miss_curve, queue_multiplier, rates, simulate, ContainerRun, Profile};
 use vcplace::topology::stream::aggregate_bandwidth;
 use vcplace::topology::{machines, CacheConfig, MachineBuilder, NodeId};
 use vcplace::workloads::generator::random_workload;
@@ -133,15 +133,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = random_workload("prop", &mut rng);
         let assignment: Vec<_> = machine.threads().iter().map(|t| t.id).take(4).collect();
-        let result = simulate(
-            &machine,
-            &[ContainerRun { workload: &w, assignment: &assignment }],
-            &SimConfig::default(),
-            seed,
-        );
-        let perf = &result.per_container[0];
-        prop_assert!(perf.inst_per_sec.is_finite() && perf.inst_per_sec > 0.0);
-        prop_assert!(perf.ipc > 0.0 && perf.ipc < 10.0);
+        let runs = [ContainerRun { workload: &w, assignment: &assignment }];
+        let inst_per_sec = rates(&machine, &runs, Profile::Measure)[0];
+        let ipc = inst_per_sec / assignment.len() as f64 / (machine.clock_ghz() * 1e9);
+        prop_assert!(inst_per_sec.is_finite() && inst_per_sec > 0.0);
+        prop_assert!(ipc > 0.0 && ipc < 10.0);
+        let measured = simulate(&machine, &runs, seed)[0];
+        prop_assert!(measured.is_finite() && measured > 0.0);
     }
 
     #[test]
@@ -156,14 +154,7 @@ proptest! {
         let small: Vec<_> = machine.threads().iter().map(|t| t.id).take(k).collect();
         let big: Vec<_> = machine.threads().iter().map(|t| t.id).take(k + 1).collect();
         let perf = |assignment: Vec<_>| {
-            simulate(
-                &machine,
-                &[ContainerRun { workload: &w, assignment: &assignment }],
-                &SimConfig { perf_noise: 0.0, ..SimConfig::default() },
-                0,
-            )
-            .per_container[0]
-                .inst_per_sec
+            rates(&machine, &[ContainerRun { workload: &w, assignment: &assignment }], Profile::Measure)[0]
         };
         prop_assert!(perf(big) >= perf(small) * 0.999);
     }
